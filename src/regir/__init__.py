@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 from .bm25 import Bm25Params, PostingsIndex, build_index, load_index, save_index, tune_bm25
 from .corpus import (Corpus, CorpusError, Document, Qrels, SplitManifest,
                      corpus_stats, ingest_collection, load_qrels)
-from .datefilter import DateWindow, apply_filter, choose_window, prefilter
+from .datefilter import DateWindow, apply_filter, choose_window
 from .dense import (DocVectorStore, WordVectors, build_centroid_store, centroid,
-                    dense_prefetch, knn_search, load_doc_vectors,
-                    load_word_vectors)
+                    knn_search, load_doc_vectors, load_word_vectors)
 from .fusion import fuse, normalize_scores, tune_alpha
 from .metrics import (EvalReport, aggregate_runs, evaluate_run, ndcg_at_k,
                       r_precision, recall_at_k)
@@ -27,9 +26,9 @@ __all__ = [
     "tune_bm25",
     "Corpus", "CorpusError", "Document", "Qrels", "SplitManifest",
     "corpus_stats", "ingest_collection", "load_qrels",
-    "DateWindow", "apply_filter", "choose_window", "prefilter",
+    "DateWindow", "apply_filter", "choose_window",
     "DocVectorStore", "WordVectors", "build_centroid_store", "centroid",
-    "dense_prefetch", "knn_search", "load_doc_vectors", "load_word_vectors",
+    "knn_search", "load_doc_vectors", "load_word_vectors",
     "fuse", "normalize_scores", "tune_alpha",
     "EvalReport", "aggregate_runs", "evaluate_run", "ndcg_at_k", "r_precision",
     "recall_at_k",

@@ -1,4 +1,5 @@
-"""Thread-pool helper honoring the REGIR_THREADS cap.
+"""Thread-pool helper honoring the REGIR_THREADS cap, at most one thread per
+CPU.
 
 Default is sequential execution (deterministic, no surprises); results always
 come back in input order.
@@ -16,7 +17,7 @@ def thread_count() -> int:
         n = int(raw)
     except ValueError:
         raise ValueError(f"REGIR_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 def parallel_map(fn, items):

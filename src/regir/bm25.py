@@ -96,21 +96,6 @@ class PostingsIndex:
     def _norm(self, length: float, params: Bm25Params) -> float:
         return 1.0 - params.b + params.b * length / self.avg_len
 
-    def bm25_score(self, query_tokens: list[str], doc_id: str, params: Bm25Params) -> float:
-        if doc_id not in self.doc_len:
-            raise KeyError(f"unknown doc_id {doc_id!r}")
-        norm = self._norm(self.doc_len[doc_id], params)
-        score = 0.0
-        for term, q_tf in Counter(query_tokens).items():
-            plist = self.postings.get(term)
-            if plist is None:
-                continue
-            tf = next((f for d, f in plist if d == doc_id), 0)
-            if tf == 0:
-                continue
-            score += q_tf * self.idf(term) * tf * (params.k1 + 1) / (tf + params.k1 * norm)
-        return score
-
     def score_all(self, query_tokens: list[str], params: Bm25Params) -> np.ndarray:
         """BM25 scores for every pool document, aligned with sorted doc ids."""
         scores = np.zeros(self.doc_count)

@@ -17,18 +17,17 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .bm25 import (Bm25Params, build_index, default_grid, load_index,
-                   save_index, tune_bm25, write_grid_csv)
+from .bm25 import (Bm25Params, PostingsIndex, build_index, default_grid,
+                   load_index, save_index, tune_bm25, write_grid_csv)
 from .corpus import (CorpusError, convert_collection, corpus_stats,
                      ingest_collection, load_qrels, write_collection,
                      SplitManifest)
 from .datefilter import DateWindow, filter_run, write_year_hist_csv, year_diff_histogram
 from .dense import (VectorFormatError, build_centroid_store, load_doc_vectors,
                     load_word_vectors, save_doc_vectors)
-from .experiment import (ConfigError, bm25_run, centroid_run, doc_vectors_run,
-                         emit_rk_curve, load_config, run_experiment,
-                         write_rk_curve_csv, _parse_range)
-from .fusion import (default_alpha_grid, fuse, normalize_scores, tune_alpha,
+from .experiment import (ConfigError, Prefetcher, emit_rk_curve, load_config,
+                         run_experiment, write_rk_curve_csv, _parse_range)
+from .fusion import (default_alpha_grid, fuse_runs, tune_alpha,
                      write_alpha_grid_csv)
 from .metrics import (aggregate_runs, evaluate_run, read_eval_csv,
                       write_eval_csv, write_summary_csv, EvalReport)
@@ -65,17 +64,15 @@ _in = click.Path(exists=True, dir_okay=False, path_type=Path)
 _out = click.Path(dir_okay=False, path_type=Path, writable=True)
 
 
-def _pipeline(index_path: Path | None, collection_path: Path | None,
+def _pipeline(index: PostingsIndex | None, collection_path: Path | None,
               stopwords_path: Path | None, no_idf_filter: bool) -> TextPipeline:
     """Query-time pipeline, preferably the one frozen into the index."""
-    if index_path is not None:
-        index = load_index(index_path)
-        if index.pipeline is not None:
-            if stopwords_path or no_idf_filter:
-                raise click.ClickException(
-                    "--stopwords/--no-idf-filter conflict with the settings "
-                    "stored in the index; rebuild the index instead")
-            return index.pipeline
+    if index is not None and index.pipeline is not None:
+        if stopwords_path or no_idf_filter:
+            raise click.ClickException(
+                "--stopwords/--no-idf-filter conflict with the settings "
+                "stored in the index; rebuild the index instead")
+        return index.pipeline
     if collection_path is None:
         raise click.ClickException("need --collection (or an index that stores "
                                    "its pipeline) to build the text pipeline")
@@ -86,6 +83,8 @@ def _pipeline(index_path: Path | None, collection_path: Path | None,
 
 
 def _query_ids(query_corpus, splits_path: Path | None, split: str | None):
+    """The split's query ids (default test); every query without a split
+    manifest."""
     if splits_path is None:
         return sorted(query_corpus.ids)
     manifest = SplitManifest.from_json(splits_path)
@@ -178,7 +177,7 @@ def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
                   grid_k1, grid_b):
     """Sweep (k1, b) maximizing R@k and export the recall grid."""
     idx = load_index(index_path)
-    pipeline = _pipeline(index_path, None, None, False)
+    pipeline = _pipeline(idx, None, None, False)
     query_corpus = ingest_collection(queries)
     judgments = load_qrels(qrels)
     ids = _query_ids(query_corpus, splits, split)
@@ -211,7 +210,8 @@ def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
 def vectors(collection, word_vectors, out, index_path, stopwords, no_idf_filter,
             on_empty):
     """Precompute tf-idf weighted centroid vectors for every pool document."""
-    pipeline = _pipeline(index_path, collection, stopwords, no_idf_filter)
+    pipeline = _pipeline(load_index(index_path) if index_path else None,
+                         collection, stopwords, no_idf_filter)
     corpus = ingest_collection(collection, tag="pool")
     wv = load_word_vectors(word_vectors)
     store = build_centroid_store(corpus, pipeline, wv, on_empty=on_empty)
@@ -256,66 +256,58 @@ def prefetch(mode, k, queries, out, splits, split, index_path, k1, b, params,
              collection, stopwords, no_idf_filter, word_vectors, centroids,
              pool_vectors, query_vectors, components, alpha, date_filter,
              filter_mode):
-    """First-stage retrieval into a run file."""
+    """First-stage retrieval into a run file: the candidate lists `regir run`
+    takes on for the same settings."""
     query_corpus = ingest_collection(queries)
     ids = _query_ids(query_corpus, splits, split)
-    depth = 2 * k if date_filter is not None else k
-
-    bm25_params = Bm25Params()
-    if params:
-        data = json.loads(Path(params).read_text())
-        bm25_params = Bm25Params(data["k1"], data["b"])
-    if k1 is not None or b is not None:
-        if k1 is None or b is None:
-            raise click.ClickException("--k1 and --b must be given together")
-        bm25_params = Bm25Params(k1, b)
-
-    def one_component(name: str, fetch_k: int) -> Run:
-        if name == "bm25":
-            if index_path is None:
-                raise click.ClickException("bm25 needs --index")
-            idx = load_index(index_path)
-            pipeline = _pipeline(index_path, collection, stopwords, no_idf_filter)
-            return bm25_run(idx, pipeline, query_corpus, ids, bm25_params, fetch_k)
-        if name == "w2v-cent":
-            if word_vectors is None or centroids is None:
-                raise click.ClickException("w2v-cent needs --word-vectors and "
-                                           "--centroids")
-            pipeline = _pipeline(index_path, collection, stopwords, no_idf_filter)
-            return centroid_run(load_doc_vectors(centroids), pipeline,
-                                load_word_vectors(word_vectors), query_corpus,
-                                ids, fetch_k)
-        if name == "doc-vectors":
-            if pool_vectors is None or query_vectors is None:
-                raise click.ClickException("doc-vectors needs --pool-vectors "
-                                           "and --query-vectors")
-            return doc_vectors_run(load_doc_vectors(pool_vectors),
-                                   load_doc_vectors(query_vectors), ids, fetch_k)
-        raise click.ClickException(f"unknown component {name!r}")
-
     if mode == "ensemble":
         if not components or alpha is None:
             raise click.ClickException("ensemble needs --components and --alpha")
-        names = [c.strip() for c in components.split(",")]
-        if len(names) != 2:
+        components = tuple(c.strip() for c in components.split(","))
+        if len(components) != 2:
             raise click.ClickException("--components must name exactly two "
                                        "pre-fetchers")
-        run_a = one_component(names[0], 2 * depth)
-        run_b = one_component(names[1], 2 * depth)
-        run = Run()
-        for query_id in run_a:
-            run[query_id] = fuse(normalize_scores(run_a[query_id]),
-                                 normalize_scores(run_b[query_id]), alpha, depth)
     else:
-        run = one_component(mode, depth)
+        components = None
+    names = components or (mode,)
+    stage = Prefetcher(mode, components, k, query_corpus)
+    if params:
+        data = json.loads(Path(params).read_text())
+        stage.bm25_params = Bm25Params(data["k1"], data["b"])
+    if k1 is not None or b is not None:
+        if k1 is None or b is None:
+            raise click.ClickException("--k1 and --b must be given together")
+        stage.bm25_params = Bm25Params(k1, b)
 
+    if "bm25" in names and index_path is None:
+        raise click.ClickException("bm25 needs --index")
+    if "w2v-cent" in names and (word_vectors is None or centroids is None):
+        raise click.ClickException("w2v-cent needs --word-vectors and "
+                                   "--centroids")
+    if "doc-vectors" in names and (pool_vectors is None or query_vectors is None):
+        raise click.ClickException("doc-vectors needs --pool-vectors "
+                                   "and --query-vectors")
+    if "bm25" in names or "w2v-cent" in names:
+        stage.index = load_index(index_path) if index_path else None
+        stage.pipeline = _pipeline(stage.index, collection, stopwords,
+                                   no_idf_filter)
+    if "w2v-cent" in names:
+        stage.word_vectors = load_word_vectors(word_vectors)
+        stage.cent_store = load_doc_vectors(centroids)
+    if "doc-vectors" in names:
+        stage.pool_store = load_doc_vectors(pool_vectors)
+        stage.query_store = load_doc_vectors(query_vectors)
+
+    window = pool_corpus = None
     if date_filter is not None:
         if collection is None:
             raise click.ClickException("--date-filter needs --collection for "
                                        "publication years")
         pool_corpus = ingest_collection(collection, tag="pool")
-        run = _apply_cli_datefilter(run, date_filter, filter_mode, query_corpus,
-                                    pool_corpus, k)
+        window = DateWindow(date_filter, filter_mode)
+    run = stage.candidates(stage.deep_run(ids, alpha), window, pool_corpus)
+    if window is not None and window.mode == "post":
+        run = filter_run(run, window, query_corpus, pool_corpus)
     write_run(run, out)
     click.echo(f"wrote {len(run)} ranked lists to {out}")
 
@@ -345,12 +337,7 @@ def fuse_cmd(run_a, run_b, k, alpha, do_tune, qrels, grid, grid_out, out):
             write_alpha_grid_csv(cells, grid_out)
     elif alpha is None:
         raise click.ClickException("give --alpha or --tune-alpha")
-    fused = Run()
-    for query_id in sorted(a):
-        if query_id not in b:
-            raise click.ClickException(f"query {query_id!r} missing from run-b")
-        fused[query_id] = fuse(normalize_scores(a[query_id]),
-                               normalize_scores(b[query_id]), alpha, k)
+    fused = fuse_runs(a, b, alpha, k)
     write_run(fused, out)
     click.echo(f"wrote {len(fused)} fused lists to {out}")
 
@@ -388,7 +375,8 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
     """Train a neural re-ranker with pairwise hinge loss."""
     from dataclasses import replace
 
-    pipeline = _pipeline(index_path, collection, stopwords, no_idf_filter)
+    pipeline = _pipeline(load_index(index_path) if index_path else None,
+                         collection, stopwords, no_idf_filter)
     query_corpus = ingest_collection(queries)
     pool_corpus = ingest_collection(collection, tag="pool")
     judgments = load_qrels(qrels, query_corpus=query_corpus,
@@ -431,7 +419,8 @@ def rerank(checkpoint, run_path, queries, collection, index_path, stopwords,
            no_idf_filter, word_vectors, token_vectors, k, date_filter,
            filter_mode, out):
     """Re-rank pre-fetched lists with a trained checkpoint."""
-    pipeline = _pipeline(index_path, collection, stopwords, no_idf_filter)
+    pipeline = _pipeline(load_index(index_path) if index_path else None,
+                         collection, stopwords, no_idf_filter)
     query_corpus = ingest_collection(queries)
     pool_corpus = ingest_collection(collection, tag="pool")
     result = load_checkpoint(checkpoint)
@@ -488,8 +477,7 @@ def evaluate(run_path, qrels, k, splits, split, out):
     run = read_run(run_path)
     judgments = load_qrels(qrels)
     if splits:
-        manifest = SplitManifest.from_json(splits)
-        ids = set(_query_ids_from_manifest(manifest, split or "test"))
+        ids = set(_query_ids(None, splits, split))
         run = Run({q: r for q, r in run.items() if q in ids})
     report = evaluate_run(run, judgments, k=k)
     for metric, value in report.macro.items():
@@ -499,14 +487,6 @@ def evaluate(run_path, qrels, k, splits, split, out):
                    f"relevant documents")
     if out:
         write_eval_csv(report, out)
-
-
-def _query_ids_from_manifest(manifest: SplitManifest, split: str):
-    try:
-        return {"train": manifest.train_ids, "dev": manifest.dev_ids,
-                "test": manifest.test_ids}[split]
-    except KeyError:
-        raise click.ClickException(f"unknown split {split!r}") from None
 
 
 @main.group()

@@ -93,9 +93,6 @@ class Corpus:
     def ids(self) -> list[str]:
         return list(self._docs)
 
-    def subset(self, doc_ids) -> list[Document]:
-        return [self.get(i) for i in doc_ids]
-
 
 REQUIRED_FIELDS = ("doc_id", "title", "body")
 

@@ -53,14 +53,6 @@ def apply_filter(query_doc, ranking: RankedList, window: DateWindow, corpus) -> 
     return RankedList(kept, presorted=True)
 
 
-def prefilter(query_doc, deep_ranking: RankedList, window: DateWindow,
-              corpus, k: int) -> RankedList:
-    """Pre-filtering with refill: filter the deep (depth ~2k) list, then keep
-    the first k survivors, so downstream re-ranking still sees k candidates
-    when the deep list has enough in-window entries."""
-    return apply_filter(query_doc, deep_ranking, window, corpus).truncated(k)
-
-
 def filter_run(run: Run, window: DateWindow, query_corpus, pool_corpus,
                k: int | None = None) -> Run:
     """Apply the window to every query of a run; k triggers refill semantics

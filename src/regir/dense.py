@@ -231,30 +231,3 @@ def knn_search(query_vec: np.ndarray, store: DocVectorStore, k: int) -> RankedLi
     return RankedList(top_k_from_arrays(store._ids, sims, min(k, len(store))),
                       presorted=True)
 
-
-def dense_prefetch(query_doc, mode: str, k: int, *, pipeline=None,
-                   word_vectors: WordVectors | None = None,
-                   pool_store: DocVectorStore | None = None,
-                   query_store: DocVectorStore | None = None) -> RankedList:
-    """One dense pre-fetch for a single query document.
-
-    'w2v-cent' derives the query centroid from its denoised tokens and scans
-    a precomputed pool centroid store. 'doc-vectors' looks the query up in a
-    query-side store and scans the pool-side store (externally encoded
-    vectors on both sides).
-    """
-    if pool_store is None:
-        raise ValueError("pool vector store is required")
-    if mode == "w2v-cent":
-        if pipeline is None or word_vectors is None:
-            raise ValueError("w2v-cent mode needs a pipeline and word vectors")
-        qvec = centroid(pipeline(query_doc.text), word_vectors, pipeline.idf_table)
-    elif mode == "doc-vectors":
-        if query_store is None:
-            raise ValueError("doc-vectors mode needs a query-side store")
-        if query_doc.doc_id not in query_store:
-            raise KeyError(f"no vector for query {query_doc.doc_id!r}")
-        qvec = query_store.get(query_doc.doc_id)
-    else:
-        raise ValueError(f"unknown dense mode {mode!r}")
-    return knn_search(qvec, store=pool_store, k=k)

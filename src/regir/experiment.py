@@ -24,10 +24,10 @@ from .bm25 import (Bm25Params, PostingsIndex, build_index, default_grid,
 from .corpus import Corpus, SplitManifest, ingest_collection, load_qrels
 from .datefilter import (DateWindow, choose_window, filter_run,
                          write_year_hist_csv, year_diff_histogram)
-from .dense import (CentroidError, DocVectorStore, build_centroid_store,
-                    centroid, knn_search, load_doc_vectors, load_word_vectors,
-                    save_doc_vectors)
-from .fusion import (default_alpha_grid, fuse, normalize_scores, tune_alpha,
+from .dense import (CentroidError, DocVectorStore, WordVectors,
+                    build_centroid_store, centroid, knn_search,
+                    load_doc_vectors, load_word_vectors, save_doc_vectors)
+from .fusion import (default_alpha_grid, fuse_runs, tune_alpha,
                      write_alpha_grid_csv)
 from .metrics import (aggregate_runs, evaluate_run, recall_at_k,
                       write_eval_csv, write_summary_csv)
@@ -387,6 +387,68 @@ def doc_vectors_run(pool_store: DocVectorStore, query_store: DocVectorStore,
     return Run(parallel_map(one, list(query_ids)))
 
 
+@dataclass
+class Prefetcher:
+    """First-stage retrieval for one mode: a single pre-fetcher, or the
+    fusion of two. Holds what the pre-fetchers read; what the mode does not
+    use stays None. Shared by `regir run` and `regir prefetch`.
+
+    Every query gets a deep list of 2k entries, so that a pre-mode date
+    filter can refill to k. Fusion components are fetched twice as deep
+    again, so the fused top 2k can draw on documents below either
+    component's own top 2k.
+    """
+
+    mode: str
+    components: tuple[str, str] | None
+    k: int
+    queries: Corpus
+    pipeline: TextPipeline | None = None
+    index: PostingsIndex | None = None
+    bm25_params: Bm25Params = field(default_factory=Bm25Params)
+    word_vectors: WordVectors | None = None
+    cent_store: DocVectorStore | None = None
+    pool_store: DocVectorStore | None = None
+    query_store: DocVectorStore | None = None
+
+    @property
+    def deep(self) -> int:
+        return 2 * self.k
+
+    def component_run(self, name: str, query_ids, depth: int) -> Run:
+        if name == "bm25":
+            return bm25_run(self.index, self.pipeline, self.queries, query_ids,
+                            self.bm25_params, depth)
+        if name == "w2v-cent":
+            return centroid_run(self.cent_store, self.pipeline, self.word_vectors,
+                                self.queries, query_ids, depth)
+        if name == "doc-vectors":
+            return doc_vectors_run(self.pool_store, self.query_store, query_ids,
+                                   depth)
+        raise ValueError(f"unknown component {name!r}")
+
+    def fusion_parts(self, query_ids) -> tuple[Run, Run]:
+        """Both components' runs, each 2 * deep long."""
+        return tuple(self.component_run(name, query_ids, 2 * self.deep)
+                     for name in self.components)
+
+    def deep_run(self, query_ids, alpha: float | None = None,
+                 parts: tuple[Run, Run] | None = None) -> Run:
+        """The deep list of every query; an ensemble fuses `parts`, or
+        fetches them when none are given."""
+        if self.mode != "ensemble":
+            return self.component_run(self.mode, query_ids, self.deep)
+        run_a, run_b = parts or self.fusion_parts(query_ids)
+        return fuse_runs(run_a, run_b, alpha, self.deep)
+
+    def candidates(self, deep_run: Run, window: DateWindow | None,
+                   pool: Corpus | None) -> Run:
+        """Top-k candidate lists, with pre-filter refill from the deep list."""
+        if window is not None and window.mode == "pre":
+            return filter_run(deep_run, window, self.queries, pool, k=self.k)
+        return deep_run.truncated(self.k)
+
+
 class _Stages:
     """Skip-if-done bookkeeping: a stage whose key (manifest hash + name)
     matches the previous run and whose outputs still exist is not recomputed."""
@@ -458,7 +520,6 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     pipeline = build_pipeline(pool, stopwords=stopwords,
                               idf_filter=config.idf_filter)
 
-    deep = 2 * config.k
     word_vectors = (load_word_vectors(config.word_vectors_path)
                     if config.word_vectors_path else None)
 
@@ -504,15 +565,9 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
         pool_store.validate_against(pool)
         query_store = load_doc_vectors(config.query_vectors_path)
 
-    def component_run(name: str, query_ids, depth: int) -> Run:
-        if name == "bm25":
-            return bm25_run(index, pipeline, queries, query_ids, bm25_params, depth)
-        if name == "w2v-cent":
-            return centroid_run(cent_store, pipeline, word_vectors, queries,
-                                query_ids, depth)
-        if name == "doc-vectors":
-            return doc_vectors_run(pool_store, query_store, query_ids, depth)
-        raise ValueError(f"unknown component {name!r}")
+    prefetcher = Prefetcher(config.prefetch_mode, config.fusion_components,
+                            config.k, queries, pipeline, index, bm25_params,
+                            word_vectors, cent_store, pool_store, query_store)
 
     need_train = config.rerank_model != "none"
     split_ids = {"test": splits.test_ids}
@@ -527,27 +582,20 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
 
     def prefetch_stage():
         nonlocal alpha
-        if config.prefetch_mode == "ensemble":
-            comp_a, comp_b = config.fusion_components
-            if config.fusion_tune:
-                dev_a = component_run(comp_a, splits.dev_ids, deep)
-                dev_b = component_run(comp_b, splits.dev_ids, deep)
-                alpha, grid = tune_alpha(dev_a, dev_b, qrels,
-                                         config.fusion_grid, config.k)
-                write_alpha_grid_csv(grid, outdir / "alpha_grid.csv", comment=tag)
-                (outdir / "fusion_alpha.json").write_text(json.dumps({"alpha": alpha}))
-            for split, ids in split_ids.items():
-                run_a = component_run(comp_a, ids, 2 * deep)
-                run_b = component_run(comp_b, ids, 2 * deep)
-                fused = Run()
-                for query_id in run_a:
-                    fused[query_id] = fuse(normalize_scores(run_a[query_id]),
-                                           normalize_scores(run_b[query_id]),
-                                           alpha, deep)
-                prefetch[split] = fused
-        else:
-            for split, ids in split_ids.items():
-                prefetch[split] = component_run(config.prefetch_mode, ids, deep)
+        dev_parts = None
+        if config.prefetch_mode == "ensemble" and config.fusion_tune:
+            # tune on the dev components the dev split fetches anyway: each
+            # list is a prefix of one total order, so the top `deep` of a
+            # deeper fetch is exactly what a `deep` fetch returns
+            dev_parts = prefetcher.fusion_parts(splits.dev_ids)
+            alpha, grid = tune_alpha(
+                *(run.truncated(prefetcher.deep) for run in dev_parts),
+                qrels, config.fusion_grid, config.k)
+            write_alpha_grid_csv(grid, outdir / "alpha_grid.csv", comment=tag)
+            (outdir / "fusion_alpha.json").write_text(json.dumps({"alpha": alpha}))
+        for split, ids in split_ids.items():
+            prefetch[split] = prefetcher.deep_run(
+                ids, alpha, dev_parts if split == "dev" else None)
         for split, run in prefetch.items():
             write_run(run, outdir / f"prefetch_{split}.tsv", comment=tag)
 
@@ -571,13 +619,6 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             (outdir / "datefilter_years.json").write_text(json.dumps({"years": years}))
         window = DateWindow(years, config.datefilter_mode)
 
-    def candidates_for(split: str) -> Run:
-        """Top-k candidate lists, with pre-filter refill from the deep list."""
-        run = prefetch[split]
-        if window is not None and window.mode == "pre":
-            return filter_run(run, window, queries, pool, k=config.k)
-        return run.truncated(config.k)
-
     hist_path = outdir / "year_hist.csv"
     stages.run("year-hist", [hist_path],
                lambda: write_year_hist_csv(
@@ -591,7 +632,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     stages.run("rk-curve", [rk_path],
                lambda: write_rk_curve_csv(
                    emit_rk_curve(prefetch["test"], qrels.restrict(splits.test_ids),
-                                 deep),
+                                 prefetcher.deep),
                    rk_path, comment=tag))
 
     eval_paths: list[Path] = []
@@ -605,9 +646,9 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             provider = load_token_vectors(config.token_vectors_path)
         store = FeatureStore(config.rerank_model, provider, pipeline,
                              queries, pool, hp)
-        train_cands = candidates_for("train")
-        dev_cands = candidates_for("dev")
-        test_cands = candidates_for("test")
+        train_cands = prefetcher.candidates(prefetch["train"], window, pool)
+        dev_cands = prefetcher.candidates(prefetch["dev"], window, pool)
+        test_cands = prefetcher.candidates(prefetch["test"], window, pool)
         reports = []
         for seed in config.rerank_seeds:
             ck_path = outdir / f"checkpoint_seed{seed}.bin"
@@ -642,7 +683,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             summary_path = outdir / "eval_summary.csv"
             write_summary_csv(aggregate_runs(reports), summary_path, comment=tag)
     else:
-        final = candidates_for("test")
+        final = prefetcher.candidates(prefetch["test"], window, pool)
         if window is not None and window.mode == "post":
             final = filter_run(final, window, queries, pool)
         ev_path = outdir / "eval_test.csv"

@@ -7,6 +7,8 @@ implementations and reruns produce identical files.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -77,7 +79,7 @@ def write_run(run: Run, path, comment: str = "") -> None:
 
 def read_run(path) -> Run:
     """Inverse of write_run. Enforces contiguous 1-based ranks per query and
-    non-increasing scores."""
+    finite, non-increasing scores."""
     run = Run()
     expected_rank: dict[str, int] = {}
     last_score: dict[str, float] = {}
@@ -92,6 +94,9 @@ def read_run(path) -> Run:
             query_id, rank_s, doc_id, score_s = parts
             rank = int(rank_s)
             score = float(score_s)
+            if not math.isfinite(score):
+                raise ValueError(f"{path}: line {line_no}: score {score_s!r} "
+                                 f"is not finite")
             want = expected_rank.get(query_id, 1)
             if rank != want:
                 raise ValueError(f"{path}: line {line_no}: rank {rank} for query "

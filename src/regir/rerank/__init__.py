@@ -1,15 +1,14 @@
-from .drmm import DrmmModel, build_histogram, drmm_score
+from .drmm import DrmmModel
 from .features import (TokenEmbeddings, TypeEmbeddings, load_token_vectors,
                        sim_matrix)
-from .pacrr import PacrrConfig, PacrrModel, pacrr_score
+from .pacrr import PacrrConfig, PacrrModel
 from .train import (Hyperparams, Reranker, TrainingDiverged, TrainTriple,
                     hinge_loss, load_checkpoint, rel_score, rerank_run,
                     sample_triples, save_checkpoint, train_model,
                     write_training_log)
 
 __all__ = [
-    "DrmmModel", "build_histogram", "drmm_score",
-    "PacrrConfig", "PacrrModel", "pacrr_score",
+    "DrmmModel", "PacrrConfig", "PacrrModel",
     "TypeEmbeddings", "TokenEmbeddings", "load_token_vectors", "sim_matrix",
     "Hyperparams", "TrainTriple", "TrainingDiverged", "Reranker",
     "hinge_loss", "rel_score", "sample_triples", "train_model",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .features import dedup_terms, drmm_features
+from .features import softmax
 
 
 class DrmmModel:
@@ -59,7 +59,7 @@ class DrmmModel:
         z_pre = hists @ p["W1"].T + p["b1"]
         z = np.tanh(z_pre)
         out = z @ p["W2"] + p["b2"][0]
-        gate = _softmax(p["w_g"][0] * idf)
+        gate = softmax(p["w_g"][0] * idf)
         s_r = float(gate @ out)
         cache = {"hists": hists, "idf": idf, "z": z, "out": out, "gate": gate}
         return s_r, cache
@@ -84,35 +84,3 @@ class DrmmModel:
             "w_g": d_wg,
         }
 
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.max(x))
-    return e / e.sum()
-
-
-def build_histogram(query_term: str, doc_tokens: list[str], word_vectors,
-                    bins: int) -> np.ndarray:
-    """Histogram for a single query term against a document, using static
-    word vectors. Out-of-vocabulary query term -> zero histogram."""
-    from .features import TypeEmbeddings, bin_similarities, sim_matrix
-
-    provider = (word_vectors if isinstance(word_vectors, TypeEmbeddings)
-                else TypeEmbeddings(word_vectors))
-    q_units, q_mask, q_keys = provider.rows("", [query_term])
-    d_units, d_mask, d_keys = provider.rows("", doc_tokens)
-    if not q_mask[0] or not d_mask.any():
-        return np.zeros(bins + 1)
-    S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
-    return bin_similarities(S[0, d_mask], bins)
-
-
-def drmm_score(query_tokens: list[str], doc_tokens: list[str], model: DrmmModel,
-               provider, idf_table, doc_id: str = "", query_doc_id: str = "") -> float:
-    """Convenience forward pass from raw (denoised) token lists; query terms
-    are deduplicated before histogramming, so repeating a term changes
-    nothing."""
-    terms = dedup_terms(query_tokens) if provider.dedup else query_tokens
-    feats = drmm_features(terms, query_doc_id, doc_tokens, doc_id,
-                          provider, idf_table, model.bins)
-    s_r, _ = model.score(feats)
-    return s_r

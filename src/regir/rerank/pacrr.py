@@ -22,8 +22,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .features import pacrr_features
-
 
 @dataclass(frozen=True)
 class PacrrConfig:
@@ -206,12 +204,3 @@ class PacrrModel:
             d_c = d_c * f
         return d_x
 
-
-def pacrr_score(query_tokens: list[str], doc_tokens: list[str], model: PacrrModel,
-                provider, idf_table, doc_id: str = "", query_doc_id: str = "") -> float:
-    """Convenience forward pass from raw (denoised) token lists."""
-    feats = pacrr_features(query_tokens, query_doc_id, doc_tokens, doc_id,
-                           provider, idf_table,
-                           model.config.q_len, model.config.d_len)
-    s_r, _ = model.score(feats)
-    return s_r

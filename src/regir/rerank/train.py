@@ -18,7 +18,7 @@ import copy
 import logging
 import pickle
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -410,12 +410,3 @@ def load_checkpoint(path) -> TrainResult:
                        hp=hp, best_epoch=payload.get("best_epoch", 0),
                        best_dev_r20=payload.get("best_dev_r20", 0.0))
 
-
-def seeded_runs(kind: str, train_ids, dev_ids, qrels, run: Run,
-                store: FeatureStore, hp: Hyperparams,
-                seeds: list[int], dev_k: int = 20) -> list[TrainResult]:
-    """The multi-seed protocol: identical setup, one root seed per run."""
-    if not seeds:
-        raise ValueError("at least one seed required")
-    return [train_model(kind, train_ids, dev_ids, qrels, run, store,
-                        replace(hp, seed=s), dev_k) for s in seeds]

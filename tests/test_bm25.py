@@ -12,6 +12,7 @@ from regir.corpus import Corpus, Qrels
 from regir.text import IdfTable, build_pipeline
 
 from conftest import make_doc, random_corpus
+from oracles import bm25_score
 
 
 def index_from_token_lists(token_lists: dict[str, list[str]]) -> PostingsIndex:
@@ -59,7 +60,7 @@ def toy_index():
 
 
 def test_toy_score_frozen(toy_index):
-    score = toy_index.bm25_score(["a"], "d1", Bm25Params(1.2, 0.75))
+    score = bm25_score(toy_index, ["a"], "d1", Bm25Params(1.2, 0.75))
     expected = math.log(2) * (2 * 2.2) / (2 + 1.2 * (1 - 0.75 + 0.75 * 3 / 2.5))
     assert score == pytest.approx(expected, abs=1e-15)
     assert score == pytest.approx(0.902321773509988, abs=1e-12)
@@ -75,41 +76,41 @@ def test_toy_postings_shape(toy_index):
 
 def test_duplicate_query_terms_double_contribution(toy_index):
     params = Bm25Params()
-    one = toy_index.bm25_score(["a"], "d1", params)
-    two = toy_index.bm25_score(["a", "a"], "d1", params)
+    one = bm25_score(toy_index, ["a"], "d1", params)
+    two = bm25_score(toy_index, ["a", "a"], "d1", params)
     assert two == pytest.approx(2 * one, rel=1e-12)
 
 
 def test_disjoint_query_scores_zero(toy_index):
-    assert toy_index.bm25_score(["zzz"], "d1", Bm25Params()) == 0.0
+    assert bm25_score(toy_index, ["zzz"], "d1", Bm25Params()) == 0.0
 
 
 def test_unseen_term_leaves_scores_unchanged(toy_index):
     params = Bm25Params(0.9, 0.4)
-    base = toy_index.bm25_score(["a", "b"], "d1", params)
-    with_noise = toy_index.bm25_score(["a", "b", "qqq"], "d1", params)
+    base = bm25_score(toy_index, ["a", "b"], "d1", params)
+    with_noise = bm25_score(toy_index, ["a", "b", "qqq"], "d1", params)
     assert with_noise == base
 
 
 def test_unknown_doc_rejected(toy_index):
     with pytest.raises(KeyError):
-        toy_index.bm25_score(["a"], "ghost", Bm25Params())
+        bm25_score(toy_index, ["a"], "ghost", Bm25Params())
 
 
 def test_b_zero_ignores_length():
     lists = {"short": ["x", "y"], "long": ["x"] + ["filler"] * 20}
     index = index_from_token_lists(lists)
     params = Bm25Params(1.2, 0.0)
-    s1 = index.bm25_score(["x"], "short", params)
-    s2 = index.bm25_score(["x"], "long", params)
+    s1 = bm25_score(index, ["x"], "short", params)
+    s2 = bm25_score(index, ["x"], "long", params)
     assert s1 == pytest.approx(s2, rel=1e-12)
 
 
 def test_b_one_at_average_length_matches_b_zero():
     lists = {"d1": ["x", "y", "z"], "d2": ["u", "v", "w"]}  # both at avg len
     index = index_from_token_lists(lists)
-    s_b1 = index.bm25_score(["x"], "d1", Bm25Params(1.5, 1.0))
-    s_b0 = index.bm25_score(["x"], "d1", Bm25Params(1.5, 0.0))
+    s_b1 = bm25_score(index, ["x"], "d1", Bm25Params(1.5, 1.0))
+    s_b0 = bm25_score(index, ["x"], "d1", Bm25Params(1.5, 0.0))
     assert s_b1 == pytest.approx(s_b0, rel=1e-12)
 
 
@@ -118,7 +119,7 @@ def test_tf_monotonicity():
     for tf in (1, 2, 3, 5, 8):
         lists = {"d1": ["x"] * tf + ["pad"] * (10 - tf), "d2": ["pad"] * 10}
         index = index_from_token_lists(lists)
-        scores.append(index.bm25_score(["x"], "d1", Bm25Params(1.2, 0.0)))
+        scores.append(bm25_score(index, ["x"], "d1", Bm25Params(1.2, 0.0)))
     assert all(a < b for a, b in zip(scores, scores[1:]))
 
 
@@ -175,9 +176,9 @@ def test_score_all_alignment(toy_index):
     scores = toy_index.score_all(["a", "b"], Bm25Params())
     assert scores.shape == (2,)
     assert scores[0] == pytest.approx(
-        toy_index.bm25_score(["a", "b"], "d1", Bm25Params()))
+        bm25_score(toy_index, ["a", "b"], "d1", Bm25Params()))
     assert scores[1] == pytest.approx(
-        toy_index.bm25_score(["a", "b"], "d2", Bm25Params()))
+        bm25_score(toy_index, ["a", "b"], "d2", Bm25Params()))
 
 
 def test_build_index_from_corpus_counts_title_tokens():

@@ -199,6 +199,57 @@ def test_prefetch_with_date_filter(env, tmp_path):
         assert all(abs(pool.get(d).year - qyear) <= 3 for d in rl.doc_ids)
 
 
+@pytest.mark.parametrize("mode_args,config", [
+    (["--mode", "bm25"], "prefetch.mode = bm25\n"),
+    (["--mode", "ensemble", "--components", "bm25,w2v-cent", "--alpha", "0.6"],
+     "prefetch.mode = ensemble\nfusion.components = bm25,w2v-cent\n"
+     "fusion.alpha = 0.6\n"),
+    (["--mode", "bm25", "--date-filter", "3", "--filter-mode", "pre"],
+     "prefetch.mode = bm25\ndatefilter.years = 3\ndatefilter.mode = pre\n"),
+    (["--mode", "bm25", "--date-filter", "3", "--filter-mode", "post"],
+     "prefetch.mode = bm25\ndatefilter.years = 3\ndatefilter.mode = post\n"),
+], ids=["bm25", "ensemble", "pre-filter", "post-filter"])
+def test_prefetch_writes_regir_run_candidates(env, tmp_path, mode_args, config):
+    root = env.root
+    out = tmp_path / "prefetch.tsv"
+    env.ok("prefetch", *mode_args, "--k", "5",
+           "--queries", root / "queries.jsonl",
+           "--splits", root / "splits.json", "--split", "test",
+           "--index", root / "index.bin", "--collection", root / "pool.jsonl",
+           "--word-vectors", root / "wv.txt",
+           "--centroids", root / "centroids.vec", "--out", out)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "task = EU2UK\n"
+        + "".join(f"data.{key} = {root / name}\n" for key, name in
+                  (("pool", "pool.jsonl"), ("queries", "queries.jsonl"),
+                   ("qrels", "qrels.tsv"), ("splits", "splits.json")))
+        + f"dense.word_vectors = {root / 'wv.txt'}\n"
+        "prefetch.k = 5\n" + config)
+    env.ok("run", "--config", cfg, "--out", tmp_path / "exp")
+    assert read_run(out) == read_run(tmp_path / "exp" / "final_test.tsv")
+
+
+def test_commands_load_the_index_once(env, tmp_path, monkeypatch):
+    import regir.cli
+
+    loads = []
+    real = regir.cli.load_index
+    monkeypatch.setattr(regir.cli, "load_index",
+                        lambda path: loads.append(path) or real(path))
+    root = env.root
+    env.ok("prefetch", "--mode", "ensemble", "--k", "5",
+           "--components", "bm25,w2v-cent", "--alpha", "0.6",
+           "--queries", root / "queries.jsonl", "--index", root / "index.bin",
+           "--word-vectors", root / "wv.txt",
+           "--centroids", root / "centroids.vec", "--out", tmp_path / "r.tsv")
+    env.ok("tune-bm25", "--index", root / "index.bin",
+           "--queries", root / "queries.jsonl", "--qrels", root / "qrels.tsv",
+           "--splits", root / "splits.json", "--k", "5",
+           "--grid-k1", "1.0", "--grid-b", "0.5", "--out", tmp_path / "g.csv")
+    assert loads == [root / "index.bin"] * 2
+
+
 def test_fuse_fixed_alpha(env, tmp_path):
     out = tmp_path / "fused.tsv"
     result = env.ok("fuse", "--run-a", env.root / "run_all.tsv",

@@ -4,7 +4,7 @@ import pytest
 
 from regir.corpus import Corpus, Qrels
 from regir.datefilter import (DateWindow, apply_filter, choose_window,
-                              filter_run, prefilter, write_year_hist_csv,
+                              filter_run, write_year_hist_csv,
                               year_diff_histogram)
 from regir.ranking import RankedList, Run
 
@@ -92,9 +92,9 @@ def test_infinite_window_is_noop():
 def test_prefilter_refills_to_k():
     pool = corpus_with_years({"far1": 1990, "far2": 1991, "ok1": 2005,
                               "ok2": 2006, "ok3": 2007})
-    query = make_doc("q", ["tax"], year=2006)
-    deep = rl("far1", "ok1", "far2", "ok2", "ok3")
-    out = prefilter(query, deep, DateWindow(2, "pre"), pool, k=2)
+    queries = Corpus([make_doc("q", ["tax"], year=2006)])
+    deep = Run({"q": rl("far1", "ok1", "far2", "ok2", "ok3")})
+    out = filter_run(deep, DateWindow(2, "pre"), queries, pool, k=2)["q"]
     # the two far docs drop out and deeper in-window docs refill the list
     assert out.doc_ids == ["ok1", "ok2"]
 

@@ -7,8 +7,9 @@ import pytest
 from regir.corpus import Corpus
 from regir.dense import (CentroidError, DocVectorStore, VectorFormatError,
                          WordVectors, build_centroid_store, centroid,
-                         dense_prefetch, knn_search, load_doc_vectors,
-                         load_word_vectors, save_doc_vectors)
+                         knn_search, load_doc_vectors, load_word_vectors,
+                         save_doc_vectors)
+from regir.experiment import centroid_run, doc_vectors_run
 from regir.text import build_pipeline
 
 from conftest import make_doc
@@ -243,25 +244,19 @@ def test_dense_prefetch_single_doc_pool():
     pool = Corpus([make_doc("p1", ["tax"], title="tax")])
     pipeline = build_pipeline(pool, stopwords=frozenset(), idf_filter=False)
     store = build_centroid_store(pool, pipeline, make_wv())
-    ranked = dense_prefetch(corpus.get("q1"), "w2v-cent", k=5,
-                            pool_store=store, pipeline=pipeline,
-                            word_vectors=make_wv())
+    ranked = centroid_run(store, pipeline, make_wv(), corpus, ["q1"], 5)["q1"]
     assert ranked.doc_ids == ["p1"]
 
 
 def test_dense_prefetch_doc_vectors_mode():
     pool = make_store({"p1": [1.0, 0.0], "p2": [0.0, 1.0]})
     queries = make_store({"q1": [0.9, 0.1]})
-    doc = make_doc("q1", ["whatever"])
-    ranked = dense_prefetch(doc, "doc-vectors", k=2,
-                            pool_store=pool, query_store=queries)
+    ranked = doc_vectors_run(pool, queries, ["q1"], 2)["q1"]
     assert ranked.doc_ids == ["p1", "p2"]
 
 
 def test_dense_prefetch_missing_query_vector():
     pool = make_store({"p1": [1.0, 0.0]})
     queries = make_store({"other": [1.0, 0.0]})
-    doc = make_doc("q1", ["whatever"])
     with pytest.raises(KeyError):
-        dense_prefetch(doc, "doc-vectors", k=1,
-                       pool_store=pool, query_store=queries)
+        doc_vectors_run(pool, queries, ["q1"], 1)

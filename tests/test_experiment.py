@@ -223,3 +223,24 @@ def test_run_experiment_full_stack(dataset, tmp_path):
     assert 0.0 <= manifest["fusion_alpha"] <= 1.0
     assert set(manifest["config"]) == {
         line.split("=")[0].strip() for line in FULL_CFG.splitlines() if line}
+
+
+def test_fusion_tune_fetches_each_dev_query_once(dataset, tmp_path, monkeypatch):
+    import regir.experiment as experiment
+
+    fetched = []
+    for name in ("bm25_run", "centroid_run"):
+        def counting(*args, _name=name, _real=getattr(experiment, name)):
+            run = _real(*args)
+            fetched.extend((_name, q) for q in run)
+            return run
+        monkeypatch.setattr(experiment, name, counting)
+    cfg = cfg_from(dataset, BASE_CFG.replace("prefetch.mode = bm25", "")
+                   + "prefetch.mode = ensemble\n"
+                   "fusion.components = bm25,w2v-cent\nfusion.tune = true\n"
+                   "dense.word_vectors = wv.txt\n")
+    run_experiment(cfg, tmp_path / "out")
+    splits = json.loads((dataset / "splits.json").read_text())
+    for name in ("bm25_run", "centroid_run"):
+        dev = [q for n, q in fetched if n == name and q in splits["dev"]]
+        assert sorted(dev) == sorted(splits["dev"]), name

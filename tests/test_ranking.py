@@ -60,6 +60,17 @@ def test_read_run_rejects_increasing_scores(tmp_path):
         read_run(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("line_no", [1, 2])
+def test_read_run_rejects_non_finite_scores(tmp_path, bad, line_no):
+    rows = ["q1\t1\ta\t1.0", "q1\t2\tb\t0.5"]
+    rows[line_no - 1] = rows[line_no - 1].rsplit("\t", 1)[0] + "\t" + bad
+    path = tmp_path / "run.tsv"
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=rf"run\.tsv: line {line_no}: .*not finite"):
+        read_run(path)
+
+
 def test_read_run_rejects_duplicate_docs(tmp_path):
     path = tmp_path / "run.tsv"
     path.write_text("q1\t1\ta\t1.0\nq1\t2\ta\t0.5\n")

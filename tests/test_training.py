@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from regir.rerank.train import (Adam, FeatureStore, Hyperparams, Reranker,
                                 TrainingDiverged, _check_finite, _dev_recall,
                                 hinge_loss, init_model, load_checkpoint,
                                 rel_score, sample_triples, save_checkpoint,
-                                seeded_runs, train_model, write_training_log)
+                                train_model, write_training_log)
 from regir.text import build_pipeline
 
 from conftest import make_doc
@@ -381,8 +382,8 @@ def test_seeded_runs_three_seeds():
     hp = Hyperparams(lr=0.01, max_epochs=2, patience=10, negatives=2, B=6,
                      hidden=3, batch=4)
     store, qrels, run, train_ids, dev_ids = make_store("drmm", hp)
-    results = seeded_runs("drmm", train_ids, dev_ids, qrels, run, store, hp,
-                          seeds=[1, 2, 3])
+    results = [train_model("drmm", train_ids, dev_ids, qrels, run, store,
+                           replace(hp, seed=s)) for s in (1, 2, 3)]
     assert len(results) == 3
     assert results[0].hp.seed == 1 and results[2].hp.seed == 3
     w1 = results[0].model.params["W1"]
