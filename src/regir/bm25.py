@@ -223,23 +223,3 @@ def write_grid_csv(cells: list[GridCell], path, comment: str = "") -> None:
         fh.write("k1,b,recall_at_k\n")
         for c in cells:
             fh.write(f"{c.k1!r},{c.b!r},{c.recall_at_k!r}\n")
-
-
-def read_grid_csv(path) -> list[GridCell]:
-    cells = []
-    with open(path, encoding="utf-8") as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line
-                if header != "k1,b,recall_at_k":
-                    raise ValueError(f"{path}: unexpected grid header {header!r}")
-                continue
-            k1, b, r = line.split(",")
-            cells.append(GridCell(float(k1), float(b), float(r)))
-    if header is None:
-        raise ValueError(f"{path}: empty grid file")
-    return cells

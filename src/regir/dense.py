@@ -105,6 +105,8 @@ def _parse_vector_line(line: str, line_no: int, path, dim: int | None):
         values = np.array([float(x) for x in parts[1:]])
     except ValueError:
         raise VectorFormatError(f"{path}: line {line_no}: non-numeric value") from None
+    if not np.isfinite(values).all():
+        raise VectorFormatError(f"{path}: line {line_no}: non-finite value")
     return key, values
 
 

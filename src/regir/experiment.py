@@ -319,11 +319,6 @@ def hash_file(path) -> str:
     return h.hexdigest()
 
 
-def stage_seed(root_seed: int, stage: str) -> int:
-    digest = hashlib.sha256(f"{root_seed}:{stage}".encode()).digest()
-    return int.from_bytes(digest[:4], "big") % (2 ** 31)
-
-
 def emit_rk_curve(run: Run, qrels, k_max: int) -> list[tuple[int, float]]:
     """`(k, mean R@k)` rows for k = 1..k_max over queries with relevant
     documents; the run must be fetched at depth >= k_max."""

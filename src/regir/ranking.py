@@ -92,8 +92,12 @@ def read_run(path) -> Run:
             if len(parts) != 4:
                 raise ValueError(f"{path}: line {line_no}: expected 4 columns, got {len(parts)}")
             query_id, rank_s, doc_id, score_s = parts
-            rank = int(rank_s)
-            score = float(score_s)
+            try:
+                rank = int(rank_s)
+                score = float(score_s)
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: non-numeric rank "
+                                 f"{rank_s!r} or score {score_s!r}") from None
             if not math.isfinite(score):
                 raise ValueError(f"{path}: line {line_no}: score {score_s!r} "
                                  f"is not finite")

@@ -13,6 +13,7 @@ while pairs with an out-of-vocabulary side score 0.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -20,35 +21,36 @@ log = logging.getLogger(__name__)
 
 
 class TypeEmbeddings:
-    """Unit-normalized static word vectors. Zero-norm vectors count as
-    out-of-vocabulary (cosine is undefined for them)."""
+    """Unit-normalized static word vectors: one matrix, one row per term.
+    Zero-norm vectors count as out-of-vocabulary (cosine is undefined for
+    them)."""
 
     dedup = True
 
     def __init__(self, word_vectors):
         self.dim = word_vectors.dim
-        self._units: dict[str, np.ndarray] = {}
+        # one spare row past the last term stays zero: row id -1 (OOV) reads it
+        self._units = np.zeros((len(word_vectors.vectors) + 1, self.dim))
+        self._row: dict[str, int] = {}
         dropped = 0
         for term, vec in word_vectors.vectors.items():
             norm = np.linalg.norm(vec)
             if norm == 0:
                 dropped += 1
                 continue
-            self._units[term] = vec / norm
+            row = len(self._row)
+            np.divide(vec, norm, out=self._units[row])
+            self._row[term] = row
         if dropped:
             log.warning("word vectors: %d zero-norm vector(s) treated as "
                         "out-of-vocabulary", dropped)
 
     def rows(self, doc_id: str, tokens: list[str]):
-        """(units, in-vocab mask, identity keys) aligned with tokens."""
-        units = np.zeros((len(tokens), self.dim))
-        mask = np.zeros(len(tokens), dtype=bool)
-        for i, term in enumerate(tokens):
-            vec = self._units.get(term)
-            if vec is not None:
-                units[i] = vec
-                mask[i] = True
-        return units, mask, list(tokens)
+        """(units, in-vocab mask, identity keys) aligned with tokens; the keys
+        are term row ids, -1 for out-of-vocabulary tokens."""
+        ids = np.fromiter((self._row.get(t, -1) for t in tokens), dtype=np.intp,
+                          count=len(tokens))
+        return self._units[ids], ids >= 0, ids
 
 
 class TokenEmbeddings:
@@ -99,6 +101,8 @@ def load_token_vectors(path) -> TokenEmbeddings:
                 vec = np.array([float(x) for x in parts[2:]])
             except ValueError:
                 raise ValueError(f"{path}: line {line_no}: non-numeric field") from None
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}: line {line_no}: non-finite value")
             if dim is None:
                 dim = len(vec)
             elif len(vec) != dim:
@@ -120,37 +124,34 @@ def load_token_vectors(path) -> TokenEmbeddings:
 
 def sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys) -> np.ndarray:
     """Cosine similarities, clipped to [-1, 1]; 0 where either side is
-    out-of-vocabulary; exactly 1.0 for identical in-vocabulary terms."""
+    out-of-vocabulary; exactly 1.0 where in-vocabulary identity keys agree."""
     S = q_units @ d_units.T
     S[~q_mask, :] = 0.0
     S[:, ~d_mask] = 0.0
     np.clip(S, -1.0, 1.0, out=S)
     if q_keys is not None and d_keys is not None:
-        cols: dict[str, list[int]] = {}
-        for j, key in enumerate(d_keys):
-            if d_mask[j]:
-                cols.setdefault(key, []).append(j)
-        for i, key in enumerate(q_keys):
-            if q_mask[i]:
-                for j in cols.get(key, ()):
-                    S[i, j] = 1.0
+        same = q_keys[:, None] == d_keys[None, :]
+        same &= q_mask[:, None] & d_mask[None, :]
+        S[same] = 1.0
     return S
 
 
 def bin_similarities(sims: np.ndarray, bins: int) -> np.ndarray:
-    """Log-count histogram: `bins` regular bins over [-1, 1) plus a reserved
-    top bin counting exact 1.0 matches; length bins + 1."""
+    """Log-count histograms along the last axis: `bins` regular bins over
+    [-1, 1) plus a reserved top bin counting exact 1.0 matches, so an
+    (..., D) input gives (..., bins + 1). All rows share one bincount over
+    row-offset bin indices."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    hist = np.zeros(bins + 1)
-    exact = sims == 1.0
-    hist[bins] = np.count_nonzero(exact)
-    rest = sims[~exact]
-    if len(rest):
-        idx = np.floor((rest + 1.0) / 2.0 * bins).astype(int)
-        np.clip(idx, 0, bins - 1, out=idx)
-        np.add.at(hist, idx, 1)
-    return np.log1p(hist)
+    lead = sims.shape[:-1]
+    n_rows = math.prod(lead)
+    flat = sims.reshape(n_rows, sims.shape[-1])
+    idx = np.floor((flat + 1.0) / 2.0 * bins).astype(np.intp)
+    np.clip(idx, 0, bins - 1, out=idx)
+    idx[flat == 1.0] = bins
+    idx += np.arange(n_rows)[:, None] * (bins + 1)
+    counts = np.bincount(idx.ravel(), minlength=n_rows * (bins + 1))
+    return np.log1p(counts.reshape(lead + (bins + 1,)))
 
 
 def dedup_terms(tokens: list[str]) -> list[str]:
@@ -173,9 +174,7 @@ def drmm_features(query_terms: list[str], query_doc_id: str,
     d_units, d_mask, d_keys = provider.rows(doc_id, doc_tokens)
     S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
     hists = np.zeros((len(query_terms), bins + 1))
-    for i in range(len(query_terms)):
-        if q_mask[i] and d_mask.any():
-            hists[i] = bin_similarities(S[i, d_mask], bins)
+    hists[q_mask] = bin_similarities(S[np.ix_(q_mask, d_mask)], bins)
     idf = np.array([idf_table.idf(t) for t in query_terms])
     return hists, idf
 

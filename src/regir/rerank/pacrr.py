@@ -55,24 +55,21 @@ def _sigmoid(x):
 
 def _row_kmax(M: np.ndarray, k: int):
     """Top-k values per row, descending; rows shorter than k pad with zeros.
-    Returns (values (T,k), source column indices (T,k), -1 for padding)."""
+    Returns (values (T,k), source column indices (T,k), -1 for padding).
+    Each of the k passes takes the row argmax, which resolves ties to the
+    lowest column, so the picks equal a stable descending sort's. M must be
+    finite: a picked entry is knocked out with -inf."""
     t, d = M.shape
-    order = np.argsort(-M, axis=1, kind="stable")
-    if d >= k:
-        idx = order[:, :k]
-        vals = np.take_along_axis(M, idx, axis=1)
-    else:
-        vals = np.concatenate([np.take_along_axis(M, order, axis=1),
-                               np.zeros((t, k - d))], axis=1)
-        idx = np.concatenate([order, np.full((t, k - d), -1, dtype=order.dtype)],
-                             axis=1)
+    vals = np.zeros((t, k))
+    idx = np.full((t, k), -1, dtype=np.intp)
+    rows = np.arange(t)
+    rest = M.copy()
+    for j in range(min(k, d)):
+        col = rest.argmax(axis=1)
+        idx[:, j] = col
+        vals[:, j] = M[rows, col]
+        rest[rows, col] = -np.inf
     return vals, idx
-
-
-def _scatter_rows(target: np.ndarray, idx: np.ndarray, grads: np.ndarray) -> None:
-    valid = idx >= 0
-    rows = np.broadcast_to(np.arange(idx.shape[0])[:, None], idx.shape)
-    np.add.at(target, (rows[valid], idx[valid]), grads[valid])
 
 
 class PacrrModel:
@@ -102,16 +99,17 @@ class PacrrModel:
         return cls(params, config)
 
     def _conv(self, S: np.ndarray, n: int):
-        """Same-padded n x n correlation with F filters; returns the padded
-        windows too for the backward pass."""
+        """Same-padded n x n correlation with F filters as one im2col matmul;
+        returns the (F, T*D) outputs and the (T*D, n*n) window matrix, which
+        the backward pass reuses."""
         t, d = S.shape
-        pt, pl = (n - 1) // 2, (n - 1) // 2
+        p = (n - 1) // 2
         padded = np.zeros((t + n - 1, d + n - 1))
-        padded[pt:pt + t, pl:pl + d] = S
-        win = sliding_window_view(padded, (n, n))
-        out = np.einsum("tdab,fab->ftd", win, self.params[f"K{n}"])
-        out += self.params[f"c{n}"][:, None, None]
-        return out, win, (pt, pl)
+        padded[p:p + t, p:p + d] = S
+        cols = sliding_window_view(padded, (n, n)).reshape(t * d, n * n)
+        out = self.params[f"K{n}"].reshape(-1, n * n) @ cols.T
+        out += self.params[f"c{n}"][:, None]
+        return out, cols
 
     def score(self, feats) -> tuple[float, dict]:
         """feats = (S (T, D), idf_col (T,)); returns s_r and the backward
@@ -124,20 +122,22 @@ class PacrrModel:
             raise ValueError("empty query or document")
         k = self.config.kmax
         views = []
-        s_k, idx0 = _row_kmax(S, k)
+        s_k, _ = _row_kmax(S, k)
         views.append(s_k)
         conv_cache = []
         for n in self.config.kernel_sizes:
-            c_out, win, pads = self._conv(S, n)
-            arg_f = c_out.argmax(axis=0)
-            m = np.take_along_axis(c_out, arg_f[None, :, :], axis=0)[0]
-            v_n, idx_n = _row_kmax(m, k)
+            c_out, cols = self._conv(S, n)
+            v_n, idx_n = _row_kmax(c_out.max(axis=0).reshape(S.shape), k)
             views.append(v_n)
-            conv_cache.append({"n": n, "win": win, "pads": pads,
-                               "arg_f": arg_f, "idx": idx_n})
+            # only the k-max picks carry gradient, each into the filter that
+            # won its position: keep just their windows and winners
+            picked = idx_n >= 0
+            flat = (idx_n + S.shape[1] * np.arange(S.shape[0])[:, None])[picked]
+            conv_cache.append({"n": n, "picked": picked, "windows": cols[flat],
+                               "winner": c_out[:, flat].argmax(axis=0)})
         x = np.concatenate(views + [idf_col[:, None]], axis=1)
         s_r, lstm_steps = self._lstm_forward(x)
-        cache = {"S_shape": S.shape, "idx0": idx0, "conv": conv_cache,
+        cache = {"conv": conv_cache,
                  "x": x, "steps": lstm_steps}
         return s_r, cache
 
@@ -158,31 +158,15 @@ class PacrrModel:
     def backward(self, cache, d_score: float) -> dict[str, np.ndarray]:
         grads = {name: np.zeros_like(p) for name, p in self.params.items()}
         d_x = self._lstm_backward(cache["steps"], d_score, grads)
-        k = self.config.kmax
-        d_s = np.zeros(cache["S_shape"])
-        _scatter_rows(d_s, cache["idx0"], d_x[:, :k])
+        k, f_count = self.config.kmax, self.config.filters
+        # S is fixed input, so no gradient flows into it
         for pos, conv in enumerate(cache["conv"]):
-            n = conv["n"]
-            d_v = d_x[:, (1 + pos) * k:(2 + pos) * k]
-            d_m = np.zeros(cache["S_shape"])
-            _scatter_rows(d_m, conv["idx"], d_v)
-            f_count = self.config.filters
-            d_c_out = np.zeros((f_count,) + cache["S_shape"])
-            np.put_along_axis(d_c_out, conv["arg_f"][None, :, :],
-                              d_m[None, :, :], axis=0)
-            grads[f"K{n}"] += np.einsum("ftd,tdab->fab", d_c_out, conv["win"])
-            grads[f"c{n}"] += d_c_out.sum(axis=(1, 2))
-            t_len, d_len = cache["S_shape"]
-            pt, pl = conv["pads"]
-            kern = self.params[f"K{n}"]
-            d_pad = np.zeros((t_len + n - 1, d_len + n - 1))
-            for a in range(n):
-                for bcol in range(n):
-                    d_pad[a:a + t_len, bcol:bcol + d_len] += np.einsum(
-                        "ftd,f->td", d_c_out, kern[:, a, bcol])
-            d_s += d_pad[pt:pt + t_len, pl:pl + d_len]
-        # d_s is the gradient w.r.t. the (fixed) similarity matrix; nothing
-        # upstream is trainable, so it stops here.
+            n, winner = conv["n"], conv["winner"]
+            d_v = d_x[:, (1 + pos) * k:(2 + pos) * k][conv["picked"]]
+            d_k = np.zeros((f_count, n * n))
+            np.add.at(d_k, winner, d_v[:, None] * conv["windows"])
+            grads[f"K{n}"] += d_k.reshape(-1, n, n)
+            grads[f"c{n}"] += np.bincount(winner, weights=d_v, minlength=f_count)
         return grads
 
     def _lstm_backward(self, steps, d_score: float, grads) -> np.ndarray:

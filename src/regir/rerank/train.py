@@ -359,11 +359,6 @@ def train_model(kind: str, train_ids, dev_ids, qrels, run: Run,
                        skipped_positives=skipped)
 
 
-def rerank_run(result: TrainResult, run: Run, store: FeatureStore,
-               k: int | None = None) -> Run:
-    return result.reranker(store).rerank_run(run, k)
-
-
 def write_training_log(log_rows, path, comment: str = "") -> None:
     with open(path, "w", encoding="utf-8") as fh:
         if comment:

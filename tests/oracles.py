@@ -1,18 +1,21 @@
-"""Scorers that only tests call, one (query, document) pair at a time: BM25
-read off a document's postings, and DRMM and PACRR forward passes from raw
-token lists."""
+"""Reference code that only tests call: scorers one (query, document) pair
+at a time (BM25 read off a document's postings, DRMM and PACRR forward
+passes from raw token lists), the per-row histogram and einsum convolution
+that the vectorized matcher kernels must reproduce, and small readers and
+helpers the pipeline itself has no use for."""
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from regir.bm25 import Bm25Params, PostingsIndex
+from regir.bm25 import Bm25Params, GridCell, PostingsIndex
 from regir.rerank.drmm import DrmmModel
-from regir.rerank.features import (TypeEmbeddings, bin_similarities,
-                                   dedup_terms, drmm_features, pacrr_features,
-                                   sim_matrix)
+from regir.rerank.features import (TypeEmbeddings, dedup_terms, drmm_features,
+                                   pacrr_features, sim_matrix)
 from regir.rerank.pacrr import PacrrModel
 
 
@@ -34,6 +37,44 @@ def bm25_score(index: PostingsIndex, query_tokens: list[str], doc_id: str,
     return score
 
 
+def bin_similarities_row(sims: np.ndarray, bins: int) -> np.ndarray:
+    """One row's log-count histogram, one `np.add.at` per row: `bins` regular
+    bins over [-1, 1) plus a reserved top bin for exact 1.0 matches."""
+    hist = np.zeros(bins + 1)
+    exact = sims == 1.0
+    hist[bins] = np.count_nonzero(exact)
+    rest = sims[~exact]
+    if len(rest):
+        idx = np.floor((rest + 1.0) / 2.0 * bins).astype(int)
+        np.clip(idx, 0, bins - 1, out=idx)
+        np.add.at(hist, idx, 1)
+    return np.log1p(hist)
+
+
+def drmm_features_per_row(query_terms: list[str], doc_tokens: list[str],
+                          provider, idf_table, bins: int):
+    """`drmm_features` with one histogram per in-vocabulary query term."""
+    q_units, q_mask, q_keys = provider.rows("", query_terms)
+    d_units, d_mask, d_keys = provider.rows("", doc_tokens)
+    S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
+    hists = np.zeros((len(query_terms), bins + 1))
+    for i in range(len(query_terms)):
+        if q_mask[i] and d_mask.any():
+            hists[i] = bin_similarities_row(S[i, d_mask], bins)
+    return hists, np.array([idf_table.idf(t) for t in query_terms])
+
+
+def conv_einsum(S: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Same-padded correlation of S with each (n, n) kernel, (F, T, D)."""
+    n = kernels.shape[1]
+    t, d = S.shape
+    p = (n - 1) // 2
+    padded = np.zeros((t + n - 1, d + n - 1))
+    padded[p:p + t, p:p + d] = S
+    win = sliding_window_view(padded, (n, n))
+    return np.einsum("tdab,fab->ftd", win, kernels) + bias[:, None, None]
+
+
 def build_histogram(query_term: str, doc_tokens: list[str], word_vectors,
                     bins: int) -> np.ndarray:
     """Histogram for a single query term against a document, using static
@@ -45,7 +86,7 @@ def build_histogram(query_term: str, doc_tokens: list[str], word_vectors,
     if not q_mask[0] or not d_mask.any():
         return np.zeros(bins + 1)
     S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
-    return bin_similarities(S[0, d_mask], bins)
+    return bin_similarities_row(S[0, d_mask], bins)
 
 
 def drmm_score(query_tokens: list[str], doc_tokens: list[str], model: DrmmModel,
@@ -67,3 +108,29 @@ def pacrr_score(query_tokens: list[str], doc_tokens: list[str], model: PacrrMode
                            model.config.q_len, model.config.d_len)
     s_r, _ = model.score(feats)
     return s_r
+
+
+def read_grid_csv(path) -> list[GridCell]:
+    """Inverse of `bm25.write_grid_csv`."""
+    cells = []
+    with open(path, encoding="utf-8") as fh:
+        header = None
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if header is None:
+                header = line
+                if header != "k1,b,recall_at_k":
+                    raise ValueError(f"{path}: unexpected grid header {header!r}")
+                continue
+            k1, b, r = line.split(",")
+            cells.append(GridCell(float(k1), float(b), float(r)))
+    if header is None:
+        raise ValueError(f"{path}: empty grid file")
+    return cells
+
+
+def stage_seed(root_seed: int, stage: str) -> int:
+    digest = hashlib.sha256(f"{root_seed}:{stage}".encode()).digest()
+    return int.from_bytes(digest[:4], "big") % (2 ** 31)

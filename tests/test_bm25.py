@@ -6,13 +6,13 @@ from collections import Counter, defaultdict
 import pytest
 
 from regir.bm25 import (Bm25Params, GridCell, PostingsIndex, build_index,
-                        default_grid, load_index, read_grid_csv, save_index,
-                        tune_bm25, write_grid_csv)
+                        default_grid, load_index, save_index, tune_bm25,
+                        write_grid_csv)
 from regir.corpus import Corpus, Qrels
 from regir.text import IdfTable, build_pipeline
 
 from conftest import make_doc, random_corpus
-from oracles import bm25_score
+from oracles import bm25_score, read_grid_csv
 
 
 def index_from_token_lists(token_lists: dict[str, list[str]]) -> PostingsIndex:

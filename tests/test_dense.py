@@ -57,6 +57,16 @@ def test_load_word_vectors_empty_rejected(tmp_path):
         load_word_vectors(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+@pytest.mark.parametrize("loader, first", [(load_word_vectors, "tax"),
+                                           (load_doc_vectors, "d1")])
+def test_vector_loaders_reject_non_finite_values(tmp_path, loader, first, bad):
+    path = tmp_path / "vectors.txt"
+    path.write_text(f"{first} 1.0 0.0\nd2 0.5 {bad}\n")
+    with pytest.raises(VectorFormatError, match=r"vectors\.txt: line 2: non-finite"):
+        loader(path)
+
+
 def test_doc_vectors_roundtrip(tmp_path):
     store = DocVectorStore({"d1": np.array([1.0, 2.0]),
                             "d2": np.array([0.5, -1.0])}, 2, tag="layer-9")

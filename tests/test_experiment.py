@@ -6,11 +6,11 @@ import pytest
 
 from regir.corpus import Qrels
 from regir.experiment import (ConfigError, _parse_range, emit_rk_curve,
-                              hash_file, load_config, run_experiment,
-                              stage_seed)
+                              hash_file, load_config, run_experiment)
 from regir.ranking import RankedList, Run
 
 from conftest import build_dataset
+from oracles import stage_seed
 
 BASE_CFG = """
 task = EU2UK

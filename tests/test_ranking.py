@@ -71,6 +71,15 @@ def test_read_run_rejects_non_finite_scores(tmp_path, bad, line_no):
         read_run(path)
 
 
+@pytest.mark.parametrize("rank, score", [("x", "0.5"), ("2.0", "0.5"),
+                                         ("2", "abc"), ("2", "")])
+def test_read_run_rejects_non_numeric_fields(tmp_path, rank, score):
+    path = tmp_path / "run.tsv"
+    path.write_text(f"q1\t1\ta\t1.0\nq1\t{rank}\tb\t{score}\n")
+    with pytest.raises(ValueError, match=r"run\.tsv: line 2: non-numeric"):
+        read_run(path)
+
+
 def test_read_run_rejects_duplicate_docs(tmp_path):
     path = tmp_path / "run.tsv"
     path.write_text("q1\t1\ta\t1.0\nq1\t2\ta\t0.5\n")

@@ -9,7 +9,8 @@ from regir.rerank import (DrmmModel, PacrrConfig, PacrrModel,
 from regir.rerank.features import (bin_similarities, dedup_terms,
                                    drmm_features, pacrr_features, softmax)
 
-from oracles import build_histogram, drmm_score, pacrr_score
+from oracles import (bin_similarities_row, build_histogram, conv_einsum,
+                     drmm_features_per_row, drmm_score, pacrr_score)
 
 
 def wv_from(mapping):
@@ -109,6 +110,14 @@ def test_load_token_vectors_rejects_gaps_and_dups(tmp_path):
         load_token_vectors(dup)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_token_vectors_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "tok.txt"
+    path.write_text(f"d1 0 1.0 0.0\nd1 1 {bad} 2.0\n")
+    with pytest.raises(ValueError, match=r"tok\.txt: line 2: non-finite"):
+        load_token_vectors(path)
+
+
 # --- histograms ---
 
 def test_bin_similarities_hand_case():
@@ -155,6 +164,47 @@ def test_drmm_features_shapes_and_oov_rows():
     assert idf_vec.tolist() == [2.0, 0.5]
     with pytest.raises(ValueError):
         drmm_features([], "", ["b"], "", provider, idf, bins=4)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_bin_similarities_rows_equal_per_row_oracle(seed):
+    rng = np.random.default_rng(50 + seed)
+    bins = 30
+    sims = rng.uniform(-1.0, 1.0, size=(7, 40))
+    sims[rng.random(sims.shape) < 0.1] = 1.0
+    sims[rng.random(sims.shape) < 0.1] = -1.0
+    sims[rng.random(sims.shape) < 0.1] = 0.0
+    sims[:, ::9] = np.nextafter(1.0, 0.0)
+    want = np.stack([bin_similarities_row(row, bins) for row in sims])
+    assert np.array_equal(bin_similarities(sims, bins), want)
+    assert bin_similarities(sims[:, :0], bins).tolist() == [[0.0] * (bins + 1)] * 7
+    assert bin_similarities(sims[:0], bins).shape == (0, bins + 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_drmm_features_equal_per_row_oracle(seed):
+    """Exact matches (1.0), antipodal terms (-1.0), out-of-vocabulary rows
+    and columns, and documents with no in-vocabulary token."""
+    rng = np.random.default_rng(70 + seed)
+    base = {f"t{i}": rng.normal(size=6) for i in range(30)}
+    vectors = dict(base)
+    vectors.update({f"neg{i}": -base[f"t{i}"] for i in range(10)})
+    vectors.update({f"dup{i}": base[f"t{i}"].copy() for i in range(5)})
+    vectors["zero"] = np.zeros(6)
+    provider = TypeEmbeddings(wv_from({t: v.tolist() for t, v in vectors.items()}))
+    vocab = list(vectors) + ["oov1", "oov2"]
+    idf = FixedIdf({t: 0.1 * i for i, t in enumerate(vocab)})
+    docs = [[vocab[i] for i in rng.integers(0, len(vocab), size=n)]
+            for n in (0, 1, 25, 120)] + [["oov1", "zero", "oov2"]]
+    for doc in docs:
+        for _ in range(4):
+            n_q = int(rng.integers(1, 20))
+            terms = dedup_terms([vocab[i] for i in
+                                 rng.integers(0, len(vocab), size=n_q)])
+            hists, idf_vec = drmm_features(terms, "", doc, "", provider, idf, 30)
+            want, want_idf = drmm_features_per_row(terms, doc, provider, idf, 30)
+            assert np.array_equal(hists, want)
+            assert np.array_equal(idf_vec, want_idf)
 
 
 # --- DRMM forward ---
@@ -382,6 +432,35 @@ def test_pacrr_kmax_pads_short_rows():
     vals, idx = _row_kmax(np.array([[0.5, 0.2]]), 4)
     assert vals.tolist() == [[0.5, 0.2, 0.0, 0.0]]
     assert idx.tolist() == [[0, 1, -1, -1]]
+
+
+def test_pacrr_kmax_ties_match_stable_argsort():
+    from regir.rerank.pacrr import _row_kmax
+    rng = np.random.default_rng(9)
+    M = rng.integers(0, 3, size=(6, 12)).astype(float)
+    M[0] = 0.5
+    for k in (1, 2, 5, 12):
+        vals, idx = _row_kmax(M, k)
+        order = np.argsort(-M, axis=1, kind="stable")[:, :k]
+        assert idx.tolist() == order.tolist()
+        assert np.array_equal(vals, np.take_along_axis(M, order, axis=1))
+    vals, idx = _row_kmax(M[:, :3], 5)
+    order = np.argsort(-M[:, :3], axis=1, kind="stable")
+    assert idx[:, :3].tolist() == order.tolist()
+    assert np.all(idx[:, 3:] == -1) and np.all(vals[:, 3:] == 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pacrr_conv_matches_einsum_oracle(n):
+    rng = np.random.default_rng(30 + n)
+    config = PacrrConfig(kernel_sizes=(n,), filters=5, kmax=2)
+    model = PacrrModel.init(rng, config)
+    model.params[f"c{n}"] = rng.normal(size=5)
+    for shape in [(1, 1), (3, 17), (9, 4)]:
+        S = rng.uniform(-1, 1, size=shape)
+        out, _ = model._conv(S, n)
+        want = conv_einsum(S, model.params[f"K{n}"], model.params[f"c{n}"])
+        assert np.allclose(out.reshape(want.shape), want, rtol=0, atol=1e-12)
 
 
 def test_pacrr_hand_traced_conv():
