@@ -10,18 +10,18 @@ unseen-term idf: the sum only runs over terms that can match.
 
 from __future__ import annotations
 
-import pickle
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._npz import read_npz, write_npz
 from ._parallel import parallel_map
 from .ranking import RankedList, top_k_from_arrays
 from .text import IdfTable, TextPipeline
 
 INDEX_FORMAT = "regir-postings-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -42,53 +42,44 @@ class Bm25Params:
 
 
 class PostingsIndex:
-    """Immutable inverted index over a denoised pool collection.
+    """Immutable inverted index over a denoised pool collection, in CSR form.
+
+    Terms are sorted; term i owns entries offsets[i]:offsets[i+1] of
+    `positions` (rows of the sorted doc ids, ascending) and `tf` (each >= 1).
+    A document's length is the sum of its tf. The arrays have the types
+    scoring reads (a list of bounds, intp positions, float tf), since numpy
+    scalars and int32 fancy indices are slower per term; the file holds
+    them as int64 and int32.
 
     The idf table is the same pool-side table that drives denoising; a term
     either survives the pipeline in every document or in none, so postings
     length equals the table's df for every indexed term.
     """
 
-    def __init__(self, postings: dict[str, list[tuple[str, int]]],
-                 doc_len: dict[str, int], idf_table: IdfTable,
+    def __init__(self, terms: list[str], offsets: np.ndarray, positions: np.ndarray,
+                 tf: np.ndarray, doc_ids: list[str], idf_table: IdfTable,
                  pipeline: TextPipeline | None = None):
-        if not doc_len:
+        if not doc_ids:
             raise ValueError("empty pool: no documents to index")
-        self.postings = postings
-        self.doc_len = doc_len
+        self.terms = terms
+        self._row = {t: i for i, t in enumerate(terms)}
+        self.offsets = offsets.tolist()
+        self.positions = positions.astype(np.intp)
+        self.tf = tf.astype(np.float64)
         # the pipeline that produced the postings, kept so query-time
         # denoising cannot drift from index-time denoising
         self.pipeline = pipeline
-        self.doc_count = len(doc_len)
-        self.avg_len = sum(doc_len.values()) / self.doc_count
+        self.doc_count = len(doc_ids)
+        self.doc_len = np.bincount(self.positions, weights=self.tf,
+                                   minlength=self.doc_count)
+        self.avg_len = float(self.doc_len.sum()) / self.doc_count
         if self.avg_len == 0:
             raise ValueError("every document is empty after denoising")
         self.idf_table = idf_table
-        self._doc_ids = np.array(sorted(doc_len), dtype=object)
-        self._doc_pos = {d: i for i, d in enumerate(self._doc_ids)}
-        self._len_arr = np.array([doc_len[d] for d in self._doc_ids], dtype=np.float64)
-        # postings as arrays for the vectorized search path
-        self._post_arr = {
-            t: (np.array([self._doc_pos[d] for d, _ in plist], dtype=np.intp),
-                np.array([tf for _, tf in plist], dtype=np.float64))
-            for t, plist in postings.items()
-        }
+        self.doc_ids = np.array(doc_ids, dtype=object)
 
     def __contains__(self, term: str) -> bool:
-        return term in self.postings
-
-    def validate(self) -> None:
-        """Check the structural invariants; raises on violation."""
-        for term, plist in self.postings.items():
-            if any(tf < 1 for _, tf in plist):
-                raise AssertionError(f"tf < 1 in postings of {term!r}")
-            if len(plist) != self.idf_table.df(term):
-                raise AssertionError(
-                    f"postings df {len(plist)} != idf-table df "
-                    f"{self.idf_table.df(term)} for {term!r}")
-        expect = sum(self.doc_len.values()) / len(self.doc_len)
-        if abs(self.avg_len - expect) > 1e-12:
-            raise AssertionError("avg_len out of sync with doc_len")
+        return term in self._row
 
     def idf(self, term: str) -> float:
         return self.idf_table.idf(term)
@@ -99,12 +90,13 @@ class PostingsIndex:
     def score_all(self, query_tokens: list[str], params: Bm25Params) -> np.ndarray:
         """BM25 scores for every pool document, aligned with sorted doc ids."""
         scores = np.zeros(self.doc_count)
-        norms = params.k1 * self._norm(self._len_arr, params)
+        norms = params.k1 * self._norm(self.doc_len, params)
         for term, q_tf in Counter(query_tokens).items():
-            entry = self._post_arr.get(term)
-            if entry is None:
+            row = self._row.get(term)
+            if row is None:
                 continue
-            pos, tf = entry
+            lo, hi = self.offsets[row], self.offsets[row + 1]
+            pos, tf = self.positions[lo:hi], self.tf[lo:hi]
             w = q_tf * self.idf(term) * tf * (params.k1 + 1)
             scores[pos] += w / (tf + norms[pos])
         return scores
@@ -115,55 +107,106 @@ class PostingsIndex:
         if k < 1:
             raise ValueError("k must be >= 1")
         scores = self.score_all(query_tokens, params)
-        return RankedList(top_k_from_arrays(self._doc_ids, scores, min(k, self.doc_count)),
+        return RankedList(top_k_from_arrays(self.doc_ids, scores, min(k, self.doc_count)),
                           presorted=True)
 
 
 def build_index(corpus, pipeline) -> PostingsIndex:
-    """Index the pool through the text pipeline. Deterministic: terms and
-    postings are stored in sorted order, so rebuilding is byte-identical."""
+    """Index the pool from the pipeline's denoised bags of it. Deterministic:
+    terms and postings are stored in sorted order, so rebuilding gives equal
+    arrays and saving them equal bytes."""
     if len(corpus) == 0:
         raise ValueError("empty pool: no documents to index")
-    term_docs: dict[str, dict[str, int]] = {}
-    doc_len: dict[str, int] = {}
-    for doc in corpus:
-        tokens = pipeline(doc.text)
-        doc_len[doc.doc_id] = len(tokens)
-        for term, tf in Counter(tokens).items():
-            term_docs.setdefault(term, {})[doc.doc_id] = tf
-    postings = {t: sorted(term_docs[t].items()) for t in sorted(term_docs)}
-    return PostingsIndex(postings, dict(sorted(doc_len.items())),
-                         pipeline.idf_table, pipeline=pipeline)
+    bags = pipeline.bags(corpus)
+    n = len(bags.doc_ids)
+    by_id = sorted(range(n), key=bags.doc_ids.__getitem__)
+    doc_pos = np.empty(n, dtype=np.int64)
+    doc_pos[by_id] = np.arange(n)
+    used = np.flatnonzero(bags.df()).tolist()
+    by_term = sorted(used, key=bags.terms.__getitem__)
+    term_row = np.zeros(len(bags.terms), dtype=np.int64)
+    term_row[by_term] = np.arange(len(by_term))
+    # one key per (term, document) entry, unique since a bag holds a term once
+    entry_doc = np.repeat(doc_pos, np.diff(bags.offsets))
+    keys, first = np.unique(term_row[bags.ids] * n + entry_doc, return_index=True)
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(keys // n,
+                                                         minlength=len(by_term)))))
+    return PostingsIndex([bags.terms[i] for i in by_term], offsets,
+                         (keys % n).astype(np.int32), bags.tf[first],
+                         [bags.doc_ids[i] for i in by_id], pipeline.idf_table,
+                         pipeline=pipeline)
+
+
+_INDEX_ARRAYS = {"offsets": np.int64, "positions": np.int32, "tf": np.int32,
+                 "idf_df": np.int64}
 
 
 def save_index(index: PostingsIndex, path) -> None:
-    payload = {
+    """The CSR arrays and the idf table's df, plus a JSON header holding the
+    term and doc id lists and the pipeline settings (see `_npz`)."""
+    table = index.idf_table
+    idf_terms = sorted(table.terms)
+    header = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
-        "postings": index.postings,
-        "doc_len": index.doc_len,
-        "idf_doc_count": index.idf_table.doc_count,
-        "idf_df": dict(sorted((t, index.idf_table.df(t)) for t in index.idf_table.terms)),
+        "ids": index.doc_ids.tolist(),
+        "terms": index.terms,
+        "idf_doc_count": table.doc_count,
+        "idf_terms": idf_terms,
         "stopwords": sorted(index.pipeline.stopwords) if index.pipeline else None,
         "idf_filter": index.pipeline.idf_filter if index.pipeline else None,
     }
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=4)
+    arrays = {"offsets": np.array(index.offsets, dtype=np.int64),
+              "positions": index.positions.astype(np.int32),
+              "tf": index.tf.astype(np.int32),
+              "idf_df": np.array([table.df(t) for t in idf_terms], dtype=np.int64)}
+    write_npz(path, header, arrays)
 
 
 def load_index(path) -> PostingsIndex:
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if payload.get("format") != INDEX_FORMAT:
-        raise ValueError(f"{path}: not a postings index file")
-    if payload.get("version") != INDEX_VERSION:
-        raise ValueError(f"{path}: unsupported index version {payload.get('version')!r}")
-    table = IdfTable(payload["idf_doc_count"], payload["idf_df"])
+    """Inverse of save_index. Checks the CSR invariants and raises
+    ValueError naming the file on any violation or damage."""
+    header, arrays = read_npz(path, INDEX_FORMAT, INDEX_VERSION, _INDEX_ARRAYS)
+    try:
+        return _checked_index(header, arrays)
+    except KeyError as exc:
+        raise ValueError(f"{path}: header lacks {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _checked_index(header: dict, arrays: dict) -> PostingsIndex:
+    ids, terms, idf_terms = header["ids"], header["terms"], header["idf_terms"]
+    offsets, positions, tf = arrays["offsets"], arrays["positions"], arrays["tf"]
+    for name, names in (("doc id", ids), ("term", terms), ("idf term", idf_terms)):
+        if not (isinstance(names, list) and all(isinstance(x, str) for x in names)
+                and all(a < b for a, b in zip(names, names[1:]))):
+            raise ValueError(f"{name}s are not unique strings in sorted order")
+    n = len(ids)
+    if (len(offsets) != len(terms) + 1 or offsets[0] != 0
+            or offsets[-1] != len(positions) or np.any(np.diff(offsets) < 0)):
+        raise ValueError("term offsets are not monotone over the postings")
+    if len(tf) != len(positions):
+        raise ValueError("tf and positions differ in length")
+    if len(positions) and (positions.min() < 0 or positions.max() >= n):
+        raise ValueError("document position out of range")
+    if np.any(tf < 1):
+        raise ValueError("tf < 1 in the postings")
+    entry_term = np.repeat(np.arange(len(terms), dtype=np.int64), np.diff(offsets))
+    if np.any(np.diff(entry_term * n + positions) <= 0):
+        raise ValueError("a postings list is not in ascending document order")
+    if len(arrays["idf_df"]) != len(idf_terms):
+        raise ValueError("idf terms and df values differ in length")
+    table = IdfTable(header["idf_doc_count"],
+                     dict(zip(idf_terms, arrays["idf_df"].tolist())))
+    df = np.array([table.df(t) for t in terms], dtype=np.int64)
+    if not np.array_equal(df, np.diff(offsets)):
+        raise ValueError("postings length differs from the idf table's df")
     pipeline = None
-    if payload.get("stopwords") is not None:
-        pipeline = TextPipeline(table, stopwords=frozenset(payload["stopwords"]),
-                                idf_filter=payload["idf_filter"])
-    return PostingsIndex(payload["postings"], payload["doc_len"], table,
+    if header["stopwords"] is not None:
+        pipeline = TextPipeline(table, stopwords=frozenset(header["stopwords"]),
+                                idf_filter=bool(header["idf_filter"]))
+    return PostingsIndex(terms, offsets, positions, tf, ids, table,
                          pipeline=pipeline)
 
 

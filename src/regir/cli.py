@@ -19,7 +19,7 @@ import click
 from . import __version__
 from .bm25 import (Bm25Params, PostingsIndex, build_index, default_grid,
                    load_index, save_index, tune_bm25, write_grid_csv)
-from .corpus import (CorpusError, convert_collection, corpus_stats,
+from .corpus import (Corpus, CorpusError, convert_collection, corpus_stats,
                      ingest_collection, load_qrels, write_collection,
                      SplitManifest)
 from .datefilter import DateWindow, filter_run, write_year_hist_csv, year_diff_histogram
@@ -64,20 +64,20 @@ _in = click.Path(exists=True, dir_okay=False, path_type=Path)
 _out = click.Path(dir_okay=False, path_type=Path, writable=True)
 
 
-def _pipeline(index: PostingsIndex | None, collection_path: Path | None,
+def _pipeline(index: PostingsIndex | None, corpus: Corpus | None,
               stopwords_path: Path | None, no_idf_filter: bool) -> TextPipeline:
-    """Query-time pipeline, preferably the one frozen into the index."""
+    """Query-time pipeline, preferably the one frozen into the index, else
+    built from the pool collection."""
     if index is not None and index.pipeline is not None:
         if stopwords_path or no_idf_filter:
             raise click.ClickException(
                 "--stopwords/--no-idf-filter conflict with the settings "
                 "stored in the index; rebuild the index instead")
         return index.pipeline
-    if collection_path is None:
+    if corpus is None:
         raise click.ClickException("need --collection (or an index that stores "
                                    "its pipeline) to build the text pipeline")
     stopwords = load_stopwords(stopwords_path) if stopwords_path else None
-    corpus = ingest_collection(collection_path)
     return build_pipeline(corpus, stopwords=stopwords,
                           idf_filter=not no_idf_filter)
 
@@ -157,7 +157,7 @@ def index(collection, out, stopwords, no_idf_filter):
                               idf_filter=not no_idf_filter)
     idx = build_index(corpus, pipeline)
     save_index(idx, out)
-    click.echo(f"indexed {idx.doc_count} documents, {len(idx.postings)} terms, "
+    click.echo(f"indexed {idx.doc_count} documents, {len(idx.terms)} terms, "
                f"avg length {idx.avg_len:.1f}")
 
 
@@ -210,9 +210,9 @@ def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
 def vectors(collection, word_vectors, out, index_path, stopwords, no_idf_filter,
             on_empty):
     """Precompute tf-idf weighted centroid vectors for every pool document."""
-    pipeline = _pipeline(load_index(index_path) if index_path else None,
-                         collection, stopwords, no_idf_filter)
     corpus = ingest_collection(collection, tag="pool")
+    pipeline = _pipeline(load_index(index_path) if index_path else None,
+                         corpus, stopwords, no_idf_filter)
     wv = load_word_vectors(word_vectors)
     store = build_centroid_store(corpus, pipeline, wv, on_empty=on_empty)
     save_doc_vectors(store, out)
@@ -287,9 +287,10 @@ def prefetch(mode, k, queries, out, splits, split, index_path, k1, b, params,
     if "doc-vectors" in names and (pool_vectors is None or query_vectors is None):
         raise click.ClickException("doc-vectors needs --pool-vectors "
                                    "and --query-vectors")
+    pool_corpus = ingest_collection(collection, tag="pool") if collection else None
     if "bm25" in names or "w2v-cent" in names:
         stage.index = load_index(index_path) if index_path else None
-        stage.pipeline = _pipeline(stage.index, collection, stopwords,
+        stage.pipeline = _pipeline(stage.index, pool_corpus, stopwords,
                                    no_idf_filter)
     if "w2v-cent" in names:
         stage.word_vectors = load_word_vectors(word_vectors)
@@ -298,12 +299,11 @@ def prefetch(mode, k, queries, out, splits, split, index_path, k1, b, params,
         stage.pool_store = load_doc_vectors(pool_vectors)
         stage.query_store = load_doc_vectors(query_vectors)
 
-    window = pool_corpus = None
+    window = None
     if date_filter is not None:
-        if collection is None:
+        if pool_corpus is None:
             raise click.ClickException("--date-filter needs --collection for "
                                        "publication years")
-        pool_corpus = ingest_collection(collection, tag="pool")
         window = DateWindow(date_filter, filter_mode)
     run = stage.candidates(stage.deep_run(ids, alpha), window, pool_corpus)
     if window is not None and window.mode == "post":
@@ -375,10 +375,10 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
     """Train a neural re-ranker with pairwise hinge loss."""
     from dataclasses import replace
 
-    pipeline = _pipeline(load_index(index_path) if index_path else None,
-                         collection, stopwords, no_idf_filter)
     query_corpus = ingest_collection(queries)
     pool_corpus = ingest_collection(collection, tag="pool")
+    pipeline = _pipeline(load_index(index_path) if index_path else None,
+                         pool_corpus, stopwords, no_idf_filter)
     judgments = load_qrels(qrels, query_corpus=query_corpus,
                            pool_corpus=pool_corpus)
     manifest = SplitManifest.from_json(splits)
@@ -419,10 +419,10 @@ def rerank(checkpoint, run_path, queries, collection, index_path, stopwords,
            no_idf_filter, word_vectors, token_vectors, k, date_filter,
            filter_mode, out):
     """Re-rank pre-fetched lists with a trained checkpoint."""
-    pipeline = _pipeline(load_index(index_path) if index_path else None,
-                         collection, stopwords, no_idf_filter)
     query_corpus = ingest_collection(queries)
     pool_corpus = ingest_collection(collection, tag="pool")
+    pipeline = _pipeline(load_index(index_path) if index_path else None,
+                         pool_corpus, stopwords, no_idf_filter)
     result = load_checkpoint(checkpoint)
     provider = _provider(word_vectors, token_vectors)
     store = FeatureStore(result.model.kind, provider, pipeline, query_corpus,

@@ -32,7 +32,9 @@ class CentroidError(ValueError):
 
 
 class WordVectors:
-    """term -> vector, single fixed dimensionality."""
+    """term -> vector, single fixed dimensionality. The vectors are the rows
+    of one matrix; `row` maps a term to its row and `vectors` to a view of
+    it."""
 
     def __init__(self, vectors: dict[str, np.ndarray], dim: int):
         if dim < 1:
@@ -42,7 +44,10 @@ class WordVectors:
                 raise VectorFormatError(f"vector for {term!r} has shape {vec.shape}, "
                                         f"expected ({dim},)")
         self.dim = dim
-        self.vectors = vectors
+        self.matrix = (np.stack(list(vectors.values())) if vectors
+                       else np.zeros((0, dim)))
+        self.row = {term: i for i, term in enumerate(vectors)}
+        self.vectors = dict(zip(vectors, self.matrix))
 
     def __contains__(self, term: str) -> bool:
         return term in self.vectors
@@ -168,45 +173,61 @@ def save_doc_vectors(store: DocVectorStore, path) -> None:
             fh.write(f"{doc_id} {vals}\n")
 
 
-def centroid(tokens: list[str], word_vectors: WordVectors, idf_table) -> np.ndarray:
-    """tf-idf weighted centroid over distinct in-vocabulary terms.
-
-    Raises CentroidError when nothing is in vocabulary or all weights cancel;
-    callers decide whether that aborts or skips the document.
-    """
-    acc = np.zeros(word_vectors.dim)
-    mass = 0.0
-    for term, tf in Counter(tokens).items():
-        if term not in word_vectors:
-            continue
-        w = tf * idf_table.idf(term)
-        acc += w * word_vectors.get(term)
-        mass += w
+def _centroid(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i w_i x_i / sum_i w_i over the rows in order, each sum a running
+    one from zero: the bits of `acc += w * x` in a loop."""
+    zero = np.zeros((1, vectors.shape[1]))
+    acc = np.cumsum(np.concatenate((zero, weights[:, None] * vectors)), axis=0)[-1]
+    mass = np.cumsum(np.concatenate(([0.0], weights)))[-1]
     if mass == 0.0:
         raise CentroidError("no in-vocabulary token with positive tf*idf weight")
     return acc / mass
 
 
+def centroid(tokens: list[str], word_vectors: WordVectors, idf_table) -> np.ndarray:
+    """tf-idf weighted centroid over distinct in-vocabulary terms, taken in
+    first-occurrence order.
+
+    Raises CentroidError when nothing is in vocabulary or all weights cancel;
+    callers decide whether that aborts or skips the document.
+    """
+    rows, weights = [], []
+    for term, tf in Counter(tokens).items():
+        row = word_vectors.row.get(term)
+        if row is not None:
+            rows.append(row)
+            weights.append(tf * idf_table.idf(term))
+    return _centroid(word_vectors.matrix[rows], np.array(weights, dtype=np.float64))
+
+
 def build_centroid_store(corpus, pipeline, word_vectors: WordVectors,
                          on_empty: str = "skip-document") -> DocVectorStore:
     """Precompute the centroid of every document (identical to computing them
-    per query, cached once).
+    per query, cached once) from the pipeline's denoised bags of the corpus.
 
     on_empty: 'skip-document' drops fully out-of-vocabulary docs with a
     warning; 'error' aborts.
     """
     if on_empty not in ("skip-document", "error"):
         raise ValueError(f"unknown zero-vector policy {on_empty!r}")
+    bags = pipeline.bags(corpus)
+    term_rows = np.array([word_vectors.row.get(t, -1) for t in bags.terms],
+                         dtype=np.int64)
+    term_idf = np.array([pipeline.idf_table.idf(t) for t in bags.terms])
+    in_vocab = bags.select(term_rows >= 0)
+    rows = term_rows[in_vocab.ids]
+    weights = in_vocab.tf * term_idf[in_vocab.ids]
+    bounds = in_vocab.offsets.tolist()
     vectors: dict[str, np.ndarray] = {}
     skipped = []
-    for doc in corpus:
+    for doc_id, lo, hi in zip(bags.doc_ids, bounds, bounds[1:]):
         try:
-            vectors[doc.doc_id] = centroid(pipeline(doc.text), word_vectors,
-                                           pipeline.idf_table)
+            vectors[doc_id] = _centroid(word_vectors.matrix[rows[lo:hi]],
+                                        weights[lo:hi])
         except CentroidError:
             if on_empty == "error":
                 raise
-            skipped.append(doc.doc_id)
+            skipped.append(doc_id)
     if skipped:
         log.warning("centroid store: skipped %d document(s) with no usable "
                     "tokens, e.g. %s", len(skipped), skipped[:3])

@@ -16,11 +16,13 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 
 from . import __version__
-from .bm25 import (Bm25Params, PostingsIndex, build_index, default_grid,
-                   load_index, save_index, tune_bm25, write_grid_csv)
+from .bm25 import (INDEX_VERSION, Bm25Params, PostingsIndex, build_index,
+                   default_grid, load_index, save_index, tune_bm25,
+                   write_grid_csv)
 from .corpus import Corpus, SplitManifest, ingest_collection, load_qrels
 from .datefilter import (DateWindow, choose_window, filter_run,
                          write_year_hist_csv, year_diff_histogram)
@@ -29,12 +31,12 @@ from .dense import (CentroidError, DocVectorStore, WordVectors,
                     load_doc_vectors, load_word_vectors, save_doc_vectors)
 from .fusion import (default_alpha_grid, fuse_runs, tune_alpha,
                      write_alpha_grid_csv)
-from .metrics import (aggregate_runs, evaluate_run, recall_at_k,
-                      write_eval_csv, write_summary_csv)
+from .metrics import (aggregate_runs, evaluate_run, write_eval_csv,
+                      write_summary_csv)
 from .ranking import RankedList, Run, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
-from .rerank.train import (FeatureStore, Hyperparams, save_checkpoint,
-                           train_model, write_training_log)
+from .rerank.train import (CHECKPOINT_VERSION, FeatureStore, Hyperparams,
+                           save_checkpoint, train_model, write_training_log)
 from .text import TextPipeline, build_pipeline, load_stopwords
 from ._parallel import parallel_map
 
@@ -329,9 +331,17 @@ def emit_rk_curve(run: Run, qrels, k_max: int) -> list[tuple[int, float]]:
         raise ValueError("no queries with relevant documents")
     short = [q for q in query_ids
              if len(run[q]) < min(k_max, len(qrels.relevant(q)))]
+    # per query, R@k for every k from its hit prefix counts: the floats
+    # recall_at_k returns, summed over queries in the same order
+    curves = []
+    for q in query_ids:
+        relevant = qrels.relevant(q)
+        hits = list(accumulate(int(d in relevant) for d in run[q].doc_ids[:k_max]))
+        hits += [hits[-1] if hits else 0] * (k_max - len(hits))
+        curves.append([h / len(relevant) for h in hits])
     rows = []
     for k in range(1, k_max + 1):
-        total = sum(recall_at_k(run[q], qrels.relevant(q), k) for q in query_ids)
+        total = sum(curve[k - 1] for curve in curves)
         rows.append((k, total / len(query_ids)))
     if short:
         log.warning("rk curve: %d list(s) shorter than k_max", len(short))
@@ -522,7 +532,10 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     bm25_params = config.bm25_params or Bm25Params()
     if config.needs_bm25:
         index_path = outdir / "index.bin"
-        stages.run("index", [index_path],
+        # the format version is part of the stage name (the checkpoints'
+        # too), so a file of an older format in a reused output directory
+        # is rebuilt instead of skipped
+        stages.run(f"index-v{INDEX_VERSION}", [index_path],
                    lambda: save_index(build_index(pool, pipeline), index_path))
         index = load_index(index_path)
         if config.bm25_tune:
@@ -668,8 +681,8 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
                                             k=config.eval_k),
                                ev, comment=tag)
 
-            stages.run(f"train-seed{seed}", [ck_path, log_path, rr_path, ev_path],
-                       train_stage)
+            stages.run(f"train-v{CHECKPOINT_VERSION}-seed{seed}",
+                       [ck_path, log_path, rr_path, ev_path], train_stage)
             eval_paths.append(ev_path)
             reports.append(evaluate_run(read_run(rr_path),
                                         qrels.restrict(splits.test_ids),

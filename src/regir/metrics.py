@@ -16,9 +16,8 @@ from .ranking import Run
 
 
 def _ids(ranked) -> list[str]:
-    if hasattr(ranked, "doc_ids"):
-        return ranked.doc_ids
-    return list(ranked)
+    ids = getattr(ranked, "doc_ids", None)  # a property: evaluate it once
+    return list(ranked) if ids is None else ids
 
 
 def recall_at_k(ranked, relevant: set[str], k: int) -> float:

@@ -20,10 +20,17 @@ def sort_scored(pairs: list[tuple[str, float]]) -> list[tuple[str, float]]:
 def top_k_from_arrays(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
     """Vectorized top-k with the canonical tie-break.
 
-    lexsort's last key is primary: sort by -score, then doc_id ascending.
+    Keeps every score >= the k-th largest, ties at the cut included, and
+    sorts only those: lexsort's last key is primary, so by -score, then
+    doc_id ascending.
     """
-    order = np.lexsort((doc_ids, -scores))
-    top = order[: max(k, 0)]
+    n = len(scores)
+    k = min(max(k, 0), n)
+    if k == 0:
+        return []
+    candidates = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
+    order = np.lexsort((doc_ids[candidates], -scores[candidates]))
+    top = candidates[order[:k]]
     return [(str(doc_ids[i]), float(scores[i])) for i in top]
 
 
@@ -47,12 +54,6 @@ class RankedList(list):
 
     def truncated(self, k: int) -> "RankedList":
         return RankedList(self[:k], presorted=True)
-
-    def score_of(self, doc_id: str):
-        for d, s in self:
-            if d == doc_id:
-                return s
-        return None
 
 
 class Run(dict):

@@ -45,9 +45,11 @@ class TypeEmbeddings:
             log.warning("word vectors: %d zero-norm vector(s) treated as "
                         "out-of-vocabulary", dropped)
 
-    def rows(self, doc_id: str, tokens: list[str]):
-        """(units, in-vocab mask, identity keys) aligned with tokens; the keys
-        are term row ids, -1 for out-of-vocabulary tokens."""
+    def rows(self, doc_id: str, tokens: list[str], limit: int | None = None):
+        """(units, in-vocab mask, identity keys) aligned with the first
+        `limit` tokens (all without a limit); the keys are term row ids, -1
+        for out-of-vocabulary tokens."""
+        tokens = tokens[:limit]
         ids = np.fromiter((self._row.get(t, -1) for t in tokens), dtype=np.intp,
                           count=len(tokens))
         return self._units[ids], ids >= 0, ids
@@ -67,13 +69,16 @@ class TokenEmbeddings:
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._seq
 
-    def rows(self, doc_id: str, tokens: list[str]):
+    def rows(self, doc_id: str, tokens: list[str], limit: int | None = None):
+        """Rows of the first `limit` positions; the whole sequence must still
+        match the denoised text's length."""
         seq = self._seq.get(doc_id)
         if seq is None:
             raise KeyError(f"no token vectors for document {doc_id!r}")
         if len(seq) != len(tokens):
             raise ValueError(f"token vectors for {doc_id!r} cover {len(seq)} "
                              f"positions but the denoised text has {len(tokens)}")
+        seq = seq[:limit]
         norms = np.linalg.norm(seq, axis=1)
         mask = norms > 0
         units = np.zeros_like(seq)
@@ -194,13 +199,8 @@ def pacrr_features(query_tokens: list[str], query_doc_id: str,
         raise ValueError("empty query after denoising")
     if not doc_tokens:
         raise ValueError("empty document after denoising")
-    q_tokens = query_tokens[:q_len]
-    d_tokens = doc_tokens[:d_len]
-    q_units, q_mask, q_keys = provider.rows(query_doc_id, query_tokens)
-    d_units, d_mask, d_keys = provider.rows(doc_id, doc_tokens)
-    S = sim_matrix(q_units[:q_len], q_mask[:q_len],
-                   None if q_keys is None else q_keys[:q_len],
-                   d_units[:d_len], d_mask[:d_len],
-                   None if d_keys is None else d_keys[:d_len])
-    idf_col = softmax(np.array([idf_table.idf(t) for t in q_tokens]))
+    q_units, q_mask, q_keys = provider.rows(query_doc_id, query_tokens, q_len)
+    d_units, d_mask, d_keys = provider.rows(doc_id, doc_tokens, d_len)
+    S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
+    idf_col = softmax(np.array([idf_table.idf(t) for t in query_tokens[:q_len]]))
     return S, idf_col

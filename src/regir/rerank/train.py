@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import copy
 import logging
-import pickle
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._npz import read_npz, write_npz
 from ..fusion import normalize_scores
 from ..metrics import recall_at_k
 from ..ranking import RankedList, Run, sort_scored
@@ -32,7 +32,7 @@ from .pacrr import PacrrConfig, PacrrModel
 log = logging.getLogger(__name__)
 
 CHECKPOINT_FORMAT = "regir-rerank-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class TrainingDiverged(RuntimeError):
@@ -370,38 +370,48 @@ def write_training_log(log_rows, path, comment: str = "") -> None:
 
 
 def save_checkpoint(result: TrainResult, path) -> None:
-    payload = {
+    """The matcher's parameter arrays plus a JSON header with the kind, the
+    hyperparameters and the fusion weights (JSON writes floats with repr, so
+    w_r and w_p round-trip exactly)."""
+    header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "kind": result.model.kind,
-        "params": result.model.params,
         "w_r": result.w_r,
         "w_p": result.w_p,
         "hyperparams": result.hp.as_dict(),
         "best_epoch": result.best_epoch,
         "best_dev_r20": result.best_dev_r20,
     }
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=4)
+    write_npz(path, header, result.model.params)
 
 
 def load_checkpoint(path) -> TrainResult:
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a re-ranker checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version")
-    raw_hp = payload["hyperparams"]
-    raw_hp["kernel_sizes"] = tuple(raw_hp["kernel_sizes"])
-    hp = Hyperparams(**raw_hp)
-    if payload["kind"] == "drmm":
-        model = DrmmModel(payload["params"], bins=hp.B)
-    elif payload["kind"] == "pacrr":
-        model = PacrrModel(payload["params"], hp.pacrr_config())
-    else:
-        raise ValueError(f"{path}: unknown matcher kind {payload['kind']!r}")
-    return TrainResult(model=model, w_r=payload["w_r"], w_p=payload["w_p"],
-                       hp=hp, best_epoch=payload.get("best_epoch", 0),
-                       best_dev_r20=payload.get("best_dev_r20", 0.0))
-
+    """Inverse of save_checkpoint; the parameters must have the names and
+    shapes the hyperparameters give the matcher, and be finite."""
+    header, params = read_npz(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
+    try:
+        raw_hp = dict(header["hyperparams"])
+        raw_hp["kernel_sizes"] = tuple(raw_hp["kernel_sizes"])
+        hp = Hyperparams(**raw_hp)
+        # a fresh model of the stored kind and size, whose parameters the
+        # file's then replace
+        model = init_model(header["kind"], hp, np.random.default_rng(0))
+        w_r, w_p = float(header["w_r"]), float(header["w_p"])
+        best_epoch = int(header["best_epoch"])
+        best_dev = float(header["best_dev_r20"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: header lacks {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: bad checkpoint header ({exc})") from None
+    shapes = {name: p.shape for name, p in params.items()}
+    want = {name: p.shape for name, p in model.params.items()}
+    if shapes != want:
+        raise ValueError(f"{path}: parameter shapes {shapes} do not match the "
+                         f"{header['kind']} model's {want}")
+    if not (all(np.isfinite(p).all() for p in params.values())
+            and np.isfinite(w_r) and np.isfinite(w_p)):
+        raise ValueError(f"{path}: non-finite parameter")
+    model.params = params
+    return TrainResult(model=model, w_r=w_r, w_p=w_p, hp=hp,
+                       best_epoch=best_epoch, best_dev_r20=best_dev)

@@ -11,8 +11,11 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
+from dataclasses import dataclass
 from importlib import resources
+
+import numpy as np
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -28,6 +31,49 @@ def tokenize(text: str) -> list[str]:
     stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
     tokens = _TOKEN_RE.findall(stripped.lower())
     return [t for t in tokens if not t.isdigit()]
+
+
+@dataclass(frozen=True)
+class Bags:
+    """A collection as bags of term ids, flat over its documents.
+
+    Document i (in collection order) owns entries offsets[i]:offsets[i+1] of
+    `ids` and `tf`: its distinct term ids in first-occurrence order and how
+    often each occurs. `terms` maps a term id back to its string.
+    """
+
+    doc_ids: list[str]
+    terms: list[str]
+    ids: np.ndarray      # int32
+    tf: np.ndarray       # int32
+    offsets: np.ndarray  # int64, len(doc_ids) + 1
+
+    def df(self) -> np.ndarray:
+        """Document frequency of every term id."""
+        return np.bincount(self.ids, minlength=len(self.terms))
+
+    def select(self, keep: np.ndarray) -> "Bags":
+        """The bags restricted to the term ids where `keep` is true."""
+        mask = keep[self.ids]
+        kept = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
+        return Bags(self.doc_ids, self.terms, self.ids[mask], self.tf[mask],
+                    kept[self.offsets])
+
+
+def encode_bags(corpus) -> Bags:
+    """Tokenize every document once and count its terms. Term ids are
+    assigned in order of first occurrence over the collection."""
+    vocab: defaultdict[str, int] = defaultdict()
+    vocab.default_factory = vocab.__len__  # an unseen term gets the next id
+    doc_ids, ids, tf, offsets = [], [], [], [0]
+    for doc in corpus:
+        counts = Counter(tokenize(doc.text))
+        doc_ids.append(doc.doc_id)
+        ids.extend(map(vocab.__getitem__, counts))
+        tf.extend(counts.values())
+        offsets.append(len(ids))
+    return Bags(doc_ids, list(vocab), np.array(ids, dtype=np.int32),
+                np.array(tf, dtype=np.int32), np.array(offsets, dtype=np.int64))
 
 
 def load_default_stopwords() -> frozenset[str]:
@@ -88,18 +134,6 @@ class IdfTable:
     def terms(self):
         return self._df.keys()
 
-    @classmethod
-    def from_token_lists(cls, token_lists) -> "IdfTable":
-        """Document frequencies from pre-tokenized documents."""
-        df: Counter[str] = Counter()
-        n = 0
-        for tokens in token_lists:
-            n += 1
-            df.update(set(tokens))
-        if n == 0:
-            raise ValueError("cannot build an idf table from zero documents")
-        return cls(n, dict(df))
-
     def stopword_avg_idf(self, stopwords) -> float:
         """Mean idf over the stopwords that actually occur in the collection.
 
@@ -127,12 +161,29 @@ class TextPipeline:
         self.stopwords = load_default_stopwords() if stopwords is None else frozenset(stopwords)
         self.idf_filter = idf_filter
         self.threshold = idf_table.stopword_avg_idf(self.stopwords)
+        self._source = None  # (collection, its denoised bags), see build_pipeline
+
+    def keeps(self, term: str) -> bool:
+        """Whether denoising keeps the term; the same for every occurrence."""
+        if term in self.stopwords:
+            return False
+        return not self.idf_filter or self.idf_table.idf(term) >= self.threshold
 
     def denoise(self, tokens: list[str]) -> list[str]:
-        kept = [t for t in tokens if t not in self.stopwords]
-        if self.idf_filter:
-            kept = [t for t in kept if self.idf_table.idf(t) >= self.threshold]
-        return kept
+        keeps = self.keeps
+        return [t for t in tokens if keeps(t)]
+
+    def denoise_bags(self, bags: Bags) -> Bags:
+        keep = np.fromiter(map(self.keeps, bags.terms), dtype=bool,
+                           count=len(bags.terms))
+        return bags.select(keep)
+
+    def bags(self, corpus) -> Bags:
+        """Denoised bags of a collection: those kept from build time for the
+        collection object the pipeline was built from, else freshly encoded."""
+        if self._source is not None and self._source[0] is corpus:
+            return self._source[1]
+        return self.denoise_bags(encode_bags(corpus))
 
     def __call__(self, text: str) -> list[str]:
         return self.denoise(tokenize(text))
@@ -143,7 +194,14 @@ def build_pipeline(corpus, stopwords: frozenset[str] | None = None,
     """Pipeline whose idf statistics come from the given (pool) collection.
 
     The idf table is computed on tokenized but not-yet-denoised text, so the
-    threshold itself is well-defined before any filtering happens.
+    threshold itself is well-defined before any filtering happens. The
+    pipeline keeps the collection's denoised bags, so indexing it and
+    building its centroids tokenize nothing again.
     """
-    table = IdfTable.from_token_lists(tokenize(doc.text) for doc in corpus)
-    return TextPipeline(table, stopwords=stopwords, idf_filter=idf_filter)
+    bags = encode_bags(corpus)
+    if not bags.doc_ids:
+        raise ValueError("cannot build an idf table from zero documents")
+    table = IdfTable(len(bags.doc_ids), dict(zip(bags.terms, bags.df().tolist())))
+    pipeline = TextPipeline(table, stopwords=stopwords, idf_filter=idf_filter)
+    pipeline._source = (corpus, pipeline.denoise_bags(bags))
+    return pipeline

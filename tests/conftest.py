@@ -5,7 +5,9 @@ from contextlib import contextmanager
 import pytest
 
 from regir.corpus import Corpus, Document, Qrels
-from regir.text import IdfTable, build_pipeline
+from regir.text import build_pipeline
+
+from oracles import idf_from_token_lists
 
 
 def pytest_addoption(parser):
@@ -148,4 +150,4 @@ def simple_qrels(mapping):
 @pytest.fixture
 def uniform_idf():
     """Same idf for every vocab term, handy when weighting must not matter."""
-    return IdfTable.from_token_lists([VOCAB])
+    return idf_from_token_lists([VOCAB])

@@ -1,8 +1,9 @@
 """Reference code that only tests call: scorers one (query, document) pair
 at a time (BM25 read off a document's postings, DRMM and PACRR forward
-passes from raw token lists), the per-row histogram and einsum convolution
-that the vectorized matcher kernels must reproduce, and small readers and
-helpers the pipeline itself has no use for."""
+passes from raw token lists), the dict-built postings, the lexsort top-k,
+the per-row histogram and einsum convolution that the vectorized kernels
+must reproduce, and small readers and helpers the pipeline itself has no
+use for."""
 
 from __future__ import annotations
 
@@ -13,21 +14,103 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from regir.bm25 import Bm25Params, GridCell, PostingsIndex
+from regir.metrics import recall_at_k
+from regir.text import IdfTable
 from regir.rerank.drmm import DrmmModel
 from regir.rerank.features import (TypeEmbeddings, dedup_terms, drmm_features,
                                    pacrr_features, sim_matrix)
 from regir.rerank.pacrr import PacrrModel
 
 
+def idf_from_token_lists(token_lists) -> IdfTable:
+    """Idf table with document frequencies from pre-tokenized documents."""
+    df: Counter[str] = Counter()
+    n = 0
+    for tokens in token_lists:
+        n += 1
+        df.update(set(tokens))
+    if n == 0:
+        raise ValueError("cannot build an idf table from zero documents")
+    return IdfTable(n, dict(df))
+
+
+def postings_dict(corpus, pipeline) -> dict[str, list[tuple[str, int]]]:
+    """term -> [(doc_id, tf)] over the denoised pool, both sorted: the dict
+    index the CSR build must equal."""
+    term_docs: dict[str, dict[str, int]] = {}
+    for doc in corpus:
+        for term, tf in Counter(pipeline(doc.text)).items():
+            term_docs.setdefault(term, {})[doc.doc_id] = tf
+    return {t: sorted(term_docs[t].items()) for t in sorted(term_docs)}
+
+
+def index_from_postings(postings: dict[str, list[tuple[str, int]]],
+                        doc_ids, idf_table: IdfTable) -> PostingsIndex:
+    """A CSR index holding the given term -> [(doc_id, tf)] postings over
+    the given documents, each list in doc_id order."""
+    ids = sorted(doc_ids)
+    pos = {d: i for i, d in enumerate(ids)}
+    terms = sorted(postings)
+    offsets = np.cumsum([0] + [len(postings[t]) for t in terms])
+    positions = np.array([pos[d] for t in terms for d, _ in postings[t]],
+                         dtype=np.int32)
+    tf = np.array([f for t in terms for _, f in postings[t]], dtype=np.int32)
+    return PostingsIndex(terms, offsets, positions, tf, ids, idf_table)
+
+
+def postings_of(index: PostingsIndex) -> dict[str, list[tuple[str, int]]]:
+    """The CSR postings as term -> [(doc_id, tf)]."""
+    bounds = index.offsets
+    return {term: [(str(index.doc_ids[p]), int(f))
+                   for p, f in zip(index.positions[lo:hi], index.tf[lo:hi])]
+            for term, lo, hi in zip(index.terms, bounds, bounds[1:])}
+
+
+def doc_len_of(index: PostingsIndex) -> dict[str, int]:
+    return {str(d): int(n) for d, n in zip(index.doc_ids, index.doc_len)}
+
+
+def validate(index: PostingsIndex) -> None:
+    """Check the structural invariants; raises on violation."""
+    for term, plist in postings_of(index).items():
+        if any(tf < 1 for _, tf in plist):
+            raise AssertionError(f"tf < 1 in postings of {term!r}")
+        if len(plist) != index.idf_table.df(term):
+            raise AssertionError(
+                f"postings df {len(plist)} != idf-table df "
+                f"{index.idf_table.df(term)} for {term!r}")
+    doc_len = doc_len_of(index)
+    expect = sum(doc_len.values()) / len(doc_len)
+    if abs(index.avg_len - expect) > 1e-12:
+        raise AssertionError("avg_len out of sync with doc_len")
+
+
+def score_of(ranking, doc_id: str):
+    """The score of doc_id in a ranked list, None when it is absent."""
+    for d, s in ranking:
+        if d == doc_id:
+            return s
+    return None
+
+
+def top_k_lexsort(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
+    """Top-k by a full lexsort: -score first, then doc_id ascending."""
+    order = np.lexsort((doc_ids, -scores))
+    top = order[: max(k, 0)]
+    return [(str(doc_ids[i]), float(scores[i])) for i in top]
+
+
 def bm25_score(index: PostingsIndex, query_tokens: list[str], doc_id: str,
                params: Bm25Params) -> float:
     """BM25 of one document, read off its postings one term at a time."""
-    if doc_id not in index.doc_len:
+    doc_len = doc_len_of(index)
+    if doc_id not in doc_len:
         raise KeyError(f"unknown doc_id {doc_id!r}")
-    norm = index._norm(index.doc_len[doc_id], params)
+    norm = index._norm(doc_len[doc_id], params)
+    postings = postings_of(index)
     score = 0.0
     for term, q_tf in Counter(query_tokens).items():
-        plist = index.postings.get(term)
+        plist = postings.get(term)
         if plist is None:
             continue
         tf = next((f for d, f in plist if d == doc_id), 0)
@@ -134,3 +217,25 @@ def read_grid_csv(path) -> list[GridCell]:
 def stage_seed(root_seed: int, stage: str) -> int:
     digest = hashlib.sha256(f"{root_seed}:{stage}".encode()).digest()
     return int.from_bytes(digest[:4], "big") % (2 ** 31)
+
+
+def centroid_loop(tokens: list[str], word_vectors, idf_table) -> np.ndarray:
+    """tf-idf weighted centroid summed term by term with `acc += w * x`."""
+    acc = np.zeros(word_vectors.dim)
+    mass = 0.0
+    for term, tf in Counter(tokens).items():
+        if term not in word_vectors:
+            continue
+        w = tf * idf_table.idf(term)
+        acc += w * word_vectors.get(term)
+        mass += w
+    if mass == 0.0:
+        raise ValueError("no in-vocabulary token with positive tf*idf weight")
+    return acc / mass
+
+
+def rk_curve_per_k(run, qrels, k_max: int) -> list[tuple[int, float]]:
+    """`(k, mean R@k)` with one `recall_at_k` call per query and k."""
+    query_ids = [q for q in sorted(run) if qrels.relevant(q)]
+    return [(k, sum(recall_at_k(run[q], qrels.relevant(q), k) for q in query_ids)
+             / len(query_ids)) for k in range(1, k_max + 1)]

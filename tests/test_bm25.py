@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 import random
@@ -5,14 +6,19 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from regir.bm25 import (Bm25Params, GridCell, PostingsIndex, build_index,
-                        default_grid, load_index, save_index, tune_bm25,
-                        write_grid_csv)
+import numpy as np
+
+from regir._npz import write_npz
+from regir.bm25 import (INDEX_FORMAT, Bm25Params, GridCell, PostingsIndex,
+                        build_index, default_grid, load_index, save_index,
+                        tune_bm25, write_grid_csv)
 from regir.corpus import Corpus, Qrels
-from regir.text import IdfTable, build_pipeline
+from regir.text import build_pipeline
 
 from conftest import make_doc, random_corpus
-from oracles import bm25_score, read_grid_csv
+from oracles import (bm25_score, doc_len_of, idf_from_token_lists,
+                     index_from_postings, postings_dict, postings_of,
+                     read_grid_csv, score_of, validate)
 
 
 def index_from_token_lists(token_lists: dict[str, list[str]]) -> PostingsIndex:
@@ -21,9 +27,8 @@ def index_from_token_lists(token_lists: dict[str, list[str]]) -> PostingsIndex:
     for doc_id in sorted(token_lists):
         for term, tf in sorted(Counter(token_lists[doc_id]).items()):
             postings[term].append((doc_id, tf))
-    doc_len = {d: len(toks) for d, toks in token_lists.items()}
-    table = IdfTable.from_token_lists([token_lists[d] for d in sorted(token_lists)])
-    return PostingsIndex(dict(postings), doc_len, table)
+    table = idf_from_token_lists([token_lists[d] for d in sorted(token_lists)])
+    return index_from_postings(dict(postings), token_lists, table)
 
 
 def oracle_score(query, token_lists, doc_id, k1, b):
@@ -67,11 +72,11 @@ def test_toy_score_frozen(toy_index):
 
 
 def test_toy_postings_shape(toy_index):
-    assert toy_index.postings == {"a": [("d1", 2)],
+    assert postings_of(toy_index) == {"a": [("d1", 2)],
                                   "b": [("d1", 1), ("d2", 1)],
                                   "c": [("d2", 1)]}
     assert toy_index.avg_len == pytest.approx(2.5)
-    toy_index.validate()
+    validate(toy_index)
 
 
 def test_duplicate_query_terms_double_contribution(toy_index):
@@ -144,7 +149,7 @@ def test_search_ranks_whole_pool_when_k_large(toy_index):
     assert len(ranked) == 2
     assert ranked.doc_ids[0] == "d1"
     # d2 scores zero but is still ranked
-    assert ranked.score_of("d2") == 0.0
+    assert score_of(ranked, "d2") == 0.0
 
 
 def test_search_k_must_be_positive(toy_index):
@@ -186,14 +191,14 @@ def test_build_index_from_corpus_counts_title_tokens():
                      make_doc("d2", ["fish"], title="quota")])
     pipeline = build_pipeline(corpus, stopwords=frozenset(), idf_filter=False)
     index = build_index(corpus, pipeline)
-    assert index.doc_len == {"d1": 3, "d2": 2}
-    assert index.postings["customs"] == [("d1", 1)]
-    index.validate()
+    assert doc_len_of(index) == {"d1": 3, "d2": 2}
+    assert postings_of(index)["customs"] == [("d1", 1)]
+    validate(index)
 
 
 def test_empty_pool_rejected(uniform_idf):
     with pytest.raises(ValueError):
-        PostingsIndex({}, {}, uniform_idf)
+        index_from_postings({}, {}, uniform_idf)
 
 
 def test_rebuild_is_byte_identical(rng):
@@ -210,8 +215,8 @@ def test_save_load_roundtrip(tmp_path, rng):
     index = build_index(corpus, pipeline)
     save_index(index, tmp_path / "idx.bin")
     back = load_index(tmp_path / "idx.bin")
-    assert back.postings == index.postings
-    assert back.doc_len == index.doc_len
+    assert postings_of(back) == postings_of(index)
+    assert doc_len_of(back) == doc_len_of(index)
     assert back.avg_len == index.avg_len
     query = ["tax", "fish", "quota"]
     assert back.bm25_search(query, Bm25Params(), 10).doc_ids == \
@@ -220,6 +225,143 @@ def test_save_load_roundtrip(tmp_path, rng):
     assert back.pipeline is not None
     assert back.pipeline.stopwords == pipeline.stopwords
     assert back.pipeline.threshold == pipeline.threshold
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_csr_postings_equal_dict_oracle(seed):
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(rng.randint(5, 80))] + ["the", "of", "and"]
+    docs = list(random_corpus(rng, rng.randint(1, 60), vocab=vocab, doc_len=(0, 60)))
+    rng.shuffle(docs)  # collection order is not doc_id order
+    corpus = Corpus(docs)
+    pipeline = build_pipeline(corpus, idf_filter=bool(seed % 2))
+    index = build_index(corpus, pipeline)
+    assert postings_of(index) == postings_dict(corpus, pipeline)
+    assert doc_len_of(index) == {d.doc_id: len(pipeline(d.text)) for d in corpus}
+    validate(index)
+
+
+def test_saved_index_is_deterministic_and_never_pickled(tmp_path, rng, monkeypatch):
+    corpus = random_corpus(rng, 25)
+    pipeline = build_pipeline(corpus)
+    save_index(build_index(corpus, pipeline), tmp_path / "a.bin")
+
+    def no_pickle(*args, **kwargs):
+        raise AssertionError("the index must not be unpickled")
+
+    monkeypatch.setattr(pickle, "load", no_pickle)
+    monkeypatch.setattr(pickle, "loads", no_pickle)
+    save_index(load_index(tmp_path / "a.bin"), tmp_path / "b.bin")
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+@pytest.fixture
+def saved_index(tmp_path, rng):
+    corpus = random_corpus(rng, 25)
+    index = build_index(corpus, build_pipeline(corpus))
+    path = tmp_path / "index.bin"
+    save_index(index, path)
+    return index, path
+
+
+def test_load_rejects_truncated_files(saved_index, tmp_path):
+    _, path = saved_index
+    data = path.read_bytes()
+    for cut in (0, 3, 30, len(data) // 3, len(data) // 2, len(data) - 22,
+                len(data) - 1):
+        bad = tmp_path / f"cut{cut}.bin"
+        bad.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=str(bad)):
+            load_index(bad)
+
+
+def test_load_rejects_flipped_bytes(saved_index, tmp_path):
+    """Every member is CRC-checked, so a flipped byte of array data or of
+    the JSON header fails; a flip in zip bookkeeping that the CRC does not
+    cover (a timestamp) either fails or leaves the index as it was."""
+    index, path = saved_index
+    data = path.read_bytes()
+    bad = tmp_path / "flipped.bin"
+    for offset in range(0, len(data), 7):
+        flipped = bytearray(data)
+        flipped[offset] ^= 0x55
+        bad.write_bytes(bytes(flipped))
+        try:
+            back = load_index(bad)
+        except ValueError as exc:
+            assert str(bad) in str(exc)
+            continue
+        assert postings_of(back) == postings_of(index), offset
+        assert back.terms == index.terms and list(back.doc_ids) == list(index.doc_ids)
+    # the middle of the file lies in the postings arrays or the header JSON
+    for offset in (len(data) // 3, len(data) // 2):
+        flipped = bytearray(data)
+        flipped[offset] ^= 0x01
+        bad.write_bytes(bytes(flipped))
+        with pytest.raises(ValueError, match=str(bad)):
+            load_index(bad)
+
+
+def test_load_rejects_wrong_header_version(saved_index, tmp_path):
+    _, path = saved_index
+    bad = tmp_path / "v3.bin"
+    write_npz(bad, {"format": INDEX_FORMAT, "version": 3},
+              {"offsets": np.zeros(1, dtype=np.int64)})
+    with pytest.raises(ValueError, match=f"{bad}: unsupported .* version 3"):
+        load_index(bad)
+
+
+def test_load_rejects_v1_pickle_without_unpickling(tmp_path, monkeypatch):
+    path = tmp_path / "old.bin"
+    with open(path, "wb") as fh:
+        pickle.dump({"format": INDEX_FORMAT, "version": 1, "postings": {}}, fh,
+                    protocol=4)
+
+    def no_pickle(*args, **kwargs):
+        raise AssertionError("a v1 index must not be unpickled")
+
+    monkeypatch.setattr(pickle, "load", no_pickle)
+    monkeypatch.setattr(pickle, "loads", no_pickle)
+    with pytest.raises(ValueError, match=f"{path}: .*version-1 pickle"):
+        load_index(path)
+
+
+def _tampered(path, tmp_path, header_changes=(), **changes):
+    """A copy of a saved index with some header fields and arrays replaced."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    header = json.loads(arrays.pop("header").tobytes())
+    header.update(header_changes)
+    arrays.update(changes)
+    bad = tmp_path / "tampered.bin"
+    write_npz(bad, header, arrays)
+    return bad
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda a: {"offsets": a["offsets"][::-1].copy()}, "monotone"),
+    (lambda a: {"positions": a["positions"] + 10_000}, "out of range"),
+    (lambda a: {"tf": np.zeros_like(a["tf"])}, "tf < 1"),
+    (lambda a: {"idf_df": np.maximum(a["idf_df"] - 1, 1)}, "postings length"),
+    (lambda a: {"positions": a["positions"][::-1].copy()}, "ascending"),
+    (lambda a: {"tf": a["tf"].astype(np.int64)}, "expected 1-d int32"),
+])
+def test_load_checks_csr_invariants(saved_index, tmp_path, change, message):
+    _, path = saved_index
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    bad = _tampered(path, tmp_path, **change(arrays))
+    with pytest.raises(ValueError, match=f"{bad}: .*{message}"):
+        load_index(bad)
+
+
+@pytest.mark.parametrize("field", ["ids", "terms", "idf_terms"])
+def test_load_rejects_header_names_that_are_not_lists(saved_index, tmp_path, field):
+    # a string's characters are sorted unique strings too
+    _, path = saved_index
+    bad = _tampered(path, tmp_path, header_changes={field: "abc"})
+    with pytest.raises(ValueError, match=f"{bad}: .*not unique strings"):
+        load_index(bad)
 
 
 def test_load_rejects_foreign_pickle(tmp_path):

@@ -10,6 +10,7 @@ from regir.corpus import ingest_collection
 from regir.ranking import read_run
 
 from conftest import build_dataset
+from oracles import score_of
 
 
 def blob(result):
@@ -182,7 +183,7 @@ def test_prefetch_ensemble(env, tmp_path):
     run = read_run(out)
     assert len(run) == 12
     for rl in run.values():
-        assert all(0.0 <= rl.score_of(d) <= 1.0 + 1e-9 for d in rl.doc_ids)
+        assert all(0.0 <= score_of(rl, d) <= 1.0 + 1e-9 for d in rl.doc_ids)
 
 
 def test_prefetch_with_date_filter(env, tmp_path):

@@ -13,6 +13,7 @@ from regir.experiment import centroid_run, doc_vectors_run
 from regir.text import build_pipeline
 
 from conftest import make_doc
+from oracles import centroid_loop, score_of
 
 
 def wv_from(mapping):
@@ -145,15 +146,15 @@ def test_knn_exact_match_first():
     store = make_store({"d1": [1.0, 0.0], "d2": [0.0, 1.0]})
     ranked = knn_search(np.array([1.0, 0.0]), store, k=2)
     assert ranked.doc_ids == ["d1", "d2"]
-    assert ranked.score_of("d1") == pytest.approx(1.0)
-    assert ranked.score_of("d2") == pytest.approx(0.0)
+    assert score_of(ranked, "d1") == pytest.approx(1.0)
+    assert score_of(ranked, "d2") == pytest.approx(0.0)
 
 
 def test_knn_zero_norm_doc_gets_sentinel():
     store = make_store({"d1": [0.0, 0.0], "d2": [1.0, 1.0]})
     ranked = knn_search(np.array([1.0, 0.0]), store, k=2)
     assert ranked.doc_ids[-1] == "d1"
-    assert ranked.score_of("d1") == -1.0
+    assert score_of(ranked, "d1") == -1.0
 
 
 def test_knn_rejects_zero_query():
@@ -191,7 +192,7 @@ def test_knn_matches_brute_force(seed):
     want = sorted(ids, key=lambda d: (-sims[d], d))
     assert got.doc_ids == want
     for d in ids:
-        assert got.score_of(d) == pytest.approx(sims[d], rel=1e-9, abs=1e-12)
+        assert score_of(got, d) == pytest.approx(sims[d], rel=1e-9, abs=1e-12)
 
 
 def test_knn_scale_invariance(rng):
@@ -247,6 +248,37 @@ def test_precomputed_store_equals_per_query_centroids(rng):
         direct = centroid(pipeline(corpus.get(doc_id).text), wv,
                           pipeline.idf_table)
         assert np.allclose(store.get(doc_id), direct)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_centroids_have_the_bits_of_the_running_sum(seed):
+    """The store's and the query-side centroids equal `acc += w * x` summed
+    term by term, down to the sign of zero components."""
+    from conftest import random_corpus
+    rng = random.Random(seed)
+    corpus = random_corpus(rng, 20, vocab=[f"w{i}" for i in range(40)] + ["the"])
+    pipeline = build_pipeline(corpus, idf_filter=bool(seed % 2))
+    np_rng = np.random.default_rng(seed)
+    vocab = sorted({t for d in corpus for t in pipeline(d.text)})
+    vectors = {t: np_rng.normal(size=6) for t in vocab[::2]}
+    vectors[vocab[0]][:3] = -0.0
+    wv = WordVectors(vectors, 6)
+    store = build_centroid_store(corpus, pipeline, wv)
+    for doc in corpus:
+        tokens = pipeline(doc.text)
+        try:
+            want = centroid_loop(tokens, wv, pipeline.idf_table)
+        except ValueError:
+            assert doc.doc_id not in store
+            continue
+        assert store.get(doc.doc_id).tobytes() == want.tobytes()
+        assert centroid(tokens, wv, pipeline.idf_table).tobytes() == want.tobytes()
+
+
+def test_centroid_of_negative_zero_components_is_positive_zero():
+    wv = wv_from({"a": [-0.0, 1.0]})
+    assert np.signbit(centroid(["a"], wv, idf_from({"a": 2.0}))).tolist() == \
+        [False, False]
 
 
 def test_dense_prefetch_single_doc_pool():

@@ -10,7 +10,7 @@ from regir.experiment import (ConfigError, _parse_range, emit_rk_curve,
 from regir.ranking import RankedList, Run
 
 from conftest import build_dataset
-from oracles import stage_seed
+from oracles import rk_curve_per_k, stage_seed
 
 BASE_CFG = """
 task = EU2UK
@@ -144,6 +144,22 @@ def test_rk_curve_monotone_and_validated():
         emit_rk_curve(run, Qrels({"other": {"zz"}}), 2)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_rk_curve_equals_per_k_recall_oracle(seed):
+    rng = random.Random(seed)
+    pool = [f"d{i:03d}" for i in range(60)]
+    run, rel = Run(), {}
+    for q in range(rng.randint(1, 12)):
+        docs = rng.sample(pool, rng.randint(0, 40))
+        run[f"q{q}"] = RankedList([(d, float(-i)) for i, d in enumerate(docs)])
+        rel[f"q{q}"] = set(rng.sample(pool, rng.randint(0 if q else 1, 7)))
+    run["short"] = RankedList([("d001", 1.0)])  # shorter than k_max, one hit
+    rel["short"] = {"d001", "d002"}
+    qrels = Qrels({q: docs for q, docs in rel.items() if docs})
+    k_max = rng.randint(2, 50)
+    assert emit_rk_curve(run, qrels, k_max) == rk_curve_per_k(run, qrels, k_max)
+
+
 # --- whole runs ---
 
 FULL_CFG = """
@@ -244,3 +260,22 @@ def test_fusion_tune_fetches_each_dev_query_once(dataset, tmp_path, monkeypatch)
     for name in ("bm25_run", "centroid_run"):
         dev = [q for n, q in fetched if n == name and q in splits["dev"]]
         assert sorted(dev) == sorted(splits["dev"]), name
+
+
+def test_stale_v1_index_in_a_reused_outdir_is_rebuilt(dataset, tmp_path):
+    """A directory last run before the index format changed holds a pickled
+    index under the stage name "index"; the versioned stage rebuilds it."""
+    cfg = cfg_from(dataset, BASE_CFG)
+    outdir = tmp_path / "out"
+    result = run_experiment(cfg, outdir)
+    before = (outdir / "eval_test.csv").read_bytes()
+    stages_path = outdir / ".stages.json"
+    stages = json.loads(stages_path.read_text())
+    entry = stages.pop("index-v2")
+    entry["key"] = hashlib.sha256(f"{result.manifest_hash}:index".encode()).hexdigest()
+    stages["index"] = entry
+    stages_path.write_text(json.dumps(stages))
+    (outdir / "index.bin").write_bytes(b"\x80\x04 a version-1 pickle")
+    run_experiment(cfg, outdir)
+    assert (outdir / "index.bin").read_bytes()[:4] == b"PK\x03\x04"
+    assert (outdir / "eval_test.csv").read_bytes() == before

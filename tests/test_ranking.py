@@ -4,10 +4,28 @@ import pytest
 from regir.ranking import (RankedList, Run, read_run, sort_scored,
                            top_k_from_arrays, write_run)
 
+from oracles import score_of, top_k_lexsort
+
 
 def test_sort_scored_orders_by_score_then_id():
     items = [("b", 1.0), ("a", 1.0), ("c", 2.0)]
     assert sort_scored(items) == [("c", 2.0), ("a", 1.0), ("b", 1.0)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_top_k_from_arrays_equals_lexsort_oracle(seed):
+    """Heavy zero ties and ties at the cut, with ids in any order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    ids = np.array([f"d{i:05d}" for i in range(n)], dtype=object)
+    if seed >= 3:
+        rng.shuffle(ids)
+    scores = rng.integers(0, 4, size=n).astype(np.float64)
+    scores[rng.random(n) < 0.5] = 0.0
+    if seed % 2:
+        scores -= 2.0  # negative scores too, as cosine similarities have
+    for k in (0, 1, 2, 5, n // 3, n - 1, n, n + 7):
+        assert top_k_from_arrays(ids, scores, k) == top_k_lexsort(ids, scores, k)
 
 
 def test_top_k_from_arrays_matches_sort():
@@ -43,7 +61,7 @@ def test_run_roundtrip(tmp_path):
     back = read_run(path)
     assert set(back) == {"q1", "q2"}
     assert back["q2"].doc_ids == ["a", "b"]
-    assert back["q2"].score_of("b") == 0.25
+    assert score_of(back["q2"], "b") == 0.25
 
 
 def test_read_run_rejects_gapped_ranks(tmp_path):

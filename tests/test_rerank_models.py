@@ -5,7 +5,8 @@ import pytest
 
 from regir.dense import WordVectors
 from regir.rerank import (DrmmModel, PacrrConfig, PacrrModel,
-                          TypeEmbeddings, load_token_vectors, sim_matrix)
+                          TokenEmbeddings, TypeEmbeddings, load_token_vectors,
+                          sim_matrix)
 from regir.rerank.features import (bin_similarities, dedup_terms,
                                    drmm_features, pacrr_features, softmax)
 
@@ -314,6 +315,34 @@ def test_drmm_gradients_match_finite_differences(seed):
 
 
 # --- PACRR features ---
+
+@pytest.mark.parametrize("token_level", [False, True])
+def test_pacrr_features_gather_only_kept_rows(token_level):
+    """Rows gathered up to q_len / d_len give the bits of gathering every
+    row and truncating after."""
+    rng = np.random.default_rng(4)
+    vocab = [f"w{i}" for i in range(30)]
+    wv = wv_from({t: rng.normal(size=5) for t in vocab[:20]})
+    idf = FixedIdf({t: float(i) for i, t in enumerate(vocab)})
+    q = [vocab[i] for i in rng.integers(30, size=40)]
+    d = [vocab[i] for i in rng.integers(30, size=300)]
+    if token_level:
+        provider = TokenEmbeddings({"q": rng.normal(size=(40, 5)),
+                                    "d": rng.normal(size=(300, 5))}, 5)
+    else:
+        provider = TypeEmbeddings(wv)
+    for q_len, d_len in ((7, 50), (40, 300), (64, 1024)):
+        S, idf_col = pacrr_features(q, "q", d, "d", provider, idf, q_len, d_len)
+        qu, qm, qk = provider.rows("q", q)
+        du, dm, dk = provider.rows("d", d)
+        want = sim_matrix(qu[:q_len], qm[:q_len], None if qk is None else qk[:q_len],
+                          du[:d_len], dm[:d_len], None if dk is None else dk[:d_len])
+        assert np.array_equal(S, want)
+        assert S.shape == (min(q_len, 40), min(d_len, 300))
+    if token_level:  # the full sequence length is still checked
+        with pytest.raises(ValueError, match="positions"):
+            pacrr_features(q, "q", d[:-1], "d", provider, idf, 5, 5)
+
 
 def test_pacrr_features_truncation_no_padding():
     provider = TypeEmbeddings(angle_wv({c: 0.2 * i for i, c in

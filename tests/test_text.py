@@ -1,12 +1,21 @@
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regir.text import (IdfTable, TextPipeline, build_pipeline,
+import regir.text
+from regir.bm25 import build_index
+from regir.corpus import Corpus
+from regir.dense import WordVectors, build_centroid_store
+from regir.text import (TextPipeline, build_pipeline, encode_bags,
                         load_default_stopwords, load_stopwords, tokenize)
 
-from conftest import VOCAB, random_corpus
+from conftest import VOCAB, make_doc, random_corpus
+from oracles import idf_from_token_lists
 
 
 # --- tokenize ---
@@ -49,10 +58,71 @@ def test_tokenize_no_empty_or_spaced_tokens(rng):
     assert all(t == t.lower() for t in tokens)
 
 
+# --- bags of term ids ---
+
+BAG_VOCAB = VOCAB + ["the", "of", "and", "caf\u00e9", "2009", "na\u00efve"]
+
+# marks, precomposed letters, compatibility forms, non-ASCII digits and
+# letters whose lowercase or decomposition is unusual
+TRICKY = "aZ09_ -.\u0301\u0308\u00e9\u00c5\u0130\u00df\ufb01\u2163\u0663\u00bd\u1e9e\u212a\u03a3\u0345"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text() | st.text(alphabet=TRICKY), max_size=6))
+def test_bags_equal_token_counts_on_arbitrary_unicode(texts):
+    corpus = Corpus([make_doc(f"d{i}", [text]) for i, text in enumerate(texts)])
+    bags = encode_bags(corpus)
+    counts = [Counter(tokenize(doc.text)) for doc in corpus]
+    first_seen = list(dict.fromkeys(t for c in counts for t in c))
+    assert bags.terms == first_seen
+    bounds = bags.offsets.tolist()
+    assert len(bounds) == len(texts) + 1
+    for count, lo, hi in zip(counts, bounds, bounds[1:]):
+        got = [(bags.terms[i], int(f)) for i, f in zip(bags.ids[lo:hi], bags.tf[lo:hi])]
+        assert got == list(count.items())
+
+
+def test_bags_hold_each_documents_term_counts_in_first_occurrence_order(rng):
+    corpus = random_corpus(rng, 30, vocab=BAG_VOCAB)
+    raw = encode_bags(corpus)
+    pipeline = build_pipeline(corpus)
+    other = random_corpus(rng, 10, vocab=BAG_VOCAB + ["unseen"], prefix="o")
+    for coll, bags, count in ((corpus, raw, lambda d: Counter(tokenize(d.text))),
+                              (corpus, pipeline.bags(corpus),
+                               lambda d: Counter(pipeline(d.text))),
+                              (other, pipeline.bags(other),
+                               lambda d: Counter(pipeline(d.text)))):
+        assert bags.doc_ids == [d.doc_id for d in coll]
+        bounds = bags.offsets.tolist()
+        for doc, lo, hi in zip(coll, bounds, bounds[1:]):
+            got = [(bags.terms[i], int(f))
+                   for i, f in zip(bags.ids[lo:hi], bags.tf[lo:hi])]
+            assert got == list(count(doc).items())
+    assert raw.ids.dtype == np.int32 and raw.tf.dtype == np.int32
+
+
+def test_pool_is_tokenized_once_for_pipeline_index_and_centroids(rng, monkeypatch):
+    corpus = random_corpus(rng, 25, vocab=BAG_VOCAB)
+    calls = Counter()
+    real = regir.text.tokenize
+
+    def counting(text):
+        calls[text] += 1
+        return real(text)
+
+    monkeypatch.setattr(regir.text, "tokenize", counting)
+    pipeline = build_pipeline(corpus)
+    build_index(corpus, pipeline)
+    wv = WordVectors({t: np.ones(3) for t in VOCAB}, 3)
+    build_centroid_store(corpus, pipeline, wv)
+    assert calls == Counter(doc.text for doc in corpus)
+    assert sum(calls.values()) == len(corpus)
+
+
 # --- idf ---
 
 def test_idf_frozen_values():
-    table = IdfTable.from_token_lists([["a", "b"], ["a"]])
+    table = idf_from_token_lists([["a", "b"], ["a"]])
     assert table.idf("b") == pytest.approx(math.log(2), abs=1e-12)
     assert table.idf("a") == pytest.approx(math.log(1.2), abs=1e-12)
     # unseen term falls back to the df=0 form
@@ -62,30 +132,30 @@ def test_idf_frozen_values():
 def test_idf_nonnegative_everywhere(rng):
     corpus = [[rng.choice(VOCAB) for _ in range(rng.randint(1, 30))]
               for _ in range(50)]
-    table = IdfTable.from_token_lists(corpus)
+    table = idf_from_token_lists(corpus)
     assert all(table.idf(t) >= 0 for t in table.terms)
     assert table.idf("never-seen") > 0
 
 
 def test_idf_term_in_every_doc_positive():
-    table = IdfTable.from_token_lists([["x"], ["x"], ["x"]])
+    table = idf_from_token_lists([["x"], ["x"], ["x"]])
     assert 0 < table.idf("x") == pytest.approx(math.log(0.5 / 3.5 + 1))
 
 
 def test_idf_empty_collection_rejected():
     with pytest.raises(ValueError):
-        IdfTable.from_token_lists([])
+        idf_from_token_lists([])
 
 
 def test_stopword_avg_idf_restricted_to_present_words():
-    table = IdfTable.from_token_lists([["the", "tax"], ["tax"], ["levy"]])
+    table = idf_from_token_lists([["the", "tax"], ["tax"], ["levy"]])
     # only "the" occurs; "of" must not drag the df=0 idf into the mean
     avg = table.stopword_avg_idf(frozenset({"the", "of"}))
     assert avg == pytest.approx(table.idf("the"))
 
 
 def test_stopword_avg_idf_no_stopwords_present():
-    table = IdfTable.from_token_lists([["tax"], ["levy"]])
+    table = idf_from_token_lists([["tax"], ["levy"]])
     assert table.stopword_avg_idf(frozenset({"the", "of"})) == 0.0
 
 
@@ -110,7 +180,7 @@ def test_denoise_idf_threshold_removes_boilerplate():
     lists = [["annex", "the", "tax"] if i < 1 else
              (["annex", "the"] if i < 5 else ["annex", "levy"])
              for i in range(10)]
-    table = IdfTable.from_token_lists(lists)
+    table = idf_from_token_lists(lists)
     assert table.idf("annex") < table.idf("the")
     pipeline = TextPipeline(table, stopwords=frozenset({"the"}), idf_filter=True)
     assert pipeline.threshold == pytest.approx(table.idf("the"))
@@ -119,7 +189,7 @@ def test_denoise_idf_threshold_removes_boilerplate():
 
 
 def test_denoise_preserves_order_and_duplicates():
-    table = IdfTable.from_token_lists([["tax", "levy"], ["tax"]])
+    table = idf_from_token_lists([["tax", "levy"], ["tax"]])
     pipeline = TextPipeline(table, stopwords=frozenset(), idf_filter=False)
     assert pipeline.denoise(["levy", "tax", "levy", "tax"]) == \
         ["levy", "tax", "levy", "tax"]

@@ -1,14 +1,18 @@
+import json
+import pickle
 import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from regir._npz import write_npz
 from regir.corpus import Corpus, Qrels
 from regir.dense import WordVectors
 from regir.ranking import RankedList, Run
 from regir.rerank import TypeEmbeddings
-from regir.rerank.train import (Adam, FeatureStore, Hyperparams, Reranker,
+from regir.rerank.train import (CHECKPOINT_FORMAT, Adam, FeatureStore,
+                                Hyperparams, Reranker,
                                 TrainingDiverged, _check_finite, _dev_recall,
                                 hinge_loss, init_model, load_checkpoint,
                                 rel_score, sample_triples, save_checkpoint,
@@ -358,6 +362,103 @@ def test_checkpoint_roundtrip(tmp_path):
     after = back.reranker(store).rerank_run(run)
     for query_id in run:
         assert before[query_id] == after[query_id]
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    hp = Hyperparams(lr=0.05, max_epochs=2, patience=10, negatives=2, B=6,
+                     hidden=3, batch=4, seed=2)
+    store, qrels, run, train_ids, dev_ids = make_store("drmm", hp)
+    result = train_model("drmm", train_ids, dev_ids, qrels, run, store, hp)
+    path = tmp_path_factory.mktemp("ck") / "model.bin"
+    save_checkpoint(result, path)
+    return result, path
+
+
+def test_checkpoint_is_deterministic_npz_read_without_pickle(checkpoint_file,
+                                                             tmp_path, monkeypatch):
+    result, path = checkpoint_file
+
+    def no_pickle(*args, **kwargs):
+        raise AssertionError("a checkpoint must not be unpickled")
+
+    monkeypatch.setattr(pickle, "load", no_pickle)
+    monkeypatch.setattr(pickle, "loads", no_pickle)
+    back = load_checkpoint(path)
+    assert repr(back.w_r) == repr(result.w_r) and repr(back.w_p) == repr(result.w_p)
+    save_checkpoint(back, tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_rejects_truncated_files(checkpoint_file, tmp_path):
+    _, path = checkpoint_file
+    data = path.read_bytes()
+    for cut in (0, 3, 40, len(data) // 3, len(data) // 2, len(data) - 22,
+                len(data) - 1):
+        bad = tmp_path / f"cut{cut}.bin"
+        bad.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match=str(bad)):
+            load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_flipped_bytes(checkpoint_file, tmp_path):
+    """A flip the zip CRC does not cover (a timestamp) may load, but then
+    as the same checkpoint; every other one fails naming the file."""
+    result, path = checkpoint_file
+    data = path.read_bytes()
+    bad = tmp_path / "flipped.bin"
+    for offset in range(0, len(data), 3):
+        flipped = bytearray(data)
+        flipped[offset] ^= 0x55
+        bad.write_bytes(bytes(flipped))
+        try:
+            back = load_checkpoint(bad)
+        except ValueError as exc:
+            assert str(bad) in str(exc)
+            continue
+        assert (back.w_r, back.w_p, back.hp) == (result.w_r, result.w_p, result.hp)
+        for name, arr in result.model.params.items():
+            assert np.array_equal(back.model.params[name], arr), offset
+    for offset in (len(data) // 3, len(data) // 2):
+        flipped = bytearray(data)
+        flipped[offset] ^= 0x01
+        bad.write_bytes(bytes(flipped))
+        with pytest.raises(ValueError, match=str(bad)):
+            load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_wrong_version_and_shapes(checkpoint_file, tmp_path):
+    result, path = checkpoint_file
+    header = {"format": CHECKPOINT_FORMAT, "version": 3}
+    bad = tmp_path / "v3.bin"
+    write_npz(bad, header, result.model.params)
+    with pytest.raises(ValueError, match=f"{bad}: unsupported .* version 3"):
+        load_checkpoint(bad)
+    with np.load(path, allow_pickle=False) as npz:
+        header = json.loads(npz["header"].tobytes())
+    params = dict(result.model.params, W1=np.zeros((2, 2)))
+    bad = tmp_path / "shape.bin"
+    write_npz(bad, header, params)
+    with pytest.raises(ValueError, match=f"{bad}: parameter shapes"):
+        load_checkpoint(bad)
+    params = dict(result.model.params, b2=np.array([np.nan]))
+    write_npz(bad, header, params)
+    with pytest.raises(ValueError, match=f"{bad}: non-finite"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_v1_pickle_without_unpickling(tmp_path, monkeypatch):
+    path = tmp_path / "old.bin"
+    path.write_bytes(pickle.dumps({"format": CHECKPOINT_FORMAT, "version": 1},
+                                  protocol=4))
+
+    def no_pickle(*args, **kwargs):
+        raise AssertionError("a v1 checkpoint must not be unpickled")
+
+    monkeypatch.setattr(pickle, "load", no_pickle)
+    monkeypatch.setattr(pickle, "loads", no_pickle)
+    with pytest.raises(ValueError, match=f"{path}: .*version-1 pickle"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_foreign_file(tmp_path):
