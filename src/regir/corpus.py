@@ -26,16 +26,17 @@ class CorpusError(ValueError):
     """Raised for malformed or inconsistent collection inputs."""
 
 
-def _extract_year(record: dict, line_no: int) -> int:
+def _extract_year(record: dict, where: str) -> int:
     """Publication year: explicit field first, then first plausible
-    4-digit token in the title, else 0 (unknown, exempt from date filters)."""
+    4-digit token in the title, else 0 (unknown, exempt from date filters).
+    `where` names the record in errors."""
     if "year" in record and record["year"] is not None:
         year = record["year"]
         if not isinstance(year, int) or isinstance(year, bool):
-            raise CorpusError(f"line {line_no}: year must be an integer, got {year!r}")
+            raise CorpusError(f"{where}: year must be an integer, got {year!r}")
         current = datetime.date.today().year
         if not (1800 < year <= current):
-            raise CorpusError(f"line {line_no}: year {year} outside (1800, {current}]")
+            raise CorpusError(f"{where}: year {year} outside (1800, {current}]")
         return year
     current = datetime.date.today().year
     for match in _TITLE_YEAR_RE.finditer(record.get("title", "")):
@@ -113,8 +114,12 @@ def ingest_collection(path, tag: str = "") -> Corpus:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError also covers integers past the digit limit
                 raise CorpusError(f"{path}: line {line_no}: malformed JSON ({exc})") from None
+            if not isinstance(record, dict):
+                raise CorpusError(f"{path}: line {line_no}: expected a JSON object, "
+                                  f"got {type(record).__name__}")
             for key in REQUIRED_FIELDS:
                 if key not in record:
                     raise CorpusError(f"{path}: line {line_no}: missing required field {key!r}")
@@ -132,7 +137,7 @@ def ingest_collection(path, tag: str = "") -> Corpus:
                 raise CorpusError(f"{path}: line {line_no}: title is empty")
             if not body:
                 empty_bodies += 1
-            year = _extract_year(record, line_no)
+            year = _extract_year(record, f"{path}: line {line_no}")
             documents.append(Document(doc_id, title, body, year, tag))
     if empty_bodies:
         log.warning("%s: %d document(s) with empty body", path, empty_bodies)
@@ -179,7 +184,7 @@ def convert_collection(path, out_path, field_map: dict[str, str] | None = None,
         if not isinstance(out.get("year", 0), int):
             out.pop("year", None)
         documents.append(Document(out["doc_id"], out["title"], out["body"],
-                                  _extract_year(out, i), tag))
+                                  _extract_year(out, f"{path}: record {i}"), tag))
     corpus = Corpus(documents, tag=tag)
     write_collection(corpus, out_path)
     return corpus

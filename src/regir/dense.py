@@ -127,6 +127,9 @@ def load_word_vectors(path) -> WordVectors:
             term, vec = _parse_vector_line(line, line_no, path, dim)
             if dim is None:
                 dim = len(vec)
+            if term in vectors:
+                raise VectorFormatError(f"{path}: line {line_no}: duplicate "
+                                        f"term {term!r}")
             vectors[term] = vec
     if dim is None:
         raise VectorFormatError(f"{path}: empty vector file")
@@ -150,12 +153,17 @@ def load_doc_vectors(path) -> DocVectorStore:
                         dim = int(fields[1])
                     except (IndexError, ValueError):
                         raise VectorFormatError(f"{path}: malformed header {line!r}") from None
+                    if dim < 1:
+                        raise VectorFormatError(f"{path}: line 1: dim must be >= 1")
                     if "#tag" in fields:
                         tag = " ".join(fields[fields.index("#tag") + 1:])
                 continue
             doc_id, vec = _parse_vector_line(line, line_no, path, dim)
             if dim is None:
                 dim = len(vec)
+            if doc_id in vectors:
+                raise VectorFormatError(f"{path}: line {line_no}: duplicate "
+                                        f"doc_id {doc_id!r}")
             vectors[doc_id] = vec
     if dim is None:
         raise VectorFormatError(f"{path}: empty vector file")

@@ -79,9 +79,11 @@ def write_run(run: Run, path, comment: str = "") -> None:
 
 
 def read_run(path) -> Run:
-    """Inverse of write_run. Enforces contiguous 1-based ranks per query and
-    finite, non-increasing scores."""
+    """Inverse of write_run. Enforces non-empty ids, contiguous 1-based ranks
+    per query, no repeated doc_id within a query and finite, non-increasing
+    scores."""
     run = Run()
+    seen: dict[str, set[str]] = {}
     expected_rank: dict[str, int] = {}
     last_score: dict[str, float] = {}
     with open(path, encoding="utf-8") as fh:
@@ -93,6 +95,9 @@ def read_run(path) -> Run:
             if len(parts) != 4:
                 raise ValueError(f"{path}: line {line_no}: expected 4 columns, got {len(parts)}")
             query_id, rank_s, doc_id, score_s = parts
+            if not query_id or not doc_id:
+                raise ValueError(f"{path}: line {line_no}: empty "
+                                 f"{'query' if not query_id else 'doc'} id")
             try:
                 rank = int(rank_s)
                 score = float(score_s)
@@ -109,11 +114,11 @@ def read_run(path) -> Run:
             if query_id in last_score and score > last_score[query_id] + 1e-12:
                 raise ValueError(f"{path}: line {line_no}: scores increase within "
                                  f"query {query_id!r}")
+            if doc_id in seen.setdefault(query_id, set()):
+                raise ValueError(f"{path}: line {line_no}: duplicate doc_id "
+                                 f"{doc_id!r} within query {query_id!r}")
+            seen[query_id].add(doc_id)
             expected_rank[query_id] = rank + 1
             last_score[query_id] = score
             run.setdefault(query_id, RankedList(presorted=True)).append((doc_id, score))
-    for query_id, ranking in run.items():
-        ids = ranking.doc_ids
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"{path}: duplicate doc_id within query {query_id!r}")
     return run

@@ -45,13 +45,18 @@ class TypeEmbeddings:
             log.warning("word vectors: %d zero-norm vector(s) treated as "
                         "out-of-vocabulary", dropped)
 
-    def rows(self, doc_id: str, tokens: list[str], limit: int | None = None):
+    def row_ids(self, terms) -> np.ndarray:
+        """Each term's row id, -1 for out-of-vocabulary terms."""
+        return np.fromiter((self._row.get(t, -1) for t in terms), dtype=np.intp,
+                           count=len(terms))
+
+    def rows(self, doc_id: str, tokens, limit: int | None = None):
         """(units, in-vocab mask, identity keys) aligned with the first
         `limit` tokens (all without a limit); the keys are term row ids, -1
-        for out-of-vocabulary tokens."""
+        for out-of-vocabulary tokens. The tokens are strings, or an int
+        array of their row ids (see `row_ids`)."""
         tokens = tokens[:limit]
-        ids = np.fromiter((self._row.get(t, -1) for t in tokens), dtype=np.intp,
-                          count=len(tokens))
+        ids = tokens if isinstance(tokens, np.ndarray) else self.row_ids(tokens)
         return self._units[ids], ids >= 0, ids
 
 
@@ -69,9 +74,14 @@ class TokenEmbeddings:
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._seq
 
-    def rows(self, doc_id: str, tokens: list[str], limit: int | None = None):
+    def row_ids(self, terms) -> np.ndarray:
+        """Rows are positional, so no term has a row of its own: all -1."""
+        return np.full(len(terms), -1, dtype=np.intp)
+
+    def rows(self, doc_id: str, tokens, limit: int | None = None):
         """Rows of the first `limit` positions; the whole sequence must still
-        match the denoised text's length."""
+        match the denoised text's length. Only the number of tokens is read,
+        so they may be strings or any array with one entry per token."""
         seq = self._seq.get(doc_id)
         if seq is None:
             raise KeyError(f"no token vectors for document {doc_id!r}")
@@ -164,6 +174,26 @@ def dedup_terms(tokens: list[str]) -> list[str]:
     return list(dict.fromkeys(tokens))
 
 
+def drmm_query(query_terms: list[str], query_doc_id: str, provider, idf_table):
+    """The query's side of its DRMM features, the same against every
+    document: the rows of its terms and their idf."""
+    if not query_terms:
+        raise ValueError("empty query after denoising")
+    return (provider.rows(query_doc_id, query_terms),
+            np.array([idf_table.idf(t) for t in query_terms]))
+
+
+def drmm_pair(query, doc_tokens, doc_id: str, provider, bins: int):
+    """DRMM features of a `drmm_query` result against one document, whose
+    tokens go to `provider.rows`."""
+    (q_units, q_mask, q_keys), idf = query
+    d_units, d_mask, d_keys = provider.rows(doc_id, doc_tokens)
+    S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
+    hists = np.zeros((len(q_mask), bins + 1))
+    hists[q_mask] = bin_similarities(S[np.ix_(q_mask, d_mask)], bins)
+    return hists, idf
+
+
 def drmm_features(query_terms: list[str], query_doc_id: str,
                   doc_tokens: list[str], doc_id: str,
                   provider, idf_table, bins: int):
@@ -173,20 +203,33 @@ def drmm_features(query_terms: list[str], query_doc_id: str,
     Out-of-vocabulary query terms keep a zero histogram. With positional
     providers each query position counts as its own term.
     """
-    if not query_terms:
-        raise ValueError("empty query after denoising")
-    q_units, q_mask, q_keys = provider.rows(query_doc_id, query_terms)
-    d_units, d_mask, d_keys = provider.rows(doc_id, doc_tokens)
-    S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
-    hists = np.zeros((len(query_terms), bins + 1))
-    hists[q_mask] = bin_similarities(S[np.ix_(q_mask, d_mask)], bins)
-    idf = np.array([idf_table.idf(t) for t in query_terms])
-    return hists, idf
+    return drmm_pair(drmm_query(query_terms, query_doc_id, provider, idf_table),
+                     doc_tokens, doc_id, provider, bins)
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - np.max(x))
     return e / e.sum()
+
+
+def pacrr_query(query_tokens: list[str], query_doc_id: str, provider,
+                idf_table, q_len: int):
+    """The query's side of its PACRR features, the same against every
+    document: the rows of its first q_len tokens and their softmax-normalized
+    idf."""
+    if not query_tokens:
+        raise ValueError("empty query after denoising")
+    return (provider.rows(query_doc_id, query_tokens, q_len),
+            softmax(np.array([idf_table.idf(t) for t in query_tokens[:q_len]])))
+
+
+def pacrr_pair(query, doc_tokens, doc_id: str, provider, d_len: int):
+    """PACRR features of a `pacrr_query` result against one document, whose
+    tokens go to `provider.rows`."""
+    if len(doc_tokens) == 0:
+        raise ValueError("empty document after denoising")
+    rows, idf_col = query
+    return sim_matrix(*rows, *provider.rows(doc_id, doc_tokens, d_len)), idf_col
 
 
 def pacrr_features(query_tokens: list[str], query_doc_id: str,
@@ -195,12 +238,6 @@ def pacrr_features(query_tokens: list[str], query_doc_id: str,
     """Similarity matrix over the (truncated) query and document token
     sequences plus the softmax-normalized idf of the retained query terms.
     No padding rows: short queries keep one row per retained term."""
-    if not query_tokens:
-        raise ValueError("empty query after denoising")
-    if not doc_tokens:
-        raise ValueError("empty document after denoising")
-    q_units, q_mask, q_keys = provider.rows(query_doc_id, query_tokens, q_len)
-    d_units, d_mask, d_keys = provider.rows(doc_id, doc_tokens, d_len)
-    S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
-    idf_col = softmax(np.array([idf_table.idf(t) for t in query_tokens[:q_len]]))
-    return S, idf_col
+    return pacrr_pair(pacrr_query(query_tokens, query_doc_id, provider,
+                                  idf_table, q_len),
+                      doc_tokens, doc_id, provider, d_len)

@@ -26,7 +26,7 @@ from ..fusion import normalize_scores
 from ..metrics import recall_at_k
 from ..ranking import RankedList, Run, sort_scored
 from .drmm import DrmmModel
-from .features import dedup_terms, drmm_features, pacrr_features
+from .features import dedup_terms, drmm_pair, drmm_query, pacrr_pair, pacrr_query
 from .pacrr import PacrrConfig, PacrrModel
 
 log = logging.getLogger(__name__)
@@ -159,8 +159,13 @@ class Adam:
 
 
 class FeatureStore:
-    """Caches denoised token lists and per-(query, document) matcher features;
-    none of them depend on trainable parameters, so they are computed once."""
+    """Caches per-(query, document) matcher features, and each query's side
+    of them; none depend on trainable parameters, so each is computed once.
+
+    A document comes as its term ids from the pipeline's denoised bags of the
+    pool, mapped to provider rows through one array over the bags' terms:
+    no pool document is tokenized again here.
+    """
 
     def __init__(self, kind: str, provider, pipeline, query_corpus, pool_corpus,
                  hp: Hyperparams):
@@ -170,38 +175,44 @@ class FeatureStore:
         self.provider = provider
         self.pipeline = pipeline
         self.query_corpus = query_corpus
-        self.pool_corpus = pool_corpus
         self.hp = hp
-        self._q_tokens: dict[str, list[str]] = {}
-        self._d_tokens: dict[str, list[str]] = {}
+        self._bags = pipeline.bags(pool_corpus)
+        self._position = {d: i for i, d in enumerate(self._bags.doc_ids)}
+        self._term_rows = provider.row_ids(self._bags.terms)
+        self._queries: dict[str, tuple] = {}
         self._feats: dict[tuple[str, str], object] = {}
 
     def query_tokens(self, query_id: str) -> list[str]:
-        if query_id not in self._q_tokens:
-            tokens = self.pipeline(self.query_corpus.get(query_id).text)
-            if self.kind == "drmm" and self.provider.dedup:
-                tokens = dedup_terms(tokens)
-            self._q_tokens[query_id] = tokens
-        return self._q_tokens[query_id]
+        tokens = self.pipeline(self.query_corpus.get(query_id).text)
+        if self.kind == "drmm" and self.provider.dedup:
+            tokens = dedup_terms(tokens)
+        return tokens
 
-    def doc_tokens(self, doc_id: str) -> list[str]:
-        if doc_id not in self._d_tokens:
-            self._d_tokens[doc_id] = self.pipeline(self.pool_corpus.get(doc_id).text)
-        return self._d_tokens[doc_id]
+    def _query(self, query_id: str):
+        if query_id not in self._queries:
+            tokens = self.query_tokens(query_id)
+            idf_table = self.pipeline.idf_table
+            self._queries[query_id] = (
+                drmm_query(tokens, query_id, self.provider, idf_table)
+                if self.kind == "drmm" else
+                pacrr_query(tokens, query_id, self.provider, idf_table,
+                            self.hp.q_len))
+        return self._queries[query_id]
 
     def features(self, query_id: str, doc_id: str):
         key = (query_id, doc_id)
         if key not in self._feats:
-            idf_table = self.pipeline.idf_table
+            try:
+                position = self._position[doc_id]
+            except KeyError:
+                raise KeyError(f"unknown doc_id {doc_id!r}") from None
+            doc = self._term_rows[self._bags.sequence(position)]
             if self.kind == "drmm":
-                feats = drmm_features(self.query_tokens(query_id), query_id,
-                                      self.doc_tokens(doc_id), doc_id,
-                                      self.provider, idf_table, self.hp.B)
+                feats = drmm_pair(self._query(query_id), doc, doc_id,
+                                  self.provider, self.hp.B)
             else:
-                feats = pacrr_features(self.query_tokens(query_id), query_id,
-                                       self.doc_tokens(doc_id), doc_id,
-                                       self.provider, idf_table,
-                                       self.hp.q_len, self.hp.d_len)
+                feats = pacrr_pair(self._query(query_id), doc, doc_id,
+                                   self.provider, self.hp.d_len)
             self._feats[key] = feats
         return self._feats[key]
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
-from collections import Counter, defaultdict
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from importlib import resources
 
@@ -35,45 +36,85 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Bags:
-    """A collection as bags of term ids, flat over its documents.
+    """A collection as term ids, flat over its documents.
 
-    Document i (in collection order) owns entries offsets[i]:offsets[i+1] of
-    `ids` and `tf`: its distinct term ids in first-occurrence order and how
-    often each occurs. `terms` maps a term id back to its string.
+    Document i (in collection order) owns entries
+    seq_offsets[i]:seq_offsets[i+1] of `seq`, its term ids in text order, and
+    entries offsets[i]:offsets[i+1] of `ids` and `tf`, its bag: its distinct
+    term ids in first-occurrence order and how often each occurs. `terms`
+    maps a term id back to its string.
     """
 
     doc_ids: list[str]
     terms: list[str]
-    ids: np.ndarray      # int32
-    tf: np.ndarray       # int32
-    offsets: np.ndarray  # int64, len(doc_ids) + 1
+    ids: np.ndarray          # int32
+    tf: np.ndarray           # int32
+    offsets: np.ndarray      # int64, len(doc_ids) + 1
+    seq: np.ndarray          # int32
+    seq_offsets: np.ndarray  # int64, len(doc_ids) + 1
 
     def df(self) -> np.ndarray:
         """Document frequency of every term id."""
         return np.bincount(self.ids, minlength=len(self.terms))
 
+    def sequence(self, i: int) -> np.ndarray:
+        """Document i's term ids in text order."""
+        return self.seq[self.seq_offsets[i]:self.seq_offsets[i + 1]]
+
     def select(self, keep: np.ndarray) -> "Bags":
-        """The bags restricted to the term ids where `keep` is true."""
-        mask = keep[self.ids]
-        kept = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
+        """The bags and sequences restricted to the term ids where `keep` is
+        true."""
+        mask, seq_mask = keep[self.ids], keep[self.seq]
         return Bags(self.doc_ids, self.terms, self.ids[mask], self.tf[mask],
-                    kept[self.offsets])
+                    _kept_offsets(mask, self.offsets), self.seq[seq_mask],
+                    _kept_offsets(seq_mask, self.seq_offsets))
+
+
+def _kept_offsets(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Document offsets into the entries that `mask` keeps."""
+    return np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))[offsets]
+
+
+# documents whose bags one vectorized sort counts: bounds its temporary arrays
+_BLOCK_DOCS = 256
 
 
 def encode_bags(corpus) -> Bags:
-    """Tokenize every document once and count its terms. Term ids are
-    assigned in order of first occurrence over the collection."""
+    """Tokenize every document once into its term-id sequence, and count
+    its bag from that. Term ids are assigned in order of first occurrence
+    over the collection."""
     vocab: defaultdict[str, int] = defaultdict()
     vocab.default_factory = vocab.__len__  # an unseen term gets the next id
-    doc_ids, ids, tf, offsets = [], [], [], [0]
+    doc_ids, seq, seq_offsets = [], array("i"), [0]
     for doc in corpus:
-        counts = Counter(tokenize(doc.text))
         doc_ids.append(doc.doc_id)
-        ids.extend(map(vocab.__getitem__, counts))
-        tf.extend(counts.values())
-        offsets.append(len(ids))
-    return Bags(doc_ids, list(vocab), np.array(ids, dtype=np.int32),
-                np.array(tf, dtype=np.int32), np.array(offsets, dtype=np.int64))
+        seq.extend(map(vocab.__getitem__, tokenize(doc.text)))
+        seq_offsets.append(len(seq))
+    seq = np.array(seq, dtype=np.int32)
+    seq_offsets = np.array(seq_offsets, dtype=np.int64)
+    blocks = [_count_terms(seq, seq_offsets[lo:lo + _BLOCK_DOCS + 1], len(vocab))
+              for lo in range(0, max(len(doc_ids), 1), _BLOCK_DOCS)]
+    ids, tf, sizes = (np.concatenate(part) for part in zip(*blocks))
+    return Bags(doc_ids, list(vocab), ids, tf,
+                np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+                seq, seq_offsets)
+
+
+def _count_terms(seq: np.ndarray, bounds: np.ndarray, n_terms: int):
+    """The bags of the documents whose sequences `bounds` delimit in `seq`:
+    their distinct term ids in first-occurrence order, the counts, and each
+    document's number of distinct terms."""
+    chunk = seq[bounds[0]:bounds[-1]]
+    doc = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    # one key per (document, term); ordering the keys by their first
+    # positions keeps the documents in order and each one's terms in
+    # first-occurrence order
+    _, first, tf = np.unique(doc * n_terms + chunk, return_index=True,
+                             return_counts=True)
+    order = np.argsort(first)
+    first = first[order]
+    return (chunk[first], tf[order].astype(np.int32),
+            np.bincount(doc[first], minlength=len(bounds) - 1))
 
 
 def load_default_stopwords() -> frozenset[str]:

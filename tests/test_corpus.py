@@ -43,6 +43,24 @@ def test_implausible_year_field_rejected(tmp_path):
         ingest_collection(tmp_path / "c.jsonl")
 
 
+@pytest.mark.parametrize("line, error", [
+    ('["doc_id", "title", "body"]', "expected a JSON object, got list"),
+    ('"doc_id title body"', "expected a JSON object, got str"),
+    ("7", "expected a JSON object, got int"),
+    ("[" * 100_000 + "]" * 100_000, "malformed JSON"),
+    ('{"doc_id": "b", "title": "T", "body": "x", "year": "1999"}',
+     "year must be an integer"),
+    ('{"doc_id": "b", "title": "T", "body": "x", "year": 1650}',
+     "year 1650 outside"),
+])
+def test_bad_record_names_path_and_line(tmp_path, line, error):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"doc_id": "a", "title": "T", "body": "b"}\n' + line + "\n")
+    with pytest.raises(CorpusError) as info:
+        ingest_collection(path)
+    assert str(info.value).startswith(f"{path}: line 2: {error}")
+
+
 def test_duplicate_doc_id_rejected(tmp_path):
     write_jsonl(tmp_path / "c.jsonl",
                 [{"doc_id": "a", "title": "T", "body": "b"},

@@ -68,6 +68,24 @@ def test_vector_loaders_reject_non_finite_values(tmp_path, loader, first, bad):
         loader(path)
 
 
+@pytest.mark.parametrize("loader, key", [(load_word_vectors, "term"),
+                                         (load_doc_vectors, "doc_id")])
+def test_vector_loaders_reject_duplicate_keys(tmp_path, loader, key):
+    path = tmp_path / "vectors.txt"
+    path.write_text("a 1.0 0.0\nb 0.5 0.5\na 0.0 1.0\n")
+    with pytest.raises(VectorFormatError,
+                       match=rf"vectors\.txt: line 3: duplicate {key} 'a'"):
+        loader(path)
+
+
+@pytest.mark.parametrize("header", ["#dim 0", "#dim -2 #tag x"])
+def test_doc_vectors_header_dim_must_be_positive(tmp_path, header):
+    path = tmp_path / "dv.txt"
+    path.write_text(header + "\n")
+    with pytest.raises(VectorFormatError, match=r"dv\.txt: line 1: dim must be >= 1"):
+        load_doc_vectors(path)
+
+
 def test_doc_vectors_roundtrip(tmp_path):
     store = DocVectorStore({"d1": np.array([1.0, 2.0]),
                             "d2": np.array([0.5, -1.0])}, 2, tag="layer-9")

@@ -100,8 +100,18 @@ def test_read_run_rejects_non_numeric_fields(tmp_path, rank, score):
 
 def test_read_run_rejects_duplicate_docs(tmp_path):
     path = tmp_path / "run.tsv"
-    path.write_text("q1\t1\ta\t1.0\nq1\t2\ta\t0.5\n")
-    with pytest.raises(ValueError):
+    path.write_text("q1\t1\ta\t1.0\nq2\t1\ta\t1.0\nq1\t2\ta\t0.5\n")
+    with pytest.raises(ValueError, match=r"run\.tsv: line 3: duplicate doc_id 'a' "
+                                         r"within query 'q1'"):
+        read_run(path)
+
+
+@pytest.mark.parametrize("row, which", [("\t2\tb\t0.5", "query"),
+                                        ("q1\t2\t\t0.5", "doc")])
+def test_read_run_rejects_empty_ids(tmp_path, row, which):
+    path = tmp_path / "run.tsv"
+    path.write_text("q1\t1\ta\t1.0\n" + row + "\n")
+    with pytest.raises(ValueError, match=rf"run\.tsv: line 2: empty {which} id"):
         read_run(path)
 
 

@@ -11,6 +11,8 @@ import regir.text
 from regir.bm25 import build_index
 from regir.corpus import Corpus
 from regir.dense import WordVectors, build_centroid_store
+from regir.rerank import TypeEmbeddings
+from regir.rerank.train import FeatureStore, Hyperparams
 from regir.text import (TextPipeline, build_pipeline, encode_bags,
                         load_default_stopwords, load_stopwords, tokenize)
 
@@ -80,29 +82,43 @@ def test_bags_equal_token_counts_on_arbitrary_unicode(texts):
     for count, lo, hi in zip(counts, bounds, bounds[1:]):
         got = [(bags.terms[i], int(f)) for i, f in zip(bags.ids[lo:hi], bags.tf[lo:hi])]
         assert got == list(count.items())
+    for i, doc in enumerate(corpus):
+        assert [bags.terms[t] for t in bags.sequence(i)] == tokenize(doc.text)
 
 
-def test_bags_hold_each_documents_term_counts_in_first_occurrence_order(rng):
+def test_bags_hold_each_documents_term_counts_in_first_occurrence_order(
+        rng, monkeypatch):
     corpus = random_corpus(rng, 30, vocab=BAG_VOCAB)
-    raw = encode_bags(corpus)
-    pipeline = build_pipeline(corpus)
     other = random_corpus(rng, 10, vocab=BAG_VOCAB + ["unseen"], prefix="o")
-    for coll, bags, count in ((corpus, raw, lambda d: Counter(tokenize(d.text))),
-                              (corpus, pipeline.bags(corpus),
-                               lambda d: Counter(pipeline(d.text))),
-                              (other, pipeline.bags(other),
-                               lambda d: Counter(pipeline(d.text)))):
-        assert bags.doc_ids == [d.doc_id for d in coll]
-        bounds = bags.offsets.tolist()
-        for doc, lo, hi in zip(coll, bounds, bounds[1:]):
-            got = [(bags.terms[i], int(f))
-                   for i, f in zip(bags.ids[lo:hi], bags.tf[lo:hi])]
-            assert got == list(count(doc).items())
-    assert raw.ids.dtype == np.int32 and raw.tf.dtype == np.int32
+    other = Corpus([make_doc("blank", ["2009"], title="1999")] + list(other))
+    for block_docs in (1, 7, 256):  # documents counted per vectorized block
+        monkeypatch.setattr(regir.text, "_BLOCK_DOCS", block_docs)
+        raw = encode_bags(corpus)
+        pipeline = build_pipeline(corpus)
+        for coll, bags, tokens in ((corpus, raw, lambda d: tokenize(d.text)),
+                                   (corpus, pipeline.bags(corpus),
+                                    lambda d: pipeline(d.text)),
+                                   (other, pipeline.bags(other),
+                                    lambda d: pipeline(d.text))):
+            assert bags.doc_ids == [d.doc_id for d in coll]
+            bounds = bags.offsets.tolist()
+            for i, (doc, lo, hi) in enumerate(zip(coll, bounds, bounds[1:])):
+                got = [(bags.terms[t], int(f))
+                       for t, f in zip(bags.ids[lo:hi], bags.tf[lo:hi])]
+                assert got == list(Counter(tokens(doc)).items())
+                assert [bags.terms[t] for t in bags.sequence(i)] == tokens(doc)
+        for bags in (raw, pipeline.bags(corpus)):
+            assert bags.ids.dtype == bags.tf.dtype == bags.seq.dtype == np.int32
+            assert bags.offsets.dtype == bags.seq_offsets.dtype == np.int64
 
 
 def test_pool_is_tokenized_once_for_pipeline_index_and_centroids(rng, monkeypatch):
+    """Building the pipeline, the index and the centroids, and the
+    re-ranker's features of every (query, pool document) pair, tokenize each
+    pool document once in all."""
     corpus = random_corpus(rng, 25, vocab=BAG_VOCAB)
+    queries = Corpus([make_doc(f"q{i}", rng.sample(BAG_VOCAB, 6), title="Query")
+                      for i in range(3)])
     calls = Counter()
     real = regir.text.tokenize
 
@@ -115,6 +131,14 @@ def test_pool_is_tokenized_once_for_pipeline_index_and_centroids(rng, monkeypatc
     build_index(corpus, pipeline)
     wv = WordVectors({t: np.ones(3) for t in VOCAB}, 3)
     build_centroid_store(corpus, pipeline, wv)
+    for kind in ("drmm", "pacrr"):
+        store = FeatureStore(kind, TypeEmbeddings(wv), pipeline, queries, corpus,
+                             Hyperparams())
+        for query in queries:
+            for doc in corpus:
+                store.features(query.doc_id, doc.doc_id)
+    for query in queries:
+        del calls[query.text]
     assert calls == Counter(doc.text for doc in corpus)
     assert sum(calls.values()) == len(corpus)
 

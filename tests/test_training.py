@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from regir._npz import write_npz
-from regir.corpus import Corpus, Qrels
+from regir.corpus import Corpus, Document, Qrels
 from regir.dense import WordVectors
 from regir.ranking import RankedList, Run
-from regir.rerank import TypeEmbeddings
+from regir.rerank import TokenEmbeddings, TypeEmbeddings
+from regir.rerank.features import dedup_terms, drmm_features, pacrr_features
 from regir.rerank.train import (CHECKPOINT_FORMAT, Adam, FeatureStore,
                                 Hyperparams, Reranker,
                                 TrainingDiverged, _check_finite, _dev_recall,
@@ -202,6 +203,58 @@ def test_feature_store_caches_and_dedups():
     # q0 text is "sig0\nsig0 sig0 common": dedup keeps 2 distinct terms
     assert store.query_tokens("q0") == ["sig0", "common"]
     assert first[0].shape == (2, 7)
+
+
+def _store_fixture():
+    """A pool with out-of-vocabulary tokens, one document that denoises to
+    nothing, and queries longer than a short q_len."""
+    rng = np.random.default_rng(9)
+    vocab = [f"w{i}" for i in range(40)]
+    pool = Corpus([make_doc(f"d{i}", [vocab[j] for j in rng.integers(40, size=n)],
+                            title="Act")
+                   for i, n in enumerate((0, 3, 17, 60, 200))])
+    pool = Corpus([Document("blank", "2009", "")] + list(pool))
+    queries = Corpus([make_doc(f"q{i}", [vocab[j] for j in rng.integers(40, size=n)],
+                               title="Query")
+                      for i, n in enumerate((1, 9, 30))])
+    pipeline = build_pipeline(pool, stopwords=frozenset(["act"]), idf_filter=False)
+    wv = WordVectors({t: rng.normal(size=6) for t in vocab[:25]}, 6)
+    token = TokenEmbeddings({d.doc_id: rng.normal(size=(len(pipeline(d.text)), 6))
+                             for c in (pool, queries) for d in c}, 6)
+    return pool, queries, pipeline, {"type": TypeEmbeddings(wv), "token": token}
+
+
+@pytest.mark.parametrize("provider_kind", ["type", "token"])
+@pytest.mark.parametrize("kind, hp", [
+    ("drmm", Hyperparams(B=7)),
+    ("pacrr", Hyperparams(q_len=4, d_len=8)),
+    ("pacrr", Hyperparams()),
+])
+def test_feature_store_equals_string_token_features(kind, hp, provider_kind):
+    pool, queries, pipeline, providers = _store_fixture()
+    provider = providers[provider_kind]
+    store = FeatureStore(kind, provider, pipeline, queries, pool, hp)
+    idf = pipeline.idf_table
+    for query in queries:
+        q_tokens = pipeline(query.text)
+        for doc in pool:
+            d_tokens = pipeline(doc.text)
+            if kind == "drmm":
+                terms = dedup_terms(q_tokens) if provider.dedup else q_tokens
+                want = drmm_features(terms, query.doc_id, d_tokens, doc.doc_id,
+                                     provider, idf, hp.B)
+            elif not d_tokens:
+                with pytest.raises(ValueError, match="empty document"):
+                    store.features(query.doc_id, doc.doc_id)
+                continue
+            else:
+                want = pacrr_features(q_tokens, query.doc_id, d_tokens, doc.doc_id,
+                                      provider, idf, hp.q_len, hp.d_len)
+            got = store.features(query.doc_id, doc.doc_id)
+            assert all(np.array_equal(g, w) and g.dtype == w.dtype
+                       for g, w in zip(got, want))
+    with pytest.raises(KeyError, match="ghost"):
+        store.features("q0", "ghost")
 
 
 def test_zero_learning_rate_changes_nothing():
