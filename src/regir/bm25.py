@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._npz import read_npz, write_npz
+from ._textio import write_table
 from ._parallel import parallel_map
 from .ranking import RankedList, top_k_from_arrays
 from .text import IdfTable, TextPipeline
@@ -259,10 +260,5 @@ def tune_bm25(index: PostingsIndex, queries: dict[str, list[str]], qrels,
 
 
 def write_grid_csv(cells: list[GridCell], path, comment: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write("k1,b,recall_at_k\n")
-        for c in cells:
-            fh.write(f"{c.k1!r},{c.b!r},{c.recall_at_k!r}\n")
+    write_table(path, "k1,b,recall_at_k",
+                (f"{c.k1!r},{c.b!r},{c.recall_at_k!r}" for c in cells), comment)

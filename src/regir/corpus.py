@@ -17,6 +17,8 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 
+from ._textio import read_lines
+
 log = logging.getLogger(__name__)
 
 _TITLE_YEAR_RE = re.compile(r"\b((?:19|20)\d{2})\b")
@@ -107,38 +109,34 @@ def ingest_collection(path, tag: str = "") -> Corpus:
     documents = []
     seen: set[str] = set()
     empty_bodies = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                # ValueError also covers integers past the digit limit
-                raise CorpusError(f"{path}: line {line_no}: malformed JSON ({exc})") from None
-            if not isinstance(record, dict):
-                raise CorpusError(f"{path}: line {line_no}: expected a JSON object, "
-                                  f"got {type(record).__name__}")
-            for key in REQUIRED_FIELDS:
-                if key not in record:
-                    raise CorpusError(f"{path}: line {line_no}: missing required field {key!r}")
-            doc_id = record["doc_id"]
-            if not isinstance(doc_id, str) or not doc_id:
-                raise CorpusError(f"{path}: line {line_no}: doc_id must be a non-empty string")
-            if doc_id in seen:
-                raise CorpusError(f"{path}: line {line_no}: duplicate doc_id {doc_id!r}")
-            seen.add(doc_id)
-            title = record["title"]
-            body = record["body"]
-            if not isinstance(title, str) or not isinstance(body, str):
-                raise CorpusError(f"{path}: line {line_no}: title/body must be strings")
-            if not title:
-                raise CorpusError(f"{path}: line {line_no}: title is empty")
-            if not body:
-                empty_bodies += 1
-            year = _extract_year(record, f"{path}: line {line_no}")
-            documents.append(Document(doc_id, title, body, year, tag))
+    for line_no, line in read_lines(path, comments=False, error=CorpusError):
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            # ValueError also covers integers past the digit limit
+            raise CorpusError(f"{path}: line {line_no}: malformed JSON ({exc})") from None
+        if not isinstance(record, dict):
+            raise CorpusError(f"{path}: line {line_no}: expected a JSON object, "
+                              f"got {type(record).__name__}")
+        for key in REQUIRED_FIELDS:
+            if key not in record:
+                raise CorpusError(f"{path}: line {line_no}: missing required field {key!r}")
+        doc_id = record["doc_id"]
+        if not isinstance(doc_id, str) or not doc_id:
+            raise CorpusError(f"{path}: line {line_no}: doc_id must be a non-empty string")
+        if doc_id in seen:
+            raise CorpusError(f"{path}: line {line_no}: duplicate doc_id {doc_id!r}")
+        seen.add(doc_id)
+        title = record["title"]
+        body = record["body"]
+        if not isinstance(title, str) or not isinstance(body, str):
+            raise CorpusError(f"{path}: line {line_no}: title/body must be strings")
+        if not title:
+            raise CorpusError(f"{path}: line {line_no}: title is empty")
+        if not body:
+            empty_bodies += 1
+        year = _extract_year(record, f"{path}: line {line_no}")
+        documents.append(Document(doc_id, title, body, year, tag))
     if empty_bodies:
         log.warning("%s: %d document(s) with empty body", path, empty_bodies)
     return Corpus(documents, tag=tag)
@@ -250,28 +248,22 @@ def load_qrels(path, query_corpus: Corpus | None = None,
     load fails at the end, listing every offender."""
     entries: dict[str, set[str]] = {}
     unknown: list[str] = []
-    rows = 0
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusError(f"{path}: line {line_no}: expected 2 tab-separated "
-                                  f"columns, got {len(parts)}")
-            query_id, doc_id = parts
-            rows += 1
-            bad = False
-            if query_corpus is not None and query_id not in query_corpus:
-                unknown.append(f"line {line_no}: unknown query_id {query_id!r}")
-                bad = True
-            if pool_corpus is not None and doc_id not in pool_corpus:
-                unknown.append(f"line {line_no}: unknown doc_id {doc_id!r}")
-                bad = True
-            if not bad:
-                entries.setdefault(query_id, set()).add(doc_id)
-    if rows == 0:
+    for line_no, line in read_lines(path, error=CorpusError):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise CorpusError(f"{path}: line {line_no}: expected 2 tab-separated "
+                              f"columns, got {len(parts)}")
+        query_id, doc_id = parts
+        bad = False
+        if query_corpus is not None and query_id not in query_corpus:
+            unknown.append(f"line {line_no}: unknown query_id {query_id!r}")
+            bad = True
+        if pool_corpus is not None and doc_id not in pool_corpus:
+            unknown.append(f"line {line_no}: unknown doc_id {doc_id!r}")
+            bad = True
+        if not bad:
+            entries.setdefault(query_id, set()).add(doc_id)
+    if not entries and not unknown:
         raise CorpusError(f"{path}: no judgment rows")
     if unknown:
         raise CorpusError(f"{path}: {len(unknown)} row(s) reference unknown ids:\n  "

@@ -14,6 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from ._textio import write_table
 from .ranking import RankedList, Run
 
 log = logging.getLogger(__name__)
@@ -111,10 +112,5 @@ def year_diff_histogram(qrels, query_corpus, pool_corpus) -> Counter:
 
 
 def write_year_hist_csv(hist: Counter, path, comment: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write("year_diff,count\n")
-        for diff in sorted(hist):
-            fh.write(f"{diff},{hist[diff]}\n")
+    write_table(path, "year_diff,count",
+                (f"{diff},{hist[diff]}" for diff in sorted(hist)), comment)

@@ -18,6 +18,7 @@ from collections import Counter
 
 import numpy as np
 
+from ._textio import parse_number, read_lines, read_vectors, write_table
 from .ranking import RankedList, top_k_from_arrays
 
 log = logging.getLogger(__name__)
@@ -98,87 +99,49 @@ class DocVectorStore:
                                     f"collection: {sorted(missing)[:5]}")
 
 
-def _parse_vector_line(line: str, line_no: int, path, dim: int | None):
-    parts = line.split()
-    if dim is not None and len(parts) != dim + 1:
-        raise VectorFormatError(f"{path}: line {line_no}: expected {dim} values "
-                                f"after the key, got {len(parts) - 1}")
-    if len(parts) < 2:
-        raise VectorFormatError(f"{path}: line {line_no}: no vector values")
-    key = parts[0]
-    try:
-        values = np.array([float(x) for x in parts[1:]])
-    except ValueError:
-        raise VectorFormatError(f"{path}: line {line_no}: non-numeric value") from None
-    if not np.isfinite(values).all():
-        raise VectorFormatError(f"{path}: line {line_no}: non-finite value")
-    return key, values
+def _keyed_vectors(path, what: str, dim: int | None = None,
+                   comments: bool = False) -> tuple[dict[str, np.ndarray], int]:
+    """key -> row view of one matrix, and the dimensionality; keys unique."""
+    keys, line_nos, matrix = read_vectors(path, dim=dim, comments=comments,
+                                          error=VectorFormatError)
+    vectors: dict[str, np.ndarray] = {}
+    for (key,), line_no, vec in zip(keys, line_nos, matrix):
+        if key in vectors:
+            raise VectorFormatError(f"{path}: line {line_no}: duplicate "
+                                    f"{what} {key!r}")
+        vectors[key] = vec
+    return vectors, matrix.shape[1]
 
 
 def load_word_vectors(path) -> WordVectors:
     """Text format: `term v1 v2 ... vdim`, dim inferred from the first row."""
-    vectors: dict[str, np.ndarray] = {}
-    dim = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            term, vec = _parse_vector_line(line, line_no, path, dim)
-            if dim is None:
-                dim = len(vec)
-            if term in vectors:
-                raise VectorFormatError(f"{path}: line {line_no}: duplicate "
-                                        f"term {term!r}")
-            vectors[term] = vec
-    if dim is None:
-        raise VectorFormatError(f"{path}: empty vector file")
-    return WordVectors(vectors, dim)
+    return WordVectors(*_keyed_vectors(path, "term"))
 
 
 def load_doc_vectors(path) -> DocVectorStore:
-    """Same line format with doc_id keys; optional first line `#dim D #tag S`."""
-    vectors: dict[str, np.ndarray] = {}
-    dim = None
-    tag = ""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line_no == 1 and line.startswith("#dim"):
-                    fields = line.split()
-                    try:
-                        dim = int(fields[1])
-                    except (IndexError, ValueError):
-                        raise VectorFormatError(f"{path}: malformed header {line!r}") from None
-                    if dim < 1:
-                        raise VectorFormatError(f"{path}: line 1: dim must be >= 1")
-                    if "#tag" in fields:
-                        tag = " ".join(fields[fields.index("#tag") + 1:])
-                continue
-            doc_id, vec = _parse_vector_line(line, line_no, path, dim)
-            if dim is None:
-                dim = len(vec)
-            if doc_id in vectors:
-                raise VectorFormatError(f"{path}: line {line_no}: duplicate "
-                                        f"doc_id {doc_id!r}")
-            vectors[doc_id] = vec
-    if dim is None:
-        raise VectorFormatError(f"{path}: empty vector file")
-    return DocVectorStore(vectors, dim, tag)
+    """Same line format with doc_id keys; optional first line `#dim D #tag S`;
+    other '#' lines are comments."""
+    dim, tag = None, ""
+    line_no, line = next(read_lines(path, comments=False,
+                                    error=VectorFormatError), (0, ""))
+    if line_no == 1 and line.startswith("#dim"):
+        fields = line.split()
+        dim = parse_number(fields[1] if len(fields) > 1 else "", int,
+                           f"{path}: line 1: #dim", VectorFormatError)
+        if dim < 1:
+            raise VectorFormatError(f"{path}: line 1: dim must be >= 1")
+        if "#tag" in fields:
+            tag = " ".join(fields[fields.index("#tag") + 1:])
+    return DocVectorStore(*_keyed_vectors(path, "doc_id", dim=dim, comments=True),
+                          tag)
 
 
 def save_doc_vectors(store: DocVectorStore, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        header = f"#dim {store.dim}"
-        if store.tag:
-            header += f" #tag {store.tag}"
-        fh.write(header + "\n")
-        for doc_id in sorted(store.vectors):
-            vals = " ".join(repr(float(v)) for v in store.vectors[doc_id])
-            fh.write(f"{doc_id} {vals}\n")
+    header = f"#dim {store.dim}" + (f" #tag {store.tag}" if store.tag else "")
+    write_table(path, header, (
+        " ".join([doc_id, *map(repr, np.asarray(store.vectors[doc_id],
+                                                dtype=np.float64).tolist())])
+        for doc_id in sorted(store.vectors)))
 
 
 def _centroid(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ from .rerank.train import (CHECKPOINT_VERSION, FeatureStore, Hyperparams,
                            save_checkpoint, train_model, write_training_log)
 from .text import TextPipeline, build_pipeline, load_stopwords
 from ._parallel import parallel_map
+from ._textio import parse_number, read_key_values, write_table
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +65,7 @@ def _parse_range(raw: str, key: str) -> list[float]:
         parts = raw.split(":")
         if len(parts) != 3:
             raise ConfigError(f"{key}: expected start:stop:step, got {raw!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (parse_number(p, float, key) for p in parts)
         if step <= 0:
             raise ConfigError(f"{key}: step must be positive")
         values = []
@@ -76,7 +77,7 @@ def _parse_range(raw: str, key: str) -> list[float]:
             values.append(round(v, 4))
             i += 1
         return values
-    return [float(p) for p in raw.split(",") if p]
+    return [parse_number(p, float, key) for p in raw.split(",") if p]
 
 
 KNOWN_KEYS = {
@@ -94,27 +95,15 @@ KNOWN_KEYS = {
 }
 
 
-def parse_config(text: str, base_dir: Path | None = None) -> "ExperimentConfig":
-    raw: dict[str, str] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected key = value")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"line {line_no}: unknown config key {key!r}")
-        if key in raw:
-            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        raw[key] = value
-    return ExperimentConfig.from_raw(raw, base_dir or Path("."))
-
-
 def load_config(path) -> "ExperimentConfig":
+    """`key = value` lines; paths are relative to the file, errors name it."""
     path = Path(path)
-    return parse_config(path.read_text(encoding="utf-8"), path.parent)
+    raw = {key: value for _, key, value in read_key_values(path, KNOWN_KEYS,
+                                                           ConfigError)}
+    try:
+        return ExperimentConfig.from_raw(raw, path.parent)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -172,10 +161,10 @@ class ExperimentConfig:
         mode = raw.get("prefetch.mode", "bm25")
         if mode not in PREFETCH_MODES:
             raise ConfigError(f"prefetch.mode must be one of {PREFETCH_MODES}")
-        k = int(raw.get("prefetch.k", "100"))
+        k = parse_number(raw.get("prefetch.k", "100"), int, "prefetch.k")
         if k < 1:
             raise ConfigError("prefetch.k must be >= 1")
-        eval_k = int(raw.get("eval.k", "20"))
+        eval_k = parse_number(raw.get("eval.k", "20"), int, "eval.k")
         if eval_k < 1:
             raise ConfigError("eval.k must be >= 1")
 
@@ -183,7 +172,8 @@ class ExperimentConfig:
         if "bm25.k1" in raw or "bm25.b" in raw:
             if not ("bm25.k1" in raw and "bm25.b" in raw):
                 raise ConfigError("bm25.k1 and bm25.b must be given together")
-            bm25_params = Bm25Params(float(raw["bm25.k1"]), float(raw["bm25.b"]))
+            bm25_params = Bm25Params(parse_number(raw["bm25.k1"], float, "bm25.k1"),
+                                     parse_number(raw["bm25.b"], float, "bm25.b"))
         bm25_tune = _parse_bool(raw.get("bm25.tune", "false"), "bm25.tune")
         if bm25_tune and bm25_params is not None:
             raise ConfigError("bm25.tune conflicts with explicit bm25.k1/b")
@@ -203,7 +193,8 @@ class ExperimentConfig:
             components = parts
         if mode == "ensemble" and components is None:
             raise ConfigError("ensemble mode requires fusion.components")
-        fusion_alpha = float(raw["fusion.alpha"]) if "fusion.alpha" in raw else None
+        fusion_alpha = (parse_number(raw["fusion.alpha"], float, "fusion.alpha")
+                        if "fusion.alpha" in raw else None)
         if fusion_alpha is not None and not 0 <= fusion_alpha <= 1:
             raise ConfigError("fusion.alpha must be in [0, 1]")
         fusion_tune = _parse_bool(raw.get("fusion.tune", "false"), "fusion.tune")
@@ -215,9 +206,10 @@ class ExperimentConfig:
         rerank_model = raw.get("rerank.model", "none")
         if rerank_model not in ("none", "drmm", "pacrr"):
             raise ConfigError("rerank.model must be none, drmm or pacrr")
-        seed = int(raw.get("seed", "0"))
+        seed = parse_number(raw.get("seed", "0"), int, "seed")
         if "rerank.seeds" in raw:
-            rerank_seeds = [int(s) for s in raw["rerank.seeds"].split(",") if s]
+            rerank_seeds = [parse_number(s, int, "rerank.seeds")
+                            for s in raw["rerank.seeds"].split(",") if s]
         else:
             rerank_seeds = [seed]
         if rerank_model != "none" and not rerank_seeds:
@@ -228,7 +220,8 @@ class ExperimentConfig:
 
         datefilter_years = None
         if "datefilter.years" in raw:
-            datefilter_years = float(raw["datefilter.years"])
+            datefilter_years = parse_number(raw["datefilter.years"], float,
+                                            "datefilter.years")
         datefilter_mode = raw.get("datefilter.mode", "post")
         if datefilter_mode not in ("pre", "post"):
             raise ConfigError("datefilter.mode must be pre or post")
@@ -349,13 +342,8 @@ def emit_rk_curve(run: Run, qrels, k_max: int) -> list[tuple[int, float]]:
 
 
 def write_rk_curve_csv(rows, path, comment: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write("k,recall\n")
-        for k, recall in rows:
-            fh.write(f"{k},{recall!r}\n")
+    write_table(path, "k,recall", (f"{k},{recall!r}" for k, recall in rows),
+                comment)
 
 
 def bm25_run(index: PostingsIndex, pipeline: TextPipeline, query_corpus: Corpus,

@@ -9,6 +9,7 @@ normalized range.
 
 from __future__ import annotations
 
+from ._textio import write_table
 from .ranking import RankedList, Run, sort_scored
 
 
@@ -97,10 +98,5 @@ def tune_alpha(run_a: Run, run_b: Run, qrels, alpha_grid: list[float], k: int
 
 
 def write_alpha_grid_csv(grid: list[tuple[float, float]], path, comment: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write("alpha,recall_at_k\n")
-        for alpha, recall in grid:
-            fh.write(f"{alpha!r},{recall!r}\n")
+    write_table(path, "alpha,recall_at_k",
+                (f"{alpha!r},{recall!r}" for alpha, recall in grid), comment)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ._textio import parse_number, read_lines, write_table
 from .ranking import Run
 
 
@@ -100,45 +101,35 @@ def write_eval_csv(report: EvalReport, path, comment: str = "") -> None:
     """`query_id,<metrics...>` rows in sorted query order, then a `mean`
     summary row over the included queries."""
     names = report.metric_names
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        if report.excluded_query_ids:
-            fh.write(f"# excluded (no relevant docs): "
-                     f"{','.join(report.excluded_query_ids)}\n")
-        fh.write("query_id," + ",".join(names) + "\n")
-        for query_id in sorted(report.per_query):
-            row = report.per_query[query_id]
-            fh.write(query_id + "," + ",".join(repr(row[m]) for m in names) + "\n")
-        macro = report.macro
-        fh.write("mean," + ",".join(repr(macro[m]) for m in names) + "\n")
+    header = ",".join(["query_id", *names])
+    if report.excluded_query_ids:
+        header = (f"# excluded (no relevant docs): "
+                  f"{','.join(report.excluded_query_ids)}\n{header}")
+    rows = sorted(report.per_query.items()) + [("mean", report.macro)]
+    write_table(path, header, (",".join([query_id, *(repr(row[m]) for m in names)])
+                               for query_id, row in rows), comment)
 
 
 def read_eval_csv(path) -> tuple[dict[str, dict[str, float]], dict[str, float], list[str]]:
-    """Returns (per-query rows, mean row, metric names)."""
+    """Returns (per-query rows, mean row, metric names). Every row has the
+    header's columns, each value a finite number."""
     per_query: dict[str, dict[str, float]] = {}
-    mean_row: dict[str, float] = {}
     names: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if not names:
-                if parts[0] != "query_id":
-                    raise ValueError(f"{path}: missing header row")
-                names = parts[1:]
-                continue
-            values = {m: float(v) for m, v in zip(names, parts[1:])}
-            if parts[0] == "mean":
-                mean_row = values
-            else:
-                per_query[parts[0]] = values
+    for line_no, line in read_lines(path):
+        parts = line.split(",")
+        if not names:
+            if parts[0] != "query_id":
+                raise ValueError(f"{path}: line {line_no}: missing header row")
+            names = parts[1:]
+            continue
+        if len(parts) != len(names) + 1:
+            raise ValueError(f"{path}: line {line_no}: expected {len(names) + 1} "
+                             f"columns, got {len(parts)}")
+        per_query[parts[0]] = {m: parse_number(v, float, f"{path}: line {line_no}: {m}")
+                               for m, v in zip(names, parts[1:])}
     if not names:
         raise ValueError(f"{path}: empty eval csv")
-    return per_query, mean_row, names
+    return per_query, per_query.pop("mean", {}), names
 
 
 def aggregate_runs(reports: list[EvalReport]) -> dict[str, tuple[float, float]]:
@@ -164,10 +155,6 @@ def aggregate_runs(reports: list[EvalReport]) -> dict[str, tuple[float, float]]:
 
 def write_summary_csv(summary: dict[str, tuple[float, float]], path,
                       comment: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write("metric,mean,sd\n")
-        for metric, (mean, sd) in summary.items():
-            fh.write(f"{metric},{mean!r},{sd!r}\n")
+    write_table(path, "metric,mean,sd",
+                (f"{metric},{mean!r},{sd!r}" for metric, (mean, sd) in summary.items()),
+                comment)

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from ._textio import read_lines, write_table
+
 
 def sort_scored(pairs: list[tuple[str, float]]) -> list[tuple[str, float]]:
     """Descending score, ascending doc_id on ties."""
@@ -69,13 +71,10 @@ class Run(dict):
 def write_run(run: Run, path, comment: str = "") -> None:
     """TSV: query_id, rank (1-based), doc_id, score. Queries in sorted order,
     scores with repr-round-trip precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        for query_id in sorted(run):
-            for rank, (doc_id, score) in enumerate(run[query_id], start=1):
-                fh.write(f"{query_id}\t{rank}\t{doc_id}\t{score!r}\n")
+    write_table(path, None, (f"{query_id}\t{rank}\t{doc_id}\t{score!r}"
+                             for query_id in sorted(run)
+                             for rank, (doc_id, score) in enumerate(run[query_id], 1)),
+                comment)
 
 
 def read_run(path) -> Run:
@@ -84,41 +83,33 @@ def read_run(path) -> Run:
     scores."""
     run = Run()
     seen: dict[str, set[str]] = {}
-    expected_rank: dict[str, int] = {}
-    last_score: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {line_no}: expected 4 columns, got {len(parts)}")
-            query_id, rank_s, doc_id, score_s = parts
-            if not query_id or not doc_id:
-                raise ValueError(f"{path}: line {line_no}: empty "
-                                 f"{'query' if not query_id else 'doc'} id")
-            try:
-                rank = int(rank_s)
-                score = float(score_s)
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: non-numeric rank "
-                                 f"{rank_s!r} or score {score_s!r}") from None
-            if not math.isfinite(score):
-                raise ValueError(f"{path}: line {line_no}: score {score_s!r} "
-                                 f"is not finite")
-            want = expected_rank.get(query_id, 1)
-            if rank != want:
-                raise ValueError(f"{path}: line {line_no}: rank {rank} for query "
-                                 f"{query_id!r}, expected {want}")
-            if query_id in last_score and score > last_score[query_id] + 1e-12:
-                raise ValueError(f"{path}: line {line_no}: scores increase within "
-                                 f"query {query_id!r}")
-            if doc_id in seen.setdefault(query_id, set()):
-                raise ValueError(f"{path}: line {line_no}: duplicate doc_id "
-                                 f"{doc_id!r} within query {query_id!r}")
-            seen[query_id].add(doc_id)
-            expected_rank[query_id] = rank + 1
-            last_score[query_id] = score
-            run.setdefault(query_id, RankedList(presorted=True)).append((doc_id, score))
+    for line_no, line in read_lines(path, strip=False):
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ValueError(f"{path}: line {line_no}: expected 4 columns, got {len(parts)}")
+        query_id, rank_s, doc_id, score_s = parts
+        if not query_id or not doc_id:
+            raise ValueError(f"{path}: line {line_no}: empty "
+                             f"{'query' if not query_id else 'doc'} id")
+        try:
+            rank = int(rank_s)
+            score = float(score_s)
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: non-numeric rank "
+                             f"{rank_s!r} or score {score_s!r}") from None
+        if not math.isfinite(score):
+            raise ValueError(f"{path}: line {line_no}: score {score_s!r} "
+                             f"is not finite")
+        ranking = run.setdefault(query_id, RankedList(presorted=True))
+        if rank != len(ranking) + 1:
+            raise ValueError(f"{path}: line {line_no}: rank {rank} for query "
+                             f"{query_id!r}, expected {len(ranking) + 1}")
+        if ranking and score > ranking[-1][1] + 1e-12:
+            raise ValueError(f"{path}: line {line_no}: scores increase within "
+                             f"query {query_id!r}")
+        if doc_id in seen.setdefault(query_id, set()):
+            raise ValueError(f"{path}: line {line_no}: duplicate doc_id "
+                             f"{doc_id!r} within query {query_id!r}")
+        seen[query_id].add(doc_id)
+        ranking.append((doc_id, score))
     return run

@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+from .._textio import parse_number, read_vectors
+
 log = logging.getLogger(__name__)
 
 
@@ -99,42 +101,21 @@ class TokenEmbeddings:
 def load_token_vectors(path) -> TokenEmbeddings:
     """Text format: `doc_id token_index v1 ... vdim`, one line per position;
     every document's indices must form a gap-free 0..L-1 range."""
-    rows: dict[str, dict[int, np.ndarray]] = {}
-    dim = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise ValueError(f"{path}: line {line_no}: expected doc_id, "
-                                 f"index and vector values")
-            doc_id = parts[0]
-            try:
-                idx = int(parts[1])
-                vec = np.array([float(x) for x in parts[2:]])
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: non-numeric field") from None
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path}: line {line_no}: non-finite value")
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise ValueError(f"{path}: line {line_no}: dim {len(vec)} != {dim}")
-            if idx in rows.setdefault(doc_id, {}):
-                raise ValueError(f"{path}: line {line_no}: duplicate position "
-                                 f"{idx} for {doc_id!r}")
-            rows[doc_id][idx] = vec
-    if dim is None:
-        raise ValueError(f"{path}: empty token vector file")
+    keys, line_nos, matrix = read_vectors(path, keys=2, comments=True)
+    rows: dict[str, dict[int, int]] = {}
+    for row, ((doc_id, idx_s), line_no) in enumerate(zip(keys, line_nos)):
+        idx = parse_number(idx_s, int, f"{path}: line {line_no}: position")
+        if idx in rows.setdefault(doc_id, {}):
+            raise ValueError(f"{path}: line {line_no}: duplicate position "
+                             f"{idx} for {doc_id!r}")
+        rows[doc_id][idx] = row
     sequences = {}
     for doc_id, by_idx in rows.items():
         if sorted(by_idx) != list(range(len(by_idx))):
             raise ValueError(f"{path}: positions for {doc_id!r} are not a "
                              f"gap-free 0..{len(by_idx) - 1} range")
-        sequences[doc_id] = np.stack([by_idx[i] for i in range(len(by_idx))])
-    return TokenEmbeddings(sequences, dim)
+        sequences[doc_id] = matrix[[by_idx[i] for i in range(len(by_idx))]]
+    return TokenEmbeddings(sequences, matrix.shape[1])
 
 
 def sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys) -> np.ndarray:

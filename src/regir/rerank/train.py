@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._npz import read_npz, write_npz
+from .._textio import parse_number, read_key_values, write_table
 from ..fusion import normalize_scores
 from ..metrics import recall_at_k
 from ..ranking import RankedList, Run, sort_scored
@@ -59,24 +60,13 @@ class Hyperparams:
     def from_file(cls, path) -> "Hyperparams":
         """Flat key=value text; kernel_sizes is comma-separated."""
         values: dict = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}: line {line_no}: expected key=value")
-                key, _, raw = line.partition("=")
-                key, raw = key.strip(), raw.strip()
-                if key not in cls.__dataclass_fields__:
-                    raise ValueError(f"{path}: line {line_no}: unknown "
-                                     f"hyperparameter {key!r}")
-                if key == "kernel_sizes":
-                    values[key] = tuple(int(x) for x in raw.split(",") if x)
-                elif key == "lr":
-                    values[key] = float(raw)
-                else:
-                    values[key] = int(raw)
+        for line_no, key, raw in read_key_values(path, cls.__dataclass_fields__):
+            where = f"{path}: line {line_no}: {key}"
+            if key == "kernel_sizes":
+                values[key] = tuple(parse_number(x, int, where)
+                                    for x in raw.split(",") if x)
+            else:
+                values[key] = parse_number(raw, float if key == "lr" else int, where)
         return cls(**values)
 
     def as_dict(self) -> dict:
@@ -371,13 +361,9 @@ def train_model(kind: str, train_ids, dev_ids, qrels, run: Run,
 
 
 def write_training_log(log_rows, path, comment: str = "") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            for line in comment.splitlines():
-                fh.write(f"# {line}\n")
-        fh.write("epoch,train_loss,dev_r20,w_r,w_p\n")
-        for epoch, loss, dev_r, w_r, w_p in log_rows:
-            fh.write(f"{epoch},{loss!r},{dev_r!r},{w_r!r},{w_p!r}\n")
+    write_table(path, "epoch,train_loss,dev_r20,w_r,w_p",
+                (f"{epoch},{loss!r},{dev_r!r},{w_r!r},{w_p!r}"
+                 for epoch, loss, dev_r, w_r, w_p in log_rows), comment)
 
 
 def save_checkpoint(result: TrainResult, path) -> None:

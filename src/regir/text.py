@@ -18,6 +18,8 @@ from importlib import resources
 
 import numpy as np
 
+from ._textio import read_lines
+
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
@@ -125,15 +127,10 @@ def load_default_stopwords() -> frozenset[str]:
 
 def load_stopwords(path) -> frozenset[str]:
     """One stopword per line; blank lines and '#' comments ignored."""
-    words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if word and not word.startswith("#"):
-                words.add(word.lower())
+    words = frozenset(word.lower() for _, word in read_lines(path))
     if not words:
-        raise ValueError(f"stopword file {path} contains no words")
-    return frozenset(words)
+        raise ValueError(f"{path}: no stopwords")
+    return words
 
 
 class IdfTable:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -117,6 +118,29 @@ def test_config_rerank_needs_embedding_source(dataset):
 def test_config_bad_bool(dataset):
     with pytest.raises(ConfigError, match="boolean"):
         cfg_from(dataset, BASE_CFG + "bm25.tune = maybe\n")
+
+
+@pytest.mark.parametrize("line, key", [
+    ("prefetch.k = abc", "prefetch.k"),
+    ("fusion.alpha = x", "fusion.alpha"),
+    ("bm25.grid_k1 = 0:a:1", "bm25.grid_k1"),
+    ("rerank.seeds = 1,x", "rerank.seeds"),
+    ("bm25.k1 = nan\nbm25.b = 0.5", "bm25.k1"),
+    ("datefilter.years = inf", "datefilter.years"),
+])
+def test_config_bad_value_names_file_and_key(dataset, line, key):
+    path = dataset / "cfg.txt"
+    with pytest.raises(ConfigError,
+                       match=rf"^{re.escape(f'{path}: {key}: ')}"
+                             r"expected an? (integer|finite number)"):
+        cfg_from(dataset, BASE_CFG.replace("prefetch.k = 10", "") + line + "\n")
+
+
+def test_config_syntax_errors_name_file_and_line(dataset):
+    path = dataset / "cfg.txt"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: line 10: "
+                                          "expected key = value"):
+        cfg_from(dataset, BASE_CFG + "no equals sign\n")
 
 
 # --- helpers ---

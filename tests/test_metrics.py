@@ -1,4 +1,6 @@
 
+import re
+
 import pytest
 
 from regir.corpus import Qrels
@@ -105,6 +107,19 @@ def test_eval_csv_roundtrip(tmp_path):
     assert names == ["r_at_20", "ndcg_at_20", "rp"]
     assert per_query["q2"]["ndcg_at_20"] == pytest.approx(0.6309297535714575)
     assert mean_row["r_at_20"] == pytest.approx(report.macro["r_at_20"])
+
+
+@pytest.mark.parametrize("row, message", [
+    ("q1,0.5", "line 2: expected 3 columns, got 2"),
+    ("q1,0.5,0.25,1.0", "line 2: expected 3 columns, got 4"),
+    ("q1,abc,0.5", "line 2: r: expected a finite number, got 'abc'"),
+    ("q1,0.5,nan", "line 2: n: expected a finite number, got 'nan'"),
+])
+def test_read_eval_csv_rejects_bad_rows(tmp_path, row, message):
+    path = tmp_path / "eval.csv"
+    path.write_text(f"query_id,r,n\n{row}\nmean,0.5,0.5\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+        read_eval_csv(path)
 
 
 def test_aggregate_runs_population_sd():

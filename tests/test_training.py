@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -145,6 +146,19 @@ def test_hyperparams_unknown_key_rejected(tmp_path):
     path = tmp_path / "hp.txt"
     path.write_text("momentum=0.9\n")
     with pytest.raises(ValueError, match="momentum"):
+        Hyperparams.from_file(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("lr=0.1\nB = abc\n", "line 2: B: expected an integer, got 'abc'"),
+    ("kernel_sizes = 2,x\n", "line 1: kernel_sizes: expected an integer, got 'x'"),
+    ("lr = inf\n", "line 1: lr: expected a finite number"),
+    ("lr = 0.1\nbatch = 8\nlr = 0.2\n", "line 3: duplicate key 'lr'"),
+])
+def test_hyperparams_bad_values_name_path_and_line(tmp_path, text, message):
+    path = tmp_path / "hp.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
         Hyperparams.from_file(path)
 
 
