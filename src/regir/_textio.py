@@ -1,5 +1,5 @@
 """The one reader and writer of the plain-text files (collections, judgments,
-run files, vectors, configs and CSVs), the text counterpart of `_npz`.
+splits, run files, vectors, configs and CSVs), the text counterpart of `_npz`.
 
 Readers decode UTF-8 with universal newlines, and every error they raise
 starts with `path: line N`. Callers pass their module's error class.
@@ -7,6 +7,7 @@ starts with `path: line N`. Callers pass their module's error class.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
@@ -17,16 +18,16 @@ _BLOCK = 1 << 16
 
 
 def read_lines(path, *, strip: bool = True, comments: bool = True,
-               error: type[ValueError] = ValueError):
-    """(line number, line) of each non-empty line, numbered from 1. `strip`
-    drops surrounding whitespace, else only the newline; `comments` skips
-    lines starting with '#'. An undecodable byte's line is looked for only
-    once decoding fails."""
+               blank: bool = False, error: type[ValueError] = ValueError):
+    """(line number, line) of each line, numbered from 1. `strip` drops
+    surrounding whitespace, else only the newline; `comments` skips lines
+    starting with '#'; `blank` keeps empty lines. An undecodable byte's
+    line is looked for only once decoding fails."""
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip() if strip else line.rstrip("\n")
-                if line and not (comments and line.startswith("#")):
+                if (line or blank) and not (comments and line.startswith("#")):
                     yield line_no, line
     except UnicodeDecodeError:
         # surrogateescape decodes each undecodable byte to U+DC80..U+DCFF
@@ -34,6 +35,28 @@ def read_lines(path, *, strip: bool = True, comments: bool = True,
             line_no = next((n for n, line in enumerate(fh, start=1)
                             if re.search("[\udc80-\udcff]", line)), 0)
         raise error(f"{path}: line {line_no}: not valid UTF-8") from None
+
+
+def _json(text: str, path, line_no: int, error):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers past the digit limit
+        line_no += getattr(exc, "lineno", 1) - 1
+        raise error(f"{path}: line {line_no}: malformed JSON "
+                    f"({getattr(exc, 'msg', exc)})") from None
+
+
+def read_json(path, error: type[ValueError] = ValueError):
+    """The JSON value a whole file holds."""
+    lines = read_lines(path, strip=False, comments=False, blank=True, error=error)
+    return _json("\n".join(line for _, line in lines), path, 1, error)
+
+
+def read_jsonl(path, error: type[ValueError] = ValueError):
+    """(line number, JSON value) of each non-empty line."""
+    for line_no, line in read_lines(path, comments=False, error=error):
+        yield line_no, _json(line, path, line_no, error)
 
 
 def read_vectors(path, *, keys: int = 1, dim: int | None = None,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import re
 import statistics
 from pathlib import Path
 
@@ -22,7 +23,8 @@ from .bm25 import (Bm25Params, PostingsIndex, build_index, default_grid,
 from .corpus import (Corpus, CorpusError, convert_collection, corpus_stats,
                      ingest_collection, load_qrels, write_collection,
                      SplitManifest)
-from .datefilter import DateWindow, filter_run, write_year_hist_csv, year_diff_histogram
+from .datefilter import (DateWindow, candidates, finalize, write_year_hist_csv,
+                         year_diff_histogram)
 from .dense import (VectorFormatError, build_centroid_store, load_doc_vectors,
                     load_word_vectors, save_doc_vectors)
 from .experiment import (ConfigError, Prefetcher, emit_rk_curve, load_config,
@@ -219,13 +221,6 @@ def vectors(collection, word_vectors, out, index_path, stopwords, no_idf_filter,
     click.echo(f"wrote {len(store)} centroids of dim {store.dim}")
 
 
-def _apply_cli_datefilter(run: Run, years, mode, query_corpus, pool_corpus,
-                          k) -> Run:
-    window = DateWindow(years, mode)
-    return filter_run(run, window, query_corpus, pool_corpus,
-                      k=k if mode == "pre" else None)
-
-
 @main.command()
 @click.option("--mode", type=click.Choice(["bm25", "w2v-cent", "doc-vectors",
                                            "ensemble"]), required=True)
@@ -305,9 +300,8 @@ def prefetch(mode, k, queries, out, splits, split, index_path, k1, b, params,
             raise click.ClickException("--date-filter needs --collection for "
                                        "publication years")
         window = DateWindow(date_filter, filter_mode)
-    run = stage.candidates(stage.deep_run(ids, alpha), window, pool_corpus)
-    if window is not None and window.mode == "post":
-        run = filter_run(run, window, query_corpus, pool_corpus)
+    run = finalize(candidates(stage.deep_run(ids, alpha), k, window, query_corpus,
+                              pool_corpus), window, query_corpus, pool_corpus)
     write_run(run, out)
     click.echo(f"wrote {len(run)} ranked lists to {out}")
 
@@ -409,7 +403,7 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
 @click.option("--no-idf-filter", is_flag=True)
 @click.option("--word-vectors", type=_in)
 @click.option("--token-vectors", type=_in)
-@click.option("--k", type=int, help="Truncate each list to k before re-ranking.")
+@click.option("--k", type=int, help="Re-rank the top k; a pre filter refills to k.")
 @click.option("--date-filter", "date_filter", type=float)
 @click.option("--filter-mode", type=click.Choice(["pre", "post"]), default="post",
               show_default=True)
@@ -427,14 +421,10 @@ def rerank(checkpoint, run_path, queries, collection, index_path, stopwords,
     provider = _provider(word_vectors, token_vectors)
     store = FeatureStore(result.model.kind, provider, pipeline, query_corpus,
                          pool_corpus, result.hp)
-    run = read_run(run_path)
-    if date_filter is not None and filter_mode == "pre":
-        run = _apply_cli_datefilter(run, date_filter, "pre", query_corpus,
-                                    pool_corpus, k or max(len(r) for r in run.values()))
-    reranked = result.reranker(store).rerank_run(run, k)
-    if date_filter is not None and filter_mode == "post":
-        reranked = _apply_cli_datefilter(reranked, date_filter, "post",
-                                         query_corpus, pool_corpus, None)
+    window = DateWindow(date_filter, filter_mode) if date_filter is not None else None
+    run = candidates(read_run(run_path), k, window, query_corpus, pool_corpus)
+    reranked = finalize(result.reranker(store).rerank_run(run), window,
+                        query_corpus, pool_corpus)
     write_run(reranked, out)
     click.echo(f"re-ranked {len(reranked)} lists with w_r={result.w_r:.4f} "
                f"w_p={result.w_p:.4f}")
@@ -447,7 +437,7 @@ def rerank(checkpoint, run_path, queries, collection, index_path, stopwords,
 @click.option("--years", type=float, required=True)
 @click.option("--mode", type=click.Choice(["pre", "post"]), default="post",
               show_default=True)
-@click.option("--k", type=int, help="Refill target for pre mode.")
+@click.option("--k", type=int, help="Keep each list's top k, refilled to k in pre mode.")
 @click.option("--out", type=_out, required=True)
 @friendly_errors
 def date_filter_cmd(run_path, queries, collection, years, mode, k, out):
@@ -455,9 +445,9 @@ def date_filter_cmd(run_path, queries, collection, years, mode, k, out):
     query_corpus = ingest_collection(queries)
     pool_corpus = ingest_collection(collection, tag="pool")
     run = read_run(run_path)
-    if mode == "pre" and k is None:
-        raise click.ClickException("pre mode needs --k (refill target)")
-    filtered = _apply_cli_datefilter(run, years, mode, query_corpus, pool_corpus, k)
+    window = DateWindow(years, mode)
+    filtered = finalize(candidates(run, k, window, query_corpus, pool_corpus),
+                        window, query_corpus, pool_corpus)
     write_run(filtered, out)
     kept = sum(len(r) for r in filtered.values())
     total = sum(len(r) for r in run.values())
@@ -504,8 +494,12 @@ def aggregate(eval_paths, out):
     reports = []
     for path in eval_paths:
         per_query, _, names = read_eval_csv(path)
-        k = int(names[0].rsplit("_", 1)[1])
-        reports.append(EvalReport(k, per_query))
+        k = next((int(m[5:]) for m in names if re.fullmatch(r"r_at_\d+", m)), 0)
+        report = EvalReport(k, per_query)
+        if names != report.metric_names:
+            raise click.ClickException(f"{path}: expected the columns r_at_K, "
+                                       f"ndcg_at_K, rp of an eval CSV")
+        reports.append(report)
     summary = aggregate_runs(reports)
     write_summary_csv(summary, out)
     for metric, (mean, sd) in summary.items():

@@ -17,7 +17,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 
-from ._textio import read_lines
+from ._textio import read_json, read_jsonl, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -100,6 +100,24 @@ class Corpus:
 REQUIRED_FIELDS = ("doc_id", "title", "body")
 
 
+def _document(record, where: str, tag: str) -> Document:
+    """The Document a canonical record describes; errors start with `where`."""
+    if not isinstance(record, dict):
+        raise CorpusError(f"{where}: expected a JSON object, "
+                          f"got {type(record).__name__}")
+    for key in REQUIRED_FIELDS:
+        if key not in record:
+            raise CorpusError(f"{where}: missing required field {key!r}")
+    doc_id, title, body = (record[key] for key in REQUIRED_FIELDS)
+    if not isinstance(doc_id, str) or not doc_id:
+        raise CorpusError(f"{where}: doc_id must be a non-empty string")
+    if not isinstance(title, str) or not isinstance(body, str):
+        raise CorpusError(f"{where}: title/body must be strings")
+    if not title:
+        raise CorpusError(f"{where}: title is empty")
+    return Document(doc_id, title, body, _extract_year(record, where), tag)
+
+
 def ingest_collection(path, tag: str = "") -> Corpus:
     """Parse a canonical JSONL collection, validating every record.
 
@@ -109,34 +127,14 @@ def ingest_collection(path, tag: str = "") -> Corpus:
     documents = []
     seen: set[str] = set()
     empty_bodies = 0
-    for line_no, line in read_lines(path, comments=False, error=CorpusError):
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            # ValueError also covers integers past the digit limit
-            raise CorpusError(f"{path}: line {line_no}: malformed JSON ({exc})") from None
-        if not isinstance(record, dict):
-            raise CorpusError(f"{path}: line {line_no}: expected a JSON object, "
-                              f"got {type(record).__name__}")
-        for key in REQUIRED_FIELDS:
-            if key not in record:
-                raise CorpusError(f"{path}: line {line_no}: missing required field {key!r}")
-        doc_id = record["doc_id"]
-        if not isinstance(doc_id, str) or not doc_id:
-            raise CorpusError(f"{path}: line {line_no}: doc_id must be a non-empty string")
-        if doc_id in seen:
-            raise CorpusError(f"{path}: line {line_no}: duplicate doc_id {doc_id!r}")
-        seen.add(doc_id)
-        title = record["title"]
-        body = record["body"]
-        if not isinstance(title, str) or not isinstance(body, str):
-            raise CorpusError(f"{path}: line {line_no}: title/body must be strings")
-        if not title:
-            raise CorpusError(f"{path}: line {line_no}: title is empty")
-        if not body:
-            empty_bodies += 1
-        year = _extract_year(record, f"{path}: line {line_no}")
-        documents.append(Document(doc_id, title, body, year, tag))
+    for line_no, record in read_jsonl(path, error=CorpusError):
+        doc = _document(record, f"{path}: line {line_no}", tag)
+        if doc.doc_id in seen:
+            raise CorpusError(f"{path}: line {line_no}: duplicate doc_id "
+                              f"{doc.doc_id!r}")
+        seen.add(doc.doc_id)
+        empty_bodies += not doc.body
+        documents.append(doc)
     if empty_bodies:
         log.warning("%s: %d document(s) with empty body", path, empty_bodies)
     return Corpus(documents, tag=tag)
@@ -162,28 +160,28 @@ def convert_collection(path, out_path, field_map: dict[str, str] | None = None,
     """
     mapping = {k: k for k in ("doc_id", "title", "body", "year")}
     mapping.update(field_map or {})
-    with open(path, encoding="utf-8") as fh:
-        head = fh.read(1024).lstrip()
-        fh.seek(0)
-        if head.startswith("["):
-            records = json.load(fh)
-        else:
-            records = [json.loads(line) for line in fh if line.strip()]
+    with open(path, "rb") as fh:
+        is_array = fh.read(1024).lstrip().startswith(b"[")
+    records = (read_json(path, CorpusError) if is_array
+               else [record for _, record in read_jsonl(path, CorpusError)])
     documents = []
     for i, rec in enumerate(records, start=1):
-        out = {}
-        for canon, src in mapping.items():
-            if src in rec:
-                out[canon] = rec[src]
+        where = f"{path}: record {i}"
+        if not isinstance(rec, dict):
+            raise CorpusError(f"{where}: expected a JSON object, "
+                              f"got {type(rec).__name__}")
+        out = {canon: rec[src] for canon, src in mapping.items() if src in rec}
         for key in REQUIRED_FIELDS:
             if key not in out:
-                raise CorpusError(f"{path}: record {i}: no source field for {key!r} "
+                raise CorpusError(f"{where}: no source field for {key!r} "
                                   f"(looked for {mapping[key]!r})")
         if not isinstance(out.get("year", 0), int):
             out.pop("year", None)
-        documents.append(Document(out["doc_id"], out["title"], out["body"],
-                                  _extract_year(out, f"{path}: record {i}"), tag))
-    corpus = Corpus(documents, tag=tag)
+        documents.append(_document(out, where, tag))
+    try:
+        corpus = Corpus(documents, tag=tag)
+    except CorpusError as exc:  # a duplicate doc_id
+        raise CorpusError(f"{path}: {exc}") from None
     write_collection(corpus, out_path)
     return corpus
 
@@ -327,15 +325,13 @@ class SplitManifest:
 
     @classmethod
     def from_json(cls, path) -> "SplitManifest":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(path, CorpusError)
+        if not isinstance(data, dict):
+            raise CorpusError(f"{path}: split manifest must be a JSON object")
         for key in ("train", "dev", "test", "pool"):
             if key not in data:
                 raise CorpusError(f"{path}: split manifest missing key {key!r}")
-        return cls(list(data["train"]), list(data["dev"]), list(data["test"]),
-                   list(data["pool"]))
-
-    def to_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"train": self.train_ids, "dev": self.dev_ids,
-                       "test": self.test_ids, "pool": self.pool_ids}, fh, indent=2)
+            ids = data[key]
+            if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+                raise CorpusError(f"{path}: split {key!r} must be a list of strings")
+        return cls(data["train"], data["dev"], data["test"], data["pool"])

@@ -2,9 +2,9 @@
 
 A transposing act is usually enacted within a few years of what it
 transposes, so dropping candidates far from the query's year removes
-near-duplicate amendments that outrank the truly related acts. The filter
-can run before re-ranking (pre, with refill from a deeper list) or after
-(post).
+near-duplicate amendments that outrank the truly related acts. A pre
+window filters the deep pre-fetch list and refills k candidates from it
+(`candidates`); a post window filters the final list (`finalize`).
 """
 
 from __future__ import annotations
@@ -66,28 +66,44 @@ def filter_run(run: Run, window: DateWindow, query_corpus, pool_corpus,
     return out
 
 
-def choose_window(run: Run, qrels, query_corpus, pool_corpus,
-                  grid: list[float], mode: str, k: int = 20) -> float:
-    """argmax of mean R@k over candidate windows on dev data. Ties go to the
-    larger (less destructive) window."""
+def candidates(deep: Run, k: int | None, window: DateWindow | None,
+               query_corpus, pool_corpus) -> Run:
+    """The lists a re-ranker scores: a pre window filters the deep lists and
+    refills them to k; otherwise their top k. k=None cuts nothing."""
+    if window is not None and window.mode == "pre":
+        return filter_run(deep, window, query_corpus, pool_corpus, k)
+    return deep.truncated(k) if k is not None else deep
+
+
+def finalize(run: Run, window: DateWindow | None, query_corpus,
+             pool_corpus) -> Run:
+    """The final lists: a post window filters the re-ranked (or candidate)
+    lists; any other window leaves them as they are."""
+    if window is not None and window.mode == "post":
+        return filter_run(run, window, query_corpus, pool_corpus)
+    return run
+
+
+def choose_window(deep: Run, qrels, query_corpus, pool_corpus,
+                  grid: list[float], mode: str, k: int, eval_k: int) -> float:
+    """argmax of mean R@eval_k over candidate windows on dev data, scoring
+    the lists a run without re-ranking returns from these deep lists at
+    candidate depth k. Ties go to the larger (less destructive) window."""
     from .metrics import recall_at_k
 
     if not grid:
         raise ValueError("window grid is empty")
-    query_ids = [q for q in sorted(run) if qrels.relevant(q)]
+    query_ids = [q for q in sorted(deep) if qrels.relevant(q)]
     if not query_ids:
         raise ValueError("no queries with relevant documents")
+    deep = Run({q: deep[q] for q in query_ids})
     best_y, best_recall = None, -1.0
     for y in grid:
         window = DateWindow(y, mode)
-        total = 0.0
-        for query_id in query_ids:
-            filtered = apply_filter(query_corpus.get(query_id), run[query_id],
-                                    window, pool_corpus)
-            if mode == "pre":
-                filtered = filtered.truncated(k)
-            total += recall_at_k(filtered, qrels.relevant(query_id), k)
-        recall = total / len(query_ids)
+        final = finalize(candidates(deep, k, window, query_corpus, pool_corpus),
+                         window, query_corpus, pool_corpus)
+        recall = sum(recall_at_k(final[q], qrels.relevant(q), eval_k)
+                     for q in query_ids) / len(query_ids)
         if recall > best_recall or (recall == best_recall and best_y is not None
                                     and y > best_y):
             best_y, best_recall = y, recall

@@ -24,8 +24,8 @@ from .bm25 import (INDEX_VERSION, Bm25Params, PostingsIndex, build_index,
                    default_grid, load_index, save_index, tune_bm25,
                    write_grid_csv)
 from .corpus import Corpus, SplitManifest, ingest_collection, load_qrels
-from .datefilter import (DateWindow, choose_window, filter_run,
-                         write_year_hist_csv, year_diff_histogram)
+from .datefilter import (MODES, DateWindow, candidates, choose_window,
+                         finalize, write_year_hist_csv, year_diff_histogram)
 from .dense import (CentroidError, DocVectorStore, WordVectors,
                     build_centroid_store, centroid, knn_search,
                     load_doc_vectors, load_word_vectors, save_doc_vectors)
@@ -51,16 +51,14 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(raw: str, key: str) -> bool:
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+MAX_GRID_VALUES = 10_000
 
 
 def _parse_range(raw: str, key: str) -> list[float]:
-    """'start:stop:step' inclusive grid, or a comma-separated list."""
+    """'start:stop:step' inclusive grid, or a comma-separated list, of at
+    most MAX_GRID_VALUES values; a range's count is checked before any value
+    is built."""
+    too_many = ConfigError(f"{key}: more than {MAX_GRID_VALUES} grid values")
     if ":" in raw:
         parts = raw.split(":")
         if len(parts) != 3:
@@ -68,15 +66,15 @@ def _parse_range(raw: str, key: str) -> list[float]:
         start, stop, step = (parse_number(p, float, key) for p in parts)
         if step <= 0:
             raise ConfigError(f"{key}: step must be positive")
-        values = []
-        i = 0
-        while True:
-            v = round(start + i * step, 10)
-            if v > stop + 1e-9:
-                break
-            values.append(round(v, 4))
-            i += 1
-        return values
+        # the grid holds floor(span) + 1 values, give or take the rounding
+        # below (hence one spare index); span is inf if the bounds overflow
+        span = (stop - start + 1e-9) / step
+        if span >= MAX_GRID_VALUES:
+            raise too_many
+        grid = (round(start + i * step, 10) for i in range(max(int(span), 0) + 2))
+        return [round(v, 4) for v in grid if v <= stop + 1e-9]
+    if raw.count(",") >= MAX_GRID_VALUES:
+        raise too_many
     return [parse_number(p, float, key) for p in raw.split(",") if p]
 
 
@@ -155,16 +153,30 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: {p} does not exist")
             return p
 
-        task = raw.get("task", "")
-        if task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-        mode = raw.get("prefetch.mode", "bm25")
-        if mode not in PREFETCH_MODES:
-            raise ConfigError(f"prefetch.mode must be one of {PREFETCH_MODES}")
-        k = parse_number(raw.get("prefetch.k", "100"), int, "prefetch.k")
+        def number(key, kind, default=None):
+            return parse_number(raw[key], kind, key) if key in raw else default
+
+        def flag(key, default="false"):
+            value = raw.get(key, default)
+            if value.lower() not in ("true", "1", "yes", "false", "0", "no"):
+                raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+            return value.lower() in ("true", "1", "yes")
+
+        def grid(key, default):
+            return _parse_range(raw[key], key) if key in raw else default
+
+        def choice(key, allowed, default):
+            value = raw.get(key, default)
+            if value not in allowed:
+                raise ConfigError(f"{key}: expected one of {allowed}, got {value!r}")
+            return value
+
+        task = choice("task", TASKS, "")
+        mode = choice("prefetch.mode", PREFETCH_MODES, "bm25")
+        k = number("prefetch.k", int, 100)
         if k < 1:
             raise ConfigError("prefetch.k must be >= 1")
-        eval_k = parse_number(raw.get("eval.k", "20"), int, "eval.k")
+        eval_k = number("eval.k", int, 20)
         if eval_k < 1:
             raise ConfigError("eval.k must be >= 1")
 
@@ -172,16 +184,12 @@ class ExperimentConfig:
         if "bm25.k1" in raw or "bm25.b" in raw:
             if not ("bm25.k1" in raw and "bm25.b" in raw):
                 raise ConfigError("bm25.k1 and bm25.b must be given together")
-            bm25_params = Bm25Params(parse_number(raw["bm25.k1"], float, "bm25.k1"),
-                                     parse_number(raw["bm25.b"], float, "bm25.b"))
-        bm25_tune = _parse_bool(raw.get("bm25.tune", "false"), "bm25.tune")
+            bm25_params = Bm25Params(number("bm25.k1", float), number("bm25.b", float))
+        bm25_tune = flag("bm25.tune")
         if bm25_tune and bm25_params is not None:
             raise ConfigError("bm25.tune conflicts with explicit bm25.k1/b")
         grid_k1, grid_b = default_grid()
-        if "bm25.grid_k1" in raw:
-            grid_k1 = _parse_range(raw["bm25.grid_k1"], "bm25.grid_k1")
-        if "bm25.grid_b" in raw:
-            grid_b = _parse_range(raw["bm25.grid_b"], "bm25.grid_b")
+        grid_k1, grid_b = grid("bm25.grid_k1", grid_k1), grid("bm25.grid_b", grid_b)
 
         components = None
         if "fusion.components" in raw:
@@ -193,20 +201,18 @@ class ExperimentConfig:
             components = parts
         if mode == "ensemble" and components is None:
             raise ConfigError("ensemble mode requires fusion.components")
-        fusion_alpha = (parse_number(raw["fusion.alpha"], float, "fusion.alpha")
-                        if "fusion.alpha" in raw else None)
+        fusion_alpha = number("fusion.alpha", float)
         if fusion_alpha is not None and not 0 <= fusion_alpha <= 1:
             raise ConfigError("fusion.alpha must be in [0, 1]")
-        fusion_tune = _parse_bool(raw.get("fusion.tune", "false"), "fusion.tune")
+        fusion_tune = flag("fusion.tune")
         if mode == "ensemble" and fusion_alpha is None and not fusion_tune:
             raise ConfigError("ensemble mode needs fusion.alpha or fusion.tune")
-        fusion_grid = (_parse_range(raw["fusion.grid"], "fusion.grid")
-                       if "fusion.grid" in raw else default_alpha_grid())
+        fusion_grid = grid("fusion.grid", default_alpha_grid())
+        if mode != "ensemble":  # checked, but only an ensemble fuses
+            components, fusion_tune = None, False
 
-        rerank_model = raw.get("rerank.model", "none")
-        if rerank_model not in ("none", "drmm", "pacrr"):
-            raise ConfigError("rerank.model must be none, drmm or pacrr")
-        seed = parse_number(raw.get("seed", "0"), int, "seed")
+        rerank_model = choice("rerank.model", ("none", "drmm", "pacrr"), "none")
+        seed = number("seed", int, 0)
         if "rerank.seeds" in raw:
             rerank_seeds = [parse_number(s, int, "rerank.seeds")
                             for s in raw["rerank.seeds"].split(",") if s]
@@ -214,21 +220,6 @@ class ExperimentConfig:
             rerank_seeds = [seed]
         if rerank_model != "none" and not rerank_seeds:
             raise ConfigError("a trained re-ranker needs at least one seed")
-        rerank_embeddings = raw.get("rerank.embeddings", "word")
-        if rerank_embeddings not in ("word", "token"):
-            raise ConfigError("rerank.embeddings must be word or token")
-
-        datefilter_years = None
-        if "datefilter.years" in raw:
-            datefilter_years = parse_number(raw["datefilter.years"], float,
-                                            "datefilter.years")
-        datefilter_mode = raw.get("datefilter.mode", "post")
-        if datefilter_mode not in ("pre", "post"):
-            raise ConfigError("datefilter.mode must be pre or post")
-        datefilter_tune = _parse_bool(raw.get("datefilter.tune", "false"),
-                                      "datefilter.tune")
-        datefilter_grid = (_parse_range(raw["datefilter.grid"], "datefilter.grid")
-                           if "datefilter.grid" in raw else [1, 2, 5, 10, 15])
 
         cfg = cls(
             raw=dict(sorted(raw.items())),
@@ -239,8 +230,7 @@ class ExperimentConfig:
             qrels_path=path_of("data.qrels", required=True),
             splits_path=path_of("data.splits", required=True),
             stopwords_path=path_of("text.stopwords"),
-            idf_filter=_parse_bool(raw.get("text.idf_filter", "true"),
-                                   "text.idf_filter"),
+            idf_filter=flag("text.idf_filter", "true"),
             prefetch_mode=mode,
             k=k,
             bm25_params=bm25_params,
@@ -257,28 +247,22 @@ class ExperimentConfig:
             rerank_model=rerank_model,
             rerank_hyperparams_path=path_of("rerank.hyperparams"),
             rerank_seeds=rerank_seeds,
-            rerank_embeddings=rerank_embeddings,
+            rerank_embeddings=choice("rerank.embeddings", ("word", "token"), "word"),
             token_vectors_path=path_of("rerank.token_vectors"),
-            datefilter_years=datefilter_years,
-            datefilter_mode=datefilter_mode,
-            datefilter_tune=datefilter_tune,
-            datefilter_grid=datefilter_grid,
+            datefilter_years=number("datefilter.years", float),
+            datefilter_mode=choice("datefilter.mode", MODES, "post"),
+            datefilter_tune=flag("datefilter.tune"),
+            datefilter_grid=grid("datefilter.grid", [1, 2, 5, 10, 15]),
             eval_k=eval_k,
         )
         cfg._check_resources()
         return cfg
 
     def _check_resources(self) -> None:
-        needs_w2v = (self.prefetch_mode == "w2v-cent"
-                     or (self.fusion_components is not None
-                         and "w2v-cent" in self.fusion_components))
-        if needs_w2v and self.word_vectors_path is None:
+        if "w2v-cent" in self.components and self.word_vectors_path is None:
             raise ConfigError("w2v-cent requires dense.word_vectors")
-        needs_docvec = (self.prefetch_mode == "doc-vectors"
-                        or (self.fusion_components is not None
-                            and "doc-vectors" in self.fusion_components))
-        if needs_docvec and (self.pool_vectors_path is None
-                             or self.query_vectors_path is None):
+        if "doc-vectors" in self.components and (self.pool_vectors_path is None
+                                                 or self.query_vectors_path is None):
             raise ConfigError("doc-vectors requires dense.pool_vectors and "
                               "dense.query_vectors")
         if self.rerank_model != "none":
@@ -290,10 +274,14 @@ class ExperimentConfig:
                                   "rerank.token_vectors")
 
     @property
+    def components(self) -> tuple[str, ...]:
+        """The pre-fetchers the mode runs: the fused pair in ensemble mode,
+        else the mode itself."""
+        return self.fusion_components or (self.prefetch_mode,)
+
+    @property
     def needs_bm25(self) -> bool:
-        return (self.prefetch_mode == "bm25"
-                or (self.fusion_components is not None
-                    and "bm25" in self.fusion_components))
+        return "bm25" in self.components
 
     def input_paths(self) -> list[Path]:
         paths = [self.pool_path, self.queries_path, self.qrels_path,
@@ -386,10 +374,10 @@ class Prefetcher:
     fusion of two. Holds what the pre-fetchers read; what the mode does not
     use stays None. Shared by `regir run` and `regir prefetch`.
 
-    Every query gets a deep list of 2k entries, so that a pre-mode date
-    filter can refill to k. Fusion components are fetched twice as deep
-    again, so the fused top 2k can draw on documents below either
-    component's own top 2k.
+    Every query gets a deep list of 2k entries, so that a date window
+    applied before re-ranking can refill to k. Fusion components are fetched
+    twice as deep again, so the fused top 2k can draw on documents below
+    either component's own top 2k.
     """
 
     mode: str
@@ -433,13 +421,6 @@ class Prefetcher:
             return self.component_run(self.mode, query_ids, self.deep)
         run_a, run_b = parts or self.fusion_parts(query_ids)
         return fuse_runs(run_a, run_b, alpha, self.deep)
-
-    def candidates(self, deep_run: Run, window: DateWindow | None,
-                   pool: Corpus | None) -> Run:
-        """Top-k candidate lists, with pre-filter refill from the deep list."""
-        if window is not None and window.mode == "pre":
-            return filter_run(deep_run, window, self.queries, pool, k=self.k)
-        return deep_run.truncated(self.k)
 
 
 class _Stages:
@@ -545,8 +526,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             bm25_params = Bm25Params(best["k1"], best["b"])
 
     cent_store = None
-    if (config.prefetch_mode == "w2v-cent"
-            or (config.fusion_components and "w2v-cent" in config.fusion_components)):
+    if "w2v-cent" in config.components:
         cent_path = outdir / "centroids.vec"
         stages.run("centroids", [cent_path],
                    lambda: save_doc_vectors(
@@ -555,8 +535,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
         cent_store = load_doc_vectors(cent_path)
 
     pool_store = query_store = None
-    if (config.prefetch_mode == "doc-vectors"
-            or (config.fusion_components and "doc-vectors" in config.fusion_components)):
+    if "doc-vectors" in config.components:
         pool_store = load_doc_vectors(config.pool_vectors_path)
         pool_store.validate_against(pool)
         query_store = load_doc_vectors(config.query_vectors_path)
@@ -579,7 +558,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     def prefetch_stage():
         nonlocal alpha
         dev_parts = None
-        if config.prefetch_mode == "ensemble" and config.fusion_tune:
+        if config.fusion_tune:
             # tune on the dev components the dev split fetches anyway: each
             # list is a prefix of one total order, so the top `deep` of a
             # deeper fetch is exactly what a `deep` fetch returns
@@ -596,22 +575,22 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             write_run(run, outdir / f"prefetch_{split}.tsv", comment=tag)
 
     prefetch_outputs = [outdir / f"prefetch_{s}.tsv" for s in split_ids]
-    if config.prefetch_mode == "ensemble" and config.fusion_tune:
+    if config.fusion_tune:
         prefetch_outputs.append(outdir / "fusion_alpha.json")
     stages.run("prefetch", prefetch_outputs, prefetch_stage)
     if not prefetch:
         for split in split_ids:
             prefetch[split] = read_run(outdir / f"prefetch_{split}.tsv")
-        if config.prefetch_mode == "ensemble" and config.fusion_tune:
+        if config.fusion_tune:
             alpha = json.loads((outdir / "fusion_alpha.json").read_text())["alpha"]
 
     window = None
     if config.datefilter_years is not None or config.datefilter_tune:
         years = config.datefilter_years
         if config.datefilter_tune:
-            years = choose_window(prefetch["dev"], qrels,
-                                  queries, pool, config.datefilter_grid,
-                                  config.datefilter_mode, k=config.eval_k)
+            years = choose_window(prefetch["dev"], qrels, queries, pool,
+                                  config.datefilter_grid, config.datefilter_mode,
+                                  config.k, config.eval_k)
             (outdir / "datefilter_years.json").write_text(json.dumps({"years": years}))
         window = DateWindow(years, config.datefilter_mode)
 
@@ -642,9 +621,9 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             provider = load_token_vectors(config.token_vectors_path)
         store = FeatureStore(config.rerank_model, provider, pipeline,
                              queries, pool, hp)
-        train_cands = prefetcher.candidates(prefetch["train"], window, pool)
-        dev_cands = prefetcher.candidates(prefetch["dev"], window, pool)
-        test_cands = prefetcher.candidates(prefetch["test"], window, pool)
+        train_cands, dev_cands, test_cands = (
+            candidates(prefetch[split], config.k, window, queries, pool)
+            for split in ("train", "dev", "test"))
         reports = []
         for seed in config.rerank_seeds:
             ck_path = outdir / f"checkpoint_seed{seed}.bin"
@@ -660,9 +639,8 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
                                      store, replace(hp, seed=seed))
                 save_checkpoint(result, ck)
                 write_training_log(result.log_rows, lg, comment=tag)
-                reranked = result.reranker(store).rerank_run(test_cands)
-                if window is not None and window.mode == "post":
-                    reranked = filter_run(reranked, window, queries, pool)
+                reranked = finalize(result.reranker(store).rerank_run(test_cands),
+                                    window, queries, pool)
                 write_run(reranked, rr, comment=tag)
                 write_eval_csv(evaluate_run(reranked,
                                             qrels.restrict(splits.test_ids),
@@ -679,9 +657,8 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             summary_path = outdir / "eval_summary.csv"
             write_summary_csv(aggregate_runs(reports), summary_path, comment=tag)
     else:
-        final = prefetcher.candidates(prefetch["test"], window, pool)
-        if window is not None and window.mode == "post":
-            final = filter_run(final, window, queries, pool)
+        final = finalize(candidates(prefetch["test"], config.k, window, queries,
+                                    pool), window, queries, pool)
         ev_path = outdir / "eval_test.csv"
 
         def eval_stage():

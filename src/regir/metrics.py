@@ -74,9 +74,6 @@ class EvalReport:
             return {m: 0.0 for m in names}
         return {m: sum(row[m] for row in self.per_query.values()) / n for m in names}
 
-    def __getitem__(self, metric: str) -> float:
-        return self.macro[metric]
-
 
 def evaluate_run(run: Run, qrels, k: int = 20) -> EvalReport:
     """Score every query in the run; queries with no relevant documents are

@@ -224,14 +224,10 @@ class Reranker:
         self.w_p = w_p
         self.store = store
 
-    def rerank_list(self, query_id: str, ranking: RankedList,
-                    k: int | None = None) -> RankedList:
-        """Reorder the pre-fetched candidates by rel(q, d); entries beyond k
-        are dropped before scoring when k is given."""
+    def rerank_list(self, query_id: str, ranking: RankedList) -> RankedList:
+        """Reorder the pre-fetched candidates by rel(q, d)."""
         if not ranking:
             return ranking
-        if k is not None:
-            ranking = ranking.truncated(k)
         norm = dict(normalize_scores(ranking))
         rescored = []
         for doc_id in ranking.doc_ids:
@@ -239,11 +235,9 @@ class Reranker:
             rescored.append((doc_id, rel_score(s_r, norm[doc_id], self.w_r, self.w_p)))
         return RankedList(sort_scored(rescored), presorted=True)
 
-    def rerank_run(self, run: Run, k: int | None = None) -> Run:
-        out = Run()
-        for query_id in run:
-            out[query_id] = self.rerank_list(query_id, run[query_id], k)
-        return out
+    def rerank_run(self, run: Run) -> Run:
+        return Run({query_id: self.rerank_list(query_id, ranking)
+                    for query_id, ranking in run.items()})
 
 
 def _dev_recall(params_w, model, store: FeatureStore, dev_ids, qrels, run: Run,

@@ -251,6 +251,21 @@ def test_commands_load_the_index_once(env, tmp_path, monkeypatch):
     assert loads == [root / "index.bin"] * 2
 
 
+@pytest.mark.parametrize("command,option", [
+    ("tune-bm25", "--grid-k1"), ("tune-bm25", "--grid-b"), ("fuse", "--grid"),
+])
+def test_grid_options_are_bounded(env, tmp_path, command, option):
+    root = env.root
+    args = {"tune-bm25": ["--index", root / "index.bin",
+                          "--queries", root / "queries.jsonl"],
+            "fuse": ["--run-a", root / "run_all.tsv", "--run-b",
+                     root / "run_all.tsv", "--tune-alpha"]}[command]
+    result = env.cli(command, *args, "--qrels", root / "qrels.tsv",
+                     option, "0:1e9:1e-9", "--out", tmp_path / "out")
+    assert result.exit_code == 1
+    assert f"{option}: more than 10000 grid values" in blob(result)
+
+
 def test_fuse_fixed_alpha(env, tmp_path):
     out = tmp_path / "fused.tsv"
     result = env.ok("fuse", "--run-a", env.root / "run_all.tsv",
@@ -314,6 +329,22 @@ def test_rerank_with_checkpoint(env, tmp_path):
         assert set(after[query_id].doc_ids) == set(before[query_id].doc_ids)
 
 
+def test_rerank_k_truncates_before_scoring(env, tmp_path):
+    out = tmp_path / "reranked_k2.tsv"
+    env.ok("rerank", "--checkpoint", env.root / "ck.bin",
+           "--run", env.root / "run_test.tsv",
+           "--queries", env.root / "queries.jsonl",
+           "--collection", env.root / "pool.jsonl",
+           "--index", env.root / "index.bin",
+           "--word-vectors", env.root / "wv.txt", "--k", "2", "--out", out)
+    before = read_run(env.root / "run_test.tsv")
+    after = read_run(out)
+    assert after.keys() == before.keys()
+    for query_id, rl in after.items():
+        assert len(rl) == 2
+        assert set(rl.doc_ids) == set(before[query_id].doc_ids[:2])
+
+
 def test_rerank_post_date_filter_drops_entries(env, tmp_path):
     out = tmp_path / "reranked_dated.tsv"
     env.ok("rerank", "--checkpoint", env.root / "ck.bin",
@@ -342,14 +373,40 @@ def test_date_filter_command(env, tmp_path):
     assert kept <= total
 
 
-def test_date_filter_pre_needs_k(env, tmp_path):
-    result = env.cli("date-filter", "--run", env.root / "run_all.tsv",
-                     "--queries", env.root / "queries.jsonl",
-                     "--collection", env.root / "pool.jsonl",
-                     "--years", "3", "--mode", "pre",
-                     "--out", tmp_path / "f.tsv")
-    assert result.exit_code != 0
-    assert "--k" in blob(result)
+def date_filter(env, out, *args):
+    """The lists `date-filter --years 3` writes for run_all.tsv, with an
+    empty list for each query it did not write (all entries dropped)."""
+    env.ok("date-filter", "--run", env.root / "run_all.tsv",
+           "--queries", env.root / "queries.jsonl",
+           "--collection", env.root / "pool.jsonl", "--years", "3", *args,
+           "--out", out)
+    written = read_run(out)
+    return {q: written[q].doc_ids if q in written else []
+            for q in read_run(env.root / "run_all.tsv")}
+
+
+def in_window(env, depth=None):
+    pool = ingest_collection(env.root / "pool.jsonl")
+    queries = ingest_collection(env.root / "queries.jsonl")
+    return {q: [d for d in rl.doc_ids[:depth]
+                if abs(pool.get(d).year - queries.get(q).year) <= 3]
+            for q, rl in read_run(env.root / "run_all.tsv").items()}
+
+
+def test_date_filter_without_k_cuts_nothing(env, tmp_path):
+    # with nothing deeper to refill from, both modes keep every survivor
+    kept = in_window(env)
+    assert date_filter(env, tmp_path / "pre.tsv", "--mode", "pre") == kept
+    assert date_filter(env, tmp_path / "post.tsv", "--mode", "post") == kept
+
+
+def test_date_filter_k_is_the_candidate_depth(env, tmp_path):
+    """pre refills to k from deeper entries; post filters the top k."""
+    pre = date_filter(env, tmp_path / "pre.tsv", "--mode", "pre", "--k", "3")
+    post = date_filter(env, tmp_path / "post.tsv", "--mode", "post", "--k", "3")
+    assert pre == {q: kept[:3] for q, kept in in_window(env).items()}
+    assert post == in_window(env, depth=3)
+    assert pre != post
 
 
 def test_evaluate_echoes_metrics_and_writes_csv(env, tmp_path):
@@ -389,6 +446,19 @@ def test_report_aggregate(env, tmp_path):
     assert "+/-" in result.output
     lines = summary.read_text().splitlines()
     assert lines[0] == "metric,mean,sd"
+
+
+@pytest.mark.parametrize("header,row", [
+    ("query_id,recall,ndcg_at_10,rp", "q1,0.5,0.5,0.5"),
+    ("query_id,r_at_10,rp", "q1,0.5,0.5"),
+], ids=["no-recall-column", "no-ndcg-column"])
+def test_report_aggregate_rejects_foreign_eval_csv(env, tmp_path, header, row):
+    foreign = tmp_path / "foreign.csv"
+    foreign.write_text(f"{header}\n{row}\n")
+    result = env.cli("report", "aggregate", "--eval", foreign,
+                     "--out", tmp_path / "summary.csv")
+    assert result.exit_code == 1
+    assert f"{foreign}: expected the columns r_at_K, ndcg_at_K, rp" in blob(result)
 
 
 def test_report_rk_curve(env, tmp_path):

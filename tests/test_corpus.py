@@ -180,8 +180,53 @@ def test_split_manifest_chronology_warns_not_fails(caplog):
     assert any("chronolog" in r.message.lower() for r in caplog.records)
 
 
+def write_splits(manifest: SplitManifest, path) -> None:
+    path.write_text(json.dumps({"train": manifest.train_ids,
+                                "dev": manifest.dev_ids,
+                                "test": manifest.test_ids,
+                                "pool": manifest.pool_ids}, indent=2))
+
+
 def test_split_manifest_json_roundtrip(tmp_path):
     manifest = SplitManifest(["a"], ["b"], ["c"], ["p"])
-    manifest.to_json(tmp_path / "s.json")
+    write_splits(manifest, tmp_path / "s.json")
     back = SplitManifest.from_json(tmp_path / "s.json")
     assert back == manifest
+
+
+@pytest.mark.parametrize("content,message", [
+    (b'{\n  "train": ["q1"],\n  "dev": ["q\xff"]\n}', "line 3: not valid UTF-8"),
+    (b'{\n  "train": ["q1"],\n  "dev": \n', "line 3: malformed JSON"),
+    (b'["q1"]', "split manifest must be a JSON object"),
+    (b'{"train": ["q1"], "dev": [], "test": []}', "split manifest missing key 'pool'"),
+    (b'{"train": "q1", "dev": [], "test": [], "pool": []}',
+     "split 'train' must be a list of strings"),
+    (b'{"train": [], "dev": [1], "test": [], "pool": []}',
+     "split 'dev' must be a list of strings"),
+], ids=["undecodable", "truncated", "not-an-object", "missing-key",
+        "string-not-list", "non-string-id"])
+def test_split_manifest_rejects_bad_file(tmp_path, content, message):
+    path = tmp_path / "s.json"
+    path.write_bytes(content)
+    with pytest.raises(CorpusError) as info:
+        SplitManifest.from_json(path)
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
+@pytest.mark.parametrize("content,message", [
+    (b'[\n{"doc_id": "a", "title": "T", "body": "\xff"}\n]',
+     "line 2: not valid UTF-8"),
+    (b'[\n{"doc_id": "a", "title": "T", "body": "b"},\n', "line 2: malformed JSON"),
+    (b'{"doc_id": "a", "title": "T", "body": "b"}\n{"doc_id": "b"', "line 2: malformed JSON"),
+    (b'["just a string"]', "record 1: expected a JSON object"),
+    (b'[{"doc_id": "a", "title": 7, "body": "b"}]', "record 1: title/body must be strings"),
+    (b'[{"doc_id": "a", "title": "T", "body": "b"},'
+     b' {"doc_id": "a", "title": "T", "body": "b"}]', "duplicate doc_id 'a'"),
+], ids=["undecodable", "truncated-array", "truncated-jsonl", "not-an-object",
+        "title-not-string", "duplicate"])
+def test_convert_rejects_bad_archive_naming_the_file(tmp_path, content, message):
+    src = tmp_path / "foreign.json"
+    src.write_bytes(content)
+    with pytest.raises(CorpusError) as info:
+        convert_collection(src, tmp_path / "canon.jsonl")
+    assert str(info.value).startswith(f"{src}: {message}")

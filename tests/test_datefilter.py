@@ -3,9 +3,9 @@ import math
 import pytest
 
 from regir.corpus import Corpus, Qrels
-from regir.datefilter import (DateWindow, apply_filter, choose_window,
-                              filter_run, write_year_hist_csv,
-                              year_diff_histogram)
+from regir.datefilter import (DateWindow, apply_filter, candidates,
+                              choose_window, filter_run, finalize,
+                              write_year_hist_csv, year_diff_histogram)
 from regir.ranking import RankedList, Run
 
 from conftest import make_doc
@@ -114,7 +114,8 @@ def test_choose_window_infinite_grid_keeps_metrics():
     queries = Corpus([make_doc("q1", ["tax"], year=2005)])
     run = Run({"q1": rl("a", "b")})
     qrels = Qrels({"q1": {"b"}})
-    assert choose_window(run, qrels, queries, pool, [math.inf], "post") == math.inf
+    assert choose_window(run, qrels, queries, pool, [math.inf], "post",
+                         k=2, eval_k=20) == math.inf
 
 
 def test_choose_window_planted_optimum():
@@ -129,7 +130,8 @@ def test_choose_window_planted_optimum():
     order = [f"noise{i:02d}" for i in range(30)] + ["rel_near", "rel_far"]
     run = Run({"q1": rl(*order)})
     qrels = Qrels({"q1": {"rel_near", "rel_far"}})
-    chosen = choose_window(run, qrels, queries, pool, [1, 2, 3], "pre", k=20)
+    chosen = choose_window(run, qrels, queries, pool, [1, 2, 3], "pre",
+                           k=20, eval_k=20)
     assert chosen == 2
 
 
@@ -138,7 +140,45 @@ def test_choose_window_tie_takes_larger():
     queries = Corpus([make_doc("q1", ["tax"], year=2000)])
     run = Run({"q1": rl("rel")})
     qrels = Qrels({"q1": {"rel"}})
-    assert choose_window(run, qrels, queries, pool, [1, 5, 3], "post") == 5
+    assert choose_window(run, qrels, queries, pool, [1, 5, 3], "post",
+                         k=1, eval_k=20) == 5
+
+
+@pytest.mark.parametrize("mode,years,k,eval_k", [
+    # post filters only the top k, so the window that reaches d3 at deep
+    # rank 3 finds nothing the run returns: both windows score 0
+    ("post", {"d1": 2000, "d2": 2000, "d3": 2020, "d4": 2020}, 2, 2),
+    # pre refills to k = 1, so d3 at refill rank 2 is not returned either
+    ("pre", {"d1": 2020, "d2": 2000, "d3": 2020, "d4": 2000}, 1, 2),
+], ids=["post", "pre-eval-k-beyond-k"])
+def test_choose_window_scores_only_the_lists_the_run_returns(mode, years, k,
+                                                             eval_k):
+    pool = corpus_with_years(years)
+    queries = Corpus([make_doc("q1", ["tax"], year=2020)])
+    deep = Run({"q1": rl("d1", "d2", "d3", "d4")})
+    qrels = Qrels({"q1": {"d3"}})
+    assert choose_window(deep, qrels, queries, pool, [1, 100], mode,
+                         k=k, eval_k=eval_k) == 100
+
+
+def test_candidates_and_finalize():
+    pool = corpus_with_years({"far": 1990, "ok1": 2005, "ok2": 2007})
+    queries = Corpus([make_doc("q1", ["tax"], year=2006)])
+    deep = Run({"q1": rl("far", "ok1", "ok2")})
+    pre, post = DateWindow(5, "pre"), DateWindow(5, "post")
+    # pre: filter, refill to k; finalize leaves the lists alone
+    cands = candidates(deep, 2, pre, queries, pool)
+    assert cands["q1"].doc_ids == ["ok1", "ok2"]
+    assert finalize(cands, pre, queries, pool) is cands
+    # post: the top k, filtered at the end
+    cands = candidates(deep, 2, post, queries, pool)
+    assert cands["q1"].doc_ids == ["far", "ok1"]
+    assert finalize(cands, post, queries, pool)["q1"].doc_ids == ["ok1"]
+    # no window: the top k; k=None cuts nothing
+    assert candidates(deep, 1, None, queries, pool)["q1"].doc_ids == ["far"]
+    assert candidates(deep, None, None, queries, pool) is deep
+    assert candidates(deep, None, pre, queries, pool)["q1"].doc_ids == ["ok1", "ok2"]
+    assert finalize(deep, None, queries, pool) is deep
 
 
 def test_year_diff_histogram_skips_unknown_years(tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import time
 
 import pytest
 
@@ -49,6 +50,26 @@ def test_parse_range_rejects_bad_step():
         _parse_range("0:1:0", "x")
     with pytest.raises(ConfigError, match="start:stop:step"):
         _parse_range("0:1", "x")
+
+
+def test_parse_range_accepts_up_to_the_bound():
+    assert len(_parse_range("0:9999:1", "x")) == 10_000
+    assert len(_parse_range(",".join(["1"] * 10_000), "x")) == 10_000
+
+
+@pytest.mark.parametrize("line, key", [
+    ("bm25.grid_k1 = 0:1e9:1e-9", "bm25.grid_k1"),
+    ("bm25.grid_b = 0:10000:1", "bm25.grid_b"),
+    ("fusion.grid = -1e308:1e308:1e-308", "fusion.grid"),
+    ("datefilter.grid = " + ",".join(["1"] * 10_001), "datefilter.grid"),
+])
+def test_config_rejects_oversized_grid_quickly(dataset, line, key):
+    path = dataset / "cfg.txt"
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match=rf"^{re.escape(f'{path}: {key}: ')}"
+                                          "more than 10000 grid values"):
+        cfg_from(dataset, BASE_CFG + line + "\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_config_happy_path(dataset):
@@ -113,6 +134,26 @@ def test_config_tune_conflicts_with_fixed_params(dataset):
 def test_config_rerank_needs_embedding_source(dataset):
     with pytest.raises(ConfigError, match="word"):
         cfg_from(dataset, BASE_CFG + "rerank.model = drmm\n")
+
+
+def test_stray_fusion_keys_do_not_widen_a_single_prefetcher(dataset, tmp_path):
+    """fusion.* keys count only in ensemble mode: no BM25 index for a
+    centroid run, and no dev fetch for an untuned one."""
+    cfg = cfg_from(dataset, BASE_CFG.replace("prefetch.mode = bm25",
+                                             "prefetch.mode = w2v-cent")
+                   + "dense.word_vectors = wv.txt\n"
+                   "fusion.components = bm25,w2v-cent\nfusion.tune = true\n")
+    assert cfg.components == ("w2v-cent",) and not cfg.needs_bm25
+    outdir = tmp_path / "out"
+    run_experiment(cfg, outdir)
+    assert (outdir / "centroids.vec").exists()
+    assert not (outdir / "index.bin").exists()
+    assert not (outdir / "prefetch_dev.tsv").exists()
+
+
+def test_stray_fusion_component_needs_no_resources(dataset):
+    cfg = cfg_from(dataset, BASE_CFG + "fusion.components = bm25,doc-vectors\n")
+    assert cfg.components == ("bm25",) and cfg.needs_bm25
 
 
 def test_config_bad_bool(dataset):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import pytest
 
-from regir.corpus import ingest_collection, load_qrels
+from regir.corpus import (SplitManifest, convert_collection, ingest_collection,
+                          load_qrels)
 from regir.dense import load_doc_vectors, load_word_vectors
 from regir.experiment import KNOWN_KEYS, load_config
 from regir.metrics import read_eval_csv
@@ -56,6 +57,30 @@ records = st.fixed_dictionaries({}, optional={
 @given(st.lists(records | json_values.map(json.dumps) | text | raw, max_size=6))
 def test_ingest_collection_fails_only_naming_the_path(tmp_path, lines):
     _loads_or_names_path(ingest_collection, tmp_path / "c.jsonl", lines)
+
+
+archives = st.lists(records | json_values.map(json.dumps), max_size=4).map(
+    lambda rs: "[" + ",\n".join(rs) + "]")
+
+
+@PROPERTY
+@given(st.lists(archives | records | json_values.map(json.dumps) | text | raw,
+                max_size=4))
+def test_convert_collection_fails_only_naming_the_path(tmp_path, lines):
+    _loads_or_names_path(lambda p: convert_collection(p, tmp_path / "out.jsonl"),
+                         tmp_path / "foreign.json", lines)
+
+
+split_files = st.fixed_dictionaries({}, optional={
+    key: st.lists(ids, max_size=3) | json_values
+    for key in ("train", "dev", "test", "pool")}).map(json.dumps)
+
+
+@PROPERTY
+@given(st.lists(split_files | json_values.map(json.dumps) | text | raw,
+                min_size=1, max_size=2))
+def test_split_manifest_fails_only_naming_the_path(tmp_path, lines):
+    _loads_or_names_path(SplitManifest.from_json, tmp_path / "splits.json", lines)
 
 
 run_rows = st.lists(st.sampled_from(["q1", "q2", ""]) | text, min_size=1,
@@ -145,11 +170,11 @@ def dataset(tmp_path_factory):
 
 CONFIG_BASE = ["task = EU2UK", "data.pool = pool.jsonl", "data.queries = queries.jsonl",
                "data.qrels = qrels.tsv", "data.splits = splits.json"]
-# bounded grids only: a range such as 0:1e9:1e-9 would be enumerated in full
 config_values = numbers | st.sampled_from([
     "true", "no", "EU2UK", "UK2EU", "bm25", "ensemble", "w2v-cent", "doc-vectors",
     "bm25,w2v-cent", "drmm", "pacrr", "word", "token", "pre", "post", "wv.txt",
-    "pool.jsonl", "missing.txt", "0:1:0.25", "0:a:1", "0:1", "1,x", "1,2"])
+    "pool.jsonl", "missing.txt", "0:1:0.25", "0:a:1", "0:1", "1,x", "1,2",
+    "0:1e9:1e-9"])
 
 
 @PROPERTY

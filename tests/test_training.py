@@ -402,15 +402,6 @@ def test_rerank_hand_set_model_puts_positives_first():
         assert top in qrels.relevant(query_id)
 
 
-def test_rerank_k_truncates_before_scoring():
-    hp = Hyperparams(B=6)
-    store, _, run, _, _ = make_store("drmm", hp)
-    reranker = Reranker(StubModel(10.0), w_r=1.0, w_p=1.0, store=store)
-    out = reranker.rerank_list("q0", run["q0"], k=2)
-    assert len(out) == 2
-    assert set(out.doc_ids) <= set(run["q0"].doc_ids[:2])
-
-
 # --- persistence ---
 
 def test_checkpoint_roundtrip(tmp_path):
