@@ -171,6 +171,15 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: expected one of {allowed}, got {value!r}")
             return value
 
+        def windows(key, years):
+            """The date-window sizes under key, each one a DateWindow takes."""
+            for value in years:
+                try:
+                    DateWindow(value)
+                except ValueError as exc:
+                    raise ConfigError(f"{key}: {exc}") from None
+            return years
+
         task = choice("task", TASKS, "")
         mode = choice("prefetch.mode", PREFETCH_MODES, "bm25")
         k = number("prefetch.k", int, 100)
@@ -220,6 +229,9 @@ class ExperimentConfig:
             rerank_seeds = [seed]
         if rerank_model != "none" and not rerank_seeds:
             raise ConfigError("a trained re-ranker needs at least one seed")
+        datefilter_years = number("datefilter.years", float)
+        if datefilter_years is not None:
+            windows("datefilter.years", [datefilter_years])
 
         cfg = cls(
             raw=dict(sorted(raw.items())),
@@ -249,10 +261,11 @@ class ExperimentConfig:
             rerank_seeds=rerank_seeds,
             rerank_embeddings=choice("rerank.embeddings", ("word", "token"), "word"),
             token_vectors_path=path_of("rerank.token_vectors"),
-            datefilter_years=number("datefilter.years", float),
+            datefilter_years=datefilter_years,
             datefilter_mode=choice("datefilter.mode", MODES, "post"),
             datefilter_tune=flag("datefilter.tune"),
-            datefilter_grid=grid("datefilter.grid", [1, 2, 5, 10, 15]),
+            datefilter_grid=windows("datefilter.grid",
+                                    grid("datefilter.grid", [1, 2, 5, 10, 15])),
             eval_k=eval_k,
         )
         cfg._check_resources()

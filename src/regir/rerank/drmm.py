@@ -52,17 +52,37 @@ class DrmmModel:
         """feats = (histograms (T, bins+1), idf (T,)). Returns s_r and the
         cache needed for the backward pass."""
         hists, idf = feats
-        if hists.ndim != 2 or hists.shape[1] != self.bins + 1:
-            raise ValueError(f"histogram width {hists.shape} does not match "
-                             f"bins={self.bins}")
+        z, out, gate, s_r = self._forward(hists[None], idf)
+        cache = {"hists": hists, "idf": idf, "z": z[0], "out": out[0],
+                 "gate": gate}
+        return float(s_r[0]), cache
+
+    def score_batch(self, feats_list) -> np.ndarray:
+        """s_r of each pair in feats_list, the candidates of one query, which
+        share its idf; with no backward cache. Each equals `score`'s to the
+        bit: both run `_forward`, whose products are per-pair slices."""
+        idf = feats_list[0][1]
+        if any(f[1] is not idf and not np.array_equal(f[1], idf)
+               for f in feats_list):
+            raise ValueError("a batch holds the candidates of one query, "
+                             "which share its idf")
+        return self._forward(np.stack([hists for hists, _ in feats_list]), idf)[3]
+
+    def _forward(self, hists: np.ndarray, idf: np.ndarray):
+        """The MLP over G documents' histograms (G, T, bins+1) against one
+        query, whose gate is computed once. Each stacked matmul's slices are
+        one document's products, so G changes no bit of its s_r; the gate
+        weighting is a (1, T) @ (T, 1) slice, the per-pair dot (the gemv
+        `out @ gate` would differ). Returns z (G, T, hidden), out (G, T),
+        gate (T,) and s_r (G,)."""
+        if hists.ndim != 3 or hists.shape[2] != self.bins + 1:
+            raise ValueError(f"histogram width {hists.shape[1:]} does not "
+                             f"match bins={self.bins}")
         p = self.params
-        z_pre = hists @ p["W1"].T + p["b1"]
-        z = np.tanh(z_pre)
-        out = z @ p["W2"] + p["b2"][0]
+        z = np.tanh(np.matmul(hists, p["W1"].T) + p["b1"])
+        out = np.matmul(z, p["W2"]) + p["b2"][0]
         gate = softmax(p["w_g"][0] * idf)
-        s_r = float(gate @ out)
-        cache = {"hists": hists, "idf": idf, "z": z, "out": out, "gate": gate}
-        return s_r, cache
+        return z, out, gate, np.matmul(out[:, None, :], gate[:, None])[:, 0, 0]
 
     def backward(self, cache, d_score: float) -> dict[str, np.ndarray]:
         p = self.params

@@ -206,9 +206,8 @@ def pacrr_query(query_tokens: list[str], query_doc_id: str, provider,
 
 def pacrr_pair(query, doc_tokens, doc_id: str, provider, d_len: int):
     """PACRR features of a `pacrr_query` result against one document, whose
-    tokens go to `provider.rows`."""
-    if len(doc_tokens) == 0:
-        raise ValueError("empty document after denoising")
+    tokens go to `provider.rows`; a document with no tokens gives a (T, 0)
+    similarity matrix."""
     rows, idf_col = query
     return sim_matrix(*rows, *provider.rows(doc_id, doc_tokens, d_len)), idf_col
 

@@ -106,54 +106,77 @@ class PacrrModel:
         p = (n - 1) // 2
         padded = np.zeros((t + n - 1, d + n - 1))
         padded[p:p + t, p:p + d] = S
-        cols = sliding_window_view(padded, (n, n)).reshape(t * d, n * n)
+        # an empty document has no windows (numpy has no n x n view of its
+        # n - 1 columns of padding)
+        cols = (sliding_window_view(padded, (n, n)).reshape(t * d, n * n) if d
+                else np.zeros((0, n * n)))
         out = self.params[f"K{n}"].reshape(-1, n * n) @ cols.T
         out += self.params[f"c{n}"][:, None]
         return out, cols
 
-    def score(self, feats) -> tuple[float, dict]:
-        """feats = (S (T, D), idf_col (T,)); returns s_r and the backward
-        cache."""
+    def _rows(self, feats, conv_cache: list | None = None) -> np.ndarray:
+        """One pair's LSTM input S_sim, (T, input_dim), from feats = (S (T, D),
+        idf_col (T,)). A document with no tokens (D = 0) gives all-zero
+        views. Given a list, conv_cache receives what the backward pass needs
+        of each convolution."""
         S, idf_col = feats
         if S.ndim != 2 or S.shape[0] != idf_col.shape[0]:
             raise ValueError("similarity matrix and idf column disagree on "
                              "query length")
-        if S.shape[0] == 0 or S.shape[1] == 0:
-            raise ValueError("empty query or document")
+        if S.shape[0] == 0:
+            raise ValueError("empty query")
         k = self.config.kmax
-        views = []
-        s_k, _ = _row_kmax(S, k)
-        views.append(s_k)
-        conv_cache = []
+        views = [_row_kmax(S, k)[0]]
         for n in self.config.kernel_sizes:
             c_out, cols = self._conv(S, n)
             v_n, idx_n = _row_kmax(c_out.max(axis=0).reshape(S.shape), k)
             views.append(v_n)
+            if conv_cache is None:
+                continue
             # only the k-max picks carry gradient, each into the filter that
             # won its position: keep just their windows and winners
             picked = idx_n >= 0
             flat = (idx_n + S.shape[1] * np.arange(S.shape[0])[:, None])[picked]
             conv_cache.append({"n": n, "picked": picked, "windows": cols[flat],
                                "winner": c_out[:, flat].argmax(axis=0)})
-        x = np.concatenate(views + [idf_col[:, None]], axis=1)
-        s_r, lstm_steps = self._lstm_forward(x)
-        cache = {"conv": conv_cache,
-                 "x": x, "steps": lstm_steps}
-        return s_r, cache
+        return np.concatenate(views + [idf_col[:, None]], axis=1)
 
-    def _lstm_forward(self, x: np.ndarray):
+    def score(self, feats) -> tuple[float, dict]:
+        """feats = (S (T, D), idf_col (T,)); returns s_r and the backward
+        cache."""
+        conv_cache: list = []
+        x = self._rows(feats, conv_cache)
+        steps: list = []
+        h = self._lstm(x[None], steps)
+        return float(h[0]), {"conv": conv_cache, "x": x, "steps": steps}
+
+    def score_batch(self, feats_list) -> np.ndarray:
+        """s_r of each pair in feats_list, the candidates of one query (so
+        every S has the query's T rows), with no backward cache. Each equals
+        `score`'s to the bit: the rows are built per pair as there, and the
+        recurrence is the same one, run over all candidates at once."""
+        return self._lstm(np.stack([self._rows(feats) for feats in feats_list]))
+
+    def _lstm(self, X: np.ndarray, steps: list | None = None) -> np.ndarray:
+        """Last hidden state of each of G sequences X (G, T, input_dim), all
+        read in one pass over the T steps. The input products of every step
+        are one stacked matmul whose slices are the per-sequence gemvs
+        `w @ x[t]`, so G does not change a bit of any sequence's result
+        (`X[:, t] @ w.T` would). Given a list, steps receives each step's
+        input and state of the first sequence for the backward pass."""
         w, u, b = self.params["lstm_W"], self.params["lstm_U"], self.params["lstm_b"]
-        h = c = 0.0
-        steps = []
-        for t in range(x.shape[0]):
-            a = w @ x[t] + u * h + b
-            i, f, o = _sigmoid(a[0]), _sigmoid(a[1]), _sigmoid(a[2])
-            g = np.tanh(a[3])
+        wx = np.matmul(w, X[..., None])[..., 0]
+        h = c = np.zeros(X.shape[0])
+        for t in range(X.shape[1]):
+            a = wx[:, t] + u * h[:, None] + b
+            i, f, o = _sigmoid(a[:, :3]).T
+            g = np.tanh(a[:, 3])
             c_new = f * c + i * g
             tc = np.tanh(c_new)
-            steps.append((x[t], h, c, i, f, o, g, tc))
+            if steps is not None:
+                steps.append((X[0, t], h[0], c[0], i[0], f[0], o[0], g[0], tc[0]))
             h, c = o * tc, c_new
-        return float(h), steps
+        return h
 
     def backward(self, cache, d_score: float) -> dict[str, np.ndarray]:
         grads = {name: np.zeros_like(p) for name, p in self.params.items()}

@@ -225,15 +225,16 @@ class Reranker:
         self.store = store
 
     def rerank_list(self, query_id: str, ranking: RankedList) -> RankedList:
-        """Reorder the pre-fetched candidates by rel(q, d)."""
+        """Reorder the pre-fetched candidates by rel(q, d), scoring them all
+        in one `score_batch` call."""
         if not ranking:
             return ranking
         norm = dict(normalize_scores(ranking))
-        rescored = []
-        for doc_id in ranking.doc_ids:
-            s_r, _ = self.model.score(self.store.features(query_id, doc_id))
-            rescored.append((doc_id, rel_score(s_r, norm[doc_id], self.w_r, self.w_p)))
-        return RankedList(sort_scored(rescored), presorted=True)
+        s_r = self.model.score_batch([self.store.features(query_id, doc_id)
+                                      for doc_id in ranking.doc_ids])
+        return RankedList(sort_scored(
+            [(doc_id, rel_score(s, norm[doc_id], self.w_r, self.w_p))
+             for doc_id, s in zip(ranking.doc_ids, s_r.tolist())]), presorted=True)
 
     def rerank_run(self, run: Run) -> Run:
         return Run({query_id: self.rerank_list(query_id, ranking)

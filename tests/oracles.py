@@ -1,9 +1,10 @@
 """Reference code that only tests call: scorers one (query, document) pair
 at a time (BM25 read off a document's postings, DRMM and PACRR forward
-passes from raw token lists), the dict-built postings, the lexsort top-k,
-the per-row histogram and einsum convolution that the vectorized kernels
-must reproduce, and small readers and helpers the pipeline itself has no
-use for."""
+passes from raw token lists or from one pair's 2-d products, and re-ranking
+with one model call per candidate), the dict-built postings, the lexsort
+top-k, the per-row histogram and einsum convolution that the vectorized
+kernels must reproduce, and small readers and helpers the pipeline itself
+has no use for."""
 
 from __future__ import annotations
 
@@ -14,12 +15,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from regir.bm25 import Bm25Params, GridCell, PostingsIndex
+from regir.fusion import normalize_scores
 from regir.metrics import recall_at_k
+from regir.ranking import RankedList, sort_scored
 from regir.text import IdfTable
 from regir.rerank.drmm import DrmmModel
 from regir.rerank.features import (TypeEmbeddings, dedup_terms, drmm_features,
-                                   pacrr_features, sim_matrix)
-from regir.rerank.pacrr import PacrrModel
+                                   pacrr_features, sim_matrix, softmax)
+from regir.rerank.pacrr import PacrrModel, _sigmoid
+from regir.rerank.train import rel_score
 
 
 def idf_from_token_lists(token_lists) -> IdfTable:
@@ -191,6 +195,42 @@ def pacrr_score(query_tokens: list[str], doc_tokens: list[str], model: PacrrMode
                            model.config.q_len, model.config.d_len)
     s_r, _ = model.score(feats)
     return s_r
+
+
+def drmm_score_2d(model: DrmmModel, feats) -> float:
+    """DRMM's s_r from one pair's 2-d products: `hists @ W1.T`, the gemv
+    `z @ W2` and the dot `gate @ out`."""
+    hists, idf = feats
+    p = model.params
+    out = np.tanh(hists @ p["W1"].T + p["b1"]) @ p["W2"] + p["b2"][0]
+    return float(softmax(p["w_g"][0] * idf) @ out)
+
+
+def pacrr_score_per_step(model: PacrrModel, feats) -> float:
+    """PACRR's s_r with the LSTM read over one pair's rows alone: a gemv
+    `w @ x[t]` per step and scalar state."""
+    x = model._rows(feats)
+    w, u, b = (model.params[k] for k in ("lstm_W", "lstm_U", "lstm_b"))
+    h = c = 0.0
+    for t in range(x.shape[0]):
+        a = w @ x[t] + u * h + b
+        i, f, o = _sigmoid(a[0]), _sigmoid(a[1]), _sigmoid(a[2])
+        c = f * c + i * np.tanh(a[3])
+        h = o * np.tanh(c)
+    return float(h)
+
+
+def rerank_list_per_pair(reranker, query_id: str, ranking: RankedList) -> RankedList:
+    """`Reranker.rerank_list` with one `model.score` call per candidate."""
+    if not ranking:
+        return ranking
+    norm = dict(normalize_scores(ranking))
+    rescored = []
+    for doc_id in ranking.doc_ids:
+        s_r, _ = reranker.model.score(reranker.store.features(query_id, doc_id))
+        rescored.append((doc_id, rel_score(s_r, norm[doc_id], reranker.w_r,
+                                           reranker.w_p)))
+    return RankedList(sort_scored(rescored), presorted=True)
 
 
 def read_grid_csv(path) -> list[GridCell]:

@@ -142,3 +142,44 @@ def test_config_runs_or_is_refused_naming_the_key(space, tmp_path, row):
                 year = queries.get(query_id).year
                 assert all(abs(pool.get(d).year - year) <= years
                            for d in ranking.doc_ids)
+
+
+@pytest.mark.parametrize("line, key", [
+    ("datefilter.years = 2.5", "datefilter.years"),
+    ("datefilter.years = -1", "datefilter.years"),
+    ("datefilter.grid = -1,2", "datefilter.grid"),
+    ("datefilter.grid = 0:2:0.5", "datefilter.grid"),
+])
+def test_bad_date_window_is_refused_naming_the_key(space, line, key):
+    row = dict(ROWS[0], datefilter="none")
+    path = space / "bad_window.txt"
+    path.write_text(config_text(row) + line + "\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(f'{path}: {key}: ')}"
+                                          "max_distance_years must be"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("model", ["drmm", "pacrr"])
+def test_rerank_scores_a_document_that_denoises_to_nothing(space, tmp_path, model):
+    """BM25 ranks zero-score documents, so with k past the matching ones a
+    stopword-only document becomes a candidate; the matchers score it from
+    all-zero features instead of aborting the run."""
+    blank = {"doc_id": "blank", "title": "The", "body": "of the and", "year": 2000}
+    (tmp_path / "pool.jsonl").write_text(
+        (space / "pool.jsonl").read_text() + json.dumps(blank) + "\n")
+    for name in ("queries.jsonl", "qrels.tsv", "splits.json", "wv.txt",
+                 "pool.vec", "queries.vec", "tokens.txt", "hp.txt"):
+        (tmp_path / name).write_text((space / name).read_text())
+    row = dict(ROWS[0], mode="bm25", bm25_tune=False, fusion="alpha",
+               datefilter="none", model=model, embeddings="word")
+    # no idf filter: the pool's only stopwords, in one document, would set
+    # its threshold above every term's idf
+    text = config_text(row).replace(f"prefetch.k = {K}", "prefetch.k = 50")
+    (tmp_path / "cfg.txt").write_text(text + "text.idf_filter = false\n")
+    pool = ingest_collection(tmp_path / "pool.jsonl")
+    assert build_pipeline(pool, idf_filter=False)(pool.get("blank").text) == []
+    outdir = tmp_path / "out"
+    run_experiment(load_config(tmp_path / "cfg.txt"), outdir)
+    reranked = read_run(outdir / "reranked_test_seed1.tsv")
+    assert reranked and all("blank" in ranking.doc_ids
+                            for ranking in reranked.values())

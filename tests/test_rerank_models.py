@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from regir.dense import WordVectors
 from regir.rerank import (DrmmModel, PacrrConfig, PacrrModel,
                           TokenEmbeddings, TypeEmbeddings, load_token_vectors,
                           sim_matrix)
-from regir.rerank.features import (bin_similarities, dedup_terms,
-                                   drmm_features, pacrr_features, softmax)
+from regir.rerank.features import (bin_similarities, dedup_terms, drmm_pair,
+                                   drmm_features, drmm_query, pacrr_features,
+                                   pacrr_pair, pacrr_query, softmax)
 
 from oracles import (bin_similarities_row, build_histogram, conv_einsum,
-                     drmm_features_per_row, drmm_score, pacrr_score)
+                     drmm_features_per_row, drmm_score, drmm_score_2d,
+                     pacrr_score, pacrr_score_per_step)
 
 
 def wv_from(mapping):
@@ -356,8 +359,8 @@ def test_pacrr_features_truncation_no_padding():
     assert np.allclose(idf_col, softmax(np.array([0.0, 1.0, 2.0])))
     with pytest.raises(ValueError):
         pacrr_features([], "", ["a"], "", provider, idf, 3, 4)
-    with pytest.raises(ValueError):
-        pacrr_features(["a"], "", [], "", provider, idf, 3, 4)
+    S, _ = pacrr_features(["a"], "", [], "", provider, idf, 3, 4)
+    assert S.shape == (1, 0)
 
 
 def test_pacrr_config_validation():
@@ -536,3 +539,78 @@ def test_pacrr_score_end_to_end():
 
 def test_dedup_terms_keeps_first_occurrence_order():
     assert dedup_terms(["b", "a", "b", "c", "a"]) == ["b", "a", "c"]
+
+
+# --- scoring a query's candidates in one call ---
+
+def ragged_candidates(rng, kind, provider, idf, query, config):
+    """Features of one query against ragged documents: none, fewer tokens
+    than kmax, longer than d_len, and out-of-vocabulary tokens."""
+    vocab = list(provider._row) + ["oov1", "oov2"]
+    lengths = (0, 1, config.kmax - 1, 7, config.d_len, config.d_len + 9, 60)
+    docs = [[vocab[i] for i in rng.integers(0, len(vocab), size=n)]
+            for n in lengths] + [["oov1", "oov2", "oov1"]]
+    if kind == "drmm":
+        q = drmm_query(dedup_terms(query), "", provider, idf)
+        return [drmm_pair(q, doc, "", provider, config.B) for doc in docs]
+    q = pacrr_query(query, "", provider, idf, config.q_len)
+    return [pacrr_pair(q, doc, "", provider, config.d_len) for doc in docs]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["drmm", "pacrr"])
+def test_score_batch_equals_per_pair_scores_bit_for_bit(kind, seed):
+    """Exact equality, not a tolerance: a BLAS that blocks the stacked
+    products differently from one pair's must fail here, not drift."""
+    rng = np.random.default_rng(900 + seed)
+    provider = TypeEmbeddings(wv_from({f"t{i}": rng.normal(size=6).tolist()
+                                       for i in range(30)}))
+    idf = FixedIdf({f"t{i}": 0.2 * i for i in range(30)})
+    config = SimpleNamespace(q_len=9, d_len=16, kmax=3, B=8)
+    if kind == "drmm":
+        model = DrmmModel.init(rng, bins=config.B, hidden=4)
+        model.params["b1"] = rng.normal(size=4)
+        model.params["w_g"] = rng.normal(size=1)
+        per_pair = drmm_score_2d
+    else:
+        model = PacrrModel.init(rng, PacrrConfig(q_len=config.q_len,
+                                                 d_len=config.d_len,
+                                                 kernel_sizes=(2, 3), filters=4,
+                                                 kmax=config.kmax))
+        for n in (2, 3):
+            model.params[f"c{n}"] = rng.normal(0, 0.05, size=4)
+        model.params["lstm_b"] = rng.normal(0, 0.1, size=4)
+        per_pair = pacrr_score_per_step
+    vocab = list(provider._row) + ["oov1"]
+    queries = [["t3"], ["oov1"], ["t1", "oov1", "t7", "t1"],
+               [vocab[i] for i in rng.integers(0, len(vocab), size=14)]]
+    for query in queries:
+        feats = ragged_candidates(rng, kind, provider, idf, query, config)
+        want = [per_pair(model, f) for f in feats]
+        assert [model.score(f)[0] for f in feats] == want
+        assert model.score_batch(feats).tolist() == want
+        assert model.score_batch(feats[::-1]).tolist() == want[::-1]
+        assert [model.score_batch([f]).tolist() for f in feats] == [[w] for w in want]
+
+
+def test_pacrr_empty_document_scores_from_zero_views():
+    rng = np.random.default_rng(4)
+    model = PacrrModel.init(rng, PacrrConfig(kernel_sizes=(2, 3), filters=3, kmax=2))
+    idf_col = softmax(np.array([0.5, 1.5]))
+    s_r, cache = model.score((np.zeros((2, 0)), idf_col))
+    assert np.all(cache["x"][:, :-1] == 0.0)
+    assert s_r == model.score((np.zeros((2, 5)), idf_col))[0]
+    grads = model.backward(cache, 1.0)
+    assert all(np.all(grads[f"{p}{n}"] == 0.0) for p in "Kc" for n in (2, 3))
+
+
+def test_score_batch_refuses_candidates_of_different_queries():
+    rng = np.random.default_rng(5)
+    drmm = DrmmModel.init(rng, bins=4, hidden=2)
+    with pytest.raises(ValueError, match="one query"):
+        drmm.score_batch([(np.zeros((2, 5)), np.array([1.0, 2.0])),
+                          (np.zeros((2, 5)), np.array([1.0, 3.0]))])
+    pacrr = PacrrModel.init(rng, PacrrConfig(kernel_sizes=(2,), filters=2))
+    with pytest.raises(ValueError):
+        pacrr.score_batch([(np.zeros((2, 5)), softmax(np.zeros(2))),
+                           (np.zeros((3, 5)), softmax(np.zeros(3)))])

@@ -22,6 +22,7 @@ from regir.rerank.train import (CHECKPOINT_FORMAT, Adam, FeatureStore,
 from regir.text import build_pipeline
 
 from conftest import make_doc
+from oracles import rerank_list_per_pair
 
 
 # --- loss and fusion arithmetic ---
@@ -257,10 +258,6 @@ def test_feature_store_equals_string_token_features(kind, hp, provider_kind):
                 terms = dedup_terms(q_tokens) if provider.dedup else q_tokens
                 want = drmm_features(terms, query.doc_id, d_tokens, doc.doc_id,
                                      provider, idf, hp.B)
-            elif not d_tokens:
-                with pytest.raises(ValueError, match="empty document"):
-                    store.features(query.doc_id, doc.doc_id)
-                continue
             else:
                 want = pacrr_features(q_tokens, query.doc_id, d_tokens, doc.doc_id,
                                       provider, idf, hp.q_len, hp.d_len)
@@ -383,6 +380,9 @@ class StubModel:
         hists, _ = feats
         return self.weight * float(hists[:, -1].sum()), {}
 
+    def score_batch(self, feats_list):
+        return np.array([self.score(feats)[0] for feats in feats_list])
+
 
 def test_rerank_with_wr_zero_preserves_prefetch_order():
     hp = Hyperparams(B=6)
@@ -400,6 +400,65 @@ def test_rerank_hand_set_model_puts_positives_first():
     for query_id in train_ids + dev_ids:
         top = reranker.rerank_list(query_id, run[query_id]).doc_ids[0]
         assert top in qrels.relevant(query_id)
+
+
+class CallCounter:
+    """A matcher that counts its calls and passes them on."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = {"score": 0, "score_batch": 0}
+
+    def score(self, feats):
+        self.calls["score"] += 1
+        return self.model.score(feats)
+
+    def score_batch(self, feats_list):
+        self.calls["score_batch"] += 1
+        return self.model.score_batch(feats_list)
+
+
+@pytest.mark.parametrize("provider_kind", ["type", "token"])
+@pytest.mark.parametrize("kind, hp", [
+    ("drmm", Hyperparams(B=7, hidden=3)),
+    ("pacrr", Hyperparams(q_len=4, d_len=8, filters=3, kmax=3)),
+])
+def test_rerank_list_equals_per_pair_oracle(kind, hp, provider_kind):
+    """Every pool document of the store fixture (ragged, one empty, with
+    out-of-vocabulary tokens) is a candidate of every query: one model call
+    per query gives lists equal, scores and all, to one call per pair."""
+    pool, queries, pipeline, providers = _store_fixture()
+    store = FeatureStore(kind, providers[provider_kind], pipeline, queries,
+                         pool, hp)
+    model = CallCounter(init_model(kind, hp, np.random.default_rng(3)))
+    reranker = Reranker(model, w_r=0.7, w_p=0.3, store=store)
+    doc_ids = [d.doc_id for d in pool]
+    rng = random.Random(4)
+    for query in queries:
+        ranking = RankedList([(d, rng.random()) for d in doc_ids])
+        got = reranker.rerank_list(query.doc_id, ranking)
+        assert model.calls == {"score": 0, "score_batch": 1}
+        assert got == rerank_list_per_pair(reranker, query.doc_id, ranking)
+        model.calls = {"score": 0, "score_batch": 0}
+
+
+@pytest.mark.parametrize("kind, hp", [
+    ("drmm", Hyperparams(lr=0.05, max_epochs=4, patience=10, negatives=2, B=6,
+                         hidden=3, batch=4, seed=9)),
+    ("pacrr", Hyperparams(lr=0.05, max_epochs=4, patience=10, negatives=2,
+                          kernel_sizes=(2,), filters=2, q_len=8, d_len=8,
+                          batch=4, seed=9)),
+])
+def test_training_log_equals_per_pair_oracle(kind, hp, monkeypatch):
+    """Dev recall re-ranks through the batch path; the log rows and the
+    trained parameters equal those of a run re-ranking one pair at a time."""
+    store, qrels, run, train_ids, dev_ids = make_store(kind, hp)
+    batched = train_model(kind, train_ids, dev_ids, qrels, run, store, hp)
+    monkeypatch.setattr(Reranker, "rerank_list", rerank_list_per_pair)
+    per_pair = train_model(kind, train_ids, dev_ids, qrels, run, store, hp)
+    assert batched.log_rows == per_pair.log_rows
+    assert all(np.array_equal(batched.model.params[k], per_pair.model.params[k])
+               for k in batched.model.params)
 
 
 # --- persistence ---
