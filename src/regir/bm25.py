@@ -17,7 +17,6 @@ import numpy as np
 
 from ._npz import read_npz, write_npz
 from ._textio import write_table
-from ._parallel import parallel_map
 from .ranking import RankedList, top_k_from_arrays
 from .text import IdfTable, TextPipeline
 
@@ -244,8 +243,7 @@ def tune_bm25(index: PostingsIndex, queries: dict[str, list[str]], qrels,
     if not scored:
         raise ValueError("no queries with relevant documents")
 
-    def cell(pair: tuple[float, float]) -> GridCell:
-        k1, b = pair
+    def cell(k1: float, b: float) -> GridCell:
         params = Bm25Params(k1, b)
         total = 0.0
         for _, toks, rel in scored:
@@ -254,7 +252,7 @@ def tune_bm25(index: PostingsIndex, queries: dict[str, list[str]], qrels,
             total += hits / len(rel)
         return GridCell(k1, b, total / len(scored))
 
-    cells = parallel_map(cell, [(k1, b) for k1 in k1_grid for b in b_grid])
+    cells = [cell(k1, b) for k1 in k1_grid for b in b_grid]
     best = max(cells, key=lambda c: (c.recall_at_k, -c.k1, -c.b))
     return Bm25Params(best.k1, best.b), cells
 

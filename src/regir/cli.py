@@ -2,8 +2,7 @@
 
 Every stage of an experiment is its own subcommand operating on files
 (collections, run TSVs, grids, checkpoints), and `run` drives the whole
-pipeline from one config file. Set REGIR_THREADS to parallelize the
-per-query and per-grid-cell work.
+pipeline from one config file.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .fusion import (default_alpha_grid, fuse_runs, tune_alpha,
                      write_alpha_grid_csv)
 from .metrics import (aggregate_runs, evaluate_run, read_eval_csv,
                       write_eval_csv, write_summary_csv, EvalReport)
-from .ranking import Run, read_run, write_run
+from .ranking import RankedList, Run, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
 from .rerank.train import (FeatureStore, Hyperparams, TrainingDiverged,
                            load_checkpoint, save_checkpoint, train_model,
@@ -463,12 +462,14 @@ def date_filter_cmd(run_path, queries, collection, years, mode, k, out):
 @click.option("--out", type=_out, help="Per-query metrics CSV.")
 @friendly_errors
 def evaluate(run_path, qrels, k, splits, split, out):
-    """Score a run file against judgments."""
+    """Score a run file against judgments. With --splits, every query of the
+    split is scored, and one absent from the run file (a list the date window
+    emptied is written as no lines) counts as an empty list."""
     run = read_run(run_path)
     judgments = load_qrels(qrels)
     if splits:
-        ids = set(_query_ids(None, splits, split))
-        run = Run({q: r for q, r in run.items() if q in ids})
+        run = Run({q: run.get(q, RankedList())
+                   for q in _query_ids(None, splits, split)})
     report = evaluate_run(run, judgments, k=k)
     for metric, value in report.macro.items():
         click.echo(f"{metric} {value:.4f}")

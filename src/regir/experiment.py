@@ -31,14 +31,13 @@ from .dense import (CentroidError, DocVectorStore, WordVectors,
                     load_doc_vectors, load_word_vectors, save_doc_vectors)
 from .fusion import (default_alpha_grid, fuse_runs, tune_alpha,
                      write_alpha_grid_csv)
-from .metrics import (aggregate_runs, evaluate_run, write_eval_csv,
-                      write_summary_csv)
+from .metrics import (EvalReport, aggregate_runs, evaluate_run, read_eval_csv,
+                      write_eval_csv, write_summary_csv)
 from .ranking import RankedList, Run, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
 from .rerank.train import (CHECKPOINT_VERSION, FeatureStore, Hyperparams,
                            save_checkpoint, train_model, write_training_log)
 from .text import TextPipeline, build_pipeline, load_stopwords
-from ._parallel import parallel_map
 from ._textio import parse_number, read_key_values, write_table
 
 log = logging.getLogger(__name__)
@@ -353,7 +352,7 @@ def bm25_run(index: PostingsIndex, pipeline: TextPipeline, query_corpus: Corpus,
         tokens = pipeline(query_corpus.get(query_id).text)
         return query_id, index.bm25_search(tokens, params, depth)
 
-    return Run(parallel_map(one, list(query_ids)))
+    return Run(map(one, query_ids))
 
 
 def centroid_run(pool_store: DocVectorStore, pipeline: TextPipeline,
@@ -368,7 +367,7 @@ def centroid_run(pool_store: DocVectorStore, pipeline: TextPipeline,
             return query_id, RankedList(presorted=True)
         return query_id, knn_search(qvec, pool_store, depth)
 
-    return Run(parallel_map(one, list(query_ids)))
+    return Run(map(one, query_ids))
 
 
 def doc_vectors_run(pool_store: DocVectorStore, query_store: DocVectorStore,
@@ -378,7 +377,7 @@ def doc_vectors_run(pool_store: DocVectorStore, query_store: DocVectorStore,
             raise KeyError(f"no vector for query {query_id!r}")
         return query_id, knn_search(query_store.get(query_id), pool_store, depth)
 
-    return Run(parallel_map(one, list(query_ids)))
+    return Run(map(one, query_ids))
 
 
 @dataclass
@@ -438,7 +437,8 @@ class Prefetcher:
 
 class _Stages:
     """Skip-if-done bookkeeping: a stage whose key (manifest hash + name)
-    matches the previous run and whose outputs still exist is not recomputed."""
+    matches the previous run and whose outputs exist is not recomputed; its
+    artifacts are read back instead."""
 
     def __init__(self, outdir: Path, manifest_hash: str):
         self.path = outdir / ".stages.json"
@@ -457,22 +457,21 @@ class _Stages:
     def fresh(self, name: str, outputs: list[Path]) -> bool:
         entry = self.done.get(name)
         return (entry is not None and entry.get("key") == self.key(name)
-                and all(Path(p).exists() for p in entry.get("outputs", []))
                 and all(p.exists() for p in outputs))
 
-    def run(self, name: str, outputs: list[Path], fn):
+    def run(self, name: str, outputs: list[Path], build, load=lambda: None):
+        """build()'s value, or load()'s when the stage is up to date."""
         if self.fresh(name, outputs):
             log.info("stage %s: outputs up to date, skipped", name)
             self.timings[name] = 0.0
-            return None
+            return load()
         start = time.perf_counter()
         try:
-            result = fn()
+            result = build()
         except Exception as exc:
             raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
         self.timings[name] = round(time.perf_counter() - start, 6)
-        self.done[name] = {"key": self.key(name),
-                           "outputs": [str(p) for p in outputs]}
+        self.done[name] = {"key": self.key(name)}
         self.path.write_text(json.dumps(self.done, indent=2, sort_keys=True))
         return result
 
@@ -514,14 +513,20 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     bm25_params = config.bm25_params or Bm25Params()
     if config.needs_bm25:
         index_path = outdir / "index.bin"
+
+        def index_stage():
+            built = build_index(pool, pipeline)
+            save_index(built, index_path)
+            return built
+
         # the format version is part of the stage name (the checkpoints'
         # too), so a file of an older format in a reused output directory
         # is rebuilt instead of skipped
-        stages.run(f"index-v{INDEX_VERSION}", [index_path],
-                   lambda: save_index(build_index(pool, pipeline), index_path))
-        index = load_index(index_path)
+        index = stages.run(f"index-v{INDEX_VERSION}", [index_path], index_stage,
+                           lambda: load_index(index_path))
         if config.bm25_tune:
             grid_path = outdir / "bm25_grid.csv"
+            params_path = outdir / "bm25_params.json"
 
             def tune_stage():
                 dev_tokens = {q: pipeline(queries.get(q).text)
@@ -530,22 +535,24 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
                                         config.bm25_grid_k1, config.bm25_grid_b,
                                         config.k)
                 write_grid_csv(cells, grid_path, comment=tag)
-                (outdir / "bm25_params.json").write_text(
-                    json.dumps({"k1": best.k1, "b": best.b}))
+                params_path.write_text(json.dumps({"k1": best.k1, "b": best.b}))
+                return best
 
-            stages.run("tune-bm25", [grid_path, outdir / "bm25_params.json"],
-                       tune_stage)
-            best = json.loads((outdir / "bm25_params.json").read_text())
-            bm25_params = Bm25Params(best["k1"], best["b"])
+            bm25_params = stages.run(
+                "tune-bm25", [grid_path, params_path], tune_stage,
+                lambda: Bm25Params(**json.loads(params_path.read_text())))
 
     cent_store = None
     if "w2v-cent" in config.components:
         cent_path = outdir / "centroids.vec"
-        stages.run("centroids", [cent_path],
-                   lambda: save_doc_vectors(
-                       build_centroid_store(pool, pipeline, word_vectors),
-                       cent_path))
-        cent_store = load_doc_vectors(cent_path)
+
+        def centroid_stage():
+            built = build_centroid_store(pool, pipeline, word_vectors)
+            save_doc_vectors(built, cent_path)
+            return built
+
+        cent_store = stages.run("centroids", [cent_path], centroid_stage,
+                                lambda: load_doc_vectors(cent_path))
 
     pool_store = query_store = None
     if "doc-vectors" in config.components:
@@ -565,12 +572,10 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     elif config.fusion_tune or config.datefilter_tune:
         split_ids["dev"] = splits.dev_ids
 
-    alpha = config.fusion_alpha
-    prefetch: dict[str, Run] = {}
+    alpha_path = outdir / "fusion_alpha.json"
 
     def prefetch_stage():
-        nonlocal alpha
-        dev_parts = None
+        alpha, dev_parts = config.fusion_alpha, None
         if config.fusion_tune:
             # tune on the dev components the dev split fetches anyway: each
             # list is a prefix of one total order, so the top `deep` of a
@@ -580,22 +585,25 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
                 *(run.truncated(prefetcher.deep) for run in dev_parts),
                 qrels, config.fusion_grid, config.k)
             write_alpha_grid_csv(grid, outdir / "alpha_grid.csv", comment=tag)
-            (outdir / "fusion_alpha.json").write_text(json.dumps({"alpha": alpha}))
-        for split, ids in split_ids.items():
-            prefetch[split] = prefetcher.deep_run(
-                ids, alpha, dev_parts if split == "dev" else None)
-        for split, run in prefetch.items():
+            alpha_path.write_text(json.dumps({"alpha": alpha}))
+        runs = {split: prefetcher.deep_run(ids, alpha,
+                                           dev_parts if split == "dev" else None)
+                for split, ids in split_ids.items()}
+        for split, run in runs.items():
             write_run(run, outdir / f"prefetch_{split}.tsv", comment=tag)
+        return alpha, runs
+
+    def read_prefetch():
+        alpha = (json.loads(alpha_path.read_text())["alpha"]
+                 if config.fusion_tune else config.fusion_alpha)
+        return alpha, {split: read_run(outdir / f"prefetch_{split}.tsv")
+                       for split in split_ids}
 
     prefetch_outputs = [outdir / f"prefetch_{s}.tsv" for s in split_ids]
     if config.fusion_tune:
-        prefetch_outputs.append(outdir / "fusion_alpha.json")
-    stages.run("prefetch", prefetch_outputs, prefetch_stage)
-    if not prefetch:
-        for split in split_ids:
-            prefetch[split] = read_run(outdir / f"prefetch_{split}.tsv")
-        if config.fusion_tune:
-            alpha = json.loads((outdir / "fusion_alpha.json").read_text())["alpha"]
+        prefetch_outputs.append(alpha_path)
+    alpha, prefetch = stages.run("prefetch", prefetch_outputs, prefetch_stage,
+                                 read_prefetch)
 
     window = None
     if config.datefilter_years is not None or config.datefilter_tune:
@@ -655,17 +663,17 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
                 reranked = finalize(result.reranker(store).rerank_run(test_cands),
                                     window, queries, pool)
                 write_run(reranked, rr, comment=tag)
-                write_eval_csv(evaluate_run(reranked,
-                                            qrels.restrict(splits.test_ids),
-                                            k=config.eval_k),
-                               ev, comment=tag)
+                report = evaluate_run(reranked, qrels.restrict(splits.test_ids),
+                                      k=config.eval_k)
+                write_eval_csv(report, ev, comment=tag)
+                return report
 
-            stages.run(f"train-v{CHECKPOINT_VERSION}-seed{seed}",
-                       [ck_path, log_path, rr_path, ev_path], train_stage)
+            # the eval CSV, not the run file, holds a list the window emptied
+            reports.append(stages.run(
+                f"train-v{CHECKPOINT_VERSION}-seed{seed}",
+                [ck_path, log_path, rr_path, ev_path], train_stage,
+                lambda: EvalReport(config.eval_k, read_eval_csv(ev_path)[0])))
             eval_paths.append(ev_path)
-            reports.append(evaluate_run(read_run(rr_path),
-                                        qrels.restrict(splits.test_ids),
-                                        k=config.eval_k))
         if len(reports) > 1:
             summary_path = outdir / "eval_summary.csv"
             write_summary_csv(aggregate_runs(reports), summary_path, comment=tag)

@@ -44,10 +44,6 @@ class DrmmModel:
         }
         return cls(params, bins)
 
-    @property
-    def hidden(self) -> int:
-        return self.params["b1"].shape[0]
-
     def score(self, feats) -> tuple[float, dict]:
         """feats = (histograms (T, bins+1), idf (T,)). Returns s_r and the
         cache needed for the backward pass."""

@@ -17,7 +17,7 @@ and everything is checked against finite differences in the tests.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -44,9 +44,6 @@ class PacrrConfig:
     @property
     def input_dim(self) -> int:
         return (1 + len(self.kernel_sizes)) * self.kmax + 1
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def _sigmoid(x):

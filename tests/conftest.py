@@ -138,6 +138,31 @@ def build_dataset(tmp_path, rng):
     return tmp_path
 
 
+def date_window_dataset(tmp_path, rng):
+    """build_dataset, with each test query dated like its first relevant
+    document except the last, dated before the whole pool: a post window of
+    0 years keeps the others' relevant documents and empties that one's
+    list."""
+    root = build_dataset(tmp_path, rng)
+    pool_years = {}
+    for line in (root / "pool.jsonl").read_text().splitlines():
+        doc = json.loads(line)
+        pool_years[doc["doc_id"]] = doc["year"]
+    first_relevant = {}
+    for line in (root / "qrels.tsv").read_text().splitlines():
+        query_id, doc_id = line.split("\t")
+        first_relevant.setdefault(query_id, doc_id)
+    test_ids = json.loads((root / "splits.json").read_text())["test"]
+    queries = [json.loads(line)
+               for line in (root / "queries.jsonl").read_text().splitlines()]
+    for query in queries:
+        if query["doc_id"] in test_ids:
+            query["year"] = pool_years[first_relevant[query["doc_id"]]]
+    next(q for q in queries if q["doc_id"] == test_ids[-1])["year"] = 1900
+    write_jsonl(root / "queries.jsonl", queries)
+    return root
+
+
 @pytest.fixture
 def workdir(tmp_path, rng):
     return build_dataset(tmp_path, rng)

@@ -9,7 +9,7 @@ from regir.cli import main
 from regir.corpus import ingest_collection
 from regir.ranking import read_run
 
-from conftest import build_dataset
+from conftest import build_dataset, date_window_dataset
 from oracles import score_of
 
 
@@ -420,6 +420,33 @@ def test_evaluate_echoes_metrics_and_writes_csv(env, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("query_id,")
     assert lines[-1].startswith("mean,")
+
+
+def test_evaluate_split_agrees_with_the_run_when_a_window_empties_a_list(tmp_path):
+    """`final_test.tsv` has no line for a query whose list the post window
+    emptied; evaluating it over the test split scores that query as an empty
+    list, as the run's own evaluation does."""
+    root = date_window_dataset(tmp_path, random.Random(20260814))
+    (root / "exp.cfg").write_text(
+        "task = EU2UK\ndata.pool = pool.jsonl\ndata.queries = queries.jsonl\n"
+        "data.qrels = qrels.tsv\ndata.splits = splits.json\n"
+        "prefetch.k = 10\ndatefilter.years = 0\ndatefilter.mode = post\n"
+        "eval.k = 5\n")
+    runner = CliRunner()
+    outdir = tmp_path / "exp"
+    for args in (["run", "--config", root / "exp.cfg", "--out", outdir],
+                 ["evaluate", "--run", outdir / "final_test.tsv",
+                  "--qrels", root / "qrels.tsv", "--k", "5",
+                  "--splits", root / "splits.json", "--split", "test",
+                  "--out", tmp_path / "eval.csv"]):
+        result = runner.invoke(main, [str(a) for a in args])
+        assert result.exit_code == 0, blob(result)
+    test_ids = json.loads((root / "splits.json").read_text())["test"]
+    assert sorted(read_run(outdir / "final_test.tsv")) == sorted(test_ids[:-1])
+    own = (outdir / "eval_test.csv").read_text().splitlines()
+    assert own[0].startswith("# manifest ")
+    assert (tmp_path / "eval.csv").read_text().splitlines() == own[1:]
+    assert f"r_at_5 {float(own[-1].split(',')[1]):.4f}" in result.output
 
 
 def test_evaluate_unknown_split(env, tmp_path):

@@ -3,15 +3,17 @@ import json
 import random
 import re
 import time
+from collections import Counter
 
 import pytest
 
 from regir.corpus import Qrels
 from regir.experiment import (ConfigError, _parse_range, emit_rk_curve,
                               hash_file, load_config, run_experiment)
-from regir.ranking import RankedList, Run
+from regir.metrics import read_eval_csv
+from regir.ranking import RankedList, Run, read_run
 
-from conftest import build_dataset
+from conftest import build_dataset, date_window_dataset
 from oracles import rk_curve_per_k, stage_seed
 
 BASE_CFG = """
@@ -248,6 +250,8 @@ datefilter.mode = post
 eval.k = 5
 """
 
+HP = "lr=0.01\nmax_epochs=2\nbatch=4\nnegatives=2\nB=6\nhidden=3\n"
+
 
 def test_run_experiment_bm25_deterministic_across_outdirs(dataset, tmp_path):
     cfg = cfg_from(dataset, BASE_CFG + "bm25.tune = true\n"
@@ -285,8 +289,7 @@ def test_run_experiment_recomputes_when_inputs_change(dataset, tmp_path, caplog)
 
 
 def test_run_experiment_full_stack(dataset, tmp_path):
-    (dataset / "hp.txt").write_text(
-        "lr=0.01\nmax_epochs=2\nbatch=4\nnegatives=2\nB=6\nhidden=3\n")
+    (dataset / "hp.txt").write_text(HP)
     cfg = cfg_from(dataset, FULL_CFG)
     result = run_experiment(cfg, tmp_path / "out")
     outdir = result.outdir
@@ -344,3 +347,72 @@ def test_stale_v1_index_in_a_reused_outdir_is_rebuilt(dataset, tmp_path):
     run_experiment(cfg, outdir)
     assert (outdir / "index.bin").read_bytes()[:4] == b"PK\x03\x04"
     assert (outdir / "eval_test.csv").read_bytes() == before
+
+
+def test_run_experiment_keeps_what_it_builds(dataset, tmp_path, monkeypatch):
+    """A fresh run reads back none of the index and centroid files it
+    writes; a fully skipped rerun reads each once and writes the same
+    artifacts."""
+    import regir.experiment as experiment
+
+    loads = Counter()
+    for name in ("load_index", "load_doc_vectors"):
+        def counting(path, _name=name, _real=getattr(experiment, name)):
+            loads[_name] += 1
+            return _real(path)
+        monkeypatch.setattr(experiment, name, counting)
+    (dataset / "hp.txt").write_text(HP)
+    cfg = cfg_from(dataset, FULL_CFG + "bm25.tune = true\n"
+                   "bm25.grid_k1 = 0.5,1.0\nbm25.grid_b = 0.0,0.5\n")
+    outdir = tmp_path / "out"
+    run_experiment(cfg, outdir)
+    assert loads == Counter()
+    fresh = {p.name: p.read_bytes() for p in outdir.iterdir()
+             if p.name not in ("manifest.json", ".stages.json")}
+    run_experiment(cfg, outdir)
+    assert loads == {"load_index": 1, "load_doc_vectors": 1}
+    assert {name: (outdir / name).read_bytes() for name in fresh} == fresh
+    timings = json.loads((outdir / "manifest.json").read_text())["timings"]
+    assert set(timings.values()) == {0.0}
+
+
+def test_rerun_through_another_relative_path_skips_every_stage(
+        dataset, tmp_path, monkeypatch):
+    cfg = cfg_from(dataset, BASE_CFG)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    run_experiment(cfg, "out")
+    monkeypatch.chdir(tmp_path / "b")
+    run_experiment(cfg, "../a/out")
+    timings = json.loads((tmp_path / "a/out/manifest.json").read_text())["timings"]
+    assert len(timings) >= 5 and set(timings.values()) == {0.0}
+
+
+def read_summary(path) -> dict[str, float]:
+    rows = [line.split(",") for line in path.read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows[0] == ["metric", "mean", "sd"]
+    return {metric: float(mean) for metric, mean, _ in rows[1:]}
+
+
+def test_eval_summary_counts_a_list_the_window_emptied(tmp_path):
+    root = date_window_dataset(tmp_path, random.Random(20260814))
+    (root / "hp.txt").write_text(HP)
+    cfg = cfg_from(root, FULL_CFG.replace("datefilter.years = 6",
+                                          "datefilter.years = 0"))
+    result = run_experiment(cfg, tmp_path / "out")
+    test_ids = json.loads((root / "splits.json").read_text())["test"]
+    reranked = read_run(result.outdir / "reranked_test_seed3.tsv")
+    assert sorted(reranked) == sorted(test_ids[:-1])
+    reports = [read_eval_csv(path) for path in result.eval_paths]
+    assert all(sorted(per_query) == sorted(test_ids)
+               for per_query, _, _ in reports)
+    means = [mean for _, mean, _ in reports]
+    assert any(mean["r_at_5"] > 0 for mean in means)
+    expected = {m: sum(mean[m] for mean in means) / len(means) for m in means[0]}
+    assert read_summary(result.summary_path) == expected
+    # a resumed run reads the per-seed reports back instead of the run files
+    before = result.summary_path.read_bytes()
+    run_experiment(cfg, tmp_path / "out")
+    assert result.summary_path.read_bytes() == before

@@ -13,8 +13,7 @@ Point REGIR_DATA_DIR at a directory laid out as::
         <task>/doc_vectors_queries.vec
 
 ``regir convert`` maps the released JSON archives onto this layout. The whole
-module takes on the order of an hour on a workstation; set REGIR_THREADS to
-parallelize per-query work.
+module takes on the order of an hour on a workstation.
 """
 
 import os
