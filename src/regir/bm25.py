@@ -10,13 +10,17 @@ unseen-term idf: the sum only runs over terms that can match.
 
 from __future__ import annotations
 
+import json
+import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from ._npz import read_npz, write_npz
-from ._textio import write_table
+from ._textio import read_json, write_table
 from .ranking import RankedList, top_k_from_arrays
 from .text import IdfTable, TextPipeline
 
@@ -35,10 +39,30 @@ class Bm25Params:
     b: float = 0.75
 
     def __post_init__(self):
-        if self.k1 < 0:
-            raise ValueError(f"k1 must be non-negative, got {self.k1}")
-        if self.b < 0:
-            raise ValueError(f"b must be non-negative, got {self.b}")
+        for name, value in (("k1", self.k1), ("b", self.b)):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+
+
+def write_params(params: Bm25Params, path) -> None:
+    """The JSON object `{"k1": ..., "b": ...}` that read_params reads."""
+    Path(path).write_text(json.dumps({"k1": params.k1, "b": params.b}))
+
+
+def read_params(path) -> Bm25Params:
+    """Inverse of write_params: a JSON object with exactly the keys k1 and
+    b. Raises ValueError naming the file on any fault."""
+    data = read_json(path)
+    if not isinstance(data, dict) or set(data) != {"k1", "b"}:
+        raise ValueError(f"{path}: expected a JSON object with exactly the "
+                         f"keys k1 and b")
+    try:
+        return Bm25Params(data["k1"], data["b"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class PostingsIndex:

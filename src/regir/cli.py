@@ -7,7 +7,6 @@ pipeline from one config file.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import re
@@ -17,17 +16,17 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .bm25 import (Bm25Params, PostingsIndex, build_index, default_grid,
-                   load_index, save_index, tune_bm25, write_grid_csv)
-from .corpus import (Corpus, CorpusError, convert_collection, corpus_stats,
-                     ingest_collection, load_qrels, write_collection,
-                     SplitManifest)
+from .bm25 import (PostingsIndex, build_index, default_grid, load_index,
+                   read_params, save_index, tune_bm25, write_grid_csv,
+                   write_params)
+from .corpus import (convert_collection, corpus_stats, ingest_collection,
+                     load_qrels, write_collection, SplitManifest)
 from .datefilter import (DateWindow, candidates, finalize, write_year_hist_csv,
                          year_diff_histogram)
-from .dense import (VectorFormatError, build_centroid_store, load_doc_vectors,
-                    load_word_vectors, save_doc_vectors)
-from .experiment import (ConfigError, Prefetcher, emit_rk_curve, load_config,
-                         run_experiment, write_rk_curve_csv, _parse_range)
+from .dense import (build_centroid_store, load_doc_vectors, load_word_vectors,
+                    save_doc_vectors)
+from .experiment import (Prefetcher, emit_rk_curve, load_config, run_experiment,
+                         write_rk_curve_csv, _parse_range)
 from .fusion import (default_alpha_grid, fuse_runs, tune_alpha,
                      write_alpha_grid_csv)
 from .metrics import (aggregate_runs, evaluate_run, read_eval_csv,
@@ -42,18 +41,18 @@ from .text import build_pipeline, load_stopwords, TextPipeline
 log = logging.getLogger(__name__)
 
 
-def friendly_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+class _Main(click.Group):
+    """The error boundary of every command: what the library raises about
+    bad input or a diverged training run becomes a one-line error."""
+
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
-        except (CorpusError, VectorFormatError, ConfigError, TrainingDiverged,
-                ValueError, KeyError, OSError) as exc:
+            return super().invoke(ctx)
+        except (ValueError, KeyError, OSError, TrainingDiverged) as exc:
             raise click.ClickException(str(exc)) from exc
-    return wrapper
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(__version__)
 @click.option("-v", "--verbose", is_flag=True, help="Debug logging.")
 def main(verbose):
@@ -65,22 +64,12 @@ _in = click.Path(exists=True, dir_okay=False, path_type=Path)
 _out = click.Path(dir_okay=False, path_type=Path, writable=True)
 
 
-def _pipeline(index: PostingsIndex | None, corpus: Corpus | None,
-              stopwords_path: Path | None, no_idf_filter: bool) -> TextPipeline:
-    """Query-time pipeline, preferably the one frozen into the index, else
-    built from the pool collection."""
-    if index is not None and index.pipeline is not None:
-        if stopwords_path or no_idf_filter:
-            raise click.ClickException(
-                "--stopwords/--no-idf-filter conflict with the settings "
-                "stored in the index; rebuild the index instead")
-        return index.pipeline
-    if corpus is None:
-        raise click.ClickException("need --collection (or an index that stores "
-                                   "its pipeline) to build the text pipeline")
-    stopwords = load_stopwords(stopwords_path) if stopwords_path else None
-    return build_pipeline(corpus, stopwords=stopwords,
-                          idf_filter=not no_idf_filter)
+def _pipeline(index: PostingsIndex) -> TextPipeline:
+    """The text pipeline `regir index` froze into the index."""
+    if index.pipeline is None:
+        raise click.ClickException("the index stores no text pipeline; "
+                                   "rebuild it with `regir index`")
+    return index.pipeline
 
 
 def _query_ids(query_corpus, splits_path: Path | None, split: str | None):
@@ -99,13 +88,11 @@ def _query_ids(query_corpus, splits_path: Path | None, split: str | None):
 
 @main.command()
 @click.option("--collection", type=_in, required=True, help="JSONL collection.")
-@click.option("--tag", default="", help="Collection tag (e.g. EU or UK).")
 @click.option("--out", type=_out, help="Write the validated canonical JSONL here.")
 @click.option("--stats-out", type=_out, help="Write summary statistics JSON here.")
-@friendly_errors
-def ingest(collection, tag, out, stats_out):
+def ingest(collection, out, stats_out):
     """Validate a collection and report summary statistics."""
-    corpus = ingest_collection(collection, tag=tag)
+    corpus = ingest_collection(collection)
     stats = corpus_stats(corpus)
     click.echo(f"{stats.doc_count} documents")
     click.echo(f"mean tokens {stats.mean_tokens:.1f}, median {stats.median_tokens:.1f}")
@@ -127,9 +114,7 @@ def ingest(collection, tag, out, stats_out):
 @click.option("--out", type=_out, required=True)
 @click.option("--map", "mapping", multiple=True, metavar="CANON=SRC",
               help="Field mapping, e.g. --map doc_id=id (repeatable).")
-@click.option("--tag", default="")
-@friendly_errors
-def convert(src, out, mapping, tag):
+def convert(src, out, mapping):
     """Convert a foreign archive to the canonical JSONL layout."""
     field_map = {}
     for item in mapping:
@@ -139,7 +124,7 @@ def convert(src, out, mapping, tag):
         if canon not in ("doc_id", "title", "body", "year"):
             raise click.ClickException(f"unknown canonical field {canon!r}")
         field_map[canon] = source
-    corpus = convert_collection(src, out, field_map, tag=tag)
+    corpus = convert_collection(src, out, field_map)
     click.echo(f"wrote {len(corpus)} documents to {out}")
 
 
@@ -149,7 +134,6 @@ def convert(src, out, mapping, tag):
 @click.option("--stopwords", type=_in, help="Custom stopword list.")
 @click.option("--no-idf-filter", is_flag=True,
               help="Skip the idf-threshold denoising stage.")
-@friendly_errors
 def index(collection, out, stopwords, no_idf_filter):
     """Build the inverted index over a pool collection."""
     corpus = ingest_collection(collection, tag="pool")
@@ -173,12 +157,11 @@ def index(collection, out, stopwords, no_idf_filter):
 @click.option("--params-out", type=_out, help="Write the winning k1/b JSON here.")
 @click.option("--grid-k1", help="start:stop:step or comma list.")
 @click.option("--grid-b", help="start:stop:step or comma list.")
-@friendly_errors
 def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
                   grid_k1, grid_b):
     """Sweep (k1, b) maximizing R@k and export the recall grid."""
     idx = load_index(index_path)
-    pipeline = _pipeline(idx, None, None, False)
+    pipeline = _pipeline(idx)
     query_corpus = ingest_collection(queries)
     judgments = load_qrels(qrels)
     ids = _query_ids(query_corpus, splits, split)
@@ -194,26 +177,21 @@ def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
     click.echo(f"best k1={best.k1} b={best.b} with R@{k}={best_cell:.4f} "
                f"({len(cells)} cells)")
     if params_out:
-        params_out.write_text(json.dumps({"k1": best.k1, "b": best.b}))
+        write_params(best, params_out)
 
 
 @main.command()
 @click.option("--collection", type=_in, required=True, help="Pool collection.")
 @click.option("--word-vectors", type=_in, required=True)
 @click.option("--out", type=_out, required=True, help="Centroid store file.")
-@click.option("--index", "index_path", type=_in,
-              help="Reuse this index's text pipeline.")
-@click.option("--stopwords", type=_in)
-@click.option("--no-idf-filter", is_flag=True)
+@click.option("--index", "index_path", type=_in, required=True,
+              help="Index whose text pipeline denoises the pool.")
 @click.option("--on-empty", type=click.Choice(["skip-document", "error"]),
               default="skip-document", show_default=True)
-@friendly_errors
-def vectors(collection, word_vectors, out, index_path, stopwords, no_idf_filter,
-            on_empty):
+def vectors(collection, word_vectors, out, index_path, on_empty):
     """Precompute tf-idf weighted centroid vectors for every pool document."""
     corpus = ingest_collection(collection, tag="pool")
-    pipeline = _pipeline(load_index(index_path) if index_path else None,
-                         corpus, stopwords, no_idf_filter)
+    pipeline = _pipeline(load_index(index_path))
     wv = load_word_vectors(word_vectors)
     store = build_centroid_store(corpus, pipeline, wv, on_empty=on_empty)
     save_doc_vectors(store, out)
@@ -228,13 +206,11 @@ def vectors(collection, word_vectors, out, index_path, stopwords, no_idf_filter,
 @click.option("--out", type=_out, required=True, help="Run TSV.")
 @click.option("--splits", type=_in)
 @click.option("--split", default=None, help="Restrict queries to this split.")
-@click.option("--index", "index_path", type=_in, help="BM25 index.")
-@click.option("--k1", type=float)
-@click.option("--b", type=float)
+@click.option("--index", "index_path", type=_in,
+              help="BM25 index; its text pipeline serves bm25 and w2v-cent.")
 @click.option("--params", type=_in, help="k1/b JSON from tune-bm25.")
-@click.option("--collection", type=_in, help="Pool collection (pipeline, years).")
-@click.option("--stopwords", type=_in)
-@click.option("--no-idf-filter", is_flag=True)
+@click.option("--collection", type=_in,
+              help="Pool collection: publication years for --date-filter.")
 @click.option("--word-vectors", type=_in)
 @click.option("--centroids", type=_in, help="Precomputed pool centroid store.")
 @click.option("--pool-vectors", type=_in)
@@ -245,11 +221,9 @@ def vectors(collection, word_vectors, out, index_path, stopwords, no_idf_filter,
               help="Maximum |year(doc) - year(query)| to keep.")
 @click.option("--filter-mode", type=click.Choice(["pre", "post"]), default="pre",
               show_default=True)
-@friendly_errors
-def prefetch(mode, k, queries, out, splits, split, index_path, k1, b, params,
-             collection, stopwords, no_idf_filter, word_vectors, centroids,
-             pool_vectors, query_vectors, components, alpha, date_filter,
-             filter_mode):
+def prefetch(mode, k, queries, out, splits, split, index_path, params,
+             collection, word_vectors, centroids, pool_vectors, query_vectors,
+             components, alpha, date_filter, filter_mode):
     """First-stage retrieval into a run file: the candidate lists `regir run`
     takes on for the same settings."""
     query_corpus = ingest_collection(queries)
@@ -266,26 +240,20 @@ def prefetch(mode, k, queries, out, splits, split, index_path, k1, b, params,
     names = components or (mode,)
     stage = Prefetcher(mode, components, k, query_corpus)
     if params:
-        data = json.loads(Path(params).read_text())
-        stage.bm25_params = Bm25Params(data["k1"], data["b"])
-    if k1 is not None or b is not None:
-        if k1 is None or b is None:
-            raise click.ClickException("--k1 and --b must be given together")
-        stage.bm25_params = Bm25Params(k1, b)
+        stage.bm25_params = read_params(params)
 
     if "bm25" in names and index_path is None:
         raise click.ClickException("bm25 needs --index")
-    if "w2v-cent" in names and (word_vectors is None or centroids is None):
-        raise click.ClickException("w2v-cent needs --word-vectors and "
-                                   "--centroids")
+    if "w2v-cent" in names and None in (index_path, word_vectors, centroids):
+        raise click.ClickException("w2v-cent needs --index, --word-vectors "
+                                   "and --centroids")
     if "doc-vectors" in names and (pool_vectors is None or query_vectors is None):
         raise click.ClickException("doc-vectors needs --pool-vectors "
                                    "and --query-vectors")
     pool_corpus = ingest_collection(collection, tag="pool") if collection else None
     if "bm25" in names or "w2v-cent" in names:
-        stage.index = load_index(index_path) if index_path else None
-        stage.pipeline = _pipeline(stage.index, pool_corpus, stopwords,
-                                   no_idf_filter)
+        stage.index = load_index(index_path)
+        stage.pipeline = _pipeline(stage.index)
     if "w2v-cent" in names:
         stage.word_vectors = load_word_vectors(word_vectors)
         stage.cent_store = load_doc_vectors(centroids)
@@ -315,7 +283,6 @@ def prefetch(mode, k, queries, out, splits, split, index_path, k1, b, params,
 @click.option("--grid", default="0:1:0.05", show_default=True)
 @click.option("--grid-out", type=_out, help="Alpha grid CSV.")
 @click.option("--out", type=_out, required=True)
-@friendly_errors
 def fuse_cmd(run_a, run_b, k, alpha, do_tune, qrels, grid, grid_out, out):
     """Combine two run files with a convex score combination."""
     a, b = read_run(run_a), read_run(run_b)
@@ -352,26 +319,22 @@ def _provider(word_vectors, token_vectors):
 @click.option("--collection", type=_in, required=True, help="Pool collection.")
 @click.option("--qrels", type=_in, required=True)
 @click.option("--splits", type=_in, required=True)
-@click.option("--index", "index_path", type=_in, help="Reuse its text pipeline.")
-@click.option("--stopwords", type=_in)
-@click.option("--no-idf-filter", is_flag=True)
+@click.option("--index", "index_path", type=_in, required=True,
+              help="Index whose text pipeline denoises the text.")
 @click.option("--word-vectors", type=_in)
 @click.option("--token-vectors", type=_in)
 @click.option("--hyperparams", type=_in, help="Flat key=value file.")
 @click.option("--seed", type=int, help="Overrides the hyperparameter seed.")
 @click.option("--out", type=_out, required=True, help="Checkpoint file.")
 @click.option("--log", "log_path", type=_out, help="Training log CSV.")
-@friendly_errors
 def train(model, run_path, queries, collection, qrels, splits, index_path,
-          stopwords, no_idf_filter, word_vectors, token_vectors, hyperparams,
-          seed, out, log_path):
+          word_vectors, token_vectors, hyperparams, seed, out, log_path):
     """Train a neural re-ranker with pairwise hinge loss."""
     from dataclasses import replace
 
     query_corpus = ingest_collection(queries)
     pool_corpus = ingest_collection(collection, tag="pool")
-    pipeline = _pipeline(load_index(index_path) if index_path else None,
-                         pool_corpus, stopwords, no_idf_filter)
+    pipeline = _pipeline(load_index(index_path))
     judgments = load_qrels(qrels, query_corpus=query_corpus,
                            pool_corpus=pool_corpus)
     manifest = SplitManifest.from_json(splits)
@@ -397,9 +360,8 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
 @click.option("--run", "run_path", type=_in, required=True)
 @click.option("--queries", type=_in, required=True)
 @click.option("--collection", type=_in, required=True)
-@click.option("--index", "index_path", type=_in)
-@click.option("--stopwords", type=_in)
-@click.option("--no-idf-filter", is_flag=True)
+@click.option("--index", "index_path", type=_in, required=True,
+              help="Index whose text pipeline denoises the text.")
 @click.option("--word-vectors", type=_in)
 @click.option("--token-vectors", type=_in)
 @click.option("--k", type=int, help="Re-rank the top k; a pre filter refills to k.")
@@ -407,15 +369,12 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
 @click.option("--filter-mode", type=click.Choice(["pre", "post"]), default="post",
               show_default=True)
 @click.option("--out", type=_out, required=True)
-@friendly_errors
-def rerank(checkpoint, run_path, queries, collection, index_path, stopwords,
-           no_idf_filter, word_vectors, token_vectors, k, date_filter,
-           filter_mode, out):
+def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
+           token_vectors, k, date_filter, filter_mode, out):
     """Re-rank pre-fetched lists with a trained checkpoint."""
     query_corpus = ingest_collection(queries)
     pool_corpus = ingest_collection(collection, tag="pool")
-    pipeline = _pipeline(load_index(index_path) if index_path else None,
-                         pool_corpus, stopwords, no_idf_filter)
+    pipeline = _pipeline(load_index(index_path))
     result = load_checkpoint(checkpoint)
     provider = _provider(word_vectors, token_vectors)
     store = FeatureStore(result.model.kind, provider, pipeline, query_corpus,
@@ -438,7 +397,6 @@ def rerank(checkpoint, run_path, queries, collection, index_path, stopwords,
               show_default=True)
 @click.option("--k", type=int, help="Keep each list's top k, refilled to k in pre mode.")
 @click.option("--out", type=_out, required=True)
-@friendly_errors
 def date_filter_cmd(run_path, queries, collection, years, mode, k, out):
     """Drop candidates published too far from the query year."""
     query_corpus = ingest_collection(queries)
@@ -460,7 +418,6 @@ def date_filter_cmd(run_path, queries, collection, years, mode, k, out):
 @click.option("--splits", type=_in)
 @click.option("--split", default=None)
 @click.option("--out", type=_out, help="Per-query metrics CSV.")
-@friendly_errors
 def evaluate(run_path, qrels, k, splits, split, out):
     """Score a run file against judgments. With --splits, every query of the
     split is scored, and one absent from the run file (a list the date window
@@ -489,7 +446,6 @@ def report():
 @click.option("--eval", "eval_paths", type=_in, multiple=True, required=True,
               help="Per-seed eval CSVs (repeatable).")
 @click.option("--out", type=_out, required=True)
-@friendly_errors
 def aggregate(eval_paths, out):
     """Mean and standard deviation across seeded runs."""
     reports = []
@@ -512,7 +468,6 @@ def aggregate(eval_paths, out):
 @click.option("--qrels", type=_in, required=True)
 @click.option("--k-max", type=int, required=True)
 @click.option("--out", type=_out, required=True)
-@friendly_errors
 def rk_curve(run_path, qrels, k_max, out):
     """R@k for k = 1..k_max from a deep run file."""
     rows = emit_rk_curve(read_run(run_path), load_qrels(qrels), k_max)
@@ -525,7 +480,6 @@ def rk_curve(run_path, qrels, k_max, out):
 @click.option("--queries", type=_in, required=True)
 @click.option("--collection", type=_in, required=True)
 @click.option("--out", type=_out, required=True)
-@friendly_errors
 def year_hist(qrels, queries, collection, out):
     """Histogram of year(relevant) - year(query) over judged pairs."""
     hist = year_diff_histogram(load_qrels(qrels), ingest_collection(queries),
@@ -543,7 +497,6 @@ def year_hist(qrels, queries, collection, out):
 @click.option("--config", type=_in, required=True, help="Flat key=value config.")
 @click.option("--out", "outdir", type=click.Path(file_okay=False, path_type=Path),
               required=True)
-@friendly_errors
 def run_cmd(config, outdir):
     """Run a whole experiment from a config file."""
     cfg = load_config(config)

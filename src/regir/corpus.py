@@ -229,12 +229,6 @@ class Qrels:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def mean_relevant(self) -> float:
-        if not self.entries:
-            return 0.0
-        return sum(len(v) for v in self.entries.values()) / len(self.entries)
-
     def restrict(self, query_ids) -> "Qrels":
         wanted = set(query_ids)
         return Qrels({q: set(r) for q, r in self.entries.items() if q in wanted})

@@ -195,9 +195,9 @@ def build_centroid_store(corpus, pipeline, word_vectors: WordVectors,
         try:
             vectors[doc_id] = _centroid(word_vectors.matrix[rows[lo:hi]],
                                         weights[lo:hi])
-        except CentroidError:
+        except CentroidError as exc:
             if on_empty == "error":
-                raise
+                raise CentroidError(f"document {doc_id!r}: {exc}") from None
             skipped.append(doc_id)
     if skipped:
         log.warning("centroid store: skipped %d document(s) with no usable "

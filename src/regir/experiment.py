@@ -21,8 +21,8 @@ from pathlib import Path
 
 from . import __version__
 from .bm25 import (INDEX_VERSION, Bm25Params, PostingsIndex, build_index,
-                   default_grid, load_index, save_index, tune_bm25,
-                   write_grid_csv)
+                   default_grid, load_index, read_params, save_index,
+                   tune_bm25, write_grid_csv, write_params)
 from .corpus import Corpus, SplitManifest, ingest_collection, load_qrels
 from .datefilter import (MODES, DateWindow, candidates, choose_window,
                          finalize, write_year_hist_csv, year_diff_histogram)
@@ -129,6 +129,7 @@ class ExperimentConfig:
     fusion_grid: list[float]
     rerank_model: str
     rerank_hyperparams_path: Path | None
+    rerank_hyperparams: Hyperparams
     rerank_seeds: list[int]
     rerank_embeddings: str
     token_vectors_path: Path | None
@@ -231,6 +232,12 @@ class ExperimentConfig:
         datefilter_years = number("datefilter.years", float)
         if datefilter_years is not None:
             windows("datefilter.years", [datefilter_years])
+        hyperparams_path = path_of("rerank.hyperparams")
+        try:
+            hyperparams = (Hyperparams.from_file(hyperparams_path)
+                           if hyperparams_path else Hyperparams())
+        except ValueError as exc:
+            raise ConfigError(f"rerank.hyperparams: {exc}") from None
 
         cfg = cls(
             raw=dict(sorted(raw.items())),
@@ -256,7 +263,8 @@ class ExperimentConfig:
             fusion_tune=fusion_tune,
             fusion_grid=fusion_grid,
             rerank_model=rerank_model,
-            rerank_hyperparams_path=path_of("rerank.hyperparams"),
+            rerank_hyperparams_path=hyperparams_path,
+            rerank_hyperparams=hyperparams,
             rerank_seeds=rerank_seeds,
             rerank_embeddings=choice("rerank.embeddings", ("word", "token"), "word"),
             token_vectors_path=path_of("rerank.token_vectors"),
@@ -535,12 +543,11 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
                                         config.bm25_grid_k1, config.bm25_grid_b,
                                         config.k)
                 write_grid_csv(cells, grid_path, comment=tag)
-                params_path.write_text(json.dumps({"k1": best.k1, "b": best.b}))
+                write_params(best, params_path)
                 return best
 
-            bm25_params = stages.run(
-                "tune-bm25", [grid_path, params_path], tune_stage,
-                lambda: Bm25Params(**json.loads(params_path.read_text())))
+            bm25_params = stages.run("tune-bm25", [grid_path, params_path],
+                                     tune_stage, lambda: read_params(params_path))
 
     cent_store = None
     if "w2v-cent" in config.components:
@@ -634,8 +641,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     eval_paths: list[Path] = []
     summary_path = None
     if need_train:
-        hp = (Hyperparams.from_file(config.rerank_hyperparams_path)
-              if config.rerank_hyperparams_path else Hyperparams())
+        hp = config.rerank_hyperparams
         if config.rerank_embeddings == "word":
             provider = TypeEmbeddings(word_vectors)
         else:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -56,9 +57,20 @@ class Hyperparams:
     d_len: int = 1024
     seed: int = 0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        for name in ("batch", "max_epochs", "negatives", "B", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
+        self.pacrr_config()  # PacrrConfig checks the PACRR shape
+
     @classmethod
     def from_file(cls, path) -> "Hyperparams":
-        """Flat key=value text; kernel_sizes is comma-separated."""
+        """Flat key=value text; kernel_sizes is comma-separated. Errors name
+        the file."""
         values: dict = {}
         for line_no, key, raw in read_key_values(path, cls.__dataclass_fields__):
             where = f"{path}: line {line_no}: {key}"
@@ -67,7 +79,10 @@ class Hyperparams:
                                     for x in raw.split(",") if x)
             else:
                 values[key] = parse_number(raw, float if key == "lr" else int, where)
-        return cls(**values)
+        try:
+            return cls(**values)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def as_dict(self) -> dict:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}

@@ -241,5 +241,13 @@ def build_pipeline(corpus, stopwords: frozenset[str] | None = None,
         raise ValueError("cannot build an idf table from zero documents")
     table = IdfTable(len(bags.doc_ids), dict(zip(bags.terms, bags.df().tolist())))
     pipeline = TextPipeline(table, stopwords=stopwords, idf_filter=idf_filter)
-    pipeline._source = (corpus, pipeline.denoise_bags(bags))
+    denoised = pipeline.denoise_bags(bags)
+    if len(bags.ids) and not len(denoised.ids):
+        if idf_filter:
+            raise ValueError(
+                f"every document is empty after denoising: no term's idf "
+                f"reaches the threshold {pipeline.threshold:.4f} (the mean idf "
+                f"of the stopwords in the pool); turn the idf filter off")
+        raise ValueError("every document is empty after stopword removal")
+    pipeline._source = (corpus, denoised)
     return pipeline

@@ -38,6 +38,13 @@ def idf_from_token_lists(token_lists) -> IdfTable:
     return IdfTable(n, dict(df))
 
 
+def mean_relevant(qrels) -> float:
+    """Mean number of relevant documents per judged query."""
+    if not qrels.entries:
+        return 0.0
+    return sum(len(v) for v in qrels.entries.values()) / len(qrels.entries)
+
+
 def postings_dict(corpus, pipeline) -> dict[str, list[tuple[str, int]]]:
     """term -> [(doc_id, tf)] over the denoised pool, both sorted: the dict
     index the CSR build must equal."""

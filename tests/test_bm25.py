@@ -137,6 +137,15 @@ def test_params_validation():
     Bm25Params(8.0, 1.3)  # above-1 b admitted for grid exploration
 
 
+@pytest.mark.parametrize("k1,b", [
+    (float("nan"), 0.75), (1.2, float("inf")), (float("-inf"), 0.75),
+    ("1.2", 0.75), (1.2, None), (True, 0.75),
+], ids=["nan", "inf", "-inf", "string", "none", "bool"])
+def test_params_must_be_finite_numbers(k1, b):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        Bm25Params(k1, b)
+
+
 def test_ties_break_by_ascending_doc_id():
     lists = {"db": ["x", "pad"], "da": ["x", "pad"], "dc": ["x", "pad"]}
     index = index_from_token_lists(lists)

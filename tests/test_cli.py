@@ -5,9 +5,11 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
+from regir.bm25 import load_index, save_index
 from regir.cli import main
 from regir.corpus import ingest_collection
 from regir.ranking import read_run
+from regir.rerank import load_checkpoint
 
 from conftest import build_dataset, date_window_dataset
 from oracles import score_of
@@ -66,7 +68,7 @@ def test_ingest_stats_and_canonical_out(env):
     out = env.root / "canonical.jsonl"
     stats = env.root / "stats.json"
     result = env.ok("ingest", "--collection", env.root / "pool.jsonl",
-                    "--tag", "UK", "--out", out, "--stats-out", stats)
+                    "--out", out, "--stats-out", stats)
     assert "40 documents" in result.output
     assert "years 1995..2014" in result.output
     data = json.loads(stats.read_text())
@@ -137,17 +139,6 @@ def test_vectors_reports_store_shape(env):
     assert "40 centroids of dim 8" in result.output
 
 
-def test_pipeline_flags_conflict_with_index(env, tmp_path):
-    stop = tmp_path / "stop.txt"
-    stop.write_text("the\nof\n")
-    result = env.cli("prefetch", "--mode", "bm25", "--k", "5",
-                     "--queries", env.root / "queries.jsonl",
-                     "--index", env.root / "index.bin", "--stopwords", stop,
-                     "--out", tmp_path / "r.tsv")
-    assert result.exit_code != 0
-    assert "rebuild the index" in blob(result)
-
-
 def test_prefetch_bm25_run_file(env):
     run = read_run(env.root / "run_test.tsv")
     assert sorted(run) == ["eu09", "eu10", "eu11"]
@@ -200,6 +191,16 @@ def test_prefetch_with_date_filter(env, tmp_path):
         assert all(abs(pool.get(d).year - qyear) <= 3 for d in rl.doc_ids)
 
 
+def run_config(root, settings):
+    """A `regir run` config over the env dataset at prefetch.k = 5."""
+    return ("task = EU2UK\n"
+            + "".join(f"data.{key} = {root / name}\n" for key, name in
+                      (("pool", "pool.jsonl"), ("queries", "queries.jsonl"),
+                       ("qrels", "qrels.tsv"), ("splits", "splits.json")))
+            + f"dense.word_vectors = {root / 'wv.txt'}\n"
+            "prefetch.k = 5\n" + settings)
+
+
 @pytest.mark.parametrize("mode_args,config", [
     (["--mode", "bm25"], "prefetch.mode = bm25\n"),
     (["--mode", "ensemble", "--components", "bm25,w2v-cent", "--alpha", "0.6"],
@@ -220,15 +221,106 @@ def test_prefetch_writes_regir_run_candidates(env, tmp_path, mode_args, config):
            "--word-vectors", root / "wv.txt",
            "--centroids", root / "centroids.vec", "--out", out)
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        "task = EU2UK\n"
-        + "".join(f"data.{key} = {root / name}\n" for key, name in
-                  (("pool", "pool.jsonl"), ("queries", "queries.jsonl"),
-                   ("qrels", "qrels.tsv"), ("splits", "splits.json")))
-        + f"dense.word_vectors = {root / 'wv.txt'}\n"
-        "prefetch.k = 5\n" + config)
+    cfg.write_text(run_config(root, config))
     env.ok("run", "--config", cfg, "--out", tmp_path / "exp")
     assert read_run(out) == read_run(tmp_path / "exp" / "final_test.tsv")
+
+
+def test_stage_commands_take_the_pipeline_from_the_index(env, tmp_path):
+    """An index built with custom stopwords carries them to `vectors` and a
+    w2v-cent `prefetch`, which write what `regir run` writes with the same
+    text.stopwords."""
+    root = env.root
+    stop = tmp_path / "stop.txt"
+    stop.write_text("tax\nfish\nregulation\n")
+    env.ok("index", "--collection", root / "pool.jsonl", "--stopwords", stop,
+           "--out", tmp_path / "index.bin")
+
+    def centroid_lists(index, name):
+        env.ok("vectors", "--collection", root / "pool.jsonl",
+               "--word-vectors", root / "wv.txt", "--index", index,
+               "--out", tmp_path / f"{name}.vec")
+        env.ok("prefetch", "--mode", "w2v-cent", "--k", "5",
+               "--queries", root / "queries.jsonl",
+               "--splits", root / "splits.json", "--split", "test",
+               "--index", index, "--word-vectors", root / "wv.txt",
+               "--centroids", tmp_path / f"{name}.vec",
+               "--out", tmp_path / f"{name}.tsv")
+        return read_run(tmp_path / f"{name}.tsv")
+
+    lists = centroid_lists(tmp_path / "index.bin", "custom")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(run_config(root, f"prefetch.mode = w2v-cent\n"
+                                    f"text.stopwords = {stop}\n"))
+    env.ok("run", "--config", cfg, "--out", tmp_path / "exp")
+    assert lists == read_run(tmp_path / "exp" / "final_test.tsv")
+    assert ((tmp_path / "custom.vec").read_bytes()
+            == (tmp_path / "exp" / "centroids.vec").read_bytes())
+    assert lists != centroid_lists(root / "index.bin", "default")
+
+
+def test_tuned_params_round_trip_into_prefetch(env, tmp_path):
+    """`tune-bm25 --params-out` writes the file and grid `regir run` writes
+    when it tunes BM25, and `prefetch --params` reads it back into the
+    lists of that run."""
+    root = env.root
+    params = tmp_path / "bm25.json"
+    grid = ["--grid-k1", "0.5,2.0,4.0", "--grid-b", "0:1:0.5"]
+    env.ok("tune-bm25", "--index", root / "index.bin",
+           "--queries", root / "queries.jsonl", "--qrels", root / "qrels.tsv",
+           "--splits", root / "splits.json", "--k", "5", *grid,
+           "--out", tmp_path / "grid.csv", "--params-out", params)
+    env.ok("prefetch", "--mode", "bm25", "--k", "5",
+           "--queries", root / "queries.jsonl",
+           "--splits", root / "splits.json", "--split", "test",
+           "--index", root / "index.bin", "--params", params,
+           "--out", tmp_path / "prefetch.tsv")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(run_config(root, "prefetch.mode = bm25\nbm25.tune = true\n"
+                                    "bm25.grid_k1 = 0.5,2.0,4.0\n"
+                                    "bm25.grid_b = 0:1:0.5\n"))
+    outdir = tmp_path / "exp"
+    env.ok("run", "--config", cfg, "--out", outdir)
+    assert params.read_bytes() == (outdir / "bm25_params.json").read_bytes()
+    assert ((tmp_path / "grid.csv").read_text().splitlines()
+            == (outdir / "bm25_grid.csv").read_text().splitlines()[1:])
+    assert read_run(tmp_path / "prefetch.tsv") == read_run(outdir / "final_test.tsv")
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"k1": "x", "b": 0.5}', "k1 must be a finite number, got 'x'"),
+    ('{"k1": true, "b": 0.5}', "k1 must be a finite number, got True"),
+    ('{"k1": NaN, "b": 0.75}', "k1 must be a finite number, got nan"),
+    ('{"k1": 1.2, "b": Infinity}', "b must be a finite number, got inf"),
+    ('{"k1": 1.2, "b": -0.5}', "b must be non-negative, got -0.5"),
+    ('{"k1": 1.0}', "expected a JSON object with exactly the keys k1 and b"),
+    ('{"k1": 1.0, "b": 0.5, "k3": 8}',
+     "expected a JSON object with exactly the keys k1 and b"),
+    ("[1.2, 0.75]", "expected a JSON object with exactly the keys k1 and b"),
+    ('{"k1": 1.2,\n "b": ', "line 2: malformed JSON"),
+], ids=["text", "bool", "nan", "inf", "negative", "missing", "extra", "list",
+        "truncated"])
+def test_prefetch_refuses_bad_params_naming_the_file(env, tmp_path, text, message):
+    params = tmp_path / "bm25.json"
+    params.write_text(text)
+    result = env.cli("prefetch", "--mode", "bm25", "--k", "5",
+                     "--queries", env.root / "queries.jsonl",
+                     "--index", env.root / "index.bin", "--params", params,
+                     "--out", tmp_path / "r.tsv")
+    assert result.exit_code == 1
+    assert f"Error: {params}: {message}" in blob(result)
+    assert not (tmp_path / "r.tsv").exists()
+
+
+def test_stage_commands_refuse_an_index_without_a_pipeline(env, tmp_path):
+    index = load_index(env.root / "index.bin")
+    index.pipeline = None
+    save_index(index, tmp_path / "bare.bin")
+    result = env.cli("prefetch", "--mode", "bm25", "--k", "5",
+                     "--queries", env.root / "queries.jsonl",
+                     "--index", tmp_path / "bare.bin", "--out", tmp_path / "r.tsv")
+    assert result.exit_code == 1
+    assert "the index stores no text pipeline" in blob(result)
 
 
 def test_commands_load_the_index_once(env, tmp_path, monkeypatch):
@@ -309,9 +401,37 @@ def test_train_rejects_two_providers(env, tmp_path):
                      "--collection", env.root / "pool.jsonl",
                      "--qrels", env.root / "qrels.tsv",
                      "--splits", env.root / "splits.json",
+                     "--index", env.root / "index.bin",
                      "--out", tmp_path / "ck.bin")
     assert result.exit_code != 0
     assert "exactly one" in blob(result)
+
+
+def test_train_seed_overrides_the_hyperparameter_file(env, tmp_path):
+    hp = tmp_path / "hp.txt"
+    hp.write_text((env.root / "hp.txt").read_text() + "seed=3\n")
+    env.ok("train", "--model", "drmm", "--run", env.root / "run_all.tsv",
+           "--queries", env.root / "queries.jsonl",
+           "--collection", env.root / "pool.jsonl",
+           "--qrels", env.root / "qrels.tsv", "--splits", env.root / "splits.json",
+           "--index", env.root / "index.bin", "--word-vectors", env.root / "wv.txt",
+           "--hyperparams", hp, "--seed", "7", "--out", tmp_path / "ck.bin")
+    stored = load_checkpoint(tmp_path / "ck.bin").hp
+    assert stored.seed == 7
+    assert (stored.lr, stored.max_epochs) == (0.01, 2)
+
+
+def test_vectors_on_empty_error_names_the_document(env, tmp_path):
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text((env.root / "pool.jsonl").read_text() + json.dumps(
+        {"doc_id": "oov", "title": "Zzz", "body": "qqq www", "year": 2000}) + "\n")
+    env.ok("index", "--collection", pool, "--out", tmp_path / "index.bin")
+    args = ["vectors", "--collection", pool, "--word-vectors", env.root / "wv.txt",
+            "--index", tmp_path / "index.bin", "--out", tmp_path / "c.vec"]
+    result = env.cli(*args, "--on-empty", "error")
+    assert result.exit_code == 1
+    assert "Error: document 'oov': no in-vocabulary token" in blob(result)
+    assert "wrote 40 centroids" in env.ok(*args).output
 
 
 def test_rerank_with_checkpoint(env, tmp_path):
@@ -499,6 +619,14 @@ def test_report_rk_curve(env, tmp_path):
     assert len(lines) == 11
     recalls = [float(line.split(",")[1]) for line in lines[1:]]
     assert recalls == sorted(recalls)
+
+
+def test_report_commands_share_the_error_boundary(env, tmp_path):
+    result = env.cli("report", "rk-curve", "--run", env.root / "run_all.tsv",
+                     "--qrels", env.root / "qrels.tsv", "--k-max", "0",
+                     "--out", tmp_path / "rk.csv")
+    assert result.exit_code == 1
+    assert "Error: k_max must be >= 1" in blob(result)
 
 
 def test_report_year_hist(env, tmp_path):

@@ -12,6 +12,7 @@ import pytest
 from regir.corpus import ingest_collection
 from regir.experiment import ConfigError, load_config, run_experiment
 from regir.ranking import read_run
+from regir.rerank import Hyperparams
 from regir.text import build_pipeline
 
 from conftest import build_dataset
@@ -159,17 +160,23 @@ def test_bad_date_window_is_refused_naming_the_key(space, line, key):
         load_config(path)
 
 
-@pytest.mark.parametrize("model", ["drmm", "pacrr"])
-def test_rerank_scores_a_document_that_denoises_to_nothing(space, tmp_path, model):
-    """BM25 ranks zero-score documents, so with k past the matching ones a
-    stopword-only document becomes a candidate; the matchers score it from
-    all-zero features instead of aborting the run."""
+def copy_with_blank_document(space, tmp_path):
+    """The space dataset in tmp_path, its pool plus one document of
+    stopwords only."""
     blank = {"doc_id": "blank", "title": "The", "body": "of the and", "year": 2000}
     (tmp_path / "pool.jsonl").write_text(
         (space / "pool.jsonl").read_text() + json.dumps(blank) + "\n")
     for name in ("queries.jsonl", "qrels.tsv", "splits.json", "wv.txt",
                  "pool.vec", "queries.vec", "tokens.txt", "hp.txt"):
         (tmp_path / name).write_text((space / name).read_text())
+
+
+@pytest.mark.parametrize("model", ["drmm", "pacrr"])
+def test_rerank_scores_a_document_that_denoises_to_nothing(space, tmp_path, model):
+    """BM25 ranks zero-score documents, so with k past the matching ones a
+    stopword-only document becomes a candidate; the matchers score it from
+    all-zero features instead of aborting the run."""
+    copy_with_blank_document(space, tmp_path)
     row = dict(ROWS[0], mode="bm25", bm25_tune=False, fusion="alpha",
                datefilter="none", model=model, embeddings="word")
     # no idf filter: the pool's only stopwords, in one document, would set
@@ -183,3 +190,47 @@ def test_rerank_scores_a_document_that_denoises_to_nothing(space, tmp_path, mode
     reranked = read_run(outdir / "reranked_test_seed1.tsv")
     assert reranked and all("blank" in ranking.doc_ids
                             for ranking in reranked.values())
+
+
+@pytest.mark.parametrize("line, message", [
+    ("batch = 0", "batch must be >= 1, got 0"),
+    ("batch = -3", "batch must be >= 1, got -3"),
+    ("hidden = 0", "hidden must be >= 1, got 0"),
+    ("negatives = 0", "negatives must be >= 1, got 0"),
+    ("B = 0", "B must be >= 1, got 0"),
+    ("max_epochs = 0", "max_epochs must be >= 1, got 0"),
+    ("patience = -1", "patience must be >= 0, got -1"),
+    ("lr = -1", "lr must be finite and >= 0, got -1.0"),
+    ("q_len = 0", "q_len and d_len must be >= 1"),
+    ("kernel_sizes = 1", "kernel sizes must be >= 2"),
+])
+def test_bad_hyperparams_are_refused_naming_the_file(space, tmp_path, line, message):
+    """By the reader, and so by load_config, before any stage runs."""
+    hp = tmp_path / "hp.txt"
+    hp.write_text(line + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(f'{hp}: {message}')}"):
+        Hyperparams.from_file(hp)
+    path = tmp_path / "cfg.txt"
+    path.write_text(config_text(ROWS[0]).replace("rerank.hyperparams = hp.txt",
+                                                 f"rerank.hyperparams = {hp}"))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: "
+                                          rf"rerank\.hyperparams: "
+                                          rf"{re.escape(f'{hp}: {message}')}"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("mode", ["bm25", "w2v-cent"])
+def test_a_pool_that_denoising_empties_is_refused(space, tmp_path, mode):
+    """The pool's only stopwords, in one added document, set an idf threshold
+    above every term's idf: the pipeline is refused before any stage, with
+    the advice to turn the idf filter off."""
+    copy_with_blank_document(space, tmp_path)
+    row = dict(ROWS[0], mode=mode, bm25_tune=False, fusion="alpha",
+               datefilter="none", model="none")
+    (tmp_path / "cfg.txt").write_text(config_text(row))
+    outdir = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"every document is empty after "
+                                         r"denoising: no term's idf reaches the "
+                                         r"threshold .*turn the idf filter off"):
+        run_experiment(load_config(tmp_path / "cfg.txt"), outdir)
+    assert not (outdir / "final_test.tsv").exists()

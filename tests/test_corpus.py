@@ -7,6 +7,7 @@ from regir.corpus import (Corpus, CorpusError, Document, Qrels, SplitManifest,
                           load_qrels, write_collection)
 
 from conftest import make_doc, write_jsonl
+from oracles import mean_relevant
 
 
 def test_document_text_joins_title_and_body():
@@ -131,7 +132,7 @@ def test_qrels_load_and_restrict(tmp_path, tiny_corpus):
     q.write_text("# comment line\nd1\td2\nd1\td3\nd4\td2\n")
     qrels = load_qrels(q, query_corpus=tiny_corpus, pool_corpus=tiny_corpus)
     assert qrels.relevant("d1") == {"d2", "d3"}
-    assert qrels.mean_relevant == pytest.approx(1.5)
+    assert mean_relevant(qrels) == pytest.approx(1.5)
     only = qrels.restrict(["d4"])
     assert only.relevant("d1") == set()
     assert only.relevant("d4") == {"d2"}

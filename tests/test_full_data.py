@@ -23,6 +23,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import criterion
+from oracles import mean_relevant
 
 from regir.bm25 import build_index, default_grid, tune_bm25, write_grid_csv
 from regir.corpus import SplitManifest, ingest_collection, load_qrels
@@ -143,7 +144,7 @@ def test_criterion_11_dataset_statistics(ctx, task):
                      data.splits.test_ids)
         assert tuple(len(ids) for ids in split_ids) == expected["queries"]
         for ids, want in zip(split_ids, expected["mean_relevant"]):
-            got = data.qrels.restrict(ids).mean_relevant
+            got = mean_relevant(data.qrels.restrict(ids))
             assert abs(got - want) <= 0.01, f"mean relevant {got:.3f} != {want}"
 
 

@@ -262,3 +262,20 @@ def test_build_pipeline_threshold_uses_pool(tiny_corpus):
     else:
         expected = 0.0
     assert pipeline.threshold == pytest.approx(expected)
+
+
+def test_build_pipeline_refuses_a_pool_it_would_empty(tiny_corpus):
+    """The pool's only stopwords, in one document, put the threshold above
+    every term's idf; without the idf filter the stopwords alone can empty
+    a pool. A pool with no word at all is left to the index's own check."""
+    pool = Corpus([make_doc(f"d{i}", ["tax", "fish"]) for i in range(4)]
+                  + [make_doc("d4", ["of", "the", "and"], title="The")])
+    with pytest.raises(ValueError, match=r"no term's idf reaches the threshold "
+                                         r"\d+\.\d{4} .*turn the idf filter off"):
+        build_pipeline(pool)
+    assert build_pipeline(pool, idf_filter=False)(pool.get("d0").text)
+    with pytest.raises(ValueError, match="empty after stopword removal"):
+        build_pipeline(tiny_corpus, stopwords=frozenset(VOCAB) | {"regulation"},
+                       idf_filter=False)
+    blank = Corpus([make_doc("b1", ["1999"], title="2001")])
+    assert build_pipeline(blank).bags(blank).ids.size == 0
