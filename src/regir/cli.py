@@ -25,8 +25,8 @@ from .datefilter import (DateWindow, candidates, finalize, write_year_hist_csv,
                          year_diff_histogram)
 from .dense import (build_centroid_store, load_doc_vectors, load_word_vectors,
                     save_doc_vectors)
-from .experiment import (Prefetcher, emit_rk_curve, load_config, run_experiment,
-                         write_rk_curve_csv, _parse_range)
+from .experiment import (Prefetcher, StageFailed, emit_rk_curve, load_config,
+                         run_experiment, write_rk_curve_csv, _parse_range)
 from .fusion import (default_alpha_grid, fuse_runs, tune_alpha,
                      write_alpha_grid_csv)
 from .metrics import (aggregate_runs, evaluate_run, read_eval_csv,
@@ -41,14 +41,22 @@ from .text import build_pipeline, load_stopwords, TextPipeline
 log = logging.getLogger(__name__)
 
 
+_REPORTED = (ValueError, KeyError, OSError, TrainingDiverged)
+
+
 class _Main(click.Group):
     """The error boundary of every command: what the library raises about
-    bad input or a diverged training run becomes a one-line error."""
+    bad input or a diverged training run becomes a one-line error, also when
+    a stage of `regir run` raised it."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (ValueError, KeyError, OSError, TrainingDiverged) as exc:
+        except _REPORTED as exc:
+            raise click.ClickException(str(exc)) from exc
+        except StageFailed as exc:
+            if not isinstance(exc.__cause__, _REPORTED):
+                raise
             raise click.ClickException(str(exc)) from exc
 
 

@@ -443,20 +443,32 @@ class Prefetcher:
         return fuse_runs(run_a, run_b, alpha, self.deep)
 
 
+class StageFailed(RuntimeError):
+    """A stage of `run_experiment` raised; the cause is chained."""
+
+    def __init__(self, stage: str, cause: Exception):
+        super().__init__(f"stage {stage!r} failed: {cause}")
+
+
 class _Stages:
     """Skip-if-done bookkeeping: a stage whose key (manifest hash + name)
     matches the previous run and whose outputs exist is not recomputed; its
-    artifacts are read back instead."""
+    artifacts are read back instead. A `.stages.json` that is not a JSON
+    object counts as no stage done, and an entry in it that is not an object
+    as its stage not done."""
 
     def __init__(self, outdir: Path, manifest_hash: str):
         self.path = outdir / ".stages.json"
         self.manifest_hash = manifest_hash
-        self.done: dict[str, dict] = {}
+        done = {}
         if self.path.exists():
             try:
-                self.done = json.loads(self.path.read_text())
+                done = json.loads(self.path.read_text())
             except json.JSONDecodeError:
-                self.done = {}
+                pass
+        self.done: dict[str, dict] = (
+            {name: entry for name, entry in done.items() if isinstance(entry, dict)}
+            if isinstance(done, dict) else {})
         self.timings: dict[str, float] = {}
 
     def key(self, name: str) -> str:
@@ -477,7 +489,7 @@ class _Stages:
         try:
             result = build()
         except Exception as exc:
-            raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
+            raise StageFailed(name, exc) from exc
         self.timings[name] = round(time.perf_counter() - start, 6)
         self.done[name] = {"key": self.key(name)}
         self.path.write_text(json.dumps(self.done, indent=2, sort_keys=True))

@@ -46,23 +46,28 @@ class DrmmModel:
 
     def score(self, feats) -> tuple[float, dict]:
         """feats = (histograms (T, bins+1), idf (T,)). Returns s_r and the
-        cache needed for the backward pass."""
-        hists, idf = feats
-        z, out, gate, s_r = self._forward(hists[None], idf)
-        cache = {"hists": hists, "idf": idf, "z": z[0], "out": out[0],
-                 "gate": gate}
-        return float(s_r[0]), cache
+        cache needed for the backward pass: `score_batch` of the one pair."""
+        caches: list = []
+        return float(self.score_batch([feats], caches)[0]), caches[0]
 
-    def score_batch(self, feats_list) -> np.ndarray:
+    def score_batch(self, feats_list, caches: list | None = None) -> np.ndarray:
         """s_r of each pair in feats_list, the candidates of one query, which
-        share its idf; with no backward cache. Each equals `score`'s to the
-        bit: both run `_forward`, whose products are per-pair slices."""
+        share its idf. Given a list, caches receives each pair's backward
+        cache. Both come from one `_forward`, whose products are per-pair
+        slices, so no pair's s_r or cache depends on the others in the
+        batch."""
         idf = feats_list[0][1]
         if any(f[1] is not idf and not np.array_equal(f[1], idf)
                for f in feats_list):
             raise ValueError("a batch holds the candidates of one query, "
                              "which share its idf")
-        return self._forward(np.stack([hists for hists, _ in feats_list]), idf)[3]
+        z, out, gate, s_r = self._forward(
+            np.stack([hists for hists, _ in feats_list]), idf)
+        if caches is not None:
+            caches.extend({"hists": hists, "idf": idf, "z": z[g], "out": out[g],
+                           "gate": gate}
+                          for g, (hists, _) in enumerate(feats_list))
+        return s_r
 
     def _forward(self, hists: np.ndarray, idf: np.ndarray):
         """The MLP over G documents' histograms (G, T, bins+1) against one

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -40,6 +39,10 @@ class PacrrConfig:
             raise ValueError("filters must be >= 1")
         if any(n < 2 for n in self.kernel_sizes):
             raise ValueError("kernel sizes must be >= 2 (the unigram view is built in)")
+        if len(set(self.kernel_sizes)) != len(self.kernel_sizes):
+            # each size has one filter stack, K{n}, but one LSTM input view
+            # per listed size
+            raise ValueError(f"kernel sizes must be distinct, got {self.kernel_sizes}")
 
     @property
     def input_dim(self) -> int:
@@ -98,15 +101,22 @@ class PacrrModel:
     def _conv(self, S: np.ndarray, n: int):
         """Same-padded n x n correlation with F filters as one im2col matmul;
         returns the (F, T*D) outputs and the (T*D, n*n) window matrix, which
-        the backward pass reuses."""
+        the backward pass reuses. Column a*n + b of the window matrix is the
+        padded S shifted by (a, b), copied from a contiguous slice. The
+        matmul takes the window matrix transposed, as the strided gather
+        it replaced did: with numpy's OpenBLAS (0.3.31, AVX-512) `K @ cols.T`
+        and `K @ cols.T.copy()` differ in the last bits of some columns past
+        the last multiple of 8, and only this layout keeps the scores of
+        earlier releases."""
         t, d = S.shape
         p = (n - 1) // 2
         padded = np.zeros((t + n - 1, d + n - 1))
         padded[p:p + t, p:p + d] = S
-        # an empty document has no windows (numpy has no n x n view of its
-        # n - 1 columns of padding)
-        cols = (sliding_window_view(padded, (n, n)).reshape(t * d, n * n) if d
-                else np.zeros((0, n * n)))
+        cols = np.empty((t, d, n * n))
+        for a in range(n):
+            for b in range(n):
+                cols[:, :, a * n + b] = padded[a:a + t, b:b + d]
+        cols = cols.reshape(t * d, n * n)
         out = self.params[f"K{n}"].reshape(-1, n * n) @ cols.T
         out += self.params[f"c{n}"][:, None]
         return out, cols
@@ -140,19 +150,26 @@ class PacrrModel:
 
     def score(self, feats) -> tuple[float, dict]:
         """feats = (S (T, D), idf_col (T,)); returns s_r and the backward
-        cache."""
-        conv_cache: list = []
-        x = self._rows(feats, conv_cache)
-        steps: list = []
-        h = self._lstm(x[None], steps)
-        return float(h[0]), {"conv": conv_cache, "x": x, "steps": steps}
+        cache: `score_batch` of the one pair."""
+        caches: list = []
+        return float(self.score_batch([feats], caches)[0]), caches[0]
 
-    def score_batch(self, feats_list) -> np.ndarray:
+    def score_batch(self, feats_list, caches: list | None = None) -> np.ndarray:
         """s_r of each pair in feats_list, the candidates of one query (so
-        every S has the query's T rows), with no backward cache. Each equals
-        `score`'s to the bit: the rows are built per pair as there, and the
-        recurrence is the same one, run over all candidates at once."""
-        return self._lstm(np.stack([self._rows(feats) for feats in feats_list]))
+        every S has the query's T rows). Given a list, caches receives each
+        pair's backward cache. The rows are built per pair, and the
+        recurrence runs over all pairs at once, so no pair's s_r or cache
+        depends on the others in the batch."""
+        if caches is None:
+            return self._lstm(np.stack([self._rows(feats) for feats in feats_list]))
+        convs: list[list] = [[] for _ in feats_list]
+        X = np.stack([self._rows(feats, conv) for feats, conv in zip(feats_list, convs)])
+        steps: list = []
+        h = self._lstm(X, steps)
+        caches.extend({"conv": conv, "x": X[g],
+                       "steps": [tuple(v[g] for v in step) for step in steps]}
+                      for g, conv in enumerate(convs))
+        return h
 
     def _lstm(self, X: np.ndarray, steps: list | None = None) -> np.ndarray:
         """Last hidden state of each of G sequences X (G, T, input_dim), all
@@ -160,7 +177,8 @@ class PacrrModel:
         are one stacked matmul whose slices are the per-sequence gemvs
         `w @ x[t]`, so G does not change a bit of any sequence's result
         (`X[:, t] @ w.T` would). Given a list, steps receives each step's
-        input and state of the first sequence for the backward pass."""
+        inputs and states, (G,)-long along the last axis, for the backward
+        pass."""
         w, u, b = self.params["lstm_W"], self.params["lstm_U"], self.params["lstm_b"]
         wx = np.matmul(w, X[..., None])[..., 0]
         h = c = np.zeros(X.shape[0])
@@ -171,7 +189,7 @@ class PacrrModel:
             c_new = f * c + i * g
             tc = np.tanh(c_new)
             if steps is not None:
-                steps.append((X[0, t], h[0], c[0], i[0], f[0], o[0], g[0], tc[0]))
+                steps.append((X[:, t], h, c, i, f, o, g, tc))
             h, c = o * tc, c_new
         return h
 

@@ -298,6 +298,43 @@ def _check_finite(value: float, params: dict, epoch: int, step: int) -> None:
             f"loss={value!r}, bad params={bad_params}, norms={norms}")
 
 
+def _hinge_step(model, store: FeatureStore, batch, norm_sp, w_r: float,
+                w_p: float, grads: dict) -> list[float]:
+    """Adds the hinge-loss gradients of a mini-batch of triples into grads
+    and returns each triple's loss. The distinct (query, document) pairs are
+    scored with one `score_batch` call per query; the backward passes then
+    run in triple order, so every gradient sum adds in the order of a
+    per-pair loop."""
+    by_query: dict[str, dict[str, None]] = {}
+    for triple in batch:
+        docs = by_query.setdefault(triple.query_id, {})
+        docs[triple.pos_doc_id] = docs[triple.neg_doc_id] = None
+    scored = {}
+    for query_id, docs in by_query.items():
+        caches: list = []
+        s_r = model.score_batch([store.features(query_id, d) for d in docs], caches)
+        for doc_id, s, cache in zip(docs, s_r.tolist(), caches):
+            scored[query_id, doc_id] = s, cache
+    losses = []
+    for triple in batch:
+        sp = norm_sp[triple.query_id]
+        sr_pos, cache_pos = scored[triple.query_id, triple.pos_doc_id]
+        sr_neg, cache_neg = scored[triple.query_id, triple.neg_doc_id]
+        sp_pos, sp_neg = sp[triple.pos_doc_id], sp[triple.neg_doc_id]
+        loss = hinge_loss(rel_score(sr_pos, sp_pos, w_r, w_p),
+                          rel_score(sr_neg, sp_neg, w_r, w_p))
+        losses.append(loss)
+        if loss <= 0.0:
+            continue
+        grads["w_r"] += sr_neg - sr_pos
+        grads["w_p"] += sp_neg - sp_pos
+        for name, g in model.backward(cache_pos, -w_r).items():
+            grads[name] += g
+        for name, g in model.backward(cache_neg, +w_r).items():
+            grads[name] += g
+    return losses
+
+
 def train_model(kind: str, train_ids, dev_ids, qrels, run: Run,
                 store: FeatureStore, hp: Hyperparams, dev_k: int = 20) -> TrainResult:
     """Full training run: sample triples once, then epochs of shuffled
@@ -327,25 +364,10 @@ def train_model(kind: str, train_ids, dev_ids, qrels, run: Run,
         for step in range(0, len(triples), hp.batch):
             batch = triples[step:step + hp.batch]
             grads = {k: np.zeros_like(v) for k, v in all_params.items()}
-            w_r, w_p = float(fusion["w_r"][0]), float(fusion["w_p"][0])
-            for triple in batch:
-                sp = norm_sp[triple.query_id]
-                f_pos = store.features(triple.query_id, triple.pos_doc_id)
-                f_neg = store.features(triple.query_id, triple.neg_doc_id)
-                sr_pos, cache_pos = model.score(f_pos)
-                sr_neg, cache_neg = model.score(f_neg)
-                sp_pos, sp_neg = sp[triple.pos_doc_id], sp[triple.neg_doc_id]
-                loss = hinge_loss(rel_score(sr_pos, sp_pos, w_r, w_p),
-                                  rel_score(sr_neg, sp_neg, w_r, w_p))
+            for loss in _hinge_step(model, store, batch, norm_sp,
+                                    float(fusion["w_r"][0]),
+                                    float(fusion["w_p"][0]), grads):
                 epoch_loss += loss
-                if loss <= 0.0:
-                    continue
-                grads["w_r"] += sr_neg - sr_pos
-                grads["w_p"] += sp_neg - sp_pos
-                for name, g in model.backward(cache_pos, -w_r).items():
-                    grads[name] += g
-                for name, g in model.backward(cache_neg, +w_r).items():
-                    grads[name] += g
             for key in grads:
                 grads[key] /= len(batch)
             opt.step(grads)

@@ -1,10 +1,11 @@
 """Reference code that only tests call: scorers one (query, document) pair
 at a time (BM25 read off a document's postings, DRMM and PACRR forward
 passes from raw token lists or from one pair's 2-d products, and re-ranking
-with one model call per candidate), the dict-built postings, the lexsort
-top-k, the per-row histogram and einsum convolution that the vectorized
-kernels must reproduce, and small readers and helpers the pipeline itself
-has no use for."""
+with one model call per candidate), a training step that scores and
+back-propagates one pair at a time, the dict-built postings, the lexsort
+top-k, the per-row histogram and the einsum and strided-gather convolutions
+that the vectorized kernels must reproduce, and small readers and helpers
+the pipeline itself has no use for."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from regir.rerank.drmm import DrmmModel
 from regir.rerank.features import (TypeEmbeddings, dedup_terms, drmm_features,
                                    pacrr_features, sim_matrix, softmax)
 from regir.rerank.pacrr import PacrrModel, _sigmoid
-from regir.rerank.train import rel_score
+from regir.rerank.train import hinge_loss, rel_score
 
 
 def idf_from_token_lists(token_lists) -> IdfTable:
@@ -169,6 +170,23 @@ def conv_einsum(S: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndar
     return np.einsum("tdab,fab->ftd", win, kernels) + bias[:, None, None]
 
 
+def conv_strided_im2col(S: np.ndarray, kernels: np.ndarray, bias: np.ndarray):
+    """Same-padded correlation as one matmul over the strided window gather
+    `sliding_window_view(...).reshape(T*D, n*n)`, transposed: the (F, T*D)
+    outputs and the (T*D, n*n) window matrix."""
+    n = kernels.shape[1]
+    t, d = S.shape
+    p = (n - 1) // 2
+    padded = np.zeros((t + n - 1, d + n - 1))
+    padded[p:p + t, p:p + d] = S
+    # numpy has no n x n view of an empty document's n - 1 padding columns
+    cols = (sliding_window_view(padded, (n, n)).reshape(t * d, n * n) if d
+            else np.zeros((0, n * n)))
+    out = kernels.reshape(-1, n * n) @ cols.T
+    out += bias[:, None]
+    return out, cols
+
+
 def build_histogram(query_term: str, doc_tokens: list[str], word_vectors,
                     bins: int) -> np.ndarray:
     """Histogram for a single query term against a document, using static
@@ -238,6 +256,32 @@ def rerank_list_per_pair(reranker, query_id: str, ranking: RankedList) -> Ranked
         rescored.append((doc_id, rel_score(s_r, norm[doc_id], reranker.w_r,
                                            reranker.w_p)))
     return RankedList(sort_scored(rescored), presorted=True)
+
+
+def hinge_step_per_pair(model, store, batch, norm_sp, w_r: float, w_p: float,
+                        grads: dict) -> list[float]:
+    """`train._hinge_step` with one `model.score` call per pair of each
+    triple, forward and backward triple by triple."""
+    losses = []
+    for triple in batch:
+        sp = norm_sp[triple.query_id]
+        f_pos = store.features(triple.query_id, triple.pos_doc_id)
+        f_neg = store.features(triple.query_id, triple.neg_doc_id)
+        sr_pos, cache_pos = model.score(f_pos)
+        sr_neg, cache_neg = model.score(f_neg)
+        sp_pos, sp_neg = sp[triple.pos_doc_id], sp[triple.neg_doc_id]
+        loss = hinge_loss(rel_score(sr_pos, sp_pos, w_r, w_p),
+                          rel_score(sr_neg, sp_neg, w_r, w_p))
+        losses.append(loss)
+        if loss <= 0.0:
+            continue
+        grads["w_r"] += sr_neg - sr_pos
+        grads["w_p"] += sp_neg - sp_pos
+        for name, g in model.backward(cache_pos, -w_r).items():
+            grads[name] += g
+        for name, g in model.backward(cache_neg, +w_r).items():
+            grads[name] += g
+    return losses
 
 
 def read_grid_csv(path) -> list[GridCell]:

@@ -661,6 +661,39 @@ def test_run_command_end_to_end(env, tmp_path):
     assert (outdir / "rk_curve.csv").exists()
 
 
+def test_run_command_reports_a_failed_stage_in_one_line(env, tmp_path):
+    """A test query with no word vector gets an empty centroid list, which
+    the ensemble cannot fuse: `run` exits with the stage's error on one
+    line."""
+    test_id = json.loads((env.root / "splits.json").read_text())["test"][0]
+    queries = [json.loads(line) for line in
+               (env.root / "queries.jsonl").read_text().splitlines()]
+    for query in queries:
+        if query["doc_id"] == test_id:
+            query.update(title="qqq", body="www")
+    (tmp_path / "queries.jsonl").write_text(
+        "".join(json.dumps(query) + "\n" for query in queries))
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "task = EU2UK\n"
+        f"data.pool = {env.root / 'pool.jsonl'}\n"
+        "data.queries = queries.jsonl\n"
+        f"data.qrels = {env.root / 'qrels.tsv'}\n"
+        f"data.splits = {env.root / 'splits.json'}\n"
+        f"dense.word_vectors = {env.root / 'wv.txt'}\n"
+        "prefetch.mode = ensemble\n"
+        "prefetch.k = 10\n"
+        "fusion.components = bm25,w2v-cent\n"
+        "fusion.tune = true\n"
+        "eval.k = 5\n")
+    result = env.cli("run", "--config", cfg, "--out", tmp_path / "exp")
+    assert result.exit_code == 1
+    errors = [line for line in result.output.splitlines() if line.startswith("Error")]
+    assert errors == ["Error: stage 'prefetch' failed: cannot normalize an empty "
+                      "ranking"]
+    assert "Traceback" not in blob(result)
+
+
 def test_run_command_rejects_bad_config(env, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("task = EU2UK\nretrieval.engine = lucene\n")

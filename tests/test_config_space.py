@@ -203,6 +203,7 @@ def test_rerank_scores_a_document_that_denoises_to_nothing(space, tmp_path, mode
     ("lr = -1", "lr must be finite and >= 0, got -1.0"),
     ("q_len = 0", "q_len and d_len must be >= 1"),
     ("kernel_sizes = 1", "kernel sizes must be >= 2"),
+    ("kernel_sizes = 2,2", "kernel sizes must be distinct, got (2, 2)"),
 ])
 def test_bad_hyperparams_are_refused_naming_the_file(space, tmp_path, line, message):
     """By the reader, and so by load_config, before any stage runs."""

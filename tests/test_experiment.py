@@ -349,6 +349,22 @@ def test_stale_v1_index_in_a_reused_outdir_is_rebuilt(dataset, tmp_path):
     assert (outdir / "eval_test.csv").read_bytes() == before
 
 
+@pytest.mark.parametrize("text", ["[]", '{"index-v2": "abc"}'])
+def test_malformed_stages_file_counts_as_no_stage_done(dataset, tmp_path, text):
+    """Valid JSON of the wrong shape in `.stages.json`, at the top or in a
+    stage's entry, is bookkeeping lost, not an error: every stage runs."""
+    cfg = cfg_from(dataset, BASE_CFG)
+    fresh = run_experiment(cfg, tmp_path / "fresh")
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / ".stages.json").write_text(text)
+    run_experiment(cfg, outdir)
+    assert (json.loads((outdir / ".stages.json").read_text())
+            == json.loads((fresh.outdir / ".stages.json").read_text()))
+    assert ((outdir / "eval_test.csv").read_bytes()
+            == (fresh.outdir / "eval_test.csv").read_bytes())
+
+
 def test_run_experiment_keeps_what_it_builds(dataset, tmp_path, monkeypatch):
     """A fresh run reads back none of the index and centroid files it
     writes; a fully skipped rerun reads each once and writes the same

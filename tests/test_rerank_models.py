@@ -13,8 +13,8 @@ from regir.rerank.features import (bin_similarities, dedup_terms, drmm_pair,
                                    pacrr_pair, pacrr_query, softmax)
 
 from oracles import (bin_similarities_row, build_histogram, conv_einsum,
-                     drmm_features_per_row, drmm_score, drmm_score_2d,
-                     pacrr_score, pacrr_score_per_step)
+                     conv_strided_im2col, drmm_features_per_row, drmm_score,
+                     drmm_score_2d, pacrr_score, pacrr_score_per_step)
 
 
 def wv_from(mapping):
@@ -493,6 +493,31 @@ def test_pacrr_conv_matches_einsum_oracle(n):
         out, _ = model._conv(S, n)
         want = conv_einsum(S, model.params[f"K{n}"], model.params[f"c{n}"])
         assert np.allclose(out.reshape(want.shape), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pacrr_conv_equals_strided_gather_oracle(n):
+    """The window matrix of contiguous shifted slices gives the bits of the
+    matmul over the strided gather, outputs and backward windows alike, on
+    one query term, an empty document, one narrower than the kernel, one of
+    d_len and a wide one."""
+    from regir.rerank.pacrr import _row_kmax
+    rng = np.random.default_rng(40 + n)
+    config = PacrrConfig(d_len=39, kernel_sizes=(n,), filters=16, kmax=3)
+    model = PacrrModel.init(rng, config)
+    model.params[f"c{n}"] = rng.normal(size=16)
+    kernels, bias = model.params[f"K{n}"], model.params[f"c{n}"]
+    for t, d in [(1, 5), (4, 0), (4, 1), (5, 39), (12, 127), (30, 257)]:
+        S = rng.uniform(-1, 1, size=(t, d))
+        out, _ = model._conv(S, n)
+        want, cols = conv_strided_im2col(S, kernels, bias)
+        assert out.shape == want.shape and (out == want).all()
+        conv_cache: list = []
+        model._rows((S, rng.uniform(size=t)), conv_cache)
+        _, idx = _row_kmax(want.max(axis=0).reshape(t, d), config.kmax)
+        flat = (idx + d * np.arange(t)[:, None])[idx >= 0]
+        windows = conv_cache[0]["windows"]
+        assert windows.shape == (len(flat), n * n) and (windows == cols[flat]).all()
 
 
 def test_pacrr_hand_traced_conv():

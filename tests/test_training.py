@@ -11,7 +11,7 @@ from regir._npz import write_npz
 from regir.corpus import Corpus, Document, Qrels
 from regir.dense import WordVectors
 from regir.ranking import RankedList, Run
-from regir.rerank import TokenEmbeddings, TypeEmbeddings
+from regir.rerank import TokenEmbeddings, TypeEmbeddings, train
 from regir.rerank.features import dedup_terms, drmm_features, pacrr_features
 from regir.rerank.train import (CHECKPOINT_FORMAT, Adam, FeatureStore,
                                 Hyperparams, Reranker,
@@ -22,7 +22,7 @@ from regir.rerank.train import (CHECKPOINT_FORMAT, Adam, FeatureStore,
 from regir.text import build_pipeline
 
 from conftest import make_doc
-from oracles import rerank_list_per_pair
+from oracles import hinge_step_per_pair, rerank_list_per_pair
 
 
 # --- loss and fusion arithmetic ---
@@ -403,19 +403,26 @@ def test_rerank_hand_set_model_puts_positives_first():
 
 
 class CallCounter:
-    """A matcher that counts its calls and passes them on."""
+    """A matcher that counts its calls and passes them on, and records the
+    pair count of each call that fills backward caches."""
 
     def __init__(self, model):
         self.model = model
         self.calls = {"score": 0, "score_batch": 0}
+        self.cached_batches: list[int] = []
 
     def score(self, feats):
         self.calls["score"] += 1
         return self.model.score(feats)
 
-    def score_batch(self, feats_list):
+    def score_batch(self, feats_list, caches=None):
         self.calls["score_batch"] += 1
-        return self.model.score_batch(feats_list)
+        if caches is not None:
+            self.cached_batches.append(len(feats_list))
+        return self.model.score_batch(feats_list, caches)
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
 
 
 @pytest.mark.parametrize("provider_kind", ["type", "token"])
@@ -459,6 +466,75 @@ def test_training_log_equals_per_pair_oracle(kind, hp, monkeypatch):
     assert batched.log_rows == per_pair.log_rows
     assert all(np.array_equal(batched.model.params[k], per_pair.model.params[k])
                for k in batched.model.params)
+
+
+TRAIN_HPS = [
+    ("drmm", Hyperparams(lr=0.1, max_epochs=3, patience=10, negatives=2, B=6,
+                         hidden=3, batch=5, seed=4)),
+    ("pacrr", Hyperparams(lr=0.1, max_epochs=3, patience=10, negatives=2,
+                          filters=2, q_len=8, d_len=8, batch=5, seed=4)),
+]
+
+
+def spy_batches(monkeypatch) -> list:
+    """The mini-batches train_model hands its step, recorded in order."""
+    batches = []
+    real_step = train._hinge_step
+
+    def step(model, store, batch, *rest):
+        batches.append(list(batch))
+        return real_step(model, store, batch, *rest)
+
+    monkeypatch.setattr(train, "_hinge_step", step)
+    return batches
+
+
+@pytest.mark.parametrize("kind, hp", TRAIN_HPS)
+def test_training_equals_per_pair_step_oracle(kind, hp, monkeypatch):
+    """Scoring a mini-batch with one batched call per query trains to the
+    bits of scoring and back-propagating one pair at a time, over several
+    epochs of batches smaller than the triple set, in which a positive
+    repeats. Dev R@1 starts at 0 (every positive is pre-fetched last), so
+    the returned checkpoint is a trained one."""
+    store, qrels, run, train_ids, dev_ids = make_store(kind, hp)
+    batches = spy_batches(monkeypatch)
+    batched = train_model(kind, train_ids, dev_ids, qrels, run, store, hp, dev_k=1)
+    assert len(batched.log_rows) == hp.max_epochs and batched.best_epoch > 0
+    assert len(batches) > hp.max_epochs
+    assert any(len({(t.query_id, t.pos_doc_id) for t in batch}) < len(batch)
+               for batch in batches)
+    monkeypatch.setattr(train, "_hinge_step", hinge_step_per_pair)
+    per_pair = train_model(kind, train_ids, dev_ids, qrels, run, store, hp, dev_k=1)
+    assert batched.log_rows == per_pair.log_rows
+    assert (batched.w_r, batched.w_p) == (per_pair.w_r, per_pair.w_p)
+    assert batched.model.params.keys() == per_pair.model.params.keys()
+    assert all(np.array_equal(batched.model.params[k], per_pair.model.params[k])
+               for k in batched.model.params)
+
+
+@pytest.mark.parametrize("kind, hp", TRAIN_HPS)
+def test_training_scores_each_query_of_a_batch_in_one_call(kind, hp, monkeypatch):
+    """Each mini-batch makes one batched forward per query over its distinct
+    documents, and no per-pair `score` call."""
+    store, qrels, run, train_ids, dev_ids = make_store(kind, hp)
+    batches = spy_batches(monkeypatch)
+    counters = []
+
+    def counting_init(*args):
+        counters.append(CallCounter(init_model(*args)))
+        return counters[-1]
+
+    monkeypatch.setattr(train, "init_model", counting_init)
+    train_model(kind, train_ids, dev_ids, qrels, run, store, hp)
+    want = []
+    for batch in batches:
+        docs: dict[str, set] = {}
+        for t in batch:
+            docs.setdefault(t.query_id, set()).update((t.pos_doc_id, t.neg_doc_id))
+        want += [len(d) for d in docs.values()]
+    [counter] = counters
+    assert counter.cached_batches == want
+    assert counter.calls["score"] == 0
 
 
 # --- persistence ---
