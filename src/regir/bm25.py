@@ -15,6 +15,7 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from .ranking import RankedList, top_k_from_arrays
 from .text import IdfTable, TextPipeline
 
 INDEX_FORMAT = "regir-postings-index"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -68,45 +69,35 @@ def read_params(path) -> Bm25Params:
 class PostingsIndex:
     """Immutable inverted index over a denoised pool collection, in CSR form.
 
-    Terms are sorted; term i owns entries offsets[i]:offsets[i+1] of
-    `positions` (rows of the sorted doc ids, ascending) and `tf` (each >= 1).
-    A document's length is the sum of its tf. The arrays have the types
-    scoring reads (a list of bounds, intp positions, float tf), since numpy
-    scalars and int32 fancy indices are slower per term; the file holds
-    them as int64 and int32.
-
-    The idf table is the same pool-side table that drives denoising; a term
-    either survives the pipeline in every document or in none, so postings
-    length equals the table's df for every indexed term.
+    Its terms are the sorted idf-table terms the text pipeline keeps. A term
+    survives the pipeline in every document or in none, so term i owns its
+    df's worth of entries, offsets[i]:offsets[i+1], of `positions` (rows of
+    the sorted doc ids, ascending) and `tf` (each >= 1). A document's length
+    is the sum of its tf. The arrays have the types scoring reads (a list of
+    bounds, intp positions, float tf), since numpy scalars and int32 fancy
+    indices are slower per term; the file holds them as int32.
     """
 
-    def __init__(self, terms: list[str], offsets: np.ndarray, positions: np.ndarray,
-                 tf: np.ndarray, doc_ids: list[str], idf_table: IdfTable,
-                 pipeline: TextPipeline | None = None):
+    def __init__(self, pipeline: TextPipeline, doc_ids: list[str],
+                 positions: np.ndarray, tf: np.ndarray):
         if not doc_ids:
             raise ValueError("empty pool: no documents to index")
-        self.terms = terms
-        self._row = {t: i for i, t in enumerate(terms)}
-        self.offsets = offsets.tolist()
-        self.positions = positions.astype(np.intp)
-        self.tf = tf.astype(np.float64)
         # the pipeline that produced the postings, kept so query-time
         # denoising cannot drift from index-time denoising
         self.pipeline = pipeline
+        self.idf_table = table = pipeline.idf_table
+        self.terms = sorted(t for t in table.terms if pipeline.keeps(t))
+        self._row = {t: i for i, t in enumerate(self.terms)}
+        self.offsets = [0, *accumulate(map(table.df, self.terms))]
+        self.positions = positions.astype(np.intp)
+        self.tf = tf.astype(np.float64)
         self.doc_count = len(doc_ids)
         self.doc_len = np.bincount(self.positions, weights=self.tf,
                                    minlength=self.doc_count)
         self.avg_len = float(self.doc_len.sum()) / self.doc_count
         if self.avg_len == 0:
             raise ValueError("every document is empty after denoising")
-        self.idf_table = idf_table
         self.doc_ids = np.array(doc_ids, dtype=object)
-
-    def __contains__(self, term: str) -> bool:
-        return term in self._row
-
-    def idf(self, term: str) -> float:
-        return self.idf_table.idf(term)
 
     def _norm(self, length: float, params: Bm25Params) -> float:
         return 1.0 - params.b + params.b * length / self.avg_len
@@ -121,7 +112,7 @@ class PostingsIndex:
                 continue
             lo, hi = self.offsets[row], self.offsets[row + 1]
             pos, tf = self.positions[lo:hi], self.tf[lo:hi]
-            w = q_tf * self.idf(term) * tf * (params.k1 + 1)
+            w = q_tf * self.idf_table.idf(term) * tf * (params.k1 + 1)
             scores[pos] += w / (tf + norms[pos])
         return scores
 
@@ -138,7 +129,8 @@ class PostingsIndex:
 def build_index(corpus, pipeline) -> PostingsIndex:
     """Index the pool from the pipeline's denoised bags of it. Deterministic:
     terms and postings are stored in sorted order, so rebuilding gives equal
-    arrays and saving them equal bytes."""
+    arrays and saving them equal bytes. Refuses a corpus that is not the
+    collection the pipeline was built from."""
     if len(corpus) == 0:
         raise ValueError("empty pool: no documents to index")
     bags = pipeline.bags(corpus)
@@ -146,92 +138,89 @@ def build_index(corpus, pipeline) -> PostingsIndex:
     by_id = sorted(range(n), key=bags.doc_ids.__getitem__)
     doc_pos = np.empty(n, dtype=np.int64)
     doc_pos[by_id] = np.arange(n)
-    used = np.flatnonzero(bags.df()).tolist()
-    by_term = sorted(used, key=bags.terms.__getitem__)
+    df = bags.df()
+    by_term = sorted(np.flatnonzero(df).tolist(), key=bags.terms.__getitem__)
     term_row = np.zeros(len(bags.terms), dtype=np.int64)
     term_row[by_term] = np.arange(len(by_term))
     # one key per (term, document) entry, unique since a bag holds a term once
     entry_doc = np.repeat(doc_pos, np.diff(bags.offsets))
     keys, first = np.unique(term_row[bags.ids] * n + entry_doc, return_index=True)
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(keys // n,
-                                                         minlength=len(by_term)))))
-    return PostingsIndex([bags.terms[i] for i in by_term], offsets,
-                         (keys % n).astype(np.int32), bags.tf[first],
-                         [bags.doc_ids[i] for i in by_id], pipeline.idf_table,
-                         pipeline=pipeline)
+    index = PostingsIndex(pipeline, [bags.doc_ids[i] for i in by_id],
+                          (keys % n).astype(np.int32), bags.tf[first])
+    if (n != index.idf_table.doc_count
+            or index.terms != [bags.terms[i] for i in by_term]
+            or not np.array_equal(np.diff(index.offsets), df[by_term])):
+        raise ValueError("the corpus is not the collection the text pipeline "
+                         "was built from: its doc count or denoised df differ "
+                         "from the pipeline's idf table")
+    return index
 
 
-_INDEX_ARRAYS = {"offsets": np.int64, "positions": np.int32, "tf": np.int32,
-                 "idf_df": np.int64}
+_INDEX_ARRAYS = {"positions": np.int32, "tf": np.int32, "idf_df": np.int64}
 
 
 def save_index(index: PostingsIndex, path) -> None:
-    """The CSR arrays and the idf table's df, plus a JSON header holding the
-    term and doc id lists and the pipeline settings (see `_npz`)."""
+    """The postings' positions and tf and the idf table's df, plus a JSON
+    header holding the doc id and idf term lists and the pipeline settings
+    (see `_npz`). The terms, offsets and the table's doc count derive from
+    these, so the file does not hold them."""
     table = index.idf_table
     idf_terms = sorted(table.terms)
-    header = {
-        "format": INDEX_FORMAT,
-        "version": INDEX_VERSION,
-        "ids": index.doc_ids.tolist(),
-        "terms": index.terms,
-        "idf_doc_count": table.doc_count,
-        "idf_terms": idf_terms,
-        "stopwords": sorted(index.pipeline.stopwords) if index.pipeline else None,
-        "idf_filter": index.pipeline.idf_filter if index.pipeline else None,
-    }
-    arrays = {"offsets": np.array(index.offsets, dtype=np.int64),
-              "positions": index.positions.astype(np.int32),
+    header = {"format": INDEX_FORMAT, "version": INDEX_VERSION,
+              "ids": index.doc_ids.tolist(), "idf_terms": idf_terms,
+              "stopwords": sorted(index.pipeline.stopwords),
+              "idf_filter": index.pipeline.idf_filter}
+    arrays = {"positions": index.positions.astype(np.int32),
               "tf": index.tf.astype(np.int32),
               "idf_df": np.array([table.df(t) for t in idf_terms], dtype=np.int64)}
     write_npz(path, header, arrays)
 
 
 def load_index(path) -> PostingsIndex:
-    """Inverse of save_index. Checks the CSR invariants and raises
-    ValueError naming the file on any violation or damage."""
+    """Inverse of save_index. Checks the header fields and the CSR
+    invariants; raises ValueError naming the file on any fault."""
     header, arrays = read_npz(path, INDEX_FORMAT, INDEX_VERSION, _INDEX_ARRAYS)
     try:
         return _checked_index(header, arrays)
     except KeyError as exc:
         raise ValueError(f"{path}: header lacks {exc}") from None
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def _checked_index(header: dict, arrays: dict) -> PostingsIndex:
-    ids, terms, idf_terms = header["ids"], header["terms"], header["idf_terms"]
-    offsets, positions, tf = arrays["offsets"], arrays["positions"], arrays["tf"]
-    for name, names in (("doc id", ids), ("term", terms), ("idf term", idf_terms)):
+    ids, idf_terms, stopwords = header["ids"], header["idf_terms"], header["stopwords"]
+    positions, tf, idf_df = arrays["positions"], arrays["tf"], arrays["idf_df"]
+    for name, names in (("doc id", ids), ("idf term", idf_terms)):
         if not (isinstance(names, list) and all(isinstance(x, str) for x in names)
                 and all(a < b for a, b in zip(names, names[1:]))):
             raise ValueError(f"{name}s are not unique strings in sorted order")
-    n = len(ids)
-    if (len(offsets) != len(terms) + 1 or offsets[0] != 0
-            or offsets[-1] != len(positions) or np.any(np.diff(offsets) < 0)):
-        raise ValueError("term offsets are not monotone over the postings")
+    if not (isinstance(stopwords, list) and all(isinstance(w, str) for w in stopwords)):
+        raise ValueError("stopwords are not a list of strings")
+    if not isinstance(header["idf_filter"], bool):
+        raise ValueError("idf_filter is not a JSON boolean")
+    if len(idf_df) != len(idf_terms):
+        raise ValueError("idf terms and df values differ in length")
     if len(tf) != len(positions):
         raise ValueError("tf and positions differ in length")
+    n = len(ids)
     if len(positions) and (positions.min() < 0 or positions.max() >= n):
         raise ValueError("document position out of range")
     if np.any(tf < 1):
         raise ValueError("tf < 1 in the postings")
-    entry_term = np.repeat(np.arange(len(terms), dtype=np.int64), np.diff(offsets))
+    table = IdfTable(n, dict(zip(idf_terms, idf_df.tolist())))
+    pipeline = TextPipeline(table, stopwords=frozenset(stopwords),
+                            idf_filter=header["idf_filter"])
+    index = PostingsIndex(pipeline, ids, positions, tf)
+    offsets = index.offsets
+    if len(positions) != offsets[-1]:
+        raise ValueError(f"postings length {len(positions)} differs from the "
+                         f"df sum {offsets[-1]} of the terms the pipeline keeps")
+    entry_term = np.repeat(np.arange(len(index.terms), dtype=np.int64),
+                           np.diff(offsets))
     if np.any(np.diff(entry_term * n + positions) <= 0):
         raise ValueError("a postings list is not in ascending document order")
-    if len(arrays["idf_df"]) != len(idf_terms):
-        raise ValueError("idf terms and df values differ in length")
-    table = IdfTable(header["idf_doc_count"],
-                     dict(zip(idf_terms, arrays["idf_df"].tolist())))
-    df = np.array([table.df(t) for t in terms], dtype=np.int64)
-    if not np.array_equal(df, np.diff(offsets)):
-        raise ValueError("postings length differs from the idf table's df")
-    pipeline = None
-    if header["stopwords"] is not None:
-        pipeline = TextPipeline(table, stopwords=frozenset(header["stopwords"]),
-                                idf_filter=bool(header["idf_filter"]))
-    return PostingsIndex(terms, offsets, positions, tf, ids, table,
-                         pipeline=pipeline)
+    return index
 
 
 def default_grid() -> tuple[list[float], list[float]]:

@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 import statistics
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .bm25 import (PostingsIndex, build_index, default_grid, load_index,
-                   read_params, save_index, tune_bm25, write_grid_csv,
-                   write_params)
+from .bm25 import (build_index, default_grid, load_index, read_params,
+                   save_index, tune_bm25, write_grid_csv, write_params)
 from .corpus import (convert_collection, corpus_stats, ingest_collection,
                      load_qrels, write_collection, SplitManifest)
 from .datefilter import (DateWindow, candidates, finalize, write_year_hist_csv,
@@ -30,13 +28,13 @@ from .experiment import (Prefetcher, StageFailed, emit_rk_curve, load_config,
 from .fusion import (default_alpha_grid, fuse_runs, tune_alpha,
                      write_alpha_grid_csv)
 from .metrics import (aggregate_runs, evaluate_run, read_eval_csv,
-                      write_eval_csv, write_summary_csv, EvalReport)
+                      write_eval_csv, write_summary_csv)
 from .ranking import RankedList, Run, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
 from .rerank.train import (FeatureStore, Hyperparams, TrainingDiverged,
                            load_checkpoint, save_checkpoint, train_model,
                            write_training_log)
-from .text import build_pipeline, load_stopwords, TextPipeline
+from .text import build_pipeline, load_stopwords
 
 log = logging.getLogger(__name__)
 
@@ -70,14 +68,6 @@ def main(verbose):
 
 _in = click.Path(exists=True, dir_okay=False, path_type=Path)
 _out = click.Path(dir_okay=False, path_type=Path, writable=True)
-
-
-def _pipeline(index: PostingsIndex) -> TextPipeline:
-    """The text pipeline `regir index` froze into the index."""
-    if index.pipeline is None:
-        raise click.ClickException("the index stores no text pipeline; "
-                                   "rebuild it with `regir index`")
-    return index.pipeline
 
 
 def _query_ids(query_corpus, splits_path: Path | None, split: str | None):
@@ -169,11 +159,10 @@ def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
                   grid_k1, grid_b):
     """Sweep (k1, b) maximizing R@k and export the recall grid."""
     idx = load_index(index_path)
-    pipeline = _pipeline(idx)
     query_corpus = ingest_collection(queries)
     judgments = load_qrels(qrels)
     ids = _query_ids(query_corpus, splits, split)
-    tokens = {q: pipeline(query_corpus.get(q).text) for q in ids}
+    tokens = {q: idx.pipeline(query_corpus.get(q).text) for q in ids}
     k1_grid, b_grid = default_grid()
     if grid_k1:
         k1_grid = _parse_range(grid_k1, "--grid-k1")
@@ -199,7 +188,7 @@ def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
 def vectors(collection, word_vectors, out, index_path, on_empty):
     """Precompute tf-idf weighted centroid vectors for every pool document."""
     corpus = ingest_collection(collection, tag="pool")
-    pipeline = _pipeline(load_index(index_path))
+    pipeline = load_index(index_path).pipeline
     wv = load_word_vectors(word_vectors)
     store = build_centroid_store(corpus, pipeline, wv, on_empty=on_empty)
     save_doc_vectors(store, out)
@@ -239,14 +228,13 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
     if mode == "ensemble":
         if not components or alpha is None:
             raise click.ClickException("ensemble needs --components and --alpha")
-        components = tuple(c.strip() for c in components.split(","))
-        if len(components) != 2:
+        names = tuple(c.strip() for c in components.split(","))
+        if len(names) != 2:
             raise click.ClickException("--components must name exactly two "
                                        "pre-fetchers")
     else:
-        components = None
-    names = components or (mode,)
-    stage = Prefetcher(mode, components, k, query_corpus)
+        names = (mode,)
+    stage = Prefetcher(names, k, query_corpus)
     if params:
         stage.bm25_params = read_params(params)
 
@@ -261,7 +249,7 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
     pool_corpus = ingest_collection(collection, tag="pool") if collection else None
     if "bm25" in names or "w2v-cent" in names:
         stage.index = load_index(index_path)
-        stage.pipeline = _pipeline(stage.index)
+        stage.pipeline = stage.index.pipeline
     if "w2v-cent" in names:
         stage.word_vectors = load_word_vectors(word_vectors)
         stage.cent_store = load_doc_vectors(centroids)
@@ -342,7 +330,7 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
 
     query_corpus = ingest_collection(queries)
     pool_corpus = ingest_collection(collection, tag="pool")
-    pipeline = _pipeline(load_index(index_path))
+    pipeline = load_index(index_path).pipeline
     judgments = load_qrels(qrels, query_corpus=query_corpus,
                            pool_corpus=pool_corpus)
     manifest = SplitManifest.from_json(splits)
@@ -382,7 +370,7 @@ def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
     """Re-rank pre-fetched lists with a trained checkpoint."""
     query_corpus = ingest_collection(queries)
     pool_corpus = ingest_collection(collection, tag="pool")
-    pipeline = _pipeline(load_index(index_path))
+    pipeline = load_index(index_path).pipeline
     result = load_checkpoint(checkpoint)
     provider = _provider(word_vectors, token_vectors)
     store = FeatureStore(result.model.kind, provider, pipeline, query_corpus,
@@ -456,16 +444,7 @@ def report():
 @click.option("--out", type=_out, required=True)
 def aggregate(eval_paths, out):
     """Mean and standard deviation across seeded runs."""
-    reports = []
-    for path in eval_paths:
-        per_query, _, names = read_eval_csv(path)
-        k = next((int(m[5:]) for m in names if re.fullmatch(r"r_at_\d+", m)), 0)
-        report = EvalReport(k, per_query)
-        if names != report.metric_names:
-            raise click.ClickException(f"{path}: expected the columns r_at_K, "
-                                       f"ndcg_at_K, rp of an eval CSV")
-        reports.append(report)
-    summary = aggregate_runs(reports)
+    summary = aggregate_runs([read_eval_csv(path) for path in eval_paths])
     write_summary_csv(summary, out)
     for metric, (mean, sd) in summary.items():
         click.echo(f"{metric} {mean:.4f} (+/- {sd:.4f})")
@@ -511,8 +490,8 @@ def run_cmd(config, outdir):
     result = run_experiment(cfg, outdir)
     click.echo(f"manifest {result.manifest_hash}")
     for path in result.eval_paths:
-        _, mean_row, _ = read_eval_csv(path)
-        metrics = " ".join(f"{m}={v:.4f}" for m, v in mean_row.items())
+        macro = read_eval_csv(path).macro
+        metrics = " ".join(f"{m}={v:.4f}" for m, v in macro.items())
         click.echo(f"{path.name}: {metrics}")
     if result.summary_path:
         click.echo(f"summary: {result.summary_path}")

@@ -29,9 +29,9 @@ from .datefilter import (MODES, DateWindow, candidates, choose_window,
 from .dense import (CentroidError, DocVectorStore, WordVectors,
                     build_centroid_store, centroid, knn_search,
                     load_doc_vectors, load_word_vectors, save_doc_vectors)
-from .fusion import (default_alpha_grid, fuse_runs, tune_alpha,
-                     write_alpha_grid_csv)
-from .metrics import (EvalReport, aggregate_runs, evaluate_run, read_eval_csv,
+from .fusion import (default_alpha_grid, fuse_runs, read_alpha, tune_alpha,
+                     write_alpha, write_alpha_grid_csv)
+from .metrics import (aggregate_runs, evaluate_run, read_eval_csv,
                       write_eval_csv, write_summary_csv)
 from .ranking import RankedList, Run, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
@@ -390,9 +390,9 @@ def doc_vectors_run(pool_store: DocVectorStore, query_store: DocVectorStore,
 
 @dataclass
 class Prefetcher:
-    """First-stage retrieval for one mode: a single pre-fetcher, or the
-    fusion of two. Holds what the pre-fetchers read; what the mode does not
-    use stays None. Shared by `regir run` and `regir prefetch`.
+    """First-stage retrieval by its components: a single pre-fetcher, or
+    the fusion of two. Holds what the pre-fetchers read; what the components
+    do not use stays None. Shared by `regir run` and `regir prefetch`.
 
     Every query gets a deep list of 2k entries, so that a date window
     applied before re-ranking can refill to k. Fusion components are fetched
@@ -400,8 +400,7 @@ class Prefetcher:
     either component's own top 2k.
     """
 
-    mode: str
-    components: tuple[str, str] | None
+    components: tuple[str, ...]
     k: int
     queries: Corpus
     pipeline: TextPipeline | None = None
@@ -435,10 +434,10 @@ class Prefetcher:
 
     def deep_run(self, query_ids, alpha: float | None = None,
                  parts: tuple[Run, Run] | None = None) -> Run:
-        """The deep list of every query; an ensemble fuses `parts`, or
-        fetches them when none are given."""
-        if self.mode != "ensemble":
-            return self.component_run(self.mode, query_ids, self.deep)
+        """The deep list of every query; two components are fused from
+        `parts`, fetched when none are given."""
+        if len(self.components) == 1:
+            return self.component_run(self.components[0], query_ids, self.deep)
         run_a, run_b = parts or self.fusion_parts(query_ids)
         return fuse_runs(run_a, run_b, alpha, self.deep)
 
@@ -579,9 +578,9 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
         pool_store.validate_against(pool)
         query_store = load_doc_vectors(config.query_vectors_path)
 
-    prefetcher = Prefetcher(config.prefetch_mode, config.fusion_components,
-                            config.k, queries, pipeline, index, bm25_params,
-                            word_vectors, cent_store, pool_store, query_store)
+    prefetcher = Prefetcher(config.components, config.k, queries, pipeline,
+                            index, bm25_params, word_vectors, cent_store,
+                            pool_store, query_store)
 
     need_train = config.rerank_model != "none"
     split_ids = {"test": splits.test_ids}
@@ -604,7 +603,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
                 *(run.truncated(prefetcher.deep) for run in dev_parts),
                 qrels, config.fusion_grid, config.k)
             write_alpha_grid_csv(grid, outdir / "alpha_grid.csv", comment=tag)
-            alpha_path.write_text(json.dumps({"alpha": alpha}))
+            write_alpha(alpha, alpha_path)
         runs = {split: prefetcher.deep_run(ids, alpha,
                                            dev_parts if split == "dev" else None)
                 for split, ids in split_ids.items()}
@@ -613,8 +612,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
         return alpha, runs
 
     def read_prefetch():
-        alpha = (json.loads(alpha_path.read_text())["alpha"]
-                 if config.fusion_tune else config.fusion_alpha)
+        alpha = read_alpha(alpha_path) if config.fusion_tune else config.fusion_alpha
         return alpha, {split: read_run(outdir / f"prefetch_{split}.tsv")
                        for split in split_ids}
 
@@ -690,7 +688,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             reports.append(stages.run(
                 f"train-v{CHECKPOINT_VERSION}-seed{seed}",
                 [ck_path, log_path, rr_path, ev_path], train_stage,
-                lambda: EvalReport(config.eval_k, read_eval_csv(ev_path)[0])))
+                lambda: read_eval_csv(ev_path)))
             eval_paths.append(ev_path)
         if len(reports) > 1:
             summary_path = outdir / "eval_summary.csv"

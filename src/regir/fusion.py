@@ -9,7 +9,10 @@ normalized range.
 
 from __future__ import annotations
 
-from ._textio import write_table
+import json
+from pathlib import Path
+
+from ._textio import read_json, write_table
 from .ranking import RankedList, Run, sort_scored
 
 
@@ -100,3 +103,23 @@ def tune_alpha(run_a: Run, run_b: Run, qrels, alpha_grid: list[float], k: int
 def write_alpha_grid_csv(grid: list[tuple[float, float]], path, comment: str = "") -> None:
     write_table(path, "alpha,recall_at_k",
                 (f"{alpha!r},{recall!r}" for alpha, recall in grid), comment)
+
+
+def write_alpha(alpha: float, path) -> None:
+    """The JSON object `{"alpha": ...}` that read_alpha reads."""
+    Path(path).write_text(json.dumps({"alpha": alpha}))
+
+
+def read_alpha(path) -> float:
+    """Inverse of write_alpha: a JSON object with exactly the key alpha, a
+    number in [0, 1]. Raises ValueError naming the file on any fault."""
+    data = read_json(path)
+    if not isinstance(data, dict) or set(data) != {"alpha"}:
+        raise ValueError(f"{path}: expected a JSON object with exactly the "
+                         f"key alpha")
+    alpha = data["alpha"]
+    # `type`, not isinstance: JSON's true and false are no weights
+    if type(alpha) not in (int, float) or not 0 <= alpha <= 1:
+        raise ValueError(f"{path}: alpha must be a finite number in [0, 1], "
+                         f"got {alpha!r}")
+    return alpha

@@ -107,9 +107,10 @@ def write_eval_csv(report: EvalReport, path, comment: str = "") -> None:
                                for query_id, row in rows), comment)
 
 
-def read_eval_csv(path) -> tuple[dict[str, dict[str, float]], dict[str, float], list[str]]:
-    """Returns (per-query rows, mean row, metric names). Every row has the
-    header's columns, each value a finite number."""
+def read_eval_csv(path) -> EvalReport:
+    """The report write_eval_csv wrote, its k read off the `r_at_K` column;
+    the `mean` row is its macro. Every row has the report's columns, each
+    value a finite number."""
     per_query: dict[str, dict[str, float]] = {}
     names: list[str] = []
     for line_no, line in read_lines(path):
@@ -126,7 +127,13 @@ def read_eval_csv(path) -> tuple[dict[str, dict[str, float]], dict[str, float], 
                                for m, v in zip(names, parts[1:])}
     if not names:
         raise ValueError(f"{path}: empty eval csv")
-    return per_query, per_query.pop("mean", {}), names
+    per_query.pop("mean", None)
+    k = names[0].removeprefix("r_at_")
+    report = EvalReport(int(k) if k.isdecimal() else 0, per_query)
+    if report.k < 1 or names != report.metric_names:
+        raise ValueError(f"{path}: expected the columns r_at_K, ndcg_at_K, rp "
+                         f"of an eval CSV")
+    return report
 
 
 def aggregate_runs(reports: list[EvalReport]) -> dict[str, tuple[float, float]]:

@@ -340,6 +340,9 @@ def train_model(kind: str, train_ids, dev_ids, qrels, run: Run,
     """Full training run: sample triples once, then epochs of shuffled
     mini-batches with early stopping on dev R@k. Returns the best-dev
     checkpoint, never the last epoch's weights."""
+    if kind != store.kind:
+        raise ValueError(f"cannot train a {kind} model on the feature store "
+                         f"of a {store.kind} model")
     rng = random.Random(hp.seed)
     np_rng = np.random.default_rng(hp.seed)
     model = init_model(kind, hp, np_rng)

@@ -162,12 +162,6 @@ class IdfTable:
     def df(self, term: str) -> int:
         return self._df.get(term, 0)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self._df
-
-    def __len__(self) -> int:
-        return len(self._df)
-
     @property
     def terms(self):
         return self._df.keys()

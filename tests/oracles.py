@@ -9,7 +9,6 @@ the pipeline itself has no use for."""
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter
 
 import numpy as np
@@ -19,7 +18,7 @@ from regir.bm25 import Bm25Params, GridCell, PostingsIndex
 from regir.fusion import normalize_scores
 from regir.metrics import recall_at_k
 from regir.ranking import RankedList, sort_scored
-from regir.text import IdfTable
+from regir.text import IdfTable, TextPipeline
 from regir.rerank.drmm import DrmmModel
 from regir.rerank.features import (TypeEmbeddings, dedup_terms, drmm_features,
                                    pacrr_features, sim_matrix, softmax)
@@ -59,15 +58,20 @@ def postings_dict(corpus, pipeline) -> dict[str, list[tuple[str, int]]]:
 def index_from_postings(postings: dict[str, list[tuple[str, int]]],
                         doc_ids, idf_table: IdfTable) -> PostingsIndex:
     """A CSR index holding the given term -> [(doc_id, tf)] postings over
-    the given documents, each list in doc_id order."""
+    the given documents, each list in doc_id order, through a pipeline with
+    no stopwords and no idf filter: every term of the table is indexed, so
+    the postings must cover it with its df."""
     ids = sorted(doc_ids)
     pos = {d: i for i, d in enumerate(ids)}
     terms = sorted(postings)
-    offsets = np.cumsum([0] + [len(postings[t]) for t in terms])
     positions = np.array([pos[d] for t in terms for d, _ in postings[t]],
                          dtype=np.int32)
     tf = np.array([f for t in terms for _, f in postings[t]], dtype=np.int32)
-    return PostingsIndex(terms, offsets, positions, tf, ids, idf_table)
+    pipeline = TextPipeline(idf_table, stopwords=frozenset(), idf_filter=False)
+    index = PostingsIndex(pipeline, ids, positions, tf)
+    assert index.terms == terms
+    assert np.diff(index.offsets).tolist() == [len(postings[t]) for t in terms]
+    return index
 
 
 def postings_of(index: PostingsIndex) -> dict[str, list[tuple[str, int]]]:
@@ -128,7 +132,8 @@ def bm25_score(index: PostingsIndex, query_tokens: list[str], doc_id: str,
         tf = next((f for d, f in plist if d == doc_id), 0)
         if tf == 0:
             continue
-        score += q_tf * index.idf(term) * tf * (params.k1 + 1) / (tf + params.k1 * norm)
+        idf = index.idf_table.idf(term)
+        score += q_tf * idf * tf * (params.k1 + 1) / (tf + params.k1 * norm)
     return score
 
 
@@ -303,11 +308,6 @@ def read_grid_csv(path) -> list[GridCell]:
     if header is None:
         raise ValueError(f"{path}: empty grid file")
     return cells
-
-
-def stage_seed(root_seed: int, stage: str) -> int:
-    digest = hashlib.sha256(f"{root_seed}:{stage}".encode()).digest()
-    return int.from_bytes(digest[:4], "big") % (2 ** 31)
 
 
 def centroid_loop(tokens: list[str], word_vectors, idf_table) -> np.ndarray:

@@ -22,7 +22,8 @@ from oracles import (bm25_score, doc_len_of, idf_from_token_lists,
 
 
 def index_from_token_lists(token_lists: dict[str, list[str]]) -> PostingsIndex:
-    """Build an index directly from tokens, bypassing the text pipeline."""
+    """Build an index directly from tokens, through a pipeline that keeps
+    every term."""
     postings = defaultdict(list)
     for doc_id in sorted(token_lists):
         for term, tf in sorted(Counter(token_lists[doc_id]).items()):
@@ -231,9 +232,10 @@ def test_save_load_roundtrip(tmp_path, rng):
     assert back.bm25_search(query, Bm25Params(), 10).doc_ids == \
         index.bm25_search(query, Bm25Params(), 10).doc_ids
     # the text pipeline travels with the index
-    assert back.pipeline is not None
     assert back.pipeline.stopwords == pipeline.stopwords
+    assert back.pipeline.idf_filter == pipeline.idf_filter
     assert back.pipeline.threshold == pipeline.threshold
+    assert back.terms == index.terms and back.offsets == index.offsets
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -312,11 +314,15 @@ def test_load_rejects_flipped_bytes(saved_index, tmp_path):
 
 
 def test_load_rejects_wrong_header_version(saved_index, tmp_path):
-    _, path = saved_index
-    bad = tmp_path / "v3.bin"
-    write_npz(bad, {"format": INDEX_FORMAT, "version": 3},
-              {"offsets": np.zeros(1, dtype=np.int64)})
-    with pytest.raises(ValueError, match=f"{bad}: unsupported .* version 3"):
+    """A version-2 file, which also held the term list, the offsets and the
+    idf table's doc count, is refused by its version."""
+    index, path = saved_index
+    bad = _tampered(path, tmp_path,
+                    header_changes={"version": 2, "terms": index.terms,
+                                    "idf_doc_count": index.doc_count},
+                    offsets=np.array(index.offsets, dtype=np.int64))
+    with pytest.raises(ValueError, match=f"{bad}: unsupported .* version 2 "
+                                         r"\(this build reads 3\)"):
         load_index(bad)
 
 
@@ -348,7 +354,6 @@ def _tampered(path, tmp_path, header_changes=(), **changes):
 
 
 @pytest.mark.parametrize("change, message", [
-    (lambda a: {"offsets": a["offsets"][::-1].copy()}, "monotone"),
     (lambda a: {"positions": a["positions"] + 10_000}, "out of range"),
     (lambda a: {"tf": np.zeros_like(a["tf"])}, "tf < 1"),
     (lambda a: {"idf_df": np.maximum(a["idf_df"] - 1, 1)}, "postings length"),
@@ -364,13 +369,64 @@ def test_load_checks_csr_invariants(saved_index, tmp_path, change, message):
         load_index(bad)
 
 
-@pytest.mark.parametrize("field", ["ids", "terms", "idf_terms"])
+@pytest.mark.parametrize("field", ["ids", "idf_terms"])
 def test_load_rejects_header_names_that_are_not_lists(saved_index, tmp_path, field):
     # a string's characters are sorted unique strings too
     _, path = saved_index
     bad = _tampered(path, tmp_path, header_changes={field: "abc"})
     with pytest.raises(ValueError, match=f"{bad}: .*not unique strings"):
         load_index(bad)
+
+
+def test_load_rejects_postings_count_off_the_kept_df_sum(saved_index, tmp_path):
+    _, path = saved_index
+    with np.load(path, allow_pickle=False) as npz:
+        positions, tf = npz["positions"], npz["tf"]
+    bad = _tampered(path, tmp_path, positions=positions[:-1].copy(),
+                    tf=tf[:-1].copy())
+    with pytest.raises(ValueError, match=f"{bad}: postings length "
+                                         f"{len(positions) - 1} differs from "
+                                         f"the df sum {len(positions)}"):
+        load_index(bad)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"stopwords": "the"}, "stopwords are not a list of strings"),
+    ({"stopwords": ["the", 1]}, "stopwords are not a list of strings"),
+    ({"idf_filter": "no"}, "idf_filter is not a JSON boolean"),
+    ({"idf_filter": 0}, "idf_filter is not a JSON boolean"),
+    ({"stopwords": None}, "stopwords are not a list of strings"),
+], ids=["stopwords-string", "stopwords-number", "idf-filter-string",
+        "idf-filter-number", "no-pipeline"])
+def test_load_rejects_pipeline_fields_of_the_wrong_type(saved_index, tmp_path,
+                                                        changes, message):
+    """A string is not read as its characters, nor a truthy value as True."""
+    _, path = saved_index
+    bad = _tampered(path, tmp_path, header_changes=changes)
+    with pytest.raises(ValueError, match=f"{bad}: {message}"):
+        load_index(bad)
+
+
+def test_load_rejects_a_header_without_the_pipeline(saved_index, tmp_path):
+    _, path = saved_index
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    header = json.loads(arrays.pop("header").tobytes())
+    del header["idf_filter"]
+    bad = tmp_path / "short.bin"
+    write_npz(bad, header, arrays)
+    with pytest.raises(ValueError, match=f"{bad}: header lacks 'idf_filter'"):
+        load_index(bad)
+
+
+def test_build_refuses_a_corpus_the_pipeline_was_not_built_from(rng):
+    corpus = random_corpus(rng, 25)
+    pipeline = build_pipeline(corpus, idf_filter=False)
+    smaller = Corpus(list(corpus)[:-1])
+    for other in (smaller, random_corpus(rng, 25)):
+        with pytest.raises(ValueError, match="not the collection the text "
+                                             "pipeline was built from"):
+            build_index(other, pipeline)
 
 
 def test_load_rejects_foreign_pickle(tmp_path):

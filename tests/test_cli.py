@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
-from regir.bm25 import load_index, save_index
 from regir.cli import main
 from regir.corpus import ingest_collection
 from regir.ranking import read_run
@@ -312,15 +311,33 @@ def test_prefetch_refuses_bad_params_naming_the_file(env, tmp_path, text, messag
     assert not (tmp_path / "r.tsv").exists()
 
 
-def test_stage_commands_refuse_an_index_without_a_pipeline(env, tmp_path):
-    index = load_index(env.root / "index.bin")
-    index.pipeline = None
-    save_index(index, tmp_path / "bare.bin")
-    result = env.cli("prefetch", "--mode", "bm25", "--k", "5",
-                     "--queries", env.root / "queries.jsonl",
-                     "--index", tmp_path / "bare.bin", "--out", tmp_path / "r.tsv")
+@pytest.mark.parametrize("text,message", [
+    ("[0.5]", "expected a JSON object with exactly the key alpha"),
+    ('{"alpha": 0.5, "beta": 1}', "expected a JSON object with exactly the key alpha"),
+    ('{"alpha": "x"}', "alpha must be a finite number in [0, 1], got 'x'"),
+    ('{"alpha": true}', "alpha must be a finite number in [0, 1], got True"),
+    ('{"alpha": NaN}', "alpha must be a finite number in [0, 1], got nan"),
+    ('{"alpha": 1.5}', "alpha must be a finite number in [0, 1], got 1.5"),
+], ids=["list", "extra", "text", "bool", "nan", "above-one"])
+def test_rerun_refuses_a_bad_tuned_alpha_naming_the_file(env, tmp_path, text,
+                                                         message):
+    """A rerun into a finished output directory reads the tuned weight back
+    from fusion_alpha.json; a damaged one ends it with one error line."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(run_config(env.root, "prefetch.mode = ensemble\n"
+                                        "fusion.components = bm25,w2v-cent\n"
+                                        "fusion.tune = true\n"
+                                        "fusion.grid = 0:1:0.5\n"))
+    outdir = tmp_path / "exp"
+    env.ok("run", "--config", cfg, "--out", outdir)
+    alpha_path = outdir / "fusion_alpha.json"
+    alpha = json.loads((outdir / "manifest.json").read_text())["fusion_alpha"]
+    assert alpha_path.read_text() == json.dumps({"alpha": alpha})
+    alpha_path.write_text(text)
+    result = env.cli("run", "--config", cfg, "--out", outdir)
     assert result.exit_code == 1
-    assert "the index stores no text pipeline" in blob(result)
+    assert f"Error: {alpha_path}: {message}" in blob(result)
+    assert "Traceback" not in blob(result)
 
 
 def test_commands_load_the_index_once(env, tmp_path, monkeypatch):

@@ -5,8 +5,11 @@ import re
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from regir._npz import write_npz
+from regir.bm25 import INDEX_FORMAT, load_index
 from regir.corpus import Qrels
 from regir.experiment import (ConfigError, _parse_range, emit_rk_curve,
                               hash_file, load_config, run_experiment)
@@ -14,7 +17,7 @@ from regir.metrics import read_eval_csv
 from regir.ranking import RankedList, Run, read_run
 
 from conftest import build_dataset, date_window_dataset
-from oracles import rk_curve_per_k, stage_seed
+from oracles import rk_curve_per_k
 
 BASE_CFG = """
 task = EU2UK
@@ -194,12 +197,6 @@ def test_hash_file_is_sha256(tmp_path):
     assert hash_file(path) == hashlib.sha256(b"abc").hexdigest()
 
 
-def test_stage_seed_stable_and_distinct():
-    assert stage_seed(0, "train") == stage_seed(0, "train")
-    assert stage_seed(0, "train") != stage_seed(0, "tune")
-    assert stage_seed(0, "train") != stage_seed(1, "train")
-
-
 def test_rk_curve_monotone_and_validated():
     run = Run({"q1": RankedList([("a", 3.0), ("b", 2.0), ("c", 1.0)])})
     qrels = Qrels({"q1": {"b", "c"}})
@@ -339,7 +336,7 @@ def test_stale_v1_index_in_a_reused_outdir_is_rebuilt(dataset, tmp_path):
     before = (outdir / "eval_test.csv").read_bytes()
     stages_path = outdir / ".stages.json"
     stages = json.loads(stages_path.read_text())
-    entry = stages.pop("index-v2")
+    entry = stages.pop("index-v3")
     entry["key"] = hashlib.sha256(f"{result.manifest_hash}:index".encode()).hexdigest()
     stages["index"] = entry
     stages_path.write_text(json.dumps(stages))
@@ -347,6 +344,38 @@ def test_stale_v1_index_in_a_reused_outdir_is_rebuilt(dataset, tmp_path):
     run_experiment(cfg, outdir)
     assert (outdir / "index.bin").read_bytes()[:4] == b"PK\x03\x04"
     assert (outdir / "eval_test.csv").read_bytes() == before
+
+
+def test_stale_v2_index_in_a_reused_outdir_is_rebuilt(dataset, tmp_path):
+    """A directory last run with version-2 indexes holds one under the stage
+    name "index-v2", which this build's loader refuses; the stage
+    "index-v3" rebuilds it instead of skipping."""
+    cfg = cfg_from(dataset, BASE_CFG)
+    outdir = tmp_path / "out"
+    result = run_experiment(cfg, outdir)
+    before = (outdir / "eval_test.csv").read_bytes()
+    index_path = outdir / "index.bin"
+    fresh = index_path.read_bytes()
+    index = load_index(index_path)
+    write_npz(index_path, {"format": INDEX_FORMAT, "version": 2,
+                           "ids": index.doc_ids.tolist(), "terms": index.terms},
+              {"offsets": np.array(index.offsets, dtype=np.int64)})
+    with pytest.raises(ValueError, match="unsupported .* version 2"):
+        load_index(index_path)
+    stages_path = outdir / ".stages.json"
+    stages = json.loads(stages_path.read_text())
+    entry = stages.pop("index-v3")
+    entry["key"] = hashlib.sha256(
+        f"{result.manifest_hash}:index-v2".encode()).hexdigest()
+    stages["index-v2"] = entry
+    stages_path.write_text(json.dumps(stages))
+    run_experiment(cfg, outdir)
+    assert index_path.read_bytes() == fresh
+    assert (outdir / "eval_test.csv").read_bytes() == before
+    assert json.loads(stages_path.read_text())["index-v3"]["key"] == \
+        hashlib.sha256(f"{result.manifest_hash}:index-v3".encode()).hexdigest()
+    timings = json.loads((outdir / "manifest.json").read_text())["timings"]
+    assert timings["index-v3"] > 0
 
 
 @pytest.mark.parametrize("text", ["[]", '{"index-v2": "abc"}'])
@@ -422,9 +451,8 @@ def test_eval_summary_counts_a_list_the_window_emptied(tmp_path):
     reranked = read_run(result.outdir / "reranked_test_seed3.tsv")
     assert sorted(reranked) == sorted(test_ids[:-1])
     reports = [read_eval_csv(path) for path in result.eval_paths]
-    assert all(sorted(per_query) == sorted(test_ids)
-               for per_query, _, _ in reports)
-    means = [mean for _, mean, _ in reports]
+    assert all(sorted(report.per_query) == sorted(test_ids) for report in reports)
+    means = [report.macro for report in reports]
     assert any(mean["r_at_5"] > 0 for mean in means)
     expected = {m: sum(mean[m] for mean in means) / len(means) for m in means[0]}
     assert read_summary(result.summary_path) == expected

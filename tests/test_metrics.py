@@ -103,10 +103,13 @@ def test_eval_csv_roundtrip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "query_id,r_at_20,ndcg_at_20,rp"
     assert lines[-1].startswith("mean,")
-    per_query, mean_row, names = read_eval_csv(path)
-    assert names == ["r_at_20", "ndcg_at_20", "rp"]
-    assert per_query["q2"]["ndcg_at_20"] == pytest.approx(0.6309297535714575)
-    assert mean_row["r_at_20"] == pytest.approx(report.macro["r_at_20"])
+    back = read_eval_csv(path)
+    assert back.k == 20
+    assert back.per_query == report.per_query
+    assert back.per_query["q2"]["ndcg_at_20"] == pytest.approx(0.6309297535714575)
+    # the mean row holds repr of the macro means, which recompute bit-equal
+    assert lines[-1] == "mean," + ",".join(repr(v) for v in back.macro.values())
+    assert back.macro == report.macro
 
 
 @pytest.mark.parametrize("row, message", [
@@ -119,6 +122,20 @@ def test_read_eval_csv_rejects_bad_rows(tmp_path, row, message):
     path = tmp_path / "eval.csv"
     path.write_text(f"query_id,r,n\n{row}\nmean,0.5,0.5\n")
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+        read_eval_csv(path)
+
+
+@pytest.mark.parametrize("header", [
+    "query_id,r_at_5,ndcg_at_7,rp", "query_id,r_at_5,ndcg_at_5",
+    "query_id,rp,r_at_5,ndcg_at_5", "query_id,r_at_0,ndcg_at_0,rp",
+    "query_id,r_at_05,ndcg_at_05,rp", "query_id,r,n",
+])
+def test_read_eval_csv_requires_the_report_columns(tmp_path, header):
+    path = tmp_path / "eval.csv"
+    row = ",".join(["q1"] + ["0.5"] * (header.count(",")))
+    path.write_text(f"{header}\n{row}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: expected "
+                                         "the columns r_at_K, ndcg_at_K, rp"):
         read_eval_csv(path)
 
 

@@ -26,7 +26,7 @@ LOADERS = [
     (ingest_collection, '{"doc_id": "d1", "title": "t", "body": "b"}'),
     (load_qrels, "q1\td1"),
     (read_run, "q1\t1\td1\t1.0"),
-    (read_eval_csv, "query_id,r_at_20"),
+    (read_eval_csv, "query_id,r_at_20,ndcg_at_20,rp"),
     (load_stopwords, "the"),
     (load_word_vectors, "tax 1.0 0.0"),
     (load_doc_vectors, "#dim 2"),

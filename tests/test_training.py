@@ -364,6 +364,17 @@ def test_no_triples_raises():
         train_model("drmm", train_ids, dev_ids, empty_qrels, run, store, hp)
 
 
+@pytest.mark.parametrize("kind, store_kind", [("pacrr", "drmm"), ("drmm", "pacrr")])
+def test_train_model_refuses_a_store_of_another_kind(kind, store_kind):
+    """A DRMM histogram has the shape a PACRR similarity matrix may have, so
+    nothing downstream would catch the mix-up."""
+    hp = Hyperparams(max_epochs=2)
+    store, qrels, run, train_ids, dev_ids = make_store(store_kind, hp)
+    with pytest.raises(ValueError, match=f"cannot train a {kind} model on the "
+                                         f"feature store of a {store_kind} model"):
+        train_model(kind, train_ids, dev_ids, qrels, run, store, hp)
+
+
 # --- reranking ---
 
 class StubModel:
