@@ -22,6 +22,7 @@ import numpy as np
 
 from ._npz import read_npz, write_npz
 from ._textio import read_json, write_table
+from .metrics import recall_at_k
 from .ranking import RankedList, top_k_from_arrays
 from .text import IdfTable, TextPipeline
 
@@ -86,8 +87,7 @@ class PostingsIndex:
         # denoising cannot drift from index-time denoising
         self.pipeline = pipeline
         self.idf_table = table = pipeline.idf_table
-        self.terms = sorted(t for t in table.terms if pipeline.keeps(t))
-        self._row = {t: i for i, t in enumerate(self.terms)}
+        self.terms, self._row = pipeline.kept_terms, pipeline.kept_row
         self.offsets = [0, *accumulate(map(table.df, self.terms))]
         self.positions = positions.astype(np.intp)
         self.tf = tf.astype(np.float64)
@@ -138,22 +138,22 @@ def build_index(corpus, pipeline) -> PostingsIndex:
     by_id = sorted(range(n), key=bags.doc_ids.__getitem__)
     doc_pos = np.empty(n, dtype=np.int64)
     doc_pos[by_id] = np.arange(n)
-    df = bags.df()
-    by_term = sorted(np.flatnonzero(df).tolist(), key=bags.terms.__getitem__)
-    term_row = np.zeros(len(bags.terms), dtype=np.int64)
-    term_row[by_term] = np.arange(len(by_term))
-    # one key per (term, document) entry, unique since a bag holds a term once
-    entry_doc = np.repeat(doc_pos, np.diff(bags.offsets))
-    keys, first = np.unique(term_row[bags.ids] * n + entry_doc, return_index=True)
-    index = PostingsIndex(pipeline, [bags.doc_ids[i] for i in by_id],
-                          (keys % n).astype(np.int32), bags.tf[first])
-    if (n != index.idf_table.doc_count
-            or index.terms != [bags.terms[i] for i in by_term]
-            or not np.array_equal(np.diff(index.offsets), df[by_term])):
+    # each bag term's row among the pipeline's kept terms, -1 for any other
+    row = pipeline.kept_row
+    term_row = np.array([row.get(t, -1) for t in bags.terms], dtype=np.int64)
+    entry_row = term_row[bags.ids]
+    kept_df = [pipeline.idf_table.df(t) for t in pipeline.kept_terms]
+    if (n != pipeline.idf_table.doc_count or np.any(entry_row < 0)
+            or not np.array_equal(np.bincount(entry_row, minlength=len(row)),
+                                  kept_df)):
         raise ValueError("the corpus is not the collection the text pipeline "
                          "was built from: its doc count or denoised df differ "
                          "from the pipeline's idf table")
-    return index
+    # one key per (term, document) entry, unique since a bag holds a term once
+    entry_doc = np.repeat(doc_pos, np.diff(bags.offsets))
+    keys, first = np.unique(entry_row * n + entry_doc, return_index=True)
+    return PostingsIndex(pipeline, [bags.doc_ids[i] for i in by_id],
+                         (keys % n).astype(np.int32), bags.tf[first])
 
 
 _INDEX_ARRAYS = {"positions": np.int32, "tf": np.int32, "idf_df": np.int64}
@@ -260,9 +260,7 @@ def tune_bm25(index: PostingsIndex, queries: dict[str, list[str]], qrels,
         params = Bm25Params(k1, b)
         total = 0.0
         for _, toks, rel in scored:
-            top = index.bm25_search(toks, params, k)
-            hits = sum(1 for d in top.doc_ids if d in rel)
-            total += hits / len(rel)
+            total += recall_at_k(index.bm25_search(toks, params, k), rel, k)
         return GridCell(k1, b, total / len(scored))
 
     cells = [cell(k1, b) for k1 in k1_grid for b in b_grid]

@@ -24,7 +24,8 @@ from .datefilter import (DateWindow, candidates, finalize, write_year_hist_csv,
 from .dense import (build_centroid_store, load_doc_vectors, load_word_vectors,
                     save_doc_vectors)
 from .experiment import (Prefetcher, StageFailed, emit_rk_curve, load_config,
-                         run_experiment, write_rk_curve_csv, _parse_range)
+                         parse_components, run_experiment, write_rk_curve_csv,
+                         _parse_range)
 from .fusion import (default_alpha_grid, fuse_runs, tune_alpha,
                      write_alpha_grid_csv)
 from .metrics import (aggregate_runs, evaluate_run, read_eval_csv,
@@ -223,21 +224,12 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
              components, alpha, date_filter, filter_mode):
     """First-stage retrieval into a run file: the candidate lists `regir run`
     takes on for the same settings."""
-    query_corpus = ingest_collection(queries)
-    ids = _query_ids(query_corpus, splits, split)
     if mode == "ensemble":
         if not components or alpha is None:
             raise click.ClickException("ensemble needs --components and --alpha")
-        names = tuple(c.strip() for c in components.split(","))
-        if len(names) != 2:
-            raise click.ClickException("--components must name exactly two "
-                                       "pre-fetchers")
+        names = parse_components(components, "--components")
     else:
         names = (mode,)
-    stage = Prefetcher(names, k, query_corpus)
-    if params:
-        stage.bm25_params = read_params(params)
-
     if "bm25" in names and index_path is None:
         raise click.ClickException("bm25 needs --index")
     if "w2v-cent" in names and None in (index_path, word_vectors, centroids):
@@ -246,6 +238,16 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
     if "doc-vectors" in names and (pool_vectors is None or query_vectors is None):
         raise click.ClickException("doc-vectors needs --pool-vectors "
                                    "and --query-vectors")
+    if date_filter is not None and collection is None:
+        raise click.ClickException("--date-filter needs --collection for "
+                                   "publication years")
+    window = DateWindow(date_filter, filter_mode) if date_filter is not None else None
+
+    query_corpus = ingest_collection(queries)
+    ids = _query_ids(query_corpus, splits, split)
+    stage = Prefetcher(names, k, query_corpus)
+    if params:
+        stage.bm25_params = read_params(params)
     pool_corpus = ingest_collection(collection, tag="pool") if collection else None
     if "bm25" in names or "w2v-cent" in names:
         stage.index = load_index(index_path)
@@ -256,13 +258,6 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
     if "doc-vectors" in names:
         stage.pool_store = load_doc_vectors(pool_vectors)
         stage.query_store = load_doc_vectors(query_vectors)
-
-    window = None
-    if date_filter is not None:
-        if pool_corpus is None:
-            raise click.ClickException("--date-filter needs --collection for "
-                                       "publication years")
-        window = DateWindow(date_filter, filter_mode)
     run = finalize(candidates(stage.deep_run(ids, alpha), k, window, query_corpus,
                               pool_corpus), window, query_corpus, pool_corpus)
     write_run(run, out)

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ._textio import write_table
+from .metrics import recall_at_k
 from .ranking import RankedList, Run
 
 log = logging.getLogger(__name__)
@@ -89,8 +90,6 @@ def choose_window(deep: Run, qrels, query_corpus, pool_corpus,
     """argmax of mean R@eval_k over candidate windows on dev data, scoring
     the lists a run without re-ranking returns from these deep lists at
     candidate depth k. Ties go to the larger (less destructive) window."""
-    from .metrics import recall_at_k
-
     if not grid:
         raise ValueError("window grid is empty")
     query_ids = [q for q in sorted(deep) if qrels.relevant(q)]

@@ -15,7 +15,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -43,7 +43,8 @@ from ._textio import parse_number, read_key_values, write_table
 log = logging.getLogger(__name__)
 
 TASKS = ("EU2UK", "UK2EU")
-PREFETCH_MODES = ("bm25", "w2v-cent", "doc-vectors", "ensemble")
+COMPONENTS = ("bm25", "w2v-cent", "doc-vectors")
+PREFETCH_MODES = (*COMPONENTS, "ensemble")
 
 
 class ConfigError(ValueError):
@@ -77,25 +78,103 @@ def _parse_range(raw: str, key: str) -> list[float]:
     return [parse_number(p, float, key) for p in raw.split(",") if p]
 
 
-KNOWN_KEYS = {
-    "task", "seed",
-    "data.pool", "data.queries", "data.qrels", "data.splits",
-    "text.stopwords", "text.idf_filter",
-    "prefetch.mode", "prefetch.k",
-    "bm25.k1", "bm25.b", "bm25.tune", "bm25.grid_k1", "bm25.grid_b",
-    "dense.word_vectors", "dense.pool_vectors", "dense.query_vectors",
-    "fusion.components", "fusion.alpha", "fusion.tune", "fusion.grid",
-    "rerank.model", "rerank.hyperparams", "rerank.seeds", "rerank.embeddings",
-    "rerank.token_vectors",
-    "datefilter.years", "datefilter.mode", "datefilter.tune", "datefilter.grid",
-    "eval.k",
-}
+def _path(text: str, key: str, base: Path) -> Path:
+    """The file `text` names, relative to `base`; it must exist."""
+    path = base / text  # an absolute `text` stays as it is
+    if not path.exists():
+        raise ConfigError(f"{key}: {path} does not exist")
+    if path.is_dir():
+        raise ConfigError(f"{key}: {path} is a directory")
+    return path
+
+
+def _hyperparams(text: str, key: str, base: Path) -> Hyperparams:
+    path = _path(text, key, base)
+    try:
+        return Hyperparams.from_file(path)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _number(kind, check=None, rule=""):
+    """A parser of one `kind` number, which `check` must accept: else an
+    error "<key> <rule>"."""
+    def parse(text, key, base):
+        value = parse_number(text, kind, key)
+        if check is not None and not check(value):
+            raise ConfigError(f"{key} {rule}")
+        return value
+    return parse
+
+
+_count = _number(int, lambda n: n >= 1, "must be >= 1")
+
+
+def _flag(text: str, key: str, base) -> bool:
+    if text.lower() not in ("true", "1", "yes", "false", "0", "no"):
+        raise ConfigError(f"{key}: expected a boolean, got {text!r}")
+    return text.lower() in ("true", "1", "yes")
+
+
+def _choice(*allowed: str):
+    def parse(text, key, base):
+        if text not in allowed:
+            raise ConfigError(f"{key}: expected one of {allowed}, got {text!r}")
+        return text
+    return parse
+
+
+def _grid(text: str, key: str, base) -> list[float]:
+    return _parse_range(text, key)
+
+
+def _windows(years, key: str):
+    """`years`, each one a date window size DateWindow takes."""
+    for value in years:
+        try:
+            DateWindow(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    return years
+
+
+def _window(text: str, key: str, base) -> float:
+    return _windows([parse_number(text, float, key)], key)[0]
+
+
+def _window_grid(text: str, key: str, base) -> list[float]:
+    return _windows(_parse_range(text, key), key)
+
+
+def _seeds(text: str, key: str, base) -> list[int]:
+    return [parse_number(s, int, key) for s in text.split(",") if s]
+
+
+def parse_components(text: str, key: str, base=None) -> tuple[str, str]:
+    """The two pre-fetchers an ensemble fuses, as `a,b`; the parser of
+    `fusion.components` and of `regir prefetch --components`."""
+    parts = tuple(p.strip() for p in text.split(","))
+    if len(parts) != 2 or any(p not in COMPONENTS for p in parts):
+        raise ConfigError(f"{key} must name two of bm25, w2v-cent, doc-vectors")
+    return parts
+
+
+def _key(key: str, parse, default=None, required: bool = False):
+    """A config field that `key` sets: `parse(text, key, base)` of its value,
+    or `default` when the config leaves the key out."""
+    return field(metadata={"key": key, "parse": parse, "default": default,
+                           "required": required})
+
+
+def _key_fields():
+    return [f for f in fields(ExperimentConfig) if "key" in f.metadata]
 
 
 def load_config(path) -> "ExperimentConfig":
     """`key = value` lines; paths are relative to the file, errors name it."""
     path = Path(path)
-    raw = {key: value for _, key, value in read_key_values(path, KNOWN_KEYS,
+    known = {f.metadata["key"] for f in _key_fields()}
+    raw = {key: value for _, key, value in read_key_values(path, known,
                                                            ConfigError)}
     try:
         return ExperimentConfig.from_raw(raw, path.parent)
@@ -105,180 +184,84 @@ def load_config(path) -> "ExperimentConfig":
 
 @dataclass
 class ExperimentConfig:
+    """A run's settings. Each field a config key sets declares the key, the
+    parser of its value and its default, and keys are parsed in field order;
+    `__post_init__` holds the rules across keys."""
+
     raw: dict[str, str]
-    task: str
-    seed: int
-    pool_path: Path
-    queries_path: Path
-    qrels_path: Path
-    splits_path: Path
-    stopwords_path: Path | None
-    idf_filter: bool
-    prefetch_mode: str
-    k: int
-    bm25_params: Bm25Params | None
-    bm25_tune: bool
-    bm25_grid_k1: list[float]
-    bm25_grid_b: list[float]
-    word_vectors_path: Path | None
-    pool_vectors_path: Path | None
-    query_vectors_path: Path | None
-    fusion_components: tuple[str, str] | None
-    fusion_alpha: float | None
-    fusion_tune: bool
-    fusion_grid: list[float]
-    rerank_model: str
-    rerank_hyperparams_path: Path | None
-    rerank_hyperparams: Hyperparams
-    rerank_seeds: list[int]
-    rerank_embeddings: str
-    token_vectors_path: Path | None
-    datefilter_years: float | None
-    datefilter_mode: str
-    datefilter_tune: bool
-    datefilter_grid: list[float]
-    eval_k: int
+    task: str = _key("task", _choice(*TASKS), required=True)
+    prefetch_mode: str = _key("prefetch.mode", _choice(*PREFETCH_MODES), "bm25")
+    k: int = _key("prefetch.k", _count, 100)
+    eval_k: int = _key("eval.k", _count, 20)
+    bm25_k1: float | None = _key("bm25.k1", _number(float))
+    bm25_b: float | None = _key("bm25.b", _number(float))
+    bm25_tune: bool = _key("bm25.tune", _flag, False)
+    bm25_grid_k1: list[float] = _key("bm25.grid_k1", _grid, default_grid()[0])
+    bm25_grid_b: list[float] = _key("bm25.grid_b", _grid, default_grid()[1])
+    fusion_components: tuple[str, str] | None = _key("fusion.components",
+                                                     parse_components)
+    fusion_alpha: float | None = _key(
+        "fusion.alpha", _number(float, lambda a: 0 <= a <= 1, "must be in [0, 1]"))
+    fusion_tune: bool = _key("fusion.tune", _flag, False)
+    fusion_grid: list[float] = _key("fusion.grid", _grid, default_alpha_grid())
+    rerank_model: str = _key("rerank.model", _choice("none", "drmm", "pacrr"),
+                             "none")
+    seed: int = _key("seed", _number(int), 0)
+    rerank_seeds: list[int] | None = _key("rerank.seeds", _seeds)  # else [seed]
+    datefilter_years: float | None = _key("datefilter.years", _window)
+    # read before the data paths, so a bad file is refused naming itself
+    rerank_hyperparams_path: Path | None = _key("rerank.hyperparams", _path)
+    rerank_hyperparams: Hyperparams = _key("rerank.hyperparams", _hyperparams,
+                                           Hyperparams())
+    pool_path: Path = _key("data.pool", _path, required=True)
+    queries_path: Path = _key("data.queries", _path, required=True)
+    qrels_path: Path = _key("data.qrels", _path, required=True)
+    splits_path: Path = _key("data.splits", _path, required=True)
+    stopwords_path: Path | None = _key("text.stopwords", _path)
+    idf_filter: bool = _key("text.idf_filter", _flag, True)
+    word_vectors_path: Path | None = _key("dense.word_vectors", _path)
+    pool_vectors_path: Path | None = _key("dense.pool_vectors", _path)
+    query_vectors_path: Path | None = _key("dense.query_vectors", _path)
+    rerank_embeddings: str = _key("rerank.embeddings", _choice("word", "token"),
+                                  "word")
+    token_vectors_path: Path | None = _key("rerank.token_vectors", _path)
+    datefilter_mode: str = _key("datefilter.mode", _choice(*MODES), "post")
+    datefilter_tune: bool = _key("datefilter.tune", _flag, False)
+    datefilter_grid: list[float] = _key("datefilter.grid", _window_grid,
+                                        [1, 2, 5, 10, 15])
+    bm25_params: Bm25Params | None = field(init=False, default=None)
 
     @classmethod
     def from_raw(cls, raw: dict[str, str], base: Path) -> "ExperimentConfig":
-        def path_of(key, required=False):
-            if key not in raw:
-                if required:
-                    raise ConfigError(f"missing required key {key!r}")
-                return None
-            p = Path(raw[key])
-            if not p.is_absolute():
-                p = base / p
-            if not p.exists():
-                raise ConfigError(f"{key}: {p} does not exist")
-            return p
+        values = {}
+        for f in _key_fields():
+            key = f.metadata["key"]
+            if key in raw:
+                values[f.name] = f.metadata["parse"](raw[key], key, base)
+            elif f.metadata["required"]:
+                raise ConfigError(f"missing required key {key!r}")
+            else:
+                values[f.name] = f.metadata["default"]
+        return cls(raw=dict(sorted(raw.items())), **values)
 
-        def number(key, kind, default=None):
-            return parse_number(raw[key], kind, key) if key in raw else default
-
-        def flag(key, default="false"):
-            value = raw.get(key, default)
-            if value.lower() not in ("true", "1", "yes", "false", "0", "no"):
-                raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-            return value.lower() in ("true", "1", "yes")
-
-        def grid(key, default):
-            return _parse_range(raw[key], key) if key in raw else default
-
-        def choice(key, allowed, default):
-            value = raw.get(key, default)
-            if value not in allowed:
-                raise ConfigError(f"{key}: expected one of {allowed}, got {value!r}")
-            return value
-
-        def windows(key, years):
-            """The date-window sizes under key, each one a DateWindow takes."""
-            for value in years:
-                try:
-                    DateWindow(value)
-                except ValueError as exc:
-                    raise ConfigError(f"{key}: {exc}") from None
-            return years
-
-        task = choice("task", TASKS, "")
-        mode = choice("prefetch.mode", PREFETCH_MODES, "bm25")
-        k = number("prefetch.k", int, 100)
-        if k < 1:
-            raise ConfigError("prefetch.k must be >= 1")
-        eval_k = number("eval.k", int, 20)
-        if eval_k < 1:
-            raise ConfigError("eval.k must be >= 1")
-
-        bm25_params = None
-        if "bm25.k1" in raw or "bm25.b" in raw:
-            if not ("bm25.k1" in raw and "bm25.b" in raw):
+    def __post_init__(self) -> None:
+        if self.bm25_k1 is not None or self.bm25_b is not None:
+            if self.bm25_k1 is None or self.bm25_b is None:
                 raise ConfigError("bm25.k1 and bm25.b must be given together")
-            bm25_params = Bm25Params(number("bm25.k1", float), number("bm25.b", float))
-        bm25_tune = flag("bm25.tune")
-        if bm25_tune and bm25_params is not None:
+            self.bm25_params = Bm25Params(self.bm25_k1, self.bm25_b)
+        if self.bm25_tune and self.bm25_params is not None:
             raise ConfigError("bm25.tune conflicts with explicit bm25.k1/b")
-        grid_k1, grid_b = default_grid()
-        grid_k1, grid_b = grid("bm25.grid_k1", grid_k1), grid("bm25.grid_b", grid_b)
-
-        components = None
-        if "fusion.components" in raw:
-            parts = tuple(p.strip() for p in raw["fusion.components"].split(","))
-            if len(parts) != 2 or any(p not in ("bm25", "w2v-cent", "doc-vectors")
-                                      for p in parts):
-                raise ConfigError("fusion.components must name two of "
-                                  "bm25, w2v-cent, doc-vectors")
-            components = parts
-        if mode == "ensemble" and components is None:
+        ensemble = self.prefetch_mode == "ensemble"
+        if ensemble and self.fusion_components is None:
             raise ConfigError("ensemble mode requires fusion.components")
-        fusion_alpha = number("fusion.alpha", float)
-        if fusion_alpha is not None and not 0 <= fusion_alpha <= 1:
-            raise ConfigError("fusion.alpha must be in [0, 1]")
-        fusion_tune = flag("fusion.tune")
-        if mode == "ensemble" and fusion_alpha is None and not fusion_tune:
+        if ensemble and self.fusion_alpha is None and not self.fusion_tune:
             raise ConfigError("ensemble mode needs fusion.alpha or fusion.tune")
-        fusion_grid = grid("fusion.grid", default_alpha_grid())
-        if mode != "ensemble":  # checked, but only an ensemble fuses
-            components, fusion_tune = None, False
-
-        rerank_model = choice("rerank.model", ("none", "drmm", "pacrr"), "none")
-        seed = number("seed", int, 0)
-        if "rerank.seeds" in raw:
-            rerank_seeds = [parse_number(s, int, "rerank.seeds")
-                            for s in raw["rerank.seeds"].split(",") if s]
-        else:
-            rerank_seeds = [seed]
-        if rerank_model != "none" and not rerank_seeds:
+        if not ensemble:  # checked, but only an ensemble fuses
+            self.fusion_components, self.fusion_tune = None, False
+        if self.rerank_seeds is None:
+            self.rerank_seeds = [self.seed]
+        if self.rerank_model != "none" and not self.rerank_seeds:
             raise ConfigError("a trained re-ranker needs at least one seed")
-        datefilter_years = number("datefilter.years", float)
-        if datefilter_years is not None:
-            windows("datefilter.years", [datefilter_years])
-        hyperparams_path = path_of("rerank.hyperparams")
-        try:
-            hyperparams = (Hyperparams.from_file(hyperparams_path)
-                           if hyperparams_path else Hyperparams())
-        except ValueError as exc:
-            raise ConfigError(f"rerank.hyperparams: {exc}") from None
-
-        cfg = cls(
-            raw=dict(sorted(raw.items())),
-            task=task,
-            seed=seed,
-            pool_path=path_of("data.pool", required=True),
-            queries_path=path_of("data.queries", required=True),
-            qrels_path=path_of("data.qrels", required=True),
-            splits_path=path_of("data.splits", required=True),
-            stopwords_path=path_of("text.stopwords"),
-            idf_filter=flag("text.idf_filter", "true"),
-            prefetch_mode=mode,
-            k=k,
-            bm25_params=bm25_params,
-            bm25_tune=bm25_tune,
-            bm25_grid_k1=grid_k1,
-            bm25_grid_b=grid_b,
-            word_vectors_path=path_of("dense.word_vectors"),
-            pool_vectors_path=path_of("dense.pool_vectors"),
-            query_vectors_path=path_of("dense.query_vectors"),
-            fusion_components=components,
-            fusion_alpha=fusion_alpha,
-            fusion_tune=fusion_tune,
-            fusion_grid=fusion_grid,
-            rerank_model=rerank_model,
-            rerank_hyperparams_path=hyperparams_path,
-            rerank_hyperparams=hyperparams,
-            rerank_seeds=rerank_seeds,
-            rerank_embeddings=choice("rerank.embeddings", ("word", "token"), "word"),
-            token_vectors_path=path_of("rerank.token_vectors"),
-            datefilter_years=datefilter_years,
-            datefilter_mode=choice("datefilter.mode", MODES, "post"),
-            datefilter_tune=flag("datefilter.tune"),
-            datefilter_grid=windows("datefilter.grid",
-                                    grid("datefilter.grid", [1, 2, 5, 10, 15])),
-            eval_k=eval_k,
-        )
-        cfg._check_resources()
-        return cfg
-
-    def _check_resources(self) -> None:
         if "w2v-cent" in self.components and self.word_vectors_path is None:
             raise ConfigError("w2v-cent requires dense.word_vectors")
         if "doc-vectors" in self.components and (self.pool_vectors_path is None
@@ -304,14 +287,9 @@ class ExperimentConfig:
         return "bm25" in self.components
 
     def input_paths(self) -> list[Path]:
-        paths = [self.pool_path, self.queries_path, self.qrels_path,
-                 self.splits_path]
-        for p in (self.stopwords_path, self.word_vectors_path,
-                  self.pool_vectors_path, self.query_vectors_path,
-                  self.rerank_hyperparams_path, self.token_vectors_path):
-            if p is not None:
-                paths.append(p)
-        return paths
+        """Every file the config names, the hyperparameters' too."""
+        return [path for f in _key_fields() if f.metadata["parse"] is _path
+                and (path := getattr(self, f.name)) is not None]
 
 
 def hash_file(path) -> str:
@@ -450,48 +428,45 @@ class StageFailed(RuntimeError):
 
 
 class _Stages:
-    """Skip-if-done bookkeeping: a stage whose key (manifest hash + name)
-    matches the previous run and whose outputs exist is not recomputed; its
-    artifacts are read back instead. A `.stages.json` that is not a JSON
-    object counts as no stage done, and an entry in it that is not an object
-    as its stage not done."""
+    """Skip-if-done bookkeeping in `manifest.json`, which is rewritten after
+    every stage, so a crashed run leaves one naming the stages it finished.
+    A stage is done, and its artifacts are read back instead of recomputed,
+    when the previous manifest has this run's hash, its timings list the
+    stage, and the stage's outputs exist. A manifest that is not JSON, or not
+    an object with a timings object, counts as no stage done."""
 
-    def __init__(self, outdir: Path, manifest_hash: str):
-        self.path = outdir / ".stages.json"
-        self.manifest_hash = manifest_hash
-        done = {}
-        if self.path.exists():
-            try:
-                done = json.loads(self.path.read_text())
-            except json.JSONDecodeError:
-                pass
-        self.done: dict[str, dict] = (
-            {name: entry for name, entry in done.items() if isinstance(entry, dict)}
-            if isinstance(done, dict) else {})
+    def __init__(self, outdir: Path, manifest: dict):
+        self.path = outdir / "manifest.json"
+        self.manifest = manifest
         self.timings: dict[str, float] = {}
+        manifest["timings"] = self.timings
+        self.done: set[str] = set()
+        try:
+            previous = json.loads(self.path.read_text())
+        except (OSError, ValueError):
+            previous = None
+        if (isinstance(previous, dict) and isinstance(previous.get("timings"), dict)
+                and previous.get("manifest_hash") == manifest["manifest_hash"]):
+            self.done = set(previous["timings"])
+        self.write()
 
-    def key(self, name: str) -> str:
-        return hashlib.sha256(f"{self.manifest_hash}:{name}".encode()).hexdigest()
-
-    def fresh(self, name: str, outputs: list[Path]) -> bool:
-        entry = self.done.get(name)
-        return (entry is not None and entry.get("key") == self.key(name)
-                and all(p.exists() for p in outputs))
+    def write(self) -> None:
+        self.path.write_text(json.dumps(self.manifest, indent=2, sort_keys=True))
 
     def run(self, name: str, outputs: list[Path], build, load=lambda: None):
-        """build()'s value, or load()'s when the stage is up to date."""
-        if self.fresh(name, outputs):
+        """build()'s value, or load()'s when the stage is done."""
+        if name in self.done and all(p.exists() for p in outputs):
             log.info("stage %s: outputs up to date, skipped", name)
             self.timings[name] = 0.0
-            return load()
-        start = time.perf_counter()
-        try:
-            result = build()
-        except Exception as exc:
-            raise StageFailed(name, exc) from exc
-        self.timings[name] = round(time.perf_counter() - start, 6)
-        self.done[name] = {"key": self.key(name)}
-        self.path.write_text(json.dumps(self.done, indent=2, sort_keys=True))
+            result = load()
+        else:
+            start = time.perf_counter()
+            try:
+                result = build()
+            except Exception as exc:
+                raise StageFailed(name, exc) from exc
+            self.timings[name] = round(time.perf_counter() - start, 6)
+        self.write()
         return result
 
 
@@ -512,7 +487,9 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
                              "version": __version__}, sort_keys=True)
     manifest_hash = hashlib.sha256(hash_basis.encode()).hexdigest()
     tag = f"manifest {manifest_hash}"
-    stages = _Stages(outdir, manifest_hash)
+    stages = _Stages(outdir, {"config": config.raw, "resources": resources,
+                              "version": __version__,
+                              "manifest_hash": manifest_hash})
 
     pool = ingest_collection(config.pool_path, tag="pool")
     queries = ingest_collection(config.queries_path, tag=config.task)
@@ -706,16 +683,8 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
         stages.run("evaluate", [ev_path, outdir / "final_test.tsv"], eval_stage)
         eval_paths.append(ev_path)
 
-    manifest = {
-        "config": config.raw,
-        "resources": resources,
-        "version": __version__,
-        "manifest_hash": manifest_hash,
-        "bm25_params": {"k1": bm25_params.k1, "b": bm25_params.b}
-        if config.needs_bm25 else None,
-        "fusion_alpha": alpha,
-        "timings": stages.timings,
-    }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2,
-                                                     sort_keys=True))
+    stages.manifest["bm25_params"] = ({"k1": bm25_params.k1, "b": bm25_params.b}
+                                      if config.needs_bm25 else None)
+    stages.manifest["fusion_alpha"] = alpha
+    stages.write()
     return ExperimentResult(outdir, manifest_hash, eval_paths, summary_path)

@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 
 from ._textio import read_json, write_table
+from .metrics import recall_at_k
 from .ranking import RankedList, Run, sort_scored
 
 
@@ -77,8 +78,6 @@ def tune_alpha(run_a: Run, run_b: Run, qrels, alpha_grid: list[float], k: int
     Ties break toward smaller alpha. Returns the winner and the full
     (alpha, recall) grid for export.
     """
-    from .metrics import recall_at_k
-
     if not alpha_grid:
         raise ValueError("alpha grid is empty")
     bad = [a for a in alpha_grid if not 0 <= a <= 1]

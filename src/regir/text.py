@@ -193,6 +193,9 @@ class TextPipeline:
         self.stopwords = load_default_stopwords() if stopwords is None else frozenset(stopwords)
         self.idf_filter = idf_filter
         self.threshold = idf_table.stopword_avg_idf(self.stopwords)
+        # the idf-table terms denoising keeps, sorted, and each one's row
+        self.kept_terms = sorted(filter(self.keeps, idf_table.terms))
+        self.kept_row = {t: i for i, t in enumerate(self.kept_terms)}
         self._source = None  # (collection, its denoised bags), see build_pipeline
 
     def keeps(self, term: str) -> bool:

@@ -419,6 +419,23 @@ def test_load_rejects_a_header_without_the_pipeline(saved_index, tmp_path):
         load_index(bad)
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda a: {"idf_df": a["idf_df"][:-1].copy()},
+     "idf terms and df values differ in length"),
+    (lambda a: {"tf": a["tf"][:-1].copy()}, "tf and positions differ in length"),
+    (lambda a: {"idf_df": np.where(np.arange(len(a["idf_df"])) == 0, 0,
+                                   a["idf_df"])}, r"df\[.*\] = 0 outside \[1, 25\]"),
+    (lambda a: {"idf_df": a["idf_df"] + 25}, r"df\[.*\] = \d+ outside \[1, 25\]"),
+], ids=["idf-lengths", "postings-lengths", "df-zero", "df-above-doc-count"])
+def test_load_checks_the_idf_table(saved_index, tmp_path, change, message):
+    _, path = saved_index
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    bad = _tampered(path, tmp_path, **change(arrays))
+    with pytest.raises(ValueError, match=f"^{bad}: {message}"):
+        load_index(bad)
+
+
 def test_build_refuses_a_corpus_the_pipeline_was_not_built_from(rng):
     corpus = random_corpus(rng, 25)
     pipeline = build_pipeline(corpus, idf_filter=False)

@@ -5,10 +5,12 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
+from regir.bm25 import load_index
 from regir.cli import main
 from regir.corpus import ingest_collection
 from regir.ranking import read_run
-from regir.rerank import load_checkpoint
+from regir.rerank import load_checkpoint, load_token_vectors
+from regir.rerank.train import FeatureStore
 
 from conftest import build_dataset, date_window_dataset
 from oracles import score_of
@@ -225,6 +227,83 @@ def test_prefetch_writes_regir_run_candidates(env, tmp_path, mode_args, config):
     assert read_run(out) == read_run(tmp_path / "exp" / "final_test.tsv")
 
 
+def write_doc_vectors(root, out):
+    """pool.vec and queries.vec in `out` for the collections in `root`: each
+    document's vector leans toward its theme (its index mod 4), as its words
+    and judgments do."""
+    rng = random.Random(5)
+    for name, prefix in (("pool.vec", "pool"), ("queries.vec", "queries")):
+        lines = ["#dim 4"]
+        for line in (root / f"{prefix}.jsonl").read_text().splitlines():
+            doc_id = json.loads(line)["doc_id"]
+            values = [rng.uniform(-0.1, 0.1) for _ in range(4)]
+            values[int(doc_id[2:]) % 4] += 1.0
+            lines.append(f"{doc_id} " + " ".join(map(repr, values)))
+        (out / name).write_text("\n".join(lines) + "\n")
+
+
+def test_prefetch_doc_vectors_writes_regir_run_candidates(env, tmp_path):
+    root = env.root
+    write_doc_vectors(root, tmp_path)
+    vectors = ["--pool-vectors", tmp_path / "pool.vec",
+               "--query-vectors", tmp_path / "queries.vec"]
+    env.ok("prefetch", "--mode", "doc-vectors", "--k", "5", *vectors,
+           "--queries", root / "queries.jsonl",
+           "--splits", root / "splits.json", "--split", "test",
+           "--out", tmp_path / "prefetch.tsv")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(run_config(root, "prefetch.mode = doc-vectors\n"
+                                    "dense.pool_vectors = pool.vec\n"
+                                    "dense.query_vectors = queries.vec\n"))
+    env.ok("run", "--config", cfg, "--out", tmp_path / "exp")
+    run = read_run(tmp_path / "prefetch.tsv")
+    assert run == read_run(tmp_path / "exp" / "final_test.tsv")
+    # each test query's nearest pool documents share its theme
+    assert all(int(d[2:]) % 4 == int(q[2:]) % 4
+               for q, ranking in run.items() for d in ranking.doc_ids[:5])
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--mode", "ensemble", "--alpha", "0.5"],
+     "ensemble needs --components and --alpha"),
+    (["--mode", "ensemble", "--components", "bm25,w2v-cent"],
+     "ensemble needs --components and --alpha"),
+    (["--mode", "ensemble", "--components", "bm25,foo", "--alpha", "0.5",
+      "--index", "index.bin"],
+     "--components must name two of bm25, w2v-cent, doc-vectors"),
+    (["--mode", "ensemble", "--components", "bm25", "--alpha", "0.5",
+      "--index", "index.bin"],
+     "--components must name two of bm25, w2v-cent, doc-vectors"),
+    (["--mode", "w2v-cent", "--index", "index.bin", "--word-vectors", "wv.txt"],
+     "w2v-cent needs --index, --word-vectors and --centroids"),
+    (["--mode", "w2v-cent", "--index", "index.bin", "--centroids",
+      "centroids.vec"], "w2v-cent needs --index, --word-vectors and --centroids"),
+    (["--mode", "doc-vectors", "--pool-vectors", "wv.txt"],
+     "doc-vectors needs --pool-vectors and --query-vectors"),
+    (["--mode", "bm25", "--index", "index.bin", "--date-filter", "3"],
+     "--date-filter needs --collection for publication years"),
+], ids=["no-components", "no-alpha", "unknown-component", "one-component",
+        "no-centroids", "no-word-vectors", "no-query-vectors", "no-collection"])
+def test_prefetch_refuses_missing_inputs_before_loading_any(env, tmp_path,
+                                                           monkeypatch, args,
+                                                           message):
+    import regir.cli
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("an input was loaded before the options were checked")
+
+    for name in ("ingest_collection", "load_index", "load_word_vectors",
+                 "load_doc_vectors"):
+        monkeypatch.setattr(regir.cli, name, no_load)
+    args = [env.root / a if a in ("index.bin", "wv.txt", "centroids.vec") else a
+            for a in args]
+    result = env.cli("prefetch", *args, "--queries", env.root / "queries.jsonl",
+                     "--out", tmp_path / "r.tsv")
+    assert result.exit_code != 0
+    assert f"Error: {message}" in blob(result)
+    assert not (tmp_path / "r.tsv").exists()
+
+
 def test_stage_commands_take_the_pipeline_from_the_index(env, tmp_path):
     """An index built with custom stopwords carries them to `vectors` and a
     w2v-cent `prefetch`, which write what `regir run` writes with the same
@@ -405,6 +484,15 @@ def test_fuse_requires_alpha_or_tune(env, tmp_path):
     assert "--alpha" in blob(result)
 
 
+def test_fuse_tune_alpha_needs_qrels(env, tmp_path):
+    result = env.cli("fuse", "--run-a", env.root / "run_all.tsv",
+                     "--run-b", env.root / "run_all.tsv", "--tune-alpha",
+                     "--out", tmp_path / "f.tsv")
+    assert result.exit_code == 1
+    assert "Error: --tune-alpha needs --qrels" in blob(result)
+    assert not (tmp_path / "f.tsv").exists()
+
+
 def test_train_writes_checkpoint_and_log(env):
     assert (env.root / "ck.bin").exists()
     lines = (env.root / "train_log.csv").read_text().splitlines()
@@ -464,6 +552,36 @@ def test_rerank_with_checkpoint(env, tmp_path):
     after = read_run(out)
     for query_id in before:
         assert set(after[query_id].doc_ids) == set(before[query_id].doc_ids)
+
+
+def test_train_and_rerank_with_token_vectors(env, tmp_path):
+    """Both commands take per-position vectors of the index pipeline's
+    denoised sequences; the re-ranked lists are the library's."""
+    root = env.root
+    pipeline = load_index(root / "index.bin").pipeline
+    pool = ingest_collection(root / "pool.jsonl")
+    queries = ingest_collection(root / "queries.jsonl")
+    rng = random.Random(9)
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("".join(
+        f"{doc.doc_id} {i} " + " ".join(repr(rng.uniform(-1, 1)) for _ in range(4))
+        + "\n" for doc in [*pool, *queries] for i, _ in enumerate(pipeline(doc.text))))
+    common = ["--queries", root / "queries.jsonl",
+              "--collection", root / "pool.jsonl", "--index", root / "index.bin",
+              "--token-vectors", tokens]
+    ck = tmp_path / "ck.bin"
+    env.ok("train", "--model", "drmm", "--run", root / "run_all.tsv",
+           "--qrels", root / "qrels.tsv", "--splits", root / "splits.json",
+           "--hyperparams", root / "hp.txt", *common, "--out", ck)
+    out = tmp_path / "reranked.tsv"
+    result = env.ok("rerank", "--checkpoint", ck, "--run", root / "run_test.tsv",
+                    *common, "--out", out)
+    assert "re-ranked 3 lists" in result.output
+    trained = load_checkpoint(ck)
+    store = FeatureStore("drmm", load_token_vectors(tokens), pipeline, queries,
+                         pool, trained.hp)
+    expected = trained.reranker(store).rerank_run(read_run(root / "run_test.tsv"))
+    assert read_run(out) == expected
 
 
 def test_rerank_k_truncates_before_scoring(env, tmp_path):

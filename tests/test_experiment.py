@@ -111,6 +111,17 @@ def test_config_missing_file(dataset):
         cfg_from(dataset, BASE_CFG.replace("pool.jsonl", "nope.jsonl"))
 
 
+@pytest.mark.parametrize("line, key", [
+    ("rerank.hyperparams =", "rerank.hyperparams"),
+    ("text.stopwords = .", "text.stopwords"),
+])
+def test_config_refuses_a_directory_for_a_file(dataset, line, key):
+    path = dataset / "cfg.txt"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(f'{path}: {key}: ')}"
+                                          ".* is a directory"):
+        cfg_from(dataset, BASE_CFG + line + "\n")
+
+
 def test_config_ensemble_requires_components(dataset):
     with pytest.raises(ConfigError, match="fusion.components"):
         cfg_from(dataset, BASE_CFG.replace("bm25", "ensemble"))
@@ -327,19 +338,22 @@ def test_fusion_tune_fetches_each_dev_query_once(dataset, tmp_path, monkeypatch)
         assert sorted(dev) == sorted(splits["dev"]), name
 
 
+def edit_timings(outdir, edit):
+    """Rewrite the manifest's timings with edit(timings)."""
+    path = outdir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["timings"])
+    path.write_text(json.dumps(manifest))
+
+
 def test_stale_v1_index_in_a_reused_outdir_is_rebuilt(dataset, tmp_path):
     """A directory last run before the index format changed holds a pickled
     index under the stage name "index"; the versioned stage rebuilds it."""
     cfg = cfg_from(dataset, BASE_CFG)
     outdir = tmp_path / "out"
-    result = run_experiment(cfg, outdir)
+    run_experiment(cfg, outdir)
     before = (outdir / "eval_test.csv").read_bytes()
-    stages_path = outdir / ".stages.json"
-    stages = json.loads(stages_path.read_text())
-    entry = stages.pop("index-v3")
-    entry["key"] = hashlib.sha256(f"{result.manifest_hash}:index".encode()).hexdigest()
-    stages["index"] = entry
-    stages_path.write_text(json.dumps(stages))
+    edit_timings(outdir, lambda t: t.update(index=t.pop("index-v3")))
     (outdir / "index.bin").write_bytes(b"\x80\x04 a version-1 pickle")
     run_experiment(cfg, outdir)
     assert (outdir / "index.bin").read_bytes()[:4] == b"PK\x03\x04"
@@ -352,7 +366,7 @@ def test_stale_v2_index_in_a_reused_outdir_is_rebuilt(dataset, tmp_path):
     "index-v3" rebuilds it instead of skipping."""
     cfg = cfg_from(dataset, BASE_CFG)
     outdir = tmp_path / "out"
-    result = run_experiment(cfg, outdir)
+    run_experiment(cfg, outdir)
     before = (outdir / "eval_test.csv").read_bytes()
     index_path = outdir / "index.bin"
     fresh = index_path.read_bytes()
@@ -362,34 +376,82 @@ def test_stale_v2_index_in_a_reused_outdir_is_rebuilt(dataset, tmp_path):
               {"offsets": np.array(index.offsets, dtype=np.int64)})
     with pytest.raises(ValueError, match="unsupported .* version 2"):
         load_index(index_path)
-    stages_path = outdir / ".stages.json"
-    stages = json.loads(stages_path.read_text())
-    entry = stages.pop("index-v3")
-    entry["key"] = hashlib.sha256(
-        f"{result.manifest_hash}:index-v2".encode()).hexdigest()
-    stages["index-v2"] = entry
-    stages_path.write_text(json.dumps(stages))
+    edit_timings(outdir, lambda t: t.update({"index-v2": t.pop("index-v3")}))
     run_experiment(cfg, outdir)
     assert index_path.read_bytes() == fresh
     assert (outdir / "eval_test.csv").read_bytes() == before
-    assert json.loads(stages_path.read_text())["index-v3"]["key"] == \
-        hashlib.sha256(f"{result.manifest_hash}:index-v3".encode()).hexdigest()
     timings = json.loads((outdir / "manifest.json").read_text())["timings"]
     assert timings["index-v3"] > 0
 
 
-@pytest.mark.parametrize("text", ["[]", '{"index-v2": "abc"}'])
-def test_malformed_stages_file_counts_as_no_stage_done(dataset, tmp_path, text):
-    """Valid JSON of the wrong shape in `.stages.json`, at the top or in a
-    stage's entry, is bookkeeping lost, not an error: every stage runs."""
+def test_a_stage_the_run_does_not_run_leaves_the_manifest(dataset, tmp_path):
+    """The manifest lists the stages of the run that wrote it, so a stage
+    name from an older format does not outlive a rerun."""
+    cfg = cfg_from(dataset, BASE_CFG)
+    outdir = tmp_path / "out"
+    run_experiment(cfg, outdir)
+    stages = set(json.loads((outdir / "manifest.json").read_text())["timings"])
+    edit_timings(outdir, lambda t: t.update({"index-v2": 1.0}))
+    run_experiment(cfg, outdir)
+    timings = json.loads((outdir / "manifest.json").read_text())["timings"]
+    assert timings == dict.fromkeys(stages, 0.0)
+    assert [p.name for p in outdir.iterdir() if p.name.startswith(".")] == []
+
+
+def test_a_crashed_run_leaves_a_manifest_naming_its_finished_stages(
+        dataset, tmp_path, monkeypatch):
+    import regir.experiment as experiment
+
+    cfg = cfg_from(dataset, BASE_CFG)
+    outdir = tmp_path / "out"
+    real = experiment.emit_rk_curve
+
+    def crash(*args):
+        raise RuntimeError("no curve")
+
+    monkeypatch.setattr(experiment, "emit_rk_curve", crash)
+    with pytest.raises(experiment.StageFailed, match="'rk-curve' failed"):
+        run_experiment(cfg, outdir)
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert set(manifest["timings"]) == {"index-v3", "prefetch", "year-hist"}
+    monkeypatch.setattr(experiment, "emit_rk_curve", real)
+    result = run_experiment(cfg, outdir)
+    assert result.manifest_hash == manifest["manifest_hash"]
+    timings = json.loads((outdir / "manifest.json").read_text())["timings"]
+    assert {name for name, t in timings.items() if t == 0.0} == \
+        {"index-v3", "prefetch", "year-hist"}
+    assert set(timings) == {"index-v3", "prefetch", "year-hist", "rk-curve",
+                            "evaluate"}
+
+
+def _bad_manifests(manifest: dict) -> dict:
+    timings = manifest["timings"]
+    return {"not-json": b"{", "not-utf8": b"\xff\xfe",
+            "not-an-object": b"[]",
+            "no-timings": json.dumps({key: value for key, value in manifest.items()
+                                      if key != "timings"}).encode(),
+            "timings-not-an-object": json.dumps(
+                dict(manifest, timings=list(timings))).encode()}
+
+
+@pytest.mark.parametrize("case", ["not-json", "not-utf8", "not-an-object",
+                                  "no-timings", "timings-not-an-object"])
+def test_malformed_manifest_counts_as_no_stage_done(dataset, tmp_path, case):
+    """A manifest with this run's hash whose timings are not an object, or a
+    file that is not a JSON object, is bookkeeping lost, not an error: every
+    stage runs."""
     cfg = cfg_from(dataset, BASE_CFG)
     fresh = run_experiment(cfg, tmp_path / "fresh")
+    manifest = json.loads((fresh.outdir / "manifest.json").read_text())
     outdir = tmp_path / "out"
     outdir.mkdir()
-    (outdir / ".stages.json").write_text(text)
+    for path in fresh.outdir.iterdir():
+        (outdir / path.name).write_bytes(path.read_bytes())
+    (outdir / "manifest.json").write_bytes(_bad_manifests(manifest)[case])
     run_experiment(cfg, outdir)
-    assert (json.loads((outdir / ".stages.json").read_text())
-            == json.loads((fresh.outdir / ".stages.json").read_text()))
+    again = json.loads((outdir / "manifest.json").read_text())
+    assert set(again["timings"]) == set(manifest["timings"])
+    assert all(t > 0 for t in again["timings"].values())
     assert ((outdir / "eval_test.csv").read_bytes()
             == (fresh.outdir / "eval_test.csv").read_bytes())
 
@@ -413,7 +475,7 @@ def test_run_experiment_keeps_what_it_builds(dataset, tmp_path, monkeypatch):
     run_experiment(cfg, outdir)
     assert loads == Counter()
     fresh = {p.name: p.read_bytes() for p in outdir.iterdir()
-             if p.name not in ("manifest.json", ".stages.json")}
+             if p.name != "manifest.json"}
     run_experiment(cfg, outdir)
     assert loads == {"load_index": 1, "load_doc_vectors": 1}
     assert {name: (outdir / name).read_bytes() for name in fresh} == fresh

@@ -4,6 +4,7 @@ starts with the file's path."""
 
 import json
 import random
+from dataclasses import fields
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ import pytest
 from regir.corpus import (SplitManifest, convert_collection, ingest_collection,
                           load_qrels)
 from regir.dense import load_doc_vectors, load_word_vectors
-from regir.experiment import KNOWN_KEYS, load_config
+from regir.experiment import ExperimentConfig, load_config
 from regir.metrics import read_eval_csv
 from regir.ranking import read_run
 from regir.rerank import Hyperparams, load_token_vectors
@@ -168,6 +169,8 @@ def dataset(tmp_path_factory):
     return build_dataset(tmp_path_factory.mktemp("cfgwork"), random.Random(7))
 
 
+CONFIG_KEYS = sorted({f.metadata["key"] for f in fields(ExperimentConfig)
+                      if "key" in f.metadata})
 CONFIG_BASE = ["task = EU2UK", "data.pool = pool.jsonl", "data.queries = queries.jsonl",
                "data.qrels = qrels.tsv", "data.splits = splits.json"]
 config_values = numbers | st.sampled_from([
@@ -179,7 +182,7 @@ config_values = numbers | st.sampled_from([
 
 @PROPERTY
 @given(st.sets(st.sampled_from(CONFIG_BASE)),
-       st.lists(_key_value_lines([*KNOWN_KEYS, "retrieval.engine"], config_values)
+       st.lists(_key_value_lines([*CONFIG_KEYS, "retrieval.engine"], config_values)
                 | text | raw, max_size=6))
 def test_load_config_fails_only_naming_the_path(dataset, base, lines):
     _loads_or_names_path(load_config, dataset / "cfg.txt", sorted(base) + lines)

@@ -651,6 +651,35 @@ def test_checkpoint_rejects_wrong_version_and_shapes(checkpoint_file, tmp_path):
         load_checkpoint(bad)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.pop("w_r"), "header lacks 'w_r'"),
+    (lambda h: h.update(best_epoch="x"), r"bad checkpoint header \(.*'x'"),
+], ids=["no-w_r", "text-best-epoch"])
+def test_checkpoint_rejects_a_bad_header(checkpoint_file, tmp_path, edit, message):
+    result, path = checkpoint_file
+    with np.load(path, allow_pickle=False) as npz:
+        header = json.loads(npz["header"].tobytes())
+    edit(header)
+    bad = tmp_path / "header.bin"
+    write_npz(bad, header, result.model.params)
+    with pytest.raises(ValueError, match=f"^{bad}: {message}"):
+        load_checkpoint(bad)
+
+
+def test_checkpoint_rejects_a_parameter_that_is_not_float64(checkpoint_file,
+                                                            tmp_path):
+    result, path = checkpoint_file
+    with np.load(path, allow_pickle=False) as npz:
+        header = json.loads(npz["header"].tobytes())
+    name = next(iter(result.model.params))
+    params = dict(result.model.params)
+    params[name] = params[name].astype(np.float32)
+    bad = tmp_path / "float32.bin"
+    write_npz(bad, header, params)
+    with pytest.raises(ValueError, match=f"^{bad}: arrays must be float64"):
+        load_checkpoint(bad)
+
+
 def test_checkpoint_rejects_v1_pickle_without_unpickling(tmp_path, monkeypatch):
     path = tmp_path / "old.bin"
     path.write_bytes(pickle.dumps({"format": CHECKPOINT_FORMAT, "version": 1},
