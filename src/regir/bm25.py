@@ -15,7 +15,6 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -74,9 +73,9 @@ class PostingsIndex:
     survives the pipeline in every document or in none, so term i owns its
     df's worth of entries, offsets[i]:offsets[i+1], of `positions` (rows of
     the sorted doc ids, ascending) and `tf` (each >= 1). A document's length
-    is the sum of its tf. The arrays have the types scoring reads (a list of
-    bounds, intp positions, float tf), since numpy scalars and int32 fancy
-    indices are slower per term; the file holds them as int32.
+    is the sum of its tf. The arrays have the types scoring reads (intp
+    offsets and positions, float tf), so gathering a query's postings
+    converts nothing; the file holds them as int32.
     """
 
     def __init__(self, pipeline: TextPipeline, doc_ids: list[str],
@@ -88,7 +87,7 @@ class PostingsIndex:
         self.pipeline = pipeline
         self.idf_table = table = pipeline.idf_table
         self.terms, self._row = pipeline.kept_terms, pipeline.kept_row
-        self.offsets = [0, *accumulate(map(table.df, self.terms))]
+        self.offsets = np.cumsum([0, *map(table.df, self.terms)], dtype=np.intp)
         self.positions = positions.astype(np.intp)
         self.tf = tf.astype(np.float64)
         self.doc_count = len(doc_ids)
@@ -102,28 +101,50 @@ class PostingsIndex:
     def _norm(self, length: float, params: Bm25Params) -> float:
         return 1.0 - params.b + params.b * length / self.avg_len
 
-    def score_all(self, query_tokens: list[str], params: Bm25Params) -> np.ndarray:
-        """BM25 scores for every pool document, aligned with sorted doc ids."""
-        scores = np.zeros(self.doc_count)
-        norms = params.k1 * self._norm(self.doc_len, params)
+    def _postings(self, query_tokens: list[str]) -> tuple[np.ndarray, ...]:
+        """The postings of the query's indexed terms, in the order the terms
+        first occur in the query: each entry's document row, tf and
+        document length, and q_tf * idf(term) * tf."""
+        rows, weights = [], []
         for term, q_tf in Counter(query_tokens).items():
             row = self._row.get(term)
-            if row is None:
-                continue
-            lo, hi = self.offsets[row], self.offsets[row + 1]
-            pos, tf = self.positions[lo:hi], self.tf[lo:hi]
-            w = q_tf * self.idf_table.idf(term) * tf * (params.k1 + 1)
-            scores[pos] += w / (tf + norms[pos])
-        return scores
+            if row is not None:
+                rows.append(row)
+                weights.append(q_tf * self.idf_table.idf(term))
+        rows = np.array(rows, dtype=np.intp)
+        lo = self.offsets[rows]
+        sizes = self.offsets[rows + 1] - lo
+        # the j-th entry of the i-th term is gathered to starts[i] + j from
+        # lo[i] + j
+        starts = np.cumsum(sizes) - sizes
+        entries = np.repeat(lo - starts, sizes) + np.arange(sizes.sum())
+        pos, tf = self.positions[entries], self.tf[entries]
+        return pos, tf, self.doc_len[pos], np.repeat(weights, sizes) * tf
+
+    def _scores(self, postings: tuple[np.ndarray, ...], params: Bm25Params) -> np.ndarray:
+        """BM25 of every pool document from a query's gathered postings.
+        `np.bincount` adds each document's terms from 0.0 in query-term order,
+        the order of one `scores[pos] += ...` per term."""
+        pos, tf, length, weight_tf = postings
+        w = weight_tf * (params.k1 + 1)
+        norms = params.k1 * self._norm(length, params)
+        scores = np.bincount(pos, weights=w / (tf + norms), minlength=self.doc_count)
+        return scores.astype(np.float64, copy=False)  # int zeros if no entries
+
+    def _top_k(self, scores: np.ndarray, k: int) -> RankedList:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        return RankedList(top_k_from_arrays(self.doc_ids, scores, min(k, self.doc_count)),
+                          presorted=True)
+
+    def score_all(self, query_tokens: list[str], params: Bm25Params) -> np.ndarray:
+        """BM25 scores for every pool document, aligned with sorted doc ids."""
+        return self._scores(self._postings(query_tokens), params)
 
     def bm25_search(self, query_tokens: list[str], params: Bm25Params, k: int) -> RankedList:
         """Top-k over the whole pool (zero-score documents rank too), ties by
         ascending doc_id."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        scores = self.score_all(query_tokens, params)
-        return RankedList(top_k_from_arrays(self.doc_ids, scores, min(k, self.doc_count)),
-                          presorted=True)
+        return self._top_k(self.score_all(query_tokens, params), k)
 
 
 def build_index(corpus, pipeline) -> PostingsIndex:
@@ -251,19 +272,20 @@ def tune_bm25(index: PostingsIndex, queries: dict[str, list[str]], qrels,
     """
     if not k1_grid or not b_grid:
         raise ValueError("grids must be non-empty")
-    scored = [(qid, toks, qrels.relevant(qid)) for qid, toks in sorted(queries.items())]
-    scored = [(qid, toks, rel) for qid, toks, rel in scored if rel]
+    scored = [(toks, qrels.relevant(qid)) for qid, toks in sorted(queries.items())]
+    scored = [(toks, rel) for toks, rel in scored if rel]
     if not scored:
         raise ValueError("no queries with relevant documents")
-
-    def cell(k1: float, b: float) -> GridCell:
-        params = Bm25Params(k1, b)
-        total = 0.0
-        for _, toks, rel in scored:
-            total += recall_at_k(index.bm25_search(toks, params, k), rel, k)
-        return GridCell(k1, b, total / len(scored))
-
-    cells = [cell(k1, b) for k1 in k1_grid for b in b_grid]
+    grid = [Bm25Params(k1, b) for k1 in k1_grid for b in b_grid]
+    # each query's postings are gathered once and scored in every cell; the
+    # recalls still add up per cell in query order
+    totals = [0.0] * len(grid)
+    for toks, rel in scored:
+        postings = index._postings(toks)
+        for i, params in enumerate(grid):
+            ranking = index._top_k(index._scores(postings, params), k)
+            totals[i] += recall_at_k(ranking, rel, k)
+    cells = [GridCell(p.k1, p.b, total / len(scored)) for p, total in zip(grid, totals)]
     best = max(cells, key=lambda c: (c.recall_at_k, -c.k1, -c.b))
     return Bm25Params(best.k1, best.b), cells
 

@@ -156,6 +156,9 @@ def parse_components(text: str, key: str, base=None) -> tuple[str, str]:
     parts = tuple(p.strip() for p in text.split(","))
     if len(parts) != 2 or any(p not in COMPONENTS for p in parts):
         raise ConfigError(f"{key} must name two of bm25, w2v-cent, doc-vectors")
+    if parts[0] == parts[1]:
+        raise ConfigError(f"{key} names {parts[0]} twice: an ensemble fuses "
+                          f"two different pre-fetchers")
     return parts
 
 

@@ -15,12 +15,22 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from importlib import resources
+from itertools import filterfalse
 
 import numpy as np
 
 from ._textio import read_lines
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# from a non-ASCII character up to the next ASCII letter: ASCII folds to
+# itself, and text in another script is folded in a few long stretches
+_FOLD_RE = re.compile(r"[^\x00-\x7f][^A-Za-z]*")
+
+
+def _fold_marks(match: re.Match) -> str:
+    """A stretch of text NFKD-decomposed, its combining marks stripped."""
+    decomposed = unicodedata.normalize("NFKD", match.group())
+    return "".join(filterfalse(unicodedata.combining, decomposed))
 
 
 def tokenize(text: str) -> list[str]:
@@ -29,9 +39,14 @@ def tokenize(text: str) -> list[str]:
     NFKD-decompose and strip combining marks (so accented and plain forms
     collide), lowercase, take maximal runs of word characters excluding the
     underscore, and drop purely numeric tokens.
+
+    NFKD followed by the strip maps each character on its own (canonical
+    reordering moves only combining marks, and every one is stripped) and
+    maps ASCII to itself. So they run only on the stretches that start at
+    a non-ASCII character, which gives the string that running them over
+    the whole text gives.
     """
-    decomposed = unicodedata.normalize("NFKD", text)
-    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    stripped = _FOLD_RE.sub(_fold_marks, text)
     tokens = _TOKEN_RE.findall(stripped.lower())
     return [t for t in tokens if not t.isdigit()]
 

@@ -1,14 +1,18 @@
-"""Reference code that only tests call: scorers one (query, document) pair
-at a time (BM25 read off a document's postings, DRMM and PACRR forward
-passes from raw token lists or from one pair's 2-d products, and re-ranking
-with one model call per candidate), a training step that scores and
-back-propagates one pair at a time, the dict-built postings, the lexsort
+"""Reference code that only tests call: the tokenizer that strips combining
+marks one character at a time, scorers one (query, document) pair at a time
+(BM25 read off a document's postings, DRMM and PACRR forward passes from raw
+token lists or from one pair's 2-d products, and re-ranking with one model
+call per candidate), BM25 over the whole pool with one scatter-add per query
+term and tuned with one search per (cell, query), a training step that scores
+and back-propagates one pair at a time, the dict-built postings, the lexsort
 top-k, the per-row histogram and the einsum and strided-gather convolutions
 that the vectorized kernels must reproduce, and small readers and helpers
 the pipeline itself has no use for."""
 
 from __future__ import annotations
 
+import re
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -24,6 +28,15 @@ from regir.rerank.features import (TypeEmbeddings, dedup_terms, drmm_features,
                                    pacrr_features, sim_matrix, softmax)
 from regir.rerank.pacrr import PacrrModel, _sigmoid
 from regir.rerank.train import hinge_loss, rel_score
+
+
+def tokenize_per_char(text: str) -> list[str]:
+    """`text.tokenize` with NFKD over the whole text and the combining-mark
+    strip as a generator over its every character."""
+    decomposed = unicodedata.normalize("NFKD", text)
+    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    tokens = re.findall(r"[^\W_]+", stripped.lower())
+    return [t for t in tokens if not t.isdigit()]
 
 
 def idf_from_token_lists(token_lists) -> IdfTable:
@@ -135,6 +148,42 @@ def bm25_score(index: PostingsIndex, query_tokens: list[str], doc_id: str,
         idf = index.idf_table.idf(term)
         score += q_tf * idf * tf * (params.k1 + 1) / (tf + params.k1 * norm)
     return score
+
+
+def score_all_per_term(index: PostingsIndex, query_tokens: list[str],
+                       params: Bm25Params) -> np.ndarray:
+    """`PostingsIndex.score_all` with one scatter-add `scores[pos] += ...`
+    per distinct query term, in first-occurrence order."""
+    rows = {t: i for i, t in enumerate(index.terms)}
+    bounds = index.offsets
+    scores = np.zeros(index.doc_count)
+    norms = params.k1 * index._norm(index.doc_len, params)
+    for term, q_tf in Counter(query_tokens).items():
+        row = rows.get(term)
+        if row is None:
+            continue
+        lo, hi = bounds[row], bounds[row + 1]
+        pos, tf = index.positions[lo:hi], index.tf[lo:hi]
+        w = q_tf * index.idf_table.idf(term) * tf * (params.k1 + 1)
+        scores[pos] += w / (tf + norms[pos])
+    return scores
+
+
+def tune_bm25_per_cell(index: PostingsIndex, queries: dict[str, list[str]],
+                       qrels, k1_grid: list[float], b_grid: list[float],
+                       k: int) -> list[GridCell]:
+    """`tune_bm25`'s cells with one `bm25_search` per (cell, query)."""
+    scored = [(toks, qrels.relevant(q)) for q, toks in sorted(queries.items())
+              if qrels.relevant(q)]
+    cells = []
+    for k1 in k1_grid:
+        for b in b_grid:
+            params = Bm25Params(k1, b)
+            total = 0.0
+            for toks, rel in scored:
+                total += recall_at_k(index.bm25_search(toks, params, k), rel, k)
+            cells.append(GridCell(k1, b, total / len(scored)))
+    return cells
 
 
 def bin_similarities_row(sims: np.ndarray, bins: int) -> np.ndarray:

@@ -18,7 +18,8 @@ from regir.text import build_pipeline
 from conftest import make_doc, random_corpus
 from oracles import (bm25_score, doc_len_of, idf_from_token_lists,
                      index_from_postings, postings_dict, postings_of,
-                     read_grid_csv, score_of, validate)
+                     read_grid_csv, score_all_per_term, score_of,
+                     tune_bm25_per_cell, validate)
 
 
 def index_from_token_lists(token_lists: dict[str, list[str]]) -> PostingsIndex:
@@ -196,6 +197,27 @@ def test_score_all_alignment(toy_index):
         bm25_score(toy_index, ["a", "b"], "d2", Bm25Params()))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_score_all_equals_the_per_term_scatter_add(seed):
+    """Bit for bit, on queries with repeated terms, terms outside the
+    vocabulary or dropped by denoising, no kept term, and no term at all."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(rng.randint(5, 60))] + ["the", "of", "and"]
+    corpus = random_corpus(rng, rng.randint(1, 50), vocab=vocab, doc_len=(0, 60))
+    index = build_index(corpus, build_pipeline(corpus, idf_filter=bool(seed % 2)))
+    unkept = ["the", "of", "oov"] + [t for t in vocab if t not in index.terms]
+    queries = [[], ["oov"], unkept, ["the", "oov", "the"]]
+    queries += [[rng.choice(vocab + ["oov"]) for _ in range(rng.randint(1, 80))]
+                for _ in range(20)]
+    for query in queries:
+        params = Bm25Params(rng.choice([0.0, 0.9, 1.2, 3.0]),
+                            rng.choice([0.0, 0.5, 0.75, 1.0, 1.3]))
+        got = index.score_all(query, params)
+        want = score_all_per_term(index, query, params)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want)
+
+
 def test_build_index_from_corpus_counts_title_tokens():
     corpus = Corpus([make_doc("d1", ["tax", "levy"], title="customs"),
                      make_doc("d2", ["fish"], title="quota")])
@@ -235,7 +257,8 @@ def test_save_load_roundtrip(tmp_path, rng):
     assert back.pipeline.stopwords == pipeline.stopwords
     assert back.pipeline.idf_filter == pipeline.idf_filter
     assert back.pipeline.threshold == pipeline.threshold
-    assert back.terms == index.terms and back.offsets == index.offsets
+    assert back.terms == index.terms
+    assert np.array_equal(back.offsets, index.offsets)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -499,6 +522,27 @@ def test_tune_ignores_queries_without_judgments(toy_index):
     with_extra, _ = tune_bm25(toy_index, {"q1": ["a"], "q2": ["b"]}, qrels,
                               [1.0], [0.5], k=1)
     assert (with_extra.k1, with_extra.b) == (1.0, 0.5)
+
+
+def test_tune_cells_equal_a_search_per_cell(tmp_path):
+    """Gathering each query's postings once changes no cell, so the grid
+    file keeps its bytes."""
+    rng = random.Random(7)
+    vocab = [f"w{i}" for i in range(40)]
+    corpus = random_corpus(rng, 60, vocab=vocab)
+    index = build_index(corpus, build_pipeline(corpus, idf_filter=False))
+    ids = sorted(d.doc_id for d in corpus)
+    queries = {f"q{i}": [rng.choice(vocab + ["oov"]) for _ in range(rng.randint(0, 30))]
+               for i in range(12)}
+    qrels = Qrels({q: set(rng.sample(ids, rng.randint(1, 3)))
+                   for q in sorted(queries)[:10]})
+    k1_grid, b_grid = [0.5, 1.2, 3.0], [0.0, 0.3, 0.75, 1.0]
+    _, cells = tune_bm25(index, queries, qrels, k1_grid, b_grid, k=5)
+    want = tune_bm25_per_cell(index, queries, qrels, k1_grid, b_grid, k=5)
+    assert cells == want
+    write_grid_csv(cells, tmp_path / "got.csv", comment="manifest x")
+    write_grid_csv(want, tmp_path / "want.csv", comment="manifest x")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_grid_csv_roundtrip(tmp_path):

@@ -274,6 +274,9 @@ def test_prefetch_doc_vectors_writes_regir_run_candidates(env, tmp_path):
     (["--mode", "ensemble", "--components", "bm25", "--alpha", "0.5",
       "--index", "index.bin"],
      "--components must name two of bm25, w2v-cent, doc-vectors"),
+    (["--mode", "ensemble", "--components", "bm25,bm25", "--alpha", "0.5",
+      "--index", "index.bin"],
+     "--components names bm25 twice"),
     (["--mode", "w2v-cent", "--index", "index.bin", "--word-vectors", "wv.txt"],
      "w2v-cent needs --index, --word-vectors and --centroids"),
     (["--mode", "w2v-cent", "--index", "index.bin", "--centroids",
@@ -283,7 +286,8 @@ def test_prefetch_doc_vectors_writes_regir_run_candidates(env, tmp_path):
     (["--mode", "bm25", "--index", "index.bin", "--date-filter", "3"],
      "--date-filter needs --collection for publication years"),
 ], ids=["no-components", "no-alpha", "unknown-component", "one-component",
-        "no-centroids", "no-word-vectors", "no-query-vectors", "no-collection"])
+        "repeated-component", "no-centroids", "no-word-vectors",
+        "no-query-vectors", "no-collection"])
 def test_prefetch_refuses_missing_inputs_before_loading_any(env, tmp_path,
                                                            monkeypatch, args,
                                                            message):

@@ -127,6 +127,17 @@ def test_config_ensemble_requires_components(dataset):
         cfg_from(dataset, BASE_CFG.replace("bm25", "ensemble"))
 
 
+@pytest.mark.parametrize("components", ["bm25,bm25", "w2v-cent, w2v-cent"])
+def test_config_refuses_a_component_named_twice(dataset, components):
+    """Fusing a pre-fetcher with itself would tune alpha over one run."""
+    text = BASE_CFG.replace("prefetch.mode = bm25",
+                            "prefetch.mode = ensemble\n"
+                            f"fusion.components = {components}\n"
+                            "fusion.tune = true")
+    with pytest.raises(ConfigError, match=r"fusion\.components names .* twice"):
+        cfg_from(dataset, text)
+
+
 def test_config_ensemble_requires_alpha_or_tune(dataset):
     text = BASE_CFG.replace("prefetch.mode = bm25",
                             "prefetch.mode = ensemble\n"

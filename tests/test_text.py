@@ -1,5 +1,6 @@
 import math
 import random
+import unicodedata
 from collections import Counter
 
 import numpy as np
@@ -17,7 +18,7 @@ from regir.text import (TextPipeline, build_pipeline, encode_bags,
                         load_default_stopwords, load_stopwords, tokenize)
 
 from conftest import VOCAB, make_doc, random_corpus
-from oracles import idf_from_token_lists
+from oracles import idf_from_token_lists, tokenize_per_char
 
 
 # --- tokenize ---
@@ -58,6 +59,46 @@ def test_tokenize_no_empty_or_spaced_tokens(rng):
     tokens = tokenize(text)
     assert all(t and " " not in t for t in tokens)
     assert all(t == t.lower() for t in tokens)
+
+
+# non-ASCII combining marks and digits, where folding stretches of the text
+# could most plausibly part from folding all of it
+MARKS_AND_DIGITS = st.characters(categories=("Mn", "Mc", "Me", "Nd", "Nl", "No"),
+                                 min_codepoint=0x80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters() | MARKS_AND_DIGITS | st.sampled_from("aZ0 _-.")))
+def test_tokenize_equals_the_per_character_strip_on_arbitrary_unicode(text):
+    assert tokenize(text) == tokenize_per_char(text)
+
+
+CODE_POINTS = [chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+# each code point next to its neighbours in code-point order, between ASCII
+# words, inside an ASCII word, and between marks and digits
+CONTEXTS = ["{}", "a {} b", "a{}b", "\u00e9 {} \u0327x 12 {}"]
+
+
+def _inert(ch: str) -> bool:
+    """Unassigned and private-use: no decomposition, no mark, no case."""
+    return unicodedata.category(ch) in ("Cn", "Co")
+
+
+def test_tokenize_equals_the_per_character_strip_on_every_code_point():
+    """Every code point outside the surrogates in the first context, and
+    every one that is not inert in the others, batched into long strings
+    with nothing between the instances. An inert code point folds to itself,
+    as checked here, like many a tested one."""
+    assert all(unicodedata.normalize("NFKD", ch) == ch
+               and not unicodedata.combining(ch)
+               and ch.lower() == ch
+               for ch in CODE_POINTS if _inert(ch))
+    assigned = [ch for ch in CODE_POINTS if not _inert(ch)]
+    for context, points in zip(CONTEXTS, [CODE_POINTS] + [assigned] * 3):
+        for lo in range(0, len(points), 1 << 15):
+            batch = points[lo:lo + (1 << 15)]
+            text = "".join(context.format(ch, ch) for ch in batch)
+            assert tokenize(text) == tokenize_per_char(text), (context, hex(ord(batch[0])))
 
 
 # --- bags of term ids ---
