@@ -69,6 +69,7 @@ def main(verbose):
 
 _in = click.Path(exists=True, dir_okay=False, path_type=Path)
 _out = click.Path(dir_okay=False, path_type=Path, writable=True)
+_positive = click.IntRange(min=1)
 
 
 def _query_ids(query_corpus, splits_path: Path | None, split: str | None):
@@ -151,7 +152,7 @@ def index(collection, out, stopwords, no_idf_filter):
 @click.option("--qrels", type=_in, required=True)
 @click.option("--splits", type=_in, help="Split manifest JSON.")
 @click.option("--split", default="dev", show_default=True)
-@click.option("--k", default=100, show_default=True)
+@click.option("--k", type=_positive, default=100, show_default=True)
 @click.option("--out", type=_out, required=True, help="Grid CSV.")
 @click.option("--params-out", type=_out, help="Write the winning k1/b JSON here.")
 @click.option("--grid-k1", help="start:stop:step or comma list.")
@@ -199,7 +200,7 @@ def vectors(collection, word_vectors, out, index_path, on_empty):
 @main.command()
 @click.option("--mode", type=click.Choice(["bm25", "w2v-cent", "doc-vectors",
                                            "ensemble"]), required=True)
-@click.option("--k", default=100, show_default=True)
+@click.option("--k", type=_positive, default=100, show_default=True)
 @click.option("--queries", type=_in, required=True)
 @click.option("--out", type=_out, required=True, help="Run TSV.")
 @click.option("--splits", type=_in)
@@ -267,7 +268,7 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
 @main.command(name="fuse")
 @click.option("--run-a", type=_in, required=True)
 @click.option("--run-b", type=_in, required=True)
-@click.option("--k", default=100, show_default=True)
+@click.option("--k", type=_positive, default=100, show_default=True)
 @click.option("--alpha", type=float, help="Weight on run-a.")
 @click.option("--tune-alpha", "do_tune", is_flag=True)
 @click.option("--qrels", type=_in, help="Judgments for --tune-alpha.")
@@ -355,7 +356,8 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
               help="Index whose text pipeline denoises the text.")
 @click.option("--word-vectors", type=_in)
 @click.option("--token-vectors", type=_in)
-@click.option("--k", type=int, help="Re-rank the top k; a pre filter refills to k.")
+@click.option("--k", type=_positive,
+              help="Re-rank the top k; a pre filter refills to k.")
 @click.option("--date-filter", "date_filter", type=float)
 @click.option("--filter-mode", type=click.Choice(["pre", "post"]), default="post",
               show_default=True)
@@ -386,7 +388,8 @@ def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
 @click.option("--years", type=float, required=True)
 @click.option("--mode", type=click.Choice(["pre", "post"]), default="post",
               show_default=True)
-@click.option("--k", type=int, help="Keep each list's top k, refilled to k in pre mode.")
+@click.option("--k", type=_positive,
+              help="Keep each list's top k, refilled to k in pre mode.")
 @click.option("--out", type=_out, required=True)
 def date_filter_cmd(run_path, queries, collection, years, mode, k, out):
     """Drop candidates published too far from the query year."""
@@ -405,7 +408,7 @@ def date_filter_cmd(run_path, queries, collection, years, mode, k, out):
 @main.command()
 @click.option("--run", "run_path", type=_in, required=True)
 @click.option("--qrels", type=_in, required=True)
-@click.option("--k", default=20, show_default=True)
+@click.option("--k", type=_positive, default=20, show_default=True)
 @click.option("--splits", type=_in)
 @click.option("--split", default=None)
 @click.option("--out", type=_out, help="Per-query metrics CSV.")
@@ -448,7 +451,7 @@ def aggregate(eval_paths, out):
 @report.command(name="rk-curve")
 @click.option("--run", "run_path", type=_in, required=True)
 @click.option("--qrels", type=_in, required=True)
-@click.option("--k-max", type=int, required=True)
+@click.option("--k-max", type=_positive, required=True)
 @click.option("--out", type=_out, required=True)
 def rk_curve(run_path, qrels, k_max, out):
     """R@k for k = 1..k_max from a deep run file."""

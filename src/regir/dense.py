@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -29,93 +30,85 @@ class VectorFormatError(ValueError):
 
 
 class CentroidError(ValueError):
-    """No in-vocabulary token, or the tf*idf weight mass is zero."""
+    """No in-vocabulary token, or the tf*idf weight mass or the weighted sum
+    of the vectors is zero."""
 
 
-class WordVectors:
-    """term -> vector, single fixed dimensionality. The vectors are the rows
-    of one matrix; `row` maps a term to its row and `vectors` to a view of
-    it."""
+class _KeyedMatrix(Mapping):
+    """key -> vector, one fixed dimensionality, stored once: the vectors are
+    the rows of one C-contiguous float64 matrix (the caller's own when it
+    already is one), `row` maps a key to its row, and `store[key]` is a view
+    of that row. `where(i)` names row i in the error for a duplicate key."""
 
-    def __init__(self, vectors: dict[str, np.ndarray], dim: int):
-        if dim < 1:
-            raise VectorFormatError("dim must be >= 1")
-        for term, vec in vectors.items():
-            if vec.shape != (dim,):
-                raise VectorFormatError(f"vector for {term!r} has shape {vec.shape}, "
-                                        f"expected ({dim},)")
-        self.dim = dim
-        self.matrix = (np.stack(list(vectors.values())) if vectors
-                       else np.zeros((0, dim)))
-        self.row = {term: i for i, term in enumerate(vectors)}
-        self.vectors = dict(zip(vectors, self.matrix))
+    def __init__(self, keys, matrix, where=lambda i: f"row {i}"):
+        matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] < 1 or len(matrix) != len(keys):
+            raise VectorFormatError(f"{len(keys)} keys for a matrix of shape "
+                                    f"{matrix.shape}")
+        self.row: dict[str, int] = {}
+        for i, key in enumerate(keys):
+            if self.row.setdefault(key, i) != i:
+                raise VectorFormatError(f"{where(i)}: duplicate {self.key_name} "
+                                        f"{key!r}")
+        self.matrix = matrix
+        self.dim = matrix.shape[1]
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.vectors
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self.matrix[self.row[key]]
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def get(self, term: str) -> np.ndarray:
-        return self.vectors[term]
-
-
-class DocVectorStore:
-    """doc_id -> vector with a free-form provenance tag (which encoder/layer
-    produced the vectors)."""
-
-    def __init__(self, vectors: dict[str, np.ndarray], dim: int, tag: str = ""):
-        if dim < 1:
-            raise VectorFormatError("dim must be >= 1")
-        for doc_id, vec in vectors.items():
-            if vec.shape != (dim,):
-                raise VectorFormatError(f"vector for {doc_id!r} has shape {vec.shape}, "
-                                        f"expected ({dim},)")
-        self.dim = dim
-        self.tag = tag
-        self.vectors = vectors
-        self._ids = np.array(sorted(vectors), dtype=object)
-        self._matrix = (np.stack([vectors[d] for d in self._ids])
-                        if len(vectors) else np.zeros((0, dim)))
-        self._norms = np.linalg.norm(self._matrix, axis=1)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.vectors
+    def __iter__(self):
+        return iter(self.row)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.row)
 
     @property
-    def ids(self) -> list[str]:
-        return list(self._ids)
+    def vectors(self) -> _KeyedMatrix:
+        """The store itself, read as its key -> vector mapping."""
+        return self
 
-    def get(self, doc_id: str) -> np.ndarray:
-        return self.vectors[doc_id]
+
+class WordVectors(_KeyedMatrix):
+    """term -> vector, rows in the order given."""
+
+    key_name = "term"
+
+
+class DocVectorStore(_KeyedMatrix):
+    """doc_id -> vector with a free-form provenance tag (which encoder/layer
+    produced the vectors). Rows are kept in doc_id order, reordered once if
+    they do not come in it."""
+
+    key_name = "doc_id"
+
+    def __init__(self, keys, matrix, tag: str = "", **kwargs):
+        super().__init__(keys, matrix, **kwargs)
+        ids = sorted(self.row)
+        if ids != list(self.row):
+            self.matrix = self.matrix[[self.row[d] for d in ids]]
+            self.row = dict(zip(ids, range(len(ids))))
+        self.tag = tag
+        self._ids = np.array(ids, dtype=object)
+        self._norms = np.linalg.norm(self.matrix, axis=1)
 
     def validate_against(self, corpus) -> None:
-        missing = [d for d in self.vectors if d not in corpus]
+        missing = [d for d in self.row if d not in corpus]
         if missing:
             raise VectorFormatError(f"doc vectors reference ids absent from the "
                                     f"collection: {sorted(missing)[:5]}")
 
 
-def _keyed_vectors(path, what: str, dim: int | None = None,
-                   comments: bool = False) -> tuple[dict[str, np.ndarray], int]:
-    """key -> row view of one matrix, and the dimensionality; keys unique."""
+def _load(cls, path, dim: int | None = None, comments: bool = False, **kwargs):
+    """A `cls` over the parsed matrix of a vector file."""
     keys, line_nos, matrix = read_vectors(path, dim=dim, comments=comments,
                                           error=VectorFormatError)
-    vectors: dict[str, np.ndarray] = {}
-    for (key,), line_no, vec in zip(keys, line_nos, matrix):
-        if key in vectors:
-            raise VectorFormatError(f"{path}: line {line_no}: duplicate "
-                                    f"{what} {key!r}")
-        vectors[key] = vec
-    return vectors, matrix.shape[1]
+    return cls([key for key, in keys], matrix,
+               where=lambda i: f"{path}: line {line_nos[i]}", **kwargs)
 
 
 def load_word_vectors(path) -> WordVectors:
     """Text format: `term v1 v2 ... vdim`, dim inferred from the first row."""
-    return WordVectors(*_keyed_vectors(path, "term"))
+    return _load(WordVectors, path)
 
 
 def load_doc_vectors(path) -> DocVectorStore:
@@ -132,35 +125,36 @@ def load_doc_vectors(path) -> DocVectorStore:
             raise VectorFormatError(f"{path}: line 1: dim must be >= 1")
         if "#tag" in fields:
             tag = " ".join(fields[fields.index("#tag") + 1:])
-    return DocVectorStore(*_keyed_vectors(path, "doc_id", dim=dim, comments=True),
-                          tag)
+    return _load(DocVectorStore, path, dim=dim, comments=True, tag=tag)
 
 
 def save_doc_vectors(store: DocVectorStore, path) -> None:
     header = f"#dim {store.dim}" + (f" #tag {store.tag}" if store.tag else "")
-    write_table(path, header, (
-        " ".join([doc_id, *map(repr, np.asarray(store.vectors[doc_id],
-                                                dtype=np.float64).tolist())])
-        for doc_id in sorted(store.vectors)))
+    write_table(path, header, (" ".join([doc_id, *map(repr, vec.tolist())])
+                               for doc_id, vec in zip(store, store.matrix)))
 
 
-def _centroid(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _centroid(vectors: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
     """sum_i w_i x_i / sum_i w_i over the rows in order, each sum a running
-    one from zero: the bits of `acc += w * x` in a loop."""
+    one from zero: the bits of `acc += w * x` in a loop. A zero sum has no
+    direction, so it raises like a zero mass."""
     zero = np.zeros((1, vectors.shape[1]))
     acc = np.cumsum(np.concatenate((zero, weights[:, None] * vectors)), axis=0)[-1]
     mass = np.cumsum(np.concatenate(([0.0], weights)))[-1]
     if mass == 0.0:
         raise CentroidError("no in-vocabulary token with positive tf*idf weight")
-    return acc / mass
+    if not acc.any():
+        raise CentroidError("the tf*idf weighted sum of the word vectors is zero")
+    return np.divide(acc, mass, out=out)
 
 
 def centroid(tokens: list[str], word_vectors: WordVectors, idf_table) -> np.ndarray:
     """tf-idf weighted centroid over distinct in-vocabulary terms, taken in
     first-occurrence order.
 
-    Raises CentroidError when nothing is in vocabulary or all weights cancel;
-    callers decide whether that aborts or skips the document.
+    Raises CentroidError when nothing is in vocabulary or the weights or the
+    weighted vectors sum to zero; callers decide whether that aborts or skips
+    the document.
     """
     rows, weights = [], []
     for term, tf in Counter(tokens).items():
@@ -189,20 +183,25 @@ def build_centroid_store(corpus, pipeline, word_vectors: WordVectors,
     rows = term_rows[in_vocab.ids]
     weights = in_vocab.tf * term_idf[in_vocab.ids]
     bounds = in_vocab.offsets.tolist()
-    vectors: dict[str, np.ndarray] = {}
-    skipped = []
-    for doc_id, lo, hi in zip(bags.doc_ids, bounds, bounds[1:]):
+    # each centroid goes straight into its row, in doc_id order
+    order = sorted(range(len(bags.doc_ids)), key=bags.doc_ids.__getitem__)
+    matrix = np.empty((len(order), word_vectors.dim))
+    kept, skipped = [], []
+    for i in order:
+        doc_id, lo, hi = bags.doc_ids[i], bounds[i], bounds[i + 1]
         try:
-            vectors[doc_id] = _centroid(word_vectors.matrix[rows[lo:hi]],
-                                        weights[lo:hi])
+            _centroid(word_vectors.matrix[rows[lo:hi]], weights[lo:hi],
+                      out=matrix[len(kept)])
         except CentroidError as exc:
             if on_empty == "error":
                 raise CentroidError(f"document {doc_id!r}: {exc}") from None
             skipped.append(doc_id)
+            continue
+        kept.append(doc_id)
     if skipped:
         log.warning("centroid store: skipped %d document(s) with no usable "
-                    "tokens, e.g. %s", len(skipped), skipped[:3])
-    return DocVectorStore(vectors, word_vectors.dim, tag="w2v-cent")
+                    "tokens or a zero sum, e.g. %s", len(skipped), skipped[:3])
+    return DocVectorStore(kept, matrix[:len(kept)], tag="w2v-cent")
 
 
 def knn_search(query_vec: np.ndarray, store: DocVectorStore, k: int) -> RankedList:
@@ -220,7 +219,7 @@ def knn_search(query_vec: np.ndarray, store: DocVectorStore, k: int) -> RankedLi
     if len(store) == 0:
         return RankedList(presorted=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sims = (store._matrix @ query_vec) / (store._norms * qnorm)
+        sims = (store.matrix @ query_vec) / (store._norms * qnorm)
     sims = np.where(store._norms == 0, -1.0, sims)
     return RankedList(top_k_from_arrays(store._ids, sims, min(k, len(store))),
                       presorted=True)

@@ -350,9 +350,8 @@ def centroid_run(pool_store: DocVectorStore, pipeline: TextPipeline,
         tokens = pipeline(query_corpus.get(query_id).text)
         try:
             qvec = centroid(tokens, word_vectors, pipeline.idf_table)
-        except CentroidError:
-            log.warning("query %s: no usable tokens for a centroid; empty list",
-                        query_id)
+        except CentroidError as exc:
+            log.warning("query %s: no centroid (%s); empty list", query_id, exc)
             return query_id, RankedList(presorted=True)
         return query_id, knn_search(qvec, pool_store, depth)
 

@@ -23,34 +23,32 @@ log = logging.getLogger(__name__)
 
 
 class TypeEmbeddings:
-    """Unit-normalized static word vectors: one matrix, one row per term.
-    Zero-norm vectors count as out-of-vocabulary (cosine is undefined for
-    them)."""
+    """Unit-normalized static word vectors: one matrix in the word vectors'
+    row numbering plus a spare zero row, which row id -1 (out-of-vocabulary)
+    reads. Zero-norm vectors count as out-of-vocabulary: cosine is undefined
+    for them."""
 
     dedup = True
 
     def __init__(self, word_vectors):
-        self.dim = word_vectors.dim
-        # one spare row past the last term stays zero: row id -1 (OOV) reads it
-        self._units = np.zeros((len(word_vectors.vectors) + 1, self.dim))
-        self._row: dict[str, int] = {}
-        dropped = 0
-        for term, vec in word_vectors.vectors.items():
-            norm = np.linalg.norm(vec)
-            if norm == 0:
-                dropped += 1
-                continue
-            row = len(self._row)
-            np.divide(vec, norm, out=self._units[row])
-            self._row[term] = row
-        if dropped:
+        m = word_vectors.matrix
+        # one dot product per row: the bits of np.linalg.norm(vec), which
+        # np.linalg.norm(m, axis=1) does not keep
+        norms = np.sqrt(np.matmul(m[:, None, :], m[:, :, None])[:, 0, 0])
+        usable = norms > 0
+        self._units = np.zeros((len(m) + 1, m.shape[1]))
+        np.divide(m, norms[:, None], out=self._units[:-1], where=usable[:, None])
+        self._row = word_vectors.row
+        # word-vector row (-1 if none) -> row id
+        self._ids = np.append(np.where(usable, np.arange(len(m)), -1), -1)
+        if not usable.all():
             log.warning("word vectors: %d zero-norm vector(s) treated as "
-                        "out-of-vocabulary", dropped)
+                        "out-of-vocabulary", len(m) - usable.sum())
 
     def row_ids(self, terms) -> np.ndarray:
         """Each term's row id, -1 for out-of-vocabulary terms."""
-        return np.fromiter((self._row.get(t, -1) for t in terms), dtype=np.intp,
-                           count=len(terms))
+        return self._ids[np.fromiter((self._row.get(t, -1) for t in terms),
+                                     dtype=np.intp, count=len(terms))]
 
     def rows(self, doc_id: str, tokens, limit: int | None = None):
         """(units, in-vocab mask, identity keys) aligned with the first
@@ -63,18 +61,21 @@ class TypeEmbeddings:
 
 
 class TokenEmbeddings:
-    """Per-position contextual vectors. The positions index the engine's own
-    denoised token sequence, so the sequence length must match; identity keys
-    are positional, so no pair gets the hard exact-match 1.0."""
+    """Per-position contextual vectors, unit-normalized once. The positions
+    index the engine's own denoised token sequence, so the sequence length
+    must match; identity keys are positional, so no pair gets the hard
+    exact-match 1.0."""
 
     dedup = False
 
-    def __init__(self, sequences: dict[str, np.ndarray], dim: int):
-        self.dim = dim
-        self._seq = sequences
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._seq
+    def __init__(self, sequences: dict[str, np.ndarray]):
+        self._seq = {}  # doc_id -> (units, mask of nonzero rows)
+        for doc_id, seq in sequences.items():
+            norms = np.linalg.norm(seq, axis=1)
+            mask = norms > 0
+            units = np.zeros_like(seq)
+            units[mask] = seq[mask] / norms[mask, None]
+            self._seq[doc_id] = units, mask
 
     def row_ids(self, terms) -> np.ndarray:
         """Rows are positional, so no term has a row of its own: all -1."""
@@ -84,18 +85,13 @@ class TokenEmbeddings:
         """Rows of the first `limit` positions; the whole sequence must still
         match the denoised text's length. Only the number of tokens is read,
         so they may be strings or any array with one entry per token."""
-        seq = self._seq.get(doc_id)
-        if seq is None:
+        if doc_id not in self._seq:
             raise KeyError(f"no token vectors for document {doc_id!r}")
-        if len(seq) != len(tokens):
-            raise ValueError(f"token vectors for {doc_id!r} cover {len(seq)} "
+        units, mask = self._seq[doc_id]
+        if len(units) != len(tokens):
+            raise ValueError(f"token vectors for {doc_id!r} cover {len(units)} "
                              f"positions but the denoised text has {len(tokens)}")
-        seq = seq[:limit]
-        norms = np.linalg.norm(seq, axis=1)
-        mask = norms > 0
-        units = np.zeros_like(seq)
-        units[mask] = seq[mask] / norms[mask, None]
-        return units, mask, None
+        return units[:limit], mask[:limit], None
 
 
 def load_token_vectors(path) -> TokenEmbeddings:
@@ -115,7 +111,8 @@ def load_token_vectors(path) -> TokenEmbeddings:
             raise ValueError(f"{path}: positions for {doc_id!r} are not a "
                              f"gap-free 0..{len(by_idx) - 1} range")
         sequences[doc_id] = matrix[[by_idx[i] for i in range(len(by_idx))]]
-    return TokenEmbeddings(sequences, matrix.shape[1])
+    del matrix  # the sequences are copies: free the parsed rows before normalizing
+    return TokenEmbeddings(sequences)
 
 
 def sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys) -> np.ndarray:

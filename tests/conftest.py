@@ -2,6 +2,7 @@ import json
 import random
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from regir.corpus import Corpus, Document, Qrels
@@ -56,6 +57,12 @@ VOCAB = ["tax", "levy", "duty", "customs", "excise", "fish", "quota", "vessel",
          "net", "harbour", "data", "privacy", "consent", "breach", "notice",
          "tariff", "border", "import", "export", "goods", "waste", "emission",
          "permit", "licence", "annex"]
+
+
+def keyed(cls, vectors, **kwargs):
+    """A `WordVectors` or `DocVectorStore` over a key -> vector mapping."""
+    return cls(list(vectors), np.array(list(vectors.values()), dtype=np.float64),
+               **kwargs)
 
 
 def make_doc(doc_id, words, year=0, title="Regulation"):

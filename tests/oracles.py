@@ -6,7 +6,8 @@ call per candidate), BM25 over the whole pool with one scatter-add per query
 term and tuned with one search per (cell, query), a training step that scores
 and back-propagates one pair at a time, the dict-built postings, the lexsort
 top-k, the per-row histogram and the einsum and strided-gather convolutions
-that the vectorized kernels must reproduce, and small readers and helpers
+that the vectorized kernels must reproduce, unit word and token vectors
+normalized one term or one call at a time, and small readers and helpers
 the pipeline itself has no use for."""
 
 from __future__ import annotations
@@ -369,9 +370,33 @@ def centroid_loop(tokens: list[str], word_vectors, idf_table) -> np.ndarray:
         w = tf * idf_table.idf(term)
         acc += w * word_vectors.get(term)
         mass += w
-    if mass == 0.0:
-        raise ValueError("no in-vocabulary token with positive tf*idf weight")
+    if mass == 0.0 or not acc.any():
+        raise ValueError("no in-vocabulary token with positive tf*idf weight, "
+                         "or a zero weighted sum")
     return acc / mass
+
+
+def type_units_per_term(word_vectors) -> dict[str, np.ndarray]:
+    """Each term's unit vector, `vec / np.linalg.norm(vec)` one term at a
+    time; terms whose vector has norm zero are left out."""
+    units = {}
+    for term in word_vectors:
+        vec = word_vectors[term]
+        norm = np.linalg.norm(vec)
+        if norm != 0:
+            units[term] = vec / norm
+    return units
+
+
+def token_rows_per_call(seq: np.ndarray, limit: int | None = None):
+    """(units, nonzero mask) of a document's first `limit` token vectors,
+    normalized anew on each call."""
+    seq = seq[:limit]
+    norms = np.linalg.norm(seq, axis=1)
+    mask = norms > 0
+    units = np.zeros_like(seq)
+    units[mask] = seq[mask] / norms[mask, None]
+    return units, mask
 
 
 def rk_curve_per_k(run, qrels, k_max: int) -> list[tuple[int, float]]:

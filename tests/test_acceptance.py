@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import build_dataset, criterion, make_doc
+from conftest import build_dataset, criterion, keyed, make_doc
 
 from regir.bm25 import Bm25Params, build_index
 from regir.corpus import Corpus
@@ -92,8 +92,7 @@ def test_criterion_1_bm25_oracle_equivalence():
 def test_criterion_2_centroid_and_knn_against_brute_force():
     with criterion(2, "centroid hand cases exact; kNN ordering equals brute "
                       "force on 50 random 64-dim stores"):
-        wv = WordVectors({"a": np.array([2.0, 0.0]),
-                          "b": np.array([0.0, 4.0])}, 2)
+        wv = WordVectors(["a", "b"], np.array([[2.0, 0.0], [0.0, 4.0]]))
         idf = idf_from_token_lists([["a"], ["b"], ["a", "b"]])
         assert centroid(["a"], wv, idf).tolist() == [2.0, 0.0]
         assert centroid(["a", "b"], wv, idf).tolist() == \
@@ -102,13 +101,13 @@ def test_criterion_2_centroid_and_knn_against_brute_force():
         np_rng = np.random.default_rng(20260814)
         for _ in range(50):
             n = int(np_rng.integers(5, 60))
-            store = DocVectorStore(
-                {f"d{i:03d}": np_rng.normal(size=64) for i in range(n)}, 64)
+            store = DocVectorStore([f"d{i:03d}" for i in range(n)],
+                                   np_rng.normal(size=(n, 64)))
             query = np_rng.normal(size=64)
             got = knn_search(query, store, n).doc_ids
             qn = math.sqrt(sum(x * x for x in query))
             cosines = {}
-            for doc_id in store.ids:
+            for doc_id in store:
                 vec = store.get(doc_id)
                 dot = sum(float(x) * float(y) for x, y in zip(query, vec))
                 vn = math.sqrt(sum(float(x) ** 2 for x in vec))
@@ -284,7 +283,7 @@ def test_criterion_6_planted_signal_learnability():
         pool = Corpus(pool_docs)
         queries = Corpus(query_docs)
         pipeline = build_pipeline(pool, stopwords=frozenset(), idf_filter=False)
-        wv = WordVectors(vectors, 8)
+        wv = keyed(WordVectors, vectors)
         from regir.rerank import TypeEmbeddings
         from regir.corpus import Qrels
         hp = Hyperparams(lr=0.05, max_epochs=50, patience=50, negatives=4,

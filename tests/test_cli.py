@@ -458,6 +458,36 @@ def test_grid_options_are_bounded(env, tmp_path, command, option):
     assert f"{option}: more than 10000 grid values" in blob(result)
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", ["tune-bm25", "prefetch", "fuse", "rerank",
+                                     "date-filter", "evaluate", "report rk-curve"])
+def test_depth_options_refuse_values_below_one(env, tmp_path, command, value):
+    """`--k -1` used to cut the last entry off every list, since a list's
+    top -1 is all but its last entry."""
+    root = env.root
+    run, queries = root / "run_all.tsv", root / "queries.jsonl"
+    args = {"tune-bm25": ["--index", root / "index.bin", "--queries", queries,
+                          "--qrels", root / "qrels.tsv"],
+            "prefetch": ["--mode", "bm25", "--index", root / "index.bin",
+                         "--queries", queries],
+            "fuse": ["--run-a", run, "--run-b", run, "--alpha", "0.5"],
+            "rerank": ["--checkpoint", root / "ck.bin", "--run", run,
+                       "--queries", queries, "--collection", root / "pool.jsonl",
+                       "--index", root / "index.bin",
+                       "--word-vectors", root / "wv.txt"],
+            "date-filter": ["--run", run, "--queries", queries,
+                            "--collection", root / "pool.jsonl", "--years", "3"],
+            "evaluate": ["--run", run, "--qrels", root / "qrels.tsv"],
+            "report rk-curve": ["--run", run, "--qrels", root / "qrels.tsv"]}[command]
+    option = "--k-max" if command == "report rk-curve" else "--k"
+    out = tmp_path / "out"
+    result = env.cli(*command.split(), *args, option, value, "--out", out)
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}': {value} is not in the range x>=1" \
+        in blob(result)
+    assert not out.exists()
+
+
 def test_fuse_fixed_alpha(env, tmp_path):
     out = tmp_path / "fused.tsv"
     result = env.ok("fuse", "--run-a", env.root / "run_all.tsv",
@@ -761,11 +791,13 @@ def test_report_rk_curve(env, tmp_path):
 
 
 def test_report_commands_share_the_error_boundary(env, tmp_path):
-    result = env.cli("report", "rk-curve", "--run", env.root / "run_all.tsv",
-                     "--qrels", env.root / "qrels.tsv", "--k-max", "0",
+    bad = tmp_path / "bad_run.tsv"
+    bad.write_text("q1 Q0 d1\n")
+    result = env.cli("report", "rk-curve", "--run", bad,
+                     "--qrels", env.root / "qrels.tsv", "--k-max", "10",
                      "--out", tmp_path / "rk.csv")
     assert result.exit_code == 1
-    assert "Error: k_max must be >= 1" in blob(result)
+    assert f"Error: {bad}: line 1: expected 4 columns" in blob(result)
 
 
 def test_report_year_hist(env, tmp_path):

@@ -12,14 +12,12 @@ from regir.dense import (CentroidError, DocVectorStore, VectorFormatError,
 from regir.experiment import centroid_run, doc_vectors_run
 from regir.text import build_pipeline
 
-from conftest import make_doc
+from conftest import keyed, make_doc
 from oracles import centroid_loop, score_of
 
 
 def wv_from(mapping):
-    dim = len(next(iter(mapping.values())))
-    return WordVectors({t: np.asarray(v, dtype=np.float64)
-                        for t, v in mapping.items()}, dim)
+    return keyed(WordVectors, mapping)
 
 
 def idf_from(values):
@@ -87,20 +85,57 @@ def test_doc_vectors_header_dim_must_be_positive(tmp_path, header):
 
 
 def test_doc_vectors_roundtrip(tmp_path):
-    store = DocVectorStore({"d1": np.array([1.0, 2.0]),
-                            "d2": np.array([0.5, -1.0])}, 2, tag="layer-9")
+    store = DocVectorStore(["d1", "d2"], np.array([[1.0, 2.0], [0.5, -1.0]]),
+                           tag="layer-9")
     save_doc_vectors(store, tmp_path / "dv.txt")
     back = load_doc_vectors(tmp_path / "dv.txt")
     assert back.dim == 2 and back.tag == "layer-9"
-    assert set(back.ids) == {"d1", "d2"}
+    assert set(back) == {"d1", "d2"}
     assert np.allclose(back.get("d2"), [0.5, -1.0])
 
 
 def test_doc_vectors_validate_against_corpus():
     corpus = Corpus([make_doc("d1", ["tax"])])
-    store = DocVectorStore({"d1": np.array([1.0]), "ghost": np.array([2.0])}, 1)
+    store = DocVectorStore(["d1", "ghost"], np.array([[1.0], [2.0]]))
     with pytest.raises(VectorFormatError, match="ghost"):
         store.validate_against(corpus)
+
+
+def test_each_vector_set_is_stored_as_one_matrix(tmp_path):
+    """Loaded word vectors, a loaded doc store whose rows come out of doc_id
+    order and a built centroid store each hold their vectors as the rows of
+    one matrix, and `vectors[key]` is a view of a row."""
+    wv_path, dv_path = tmp_path / "wv.txt", tmp_path / "dv.txt"
+    wv_path.write_text("tax 1.0 0.0\nlevy 0.5 0.5\nfish 0.0 1.0\nquota -0.2 0.8\n")
+    dv_path.write_text("#dim 2\nd2 0.5 -1.0\nd1 1.0 2.0\nd3 0.0 0.0\n")
+    corpus = centroid_fixture_corpus()
+    pipeline = build_pipeline(corpus, stopwords=frozenset(), idf_filter=False)
+    wv = load_word_vectors(wv_path)
+    docs = load_doc_vectors(dv_path)
+    for store in (wv, docs, build_centroid_store(corpus, pipeline, wv)):
+        assert store.matrix.dtype == np.float64 and store.matrix.flags.c_contiguous
+        assert len(store.matrix) == len(store) > 0
+        for key in store.vectors:
+            assert np.shares_memory(store.vectors[key], store.matrix)
+    assert list(docs) == ["d1", "d2", "d3"]
+    assert docs.vectors["d2"].tolist() == [0.5, -1.0]
+
+
+def test_stores_keep_the_callers_matrix():
+    matrix = np.arange(6.0).reshape(3, 2)
+    assert WordVectors(["c", "a", "b"], matrix).matrix is matrix
+    assert DocVectorStore(["a", "b", "c"], matrix).matrix is matrix
+
+
+@pytest.mark.parametrize("cls", [WordVectors, DocVectorStore])
+def test_stores_check_the_shape_and_the_keys(cls):
+    for keys, matrix in ((["a", "b"], np.zeros((3, 2))), (["a"], np.zeros((1, 0))),
+                         (["a", "b"], np.zeros(2))):
+        with pytest.raises(VectorFormatError, match="shape"):
+            cls(keys, matrix)
+    with pytest.raises(VectorFormatError,
+                       match=rf"row 2: duplicate {cls.key_name} 'a'"):
+        cls(["a", "b", "a"], np.zeros((3, 2)))
 
 
 # --- centroid ---
@@ -155,9 +190,7 @@ def test_centroid_zero_weight_mass_raises():
 # --- knn ---
 
 def make_store(vectors):
-    arrs = {d: np.asarray(v, dtype=np.float64) for d, v in vectors.items()}
-    dim = len(next(iter(arrs.values())))
-    return DocVectorStore(arrs, dim)
+    return keyed(DocVectorStore, vectors)
 
 
 def test_knn_exact_match_first():
@@ -216,7 +249,7 @@ def test_knn_matches_brute_force(seed):
 def test_knn_scale_invariance(rng):
     np_rng = np.random.default_rng(11)
     store_a = make_store({f"d{i}": np_rng.normal(size=8) for i in range(20)})
-    scaled = {d: 3.7 * store_a.get(d) for d in store_a.ids}
+    scaled = {d: 3.7 * store_a.get(d) for d in store_a}
     store_b = make_store(scaled)
     query = np_rng.normal(size=8)
     assert knn_search(query, store_a, 20).doc_ids == \
@@ -243,7 +276,7 @@ def test_build_centroid_store_skip_policy(caplog):
     with caplog.at_level("WARNING"):
         store = build_centroid_store(corpus, pipeline, make_wv(),
                                      on_empty="skip-document")
-    assert set(store.ids) == {"d1", "d2"}
+    assert set(store) == {"d1", "d2"}
     assert any("d3" in r.message for r in caplog.records)
 
 
@@ -280,7 +313,7 @@ def test_centroids_have_the_bits_of_the_running_sum(seed):
     vocab = sorted({t for d in corpus for t in pipeline(d.text)})
     vectors = {t: np_rng.normal(size=6) for t in vocab[::2]}
     vectors[vocab[0]][:3] = -0.0
-    wv = WordVectors(vectors, 6)
+    wv = keyed(WordVectors, vectors)
     store = build_centroid_store(corpus, pipeline, wv)
     for doc in corpus:
         tokens = pipeline(doc.text)
@@ -320,3 +353,54 @@ def test_dense_prefetch_missing_query_vector():
     queries = make_store({"other": [1.0, 0.0]})
     with pytest.raises(KeyError):
         doc_vectors_run(pool, queries, ["q1"], 1)
+
+
+# --- centroids whose weighted sum is zero ---
+
+def zero_sum_fixture():
+    """`nil` has a zero vector, and `up` and `down` cancel at equal weight
+    (both occur in p2 and p4, so their idf agrees). p3's and p4's centroids
+    are exactly zero, and so are q1's and q2's."""
+    wv = wv_from({"tax": [1.0, 0.0], "up": [1.0, 2.0], "down": [-1.0, -2.0],
+                  "nil": [0.0, 0.0]})
+    pool = Corpus([make_doc("p1", ["tax"], title="tax"),
+                   make_doc("p2", ["down", "tax"], title="up"),
+                   make_doc("p3", ["nil"], title="nil"),
+                   make_doc("p4", ["down"], title="up")])
+    queries = Corpus([make_doc("q1", ["nil"], title="nil"),
+                      make_doc("q2", ["down"], title="up"),
+                      make_doc("q3", ["up"], title="tax")])
+    pipeline = build_pipeline(pool, stopwords=frozenset(), idf_filter=False)
+    return wv, pool, queries, pipeline
+
+
+def test_a_zero_weighted_sum_has_no_centroid():
+    wv = zero_sum_fixture()[0]
+    idf = idf_from({"tax": 1.0, "up": 1.0, "down": 1.0, "nil": 1.0})
+    for tokens in (["nil"], ["nil", "nil"], ["up", "down"]):
+        with pytest.raises(CentroidError, match="sum of the word vectors is zero"):
+            centroid(tokens, wv, idf)
+    assert centroid(["up", "up", "down"], wv, idf).tolist() == [1 / 3, 2 / 3]
+
+
+def test_pool_documents_with_a_zero_centroid_are_skipped(caplog):
+    wv, pool, _, pipeline = zero_sum_fixture()
+    with caplog.at_level("WARNING"):
+        store = build_centroid_store(pool, pipeline, wv)
+    assert list(store) == ["p1", "p2"]
+    assert any("skipped 2 document(s)" in r.message for r in caplog.records)
+    with pytest.raises(CentroidError, match="document 'p3'"):
+        build_centroid_store(pool, pipeline, wv, on_empty="error")
+
+
+def test_queries_with_a_zero_centroid_get_an_empty_list(caplog):
+    """Such a query used to abort the pre-fetch with `zero query vector`."""
+    wv, pool, queries, pipeline = zero_sum_fixture()
+    store = build_centroid_store(pool, pipeline, wv)
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        run = centroid_run(store, pipeline, wv, queries, ["q1", "q2", "q3"], 5)
+    assert [len(run[q]) for q in ("q1", "q2", "q3")] == [0, 0, 2]
+    assert [r.message for r in caplog.records] == [
+        f"query {q}: no centroid (the tf*idf weighted sum of the word vectors "
+        f"is zero); empty list" for q in ("q1", "q2")]

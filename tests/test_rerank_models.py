@@ -12,15 +12,15 @@ from regir.rerank.features import (bin_similarities, dedup_terms, drmm_pair,
                                    drmm_features, drmm_query, pacrr_features,
                                    pacrr_pair, pacrr_query, softmax)
 
+from conftest import keyed
 from oracles import (bin_similarities_row, build_histogram, conv_einsum,
                      conv_strided_im2col, drmm_features_per_row, drmm_score,
-                     drmm_score_2d, pacrr_score, pacrr_score_per_step)
+                     drmm_score_2d, pacrr_score, pacrr_score_per_step,
+                     token_rows_per_call, type_units_per_term)
 
 
 def wv_from(mapping):
-    dim = len(next(iter(mapping.values())))
-    return WordVectors({t: np.asarray(v, dtype=np.float64)
-                        for t, v in mapping.items()}, dim)
+    return keyed(WordVectors, mapping)
 
 
 def angle_wv(angles: dict[str, float]):
@@ -76,6 +76,26 @@ def test_zero_norm_word_vector_is_oov(caplog):
     assert mask.tolist() == [False, True]
 
 
+@pytest.mark.parametrize("dim", [1, 3, 50, 300])
+def test_type_embeddings_units_have_the_bits_of_the_per_term_loop(dim):
+    """One pass over the word-vector matrix gives each term the bits of
+    `vec / np.linalg.norm(vec)`. Norms taken with np.linalg.norm(m, axis=1)
+    sum in another order and differ in hundreds of these rows at dim >= 3."""
+    rng = np.random.default_rng(dim)
+    n = 2000
+    matrix = rng.normal(size=(n, dim)) * rng.choice([1e-150, 1e-3, 1.0, 1e150],
+                                                    size=(n, 1))
+    matrix[::13] = 0.0
+    terms = [f"t{i}" for i in range(n)]
+    wv = WordVectors(terms, matrix)
+    want = type_units_per_term(wv)
+    units, mask, keys = TypeEmbeddings(wv).rows("", terms + ["oov"])
+    assert mask.tolist() == [t in want for t in terms] + [False]
+    assert units[mask].tobytes() == np.stack(list(want.values())).tobytes()
+    assert not units[~mask].any() and np.all(keys[~mask] == -1)
+    assert len(set(keys[mask].tolist())) == len(want)
+
+
 # --- token-level provider ---
 
 def test_token_embeddings_positional(tmp_path):
@@ -91,6 +111,25 @@ def test_token_embeddings_positional(tmp_path):
     S = sim_matrix(qu, qm, qk, units, mask, keys)
     assert S[0, 0] == pytest.approx(1.0)
     assert S[0, 1] == pytest.approx(0.0)
+
+
+def test_token_embeddings_rows_have_the_bits_of_per_call_normalization(monkeypatch):
+    """Each document is normalized once, when the provider is built; `rows`
+    only slices, and any prefix has the bits of normalizing that prefix."""
+    rng = np.random.default_rng(8)
+    seqs = {f"d{n}": rng.normal(size=(n, 64)) for n in (0, 1, 5, 40, 300)}
+    seqs["d300"][::7] = 0.0
+    provider = TokenEmbeddings(seqs)
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "norm", None)
+        got = {(doc_id, limit): provider.rows(doc_id, ["t"] * len(seq), limit)
+               for doc_id, seq in seqs.items()
+               for limit in (None, 0, 1, 7, 128, 1024)}
+    for (doc_id, limit), (units, mask, keys) in got.items():
+        want_units, want_mask = token_rows_per_call(seqs[doc_id], limit)
+        assert units.shape == want_units.shape
+        assert units.tobytes() == want_units.tobytes()
+        assert mask.tolist() == want_mask.tolist() and keys is None
 
 
 def test_token_embeddings_length_mismatch(tmp_path):
@@ -331,7 +370,7 @@ def test_pacrr_features_gather_only_kept_rows(token_level):
     d = [vocab[i] for i in rng.integers(30, size=300)]
     if token_level:
         provider = TokenEmbeddings({"q": rng.normal(size=(40, 5)),
-                                    "d": rng.normal(size=(300, 5))}, 5)
+                                    "d": rng.normal(size=(300, 5))})
     else:
         provider = TypeEmbeddings(wv)
     for q_len, d_len in ((7, 50), (40, 300), (64, 1024)):

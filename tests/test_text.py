@@ -170,7 +170,7 @@ def test_pool_is_tokenized_once_for_pipeline_index_and_centroids(rng, monkeypatc
     monkeypatch.setattr(regir.text, "tokenize", counting)
     pipeline = build_pipeline(corpus)
     build_index(corpus, pipeline)
-    wv = WordVectors({t: np.ones(3) for t in VOCAB}, 3)
+    wv = WordVectors(VOCAB, np.ones((len(VOCAB), 3)))
     build_centroid_store(corpus, pipeline, wv)
     for kind in ("drmm", "pacrr"):
         store = FeatureStore(kind, TypeEmbeddings(wv), pipeline, queries, corpus,

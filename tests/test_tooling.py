@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -43,19 +44,29 @@ def test_every_module_level_definition_is_referenced_in_the_package():
     assert unreferenced == sorted(UNREFERENCED_ALLOWED)
 
 
+def _imports_from_the_package(tree) -> list[tuple[str, str, str | None]]:
+    """(local name, module, imported name or None for `import module`) of
+    each import from the package in `tree`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(alias.asname or alias.name, alias.name, None)
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found += [(alias.asname or alias.name, node.module, alias.name)
+                      for alias in node.names]
+    return [f for f in found if f[1].split(".")[0] == "regir"]
+
+
 def test_every_name_the_benchmark_imports_from_the_package_exists():
     """The benchmark calls the library by name; a change that renames or
     removes one of those names fails here rather than in a benchmark run."""
-    wanted = []  # (file, module, name or None for `import module`)
-    for path in sorted(PERFBENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                wanted += [(path.name, alias.name, None) for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                wanted += [(path.name, node.module, alias.name)
-                           for alias in node.names]
-    wanted = [w for w in wanted if w[1].split(".")[0] == "regir"]
     missing = []
+    wanted = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        wanted += [(path.name, module, name)
+                   for _, module, name in _imports_from_the_package(tree)]
     for file, module, name in wanted:
         try:
             found = importlib.import_module(module)
@@ -64,3 +75,61 @@ def test_every_name_the_benchmark_imports_from_the_package_exists():
         if found is None or (name is not None and not hasattr(found, name)):
             missing.append(f"{file}: {module} {name or ''}".strip())
     assert wanted and missing == []
+
+
+def _unbound_calls(source: str, file: str) -> tuple[int, list[str]]:
+    """How many calls in `source` go to a callable it imports from the
+    package, by name or through `_timed(fn, *args)` (which calls fn(*args)),
+    and those whose arguments do not bind to the callable's signature: too
+    many positional arguments, or an unknown or missing-in-between keyword.
+    A call that unpacks `*args` has its keywords checked only."""
+    tree = ast.parse(source)
+    callables = {}
+    for local, module, name in _imports_from_the_package(tree):
+        found = getattr(importlib.import_module(module), name or "", None)
+        if callable(found):
+            callables[local] = found
+    checked, problems = 0, []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        name, args = node.func.id, node.args
+        if name == "_timed" and args and isinstance(args[0], ast.Name):
+            name, args = args[0].id, args[1:]
+        if name not in callables:
+            continue
+        try:
+            signature = inspect.signature(callables[name])
+        except ValueError:  # a built-in without one
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in args)
+        keywords = {k.arg: None for k in node.keywords if k.arg is not None}
+        checked += 1
+        try:
+            signature.bind_partial(*([] if starred else [None] * len(args)),
+                                   **keywords)
+        except TypeError as exc:
+            problems.append(f"{file}: line {node.lineno}: {name}: {exc}")
+    return checked, problems
+
+
+def test_the_call_check_finds_calls_that_do_not_bind():
+    source = ("from regir.ranking import RankedList as Ranked, read_run\n"
+              "Ranked([], presorted=True)\n"
+              "Ranked(sorted=True)\n"
+              "_timed(read_run, 'a.tsv')\n"
+              "_timed(read_run, 'a.tsv', 'b.tsv')\n")
+    checked, problems = _unbound_calls(source, "probe.py")
+    assert checked == 4
+    assert [p.split(":")[1] for p in problems] == [" line 3", " line 5"]
+
+
+def test_every_call_the_benchmark_makes_into_the_package_binds():
+    """The benchmark calls the library with positional and keyword arguments
+    (`tag=`, `presorted=`, `comment=`, ...); a signature change that would
+    break a call fails here rather than in a benchmark run."""
+    checked, problems = 0, []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        n, found = _unbound_calls(path.read_text(encoding="utf-8"), path.name)
+        checked, problems = checked + n, problems + found
+    assert checked > 0 and problems == []

@@ -21,7 +21,7 @@ from regir.rerank.train import (CHECKPOINT_FORMAT, Adam, FeatureStore,
                                 train_model, write_training_log)
 from regir.text import build_pipeline
 
-from conftest import make_doc
+from conftest import keyed, make_doc
 from oracles import hinge_step_per_pair, rerank_list_per_pair
 
 
@@ -191,7 +191,7 @@ def planted_setup(n_train=4, n_dev=2, negatives_per_query=4):
         lists[f"q{i}"] = neg_ids + [pos_id]
     for extra in ("common", "pad"):
         vocab[extra] = np_rng.normal(size=8)
-    wv = WordVectors({t: np.asarray(v) for t, v in vocab.items()}, 8)
+    wv = keyed(WordVectors, vocab)
     pool = Corpus(pool_docs)
     queries = Corpus(query_docs)
     pipeline = build_pipeline(pool, stopwords=frozenset(), idf_filter=False)
@@ -233,9 +233,9 @@ def _store_fixture():
                                title="Query")
                       for i, n in enumerate((1, 9, 30))])
     pipeline = build_pipeline(pool, stopwords=frozenset(["act"]), idf_filter=False)
-    wv = WordVectors({t: rng.normal(size=6) for t in vocab[:25]}, 6)
+    wv = keyed(WordVectors, {t: rng.normal(size=6) for t in vocab[:25]})
     token = TokenEmbeddings({d.doc_id: rng.normal(size=(len(pipeline(d.text)), 6))
-                             for c in (pool, queries) for d in c}, 6)
+                             for c in (pool, queries) for d in c})
     return pool, queries, pipeline, {"type": TypeEmbeddings(wv), "token": token}
 
 
