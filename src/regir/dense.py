@@ -74,6 +74,22 @@ class WordVectors(_KeyedMatrix):
     key_name = "term"
 
 
+# Entries squared at a time for a store's row norms: the squares take one
+# block, not a second copy of the matrix.
+NORM_BLOCK_ENTRIES = 2 ** 16
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm(matrix, axis=1)`, a block of rows at a time; each
+    row's norm is a reduction over that row alone, so the bits are those of
+    the whole-matrix call."""
+    norms = np.empty(len(matrix))
+    step = max(1, NORM_BLOCK_ENTRIES // matrix.shape[1])
+    for lo in range(0, len(matrix), step):
+        norms[lo:lo + step] = np.linalg.norm(matrix[lo:lo + step], axis=1)
+    return norms
+
+
 class DocVectorStore(_KeyedMatrix):
     """doc_id -> vector with a free-form provenance tag (which encoder/layer
     produced the vectors). Rows are kept in doc_id order, reordered once if
@@ -89,7 +105,7 @@ class DocVectorStore(_KeyedMatrix):
             self.row = dict(zip(ids, range(len(ids))))
         self.tag = tag
         self._ids = np.array(ids, dtype=object)
-        self._norms = np.linalg.norm(self.matrix, axis=1)
+        self._norms = _row_norms(self.matrix)
 
     def validate_against(self, corpus) -> None:
         missing = [d for d in self.row if d not in corpus]

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .bm25 import (INDEX_VERSION, Bm25Params, PostingsIndex, build_index,
                    default_grid, load_index, read_params, save_index,
@@ -363,7 +365,11 @@ def doc_vectors_run(pool_store: DocVectorStore, query_store: DocVectorStore,
     def one(query_id: str):
         if query_id not in query_store:
             raise KeyError(f"no vector for query {query_id!r}")
-        return query_id, knn_search(query_store.get(query_id), pool_store, depth)
+        qvec = query_store.get(query_id)
+        if np.linalg.norm(qvec) == 0:
+            log.warning("query %s: zero doc vector; empty list", query_id)
+            return query_id, RankedList(presorted=True)
+        return query_id, knn_search(qvec, pool_store, depth)
 
     return Run(map(one, query_ids))
 

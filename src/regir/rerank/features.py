@@ -13,7 +13,6 @@ while pairs with an out-of-vocabulary side score 0.
 from __future__ import annotations
 
 import logging
-import math
 
 import numpy as np
 
@@ -129,22 +128,22 @@ def sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys) -> np.ndarray:
     return S
 
 
-def bin_similarities(sims: np.ndarray, bins: int) -> np.ndarray:
-    """Log-count histograms along the last axis: `bins` regular bins over
-    [-1, 1) plus a reserved top bin counting exact 1.0 matches, so an
-    (..., D) input gives (..., bins + 1). All rows share one bincount over
-    row-offset bin indices."""
+def bin_similarities(sims: np.ndarray, widths, bins: int) -> np.ndarray:
+    """Log-count histograms of each row of an (R, C) input over each of n
+    column segments, the segments' `widths` summing to C: (n, R, bins + 1).
+    `bins` regular bins over [-1, 1) plus a reserved top bin counting exact
+    1.0 matches. Every (segment, row) histogram comes from one bincount over
+    offset bin indices; each entry's bin is its own elementwise function."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    lead = sims.shape[:-1]
-    n_rows = math.prod(lead)
-    flat = sims.reshape(n_rows, sims.shape[-1])
-    idx = np.floor((flat + 1.0) / 2.0 * bins).astype(np.intp)
+    n_rows, n_segs = sims.shape[0], len(widths)
+    idx = np.floor((sims + 1.0) / 2.0 * bins).astype(np.intp)
     np.clip(idx, 0, bins - 1, out=idx)
-    idx[flat == 1.0] = bins
-    idx += np.arange(n_rows)[:, None] * (bins + 1)
-    counts = np.bincount(idx.ravel(), minlength=n_rows * (bins + 1))
-    return np.log1p(counts.reshape(lead + (bins + 1,)))
+    idx[sims == 1.0] = bins
+    segment = np.repeat(np.arange(n_segs), widths)
+    idx += (np.arange(n_rows)[:, None] * n_segs + segment) * (bins + 1)
+    counts = np.bincount(idx.ravel(), minlength=n_rows * n_segs * (bins + 1))
+    return np.log1p(counts.reshape(n_rows, n_segs, bins + 1)).transpose(1, 0, 2)
 
 
 def dedup_terms(tokens: list[str]) -> list[str]:
@@ -161,15 +160,49 @@ def drmm_query(query_terms: list[str], query_doc_id: str, provider, idf_table):
             np.array([idf_table.idf(t) for t in query_terms]))
 
 
-def drmm_pair(query, doc_tokens, doc_id: str, provider, bins: int):
-    """DRMM features of a `drmm_query` result against one document, whose
-    tokens go to `provider.rows`."""
+# Bound on the entries of one DRMM batch's (Q, sum of D) similarity buffer,
+# and so on the memory a batch adds, at any query and document length; a
+# document longer than it on its own forms a batch of one.
+DRMM_BATCH_ENTRIES = 2 ** 16
+
+
+def drmm_batch(query, docs, provider, bins: int) -> list:
+    """DRMM features of a `drmm_query` result against each (doc_id, tokens)
+    in docs, whose tokens go to `provider.rows`, in order. Documents are
+    taken in batches of at most DRMM_BATCH_ENTRIES similarities."""
+    n_terms = len(query[0][1])
+    feats, batch, width = [], [], 0
+    for doc in docs:
+        if batch and n_terms * (width + len(doc[1])) > DRMM_BATCH_ENTRIES:
+            feats += _drmm_batch(query, batch, provider, bins)
+            batch, width = [], 0
+        batch.append(doc)
+        width += len(doc[1])
+    return feats + (_drmm_batch(query, batch, provider, bins) if batch else [])
+
+
+def _drmm_batch(query, docs, provider, bins: int) -> list:
+    """One batch of `drmm_batch`. Each document's similarities are its own
+    `q_units @ d_units.T`, the product a single pair computes; clipping, the
+    exact-match pin and binning are elementwise, so a pair's histograms do
+    not depend on the rest of the batch. Out-of-vocabulary query terms keep
+    a zero histogram."""
     (q_units, q_mask, q_keys), idf = query
-    d_units, d_mask, d_keys = provider.rows(doc_id, doc_tokens)
-    S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
-    hists = np.zeros((len(q_mask), bins + 1))
-    hists[q_mask] = bin_similarities(S[np.ix_(q_mask, d_mask)], bins)
-    return hists, idf
+    products, d_masks, d_keys = [], [], []
+    for doc_id, tokens in docs:
+        units, mask, keys = provider.rows(doc_id, tokens)
+        products.append(q_units @ units.T)
+        d_masks.append(mask)
+        d_keys.append(keys)
+    d_mask = np.concatenate(d_masks)
+    S = np.concatenate(products, axis=1)[np.ix_(q_mask, d_mask)]
+    np.clip(S, -1.0, 1.0, out=S)
+    if q_keys is not None:
+        S[q_keys[q_mask][:, None] == np.concatenate(d_keys)[d_mask]] = 1.0
+    hists = np.zeros((len(docs), len(q_mask), bins + 1))
+    hists[:, q_mask] = bin_similarities(
+        S, [np.count_nonzero(mask) for mask in d_masks], bins)
+    return [(h.copy(), idf) for h in hists]
 
 
 def drmm_features(query_terms: list[str], query_doc_id: str,
@@ -181,8 +214,8 @@ def drmm_features(query_terms: list[str], query_doc_id: str,
     Out-of-vocabulary query terms keep a zero histogram. With positional
     providers each query position counts as its own term.
     """
-    return drmm_pair(drmm_query(query_terms, query_doc_id, provider, idf_table),
-                     doc_tokens, doc_id, provider, bins)
+    return drmm_batch(drmm_query(query_terms, query_doc_id, provider, idf_table),
+                      [(doc_id, doc_tokens)], provider, bins)[0]
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from ..fusion import normalize_scores
 from ..metrics import recall_at_k
 from ..ranking import RankedList, Run, sort_scored
 from .drmm import DrmmModel
-from .features import dedup_terms, drmm_pair, drmm_query, pacrr_pair, pacrr_query
+from .features import dedup_terms, drmm_batch, drmm_query, pacrr_pair, pacrr_query
 from .pacrr import PacrrConfig, PacrrModel
 
 log = logging.getLogger(__name__)
@@ -204,21 +204,32 @@ class FeatureStore:
                             self.hp.q_len))
         return self._queries[query_id]
 
+    def fill(self, query_id: str, doc_ids) -> None:
+        """Computes the features of each pair of the query with doc_ids that
+        is not cached yet: DRMM's in one `drmm_batch`, PACRR's one pair at a
+        time. An unknown doc_id raises KeyError before anything is cached."""
+        missing = [d for d in dict.fromkeys(doc_ids)
+                   if (query_id, d) not in self._feats]
+        if not missing:
+            return
+        docs = []
+        for doc_id in missing:
+            if doc_id not in self._position:
+                raise KeyError(f"unknown doc_id {doc_id!r}")
+            tokens = self._term_rows[self._bags.sequence(self._position[doc_id])]
+            docs.append((doc_id, tokens))
+        query = self._query(query_id)
+        if self.kind == "drmm":
+            feats = drmm_batch(query, docs, self.provider, self.hp.B)
+        else:
+            feats = [pacrr_pair(query, tokens, doc_id, self.provider, self.hp.d_len)
+                     for doc_id, tokens in docs]
+        self._feats.update(zip([(query_id, d) for d in missing], feats))
+
     def features(self, query_id: str, doc_id: str):
         key = (query_id, doc_id)
         if key not in self._feats:
-            try:
-                position = self._position[doc_id]
-            except KeyError:
-                raise KeyError(f"unknown doc_id {doc_id!r}") from None
-            doc = self._term_rows[self._bags.sequence(position)]
-            if self.kind == "drmm":
-                feats = drmm_pair(self._query(query_id), doc, doc_id,
-                                  self.provider, self.hp.B)
-            else:
-                feats = pacrr_pair(self._query(query_id), doc, doc_id,
-                                   self.provider, self.hp.d_len)
-            self._feats[key] = feats
+            self.fill(query_id, (doc_id,))
         return self._feats[key]
 
 
@@ -240,11 +251,12 @@ class Reranker:
         self.store = store
 
     def rerank_list(self, query_id: str, ranking: RankedList) -> RankedList:
-        """Reorder the pre-fetched candidates by rel(q, d), scoring them all
-        in one `score_batch` call."""
+        """Reorder the pre-fetched candidates by rel(q, d): their features
+        filled in one `fill`, scored in one `score_batch` call."""
         if not ranking:
             return ranking
         norm = dict(normalize_scores(ranking))
+        self.store.fill(query_id, ranking.doc_ids)
         s_r = self.model.score_batch([self.store.features(query_id, doc_id)
                                       for doc_id in ranking.doc_ids])
         return RankedList(sort_scored(
@@ -312,6 +324,7 @@ def _hinge_step(model, store: FeatureStore, batch, norm_sp, w_r: float,
     scored = {}
     for query_id, docs in by_query.items():
         caches: list = []
+        store.fill(query_id, docs)
         s_r = model.score_batch([store.features(query_id, d) for d in docs], caches)
         for doc_id, s, cache in zip(docs, s_r.tolist(), caches):
             scored[query_id, doc_id] = s, cache

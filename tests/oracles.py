@@ -202,10 +202,12 @@ def bin_similarities_row(sims: np.ndarray, bins: int) -> np.ndarray:
 
 
 def drmm_features_per_row(query_terms: list[str], doc_tokens: list[str],
-                          provider, idf_table, bins: int):
-    """`drmm_features` with one histogram per in-vocabulary query term."""
-    q_units, q_mask, q_keys = provider.rows("", query_terms)
-    d_units, d_mask, d_keys = provider.rows("", doc_tokens)
+                          provider, idf_table, bins: int, query_doc_id: str = "",
+                          doc_id: str = ""):
+    """`drmm_features` of one pair, with one histogram per in-vocabulary
+    query term."""
+    q_units, q_mask, q_keys = provider.rows(query_doc_id, query_terms)
+    d_units, d_mask, d_keys = provider.rows(doc_id, doc_tokens)
     S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
     hists = np.zeros((len(query_terms), bins + 1))
     for i in range(len(query_terms)):

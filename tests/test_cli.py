@@ -263,6 +263,38 @@ def test_prefetch_doc_vectors_writes_regir_run_candidates(env, tmp_path):
                for q, ranking in run.items() for d in ranking.doc_ids[:5])
 
 
+def test_a_zero_query_doc_vector_gets_an_empty_list_in_prefetch_and_run(
+        env, tmp_path, caplog):
+    """Such a query used to abort the whole pre-fetch with `zero query
+    vector`; both commands now warn and give it an empty list."""
+    root = env.root
+    write_doc_vectors(root, tmp_path)
+    zeroed = json.loads((root / "splits.json").read_text())["test"][0]
+    lines = (tmp_path / "queries.vec").read_text().splitlines()
+    (tmp_path / "queries.vec").write_text("\n".join(
+        f"{zeroed} 0.0 0.0 0.0 0.0" if line.split()[0] == zeroed else line
+        for line in lines) + "\n")
+    warning = f"query {zeroed}: zero doc vector; empty list"
+    caplog.set_level("WARNING")
+    env.ok("prefetch", "--mode", "doc-vectors", "--k", "5",
+           "--pool-vectors", tmp_path / "pool.vec",
+           "--query-vectors", tmp_path / "queries.vec",
+           "--queries", root / "queries.jsonl",
+           "--splits", root / "splits.json", "--split", "test",
+           "--out", tmp_path / "prefetch.tsv")
+    assert caplog.messages == [warning]
+    caplog.clear()
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(run_config(root, "prefetch.mode = doc-vectors\n"
+                                    "dense.pool_vectors = pool.vec\n"
+                                    "dense.query_vectors = queries.vec\n"))
+    env.ok("run", "--config", cfg, "--out", tmp_path / "exp")
+    assert warning in caplog.messages
+    run = read_run(tmp_path / "prefetch.tsv")
+    assert run == read_run(tmp_path / "exp" / "final_test.tsv")
+    assert zeroed not in run and len(run) > 0
+
+
 @pytest.mark.parametrize("args,message", [
     (["--mode", "ensemble", "--alpha", "0.5"],
      "ensemble needs --components and --alpha"),

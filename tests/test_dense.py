@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from regir import dense
 from regir.corpus import Corpus
 from regir.dense import (CentroidError, DocVectorStore, VectorFormatError,
                          WordVectors, build_centroid_store, centroid,
@@ -353,6 +355,49 @@ def test_dense_prefetch_missing_query_vector():
     queries = make_store({"other": [1.0, 0.0]})
     with pytest.raises(KeyError):
         doc_vectors_run(pool, queries, ["q1"], 1)
+
+
+def test_queries_with_a_zero_doc_vector_get_an_empty_list(caplog):
+    """Such a query used to abort the whole pre-fetch with `zero query
+    vector`; now it gets centroid_run's policy. A vector whose squares all
+    underflow has a zero norm too."""
+    pool = make_store({"p1": [1.0, 0.0], "p2": [0.0, 1.0]})
+    queries = make_store({"q1": [0.0, 0.0], "q2": [0.9, 0.1], "q3": [1e-200, 0.0]})
+    with caplog.at_level("WARNING"):
+        run = doc_vectors_run(pool, queries, ["q1", "q2", "q3"], 2)
+    assert [run[q].doc_ids for q in ("q1", "q2", "q3")] == [[], ["p1", "p2"], []]
+    assert [r.message for r in caplog.records] == [
+        f"query {q}: zero doc vector; empty list" for q in ("q1", "q3")]
+
+
+@pytest.mark.parametrize("dim", [3, 50, 200, 768])
+def test_store_norms_in_row_blocks_equal_whole_matrix_norms(dim, monkeypatch):
+    """Block by block, at the module's block size and at one that splits the
+    rows unevenly, the norms keep the bits of one whole-matrix call."""
+    rng = np.random.default_rng(dim)
+    matrix = rng.normal(size=(700, dim)) * rng.choice([1e-150, 1.0, 1e150],
+                                                      size=(700, 1))
+    matrix[::97] = 0.0
+    want = np.linalg.norm(matrix, axis=1)
+    keys = [f"d{i:04d}" for i in range(700)]
+    for block in (dense.NORM_BLOCK_ENTRIES, 3 * dim + 1):
+        monkeypatch.setattr(dense, "NORM_BLOCK_ENTRIES", block)
+        assert np.array_equal(DocVectorStore(keys, matrix)._norms, want)
+
+
+def test_store_norms_square_one_block_at_a_time():
+    """Building a store over a matrix it keeps as given allocates far less
+    than the matrix-sized temporary of squares a whole-matrix norm takes."""
+    matrix = np.random.default_rng(0).normal(size=(4000, 200))
+    keys = [f"d{i:04d}" for i in range(4000)]
+    tracemalloc.start()
+    try:
+        store = DocVectorStore(keys, matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert store.matrix is matrix
+    assert peak < matrix.nbytes / 4
 
 
 # --- centroids whose weighted sum is zero ---

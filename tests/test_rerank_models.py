@@ -8,7 +8,7 @@ from regir.dense import WordVectors
 from regir.rerank import (DrmmModel, PacrrConfig, PacrrModel,
                           TokenEmbeddings, TypeEmbeddings, load_token_vectors,
                           sim_matrix)
-from regir.rerank.features import (bin_similarities, dedup_terms, drmm_pair,
+from regir.rerank.features import (bin_similarities, dedup_terms, drmm_batch,
                                    drmm_features, drmm_query, pacrr_features,
                                    pacrr_pair, pacrr_query, softmax)
 
@@ -164,22 +164,23 @@ def test_load_token_vectors_rejects_non_finite_values(tmp_path, bad):
 # --- histograms ---
 
 def test_bin_similarities_hand_case():
-    hist = bin_similarities(np.array([0.0, 0.5, 0.5]), bins=5)
-    assert np.allclose(hist, np.log1p([0, 0, 1, 2, 0, 0]))
+    hist = bin_similarities(np.array([[0.0, 0.5, 0.5]]), [3], bins=5)
+    assert hist.shape == (1, 1, 6)
+    assert np.allclose(hist[0, 0], np.log1p([0, 0, 1, 2, 0, 0]))
 
 
 def test_bin_similarities_exact_match_reserved_bin():
-    hist = bin_similarities(np.array([1.0]), bins=5)
+    hist = bin_similarities(np.array([[1.0]]), [1], bins=5)[0, 0]
     want = np.zeros(6)
     want[5] = math.log(2)
     assert np.allclose(hist, want)
     # a near-1 similarity lands in the last regular bin instead
-    near = bin_similarities(np.array([0.999999]), bins=5)
+    near = bin_similarities(np.array([[0.999999]]), [1], bins=5)[0, 0]
     assert near[4] == pytest.approx(math.log(2)) and near[5] == 0.0
 
 
 def test_bin_similarities_minus_one_in_first_bin():
-    hist = bin_similarities(np.array([-1.0]), bins=5)
+    hist = bin_similarities(np.array([[-1.0]]), [1], bins=5)[0, 0]
     assert hist[0] == pytest.approx(math.log(2))
     assert hist[1:].sum() == 0.0
 
@@ -211,6 +212,8 @@ def test_drmm_features_shapes_and_oov_rows():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_bin_similarities_rows_equal_per_row_oracle(seed):
+    """Each (segment, row) histogram equals that row's slice histogrammed
+    alone; empty segments and rows give zero histograms."""
     rng = np.random.default_rng(50 + seed)
     bins = 30
     sims = rng.uniform(-1.0, 1.0, size=(7, 40))
@@ -218,10 +221,16 @@ def test_bin_similarities_rows_equal_per_row_oracle(seed):
     sims[rng.random(sims.shape) < 0.1] = -1.0
     sims[rng.random(sims.shape) < 0.1] = 0.0
     sims[:, ::9] = np.nextafter(1.0, 0.0)
-    want = np.stack([bin_similarities_row(row, bins) for row in sims])
-    assert np.array_equal(bin_similarities(sims, bins), want)
-    assert bin_similarities(sims[:, :0], bins).tolist() == [[0.0] * (bins + 1)] * 7
-    assert bin_similarities(sims[:0], bins).shape == (0, bins + 1)
+    widths = [0, 13, 1, 0, 26]
+    bounds = np.cumsum([0] + widths)
+    want = np.stack([[bin_similarities_row(row[lo:hi], bins) for row in sims]
+                     for lo, hi in zip(bounds, bounds[1:])])
+    assert np.array_equal(bin_similarities(sims, widths, bins), want)
+    assert np.array_equal(bin_similarities(sims, [40], bins)[0],
+                          [bin_similarities_row(row, bins) for row in sims])
+    assert bin_similarities(sims[:, :0], [0, 0], bins).tolist() == (
+        [[[0.0] * (bins + 1)] * 7] * 2)
+    assert bin_similarities(sims[:0], widths, bins).shape == (5, 0, bins + 1)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -616,7 +625,7 @@ def ragged_candidates(rng, kind, provider, idf, query, config):
             for n in lengths] + [["oov1", "oov2", "oov1"]]
     if kind == "drmm":
         q = drmm_query(dedup_terms(query), "", provider, idf)
-        return [drmm_pair(q, doc, "", provider, config.B) for doc in docs]
+        return drmm_batch(q, [("", doc) for doc in docs], provider, config.B)
     q = pacrr_query(query, "", provider, idf, config.q_len)
     return [pacrr_pair(q, doc, "", provider, config.d_len) for doc in docs]
 

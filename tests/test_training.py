@@ -11,7 +11,7 @@ from regir._npz import write_npz
 from regir.corpus import Corpus, Document, Qrels
 from regir.dense import WordVectors
 from regir.ranking import RankedList, Run
-from regir.rerank import TokenEmbeddings, TypeEmbeddings, train
+from regir.rerank import TokenEmbeddings, TypeEmbeddings, features, train
 from regir.rerank.features import dedup_terms, drmm_features, pacrr_features
 from regir.rerank.train import (CHECKPOINT_FORMAT, Adam, FeatureStore,
                                 Hyperparams, Reranker,
@@ -22,7 +22,7 @@ from regir.rerank.train import (CHECKPOINT_FORMAT, Adam, FeatureStore,
 from regir.text import build_pipeline
 
 from conftest import keyed, make_doc
-from oracles import hinge_step_per_pair, rerank_list_per_pair
+from oracles import drmm_features_per_row, hinge_step_per_pair, rerank_list_per_pair
 
 
 # --- loss and fusion arithmetic ---
@@ -266,6 +266,217 @@ def test_feature_store_equals_string_token_features(kind, hp, provider_kind):
                        for g, w in zip(got, want))
     with pytest.raises(KeyError, match="ghost"):
         store.features("q0", "ghost")
+
+
+# --- filling a query's pairs in one call ---
+
+def generated_fill_setup(seed):
+    """A pool of ragged documents over a vocabulary in which some terms are
+    out of vocabulary, one has a zero vector, some repeat another term's
+    vector and some negate it; plus queries of 1 to 60 tokens."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"w{i}" for i in range(90)]
+    base = {t: rng.normal(size=8) for t in vocab[:60]}
+    vectors = dict(base)
+    vectors.update({vocab[60 + i]: base[vocab[i]].copy() for i in range(10)})
+    vectors.update({vocab[70 + i]: -base[vocab[i]] for i in range(10)})
+    vectors[vocab[80]] = np.zeros(8)
+    lengths = [0, 1, 2, 5, 40, 150, 400] + list(rng.integers(0, 120, size=33))
+    pool = Corpus([make_doc(f"d{i:02d}", [vocab[j] for j in rng.integers(90, size=n)],
+                            title="Act") for i, n in enumerate(lengths)])
+    queries = Corpus([make_doc(f"q{i}", [vocab[j] for j in rng.integers(90, size=n)],
+                               title="Act") for i, n in enumerate((1, 6, 25, 60))])
+    pipeline = build_pipeline(pool, stopwords=frozenset(["act"]), idf_filter=False)
+    token = TokenEmbeddings({d.doc_id: rng.normal(size=(len(pipeline(d.text)), 8))
+                             for c in (pool, queries) for d in c})
+    return (pool, queries, pipeline,
+            {"type": TypeEmbeddings(keyed(WordVectors, vectors)), "token": token})
+
+
+def drmm_oracle_features(store, query_id, doc_id, pool):
+    """The per-pair, per-row oracle's features of one pair of `store`."""
+    return drmm_features_per_row(store.query_tokens(query_id),
+                                 store.pipeline(pool.get(doc_id).text),
+                                 store.provider, store.pipeline.idf_table,
+                                 store.hp.B, query_id, doc_id)
+
+
+@pytest.mark.parametrize("budget", [features.DRMM_BATCH_ENTRIES, 300])
+@pytest.mark.parametrize("provider_kind", ["type", "token"])
+@pytest.mark.parametrize("seed", [3, 17])
+def test_fill_equals_the_per_pair_oracle_on_every_pair(seed, provider_kind, budget,
+                                                       monkeypatch):
+    """One `fill` per query over the whole pool, at the module's batch bound
+    and at one small enough that every batch holds a few documents, gives
+    each pair the oracle's histograms bit for bit."""
+    monkeypatch.setattr(features, "DRMM_BATCH_ENTRIES", budget)
+    pool, queries, pipeline, providers = generated_fill_setup(seed)
+    hp = Hyperparams(B=11)
+    store = FeatureStore("drmm", providers[provider_kind], pipeline, queries,
+                         pool, hp)
+    doc_ids = [d.doc_id for d in pool]
+    for query in queries:
+        store.fill(query.doc_id, doc_ids)
+        for doc_id in doc_ids:
+            hists, idf = store.features(query.doc_id, doc_id)
+            want, want_idf = drmm_oracle_features(store, query.doc_id, doc_id, pool)
+            assert np.array_equal(hists, want) and hists.dtype == want.dtype
+            assert np.array_equal(idf, want_idf)
+
+
+def test_fill_splits_documents_into_batches_of_the_bound(monkeypatch):
+    """A small bound splits one query's documents over several batches, a
+    document above it on its own; the features do not change."""
+    pool, queries, pipeline, providers = generated_fill_setup(5)
+    doc_ids = [d.doc_id for d in pool]
+    hp = Hyperparams(B=9)
+
+    def filled(budget):
+        monkeypatch.setattr(features, "DRMM_BATCH_ENTRIES", budget)
+        batches = []  # each batch's similarity count per document
+        real = features._drmm_batch
+
+        def spy(query, docs, *rest):
+            batches.append([len(query[0][1]) * len(t) for _, t in docs])
+            return real(query, docs, *rest)
+
+        monkeypatch.setattr(features, "_drmm_batch", spy)
+        store = FeatureStore("drmm", providers["type"], pipeline, queries, pool, hp)
+        store.fill("q2", doc_ids)
+        return [store.features("q2", d) for d in doc_ids], batches
+
+    whole, [batch] = filled(10 ** 9)
+    split, batches = filled(2000)
+    assert len(batches) > 5 and sum(batches, []) == batch
+    assert all(sum(b) <= 2000 or len(b) == 1 for b in batches)
+    assert any(len(b) > 1 for b in batches) and any(sum(b) > 2000 for b in batches)
+    assert all(np.array_equal(a[0], b[0]) for a, b in zip(whole, split))
+
+
+# alpha: its cosine to a copy of itself rounds above 1.0 in the store's
+# products, and to its negation below -1.0
+ALPHA = np.array([-0.54, -0.32, 0.41, 1.04])
+AXIS, DIAG = np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, 1.0, 1.0, 1.0])
+
+
+def planted_fill_setup(docs, query):
+    pool = Corpus([make_doc(d, words, title="Act") for d, words in docs.items()])
+    queries = Corpus([make_doc("q", query, title="Act")])
+    return pool, queries, build_pipeline(pool, stopwords=frozenset(["act"]),
+                                         idf_filter=False)
+
+
+def filled_counts(store, pool):
+    """Each document's histogram counts after one `fill` of query q, checked
+    against the per-pair oracle."""
+    doc_ids = [d.doc_id for d in pool]
+    store.fill("q", doc_ids)
+    counts = {}
+    for doc_id in doc_ids:
+        hists = store.features("q", doc_id)[0]
+        want, _ = drmm_oracle_features(store, "q", doc_id, pool)
+        assert np.array_equal(hists, want)
+        counts[doc_id] = np.expm1(hists).round().astype(int).tolist()
+    return counts
+
+
+def test_fill_planted_edges_clips_and_out_of_vocabulary_terms():
+    """Word vectors with exact cosines, at B = 4 (bins [-1, -0.5), [-0.5, 0),
+    [0, 0.5), [0.5, 1) and exact 1.0): `alpha2` copies `alpha` without being
+    an identity match, `minus` negates it, `axis` . `diag` is 0.5, a bin
+    edge, `zero` has a zero vector and `ghost` none."""
+    vectors = {"alpha": ALPHA, "alpha2": ALPHA.copy(), "minus": -ALPHA,
+               "axis": AXIS, "diag": DIAG, "zero": np.zeros(4)}
+    provider = TypeEmbeddings(keyed(WordVectors, vectors))
+    pool, queries, pipeline = planted_fill_setup(
+        {"same": ["alpha2", "alpha2", "alpha"], "opposite": ["minus"],
+         "edges": ["diag", "axis"], "unknown": ["ghost", "zero"], "empty": [],
+         "mixed": ["alpha", "ghost", "diag"]},
+        ["alpha", "ghost", "axis"])
+    store = FeatureStore("drmm", provider, pipeline, queries, pool, Hyperparams(B=4))
+    q_units = provider.rows("", ["alpha", "ghost", "axis"])[0]
+    assert (q_units @ provider.rows("", ["alpha2", "alpha2", "alpha"])[0].T)[0, 0] > 1.0
+    assert (q_units @ provider.rows("", ["minus"])[0].T)[0, 0] < -1.0
+    assert (q_units @ provider.rows("", ["diag", "axis"])[0].T)[2, 0] == 0.5
+    # rows: alpha, ghost (zero histogram), axis; alpha . axis is -0.42,
+    # alpha . diag 0.23
+    nothing = [[0] * 5] * 3
+    assert filled_counts(store, pool) == {
+        "same": [[0, 0, 0, 0, 3], [0] * 5, [0, 3, 0, 0, 0]],
+        "opposite": [[1, 0, 0, 0, 0], [0] * 5, [0, 0, 1, 0, 0]],
+        "edges": [[0, 1, 1, 0, 0], [0] * 5, [0, 0, 0, 1, 1]],
+        "unknown": nothing,
+        "empty": nothing,
+        "mixed": [[0, 0, 1, 0, 1], [0] * 5, [0, 1, 0, 1, 0]],
+    }
+
+
+def test_fill_with_token_vectors_pins_no_identity_match():
+    """Positional vectors have no identity keys: the same term at two
+    positions with different vectors is no exact match, and only a copied
+    vector reaches the exact-match bin, through the clip."""
+    pool, queries, pipeline = planted_fill_setup(
+        {"other": ["alpha", "axis"], "copy": ["alpha", "diag"], "empty": []},
+        ["alpha", "axis"])
+    provider = TokenEmbeddings({"q": np.stack([ALPHA, AXIS]),
+                                "other": np.stack([DIAG, -ALPHA]),
+                                "copy": np.stack([ALPHA, DIAG]),
+                                "empty": np.zeros((0, 4))})
+    store = FeatureStore("drmm", provider, pipeline, queries, pool, Hyperparams(B=4))
+    q_units = provider.rows("q", "xx")[0]
+    assert (q_units @ provider.rows("copy", "xx")[0].T)[0, 0] > 1.0
+    # alpha . -alpha is -1.0, axis . -alpha 0.42
+    assert filled_counts(store, pool) == {
+        "other": [[1, 0, 1, 0, 0], [0, 0, 1, 1, 0]],
+        "copy": [[0, 0, 1, 0, 1], [0, 1, 0, 1, 0]],
+        "empty": [[0] * 5] * 2,
+    }
+
+
+def test_fill_takes_duplicate_ids_and_refuses_unknown_ones_caching_nothing():
+    pool, queries, pipeline, providers = generated_fill_setup(7)
+    store = FeatureStore("drmm", providers["type"], pipeline, queries, pool,
+                         Hyperparams(B=5))
+    store.fill("q1", ["d03", "d04", "d03", "d04", "d03"])
+    assert sorted(store._feats) == [("q1", "d03"), ("q1", "d04")]
+    for doc_id in ("d03", "d04"):
+        want, _ = drmm_oracle_features(store, "q1", doc_id, pool)
+        assert np.array_equal(store.features("q1", doc_id)[0], want)
+    with pytest.raises(KeyError, match="ghost"):
+        store.fill("q2", ["d05", "ghost", "d06"])
+    with pytest.raises(KeyError, match="ghost"):
+        store.features("q2", "ghost")
+    assert sorted(store._feats) == [("q1", "d03"), ("q1", "d04")]
+    assert list(store._queries) == ["q1"]
+
+
+@pytest.mark.parametrize("kind", ["drmm", "pacrr"])
+def test_each_pair_is_computed_once_through_fill_or_features(kind, monkeypatch):
+    pool, queries, pipeline, providers = generated_fill_setup(11)
+    computed = []
+    real_batch, real_pair = train.drmm_batch, train.pacrr_pair
+
+    def batch(query, docs, *rest):
+        computed.extend(doc_id for doc_id, _ in docs)
+        return real_batch(query, docs, *rest)
+
+    def pair(query, tokens, doc_id, *rest):
+        computed.append(doc_id)
+        return real_pair(query, tokens, doc_id, *rest)
+
+    monkeypatch.setattr(train, "drmm_batch", batch)
+    monkeypatch.setattr(train, "pacrr_pair", pair)
+    store = FeatureStore(kind, providers["type"], pipeline, queries, pool,
+                         Hyperparams(B=5, q_len=6, d_len=9))
+    doc_ids = [d.doc_id for d in pool]
+    first = store.features("q0", doc_ids[3])
+    store.fill("q0", doc_ids[:10])
+    store.fill("q0", doc_ids)
+    assert all(store.features("q0", d) is store.features("q0", d) for d in doc_ids)
+    assert store.features("q0", doc_ids[3]) is first
+    assert computed == [doc_ids[3]] + doc_ids[:3] + doc_ids[4:10] + doc_ids[10:]
+    store.features("q1", doc_ids[0])
+    assert computed[-1] == doc_ids[0] and len(computed) == len(doc_ids) + 1
 
 
 def test_zero_learning_rate_changes_nothing():
