@@ -15,8 +15,9 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .bm25 import (build_index, default_grid, load_index, read_params,
-                   save_index, tune_bm25, write_grid_csv, write_params)
+from .bm25 import (Bm25Params, build_index, default_grid, load_index,
+                   read_params, save_index, tune_bm25, write_grid_csv,
+                   write_params)
 from .corpus import (convert_collection, corpus_stats, ingest_collection,
                      load_qrels, write_collection, SplitManifest)
 from .datefilter import (DateWindow, candidates, finalize, write_year_hist_csv,
@@ -246,19 +247,17 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
 
     query_corpus = ingest_collection(queries)
     ids = _query_ids(query_corpus, splits, split)
-    stage = Prefetcher(names, k, query_corpus)
-    if params:
-        stage.bm25_params = read_params(params)
+    bm25_params = read_params(params) if params else Bm25Params()
     pool_corpus = ingest_collection(collection, tag="pool") if collection else None
-    if "bm25" in names or "w2v-cent" in names:
-        stage.index = load_index(index_path)
-        stage.pipeline = stage.index.pipeline
-    if "w2v-cent" in names:
-        stage.word_vectors = load_word_vectors(word_vectors)
-        stage.cent_store = load_doc_vectors(centroids)
-    if "doc-vectors" in names:
-        stage.pool_store = load_doc_vectors(pool_vectors)
-        stage.query_store = load_doc_vectors(query_vectors)
+    index = (load_index(index_path) if {"bm25", "w2v-cent"} & set(names)
+             else None)
+    cent, dense = "w2v-cent" in names, "doc-vectors" in names
+    stage = Prefetcher(names, k, query_corpus, getattr(index, "pipeline", None),
+                       index, bm25_params,
+                       load_word_vectors(word_vectors) if cent else None,
+                       load_doc_vectors(centroids) if cent else None,
+                       load_doc_vectors(pool_vectors) if dense else None,
+                       load_doc_vectors(query_vectors) if dense else None)
     run = finalize(candidates(stage.deep_run(ids, alpha), k, window, query_corpus,
                               pool_corpus), window, query_corpus, pool_corpus)
     write_run(run, out)
@@ -272,7 +271,8 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
 @click.option("--alpha", type=float, help="Weight on run-a.")
 @click.option("--tune-alpha", "do_tune", is_flag=True)
 @click.option("--qrels", type=_in, help="Judgments for --tune-alpha.")
-@click.option("--grid", default="0:1:0.05", show_default=True)
+@click.option("--grid", help="Alpha grid, start:stop:step or a comma list "
+              "[default: 0:1:0.05].")
 @click.option("--grid-out", type=_out, help="Alpha grid CSV.")
 @click.option("--out", type=_out, required=True)
 def fuse_cmd(run_a, run_b, k, alpha, do_tune, qrels, grid, grid_out, out):

@@ -276,10 +276,11 @@ class SplitManifest:
                  pool_corpus: Corpus | None = None,
                  qrels: Qrels | None = None) -> None:
         """Enforce split invariants; chronology violations only warn."""
-        sets = {"train": set(self.train_ids), "dev": set(self.dev_ids),
-                "test": set(self.test_ids)}
-        for name, ids in (("train", self.train_ids), ("dev", self.dev_ids),
-                          ("test", self.test_ids), ("pool", self.pool_ids)):
+        # errors list ids in split order, which no hash seed changes
+        splits = {"train": self.train_ids, "dev": self.dev_ids,
+                  "test": self.test_ids}
+        sets = {name: set(ids) for name, ids in splits.items()}
+        for name, ids in (*splits.items(), ("pool", self.pool_ids)):
             if len(set(ids)) != len(ids):
                 raise CorpusError(f"split {name!r} contains duplicate ids")
         for a in ("train", "dev", "test"):
@@ -288,8 +289,8 @@ class SplitManifest:
                     overlap = sorted(sets[a] & sets[b])[:5]
                     raise CorpusError(f"splits {a!r} and {b!r} overlap: {overlap}")
         if query_corpus is not None:
-            for name in ("train", "dev", "test"):
-                missing = [i for i in sets[name] if i not in query_corpus]
+            for name, ids in splits.items():
+                missing = [i for i in ids if i not in query_corpus]
                 if missing:
                     raise CorpusError(f"split {name!r}: ids missing from query "
                                       f"collection: {missing[:5]}")
@@ -299,8 +300,8 @@ class SplitManifest:
             if missing:
                 raise CorpusError(f"pool ids missing from pool collection: {missing[:5]}")
         if qrels is not None:
-            for name in ("train", "dev", "test"):
-                empty = [i for i in sets[name] if not qrels.relevant(i)]
+            for name, ids in splits.items():
+                empty = [i for i in ids if not qrels.relevant(i)]
                 if empty:
                     raise CorpusError(f"split {name!r}: queries with no relevant "
                                       f"documents: {empty[:5]}")

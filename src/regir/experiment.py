@@ -31,8 +31,8 @@ from .datefilter import (MODES, DateWindow, candidates, choose_window,
 from .dense import (CentroidError, DocVectorStore, WordVectors,
                     build_centroid_store, centroid, knn_search,
                     load_doc_vectors, load_word_vectors, save_doc_vectors)
-from .fusion import (default_alpha_grid, fuse_runs, read_alpha, tune_alpha,
-                     write_alpha, write_alpha_grid_csv)
+from .fusion import (default_alpha_grid, fuse, normalize_scores, read_alpha,
+                     tune_alpha, write_alpha, write_alpha_grid_csv)
 from .metrics import (aggregate_runs, evaluate_run, read_eval_csv,
                       write_eval_csv, write_summary_csv)
 from .ranking import RankedList, Run, read_run, write_run
@@ -337,48 +337,12 @@ def write_rk_curve_csv(rows, path, comment: str = "") -> None:
                 comment)
 
 
-def bm25_run(index: PostingsIndex, pipeline: TextPipeline, query_corpus: Corpus,
-             query_ids, params: Bm25Params, depth: int) -> Run:
-    def one(query_id: str):
-        tokens = pipeline(query_corpus.get(query_id).text)
-        return query_id, index.bm25_search(tokens, params, depth)
-
-    return Run(map(one, query_ids))
-
-
-def centroid_run(pool_store: DocVectorStore, pipeline: TextPipeline,
-                 word_vectors, query_corpus: Corpus, query_ids, depth: int) -> Run:
-    def one(query_id: str):
-        tokens = pipeline(query_corpus.get(query_id).text)
-        try:
-            qvec = centroid(tokens, word_vectors, pipeline.idf_table)
-        except CentroidError as exc:
-            log.warning("query %s: no centroid (%s); empty list", query_id, exc)
-            return query_id, RankedList(presorted=True)
-        return query_id, knn_search(qvec, pool_store, depth)
-
-    return Run(map(one, query_ids))
-
-
-def doc_vectors_run(pool_store: DocVectorStore, query_store: DocVectorStore,
-                    query_ids, depth: int) -> Run:
-    def one(query_id: str):
-        if query_id not in query_store:
-            raise KeyError(f"no vector for query {query_id!r}")
-        qvec = query_store.get(query_id)
-        if np.linalg.norm(qvec) == 0:
-            log.warning("query %s: zero doc vector; empty list", query_id)
-            return query_id, RankedList(presorted=True)
-        return query_id, knn_search(qvec, pool_store, depth)
-
-    return Run(map(one, query_ids))
-
-
 @dataclass
 class Prefetcher:
     """First-stage retrieval by its components: a single pre-fetcher, or
     the fusion of two. Holds what the pre-fetchers read; what the components
-    do not use stays None. Shared by `regir run` and `regir prefetch`.
+    do not use stays None. Shared by `regir run` and `regir prefetch`, which
+    fetch one query at a time.
 
     Every query gets a deep list of 2k entries, so that a date window
     applied before re-ranking can refill to k. Fusion components are fetched
@@ -401,31 +365,56 @@ class Prefetcher:
     def deep(self) -> int:
         return 2 * self.k
 
-    def component_run(self, name: str, query_ids, depth: int) -> Run:
+    def fetch(self, query_id: str, depth: int) -> tuple[RankedList, ...]:
+        """Each component's list for the query, `depth` long; its text is
+        tokenized once for all of them. A query with no centroid or a zero
+        doc vector gets an empty list and a warning; one missing from the
+        query store raises KeyError."""
+        tokens = None
+        if {"bm25", "w2v-cent"} & set(self.components):
+            tokens = self.pipeline(self.queries.get(query_id).text)
+        return tuple(self._search(name, query_id, tokens, depth)
+                     for name in self.components)
+
+    def _search(self, name: str, query_id: str, tokens, depth: int) -> RankedList:
         if name == "bm25":
-            return bm25_run(self.index, self.pipeline, self.queries, query_ids,
-                            self.bm25_params, depth)
+            return self.index.bm25_search(tokens, self.bm25_params, depth)
         if name == "w2v-cent":
-            return centroid_run(self.cent_store, self.pipeline, self.word_vectors,
-                                self.queries, query_ids, depth)
-        if name == "doc-vectors":
-            return doc_vectors_run(self.pool_store, self.query_store, query_ids,
-                                   depth)
-        raise ValueError(f"unknown component {name!r}")
+            try:
+                qvec = centroid(tokens, self.word_vectors, self.pipeline.idf_table)
+            except CentroidError as exc:
+                log.warning("query %s: no centroid (%s); empty list", query_id, exc)
+                return RankedList(presorted=True)
+            return knn_search(qvec, self.cent_store, depth)
+        if query_id not in self.query_store:
+            raise KeyError(f"no vector for query {query_id!r}")
+        qvec = self.query_store.get(query_id)
+        if np.linalg.norm(qvec) == 0:
+            log.warning("query %s: zero doc vector; empty list", query_id)
+            return RankedList(presorted=True)
+        return knn_search(qvec, self.pool_store, depth)
+
+    def deep_list(self, query_id: str, alpha: float | None = None,
+                  parts: tuple[Run, Run] | None = None) -> RankedList:
+        """The query's deep list: its one component's, or the fusion of both
+        components' lists, read from `parts` when given, else fetched."""
+        if len(self.components) == 1:
+            return self.fetch(query_id, self.deep)[0]
+        a, b = ((part[query_id] for part in parts) if parts
+                else self.fetch(query_id, 2 * self.deep))
+        return fuse(normalize_scores(a), normalize_scores(b), alpha, self.deep)
 
     def fusion_parts(self, query_ids) -> tuple[Run, Run]:
         """Both components' runs, each 2 * deep long."""
-        return tuple(self.component_run(name, query_ids, 2 * self.deep)
-                     for name in self.components)
+        run_a, run_b = Run(), Run()
+        for query_id in query_ids:
+            run_a[query_id], run_b[query_id] = self.fetch(query_id, 2 * self.deep)
+        return run_a, run_b
 
     def deep_run(self, query_ids, alpha: float | None = None,
                  parts: tuple[Run, Run] | None = None) -> Run:
-        """The deep list of every query; two components are fused from
-        `parts`, fetched when none are given."""
-        if len(self.components) == 1:
-            return self.component_run(self.components[0], query_ids, self.deep)
-        run_a, run_b = parts or self.fusion_parts(query_ids)
-        return fuse_runs(run_a, run_b, alpha, self.deep)
+        """Every query's deep list, one query at a time."""
+        return Run((q, self.deep_list(q, alpha, parts)) for q in query_ids)
 
 
 class StageFailed(RuntimeError):

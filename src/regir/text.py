@@ -185,12 +185,14 @@ class IdfTable:
         """Mean idf over the stopwords that actually occur in the collection.
 
         Returns 0.0 (an always-pass threshold, since idf is non-negative)
-        when no stopword occurs at all.
+        when no stopword occurs at all. `math.fsum` rounds the exact sum
+        once, so the set's iteration order, which the hash seed picks, does
+        not reach the bits.
         """
         present = [self.idf(t) for t in stopwords if t in self._df]
         if not present:
             return 0.0
-        return sum(present) / len(present)
+        return math.fsum(present) / len(present)
 
 
 class TextPipeline:

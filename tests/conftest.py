@@ -1,10 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import regir
 from regir.corpus import Corpus, Document, Qrels
 from regir.text import build_pipeline
 
@@ -51,6 +56,18 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "full" in item.keywords:
             item.add_marker(skip)
+
+
+def run_python(code: str, *args, hash_seed: int) -> str:
+    """The stdout of `code` run in a fresh interpreter under the given
+    PYTHONHASHSEED, with this package importable."""
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join(
+                   [str(Path(regir.__file__).parents[1]),
+                    *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, check=True, capture_output=True,
+                          text=True).stdout
 
 
 VOCAB = ["tax", "levy", "duty", "customs", "excise", "fish", "quota", "vessel",

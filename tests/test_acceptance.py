@@ -3,6 +3,7 @@ PASS/FAIL line in the terminal summary. The checks re-derive expectations
 with independent oracles (pure-python scorers, finite differences) instead of
 trusting the library's own arithmetic."""
 
+import json
 import math
 import random
 import time
@@ -11,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import build_dataset, criterion, keyed, make_doc
+from conftest import build_dataset, criterion, keyed, make_doc, run_python
 
 from regir.bm25 import Bm25Params, build_index
 from regir.corpus import Corpus
@@ -338,30 +339,36 @@ def test_criterion_7_date_filter_identities():
 
 # --- 8: determinism of a whole run ---
 
+def toy_run_config(tmp_path):
+    """The toy dataset and the config of criterion 8's run: a fused bm25 +
+    w2v-cent pre-fetch, DRMM re-ranking and a post date filter."""
+    dataset = build_dataset(tmp_path, random.Random(20260814))
+    (dataset / "hp.txt").write_text(
+        "lr=0.01\nmax_epochs=2\nbatch=4\nnegatives=2\nB=6\nhidden=3\n")
+    (dataset / "cfg.txt").write_text(
+        "task = EU2UK\n"
+        "seed = 11\n"
+        "data.pool = pool.jsonl\n"
+        "data.queries = queries.jsonl\n"
+        "data.qrels = qrels.tsv\n"
+        "data.splits = splits.json\n"
+        "dense.word_vectors = wv.txt\n"
+        "prefetch.mode = ensemble\n"
+        "prefetch.k = 10\n"
+        "fusion.components = bm25,w2v-cent\n"
+        "fusion.alpha = 0.7\n"
+        "rerank.model = drmm\n"
+        "rerank.hyperparams = hp.txt\n"
+        "datefilter.years = 8\n"
+        "datefilter.mode = post\n"
+        "eval.k = 5\n")
+    return dataset / "cfg.txt"
+
+
 def test_criterion_8_fixed_seed_byte_identical(tmp_path):
     with criterion(8, "fixed-seed toy pipeline run twice gives byte-identical "
                       "eval CSVs"):
-        dataset = build_dataset(tmp_path, random.Random(20260814))
-        (dataset / "hp.txt").write_text(
-            "lr=0.01\nmax_epochs=2\nbatch=4\nnegatives=2\nB=6\nhidden=3\n")
-        (dataset / "cfg.txt").write_text(
-            "task = EU2UK\n"
-            "seed = 11\n"
-            "data.pool = pool.jsonl\n"
-            "data.queries = queries.jsonl\n"
-            "data.qrels = qrels.tsv\n"
-            "data.splits = splits.json\n"
-            "dense.word_vectors = wv.txt\n"
-            "prefetch.mode = ensemble\n"
-            "prefetch.k = 10\n"
-            "fusion.components = bm25,w2v-cent\n"
-            "fusion.alpha = 0.7\n"
-            "rerank.model = drmm\n"
-            "rerank.hyperparams = hp.txt\n"
-            "datefilter.years = 8\n"
-            "datefilter.mode = post\n"
-            "eval.k = 5\n")
-        cfg = load_config(dataset / "cfg.txt")
+        cfg = load_config(toy_run_config(tmp_path))
         first = run_experiment(cfg, tmp_path / "out1")
         second = run_experiment(cfg, tmp_path / "out2")
         assert [p.name for p in first.eval_paths] == \
@@ -370,3 +377,33 @@ def test_criterion_8_fixed_seed_byte_identical(tmp_path):
             assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "out1" / "reranked_test_seed11.tsv").read_bytes() \
             == (tmp_path / "out2" / "reranked_test_seed11.tsv").read_bytes()
+
+
+RUN_CONFIG = """
+import sys
+from regir.experiment import load_config, run_experiment
+run_experiment(load_config(sys.argv[1]), sys.argv[2])
+"""
+
+
+def test_toy_run_is_byte_identical_across_processes(tmp_path):
+    """Criterion 8's run in two interpreters with different hash seeds:
+    every artifact is byte-identical, the manifest's stage timings apart."""
+    cfg = toy_run_config(tmp_path)
+    outdirs = [tmp_path / f"out{seed}" for seed in (1, 2)]
+    for seed, outdir in zip((1, 2), outdirs):
+        run_python(RUN_CONFIG, cfg, outdir, hash_seed=seed)
+    names = [sorted(p.name for p in outdir.iterdir()) for outdir in outdirs]
+    assert names[0] == names[1]
+    assert "manifest.json" in names[0] and "reranked_test_seed11.tsv" in names[0]
+    for name in names[0]:
+        first, second = ((outdir / name).read_bytes() for outdir in outdirs)
+        if name == "manifest.json":
+            first, second = (_without_timings(m) for m in (first, second))
+        assert first == second, name
+
+
+def _without_timings(manifest: bytes) -> dict:
+    data = json.loads(manifest)
+    data["timings"] = sorted(data["timings"])
+    return data

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from regir.bm25 import load_index
 from regir.cli import main
 from regir.corpus import ingest_collection
+from regir.fusion import default_alpha_grid
 from regir.ranking import read_run
 from regir.rerank import load_checkpoint, load_token_vectors
 from regir.rerank.train import FeatureStore
@@ -540,6 +541,23 @@ def test_fuse_tuned_alpha_grid(env, tmp_path):
     lines = grid_out.read_text().splitlines()
     assert lines[0] == "alpha,recall_at_k"
     assert len(lines) == 4
+
+
+def test_fuse_default_grid_is_the_default_alpha_grid(env, tmp_path):
+    """Without --grid, tuning sweeps `default_alpha_grid()`: the grid CSV
+    is the one `--grid 0:1:0.05` writes, and --help states that grid."""
+    grids = []
+    for extra in ([], ["--grid", "0:1:0.05"]):
+        grid_out = tmp_path / f"grid{len(grids)}.csv"
+        env.ok("fuse", "--run-a", env.root / "run_all.tsv",
+               "--run-b", env.root / "run_all.tsv", "--tune-alpha",
+               "--qrels", env.root / "qrels.tsv", *extra,
+               "--grid-out", grid_out, "--out", tmp_path / "fused.tsv")
+        grids.append(grid_out.read_bytes())
+    assert grids[0] == grids[1]
+    alphas = [line.split(",")[0] for line in grids[0].decode().splitlines()[1:]]
+    assert alphas == [repr(a) for a in default_alpha_grid()]
+    assert "[default: 0:1:0.05]" in " ".join(env.ok("fuse", "--help").output.split())
 
 
 def test_fuse_requires_alpha_or_tune(env, tmp_path):

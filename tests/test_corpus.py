@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -168,6 +169,23 @@ def test_split_manifest_empty_relevant_rejected():
     manifest = SplitManifest(["q1"], ["q2"], ["q3"], ["p1"])
     qrels = Qrels({"q1": {"p1"}, "q3": {"p1"}})
     with pytest.raises(CorpusError):
+        manifest.validate(qrels=qrels)
+
+
+def test_split_manifest_errors_name_ids_in_split_order():
+    """The first five offending ids in the split's own order: a set's order
+    would change with the hash seed."""
+    ids = ["q9", "q3", "q7", "q1", "q5", "q8", "q2"]
+    manifest = SplitManifest(["t1"], ids, ["t2"], ["p1"])
+    queries = Corpus([make_doc(q, ["a"]) for q in ("t1", "t2")])
+    with pytest.raises(CorpusError, match=re.escape(
+            "split 'dev': ids missing from query collection: "
+            "['q9', 'q3', 'q7', 'q1', 'q5']")):
+        manifest.validate(query_corpus=queries)
+    qrels = Qrels({"t1": {"p1"}, "t2": {"p1"}})
+    with pytest.raises(CorpusError, match=re.escape(
+            "split 'dev': queries with no relevant documents: "
+            "['q9', 'q3', 'q7', 'q1', 'q5']")):
         manifest.validate(qrels=qrels)
 
 

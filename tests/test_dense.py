@@ -11,7 +11,7 @@ from regir.dense import (CentroidError, DocVectorStore, VectorFormatError,
                          WordVectors, build_centroid_store, centroid,
                          knn_search, load_doc_vectors, load_word_vectors,
                          save_doc_vectors)
-from regir.experiment import centroid_run, doc_vectors_run
+from regir.experiment import Prefetcher
 from regir.text import build_pipeline
 
 from conftest import keyed, make_doc
@@ -20,6 +20,20 @@ from oracles import centroid_loop, score_of
 
 def wv_from(mapping):
     return keyed(WordVectors, mapping)
+
+
+def centroid_fetch(store, pipeline, word_vectors, queries, query_ids, depth):
+    """Each query's w2v-cent list through the run's pre-fetcher."""
+    prefetcher = Prefetcher(("w2v-cent",), depth, queries, pipeline,
+                            word_vectors=word_vectors, cent_store=store)
+    return {q: prefetcher.fetch(q, depth)[0] for q in query_ids}
+
+
+def doc_vectors_fetch(pool_store, query_store, query_ids, depth):
+    """Each query's doc-vectors list through the run's pre-fetcher."""
+    prefetcher = Prefetcher(("doc-vectors",), depth, Corpus([]),
+                            pool_store=pool_store, query_store=query_store)
+    return {q: prefetcher.fetch(q, depth)[0] for q in query_ids}
 
 
 def idf_from(values):
@@ -339,14 +353,14 @@ def test_dense_prefetch_single_doc_pool():
     pool = Corpus([make_doc("p1", ["tax"], title="tax")])
     pipeline = build_pipeline(pool, stopwords=frozenset(), idf_filter=False)
     store = build_centroid_store(pool, pipeline, make_wv())
-    ranked = centroid_run(store, pipeline, make_wv(), corpus, ["q1"], 5)["q1"]
+    ranked = centroid_fetch(store, pipeline, make_wv(), corpus, ["q1"], 5)["q1"]
     assert ranked.doc_ids == ["p1"]
 
 
 def test_dense_prefetch_doc_vectors_mode():
     pool = make_store({"p1": [1.0, 0.0], "p2": [0.0, 1.0]})
     queries = make_store({"q1": [0.9, 0.1]})
-    ranked = doc_vectors_run(pool, queries, ["q1"], 2)["q1"]
+    ranked = doc_vectors_fetch(pool, queries, ["q1"], 2)["q1"]
     assert ranked.doc_ids == ["p1", "p2"]
 
 
@@ -354,17 +368,17 @@ def test_dense_prefetch_missing_query_vector():
     pool = make_store({"p1": [1.0, 0.0]})
     queries = make_store({"other": [1.0, 0.0]})
     with pytest.raises(KeyError):
-        doc_vectors_run(pool, queries, ["q1"], 1)
+        doc_vectors_fetch(pool, queries, ["q1"], 1)
 
 
 def test_queries_with_a_zero_doc_vector_get_an_empty_list(caplog):
     """Such a query used to abort the whole pre-fetch with `zero query
-    vector`; now it gets centroid_run's policy. A vector whose squares all
+    vector`; now it gets the no-centroid policy. A vector whose squares all
     underflow has a zero norm too."""
     pool = make_store({"p1": [1.0, 0.0], "p2": [0.0, 1.0]})
     queries = make_store({"q1": [0.0, 0.0], "q2": [0.9, 0.1], "q3": [1e-200, 0.0]})
     with caplog.at_level("WARNING"):
-        run = doc_vectors_run(pool, queries, ["q1", "q2", "q3"], 2)
+        run = doc_vectors_fetch(pool, queries, ["q1", "q2", "q3"], 2)
     assert [run[q].doc_ids for q in ("q1", "q2", "q3")] == [[], ["p1", "p2"], []]
     assert [r.message for r in caplog.records] == [
         f"query {q}: zero doc vector; empty list" for q in ("q1", "q3")]
@@ -444,7 +458,7 @@ def test_queries_with_a_zero_centroid_get_an_empty_list(caplog):
     store = build_centroid_store(pool, pipeline, wv)
     caplog.clear()
     with caplog.at_level("WARNING"):
-        run = centroid_run(store, pipeline, wv, queries, ["q1", "q2", "q3"], 5)
+        run = centroid_fetch(store, pipeline, wv, queries, ["q1", "q2", "q3"], 5)
     assert [len(run[q]) for q in ("q1", "q2", "q3")] == [0, 0, 2]
     assert [r.message for r in caplog.records] == [
         f"query {q}: no centroid (the tf*idf weighted sum of the word vectors "

@@ -8,11 +8,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import regir.text
 from regir._npz import write_npz
 from regir.bm25 import INDEX_FORMAT, load_index
-from regir.corpus import Qrels
-from regir.experiment import (ConfigError, _parse_range, emit_rk_curve,
-                              hash_file, load_config, run_experiment)
+from regir.corpus import Qrels, ingest_collection
+from regir.experiment import (ConfigError, Prefetcher, _parse_range,
+                              emit_rk_curve, hash_file, load_config,
+                              run_experiment)
 from regir.metrics import read_eval_csv
 from regir.ranking import RankedList, Run, read_run
 
@@ -329,24 +331,51 @@ def test_run_experiment_full_stack(dataset, tmp_path):
 
 
 def test_fusion_tune_fetches_each_dev_query_once(dataset, tmp_path, monkeypatch):
-    import regir.experiment as experiment
-
+    """Tuning alpha and the dev split's lists share one fetch of each dev
+    query, which returns both components' lists."""
     fetched = []
-    for name in ("bm25_run", "centroid_run"):
-        def counting(*args, _name=name, _real=getattr(experiment, name)):
-            run = _real(*args)
-            fetched.extend((_name, q) for q in run)
-            return run
-        monkeypatch.setattr(experiment, name, counting)
+    real = Prefetcher.fetch
+
+    def counting(self, query_id, depth):
+        lists = real(self, query_id, depth)
+        fetched.append((query_id, len(lists)))
+        return lists
+
+    monkeypatch.setattr(Prefetcher, "fetch", counting)
     cfg = cfg_from(dataset, BASE_CFG.replace("prefetch.mode = bm25", "")
                    + "prefetch.mode = ensemble\n"
                    "fusion.components = bm25,w2v-cent\nfusion.tune = true\n"
                    "dense.word_vectors = wv.txt\n")
     run_experiment(cfg, tmp_path / "out")
+    dev = json.loads((dataset / "splits.json").read_text())["dev"]
+    assert sorted(f for f in fetched if f[0] in dev) == [(q, 2) for q in sorted(dev)]
+
+
+@pytest.mark.parametrize("fusion", ["fusion.alpha = 0.5", "fusion.tune = true"])
+def test_an_ensemble_run_tokenizes_each_fetched_query_once(dataset, tmp_path,
+                                                           monkeypatch, fusion):
+    """One fetch serves both components, and the dev lists share the fetch
+    that tunes alpha: each fetched query's text is tokenized once."""
+    calls = Counter()
+    real = regir.text.tokenize
+
+    def counting(text):
+        calls[text] += 1
+        return real(text)
+
+    monkeypatch.setattr(regir.text, "tokenize", counting)
+    cfg = cfg_from(dataset, BASE_CFG.replace("prefetch.mode = bm25", "")
+                   + "prefetch.mode = ensemble\n"
+                   f"fusion.components = bm25,w2v-cent\n{fusion}\n"
+                   "dense.word_vectors = wv.txt\n")
+    run_experiment(cfg, tmp_path / "out")
     splits = json.loads((dataset / "splits.json").read_text())
-    for name in ("bm25_run", "centroid_run"):
-        dev = [q for n, q in fetched if n == name and q in splits["dev"]]
-        assert sorted(dev) == sorted(splits["dev"]), name
+    fetched = splits["test"] + (splits["dev"] if cfg.fusion_tune else [])
+    queries = ingest_collection(dataset / "queries.jsonl")
+    pool_texts = {doc.text for doc in ingest_collection(dataset / "pool.jsonl")}
+    assert not pool_texts & {query.text for query in queries}
+    assert {q.doc_id: calls[q.text] for q in queries} == \
+        {q.doc_id: int(q.doc_id in fetched) for q in queries}
 
 
 def edit_timings(outdir, edit):

@@ -28,8 +28,9 @@ from oracles import mean_relevant
 from regir.bm25 import build_index, default_grid, tune_bm25, write_grid_csv
 from regir.corpus import SplitManifest, ingest_collection, load_qrels
 from regir.dense import load_doc_vectors, load_word_vectors
-from regir.experiment import bm25_run, doc_vectors_run
+from regir.experiment import Prefetcher
 from regir.metrics import evaluate_run
+from regir.ranking import Run
 from regir.rerank.features import TypeEmbeddings
 from regir.rerank.train import FeatureStore, Hyperparams, train_model
 from regir.text import build_pipeline
@@ -74,6 +75,11 @@ def task_data(ctx, task):
     return ctx.cache[("data", task)]
 
 
+def fetch_run(prefetcher, query_ids, depth):
+    """The one-component pre-fetcher's run over `query_ids`, `depth` deep."""
+    return Run((q, prefetcher.fetch(q, depth)[0]) for q in query_ids)
+
+
 def tuned_bm25(ctx, task):
     """Index the pool, sweep the full (k1, b) grid on dev at R@100, and score
     the test split with the winning cell."""
@@ -88,13 +94,14 @@ def tuned_bm25(ctx, task):
                                 b_grid, 100)
         grid_path = ctx.work / f"{task}_bm25_grid.csv"
         write_grid_csv(cells, grid_path)
-        test_run = bm25_run(index, pipeline, data.queries,
-                            data.splits.test_ids, best, 100)
+        prefetcher = Prefetcher(("bm25",), 100, data.queries, pipeline,
+                                index, best)
+        test_run = fetch_run(prefetcher, data.splits.test_ids, 100)
         report = evaluate_run(test_run, data.qrels.restrict(data.splits.test_ids),
                               k=100)
         ctx.cache[("bm25", task)] = SimpleNamespace(
-            best=best, grid_path=grid_path, pipeline=pipeline, index=index,
-            test_run=test_run, report=report)
+            best=best, grid_path=grid_path, pipeline=pipeline,
+            prefetcher=prefetcher, test_run=test_run, report=report)
     return ctx.cache[("bm25", task)]
 
 
@@ -163,7 +170,9 @@ def test_criterion_12_doc_vector_ingestion(ctx):
         pool_store.validate_against(data.pool)
         query_store = load_doc_vectors(
             ctx.root / found / "doc_vectors_queries.vec")
-        run = doc_vectors_run(pool_store, query_store, data.splits.test_ids, 100)
+        prefetcher = Prefetcher(("doc-vectors",), 100, data.queries,
+                                pool_store=pool_store, query_store=query_store)
+        run = fetch_run(prefetcher, data.splits.test_ids, 100)
         report = evaluate_run(run, data.qrels.restrict(data.splits.test_ids),
                               k=100)
         assert 0.0 <= report.macro["r_at_100"] <= 1.0
@@ -182,8 +191,7 @@ def test_criterion_12_trained_reranker_prefers_prefetch_score(ctx):
         data = task_data(ctx, task)
         bm25 = tuned_bm25(ctx, task)
         ids = data.splits.train_ids + data.splits.dev_ids
-        run = bm25_run(bm25.index, bm25.pipeline, data.queries, ids,
-                       bm25.best, 100)
+        run = fetch_run(bm25.prefetcher, ids, 100)
         hp = Hyperparams()
         provider = TypeEmbeddings(load_word_vectors(wv_path))
         store = FeatureStore("drmm", provider, bm25.pipeline, data.queries,

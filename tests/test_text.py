@@ -17,7 +17,7 @@ from regir.rerank.train import FeatureStore, Hyperparams
 from regir.text import (TextPipeline, build_pipeline, encode_bags,
                         load_default_stopwords, load_stopwords, tokenize)
 
-from conftest import VOCAB, make_doc, random_corpus
+from conftest import VOCAB, make_doc, random_corpus, run_python
 from oracles import idf_from_token_lists, tokenize_per_char
 
 
@@ -222,6 +222,31 @@ def test_stopword_avg_idf_restricted_to_present_words():
 def test_stopword_avg_idf_no_stopwords_present():
     table = idf_from_token_lists([["tax"], ["levy"]])
     assert table.stopword_avg_idf(frozenset({"the", "of"})) == 0.0
+
+
+THRESHOLD_OF_A_POOL = """
+import random
+from regir.corpus import Corpus, Document
+from regir.text import build_pipeline, load_default_stopwords
+
+rng = random.Random(5)
+stopwords = sorted(load_default_stopwords())
+docs = [Document(doc_id=f"d{i}", title=f"Act {i}",
+                 body=" ".join(rng.sample(stopwords, rng.randint(1, 60))
+                               + [f"term{rng.randrange(500)}" for _ in range(20)]),
+                 year=0)
+        for i in range(300)]
+print(repr(build_pipeline(Corpus(docs)).threshold))
+"""
+
+
+def test_threshold_does_not_depend_on_the_hash_seed():
+    """The stopwords are a set, whose iteration order the hash seed picks.
+    Summed in that order, these seeds gave three thresholds, so a term whose
+    idf lies between them was kept by one process and dropped by another."""
+    thresholds = {run_python(THRESHOLD_OF_A_POOL, hash_seed=seed)
+                  for seed in (1, 3, 4)}
+    assert len(thresholds) == 1, thresholds
 
 
 # --- denoise ---
