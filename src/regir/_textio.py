@@ -14,7 +14,7 @@ import re
 import numpy as np
 
 # values converted per numpy call: bounds the parser's transient strings
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 
 
 def read_lines(path, *, strip: bool = True, comments: bool = True,
@@ -59,16 +59,31 @@ def read_jsonl(path, error: type[ValueError] = ValueError):
         yield line_no, _json(line, path, line_no, error)
 
 
+def _line_bound(path) -> int:
+    """At least the number of lines `read_lines` reads from the file: one
+    more than its line breaks, counting a CR LF split between two chunks
+    twice."""
+    count = 1
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            count += chunk.count(b"\n")
+            if b"\r" in chunk:  # universal newlines end a line at a lone CR too
+                count += chunk.count(b"\r") - chunk.count(b"\r\n")
+    return count
+
+
 def read_vectors(path, *, keys: int = 1, dim: int | None = None,
                  comments: bool = False, error: type[ValueError] = ValueError):
     """(key fields, line numbers, float64 matrix) of `key... v1 ... vdim`
     lines, `keys` fields per key. `dim` defaults to the first line's value
     count. Each value must be finite (read exactly as `float` reads it) and
-    each row's norm too."""
+    each row's norm too. The matrix is allocated once, with a row for each
+    line of the file, and each block of lines is parsed into its rows; the
+    rows no vector filled are cut off at the end."""
     names: list[list[str]] = []
     line_nos: list[int] = []
-    blocks: list[np.ndarray] = []
     tokens: list[str] = []
+    matrix = None
 
     def flush():  # convert the pending lines, naming the first bad one
         if not tokens:
@@ -87,7 +102,7 @@ def read_vectors(path, *, keys: int = 1, dim: int | None = None,
             bad = np.flatnonzero(~np.isfinite(np.linalg.norm(block, axis=1)))
         if len(bad):
             raise error(f"{path}: line {rows[bad[0]]}: non-finite value or norm")
-        blocks.append(block)
+        matrix[len(line_nos) - len(block):len(line_nos)] = block
         tokens.clear()
 
     for line_no, line in read_lines(path, comments=comments, error=error):
@@ -97,6 +112,8 @@ def read_vectors(path, *, keys: int = 1, dim: int | None = None,
             flush()  # an earlier line's fault comes first
             raise error(f"{path}: line {line_no}: expected {dim or 'some'} vector "
                         f"values, got {max(count, 0)}")
+        if matrix is None:
+            matrix = np.empty((_line_bound(path), count))
         dim = count
         names.append(parts[:keys])
         line_nos.append(line_no)
@@ -106,7 +123,10 @@ def read_vectors(path, *, keys: int = 1, dim: int | None = None,
     flush()
     if dim is None:
         raise error(f"{path}: no vectors")
-    return names, line_nos, np.concatenate(blocks) if blocks else np.zeros((0, dim))
+    if matrix is None:  # a given dim, and no vector lines
+        return names, line_nos, np.zeros((0, dim))
+    matrix.resize((len(line_nos), dim), refcheck=False)
+    return names, line_nos, matrix
 
 
 def read_key_values(path, known, error: type[ValueError] = ValueError):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from ._npz import read_npz, write_npz
 from ._textio import read_json, write_table
 from .metrics import recall_at_k
 from .ranking import RankedList, top_k_from_arrays
-from .text import IdfTable, TextPipeline
+from .text import IdfTable, TextPipeline, distinct_rows
 
 INDEX_FORMAT = "regir-postings-index"
 INDEX_VERSION = 3
@@ -75,7 +74,8 @@ class PostingsIndex:
     the sorted doc ids, ascending) and `tf` (each >= 1). A document's length
     is the sum of its tf. The arrays have the types scoring reads (intp
     offsets and positions, float tf), so gathering a query's postings
-    converts nothing; the file holds them as int32.
+    converts nothing; the file holds them as int32. `doc_ids` ascend, so
+    top-k breaks ties by row.
     """
 
     def __init__(self, pipeline: TextPipeline, doc_ids: list[str],
@@ -105,15 +105,11 @@ class PostingsIndex:
         """The postings of the query's indexed terms, in the order the terms
         first occur in the query: each entry's document row, tf and
         document length, and q_tf * idf(term) * tf."""
-        rows, weights = [], []
-        for term, q_tf in Counter(query_tokens).items():
-            row = self._row.get(term)
-            if row is not None:
-                rows.append(row)
-                weights.append(q_tf * self.idf_table.idf(term))
-        rows = np.array(rows, dtype=np.intp)
+        _, rows, q_tf = distinct_rows(query_tokens, self._row)
         lo = self.offsets[rows]
         sizes = self.offsets[rows + 1] - lo
+        # a term's postings number its df: its idf needs no lookup by term
+        weights = q_tf * self.idf_table.idf_of_df(sizes)
         # the j-th entry of the i-th term is gathered to starts[i] + j from
         # lo[i] + j
         starts = np.cumsum(sizes) - sizes
@@ -134,8 +130,8 @@ class PostingsIndex:
     def _top_k(self, scores: np.ndarray, k: int) -> RankedList:
         if k < 1:
             raise ValueError("k must be >= 1")
-        return RankedList(top_k_from_arrays(self.doc_ids, scores, min(k, self.doc_count)),
-                          presorted=True)
+        return RankedList(top_k_from_arrays(self.doc_ids, scores, min(k, self.doc_count),
+                                            sorted_ids=True), presorted=True)
 
     def score_all(self, query_tokens: list[str], params: Bm25Params) -> np.ndarray:
         """BM25 scores for every pool document, aligned with sorted doc ids."""

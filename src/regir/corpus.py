@@ -16,6 +16,9 @@ import re
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
+
+import numpy as np
 
 from ._textio import read_json, read_jsonl, read_lines
 
@@ -91,6 +94,16 @@ class Corpus:
             return self._docs[doc_id]
         except KeyError:
             raise KeyError(f"unknown doc_id {doc_id!r}") from None
+
+    def years(self, doc_ids) -> np.ndarray:
+        """The publication year of each doc_id, in order, as int64; `get`'s
+        KeyError for the first unknown one."""
+        try:
+            return np.fromiter(map(attrgetter("year"),
+                                   map(self._docs.__getitem__, doc_ids)),
+                               dtype=np.int64)
+        except KeyError as exc:
+            raise KeyError(f"unknown doc_id {exc.args[0]!r}") from None
 
     @property
     def ids(self) -> list[str]:

@@ -13,6 +13,10 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
+
+import numpy as np
 
 from ._textio import write_table
 from .metrics import recall_at_k
@@ -48,11 +52,11 @@ def apply_filter(query_doc, ranking: RankedList, window: DateWindow, corpus) -> 
         log.warning("query %s has no publication year; date filter skipped",
                     query_doc.doc_id)
         return ranking
-    y = window.max_distance_years
-    kept = [(doc_id, score) for doc_id, score in ranking
-            if corpus.get(doc_id).year == 0
-            or abs(corpus.get(doc_id).year - query_doc.year) <= y]
-    return RankedList(kept, presorted=True)
+    years = corpus.years(map(itemgetter(0), ranking))
+    # int64 differences of years are exact, and so is comparing them with
+    # the integer-valued or infinite float window
+    keep = (years == 0) | (np.abs(years - query_doc.year) <= window.max_distance_years)
+    return RankedList(compress(ranking, keep), presorted=True)
 
 
 def filter_run(run: Run, window: DateWindow, query_corpus, pool_corpus,

@@ -14,13 +14,14 @@ store type; this module validates and consumes them, nothing more.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from collections.abc import Mapping
+from itertools import repeat
 
 import numpy as np
 
 from ._textio import parse_number, read_lines, read_vectors, write_table
 from .ranking import RankedList, top_k_from_arrays
+from .text import distinct_rows
 
 log = logging.getLogger(__name__)
 
@@ -172,13 +173,8 @@ def centroid(tokens: list[str], word_vectors: WordVectors, idf_table) -> np.ndar
     weighted vectors sum to zero; callers decide whether that aborts or skips
     the document.
     """
-    rows, weights = [], []
-    for term, tf in Counter(tokens).items():
-        row = word_vectors.row.get(term)
-        if row is not None:
-            rows.append(row)
-            weights.append(tf * idf_table.idf(term))
-    return _centroid(word_vectors.matrix[rows], np.array(weights, dtype=np.float64))
+    terms, rows, tf = distinct_rows(tokens, word_vectors.row)
+    return _centroid(word_vectors.matrix[rows], tf * idf_table.idfs(terms))
 
 
 def build_centroid_store(corpus, pipeline, word_vectors: WordVectors,
@@ -192,9 +188,9 @@ def build_centroid_store(corpus, pipeline, word_vectors: WordVectors,
     if on_empty not in ("skip-document", "error"):
         raise ValueError(f"unknown zero-vector policy {on_empty!r}")
     bags = pipeline.bags(corpus)
-    term_rows = np.array([word_vectors.row.get(t, -1) for t in bags.terms],
-                         dtype=np.int64)
-    term_idf = np.array([pipeline.idf_table.idf(t) for t in bags.terms])
+    term_rows = np.fromiter(map(word_vectors.row.get, bags.terms, repeat(-1)),
+                            dtype=np.int64, count=len(bags.terms))
+    term_idf = pipeline.idf_table.idfs(bags.terms)
     in_vocab = bags.select(term_rows >= 0)
     rows = term_rows[in_vocab.ids]
     weights = in_vocab.tf * term_idf[in_vocab.ids]
@@ -237,6 +233,6 @@ def knn_search(query_vec: np.ndarray, store: DocVectorStore, k: int) -> RankedLi
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = (store.matrix @ query_vec) / (store._norms * qnorm)
     sims = np.where(store._norms == 0, -1.0, sims)
-    return RankedList(top_k_from_arrays(store._ids, sims, min(k, len(store))),
-                      presorted=True)
+    return RankedList(top_k_from_arrays(store._ids, sims, min(k, len(store)),
+                                        sorted_ids=True), presorted=True)
 

@@ -10,11 +10,14 @@ normalized range.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from pathlib import Path
+
+import numpy as np
 
 from ._textio import read_json, write_table
 from .metrics import recall_at_k
-from .ranking import RankedList, Run, sort_scored
+from .ranking import RankedList, Run, top_k_from_arrays
 
 
 def normalize_scores(ranking: RankedList) -> RankedList:
@@ -22,35 +25,46 @@ def normalize_scores(ranking: RankedList) -> RankedList:
     Ordering is preserved."""
     if not ranking:
         raise ValueError("cannot normalize an empty ranking")
-    scores = [s for _, s in ranking]
+    doc_ids, scores = zip(*ranking)
     lo, hi = min(scores), max(scores)
     if hi == lo:
-        return RankedList([(d, 1.0) for d, _ in ranking], presorted=True)
-    span = hi - lo
-    return RankedList([(d, (s - lo) / span) for d, s in ranking], presorted=True)
+        return RankedList(zip(doc_ids, repeat(1.0)), presorted=True)
+    normalized = (np.array(scores, dtype=np.float64) - lo) / (hi - lo)
+    return RankedList(zip(doc_ids, normalized.tolist()), presorted=True)
 
 
-def _check_normalized(ranking: RankedList, name: str) -> None:
-    for _, s in ranking:
-        if not -1e-9 <= s <= 1 + 1e-9:
-            raise ValueError(f"{name} is not min-max normalized (score {s!r}); "
-                             "call normalize_scores first")
+def _scores(ranking: RankedList, name: str) -> dict:
+    """The ranking as a doc_id -> score dict, each score in [0, 1] up to
+    1e-9."""
+    scores = dict(ranking)
+    values = list(scores.values())
+    array = np.array(values, dtype=np.float64)
+    outside = ~((array >= -1e-9) & (array <= 1 + 1e-9))
+    if outside.any():
+        raise ValueError(f"{name} is not min-max normalized (score "
+                         f"{values[int(outside.argmax())]!r}); call "
+                         f"normalize_scores first")
+    return scores
 
 
 def fuse(list_a: RankedList, list_b: RankedList, alpha: float, k: int) -> RankedList:
     """Top-k of the union under the convex combination. Both inputs must
-    already be normalized; ties break by ascending doc_id."""
+    already be normalized; ties break by ascending doc_id.
+
+    A document one list lacks takes 0.0 there. Each fused score is the
+    float64 `alpha * a + (1 - alpha) * b`, whose every operation numpy
+    rounds as Python's floats do."""
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_normalized(list_a, "list_a")
-    _check_normalized(list_b, "list_b")
-    a = dict(list_a)
-    b = dict(list_b)
-    fused = [(doc_id, alpha * a.get(doc_id, 0.0) + (1 - alpha) * b.get(doc_id, 0.0))
-             for doc_id in set(a) | set(b)]
-    return RankedList(sort_scored(fused)[:k], presorted=True)
+    a_scores, b_scores = _scores(list_a, "list_a"), _scores(list_b, "list_b")
+    doc_ids = list(dict.fromkeys(chain(a_scores, b_scores)))
+    a, b = (np.fromiter(map(scores.get, doc_ids, repeat(0.0)), dtype=np.float64,
+                        count=len(doc_ids)) for scores in (a_scores, b_scores))
+    fused = alpha * a + (1 - alpha) * b
+    return RankedList(top_k_from_arrays(np.array(doc_ids, dtype=object), fused, k),
+                      presorted=True)
 
 
 def fuse_runs(run_a: Run, run_b: Run, alpha: float, k: int) -> Run:

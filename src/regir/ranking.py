@@ -8,6 +8,7 @@ implementations and reruns produce identical files.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -15,44 +16,50 @@ from ._textio import read_lines, write_table
 
 
 def sort_scored(pairs: list[tuple[str, float]]) -> list[tuple[str, float]]:
-    """Descending score, ascending doc_id on ties."""
-    return sorted(pairs, key=lambda p: (-p[1], p[0]))
+    """Descending score, ascending doc_id on ties: by doc_id, then by score
+    in a stable sort, which keeps the doc_id order within equal scores."""
+    ordered = sorted(pairs, key=itemgetter(0))
+    ordered.sort(key=itemgetter(1), reverse=True)
+    return ordered
 
 
-def top_k_from_arrays(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
+def top_k_from_arrays(doc_ids: np.ndarray, scores: np.ndarray, k: int, *,
+                      sorted_ids: bool = False) -> list[tuple[str, float]]:
     """Vectorized top-k with the canonical tie-break.
 
     Keeps every score >= the k-th largest, ties at the cut included, and
     sorts only those: lexsort's last key is primary, so by -score, then
-    doc_id ascending.
+    doc_id ascending. With `sorted_ids` the caller vouches that doc_ids
+    ascend, as an index's and a vector store's do: ascending rows then
+    order tied ids, and no id is compared.
     """
     n = len(scores)
     k = min(max(k, 0), n)
     if k == 0:
         return []
     candidates = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
-    order = np.lexsort((doc_ids[candidates], -scores[candidates]))
-    top = candidates[order[:k]]
-    return [(str(doc_ids[i]), float(scores[i])) for i in top]
+    ties = candidates if sorted_ids else doc_ids[candidates]
+    top = candidates[np.lexsort((ties, -scores[candidates]))[:k]]
+    return list(zip(doc_ids[top].tolist(),
+                    scores[top].astype(np.float64, copy=False).tolist()))
 
 
 class RankedList(list):
     """Scored ranking for one query; items are (doc_id, score) tuples."""
 
     def __init__(self, items=(), *, presorted: bool = False):
-        items = list(items)
-        if not presorted:
-            items = sort_scored(items)
-        seen: set[str] = set()
-        for doc_id, _ in items:
-            if doc_id in seen:
-                raise ValueError(f"duplicate doc_id in ranking: {doc_id!r}")
-            seen.add(doc_id)
+        items = list(items) if presorted else sort_scored(items)
+        if len(set(map(itemgetter(0), items))) != len(items):
+            seen: set[str] = set()
+            for doc_id, _ in items:  # name the first repeat
+                if doc_id in seen:
+                    raise ValueError(f"duplicate doc_id in ranking: {doc_id!r}")
+                seen.add(doc_id)
         super().__init__(items)
 
     @property
     def doc_ids(self) -> list[str]:
-        return [d for d, _ in self]
+        return list(map(itemgetter(0), self))
 
     def truncated(self, k: int) -> "RankedList":
         return RankedList(self[:k], presorted=True)

@@ -157,7 +157,7 @@ def drmm_query(query_terms: list[str], query_doc_id: str, provider, idf_table):
     if not query_terms:
         raise ValueError("empty query after denoising")
     return (provider.rows(query_doc_id, query_terms),
-            np.array([idf_table.idf(t) for t in query_terms]))
+            idf_table.idfs(query_terms))
 
 
 # Bound on the entries of one DRMM batch's (Q, sum of D) similarity buffer,
@@ -231,7 +231,7 @@ def pacrr_query(query_tokens: list[str], query_doc_id: str, provider,
     if not query_tokens:
         raise ValueError("empty query after denoising")
     return (provider.rows(query_doc_id, query_tokens, q_len),
-            softmax(np.array([idf_table.idf(t) for t in query_tokens[:q_len]])))
+            softmax(idf_table.idfs(query_tokens[:q_len])))
 
 
 def pacrr_pair(query, doc_tokens, doc_id: str, provider, d_len: int):

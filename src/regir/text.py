@@ -12,10 +12,10 @@ import math
 import re
 import unicodedata
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from importlib import resources
-from itertools import filterfalse
+from itertools import chain, compress, filterfalse, repeat
 
 import numpy as np
 
@@ -47,8 +47,7 @@ def tokenize(text: str) -> list[str]:
     the whole text gives.
     """
     stripped = _FOLD_RE.sub(_fold_marks, text)
-    tokens = _TOKEN_RE.findall(stripped.lower())
-    return [t for t in tokens if not t.isdigit()]
+    return list(filterfalse(str.isdigit, _TOKEN_RE.findall(stripped.lower())))
 
 
 @dataclass(frozen=True)
@@ -134,6 +133,17 @@ def _count_terms(seq: np.ndarray, bounds: np.ndarray, n_terms: int):
             np.bincount(doc[first], minlength=len(bounds) - 1))
 
 
+def distinct_rows(tokens, row: dict) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct tokens that `row` maps, in first-occurrence order, with
+    each one's row and its count as a float."""
+    counts = Counter(tokens)
+    rows = np.fromiter(map(row.get, counts, repeat(-1)), dtype=np.intp,
+                       count=len(counts))
+    hit = rows >= 0
+    tf = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    return list(compress(counts, hit)), rows[hit], tf[hit]
+
+
 def load_default_stopwords() -> frozenset[str]:
     """Fixed English stopword list shipped with the package (~320 words)."""
     data = resources.files("regir.data").joinpath("stopwords_en.txt").read_text("utf-8")
@@ -164,15 +174,26 @@ class IdfTable:
                 raise ValueError(f"df[{term!r}] = {count} outside [1, {doc_count}]")
         self.doc_count = doc_count
         self._df = dict(df)
-        self._idf = {t: self._formula(c) for t, c in self._df.items()}
-        self._unseen = self._formula(0)
+        counts = np.fromiter(self._df.values(), dtype=np.int64, count=len(self._df))
+        self._idf = dict(zip(self._df, self.idf_of_df(counts).tolist()))
+        self._unseen = float(self.idf_of_df(np.zeros(1, dtype=np.int64))[0])
 
-    def _formula(self, df: int) -> float:
-        n = self.doc_count
-        return math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+    def idf_of_df(self, df: np.ndarray) -> np.ndarray:
+        """The idf of each int64 document frequency: the ratio's arithmetic
+        rounds each step as Python does on an int df (int64 differences are
+        exact, and an int enters a float sum exactly), and `math.log` takes
+        each ratio."""
+        ratios = (self.doc_count - df + 0.5) / (df + 0.5) + 1.0
+        return np.fromiter(map(math.log, ratios.tolist()), dtype=np.float64,
+                           count=len(ratios))
 
     def idf(self, term: str) -> float:
         return self._idf.get(term, self._unseen)
+
+    def idfs(self, terms) -> np.ndarray:
+        """The idf of each term, in order, as one float64 array."""
+        return np.fromiter(map(self._idf.get, terms, repeat(self._unseen)),
+                           dtype=np.float64)
 
     def df(self, term: str) -> int:
         return self._df.get(term, 0)
@@ -210,25 +231,28 @@ class TextPipeline:
         self.stopwords = load_default_stopwords() if stopwords is None else frozenset(stopwords)
         self.idf_filter = idf_filter
         self.threshold = idf_table.stopword_avg_idf(self.stopwords)
+        # the terms denoising drops: the stopwords, and with the idf filter
+        # on, the table terms below the threshold. A term outside the table
+        # has the df = 0 idf, the table maximum, which no threshold (a mean
+        # over table terms, or 0.0) exceeds: it is kept unless a stopword.
+        terms = list(idf_table.terms)
+        drop = np.fromiter(map(self.stopwords.__contains__, terms), dtype=bool,
+                           count=len(terms))
+        if idf_filter:
+            drop |= idf_table.idfs(terms) < self.threshold
+        self._drop = frozenset(chain(self.stopwords, compress(terms, drop)))
         # the idf-table terms denoising keeps, sorted, and each one's row
-        self.kept_terms = sorted(filter(self.keeps, idf_table.terms))
+        self.kept_terms = sorted(compress(terms, ~drop))
         self.kept_row = {t: i for i, t in enumerate(self.kept_terms)}
         self._source = None  # (collection, its denoised bags), see build_pipeline
 
-    def keeps(self, term: str) -> bool:
-        """Whether denoising keeps the term; the same for every occurrence."""
-        if term in self.stopwords:
-            return False
-        return not self.idf_filter or self.idf_table.idf(term) >= self.threshold
-
     def denoise(self, tokens: list[str]) -> list[str]:
-        keeps = self.keeps
-        return [t for t in tokens if keeps(t)]
+        return list(filterfalse(self._drop.__contains__, tokens))
 
     def denoise_bags(self, bags: Bags) -> Bags:
-        keep = np.fromiter(map(self.keeps, bags.terms), dtype=bool,
+        drop = np.fromiter(map(self._drop.__contains__, bags.terms), dtype=bool,
                            count=len(bags.terms))
-        return bags.select(keep)
+        return bags.select(~drop)
 
     def bags(self, corpus) -> Bags:
         """Denoised bags of a collection: those kept from build time for the

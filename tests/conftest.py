@@ -11,7 +11,7 @@ import pytest
 
 import regir
 from regir.corpus import Corpus, Document, Qrels
-from regir.text import build_pipeline
+from regir.text import IdfTable, build_pipeline
 
 from oracles import idf_from_token_lists
 
@@ -74,6 +74,13 @@ VOCAB = ["tax", "levy", "duty", "customs", "excise", "fish", "quota", "vessel",
          "net", "harbour", "data", "privacy", "consent", "breach", "notice",
          "tariff", "border", "import", "export", "goods", "waste", "emission",
          "permit", "licence", "annex"]
+
+
+class FixedIdf(IdfTable):
+    """An idf table with prescribed values, `default` for any other term."""
+
+    def __init__(self, values, default=1.0):
+        self._idf, self._unseen = dict(values), default
 
 
 def keyed(cls, vectors, **kwargs):

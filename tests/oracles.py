@@ -7,11 +7,14 @@ term and tuned with one search per (cell, query), a training step that scores
 and back-propagates one pair at a time, the dict-built postings, the lexsort
 top-k, the per-row histogram and the einsum and strided-gather convolutions
 that the vectorized kernels must reproduce, unit word and token vectors
-normalized one term or one call at a time, and small readers and helpers
-the pipeline itself has no use for."""
+normalized one term or one call at a time, the pre-fetch steps one entry at
+a time (denoising per token, idf per term and per df, the date filter and min-max
+normalization per entry, fusion over dicts and a tuple-keyed sort), and
+small readers and helpers the pipeline itself has no use for."""
 
 from __future__ import annotations
 
+import math
 import re
 import unicodedata
 from collections import Counter
@@ -32,8 +35,9 @@ from regir.rerank.train import hinge_loss, rel_score
 
 
 def tokenize_per_char(text: str) -> list[str]:
-    """`text.tokenize` with NFKD over the whole text and the combining-mark
-    strip as a generator over its every character."""
+    """`text.tokenize` with NFKD over the whole text, the combining-mark
+    strip as a generator over its every character, and the digit tokens
+    dropped by a list comprehension."""
     decomposed = unicodedata.normalize("NFKD", text)
     stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
     tokens = re.findall(r"[^\W_]+", stripped.lower())
@@ -50,6 +54,79 @@ def idf_from_token_lists(token_lists) -> IdfTable:
     if n == 0:
         raise ValueError("cannot build an idf table from zero documents")
     return IdfTable(n, dict(df))
+
+
+def denoise_per_token(pipeline: TextPipeline, tokens: list[str]) -> list[str]:
+    """`TextPipeline.denoise` with one stopword test and, with the idf
+    filter on, one idf lookup and comparison per token."""
+    def keeps(term: str) -> bool:
+        if term in pipeline.stopwords:
+            return False
+        return (not pipeline.idf_filter
+                or pipeline.idf_table.idf(term) >= pipeline.threshold)
+    return [t for t in tokens if keeps(t)]
+
+
+def distinct_rows_per_term(tokens: list[str], row: dict):
+    """`text.distinct_rows` with one `row.get` per distinct token."""
+    terms, rows, counts = [], [], []
+    for term, tf in Counter(tokens).items():
+        r = row.get(term)
+        if r is not None:
+            terms.append(term)
+            rows.append(r)
+            counts.append(float(tf))
+    return terms, np.array(rows, dtype=np.intp), np.array(counts, dtype=np.float64)
+
+
+def idf_per_df(doc_count: int, df: int) -> float:
+    """The smoothed idf of one Python int df, as `IdfTable` defines it."""
+    return math.log((doc_count - df + 0.5) / (df + 0.5) + 1.0)
+
+
+def sort_scored_by_tuple(pairs) -> list[tuple[str, float]]:
+    """`ranking.sort_scored` as one sort keyed by (-score, doc_id)."""
+    return sorted(pairs, key=lambda p: (-p[1], p[0]))
+
+
+def apply_filter_per_entry(query_doc, ranking: RankedList, window, corpus) -> RankedList:
+    """`datefilter.apply_filter` with two `corpus.get` calls per entry and
+    the window test in Python ints and floats."""
+    if query_doc.year == 0:
+        return ranking
+    y = window.max_distance_years
+    return RankedList([(doc_id, score) for doc_id, score in ranking
+                       if corpus.get(doc_id).year == 0
+                       or abs(corpus.get(doc_id).year - query_doc.year) <= y],
+                      presorted=True)
+
+
+def normalize_scores_per_entry(ranking: RankedList) -> RankedList:
+    """`fusion.normalize_scores` computing `(s - lo) / span` one Python
+    float at a time."""
+    if not ranking:
+        raise ValueError("cannot normalize an empty ranking")
+    scores = [s for _, s in ranking]
+    lo, hi = min(scores), max(scores)
+    if hi == lo:
+        return RankedList([(d, 1.0) for d, _ in ranking], presorted=True)
+    span = hi - lo
+    return RankedList([(d, (s - lo) / span) for d, s in ranking], presorted=True)
+
+
+def fuse_dict_sort(list_a: RankedList, list_b: RankedList, alpha: float,
+                   k: int) -> RankedList:
+    """`fusion.fuse` over two dicts and their set union, each score one
+    Python float expression, cut after a full `sort_scored_by_tuple`."""
+    for name, ranking in (("list_a", list_a), ("list_b", list_b)):
+        for _, s in ranking:
+            if not -1e-9 <= s <= 1 + 1e-9:
+                raise ValueError(f"{name} is not min-max normalized (score "
+                                 f"{s!r}); call normalize_scores first")
+    a, b = dict(list_a), dict(list_b)
+    fused = [(doc_id, alpha * a.get(doc_id, 0.0) + (1 - alpha) * b.get(doc_id, 0.0))
+             for doc_id in set(a) | set(b)]
+    return RankedList(sort_scored_by_tuple(fused)[:k], presorted=True)
 
 
 def mean_relevant(qrels) -> float:
@@ -124,7 +201,8 @@ def score_of(ranking, doc_id: str):
 
 
 def top_k_lexsort(doc_ids: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[str, float]]:
-    """Top-k by a full lexsort: -score first, then doc_id ascending."""
+    """Top-k by a full lexsort: -score first, then doc_id ascending; each
+    tuple built from one `str` and one `float` call."""
     order = np.lexsort((doc_ids, -scores))
     top = order[: max(k, 0)]
     return [(str(doc_ids[i]), float(scores[i])) for i in top]

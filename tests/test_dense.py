@@ -14,7 +14,7 @@ from regir.dense import (CentroidError, DocVectorStore, VectorFormatError,
 from regir.experiment import Prefetcher
 from regir.text import build_pipeline
 
-from conftest import keyed, make_doc
+from conftest import FixedIdf, keyed, make_doc
 from oracles import centroid_loop, score_of
 
 
@@ -37,15 +37,8 @@ def doc_vectors_fetch(pool_store, query_store, query_ids, depth):
 
 
 def idf_from(values):
-    """Table with prescribed idf values, built by monkeypatching lookups."""
-    class Fixed:
-        def __init__(self, values):
-            self.values = values
-
-        def idf(self, term):
-            return self.values.get(term, 0.0)
-
-    return Fixed(values)
+    """Table with prescribed idf values; 0.0 for any other term."""
+    return FixedIdf(values, default=0.0)
 
 
 # --- loading ---

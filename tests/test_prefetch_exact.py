@@ -1,0 +1,260 @@
+"""The pre-fetch steps that run once per query, each against its one-entry-
+at-a-time oracle: denoising, term rows and idf, sorting and top-k, the
+RankedList duplicate check, the date filter, min-max normalization and
+fusion. Results are compared by `repr`, which tells -0.0 from 0.0 and a
+numpy scalar from a built-in float, so equal means bit-identical."""
+
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from regir.corpus import Corpus
+from regir.datefilter import DateWindow, apply_filter
+from regir.fusion import fuse, normalize_scores
+from regir.ranking import RankedList, sort_scored, top_k_from_arrays
+from regir.text import IdfTable, TextPipeline, distinct_rows
+
+from conftest import make_doc
+from oracles import (apply_filter_per_entry, denoise_per_token,
+                     distinct_rows_per_term, fuse_dict_sort, idf_per_df,
+                     normalize_scores_per_entry, sort_scored_by_tuple,
+                     top_k_lexsort)
+
+PROPERTY = settings(max_examples=300, deadline=None)
+
+TERMS = ["a", "b", "c", "d", "e", "f", "the", "of", "zz"]
+terms = st.sampled_from(TERMS)
+# a few repeated values, so that ties, -0.0 and 0.0 meet
+tied_scores = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 2.0, -1.5])
+scores = st.floats(allow_nan=False, allow_infinity=False) | tied_scores
+ids = st.sampled_from([f"d{i}" for i in range(12)])
+
+
+def same(got, want):
+    assert repr(got) == repr(want)
+
+
+def outcome(fn, *args):
+    """repr of what fn(*args) returns, or the message of its ValueError."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# --- denoising and idf weights ---
+
+@st.composite
+def pipelines(draw):
+    """A pipeline over an idf table of a few random documents. Stopwords
+    may lie outside the table (a threshold of 0.0 when none is inside it),
+    and the idf filter may be off."""
+    docs = draw(st.lists(st.sets(terms, min_size=1), min_size=1, max_size=6))
+    df = {}
+    for doc in docs:
+        for term in doc:
+            df[term] = df.get(term, 0) + 1
+    stopwords = draw(st.frozensets(terms | st.sampled_from(["and", "or"])))
+    return TextPipeline(IdfTable(len(docs), df), stopwords=stopwords,
+                        idf_filter=draw(st.booleans()))
+
+
+query_tokens = st.lists(terms | st.sampled_from(["unseen", "and"]), max_size=30)
+
+
+@PROPERTY
+@given(pipelines(), query_tokens)
+def test_denoise_equals_the_per_token_test(pipeline, tokens):
+    assert pipeline.denoise(tokens) == denoise_per_token(pipeline, tokens)
+    assert pipeline.kept_terms == sorted(
+        denoise_per_token(pipeline, list(pipeline.idf_table.terms)))
+
+
+def test_denoise_keeps_unseen_terms_and_drops_stopwords_outside_the_table():
+    # "the" occurs everywhere: the threshold is its idf, the table minimum
+    table = IdfTable(3, {"the": 3, "tax": 1, "levy": 2})
+    pipeline = TextPipeline(table, stopwords=frozenset({"the", "of"}))
+    assert pipeline.threshold == table.idf("the")
+    tokens = ["of", "tax", "the", "unseen", "levy", "of"]
+    assert pipeline.denoise(tokens) == ["tax", "unseen", "levy"]
+    assert pipeline.denoise(tokens) == denoise_per_token(pipeline, tokens)
+
+
+def test_a_threshold_of_zero_and_the_filter_off_keep_every_other_term():
+    table = IdfTable(2, {"tax": 2, "levy": 1})
+    tokens = ["tax", "of", "levy", "new"]
+    for pipeline in (TextPipeline(table, stopwords=frozenset({"of"})),
+                     TextPipeline(table, stopwords=frozenset({"of"}),
+                                  idf_filter=False)):
+        assert pipeline.denoise(tokens) == ["tax", "levy", "new"]
+        assert pipeline.denoise(tokens) == denoise_per_token(pipeline, tokens)
+    assert TextPipeline(table, stopwords=frozenset({"of"})).threshold == 0.0
+
+
+@PROPERTY
+@given(pipelines(), query_tokens, st.lists(terms, unique=True))
+def test_distinct_rows_and_idfs_equal_the_per_term_loop(pipeline, tokens, mapped):
+    table = pipeline.idf_table
+    row = {term: 3 * i for i, term in enumerate(mapped)}
+    got, want = distinct_rows(tokens, row), distinct_rows_per_term(tokens, row)
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert g.dtype == w.dtype
+        same(g.tolist(), w.tolist())
+    same(table.idfs(tokens).tolist(), [table.idf(t) for t in tokens])
+
+
+@PROPERTY
+@given(st.integers(1, 2**40).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n), max_size=20))))
+def test_idf_of_df_equals_the_per_df_formula(n_and_dfs):
+    n, dfs = n_and_dfs
+    table = IdfTable(n, {f"t{i}": df for i, df in enumerate(dfs) if df})
+    want = [idf_per_df(n, df) for df in dfs]
+    same(table.idf_of_df(np.array(dfs, dtype=np.int64)).tolist(), want)
+    same(table.idfs(f"t{i}" if df else "unseen" for i, df in enumerate(dfs)).tolist(),
+         want)
+
+
+# --- sorting, top-k and duplicates ---
+
+@PROPERTY
+@given(st.lists(st.tuples(ids, scores), max_size=20))
+def test_sort_scored_equals_the_tuple_keyed_sort(pairs):
+    same(sort_scored(pairs), sort_scored_by_tuple(pairs))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(ids, scores), max_size=12, unique_by=lambda p: p[0]),
+       st.integers(0, 15), st.sampled_from([object, str]), st.booleans())
+def test_top_k_from_arrays_equals_the_full_lexsort(pairs, k, id_type, sorted_ids):
+    if sorted_ids:  # ties then break by row, which must be by id
+        pairs = sorted(pairs)
+    doc_ids = np.array([d for d, _ in pairs], dtype=id_type)
+    values = np.array([s for _, s in pairs], dtype=np.float64)
+    got = top_k_from_arrays(doc_ids, values, k, sorted_ids=sorted_ids)
+    same(got, top_k_lexsort(doc_ids, values, min(k, len(pairs))))
+    assert all(type(d) is str and type(s) is float for d, s in got)
+
+
+def test_top_k_from_arrays_returns_built_in_str_and_float():
+    for doc_ids in (np.array(["b", "a"]), np.array(["b", "a"], dtype=object)):
+        for values in (np.array([1.0, 1.0]), np.array([1.0, 1.0], dtype=np.float32)):
+            got = top_k_from_arrays(doc_ids, values, 2)
+            assert got == [("a", 1.0), ("b", 1.0)]
+            assert all(type(d) is str and type(s) is float for d, s in got)
+
+
+def test_ranked_list_names_the_first_repeated_doc_id():
+    with pytest.raises(ValueError, match=r"^duplicate doc_id in ranking: 'a'$"):
+        RankedList([("b", 3.0), ("a", 2.0), ("a", 1.0), ("b", 0.0)], presorted=True)
+    # sorted first: ("b", 3.0), ("a", 2.0), ("b", 1.5), ("a", 1.0)
+    with pytest.raises(ValueError, match=r"^duplicate doc_id in ranking: 'b'$"):
+        RankedList([("a", 1.0), ("b", 1.5), ("a", 2.0), ("b", 3.0)])
+
+
+# --- the date filter ---
+
+years = st.sampled_from([0, 1990, 1995, 1999, 2000, 2001, 2005, 2020])
+windows = st.sampled_from([0, 1, 2, 5, 30, math.inf]).map(DateWindow)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(ids, scores, years), max_size=12, unique_by=lambda r: r[0]),
+       years, windows)
+def test_apply_filter_equals_the_per_entry_filter(rows, query_year, window):
+    pool = Corpus([make_doc(d, ["tax"], year=y) for d, _, y in rows])
+    ranking = RankedList([(d, s) for d, s, _ in rows])
+    query = make_doc("q", ["tax"], year=query_year)
+    same(apply_filter(query, ranking, window, pool),
+         apply_filter_per_entry(query, ranking, window, pool))
+
+
+def test_apply_filter_zero_and_infinite_windows_and_year_zero():
+    pool = Corpus([make_doc("d1", ["tax"], year=2000), make_doc("d2", ["tax"], year=0),
+                   make_doc("d3", ["tax"], year=2001)])
+    ranking = RankedList([("d1", 3.0), ("d2", 2.0), ("d3", 1.0)])
+    query = make_doc("q", ["tax"], year=2000)
+    assert apply_filter(query, ranking, DateWindow(0), pool).doc_ids == ["d1", "d2"]
+    assert apply_filter(query, ranking, DateWindow(math.inf), pool) == ranking
+    undated = make_doc("q0", ["tax"], year=0)
+    assert apply_filter(undated, ranking, DateWindow(0), pool) is ranking
+
+
+def test_apply_filter_names_an_unknown_doc_id_as_corpus_get_does():
+    pool = Corpus([make_doc("d1", ["tax"], year=2000)])
+    ranking = RankedList([("d1", 2.0), ("ghost", 1.0)])
+    query = make_doc("q", ["tax"], year=2000)
+    messages = []
+    for run in (apply_filter, apply_filter_per_entry):
+        with pytest.raises(KeyError) as excinfo:
+            run(query, ranking, DateWindow(1), pool)
+        messages.append(str(excinfo.value))
+    assert messages == ["\"unknown doc_id 'ghost'\""] * 2
+    with pytest.raises(KeyError, match="unknown doc_id 'ghost'"):
+        pool.years(["d1", "ghost"])
+    assert pool.years(["d1", "d1"]).tolist() == [2000, 2000]
+
+
+# --- normalization and fusion ---
+
+lists = st.lists(st.tuples(ids, scores), max_size=12,
+                 unique_by=lambda p: p[0]).map(RankedList)
+
+
+@PROPERTY
+@given(lists)
+def test_normalize_scores_equals_the_per_entry_normalization(ranking):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert outcome(normalize_scores, ranking) == \
+            outcome(normalize_scores_per_entry, ranking)
+
+
+def normalized(ranking):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return normalize_scores(ranking) if ranking else ranking
+
+
+alphas = (st.floats(0, 1) | st.sampled_from([0, 1, 0.0, 1.0, 0.5, 0.3, 0.7])
+          | st.sampled_from([False, True]))
+tied_lists = st.lists(st.tuples(ids, tied_scores), max_size=12,
+                      unique_by=lambda p: p[0]).map(RankedList)
+
+
+@PROPERTY
+@given(lists | tied_lists, lists | tied_lists, alphas, st.integers(1, 30))
+def test_fuse_equals_the_dict_and_sort_fusion(list_a, list_b, alpha, k):
+    """Lists of huge scores normalize to NaN (their span overflows), which
+    both paths refuse alike."""
+    a, b = normalized(list_a), normalized(list_b)
+    assert outcome(fuse, a, b, alpha, k) == outcome(fuse_dict_sort, a, b, alpha, k)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 0.0, 1.0, 0.4])
+def test_fuse_disjoint_identical_and_short_lists(alpha):
+    rng = random.Random(3)
+    a = normalize_scores(RankedList([(f"a{i}", rng.choice([1.0, 2.0, 3.0]))
+                                     for i in range(8)]))
+    b = normalize_scores(RankedList([(f"b{i}", rng.choice([1.0, 2.0]))
+                                     for i in range(8)]))
+    for x, y in ((a, b), (a, a), (b, a)):
+        for k in (1, 3, 8, 16, 40):  # cuts among ties, and k above the union
+            same(fuse(x, y, alpha, k), fuse_dict_sort(x, y, alpha, k))
+    assert len(fuse(a, b, alpha, 40)) == 16
+
+
+def test_fuse_names_the_first_score_outside_the_unit_range():
+    good = RankedList([("a", 1.0), ("b", 0.0)])
+    bad = RankedList([("a", 3), ("b", 2.5), ("c", 0.0)])
+    for x, y in ((good, bad), (bad, good)):
+        messages = []
+        for run in (fuse, fuse_dict_sort):
+            with pytest.raises(ValueError) as excinfo:
+                run(x, y, 0.5, 3)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        assert "(score 3)" in messages[0]

@@ -12,7 +12,7 @@ from regir.rerank.features import (bin_similarities, dedup_terms, drmm_batch,
                                    drmm_features, drmm_query, pacrr_features,
                                    pacrr_pair, pacrr_query, softmax)
 
-from conftest import keyed
+from conftest import FixedIdf, keyed
 from oracles import (bin_similarities_row, build_histogram, conv_einsum,
                      conv_strided_im2col, drmm_features_per_row, drmm_score,
                      drmm_score_2d, pacrr_score, pacrr_score_per_step,
@@ -26,14 +26,6 @@ def wv_from(mapping):
 def angle_wv(angles: dict[str, float]):
     """Terms as 2-d unit vectors; cosine between terms is cos(delta angle)."""
     return wv_from({t: [math.cos(a), math.sin(a)] for t, a in angles.items()})
-
-
-class FixedIdf:
-    def __init__(self, values, default=1.0):
-        self.values, self.default = values, default
-
-    def idf(self, term):
-        return self.values.get(term, self.default)
 
 
 # --- similarity matrix ---

@@ -3,6 +3,7 @@ are named by file and line in every loader, and vector values keep the
 exact bits `float` reads."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,39 @@ def test_row_parser_values_have_the_bits_of_float(tmp_path, monkeypatch, rows,
     assert np.array_equal(matrix.view(np.uint64), expected.view(np.uint64))
     assert keys == [[f"k{i}"] for i in range(len(rows))]
     assert line_nos == list(range(1, len(rows) + 1))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_vectors_read_alike_under_every_line_ending(tmp_path, newline):
+    """The matrix has a row for each line, and universal newlines end a line
+    at a lone CR too: the rows come out alike, with blank and comment lines
+    between them and no newline at the end."""
+    lines = ["# vectors", "a 1.5 -2", "", "b 0.25 3e-3", "# end", "c 7 8"]
+    path = tmp_path / "v.txt"
+    path.write_bytes(newline.join(lines).encode())
+    keys, line_nos, matrix = read_vectors(path, comments=True)
+    assert keys == [["a"], ["b"], ["c"]] and line_nos == [2, 4, 6]
+    assert matrix.tolist() == [[1.5, -2.0], [0.25, 3e-3], [7.0, 8.0]]
+    assert matrix.flags.c_contiguous and matrix.flags.owndata
+
+
+def test_read_vectors_fills_one_matrix(tmp_path):
+    """Parsing allocates the kept matrix once: no list of blocks to join
+    into a second copy. The peak stays well below twice the matrix (2.1
+    times it when the blocks were concatenated)."""
+    rng = np.random.default_rng(5)
+    values = rng.integers(-9999, 9999, size=(4000, 200)) / 1000
+    path = tmp_path / "v.txt"
+    path.write_text("".join(f"d{i:04d} " + " ".join(map("{:.3f}".format, row)) + "\n"
+                            for i, row in enumerate(values.tolist())))
+    tracemalloc.start()
+    try:
+        _, _, matrix = read_vectors(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(matrix, values)
+    assert peak < 1.5 * matrix.nbytes
 
 
 def test_write_table_puts_comment_lines_before_header_and_rows(tmp_path):

@@ -9,7 +9,8 @@ from pathlib import Path
 import regir
 
 SRC = Path(regir.__file__).resolve().parent
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
+PERFBENCH = TESTS.parent / "perfbench"
 
 # name -> why it may stay unreferenced inside the package
 UNREFERENCED_ALLOWED = {
@@ -42,6 +43,19 @@ def test_every_module_level_definition_is_referenced_in_the_package():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.decorator_list and refs[node.name] == _names(node)[node.name])
     assert unreferenced == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_every_oracle_is_used_by_a_test():
+    """An oracle exists because a test compares the library against it:
+    every module-level function and class in tests/oracles.py is referenced
+    by some other file under tests/, as the package's own definitions are
+    referenced in the package."""
+    oracles = TESTS / "oracles.py"
+    refs = sum((_names(ast.parse(path.read_text(encoding="utf-8")))
+                for path in sorted(TESTS.glob("*.py")) if path != oracles), Counter())
+    defined = [node.name for node in ast.parse(oracles.read_text(encoding="utf-8")).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert defined and [name for name in defined if not refs[name]] == []
 
 
 def _imports_from_the_package(tree) -> list[tuple[str, str, str | None]]:
