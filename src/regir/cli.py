@@ -137,7 +137,7 @@ def convert(src, out, mapping):
               help="Skip the idf-threshold denoising stage.")
 def index(collection, out, stopwords, no_idf_filter):
     """Build the inverted index over a pool collection."""
-    corpus = ingest_collection(collection, tag="pool")
+    corpus = ingest_collection(collection)
     words = load_stopwords(stopwords) if stopwords else None
     pipeline = build_pipeline(corpus, stopwords=words,
                               idf_filter=not no_idf_filter)
@@ -190,7 +190,7 @@ def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
               default="skip-document", show_default=True)
 def vectors(collection, word_vectors, out, index_path, on_empty):
     """Precompute tf-idf weighted centroid vectors for every pool document."""
-    corpus = ingest_collection(collection, tag="pool")
+    corpus = ingest_collection(collection)
     pipeline = load_index(index_path).pipeline
     wv = load_word_vectors(word_vectors)
     store = build_centroid_store(corpus, pipeline, wv, on_empty=on_empty)
@@ -248,7 +248,7 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
     query_corpus = ingest_collection(queries)
     ids = _query_ids(query_corpus, splits, split)
     bm25_params = read_params(params) if params else Bm25Params()
-    pool_corpus = ingest_collection(collection, tag="pool") if collection else None
+    pool_corpus = ingest_collection(collection) if collection else None
     index = (load_index(index_path) if {"bm25", "w2v-cent"} & set(names)
              else None)
     cent, dense = "w2v-cent" in names, "doc-vectors" in names
@@ -325,7 +325,7 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
     from dataclasses import replace
 
     query_corpus = ingest_collection(queries)
-    pool_corpus = ingest_collection(collection, tag="pool")
+    pool_corpus = ingest_collection(collection)
     pipeline = load_index(index_path).pipeline
     judgments = load_qrels(qrels, query_corpus=query_corpus,
                            pool_corpus=pool_corpus)
@@ -366,7 +366,7 @@ def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
            token_vectors, k, date_filter, filter_mode, out):
     """Re-rank pre-fetched lists with a trained checkpoint."""
     query_corpus = ingest_collection(queries)
-    pool_corpus = ingest_collection(collection, tag="pool")
+    pool_corpus = ingest_collection(collection)
     pipeline = load_index(index_path).pipeline
     result = load_checkpoint(checkpoint)
     provider = _provider(word_vectors, token_vectors)
@@ -394,7 +394,7 @@ def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
 def date_filter_cmd(run_path, queries, collection, years, mode, k, out):
     """Drop candidates published too far from the query year."""
     query_corpus = ingest_collection(queries)
-    pool_corpus = ingest_collection(collection, tag="pool")
+    pool_corpus = ingest_collection(collection)
     run = read_run(run_path)
     window = DateWindow(years, mode)
     filtered = finalize(candidates(run, k, window, query_corpus, pool_corpus),
@@ -468,7 +468,7 @@ def rk_curve(run_path, qrels, k_max, out):
 def year_hist(qrels, queries, collection, out):
     """Histogram of year(relevant) - year(query) over judged pairs."""
     hist = year_diff_histogram(load_qrels(qrels), ingest_collection(queries),
-                               ingest_collection(collection, tag="pool"))
+                               ingest_collection(collection))
     write_year_hist_csv(hist, out)
     if hist:
         mode_diff = max(hist, key=lambda d: (hist[d], -abs(d)))

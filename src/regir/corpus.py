@@ -59,7 +59,6 @@ class Document:
     title: str
     body: str
     year: int = 0
-    collection_tag: str = ""
 
     @property
     def text(self) -> str:
@@ -70,8 +69,7 @@ class Document:
 class Corpus:
     """Immutable document collection keyed by doc_id."""
 
-    def __init__(self, documents: list[Document], tag: str = ""):
-        self.tag = tag
+    def __init__(self, documents: list[Document]):
         self._docs: dict[str, Document] = {}
         for doc in documents:
             if doc.doc_id in self._docs:
@@ -113,7 +111,7 @@ class Corpus:
 REQUIRED_FIELDS = ("doc_id", "title", "body")
 
 
-def _document(record, where: str, tag: str) -> Document:
+def _document(record, where: str) -> Document:
     """The Document a canonical record describes; errors start with `where`."""
     if not isinstance(record, dict):
         raise CorpusError(f"{where}: expected a JSON object, "
@@ -128,20 +126,22 @@ def _document(record, where: str, tag: str) -> Document:
         raise CorpusError(f"{where}: title/body must be strings")
     if not title:
         raise CorpusError(f"{where}: title is empty")
-    return Document(doc_id, title, body, _extract_year(record, where), tag)
+    return Document(doc_id, title, body, _extract_year(record, where))
 
 
 def ingest_collection(path, tag: str = "") -> Corpus:
     """Parse a canonical JSONL collection, validating every record.
 
     Aborts on the first malformed line, missing required field, or
-    duplicate doc_id, naming the offending line/id.
+    duplicate doc_id, naming the offending line/id. `tag` is ignored: it is
+    kept only because the benchmark still passes it, and goes with the next
+    change to the benchmark.
     """
     documents = []
     seen: set[str] = set()
     empty_bodies = 0
     for line_no, record in read_jsonl(path, error=CorpusError):
-        doc = _document(record, f"{path}: line {line_no}", tag)
+        doc = _document(record, f"{path}: line {line_no}")
         if doc.doc_id in seen:
             raise CorpusError(f"{path}: line {line_no}: duplicate doc_id "
                               f"{doc.doc_id!r}")
@@ -150,7 +150,7 @@ def ingest_collection(path, tag: str = "") -> Corpus:
         documents.append(doc)
     if empty_bodies:
         log.warning("%s: %d document(s) with empty body", path, empty_bodies)
-    return Corpus(documents, tag=tag)
+    return Corpus(documents)
 
 
 def write_collection(corpus: Corpus, path) -> None:
@@ -163,8 +163,8 @@ def write_collection(corpus: Corpus, path) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def convert_collection(path, out_path, field_map: dict[str, str] | None = None,
-                       tag: str = "") -> Corpus:
+def convert_collection(path, out_path,
+                       field_map: dict[str, str] | None = None) -> Corpus:
     """Convert a third-party archive (JSON array or JSONL with foreign field
     names) to canonical JSONL.
 
@@ -190,9 +190,9 @@ def convert_collection(path, out_path, field_map: dict[str, str] | None = None,
                                   f"(looked for {mapping[key]!r})")
         if not isinstance(out.get("year", 0), int):
             out.pop("year", None)
-        documents.append(_document(out, where, tag))
+        documents.append(_document(out, where))
     try:
-        corpus = Corpus(documents, tag=tag)
+        corpus = Corpus(documents)
     except CorpusError as exc:  # a duplicate doc_id
         raise CorpusError(f"{path}: {exc}") from None
     write_collection(corpus, out_path)
@@ -238,9 +238,6 @@ class Qrels:
 
     def relevant(self, query_id: str) -> set[str]:
         return self.entries.get(query_id, set())
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def restrict(self, query_ids) -> "Qrels":
         wanted = set(query_ids)

@@ -59,7 +59,9 @@ MAX_GRID_VALUES = 10_000
 def _parse_range(raw: str, key: str) -> list[float]:
     """'start:stop:step' inclusive grid, or a comma-separated list, of at
     most MAX_GRID_VALUES values; a range's count is checked before any value
-    is built."""
+    is built. A range's values are rounded to 4 decimals; a range that
+    repeats a value once rounded (a step below 1e-4, or a start between two
+    4-decimal values) is refused."""
     too_many = ConfigError(f"{key}: more than {MAX_GRID_VALUES} grid values")
     if ":" in raw:
         parts = raw.split(":")
@@ -74,7 +76,12 @@ def _parse_range(raw: str, key: str) -> list[float]:
         if span >= MAX_GRID_VALUES:
             raise too_many
         grid = (round(start + i * step, 10) for i in range(max(int(span), 0) + 2))
-        return [round(v, 4) for v in grid if v <= stop + 1e-9]
+        values = [round(v, 4) for v in grid if v <= stop + 1e-9]
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{key}: {raw.strip()!r} repeats values once they are "
+                              "rounded to 4 decimals (use a start of at most 4 "
+                              "decimals and a step of at least 0.0001)")
+        return values
     if raw.count(",") >= MAX_GRID_VALUES:
         raise too_many
     return [parse_number(p, float, key) for p in raw.split(",") if p]
@@ -488,8 +495,8 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
                               "version": __version__,
                               "manifest_hash": manifest_hash})
 
-    pool = ingest_collection(config.pool_path, tag="pool")
-    queries = ingest_collection(config.queries_path, tag=config.task)
+    pool = ingest_collection(config.pool_path)
+    queries = ingest_collection(config.queries_path)
     qrels = load_qrels(config.qrels_path, query_corpus=queries, pool_corpus=pool)
     splits = SplitManifest.from_json(config.splits_path)
     splits.validate(query_corpus=queries, pool_corpus=pool, qrels=qrels)

@@ -107,16 +107,20 @@ def read_run(path) -> Run:
         if not math.isfinite(score):
             raise ValueError(f"{path}: line {line_no}: score {score_s!r} "
                              f"is not finite")
-        ranking = run.setdefault(query_id, RankedList(presorted=True))
+        ranking = run.get(query_id)
+        if ranking is None:  # a list only when a query starts
+            ranking = run[query_id] = RankedList(presorted=True)
+            seen[query_id] = set()
         if rank != len(ranking) + 1:
             raise ValueError(f"{path}: line {line_no}: rank {rank} for query "
                              f"{query_id!r}, expected {len(ranking) + 1}")
         if ranking and score > ranking[-1][1] + 1e-12:
             raise ValueError(f"{path}: line {line_no}: scores increase within "
                              f"query {query_id!r}")
-        if doc_id in seen.setdefault(query_id, set()):
+        ids = seen[query_id]
+        if doc_id in ids:
             raise ValueError(f"{path}: line {line_no}: duplicate doc_id "
                              f"{doc_id!r} within query {query_id!r}")
-        seen[query_id].add(doc_id)
+        ids.add(doc_id)
         ranking.append((doc_id, score))
     return run

@@ -143,11 +143,11 @@ def sample_triples(query_ids, qrels, run: Run, negatives: int,
 class Adam:
     """Bias-corrected adaptive-moment updates, applied in place."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0

@@ -22,8 +22,9 @@ from regir.experiment import load_config, run_experiment
 from regir.fusion import fuse
 from regir.metrics import ndcg_at_k, r_precision, recall_at_k
 from regir.ranking import RankedList, Run
-from regir.rerank import DrmmModel, PacrrConfig, PacrrModel
+from regir.rerank.drmm import DrmmModel
 from regir.rerank.features import softmax
+from regir.rerank.pacrr import PacrrConfig, PacrrModel
 from regir.rerank.train import (FeatureStore, Hyperparams, Reranker,
                                 hinge_loss, train_model)
 from regir.text import build_pipeline
@@ -285,7 +286,7 @@ def test_criterion_6_planted_signal_learnability():
         queries = Corpus(query_docs)
         pipeline = build_pipeline(pool, stopwords=frozenset(), idf_filter=False)
         wv = keyed(WordVectors, vectors)
-        from regir.rerank import TypeEmbeddings
+        from regir.rerank.features import TypeEmbeddings
         from regir.corpus import Qrels
         hp = Hyperparams(lr=0.05, max_epochs=50, patience=50, negatives=4,
                          B=8, hidden=5, batch=16, seed=0)

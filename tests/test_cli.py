@@ -10,8 +10,8 @@ from regir.cli import main
 from regir.corpus import ingest_collection
 from regir.fusion import default_alpha_grid
 from regir.ranking import read_run
-from regir.rerank import load_checkpoint, load_token_vectors
-from regir.rerank.train import FeatureStore
+from regir.rerank.features import load_token_vectors
+from regir.rerank.train import FeatureStore, load_checkpoint
 
 from conftest import build_dataset, date_window_dataset
 from oracles import score_of
@@ -489,6 +489,22 @@ def test_grid_options_are_bounded(env, tmp_path, command, option):
                      option, "0:1e9:1e-9", "--out", tmp_path / "out")
     assert result.exit_code == 1
     assert f"{option}: more than 10000 grid values" in blob(result)
+
+
+@pytest.mark.parametrize("command,option", [
+    ("tune-bm25", "--grid-k1"), ("tune-bm25", "--grid-b"), ("fuse", "--grid"),
+])
+def test_grid_options_refuse_values_that_repeat_once_rounded(env, tmp_path,
+                                                             command, option):
+    root = env.root
+    args = {"tune-bm25": ["--index", root / "index.bin",
+                          "--queries", root / "queries.jsonl"],
+            "fuse": ["--run-a", root / "run_all.tsv", "--run-b",
+                     root / "run_all.tsv", "--tune-alpha"]}[command]
+    result = env.cli(command, *args, "--qrels", root / "qrels.tsv",
+                     option, "0:0.0003:0.00005", "--out", tmp_path / "out")
+    assert result.exit_code == 1
+    assert f"{option}: '0:0.0003:0.00005' repeats values" in blob(result)
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

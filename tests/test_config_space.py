@@ -12,7 +12,7 @@ import pytest
 from regir.corpus import ingest_collection
 from regir.experiment import ConfigError, load_config, run_experiment
 from regir.ranking import read_run
-from regir.rerank import Hyperparams
+from regir.rerank.train import Hyperparams
 from regir.text import build_pipeline
 
 from conftest import build_dataset

@@ -112,7 +112,7 @@ def test_convert_json_array_with_field_map(tmp_path):
     out = tmp_path / "canon.jsonl"
     corpus = convert_collection(src, out,
                                 {"doc_id": "id", "title": "name",
-                                 "body": "content", "year": "date"}, tag="EU")
+                                 "body": "content", "year": "date"})
     assert len(corpus) == 2
     reloaded = ingest_collection(out)
     assert reloaded.get("x2").year == 2004

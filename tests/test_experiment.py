@@ -79,6 +79,23 @@ def test_config_rejects_oversized_grid_quickly(dataset, line, key):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("line, key", [
+    ("fusion.grid = 0:0.0003:0.00005", "fusion.grid"),  # 0.0001 three times
+    ("bm25.grid_b = 0:0.01:0.00009", "bm25.grid_b"),
+    ("bm25.grid_k1 = 4.80245:4.8100:0.0001", "bm25.grid_k1"),  # halfway starts
+])
+def test_config_refuses_a_grid_that_repeats_values_once_rounded(dataset, line, key):
+    path = dataset / "cfg.txt"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(f'{path}: {key}: ')}"
+                                          ".* repeats values"):
+        cfg_from(dataset, BASE_CFG + line + "\n")
+
+
+def test_parse_range_accepts_a_step_of_one_rounding_unit():
+    assert _parse_range("0.0001:0.0004:0.0001", "x") == [0.0001, 0.0002, 0.0003,
+                                                          0.0004]
+
+
 def test_config_happy_path(dataset):
     cfg = cfg_from(dataset, BASE_CFG)
     assert cfg.task == "EU2UK" and cfg.k == 10 and cfg.eval_k == 5
@@ -163,6 +180,21 @@ def test_config_tune_conflicts_with_fixed_params(dataset):
 def test_config_rerank_needs_embedding_source(dataset):
     with pytest.raises(ConfigError, match="word"):
         cfg_from(dataset, BASE_CFG + "rerank.model = drmm\n")
+
+
+@pytest.mark.parametrize("mode, lines, message", [
+    ("bm25", "rerank.model = drmm\ndense.word_vectors = wv.txt\nrerank.seeds =\n",
+     "a trained re-ranker needs at least one seed"),
+    ("w2v-cent", "", "w2v-cent requires dense.word_vectors"),
+    ("doc-vectors", "dense.pool_vectors = wv.txt\n",
+     "doc-vectors requires dense.pool_vectors and dense.query_vectors"),
+    ("bm25", "rerank.model = pacrr\nrerank.embeddings = token\n",
+     "re-ranking with token embeddings requires rerank.token_vectors"),
+])
+def test_config_refuses_a_run_without_what_it_needs(dataset, mode, lines, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cfg_from(dataset, BASE_CFG.replace("prefetch.mode = bm25",
+                                           f"prefetch.mode = {mode}") + lines)
 
 
 def test_stray_fusion_keys_do_not_widen_a_single_prefetcher(dataset, tmp_path):
@@ -562,3 +594,25 @@ def test_eval_summary_counts_a_list_the_window_emptied(tmp_path):
     before = result.summary_path.read_bytes()
     run_experiment(cfg, tmp_path / "out")
     assert result.summary_path.read_bytes() == before
+
+
+def test_a_pre_window_that_empties_a_test_query_leaves_it_unranked(tmp_path):
+    """The pool spans 1995-2014, so a pre window of 10 years keeps every
+    query's candidates but those of the test query dated 1900: the re-ranker
+    gets an empty list, the re-ranked run has no line for that query, and
+    the eval CSV scores it 0."""
+    root = date_window_dataset(tmp_path, random.Random(20260814))
+    (root / "hp.txt").write_text(HP)
+    cfg = cfg_from(root, FULL_CFG.replace("datefilter.years = 6",
+                                          "datefilter.years = 10")
+                   .replace("datefilter.mode = post", "datefilter.mode = pre")
+                   .replace("rerank.seeds = 3,4", "rerank.seeds = 3"))
+    result = run_experiment(cfg, tmp_path / "out")
+    test_ids = json.loads((root / "splits.json").read_text())["test"]
+    assert read_run(result.outdir / "prefetch_test.tsv")[test_ids[-1]]
+    assert sorted(read_run(result.outdir / "reranked_test_seed3.tsv")) \
+        == sorted(test_ids[:-1])
+    report = read_eval_csv(result.outdir / "eval_test_seed3.csv")
+    assert sorted(report.per_query) == sorted(test_ids)
+    assert set(report.per_query[test_ids[-1]].values()) == {0.0}
+    assert report.macro["r_at_5"] > 0

@@ -17,7 +17,8 @@ from regir.dense import load_doc_vectors, load_word_vectors
 from regir.experiment import ExperimentConfig, load_config
 from regir.metrics import read_eval_csv
 from regir.ranking import read_run
-from regir.rerank import Hyperparams, load_token_vectors
+from regir.rerank.features import load_token_vectors
+from regir.rerank.train import Hyperparams
 from regir.text import load_stopwords
 
 from conftest import build_dataset

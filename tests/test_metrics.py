@@ -112,6 +112,18 @@ def test_eval_csv_roundtrip(tmp_path):
     assert back.macro == report.macro
 
 
+def test_eval_csv_lists_excluded_queries_and_reads_back(tmp_path):
+    qrels = Qrels({"q1": {"a"}, "q2": {"rel"}, "q3": set()})
+    report = evaluate_run(simple_run(), qrels, k=20)
+    path = tmp_path / "eval.csv"
+    write_eval_csv(report, path, comment="manifest abc")
+    assert path.read_text().splitlines()[:3] == [
+        "# manifest abc", "# excluded (no relevant docs): q3",
+        "query_id,r_at_20,ndcg_at_20,rp"]
+    back = read_eval_csv(path)
+    assert back.k == 20 and back.per_query == report.per_query
+
+
 @pytest.mark.parametrize("row, message", [
     ("q1,0.5", "line 2: expected 3 columns, got 2"),
     ("q1,0.5,0.25,1.0", "line 2: expected 3 columns, got 4"),

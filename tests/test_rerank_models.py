@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from regir.dense import WordVectors
-from regir.rerank import (DrmmModel, PacrrConfig, PacrrModel,
-                          TokenEmbeddings, TypeEmbeddings, load_token_vectors,
-                          sim_matrix)
-from regir.rerank.features import (bin_similarities, dedup_terms, drmm_batch,
-                                   drmm_features, drmm_query, pacrr_features,
-                                   pacrr_pair, pacrr_query, softmax)
+from regir.rerank.drmm import DrmmModel
+from regir.rerank.features import (TokenEmbeddings, TypeEmbeddings,
+                                   bin_similarities, dedup_terms, drmm_batch,
+                                   drmm_features, drmm_query, load_token_vectors,
+                                   pacrr_features, pacrr_pair, pacrr_query,
+                                   sim_matrix, softmax)
+from regir.rerank.pacrr import PacrrConfig, PacrrModel
 
 from conftest import FixedIdf, keyed
 from oracles import (bin_similarities_row, build_histogram, conv_einsum,

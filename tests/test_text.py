@@ -12,7 +12,7 @@ import regir.text
 from regir.bm25 import build_index
 from regir.corpus import Corpus
 from regir.dense import WordVectors, build_centroid_store
-from regir.rerank import TypeEmbeddings
+from regir.rerank.features import TypeEmbeddings
 from regir.rerank.train import FeatureStore, Hyperparams
 from regir.text import (TextPipeline, build_pipeline, encode_bags,
                         load_default_stopwords, load_stopwords, tokenize)

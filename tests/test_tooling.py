@@ -45,6 +45,20 @@ def test_every_module_level_definition_is_referenced_in_the_package():
     assert unreferenced == sorted(UNREFERENCED_ALLOWED)
 
 
+def test_package_inits_hold_only_their_docstring():
+    """Each name has one import path, its defining module: a package's
+    `__init__.py` holds its docstring and, in `regir` itself, the
+    `__version__` the benchmark imports; no re-exports."""
+    inits = sorted(SRC.rglob("__init__.py"))
+    for init in inits:
+        tree = ast.parse(init.read_text(encoding="utf-8"))
+        rest = [ast.unparse(node.targets[0]) if isinstance(node, ast.Assign)
+                else ast.unparse(node) for node in tree.body[1:]]
+        assert ast.get_docstring(tree), init
+        assert rest == (["__version__"] if init.parent == SRC else []), init
+    assert len(inits) == 2
+
+
 def test_every_oracle_is_used_by_a_test():
     """An oracle exists because a test compares the library against it:
     every module-level function and class in tests/oracles.py is referenced

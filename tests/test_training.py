@@ -11,8 +11,9 @@ from regir._npz import write_npz
 from regir.corpus import Corpus, Document, Qrels
 from regir.dense import WordVectors
 from regir.ranking import RankedList, Run
-from regir.rerank import TokenEmbeddings, TypeEmbeddings, features, train
-from regir.rerank.features import dedup_terms, drmm_features, pacrr_features
+from regir.rerank import features, train
+from regir.rerank.features import (TokenEmbeddings, TypeEmbeddings, dedup_terms,
+                                   drmm_features, pacrr_features)
 from regir.rerank.train import (CHECKPOINT_FORMAT, Adam, FeatureStore,
                                 Hyperparams, Reranker,
                                 TrainingDiverged, _check_finite, _dev_recall,
@@ -565,6 +566,20 @@ def test_returned_checkpoint_reproduces_best_dev():
     fusion = {"w_r": np.array([result.w_r]), "w_p": np.array([result.w_p])}
     replay = _dev_recall(fusion, result.model, store, dev_ids, qrels, run, k=1)
     assert replay == pytest.approx(result.best_dev_r20)
+
+
+def test_dev_recall_skips_a_dev_query_missing_from_the_run():
+    """A dev query the pre-fetch returned no list for counts neither as a
+    miss nor in the mean."""
+    hp = Hyperparams(B=6, hidden=3, seed=3)
+    store, qrels, run, _, dev_ids = make_store("drmm", hp)
+    model = init_model("drmm", hp, np.random.default_rng(hp.seed))
+    fusion = {"w_r": np.array([1.0]), "w_p": np.array([1.0])}
+    partial = Run({q: run[q] for q in dev_ids[1:]})
+    assert (_dev_recall(fusion, model, store, dev_ids, qrels, partial, k=1)
+            == _dev_recall(fusion, model, store, dev_ids[1:], qrels, run, k=1))
+    with pytest.raises(ValueError, match="no dev query"):
+        _dev_recall(fusion, model, store, dev_ids, qrels, Run(), k=1)
 
 
 def test_no_triples_raises():
