@@ -61,7 +61,8 @@ def _parse_range(raw: str, key: str) -> list[float]:
     most MAX_GRID_VALUES values; a range's count is checked before any value
     is built. A range's values are rounded to 4 decimals; a range that
     repeats a value once rounded (a step below 1e-4, or a start between two
-    4-decimal values) is refused."""
+    4-decimal values), or whose rounding moves a value outside
+    [start, stop], is refused."""
     too_many = ConfigError(f"{key}: more than {MAX_GRID_VALUES} grid values")
     if ":" in raw:
         parts = raw.split(":")
@@ -81,6 +82,12 @@ def _parse_range(raw: str, key: str) -> list[float]:
             raise ConfigError(f"{key}: {raw.strip()!r} repeats values once they are "
                               "rounded to 4 decimals (use a start of at most 4 "
                               "decimals and a step of at least 0.0001)")
+        outside = [v for v in values if not start - 1e-9 <= v <= stop + 1e-9]
+        if outside:
+            raise ConfigError(f"{key}: {raw.strip()!r} gives {outside[0]} once "
+                              f"rounded to 4 decimals, outside [{parts[0].strip()}, "
+                              f"{parts[1].strip()}] "
+                              "(use bounds and a step of at most 4 decimals)")
         return values
     if raw.count(",") >= MAX_GRID_VALUES:
         raise too_many

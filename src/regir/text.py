@@ -25,6 +25,8 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # from a non-ASCII character up to the next ASCII letter: ASCII folds to
 # itself, and text in another script is folded in a few long stretches
 _FOLD_RE = re.compile(r"[^\x00-\x7f][^A-Za-z]*")
+# every ASCII character that _TOKEN_RE does not match, mapped to a space
+_ASCII_BREAKS = {c: " " for c in range(0x80) if not _TOKEN_RE.match(chr(c))}
 
 
 def _fold_marks(match: re.Match) -> str:
@@ -45,9 +47,20 @@ def tokenize(text: str) -> list[str]:
     maps ASCII to itself. So they run only on the stretches that start at
     a non-ASCII character, which gives the string that running them over
     the whole text gives.
+
+    Lowercased ASCII text (including text such as "Café" that folds to
+    ASCII) has no word characters but [0-9a-z], so turning every other
+    character into a space and splitting on whitespace yields the runs the
+    regex finds; only text that keeps a non-ASCII character takes the regex.
     """
-    stripped = _FOLD_RE.sub(_fold_marks, text)
-    return list(filterfalse(str.isdigit, _TOKEN_RE.findall(stripped.lower())))
+    if not text.isascii():
+        text = _FOLD_RE.sub(_fold_marks, text)
+    text = text.lower()
+    if text.isascii():
+        words = text.translate(_ASCII_BREAKS).split()
+    else:
+        words = _TOKEN_RE.findall(text)
+    return list(filterfalse(str.isdigit, words))
 
 
 @dataclass(frozen=True)
@@ -151,11 +164,19 @@ def load_default_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path) -> frozenset[str]:
-    """One stopword per line; blank lines and '#' comments ignored."""
-    words = frozenset(word.lower() for _, word in read_lines(path))
+    """One stopword per line, lowercased; blank lines and '#' comments
+    ignored. An entry that is not one whole token of its own, which no
+    token could ever equal, is refused."""
+    words = set()
+    for line_no, entry in read_lines(path):
+        word = entry.lower()
+        if tokenize(word) != [word]:
+            raise ValueError(f"{path}: line {line_no}: stopword {entry!r} "
+                             f"tokenizes to {tokenize(entry)}, not to itself")
+        words.add(word)
     if not words:
         raise ValueError(f"{path}: no stopwords")
-    return words
+    return frozenset(words)
 
 
 class IdfTable:

@@ -15,6 +15,7 @@ from regir.rerank.train import FeatureStore, load_checkpoint
 
 from conftest import build_dataset, date_window_dataset
 from oracles import score_of
+from test_experiment import RANGES_ROUNDED_OUTSIDE
 
 
 def blob(result):
@@ -505,6 +506,16 @@ def test_grid_options_refuse_values_that_repeat_once_rounded(env, tmp_path,
                      option, "0:0.0003:0.00005", "--out", tmp_path / "out")
     assert result.exit_code == 1
     assert f"{option}: '0:0.0003:0.00005' repeats values" in blob(result)
+
+
+@pytest.mark.parametrize("raw, value", RANGES_ROUNDED_OUTSIDE)
+def test_grid_k1_refuses_a_range_whose_rounding_leaves_it(env, tmp_path, raw, value):
+    root = env.root
+    result = env.cli("tune-bm25", "--index", root / "index.bin",
+                     "--queries", root / "queries.jsonl", "--qrels", root / "qrels.tsv",
+                     "--grid-k1", raw, "--out", tmp_path / "out")
+    assert result.exit_code == 1
+    assert f"--grid-k1: '{raw}' gives {value} once rounded" in blob(result)
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

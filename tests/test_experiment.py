@@ -91,6 +91,25 @@ def test_config_refuses_a_grid_that_repeats_values_once_rounded(dataset, line, k
         cfg_from(dataset, BASE_CFG + line + "\n")
 
 
+# each range's rounding to 4 decimals moves a value outside [start, stop]
+RANGES_ROUNDED_OUTSIDE = [
+    ("0:0.00005:0.00005", "0.0001"),       # was [0.0, 0.0001]
+    ("0.00004:0.00004:1", "0.0"),          # was [0.0]
+    ("0.00015:0.0003:0.00015", "0.0001"),  # was [0.0001, 0.0003]
+]
+
+
+@pytest.mark.parametrize("raw, value", RANGES_ROUNDED_OUTSIDE)
+def test_config_refuses_a_grid_whose_rounding_leaves_the_range(dataset, raw, value):
+    path = dataset / "cfg.txt"
+    start, stop, _ = raw.split(":")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(f'{path}: bm25.grid_k1: ')}"
+                                          rf"'{re.escape(raw)}' gives {value} once "
+                                          rf"rounded to 4 decimals, outside "
+                                          rf"\[{start}, {stop}\]"):
+        cfg_from(dataset, BASE_CFG + f"bm25.grid_k1 = {raw}\n")
+
+
 def test_parse_range_accepts_a_step_of_one_rounding_unit():
     assert _parse_range("0.0001:0.0004:0.0001", "x") == [0.0001, 0.0002, 0.0003,
                                                           0.0004]

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import unicodedata
 from collections import Counter
 
@@ -99,6 +100,58 @@ def test_tokenize_equals_the_per_character_strip_on_every_code_point():
             batch = points[lo:lo + (1 << 15)]
             text = "".join(context.format(ch, ch) for ch in batch)
             assert tokenize(text) == tokenize_per_char(text), (context, hex(ord(batch[0])))
+
+
+# the contexts above folded to ASCII, so that tokenize takes its ASCII path
+ASCII_CONTEXTS = CONTEXTS[:3] + ["e {} x 12 {}"]
+ASCII = [chr(c) for c in range(0x80)]
+
+
+@pytest.mark.parametrize("context", ASCII_CONTEXTS)
+def test_tokenize_equals_the_per_character_strip_on_every_ascii_character(context):
+    for ch in ASCII:
+        text = context.format(ch, ch)
+        assert text.isascii()
+        assert tokenize(text) == tokenize_per_char(text), (context, hex(ord(ch)))
+
+
+def test_tokenize_equals_the_per_character_strip_on_every_ascii_pair():
+    for first in ASCII:
+        for second in ASCII:
+            text = "a" + first + second + "b"
+            assert tokenize(text) == tokenize_per_char(text), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(max_codepoint=0x7f)))
+def test_tokenize_equals_the_per_character_strip_on_arbitrary_ascii(text):
+    assert tokenize(text) == tokenize_per_char(text)
+
+
+class _Counting:
+    """A compiled pattern that counts the calls made through it."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.pattern, name)
+
+
+@pytest.mark.parametrize("text, folds, finds", [
+    ("The Batteries Act 2009, art. 3(a): foo_bar; x-y.\n" * 20, [], []),
+    ("Caf\u00e9 na\u00efve", ["sub"], []),
+    ("\u03b1\u03b2\u03b3", ["sub"], ["findall"]),
+], ids=["ascii", "folds-to-ascii", "greek"])
+def test_tokenize_takes_the_regex_only_for_text_left_non_ascii(
+        monkeypatch, text, folds, finds):
+    fold = _Counting(regir.text._FOLD_RE)
+    token = _Counting(regir.text._TOKEN_RE)
+    monkeypatch.setattr(regir.text, "_FOLD_RE", fold)
+    monkeypatch.setattr(regir.text, "_TOKEN_RE", token)
+    assert tokenize(text) == tokenize_per_char(text)
+    assert (fold.calls, token.calls) == (folds, finds)
 
 
 # --- bags of term ids ---
@@ -315,8 +368,25 @@ def test_default_stopwords_shape():
 
 def test_load_stopwords_file(tmp_path):
     path = tmp_path / "sw.txt"
-    path.write_text("the\nof\n\nand\n")
+    path.write_text("the\nOf\n\n# comment\nand\n")
     assert load_stopwords(path) == frozenset({"the", "of", "and"})
+
+
+def test_default_stopwords_are_each_one_whole_token():
+    assert [w for w in load_default_stopwords() if tokenize(w) != [w]] == []
+
+
+@pytest.mark.parametrize("entry, tokens", [
+    ("Caf\u00e9", ["cafe"]), ("don't", ["don", "t"]), ("of the", ["of", "the"]),
+    ("2009", []), ("foo_bar", ["foo", "bar"]),
+])
+def test_load_stopwords_refuses_an_entry_no_token_can_equal(tmp_path, entry, tokens):
+    path = tmp_path / "sw.txt"
+    path.write_text(f"the\n\n{entry}\nand\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 3: "
+                                         rf"stopword {re.escape(repr(entry))} "
+                                         rf"tokenizes to {re.escape(str(tokens))}"):
+        load_stopwords(path)
 
 
 def test_build_pipeline_threshold_uses_pool(tiny_corpus):
