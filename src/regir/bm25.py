@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -228,7 +229,8 @@ def _checked_index(header: dict, arrays: dict) -> PostingsIndex:
     table = IdfTable(n, dict(zip(idf_terms, idf_df.tolist())))
     pipeline = TextPipeline(table, stopwords=frozenset(stopwords),
                             idf_filter=header["idf_filter"])
-    index = PostingsIndex(pipeline, ids, positions, tf)
+    # interned, the ids a search returns are the pool corpus's key objects
+    index = PostingsIndex(pipeline, list(map(sys.intern, ids)), positions, tf)
     offsets = index.offsets
     if len(positions) != offsets[-1]:
         raise ValueError(f"postings length {len(positions)} differs from the "

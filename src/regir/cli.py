@@ -365,6 +365,7 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
 def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
            token_vectors, k, date_filter, filter_mode, out):
     """Re-rank pre-fetched lists with a trained checkpoint."""
+    window = DateWindow(date_filter, filter_mode) if date_filter is not None else None
     query_corpus = ingest_collection(queries)
     pool_corpus = ingest_collection(collection)
     pipeline = load_index(index_path).pipeline
@@ -372,7 +373,6 @@ def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
     provider = _provider(word_vectors, token_vectors)
     store = FeatureStore(result.model.kind, provider, pipeline, query_corpus,
                          pool_corpus, result.hp)
-    window = DateWindow(date_filter, filter_mode) if date_filter is not None else None
     run = candidates(read_run(run_path), k, window, query_corpus, pool_corpus)
     reranked = finalize(result.reranker(store).rerank_run(run), window,
                         query_corpus, pool_corpus)
@@ -393,10 +393,10 @@ def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
 @click.option("--out", type=_out, required=True)
 def date_filter_cmd(run_path, queries, collection, years, mode, k, out):
     """Drop candidates published too far from the query year."""
+    window = DateWindow(years, mode)
     query_corpus = ingest_collection(queries)
     pool_corpus = ingest_collection(collection)
     run = read_run(run_path)
-    window = DateWindow(years, mode)
     filtered = finalize(candidates(run, k, window, query_corpus, pool_corpus),
                         window, query_corpus, pool_corpus)
     write_run(filtered, out)

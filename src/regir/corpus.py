@@ -14,9 +14,9 @@ import json
 import logging
 import re
 import statistics
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -67,7 +67,13 @@ class Document:
 
 
 class Corpus:
-    """Immutable document collection keyed by doc_id."""
+    """Immutable document collection keyed by doc_id.
+
+    `years` reads a doc_id -> year table that holds one int object per
+    distinct year, so a lookup touches no Document. The collection and
+    index readers intern every doc_id they parse, so an id that a search
+    returns is the very key object and each probe matches by identity.
+    """
 
     def __init__(self, documents: list[Document]):
         self._docs: dict[str, Document] = {}
@@ -77,6 +83,9 @@ class Corpus:
             if not doc.title:
                 raise CorpusError(f"doc {doc.doc_id!r}: title is empty")
             self._docs[doc.doc_id] = doc
+        year_objects: dict[int, int] = {}
+        self._year = {doc_id: year_objects.setdefault(doc.year, doc.year)
+                      for doc_id, doc in self._docs.items()}
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -97,8 +106,7 @@ class Corpus:
         """The publication year of each doc_id, in order, as int64; `get`'s
         KeyError for the first unknown one."""
         try:
-            return np.fromiter(map(attrgetter("year"),
-                                   map(self._docs.__getitem__, doc_ids)),
+            return np.fromiter(map(self._year.__getitem__, doc_ids),
                                dtype=np.int64)
         except KeyError as exc:
             raise KeyError(f"unknown doc_id {exc.args[0]!r}") from None
@@ -126,7 +134,7 @@ def _document(record, where: str) -> Document:
         raise CorpusError(f"{where}: title/body must be strings")
     if not title:
         raise CorpusError(f"{where}: title is empty")
-    return Document(doc_id, title, body, _extract_year(record, where))
+    return Document(sys.intern(doc_id), title, body, _extract_year(record, where))
 
 
 def ingest_collection(path, tag: str = "") -> Corpus:

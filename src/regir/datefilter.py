@@ -37,7 +37,8 @@ class DateWindow:
 
     def __post_init__(self):
         y = self.max_distance_years
-        if y != math.inf and (y < 0 or int(y) != y):
+        # `not y >= 0` is also true of NaN, which int() would refuse
+        if y != math.inf and (not y >= 0 or int(y) != y):
             raise ValueError(f"max_distance_years must be a non-negative integer "
                              f"or inf, got {y}")
         if self.mode not in MODES:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import platform
 import time
 from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
@@ -438,19 +439,34 @@ class StageFailed(RuntimeError):
         super().__init__(f"stage {stage!r} failed: {cause}")
 
 
+def _environment() -> dict:
+    """The Python, numpy and BLAS builds a run's bits rest on, recorded
+    outside the manifest hash so another build still skips finished stages."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]}}
+
+
 class _Stages:
     """Skip-if-done bookkeeping in `manifest.json`, which is rewritten after
     every stage, so a crashed run leaves one naming the stages it finished.
     A stage is done, and its artifacts are read back instead of recomputed,
     when the previous manifest has this run's hash, its timings list the
     stage, and the stage's outputs exist. A manifest that is not JSON, or not
-    an object with a timings object, counts as no stage done."""
+    an object with a timings object, counts as no stage done. Its
+    `environment` names, per stage, the builds that stage's artifacts were
+    made under: this run's for a built stage, the previous manifest's record
+    (None when it has none) for a skipped one."""
 
     def __init__(self, outdir: Path, manifest: dict):
         self.path = outdir / "manifest.json"
         self.manifest = manifest
         self.timings: dict[str, float] = {}
         manifest["timings"] = self.timings
+        self.environment = _environment()
+        self.built_under: dict[str, dict | None] = {}
+        manifest["environment"] = self.built_under
+        self.previous_under: dict = {}
         self.done: set[str] = set()
         try:
             previous = json.loads(self.path.read_text())
@@ -459,6 +475,8 @@ class _Stages:
         if (isinstance(previous, dict) and isinstance(previous.get("timings"), dict)
                 and previous.get("manifest_hash") == manifest["manifest_hash"]):
             self.done = set(previous["timings"])
+            if isinstance(previous.get("environment"), dict):
+                self.previous_under = previous["environment"]
         self.write()
 
     def write(self) -> None:
@@ -469,6 +487,7 @@ class _Stages:
         if name in self.done and all(p.exists() for p in outputs):
             log.info("stage %s: outputs up to date, skipped", name)
             self.timings[name] = 0.0
+            self.built_under[name] = self.previous_under.get(name)
             result = load()
         else:
             start = time.perf_counter()
@@ -477,6 +496,7 @@ class _Stages:
             except Exception as exc:
                 raise StageFailed(name, exc) from exc
             self.timings[name] = round(time.perf_counter() - start, 6)
+            self.built_under[name] = self.environment
         self.write()
         return result
 

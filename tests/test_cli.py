@@ -739,6 +739,24 @@ def test_date_filter_command(env, tmp_path):
     assert kept <= total
 
 
+@pytest.mark.parametrize("years", ["nan", "2.5", "-1"])
+@pytest.mark.parametrize("command", ["rerank", "date-filter"])
+def test_a_bad_window_is_refused_before_any_input_is_read(env, tmp_path,
+                                                          command, years):
+    """Every input is corrupt, so the window's error is the one reported
+    only if the window is built before any input is read."""
+    bad = tmp_path / "corrupt"
+    bad.write_bytes(b"\xff not any input format\n")
+    args = {"rerank": ["--checkpoint", bad, "--index", bad, "--word-vectors",
+                       bad, "--date-filter", years],
+            "date-filter": ["--years", years]}[command]
+    result = env.cli(command, "--run", bad, "--queries", bad, "--collection",
+                     bad, *args, "--out", tmp_path / "out.tsv")
+    assert result.exit_code != 0
+    assert (f"Error: max_distance_years must be a non-negative integer or "
+            f"inf, got {float(years)}\n") in blob(result)
+
+
 def date_filter(env, out, *args):
     """The lists `date-filter --years 3` writes for run_all.tsv, with an
     empty list for each query it did not write (all entries dropped)."""

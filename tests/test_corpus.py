@@ -1,13 +1,17 @@
 import json
+import random
 import re
 
+import numpy as np
 import pytest
 
+from regir.bm25 import Bm25Params, build_index, load_index, save_index
 from regir.corpus import (Corpus, CorpusError, Document, Qrels, SplitManifest,
                           convert_collection, corpus_stats, ingest_collection,
                           load_qrels, write_collection)
+from regir.text import build_pipeline
 
-from conftest import make_doc, write_jsonl
+from conftest import build_dataset, make_doc, write_jsonl
 from oracles import mean_relevant
 
 
@@ -126,6 +130,42 @@ def test_corpus_stats_counts_whitespace_tokens(tiny_corpus):
     lengths = [len(tiny_corpus.get(i).text.split()) for i in tiny_corpus.ids]
     assert stats.mean_tokens == pytest.approx(sum(lengths) / 4)
     assert stats.year_histogram[2001] == 1
+
+
+def test_years_follow_the_ids_in_order(tmp_path):
+    write_jsonl(tmp_path / "c.jsonl", [
+        {"doc_id": "a", "title": "Act", "body": "x", "year": 2001},
+        {"doc_id": "b", "title": "Act", "body": "x"},
+        {"doc_id": "c", "title": "Act", "body": "x", "year": 1999},
+        {"doc_id": "d", "title": "Act", "body": "x", "year": 2001}])
+    corpus = ingest_collection(tmp_path / "c.jsonl")
+    years = corpus.years(iter(["c", "a", "b", "d", "a"]))
+    assert years.dtype == np.int64
+    assert years.tolist() == [1999, 2001, 0, 2001, 2001]
+    assert corpus.years([]).tolist() == []
+    # the table holds one int object per distinct year
+    table = corpus._year
+    assert table["a"] is table["d"]
+
+
+def test_years_name_the_first_unknown_id(tiny_corpus):
+    with pytest.raises(KeyError, match="unknown doc_id 'ghost'"):
+        tiny_corpus.years(["d1", "ghost", "nope"])
+
+
+def test_index_ids_are_the_pool_corpus_key_objects(tmp_path):
+    """Each doc_id read from an index, and so each id a search returns, is
+    the very object the pool corpus keys: a `years` probe matches by
+    identity."""
+    root = build_dataset(tmp_path, random.Random(5))
+    pool = ingest_collection(root / "pool.jsonl")
+    key = {doc_id: doc_id for doc_id in pool.ids}
+    save_index(build_index(pool, build_pipeline(pool)), root / "index.bin")
+    index = load_index(root / "index.bin")
+    ranked = index.bm25_search(pool.get("uk007").text.split(), Bm25Params(), 10)
+    loaded = {"index": list(index.doc_ids), "search": ranked.doc_ids}
+    for source, ids in loaded.items():
+        assert ids and all(key[d] is d for d in ids), source
 
 
 def test_qrels_load_and_restrict(tmp_path, tiny_corpus):

@@ -32,6 +32,13 @@ def test_window_validation():
         DateWindow(3, "sideways")
 
 
+@pytest.mark.parametrize("years", [math.nan, -math.inf])
+def test_window_refuses_a_non_finite_size_with_its_own_message(years):
+    with pytest.raises(ValueError, match=r"^max_distance_years must be a "
+                       rf"non-negative integer or inf, got {years}$"):
+        DateWindow(years)
+
+
 def test_filter_hand_case():
     # query year 2006, window +/-5: of {2008, 2012, 2015} only 2008 survives
     pool = corpus_with_years({"a": 2008, "b": 2012, "c": 2015})

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import platform
 import random
 import re
 import time
@@ -585,6 +586,41 @@ def test_rerun_through_another_relative_path_skips_every_stage(
     run_experiment(cfg, "../a/out")
     timings = json.loads((tmp_path / "a/out/manifest.json").read_text())["timings"]
     assert len(timings) >= 5 and set(timings.values()) == {0.0}
+
+
+def test_manifest_records_each_stage_s_environment_outside_the_hash(
+        dataset, tmp_path):
+    """manifest.json names, per stage, the Python, numpy and BLAS builds its
+    artifacts were made under. A manifest written under other builds still
+    lets a rerun skip every stage, and the skipped stages keep its record;
+    a stage rebuilt records this run's builds."""
+    cfg = cfg_from(dataset, BASE_CFG)
+    outdir = tmp_path / "out"
+    result = run_experiment(cfg, outdir)
+    path = outdir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    here = {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]}}
+    assert all(here["blas"].values())
+    assert manifest["environment"] == dict.fromkeys(manifest["timings"], here)
+    other = {"python": "3.10.0", "numpy": "1.26.0",
+             "blas": {"name": "other", "version": "0"}}
+    manifest["environment"] = dict.fromkeys(manifest["timings"], other)
+    path.write_text(json.dumps(manifest))
+    assert run_experiment(cfg, outdir).manifest_hash == result.manifest_hash
+    again = json.loads(path.read_text())
+    assert again["timings"] == dict.fromkeys(manifest["timings"], 0.0)
+    assert again["environment"] == manifest["environment"]
+    # one stage's output gone: that stage alone is rebuilt under this run's
+    (outdir / "index.bin").unlink()
+    run_experiment(cfg, outdir)
+    third = json.loads(path.read_text())
+    rebuilt = {name for name, t in third["timings"].items() if t}
+    assert rebuilt == {name for name in third["timings"]
+                       if name.startswith("index-v")}
+    assert third["environment"] == {
+        name: here if name in rebuilt else other for name in third["timings"]}
 
 
 def read_summary(path) -> dict[str, float]:
