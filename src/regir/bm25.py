@@ -72,11 +72,11 @@ class PostingsIndex:
     Its terms are the sorted idf-table terms the text pipeline keeps. A term
     survives the pipeline in every document or in none, so term i owns its
     df's worth of entries, offsets[i]:offsets[i+1], of `positions` (rows of
-    the sorted doc ids, ascending) and `tf` (each >= 1). A document's length
+    `doc_ids`, ascending) and `tf` (each >= 1). A document's length
     is the sum of its tf. The arrays have the types scoring reads (intp
     offsets and positions, float tf), so gathering a query's postings
-    converts nothing; the file holds them as int32. `doc_ids` ascend, so
-    top-k breaks ties by row.
+    converts nothing; the file holds them as int32. `doc_ids` are a pool
+    corpus's `ids`, which ascend, so top-k breaks ties by row.
     """
 
     def __init__(self, pipeline: TextPipeline, doc_ids: list[str],
@@ -135,7 +135,7 @@ class PostingsIndex:
                                             sorted_ids=True), presorted=True)
 
     def score_all(self, query_tokens: list[str], params: Bm25Params) -> np.ndarray:
-        """BM25 scores for every pool document, aligned with sorted doc ids."""
+        """BM25 scores for every pool document, aligned with `doc_ids`."""
         return self._scores(self._postings(query_tokens), params)
 
     def bm25_search(self, query_tokens: list[str], params: Bm25Params, k: int) -> RankedList:
@@ -152,10 +152,7 @@ def build_index(corpus, pipeline) -> PostingsIndex:
     if len(corpus) == 0:
         raise ValueError("empty pool: no documents to index")
     bags = pipeline.bags(corpus)
-    n = len(bags.doc_ids)
-    by_id = sorted(range(n), key=bags.doc_ids.__getitem__)
-    doc_pos = np.empty(n, dtype=np.int64)
-    doc_pos[by_id] = np.arange(n)
+    n = len(corpus)
     # each bag term's row among the pipeline's kept terms, -1 for any other
     row = pipeline.kept_row
     term_row = np.array([row.get(t, -1) for t in bags.terms], dtype=np.int64)
@@ -168,10 +165,10 @@ def build_index(corpus, pipeline) -> PostingsIndex:
                          "was built from: its doc count or denoised df differ "
                          "from the pipeline's idf table")
     # one key per (term, document) entry, unique since a bag holds a term once
-    entry_doc = np.repeat(doc_pos, np.diff(bags.offsets))
+    entry_doc = np.repeat(np.arange(n), np.diff(bags.offsets))
     keys, first = np.unique(entry_row * n + entry_doc, return_index=True)
-    return PostingsIndex(pipeline, [bags.doc_ids[i] for i in by_id],
-                         (keys % n).astype(np.int32), bags.tf[first])
+    return PostingsIndex(pipeline, corpus.ids, (keys % n).astype(np.int32),
+                         bags.tf[first])
 
 
 _INDEX_ARRAYS = {"positions": np.int32, "tf": np.int32, "idf_df": np.int64}

@@ -77,7 +77,7 @@ def _query_ids(query_corpus, splits_path: Path | None, split: str | None):
     """The split's query ids (default test); every query without a split
     manifest."""
     if splits_path is None:
-        return sorted(query_corpus.ids)
+        return query_corpus.ids
     manifest = SplitManifest.from_json(splits_path)
     split = split or "test"
     try:
@@ -324,6 +324,7 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
     """Train a neural re-ranker with pairwise hinge loss."""
     from dataclasses import replace
 
+    provider = _provider(word_vectors, token_vectors)
     query_corpus = ingest_collection(queries)
     pool_corpus = ingest_collection(collection)
     pipeline = load_index(index_path).pipeline
@@ -334,7 +335,6 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
     hp = Hyperparams.from_file(hyperparams) if hyperparams else Hyperparams()
     if seed is not None:
         hp = replace(hp, seed=seed)
-    provider = _provider(word_vectors, token_vectors)
     store = FeatureStore(model, provider, pipeline, query_corpus, pool_corpus, hp)
     result = train_model(model, manifest.train_ids, manifest.dev_ids, judgments,
                          run, store, hp)
@@ -366,11 +366,11 @@ def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
            token_vectors, k, date_filter, filter_mode, out):
     """Re-rank pre-fetched lists with a trained checkpoint."""
     window = DateWindow(date_filter, filter_mode) if date_filter is not None else None
+    provider = _provider(word_vectors, token_vectors)
     query_corpus = ingest_collection(queries)
     pool_corpus = ingest_collection(collection)
     pipeline = load_index(index_path).pipeline
     result = load_checkpoint(checkpoint)
-    provider = _provider(word_vectors, token_vectors)
     store = FeatureStore(result.model.kind, provider, pipeline, query_corpus,
                          pool_corpus, result.hp)
     run = candidates(read_run(run_path), k, window, query_corpus, pool_corpus)

@@ -67,38 +67,41 @@ class Document:
 
 
 class Corpus:
-    """Immutable document collection keyed by doc_id.
+    """Immutable document collection, numbered once in ascending doc_id.
 
-    `years` reads a doc_id -> year table that holds one int object per
-    distinct year, so a lookup touches no Document. The collection and
-    index readers intern every doc_id they parse, so an id that a search
-    returns is the very key object and each probe matches by identity.
+    Row i is the i-th document in that order: `ids[i]` is its doc_id and
+    `row` maps a doc_id back to i. Iteration follows the rows, and every
+    pool-side structure (bags, index, centroids, features) takes its rows
+    from here. The collection and index readers intern every doc_id they
+    parse, so an id that a search returns is the very key object of `row`
+    and each probe matches by identity.
     """
 
     def __init__(self, documents: list[Document]):
-        self._docs: dict[str, Document] = {}
+        docs: dict[str, Document] = {}
         for doc in documents:
-            if doc.doc_id in self._docs:
+            if doc.doc_id in docs:
                 raise CorpusError(f"duplicate doc_id {doc.doc_id!r}")
             if not doc.title:
                 raise CorpusError(f"doc {doc.doc_id!r}: title is empty")
-            self._docs[doc.doc_id] = doc
-        year_objects: dict[int, int] = {}
-        self._year = {doc_id: year_objects.setdefault(doc.year, doc.year)
-                      for doc_id, doc in self._docs.items()}
+            docs[doc.doc_id] = doc
+        self.ids: list[str] = sorted(docs)
+        self.row: dict[str, int] = {doc_id: i for i, doc_id in enumerate(self.ids)}
+        self._docs = [docs[doc_id] for doc_id in self.ids]
+        self._years = np.array([doc.year for doc in self._docs], dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self._docs)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._docs
+        return doc_id in self.row
 
     def __iter__(self):
-        return iter(self._docs.values())
+        return iter(self._docs)
 
     def get(self, doc_id: str) -> Document:
         try:
-            return self._docs[doc_id]
+            return self._docs[self.row[doc_id]]
         except KeyError:
             raise KeyError(f"unknown doc_id {doc_id!r}") from None
 
@@ -106,14 +109,10 @@ class Corpus:
         """The publication year of each doc_id, in order, as int64; `get`'s
         KeyError for the first unknown one."""
         try:
-            return np.fromiter(map(self._year.__getitem__, doc_ids),
-                               dtype=np.int64)
+            rows = np.fromiter(map(self.row.__getitem__, doc_ids), dtype=np.intp)
         except KeyError as exc:
             raise KeyError(f"unknown doc_id {exc.args[0]!r}") from None
-
-    @property
-    def ids(self) -> list[str]:
-        return list(self._docs)
+        return self._years[rows]
 
 
 REQUIRED_FIELDS = ("doc_id", "title", "body")
@@ -162,7 +161,8 @@ def ingest_collection(path, tag: str = "") -> Corpus:
 
 
 def write_collection(corpus: Corpus, path) -> None:
-    """Serialize back to canonical JSONL (round-trips with ingest_collection)."""
+    """Serialize back to canonical JSONL in ascending doc_id (round-trips
+    with ingest_collection)."""
     with open(path, "w", encoding="utf-8") as fh:
         for doc in corpus:
             record = {"doc_id": doc.doc_id, "title": doc.title, "body": doc.body}
@@ -326,7 +326,8 @@ class SplitManifest:
 
     def _check_chronology(self, query_corpus: Corpus) -> None:
         def years(ids):
-            return [query_corpus.get(i).year for i in ids if query_corpus.get(i).year]
+            found = query_corpus.years(ids)
+            return found[found != 0].tolist()
 
         train, dev, test = years(self.train_ids), years(self.dev_ids), years(self.test_ids)
         if train and dev and max(train) > min(dev):

@@ -195,12 +195,10 @@ def build_centroid_store(corpus, pipeline, word_vectors: WordVectors,
     rows = term_rows[in_vocab.ids]
     weights = in_vocab.tf * term_idf[in_vocab.ids]
     bounds = in_vocab.offsets.tolist()
-    # each centroid goes straight into its row, in doc_id order
-    order = sorted(range(len(bags.doc_ids)), key=bags.doc_ids.__getitem__)
-    matrix = np.empty((len(order), word_vectors.dim))
+    # each centroid goes straight into its row, in the corpus's doc_id order
+    matrix = np.empty((len(corpus), word_vectors.dim))
     kept, skipped = [], []
-    for i in order:
-        doc_id, lo, hi = bags.doc_ids[i], bounds[i], bounds[i + 1]
+    for doc_id, lo, hi in zip(corpus.ids, bounds, bounds[1:]):
         try:
             _centroid(word_vectors.matrix[rows[lo:hi]], weights[lo:hi],
                       out=matrix[len(kept)])

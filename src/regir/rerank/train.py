@@ -168,8 +168,8 @@ class FeatureStore:
     of them; none depend on trainable parameters, so each is computed once.
 
     A document comes as its term ids from the pipeline's denoised bags of the
-    pool, mapped to provider rows through one array over the bags' terms:
-    no pool document is tokenized again here.
+    pool, found by its pool corpus row and mapped to provider rows through
+    one array over the bags' terms: no pool document is tokenized again here.
     """
 
     def __init__(self, kind: str, provider, pipeline, query_corpus, pool_corpus,
@@ -182,7 +182,7 @@ class FeatureStore:
         self.query_corpus = query_corpus
         self.hp = hp
         self._bags = pipeline.bags(pool_corpus)
-        self._position = {d: i for i, d in enumerate(self._bags.doc_ids)}
+        self._row = pool_corpus.row
         self._term_rows = provider.row_ids(self._bags.terms)
         self._queries: dict[str, tuple] = {}
         self._feats: dict[tuple[str, str], object] = {}
@@ -214,9 +214,9 @@ class FeatureStore:
             return
         docs = []
         for doc_id in missing:
-            if doc_id not in self._position:
+            if doc_id not in self._row:
                 raise KeyError(f"unknown doc_id {doc_id!r}")
-            tokens = self._term_rows[self._bags.sequence(self._position[doc_id])]
+            tokens = self._term_rows[self._bags.sequence(self._row[doc_id])]
             docs.append((doc_id, tokens))
         query = self._query(query_id)
         if self.kind == "drmm":

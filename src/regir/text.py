@@ -67,20 +67,19 @@ def tokenize(text: str) -> list[str]:
 class Bags:
     """A collection as term ids, flat over its documents.
 
-    Document i (in collection order) owns entries
+    Document i (the collection's row i) owns entries
     seq_offsets[i]:seq_offsets[i+1] of `seq`, its term ids in text order, and
     entries offsets[i]:offsets[i+1] of `ids` and `tf`, its bag: its distinct
     term ids in first-occurrence order and how often each occurs. `terms`
     maps a term id back to its string.
     """
 
-    doc_ids: list[str]
     terms: list[str]
     ids: np.ndarray          # int32
     tf: np.ndarray           # int32
-    offsets: np.ndarray      # int64, len(doc_ids) + 1
+    offsets: np.ndarray      # int64, documents + 1
     seq: np.ndarray          # int32
-    seq_offsets: np.ndarray  # int64, len(doc_ids) + 1
+    seq_offsets: np.ndarray  # int64, documents + 1
 
     def df(self) -> np.ndarray:
         """Document frequency of every term id."""
@@ -94,7 +93,7 @@ class Bags:
         """The bags and sequences restricted to the term ids where `keep` is
         true."""
         mask, seq_mask = keep[self.ids], keep[self.seq]
-        return Bags(self.doc_ids, self.terms, self.ids[mask], self.tf[mask],
+        return Bags(self.terms, self.ids[mask], self.tf[mask],
                     _kept_offsets(mask, self.offsets), self.seq[seq_mask],
                     _kept_offsets(seq_mask, self.seq_offsets))
 
@@ -114,17 +113,16 @@ def encode_bags(corpus) -> Bags:
     over the collection."""
     vocab: defaultdict[str, int] = defaultdict()
     vocab.default_factory = vocab.__len__  # an unseen term gets the next id
-    doc_ids, seq, seq_offsets = [], array("i"), [0]
+    seq, seq_offsets = array("i"), [0]
     for doc in corpus:
-        doc_ids.append(doc.doc_id)
         seq.extend(map(vocab.__getitem__, tokenize(doc.text)))
         seq_offsets.append(len(seq))
     seq = np.array(seq, dtype=np.int32)
     seq_offsets = np.array(seq_offsets, dtype=np.int64)
     blocks = [_count_terms(seq, seq_offsets[lo:lo + _BLOCK_DOCS + 1], len(vocab))
-              for lo in range(0, max(len(doc_ids), 1), _BLOCK_DOCS)]
+              for lo in range(0, max(len(corpus), 1), _BLOCK_DOCS)]
     ids, tf, sizes = (np.concatenate(part) for part in zip(*blocks))
-    return Bags(doc_ids, list(vocab), ids, tf,
+    return Bags(list(vocab), ids, tf,
                 np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
                 seq, seq_offsets)
 
@@ -295,10 +293,10 @@ def build_pipeline(corpus, stopwords: frozenset[str] | None = None,
     pipeline keeps the collection's denoised bags, so indexing it and
     building its centroids tokenize nothing again.
     """
-    bags = encode_bags(corpus)
-    if not bags.doc_ids:
+    if len(corpus) == 0:
         raise ValueError("cannot build an idf table from zero documents")
-    table = IdfTable(len(bags.doc_ids), dict(zip(bags.terms, bags.df().tolist())))
+    bags = encode_bags(corpus)
+    table = IdfTable(len(corpus), dict(zip(bags.terms, bags.df().tolist())))
     pipeline = TextPipeline(table, stopwords=stopwords, idf_filter=idf_filter)
     denoised = pipeline.denoise_bags(bags)
     if len(bags.ids) and not len(denoised.ids):

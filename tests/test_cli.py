@@ -8,10 +8,12 @@ from click.testing import CliRunner
 from regir.bm25 import load_index
 from regir.cli import main
 from regir.corpus import ingest_collection
+from regir.dense import load_word_vectors
 from regir.fusion import default_alpha_grid
 from regir.ranking import read_run
-from regir.rerank.features import load_token_vectors
-from regir.rerank.train import FeatureStore, load_checkpoint
+from regir.rerank.features import TypeEmbeddings, load_token_vectors
+from regir.rerank.train import FeatureStore, Hyperparams, load_checkpoint
+from regir.text import build_pipeline
 
 from conftest import build_dataset, date_window_dataset
 from oracles import score_of
@@ -77,6 +79,50 @@ def test_ingest_stats_and_canonical_out(env):
     data = json.loads(stats.read_text())
     assert data["doc_count"] == 40
     assert len(ingest_collection(out)) == 40
+
+
+def test_a_pool_file_out_of_doc_id_order_is_numbered_in_doc_id_order(env,
+                                                                     tmp_path):
+    """A pool whose lines are shuffled is the sorted pool: the corpus
+    iterates and numbers its rows in ascending doc_id, `ingest --out` writes
+    that order, and the index, the centroids and the matcher features built
+    from it are the bytes built from the sorted file."""
+    lines = (env.root / "pool.jsonl").read_text().splitlines(keepends=True)
+    random.Random(3).shuffle(lines)
+    shuffled = tmp_path / "pool.jsonl"
+    shuffled.write_text("".join(lines))
+    pool = ingest_collection(shuffled)
+    ids = sorted(json.loads(line)["doc_id"] for line in lines)
+    assert [doc.doc_id for doc in pool] == pool.ids == ids
+    assert pool.row == {doc_id: i for i, doc_id in enumerate(ids)}
+    assert pool.years(ids).tolist() == [doc.year for doc in pool]
+
+    for name, collection in (("sorted", env.root / "pool.jsonl"),
+                             ("shuffled", shuffled)):
+        out = tmp_path / name
+        out.mkdir()
+        env.ok("ingest", "--collection", collection,
+               "--out", out / "canonical.jsonl")
+        env.ok("index", "--collection", collection, "--out", out / "index.bin")
+        env.ok("vectors", "--collection", collection, "--word-vectors",
+               env.root / "wv.txt", "--index", out / "index.bin",
+               "--out", out / "centroids.vec")
+        pool = ingest_collection(collection)
+        queries = ingest_collection(env.root / "queries.jsonl")
+        provider = TypeEmbeddings(load_word_vectors(env.root / "wv.txt"))
+        for kind in ("drmm", "pacrr"):
+            store = FeatureStore(kind, provider, build_pipeline(pool), queries,
+                                 pool, Hyperparams(B=6, q_len=16, d_len=64))
+            (out / f"{kind}.bin").write_bytes(b"".join(
+                part.tobytes() for query in queries for doc_id in pool.ids
+                for part in store.features(query.doc_id, doc_id)))
+    written = [json.loads(line)["doc_id"] for line in
+               (tmp_path / "shuffled" / "canonical.jsonl").read_text().splitlines()]
+    assert written == ids
+    for name in ("canonical.jsonl", "index.bin", "centroids.vec", "drmm.bin",
+                 "pacrr.bin"):
+        assert ((tmp_path / "shuffled" / name).read_bytes()
+                == (tmp_path / "sorted" / name).read_bytes()), name
 
 
 def test_ingest_rejects_malformed_file(env, tmp_path):
@@ -755,6 +801,27 @@ def test_a_bad_window_is_refused_before_any_input_is_read(env, tmp_path,
     assert result.exit_code != 0
     assert (f"Error: max_distance_years must be a non-negative integer or "
             f"inf, got {float(years)}\n") in blob(result)
+
+
+@pytest.mark.parametrize("vectors", [[], ["--word-vectors", "--token-vectors"]],
+                         ids=["neither", "both"])
+@pytest.mark.parametrize("command", ["train", "rerank"])
+def test_the_vectors_options_are_checked_before_any_input_is_read(
+        env, tmp_path, command, vectors):
+    """Every input is corrupt, so the error about the --word-vectors /
+    --token-vectors pair is the one reported only if the pair is checked
+    before any input is read."""
+    bad = tmp_path / "corrupt"
+    bad.write_bytes(b"\xff not any input format\n")
+    args = {"train": ["--model", "drmm", "--qrels", bad, "--splits", bad],
+            "rerank": ["--checkpoint", bad]}[command]
+    result = env.cli(command, "--run", bad, "--queries", bad, "--collection",
+                     bad, "--index", bad, *args,
+                     *[x for option in vectors for x in (option, bad)],
+                     "--out", tmp_path / "out")
+    assert result.exit_code != 0
+    assert ("Error: give exactly one of --word-vectors / --token-vectors\n"
+            in blob(result))
 
 
 def date_filter(env, out, *args):

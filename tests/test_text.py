@@ -194,7 +194,7 @@ def test_bags_hold_each_documents_term_counts_in_first_occurrence_order(
                                     lambda d: pipeline(d.text)),
                                    (other, pipeline.bags(other),
                                     lambda d: pipeline(d.text))):
-            assert bags.doc_ids == [d.doc_id for d in coll]
+            assert len(bags.offsets) == len(bags.seq_offsets) == len(coll) + 1
             bounds = bags.offsets.tolist()
             for i, (doc, lo, hi) in enumerate(zip(coll, bounds, bounds[1:])):
                 got = [(bags.terms[t], int(f))
