@@ -140,7 +140,10 @@ class PostingsIndex:
 
     def bm25_search(self, query_tokens: list[str], params: Bm25Params, k: int) -> RankedList:
         """Top-k over the whole pool (zero-score documents rank too), ties by
-        ascending doc_id."""
+        ascending doc_id. A query with no indexed term matches nothing, so
+        its list is empty rather than k arbitrary zero-score documents."""
+        if not any(map(self._row.__contains__, query_tokens)):
+            return RankedList(presorted=True)
         return self._top_k(self.score_all(query_tokens, params), k)
 
 

@@ -39,7 +39,8 @@ from .metrics import (aggregate_runs, evaluate_run, read_eval_csv,
 from .ranking import RankedList, Run, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
 from .rerank.train import (CHECKPOINT_VERSION, FeatureStore, Hyperparams,
-                           save_checkpoint, train_model, write_training_log)
+                           load_checkpoint, save_checkpoint, train_model,
+                           write_training_log)
 from .text import TextPipeline, build_pipeline, load_stopwords
 from ._textio import parse_number, read_key_values, write_table
 
@@ -382,9 +383,9 @@ class Prefetcher:
 
     def fetch(self, query_id: str, depth: int) -> tuple[RankedList, ...]:
         """Each component's list for the query, `depth` long; its text is
-        tokenized once for all of them. A query with no centroid or a zero
-        doc vector gets an empty list and a warning; one missing from the
-        query store raises KeyError."""
+        tokenized once for all of them. A query with no indexed term, no
+        centroid or a zero doc vector gets an empty list and a warning; one
+        missing from the query store raises KeyError."""
         tokens = None
         if {"bm25", "w2v-cent"} & set(self.components):
             tokens = self.pipeline(self.queries.get(query_id).text)
@@ -393,7 +394,10 @@ class Prefetcher:
 
     def _search(self, name: str, query_id: str, tokens, depth: int) -> RankedList:
         if name == "bm25":
-            return self.index.bm25_search(tokens, self.bm25_params, depth)
+            ranking = self.index.bm25_search(tokens, self.bm25_params, depth)
+            if not ranking:
+                log.warning("query %s: no indexed term; empty list", query_id)
+            return ranking
         if name == "w2v-cent":
             try:
                 qvec = centroid(tokens, self.word_vectors, self.pipeline.idf_table)
@@ -669,35 +673,48 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
         train_cands, dev_cands, test_cands = (
             candidates(prefetch[split], config.k, window, queries, pool)
             for split in ("train", "dev", "test"))
-        reports = []
+        rerankers = []
         for seed in config.rerank_seeds:
             ck_path = outdir / f"checkpoint_seed{seed}.bin"
             log_path = outdir / f"training_log_seed{seed}.csv"
-            rr_path = outdir / f"reranked_test_seed{seed}.tsv"
-            ev_path = outdir / f"eval_test_seed{seed}.csv"
 
-            def train_stage(seed=seed, ck=ck_path, lg=log_path, rr=rr_path,
-                            ev=ev_path):
+            def train_stage(seed=seed, ck=ck_path, lg=log_path):
                 result = train_model(config.rerank_model, splits.train_ids,
                                      splits.dev_ids, qrels,
                                      {**train_cands, **dev_cands},
                                      store, replace(hp, seed=seed))
                 save_checkpoint(result, ck)
                 write_training_log(result.log_rows, lg, comment=tag)
-                reranked = finalize(result.reranker(store).rerank_run(test_cands),
-                                    window, queries, pool)
-                write_run(reranked, rr, comment=tag)
-                report = evaluate_run(reranked, qrels.restrict(splits.test_ids),
-                                      k=config.eval_k)
-                write_eval_csv(report, ev, comment=tag)
-                return report
+                return result
 
-            # the eval CSV, not the run file, holds a list the window emptied
-            reports.append(stages.run(
-                f"train-v{CHECKPOINT_VERSION}-seed{seed}",
-                [ck_path, log_path, rr_path, ev_path], train_stage,
-                lambda: read_eval_csv(ev_path)))
-            eval_paths.append(ev_path)
+            result = stages.run(f"train-v{CHECKPOINT_VERSION}-seed{seed}",
+                                [ck_path, log_path], train_stage,
+                                lambda: load_checkpoint(ck_path))
+            rerankers.append(result.reranker(store))
+
+        rr_paths = [outdir / f"reranked_test_seed{s}.tsv" for s in config.rerank_seeds]
+        eval_paths = [outdir / f"eval_test_seed{s}.csv" for s in config.rerank_seeds]
+
+        def rerank_stage():
+            # each test list's features are computed once, scored by every
+            # seed's model, and dropped before the next list
+            runs = [Run() for _ in rerankers]
+            for query_id, ranking in test_cands.items():
+                feats = store.batch(query_id, ranking.doc_ids)
+                for run, reranker in zip(runs, rerankers):
+                    run[query_id] = reranker.rerank_list(query_id, ranking, feats)
+            reports = []
+            for run, rr, ev in zip(runs, rr_paths, eval_paths):
+                reranked = finalize(run, window, queries, pool)
+                write_run(reranked, rr, comment=tag)
+                reports.append(evaluate_run(reranked, qrels.restrict(splits.test_ids),
+                                            k=config.eval_k))
+                write_eval_csv(reports[-1], ev, comment=tag)
+            return reports
+
+        # the eval CSVs, not the run files, hold a list the window emptied
+        reports = stages.run("rerank-test", rr_paths + eval_paths, rerank_stage,
+                             lambda: [read_eval_csv(p) for p in eval_paths])
         if len(reports) > 1:
             summary_path = outdir / "eval_summary.csv"
             write_summary_csv(aggregate_runs(reports), summary_path, comment=tag)

@@ -165,7 +165,12 @@ class Adam:
 
 class FeatureStore:
     """Caches per-(query, document) matcher features, and each query's side
-    of them; none depend on trainable parameters, so each is computed once.
+    of them; none depend on trainable parameters, so a pair that training
+    reads again is computed once.
+
+    `fill` caches: training fills each mini-batch's pairs and each dev list,
+    which it reads every epoch. `batch` reads a list without caching what it
+    computes, so a test list's features live only while it is scored.
 
     A document comes as its term ids from the pipeline's denoised bags of the
     pool, found by its pool corpus row and mapped to provider rows through
@@ -193,38 +198,59 @@ class FeatureStore:
             tokens = dedup_terms(tokens)
         return tokens
 
-    def _query(self, query_id: str):
-        if query_id not in self._queries:
-            tokens = self.query_tokens(query_id)
-            idf_table = self.pipeline.idf_table
-            self._queries[query_id] = (
-                drmm_query(tokens, query_id, self.provider, idf_table)
-                if self.kind == "drmm" else
-                pacrr_query(tokens, query_id, self.provider, idf_table,
-                            self.hp.q_len))
-        return self._queries[query_id]
+    def _query(self, query_id: str, keep: bool):
+        """The query's side of its features: cached, else computed, and
+        cached if `keep`."""
+        if query_id in self._queries:
+            return self._queries[query_id]
+        tokens = self.query_tokens(query_id)
+        idf_table = self.pipeline.idf_table
+        query = (drmm_query(tokens, query_id, self.provider, idf_table)
+                 if self.kind == "drmm" else
+                 pacrr_query(tokens, query_id, self.provider, idf_table,
+                             self.hp.q_len))
+        if keep:
+            self._queries[query_id] = query
+        return query
 
-    def fill(self, query_id: str, doc_ids) -> None:
-        """Computes the features of each pair of the query with doc_ids that
-        is not cached yet: DRMM's in one `drmm_batch`, PACRR's one pair at a
-        time. An unknown doc_id raises KeyError before anything is cached."""
-        missing = [d for d in dict.fromkeys(doc_ids)
-                   if (query_id, d) not in self._feats]
-        if not missing:
-            return
+    def _missing(self, query_id: str, doc_ids) -> list[str]:
+        return [d for d in dict.fromkeys(doc_ids) if (query_id, d) not in self._feats]
+
+    def _compute(self, query_id: str, doc_ids: list[str], keep: bool) -> list:
+        """The features of the query with each of doc_ids, in order: DRMM's
+        in one `drmm_batch`, PACRR's one pair at a time. An unknown doc_id
+        raises KeyError before anything is computed."""
         docs = []
-        for doc_id in missing:
+        for doc_id in doc_ids:
             if doc_id not in self._row:
                 raise KeyError(f"unknown doc_id {doc_id!r}")
             tokens = self._term_rows[self._bags.sequence(self._row[doc_id])]
             docs.append((doc_id, tokens))
-        query = self._query(query_id)
+        if not docs:
+            return []
+        query = self._query(query_id, keep)
         if self.kind == "drmm":
-            feats = drmm_batch(query, docs, self.provider, self.hp.B)
-        else:
-            feats = [pacrr_pair(query, tokens, doc_id, self.provider, self.hp.d_len)
-                     for doc_id, tokens in docs]
-        self._feats.update(zip([(query_id, d) for d in missing], feats))
+            return drmm_batch(query, docs, self.provider, self.hp.B)
+        return [pacrr_pair(query, tokens, doc_id, self.provider, self.hp.d_len)
+                for doc_id, tokens in docs]
+
+    def fill(self, query_id: str, doc_ids) -> None:
+        """Computes and caches the features of each pair of the query with
+        doc_ids that is not cached yet. An unknown doc_id raises KeyError
+        before anything is cached."""
+        missing = self._missing(query_id, doc_ids)
+        self._feats.update(zip([(query_id, d) for d in missing],
+                               self._compute(query_id, missing, keep=True)))
+
+    def batch(self, query_id: str, doc_ids) -> list:
+        """The features of the query with each of doc_ids, in order: cached
+        pairs from the cache, the others computed together as `fill` would
+        and not kept, nor the query's side unless it is cached. An unknown
+        doc_id raises KeyError before anything is computed."""
+        missing = self._missing(query_id, doc_ids)
+        computed = dict(zip(missing, self._compute(query_id, missing, keep=False)))
+        return [computed[d] if d in computed else self._feats[query_id, d]
+                for d in doc_ids]
 
     def features(self, query_id: str, doc_id: str):
         key = (query_id, doc_id)
@@ -250,15 +276,18 @@ class Reranker:
         self.w_p = w_p
         self.store = store
 
-    def rerank_list(self, query_id: str, ranking: RankedList) -> RankedList:
-        """Reorder the pre-fetched candidates by rel(q, d): their features
-        filled in one `fill`, scored in one `score_batch` call."""
+    def rerank_list(self, query_id: str, ranking: RankedList,
+                    features: list | None = None) -> RankedList:
+        """Reorder the pre-fetched candidates by rel(q, d), scored in one
+        `score_batch` call. Their features are `features`, in list order,
+        when the caller holds them, else the store's `batch`: a pair the
+        store has not cached is computed for this call and then dropped."""
         if not ranking:
             return ranking
         norm = dict(normalize_scores(ranking))
-        self.store.fill(query_id, ranking.doc_ids)
-        s_r = self.model.score_batch([self.store.features(query_id, doc_id)
-                                      for doc_id in ranking.doc_ids])
+        if features is None:
+            features = self.store.batch(query_id, ranking.doc_ids)
+        s_r = self.model.score_batch(features)
         return RankedList(sort_scored(
             [(doc_id, rel_score(s, norm[doc_id], self.w_r, self.w_p))
              for doc_id, s in zip(ranking.doc_ids, s_r.tolist())]), presorted=True)
@@ -277,6 +306,8 @@ def _dev_recall(params_w, model, store: FeatureStore, dev_ids, qrels, run: Run,
         relevant = qrels.relevant(query_id)
         if not relevant or query_id not in run:
             continue
+        # every epoch re-scores the dev lists, so their features are cached
+        store.fill(query_id, run[query_id].doc_ids)
         reranked = reranker.rerank_list(query_id, run[query_id])
         total += recall_at_k(reranked, relevant, k)
         count += 1

@@ -168,6 +168,14 @@ def test_search_k_must_be_positive(toy_index):
         toy_index.bm25_search(["a"], Bm25Params(), k=0)
 
 
+@pytest.mark.parametrize("query", [[], ["zzz"], ["zzz", "qqq", "zzz"]])
+def test_a_query_with_no_indexed_term_gets_an_empty_list(toy_index, query):
+    """It matches nothing, so no pool document is ranked for it; a query with
+    one indexed term still ranks the zero-score documents too."""
+    assert toy_index.bm25_search(query, Bm25Params(), k=2) == []
+    assert len(toy_index.bm25_search(query + ["c"], Bm25Params(), k=2)) == 2
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_search_matches_naive_oracle(seed):
     rng = random.Random(seed)

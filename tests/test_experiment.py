@@ -18,8 +18,9 @@ from regir.experiment import (ConfigError, Prefetcher, _parse_range,
                               run_experiment)
 from regir.metrics import read_eval_csv
 from regir.ranking import RankedList, Run, read_run
+from regir.rerank import train
 
-from conftest import build_dataset, date_window_dataset
+from conftest import build_dataset, date_window_dataset, write_jsonl
 from oracles import rk_curve_per_k
 
 BASE_CFG = """
@@ -670,4 +671,109 @@ def test_a_pre_window_that_empties_a_test_query_leaves_it_unranked(tmp_path):
     report = read_eval_csv(result.outdir / "eval_test_seed3.csv")
     assert sorted(report.per_query) == sorted(test_ids)
     assert set(report.per_query[test_ids[-1]].values()) == {0.0}
+    assert report.macro["r_at_5"] > 0
+
+
+def pair_counter(monkeypatch) -> Counter:
+    """Counts each (query, document) pair whose features are computed, by
+    wrapping the pair computations where `train.py` calls them. A pair
+    computation gets the query's side, matched to its query by identity."""
+    counts = Counter()
+    sides = []  # (query side, query_id), kept alive so no id is reused
+    real = {name: getattr(train, name) for name in
+            ("drmm_query", "pacrr_query", "drmm_batch", "pacrr_pair")}
+
+    def query_side(name):
+        def wrapped(tokens, query_id, *rest):
+            sides.append((real[name](tokens, query_id, *rest), query_id))
+            return sides[-1][0]
+        return wrapped
+
+    def owner(query):
+        return next(query_id for side, query_id in sides if side is query)
+
+    def batch(query, docs, *rest):
+        counts.update((owner(query), doc_id) for doc_id, _ in docs)
+        return real["drmm_batch"](query, docs, *rest)
+
+    def pair(query, tokens, doc_id, *rest):
+        counts[owner(query), doc_id] += 1
+        return real["pacrr_pair"](query, tokens, doc_id, *rest)
+
+    for name in ("drmm_query", "pacrr_query"):
+        monkeypatch.setattr(train, name, query_side(name))
+    monkeypatch.setattr(train, "drmm_batch", batch)
+    monkeypatch.setattr(train, "pacrr_pair", pair)
+    return counts
+
+
+RERANK_CFG = BASE_CFG + """rerank.hyperparams = {hp}
+dense.word_vectors = wv.txt
+rerank.model = {model}
+"""
+
+SMALL_PACRR = "q_len=6\nd_len=16\nfilters=2\nkernel_sizes=2\n"
+
+
+@pytest.mark.parametrize("model", ["drmm", "pacrr"])
+def test_a_run_computes_each_pair_s_features_once(dataset, tmp_path, monkeypatch,
+                                                  model):
+    """Two seeds train three epochs each. Training's pairs and the dev lists
+    are cached across steps, epochs and seeds; each test list is computed
+    once, for both seeds' models."""
+    counts = pair_counter(monkeypatch)
+    (dataset / "hp_3_epochs.txt").write_text(
+        HP.replace("max_epochs=2", "max_epochs=3") + "patience=5\n" + SMALL_PACRR)
+    cfg = cfg_from(dataset, RERANK_CFG.format(hp="hp_3_epochs.txt", model=model)
+                   + "rerank.seeds = 1,2\n")
+    outdir = tmp_path / "out"
+    run_experiment(cfg, outdir)
+    for seed in (1, 2):
+        log_lines = (outdir / f"training_log_seed{seed}.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in log_lines[2:]] == ["1", "2", "3"]
+    assert set(counts.values()) == {1}
+    splits = json.loads((dataset / "splits.json").read_text())
+    assert {q for q, _ in counts} == {*splits["train"], *splits["dev"],
+                                      *splits["test"]}
+    for split in ("dev", "test"):
+        lists = read_run(outdir / f"prefetch_{split}.tsv").truncated(cfg.k)
+        assert {(q, d) for q, ranking in lists.items()
+                for d in ranking.doc_ids} <= counts.keys()
+
+
+def with_query_texts(root, texts: dict[str, str]) -> None:
+    """Gives each query of `texts` that title and an empty body."""
+    queries = [json.loads(line)
+               for line in (root / "queries.jsonl").read_text().splitlines()]
+    for query in queries:
+        if query["doc_id"] in texts:
+            query.update(title=texts[query["doc_id"]], body="")
+    write_jsonl(root / "queries.jsonl", queries)
+
+
+@pytest.mark.parametrize("model", ["drmm", "pacrr"])
+def test_a_query_with_no_indexed_term_leaves_the_run_whole(tmp_path, caplog, model):
+    """A test query `the` and a train query `of and 2009` keep no token the
+    index holds. BM25 gives each an empty list and a warning, as the dense
+    pre-fetchers do for a query without a vector: the train query is skipped
+    for want of a relevant document, and the test query is left unranked and
+    scores 0, so re-ranking never meets a query that denoises to nothing."""
+    root = build_dataset(tmp_path, random.Random(20260814))
+    splits = json.loads((root / "splits.json").read_text())
+    test_id, train_id = splits["test"][-1], splits["train"][0]
+    with_query_texts(root, {test_id: "the", train_id: "of and 2009"})
+    (root / "hp.txt").write_text(HP + SMALL_PACRR)
+    cfg = cfg_from(root, RERANK_CFG.format(hp="hp.txt", model=model) + "seed = 3\n")
+    with caplog.at_level("WARNING"):
+        result = run_experiment(cfg, tmp_path / "out")
+    messages = [record.getMessage() for record in caplog.records]
+    for query_id in (test_id, train_id):
+        assert f"query {query_id}: no indexed term; empty list" in messages
+    assert (f"query {train_id}: no relevant document in the pre-fetched top-0; "
+            "skipped") in messages
+    assert sorted(read_run(result.outdir / "reranked_test_seed3.tsv")) == \
+        sorted(splits["test"][:-1])
+    report = read_eval_csv(result.outdir / "eval_test_seed3.csv")
+    assert sorted(report.per_query) == sorted(splits["test"])
+    assert set(report.per_query[test_id].values()) == {0.0}
     assert report.macro["r_at_5"] > 0

@@ -2,6 +2,7 @@ import json
 import pickle
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -772,6 +773,68 @@ def test_training_scores_each_query_of_a_batch_in_one_call(kind, hp, monkeypatch
     [counter] = counters
     assert counter.cached_batches == want
     assert counter.calls["score"] == 0
+
+
+# --- what the store keeps ---
+
+@pytest.mark.parametrize("kind, hp", [
+    ("drmm", Hyperparams(B=7, hidden=3)),
+    ("pacrr", Hyperparams(q_len=4, d_len=8, filters=3, kmax=3)),
+])
+def test_rerank_run_keeps_none_of_the_features_it_computes(kind, hp):
+    """Lists the store never filled are scored from features computed for
+    the call and then dropped, and a cached pair is read from the cache: the
+    store holds afterwards what it held before, and the lists equal those of
+    one model call per pair."""
+    pool, queries, pipeline, providers = _store_fixture()
+    store = FeatureStore(kind, providers["type"], pipeline, queries, pool, hp)
+    doc_ids = [d.doc_id for d in pool]
+    store.fill("q0", doc_ids[:3])
+    feats, sides = dict(store._feats), dict(store._queries)
+    rng = random.Random(5)
+    run = Run({q.doc_id: RankedList([(d, rng.random()) for d in doc_ids])
+               for q in queries})
+    reranker = Reranker(init_model(kind, hp, np.random.default_rng(3)), w_r=0.7,
+                        w_p=0.3, store=store)
+    got = reranker.rerank_run(run)
+    assert store._feats.keys() == feats.keys()
+    assert all(store._feats[key] is value for key, value in feats.items())
+    assert store._queries == sides
+    with pytest.raises(KeyError, match="ghost"):
+        store.batch("q1", [doc_ids[0], "ghost"])
+    assert got == Run({q: rerank_list_per_pair(reranker, q, ranking)
+                       for q, ranking in run.items()})
+
+
+def test_rerank_run_holds_one_list_s_features_at_a_time():
+    """Memory stays bounded while re-ranking: over 20 PACRR lists of 30
+    candidates, the memory traced during `rerank_run` peaks below three
+    times one list's features. A store that kept every list would hold 20."""
+    rng = np.random.default_rng(12)
+    vocab = [f"w{i}" for i in range(50)]
+    pool = Corpus([make_doc(f"d{i:02d}", [vocab[j] for j in rng.integers(50, size=200)],
+                            title="Act") for i in range(30)])
+    queries = Corpus([make_doc(f"q{i:02d}", [vocab[j] for j in rng.integers(50, size=40)],
+                               title="Act") for i in range(20)])
+    pipeline = build_pipeline(pool, stopwords=frozenset(["act"]), idf_filter=False)
+    provider = TypeEmbeddings(keyed(WordVectors, {t: rng.normal(size=8) for t in vocab}))
+    hp = Hyperparams(q_len=16, d_len=128, filters=2, kernel_sizes=(2,))
+    store = FeatureStore("pacrr", provider, pipeline, queries, pool, hp)
+    run = Run({q.doc_id: RankedList([(d, float(i)) for i, d in enumerate(pool.ids)])
+               for q in queries})
+    probe = FeatureStore("pacrr", provider, pipeline, queries, pool, hp)
+    list_bytes = sum(probe.features("q00", d)[0].nbytes for d in pool.ids)
+    assert list_bytes == 30 * 16 * 128 * 8
+    reranker = Reranker(init_model("pacrr", hp, np.random.default_rng(0)), w_r=0.5,
+                        w_p=0.5, store=store)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reranker.rerank_run(run)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * list_bytes
 
 
 # --- persistence ---
