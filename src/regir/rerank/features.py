@@ -13,6 +13,7 @@ while pairs with an out-of-vocabulary side score 0.
 from __future__ import annotations
 
 import logging
+from itertools import repeat
 
 import numpy as np
 
@@ -45,18 +46,24 @@ class TypeEmbeddings:
                         "out-of-vocabulary", len(m) - usable.sum())
 
     def row_ids(self, terms) -> np.ndarray:
-        """Each term's row id, -1 for out-of-vocabulary terms."""
-        return self._ids[np.fromiter((self._row.get(t, -1) for t in terms),
+        """Each term's row id, -1 for out-of-vocabulary terms. Terms given
+        as an int array are row ids already and come back as they are."""
+        if isinstance(terms, np.ndarray):
+            return terms
+        return self._ids[np.fromiter(map(self._row.get, terms, repeat(-1)),
                                      dtype=np.intp, count=len(terms))]
+
+    def units(self, ids) -> np.ndarray:
+        """The unit rows of row ids; -1 reads the zero row."""
+        return self._units[ids]
 
     def rows(self, doc_id: str, tokens, limit: int | None = None):
         """(units, in-vocab mask, identity keys) aligned with the first
         `limit` tokens (all without a limit); the keys are term row ids, -1
         for out-of-vocabulary tokens. The tokens are strings, or an int
         array of their row ids (see `row_ids`)."""
-        tokens = tokens[:limit]
-        ids = tokens if isinstance(tokens, np.ndarray) else self.row_ids(tokens)
-        return self._units[ids], ids >= 0, ids
+        ids = self.row_ids(tokens[:limit])
+        return self.units(ids), ids >= 0, ids
 
 
 class TokenEmbeddings:
@@ -128,22 +135,21 @@ def sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys) -> np.ndarray:
     return S
 
 
-def bin_similarities(sims: np.ndarray, widths, bins: int) -> np.ndarray:
-    """Log-count histograms of each row of an (R, C) input over each of n
-    column segments, the segments' `widths` summing to C: (n, R, bins + 1).
-    `bins` regular bins over [-1, 1) plus a reserved top bin counting exact
-    1.0 matches. Every (segment, row) histogram comes from one bincount over
-    offset bin indices; each entry's bin is its own elementwise function."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    n_rows, n_segs = sims.shape[0], len(widths)
-    idx = np.floor((sims + 1.0) / 2.0 * bins).astype(np.intp)
-    np.clip(idx, 0, bins - 1, out=idx)
-    idx[sims == 1.0] = bins
-    segment = np.repeat(np.arange(n_segs), widths)
-    idx += (np.arange(n_rows)[:, None] * n_segs + segment) * (bins + 1)
-    counts = np.bincount(idx.ravel(), minlength=n_rows * n_segs * (bins + 1))
-    return np.log1p(counts.reshape(n_rows, n_segs, bins + 1)).transpose(1, 0, 2)
+def _bin_numbers(sims: np.ndarray, bins: int) -> np.ndarray:
+    """Overwrites an array of similarities with their bins, as floats, and
+    returns it: `bins` regular bins over [-1, 1), anything lower in the
+    first, and a reserved top bin for s >= 1.0, where clipping puts a
+    similarity at exactly 1.0. The bin is a non-decreasing function of s:
+    every step (a comparison, + 1, / 2, * bins, floor, clip) is monotone in
+    floating point."""
+    top = sims >= 1.0
+    sims += 1.0
+    sims /= 2.0
+    sims *= bins
+    np.floor(sims, out=sims)
+    np.clip(sims, 0, bins - 1, out=sims)
+    sims[top] = bins
+    return sims
 
 
 def dedup_terms(tokens: list[str]) -> list[str]:
@@ -160,16 +166,26 @@ def drmm_query(query_terms: list[str], query_doc_id: str, provider, idf_table):
             idf_table.idfs(query_terms))
 
 
-# Bound on the entries of one DRMM batch's (Q, sum of D) similarity buffer,
-# and so on the memory a batch adds, at any query and document length; a
-# document longer than it on its own forms a batch of one.
-DRMM_BATCH_ENTRIES = 2 ** 16
+# Bound on the entries of one DRMM batch, query terms times document tokens
+# summed over its documents; a document above it forms a batch of one. At
+# 2**20 each 50-candidate list of the uk2eu-ensemble-drmm benchmark is one
+# batch (the largest hold about 0.6 M entries). Besides twice the
+# histograms it returns, a batch holds at most 16 bytes per entry, 64 per
+# token and 1 MiB of slices; a document whose rows are taken whole
+# (positional vectors, or the per-document exit) adds 8 * dim bytes per
+# token and 17 per entry of that document.
+DRMM_BATCH_ENTRIES = 2 ** 20
+
+# Entries a batch bins or counts at a time: its table is binned, and its
+# tokens counted, in slices of about this many similarities (a slice holds
+# whole documents, so one long document may exceed it).
+DRMM_SLICE_ENTRIES = 2 ** 15
 
 
 def drmm_batch(query, docs, provider, bins: int) -> list:
     """DRMM features of a `drmm_query` result against each (doc_id, tokens)
-    in docs, whose tokens go to `provider.rows`, in order. Documents are
-    taken in batches of at most DRMM_BATCH_ENTRIES similarities."""
+    in docs, in order; the tokens are what `provider.rows` takes. Documents
+    are taken in batches of at most DRMM_BATCH_ENTRIES similarities."""
     n_terms = len(query[0][1])
     feats, batch, width = [], [], 0
     for doc in docs:
@@ -182,27 +198,122 @@ def drmm_batch(query, docs, provider, bins: int) -> list:
 
 
 def _drmm_batch(query, docs, provider, bins: int) -> list:
-    """One batch of `drmm_batch`. Each document's similarities are its own
-    `q_units @ d_units.T`, the product a single pair computes; clipping, the
-    exact-match pin and binning are elementwise, so a pair's histograms do
-    not depend on the rest of the batch. Out-of-vocabulary query terms keep
-    a zero histogram."""
+    """One batch of `drmm_batch`. Its similarities form one table with a
+    column per in-vocabulary query term and a row per distinct
+    in-vocabulary term of the batch when the provider has a vector per term
+    (`dedup`), else a row per in-vocabulary position. The table is binned
+    once, in slices of rows, and each token reads its row's bins, so a term
+    shared by many tokens is multiplied and binned once. `_proved_bins`
+    shows that each bin is the one a pair's own `q_units @ d_units.T` gives;
+    a batch where it cannot takes that per-document product instead, which
+    is kept only as this exit. Out-of-vocabulary query terms keep a zero
+    histogram."""
     (q_units, q_mask, q_keys), idf = query
-    products, d_masks, d_keys = [], [], []
+    q_in = q_units[q_mask]
+    # table rows per slice: its vectors and similarities fit the slice
+    step = max(1, DRMM_SLICE_ENTRIES // (len(q_in) + q_in.shape[1]))
+    if provider.dedup:
+        keys = np.concatenate([provider.row_ids(tokens) for _, tokens in docs])
+        in_vocab = keys >= 0
+        terms, token_rows = np.unique(keys[in_vocab], return_inverse=True)
+        q_keys = q_keys[q_mask]
+        blocks = ((provider.units(terms[i:i + step]), terms[i:i + step, None] == q_keys)
+                  for i in range(0, len(terms), step))
+        n_rows = len(terms)
+    else:
+        rows = [provider.rows(doc_id, tokens) for doc_id, tokens in docs]
+        in_vocab = np.concatenate([mask for _, mask, _ in rows])
+        blocks = ((doc_units[i:i + step], None)
+                  for doc_units in (units[mask] for units, mask, _ in rows)
+                  for i in range(0, len(doc_units), step))
+        token_rows, n_rows = None, np.count_nonzero(in_vocab)
+    ends = np.cumsum([0] + [len(tokens) for _, tokens in docs])
+    widths = np.diff(np.concatenate(([0], np.cumsum(in_vocab)))[ends])
+    binned = _proved_bins(blocks, q_in, n_rows, bins)
+    if binned is None:
+        binned = _per_document_bins(query, docs, provider, bins, widths.sum())
+        token_rows = None
+    hists = _histograms(binned, token_rows, widths, np.flatnonzero(q_mask),
+                        len(q_mask), bins)
+    return [(h, idf) for h in hists]
+
+
+def _proved_bins(blocks, q_in, n_rows: int, bins: int):
+    """The bins of a similarity table as an int array (n_rows, len(q_in)):
+    its rows, given as (units, pin) blocks, against the in-vocabulary query
+    rows q_in, and the top bin where `pin` is set. None if a bin is not
+    proved to equal that of every floating-point evaluation of its entry.
+
+    Any evaluation of the dot product of two dim-term vectors, in any
+    summation order and with or without fused multiply-adds, is within
+    gamma * |x| * |y| of the exact value, gamma = dim * u / (1 - dim * u),
+    u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.1). Unit rows have norms within (dim + 2) * u of 1, so two
+    evaluations differ by less than 2.01 * dim * u for any dim below
+    10**12, and rounding s - eps or s + eps moves it by at most 1.01 * u
+    more: eps = 4 * dim * u brackets every evaluation of s. The bin is a
+    non-decreasing function of s (see `_bin_numbers`), so where s - eps and
+    s + eps share a bin, every evaluation of s has that bin."""
+    eps = 4 * q_in.shape[1] * 2.0 ** -53
+    binned = np.empty((n_rows, len(q_in)), dtype=np.intp)
+    start = 0
+    for units, pin in blocks:
+        sims = units @ q_in.T
+        low = _bin_numbers(sims - eps, bins)
+        sims += eps
+        high = _bin_numbers(sims, bins)
+        if pin is not None:
+            low[pin] = high[pin] = bins
+        if not np.array_equal(low, high):
+            return None
+        binned[start:start + len(high)] = high
+        start += len(high)
+    return binned
+
+
+def _per_document_bins(query, docs, provider, bins: int, n_rows: int) -> np.ndarray:
+    """The bins of a batch's similarities as an int array, a row per
+    in-vocabulary token (n_rows of them) and a column per in-vocabulary
+    query term, from each document's own `q_units @ d_units.T`, the product
+    a single pair computes, pinned to 1.0 where in-vocabulary identity keys
+    agree. `_bin_numbers` bins a similarity outside [-1, 1] as its clipped
+    value."""
+    (q_units, q_mask, q_keys), _ = query
+    binned = np.empty((n_rows, np.count_nonzero(q_mask)), dtype=np.intp)
+    start = 0
     for doc_id, tokens in docs:
         units, mask, keys = provider.rows(doc_id, tokens)
-        products.append(q_units @ units.T)
-        d_masks.append(mask)
-        d_keys.append(keys)
-    d_mask = np.concatenate(d_masks)
-    S = np.concatenate(products, axis=1)[np.ix_(q_mask, d_mask)]
-    np.clip(S, -1.0, 1.0, out=S)
-    if q_keys is not None:
-        S[q_keys[q_mask][:, None] == np.concatenate(d_keys)[d_mask]] = 1.0
-    hists = np.zeros((len(docs), len(q_mask), bins + 1))
-    hists[:, q_mask] = bin_similarities(
-        S, [np.count_nonzero(mask) for mask in d_masks], bins)
-    return [(h.copy(), idf) for h in hists]
+        block = (q_units @ units.T)[np.ix_(q_mask, mask)]
+        if q_keys is not None:
+            block[q_keys[q_mask][:, None] == keys[mask]] = 1.0
+        binned[start:start + block.shape[1]] = _bin_numbers(block, bins).T
+        start += block.shape[1]
+    return binned
+
+
+def _histograms(binned, token_rows, widths, terms, n_terms: int, bins: int) -> list:
+    """Each document's log-count histograms (n_terms, bins + 1) from an int
+    array of bins, which it overwrites: its column j is histogram row
+    terms[j], and the other rows stay zero. Document k has widths[k]
+    in-vocabulary tokens; the tokens, in document order, read the array's
+    rows token_rows (its rows in order when token_rows is None). They are
+    counted in slices of whole documents, each with one bincount over
+    offset bins."""
+    width = bins + 1
+    binned += terms * width
+    starts = np.concatenate(([0], np.cumsum(widths)))
+    step = max(1, DRMM_SLICE_ENTRIES // max(1, len(terms)))
+    hists, first = [], 0
+    while first < len(widths):
+        last = max(first + 1, np.searchsorted(starts, starts[first] + step, "right") - 1)
+        lo, hi = starts[first], starts[last]
+        idx = binned[lo:hi] if token_rows is None else binned[token_rows[lo:hi]]
+        idx += (np.repeat(np.arange(last - first) * (n_terms * width),
+                          widths[first:last]))[:, None]
+        counts = np.bincount(idx.ravel(), minlength=(last - first) * n_terms * width)
+        hists += map(np.log1p, counts.reshape(last - first, n_terms, width))
+        first = last
+    return hists
 
 
 def drmm_features(query_terms: list[str], query_doc_id: str,

@@ -168,9 +168,10 @@ class FeatureStore:
     of them; none depend on trainable parameters, so a pair that training
     reads again is computed once.
 
-    `fill` caches: training fills each mini-batch's pairs and each dev list,
-    which it reads every epoch. `batch` reads a list without caching what it
-    computes, so a test list's features live only while it is scored.
+    `fill` caches: training fills each query's triple documents before the
+    first epoch, and each dev list, all of which it reads every epoch.
+    `batch` reads a list without caching what it computes, so a test list's
+    features live only while it is scored.
 
     A document comes as its term ids from the pipeline's denoised bags of the
     pool, found by its pool corpus row and mapped to provider rows through
@@ -218,8 +219,9 @@ class FeatureStore:
 
     def _compute(self, query_id: str, doc_ids: list[str], keep: bool) -> list:
         """The features of the query with each of doc_ids, in order: DRMM's
-        in one `drmm_batch`, PACRR's one pair at a time. An unknown doc_id
-        raises KeyError before anything is computed."""
+        in one `drmm_batch`, which multiplies the query by each distinct
+        term of a batch of documents once, PACRR's one pair at a time. An
+        unknown doc_id raises KeyError before anything is computed."""
         docs = []
         for doc_id in doc_ids:
             if doc_id not in self._row:
@@ -341,6 +343,15 @@ def _check_finite(value: float, params: dict, epoch: int, step: int) -> None:
             f"loss={value!r}, bad params={bad_params}, norms={norms}")
 
 
+def _docs_by_query(triples) -> dict[str, dict[str, None]]:
+    """Each query's distinct triple documents, in first-occurrence order."""
+    by_query: dict[str, dict[str, None]] = {}
+    for triple in triples:
+        docs = by_query.setdefault(triple.query_id, {})
+        docs[triple.pos_doc_id] = docs[triple.neg_doc_id] = None
+    return by_query
+
+
 def _hinge_step(model, store: FeatureStore, batch, norm_sp, w_r: float,
                 w_p: float, grads: dict) -> list[float]:
     """Adds the hinge-loss gradients of a mini-batch of triples into grads
@@ -348,14 +359,9 @@ def _hinge_step(model, store: FeatureStore, batch, norm_sp, w_r: float,
     scored with one `score_batch` call per query; the backward passes then
     run in triple order, so every gradient sum adds in the order of a
     per-pair loop."""
-    by_query: dict[str, dict[str, None]] = {}
-    for triple in batch:
-        docs = by_query.setdefault(triple.query_id, {})
-        docs[triple.pos_doc_id] = docs[triple.neg_doc_id] = None
     scored = {}
-    for query_id, docs in by_query.items():
+    for query_id, docs in _docs_by_query(batch).items():
         caches: list = []
-        store.fill(query_id, docs)
         s_r = model.score_batch([store.features(query_id, d) for d in docs], caches)
         for doc_id, s, cache in zip(docs, s_r.tolist(), caches):
             scored[query_id, doc_id] = s, cache
@@ -400,6 +406,10 @@ def train_model(kind: str, train_ids, dev_ids, qrels, run: Run,
                          "the pre-fetched lists")
     norm_sp = {q: dict(normalize_scores(run[q])) for q in
                {t.query_id for t in triples}}
+    # every epoch reads each training pair again: one fill per query caches
+    # them, each query's documents in one feature batch
+    for query_id, docs in _docs_by_query(triples).items():
+        store.fill(query_id, docs)
 
     best = {"params": copy.deepcopy(all_params), "epoch": 0,
             "dev": _dev_recall(fusion, model, store, dev_ids, qrels, run, dev_k)}

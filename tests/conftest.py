@@ -11,6 +11,7 @@ import pytest
 
 import regir
 from regir.corpus import Corpus, Document, Qrels
+from regir.rerank import features
 from regir.text import IdfTable, build_pipeline
 
 from oracles import idf_from_token_lists
@@ -81,6 +82,20 @@ class FixedIdf(IdfTable):
 
     def __init__(self, values, default=1.0):
         self._idf, self._unseen = dict(values), default
+
+
+def exit_spy(monkeypatch) -> list:
+    """Records the doc_ids of each DRMM batch that takes the per-document
+    exit, `features._per_document_bins`."""
+    calls = []
+    real = features._per_document_bins
+
+    def spy(query, docs, *rest):
+        calls.append([doc_id for doc_id, _ in docs])
+        return real(query, docs, *rest)
+
+    monkeypatch.setattr(features, "_per_document_bins", spy)
+    return calls
 
 
 def keyed(cls, vectors, **kwargs):

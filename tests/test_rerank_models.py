@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from regir.dense import WordVectors
+from regir.rerank import features
 from regir.rerank.drmm import DrmmModel
 from regir.rerank.features import (TokenEmbeddings, TypeEmbeddings,
-                                   bin_similarities, dedup_terms, drmm_batch,
+                                   dedup_terms, drmm_batch,
                                    drmm_features, drmm_query, load_token_vectors,
                                    pacrr_features, pacrr_pair, pacrr_query,
                                    sim_matrix, softmax)
 from regir.rerank.pacrr import PacrrConfig, PacrrModel
 
-from conftest import FixedIdf, keyed
+from conftest import FixedIdf, exit_spy, keyed
 from oracles import (bin_similarities_row, build_histogram, conv_einsum,
                      conv_strided_im2col, drmm_features_per_row, drmm_score,
                      drmm_score_2d, pacrr_score, pacrr_score_per_step,
@@ -156,6 +157,15 @@ def test_load_token_vectors_rejects_non_finite_values(tmp_path, bad):
 
 # --- histograms ---
 
+def bin_similarities(sims, widths, bins: int) -> np.ndarray:
+    """The features module's binning and counting of each row of an (R, C)
+    input over column segments of `widths`: (n, R, bins + 1)."""
+    binned = features._bin_numbers(np.array(sims, dtype=float).T, bins)
+    hists = features._histograms(binned.astype(np.intp), None, np.asarray(widths),
+                                 np.arange(len(sims)), len(sims), bins)
+    return np.array(hists).reshape(len(widths), len(sims), bins + 1)
+
+
 def test_bin_similarities_hand_case():
     hist = bin_similarities(np.array([[0.0, 0.5, 0.5]]), [3], bins=5)
     assert hist.shape == (1, 1, 6)
@@ -250,6 +260,70 @@ def test_drmm_features_equal_per_row_oracle(seed):
             want, want_idf = drmm_features_per_row(terms, doc, provider, idf, 30)
             assert np.array_equal(hists, want)
             assert np.array_equal(idf_vec, want_idf)
+
+
+def planted_vectors(rng, dim: int) -> dict[str, np.ndarray]:
+    """Random vectors plus, for some of them, a copy (`dup`), a scaled copy
+    (`par`) and a negation (`neg`): cosines that round to either side of
+    1.0 and -1.0."""
+    base = {f"t{i}": rng.normal(size=dim) for i in range(24)}
+    vectors = dict(base)
+    for i in range(6):
+        vectors[f"dup{i}"] = base[f"t{i}"].copy()
+        vectors[f"par{i}"] = 2.5 * base[f"t{i}"]
+        vectors[f"neg{i}"] = -base[f"t{i}"]
+    vectors["zero"] = np.zeros(dim)
+    return vectors
+
+
+@pytest.mark.parametrize("dim", [4, 50, 300])
+@pytest.mark.parametrize("bins", [5, 11, 30])
+@pytest.mark.parametrize("kind", ["type", "token"])
+def test_drmm_table_path_equals_the_per_document_exit(kind, bins, dim, monkeypatch):
+    """Random batches with duplicated, parallel and antiparallel vectors
+    and out-of-vocabulary tokens: the histograms from the batch's table are
+    those of each document's own product, bit for bit. Some batches pass
+    the bin-edge guard and some do not; the property holds for both."""
+    rng = np.random.default_rng(1000 * dim + 10 * bins + (kind == "token"))
+    vectors = planted_vectors(rng, dim)
+    vocab = list(vectors) + ["oov"]
+    seqs = {}
+
+    def tokens(doc_id, terms):
+        """The terms, and for positional vectors each one's own row."""
+        seqs[doc_id] = np.array([vectors.get(t, np.zeros(dim)) for t in terms]
+                                ).reshape(len(terms), dim)
+        return terms
+
+    exits = exit_spy(monkeypatch)
+    batches = []
+    for b in range(6):
+        # even batches may hold a query term's vector again, odd ones not
+        q_terms = dedup_terms(["t0", "neg1"]
+                              + [vocab[i] for i in rng.integers(6, 24, size=8)])
+        pool = vocab if b % 2 == 0 else [
+            t for t in vocab if t[:3] not in ("dup", "par") and t not in q_terms]
+        docs = [(f"b{b}d{k}", tokens(f"b{b}d{k}", [pool[i] for i in
+                                                   rng.integers(len(pool), size=n)]))
+                for k, n in enumerate([0, 1, 7, 30, 60])]
+        batches.append((f"b{b}q", tokens(f"b{b}q", q_terms), docs))
+    provider = (TypeEmbeddings(wv_from(vectors)) if kind == "type"
+                else TokenEmbeddings(seqs))
+    fired = []
+    for q_id, q_terms, docs in batches:
+        query = drmm_query(q_terms, q_id, provider, FixedIdf({}))
+        exits.clear()
+        table = drmm_batch(query, docs, provider, bins)
+        fired.append(bool(exits))
+        with monkeypatch.context() as m:
+            m.setattr(features, "_proved_bins", lambda *args: None)
+            want = drmm_batch(query, docs, provider, bins)
+        assert len(table) == len(want) == len(docs)
+        for (h, idf), (w, w_idf) in zip(table, want):
+            assert np.array_equal(h, w) and h.dtype == w.dtype
+            assert idf is w_idf
+    assert fired[1::2] == [False] * 3
+    assert any(fired[0::2])
 
 
 # --- DRMM forward ---

@@ -23,7 +23,7 @@ from regir.rerank.train import (CHECKPOINT_FORMAT, Adam, FeatureStore,
                                 train_model, write_training_log)
 from regir.text import build_pipeline
 
-from conftest import keyed, make_doc
+from conftest import FixedIdf, exit_spy, keyed, make_doc
 from oracles import drmm_features_per_row, hinge_step_per_pair, rerank_list_per_pair
 
 
@@ -435,6 +435,34 @@ def test_fill_with_token_vectors_pins_no_identity_match():
     }
 
 
+@pytest.mark.parametrize("bins, docs, fires", [
+    (4, {"ortho": ["across", "axis"], "other": ["diag"]}, True),
+    (5, {"ortho": ["across", "axis"], "other": ["diag"]}, False),
+    (5, {"copy": ["alpha2", "diag"], "other": ["diag", "across"]}, True),
+    (5, {"same": ["alpha", "axis"], "other": ["diag", "across"]}, False),
+])
+def test_drmm_bin_edge_guard_fires_on_planted_edges(bins, docs, fires, monkeypatch):
+    """`axis` . `across` is exactly 0.0, a bin edge at even B: the guard
+    sends the batch to the per-document exit, and at odd B it does not.
+    `alpha2` copies `alpha` without being an identity match, so their
+    cosine rounds above 1.0, next to the top bin; `alpha` itself is pinned
+    by its key and needs no exit. Every pair equals the per-row oracle."""
+    vectors = {"axis": AXIS, "across": np.array([0.0, 1.0, 0.0, 0.0]),
+               "alpha": ALPHA, "alpha2": ALPHA.copy(), "diag": DIAG}
+    provider = TypeEmbeddings(keyed(WordVectors, vectors))
+    idf = FixedIdf({})
+    q_terms = ["axis", "alpha", "ghost"]
+    sims = provider.rows("", q_terms)[0] @ provider.rows("", ["across", "alpha2"])[0].T
+    assert sims[0, 0] == 0.0 and sims[1, 1] > 1.0
+    exits = exit_spy(monkeypatch)
+    feats = features.drmm_batch(features.drmm_query(q_terms, "", provider, idf),
+                                list(docs.items()), provider, bins)
+    assert exits == ([list(docs)] if fires else [])
+    for (hists, _), terms in zip(feats, docs.values()):
+        want, _ = drmm_features_per_row(q_terms, terms, provider, idf, bins)
+        assert np.array_equal(hists, want)
+
+
 def test_fill_takes_duplicate_ids_and_refuses_unknown_ones_caching_nothing():
     pool, queries, pipeline, providers = generated_fill_setup(7)
     store = FeatureStore("drmm", providers["type"], pipeline, queries, pool,
@@ -835,6 +863,46 @@ def test_rerank_run_holds_one_list_s_features_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 3 * list_bytes
+
+
+def test_a_drmm_list_at_the_batch_bound_stays_under_the_stated_memory(monkeypatch):
+    """A 50-document list of a 40-term query (30 of them in vocabulary) as
+    long as DRMM_BATCH_ENTRIES allows is one batch, and the memory traced
+    while it is computed stays under the figure the constant's comment
+    states: twice the histograms, 16 bytes per entry, 64 per token and
+    1 MiB of slices. Every token is a distinct term, so the table has a row
+    per in-vocabulary token, its largest."""
+    rng = np.random.default_rng(31)
+    n_terms, n_docs = 40, 50
+    doc_len = features.DRMM_BATCH_ENTRIES // (n_terms * n_docs)
+    tokens = n_docs * doc_len
+    provider = TypeEmbeddings(keyed(WordVectors, {f"w{i}": rng.normal(size=50)
+                                                  for i in range(tokens)}))
+    q_terms = [f"w{i}" for i in rng.choice(tokens, 30, replace=False)]
+    query = features.drmm_query(q_terms + [f"ghost{i}" for i in range(10)], "q",
+                                provider, FixedIdf({}))
+    ids = rng.permutation(tokens)
+    ids[rng.random(tokens) < 0.2] = -1
+    docs = [(f"d{k}", ids[k * doc_len:(k + 1) * doc_len]) for k in range(n_docs)]
+    batches = []
+    real = features._drmm_batch
+
+    def spy(query, docs, *rest):
+        batches.append(len(docs))
+        return real(query, docs, *rest)
+
+    monkeypatch.setattr(features, "_drmm_batch", spy)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        feats = features.drmm_batch(query, docs, provider, 30)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    entries = n_terms * tokens
+    assert batches == [n_docs] and entries > 0.99 * features.DRMM_BATCH_ENTRIES
+    hist_bytes = sum(hists.nbytes for hists, _ in feats)
+    assert peak < 2 * hist_bytes + 16 * entries + 64 * tokens + 2 ** 20
 
 
 # --- persistence ---
