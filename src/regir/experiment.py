@@ -165,7 +165,12 @@ def _window_grid(text: str, key: str, base) -> list[float]:
 
 
 def _seeds(text: str, key: str, base) -> list[int]:
-    return [parse_number(s, int, key) for s in text.split(",") if s]
+    seeds = [parse_number(s, int, key) for s in text.split(",") if s]
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ConfigError(f"{key} names seed {seed} twice: each seed trains "
+                              f"and writes its own model")
+    return seeds
 
 
 def parse_components(text: str, key: str, base=None) -> tuple[str, str]:

@@ -46,10 +46,7 @@ class TypeEmbeddings:
                         "out-of-vocabulary", len(m) - usable.sum())
 
     def row_ids(self, terms) -> np.ndarray:
-        """Each term's row id, -1 for out-of-vocabulary terms. Terms given
-        as an int array are row ids already and come back as they are."""
-        if isinstance(terms, np.ndarray):
-            return terms
+        """Each term's row id, -1 for out-of-vocabulary terms."""
         return self._ids[np.fromiter(map(self._row.get, terms, repeat(-1)),
                                      dtype=np.intp, count=len(terms))]
 
@@ -57,12 +54,11 @@ class TypeEmbeddings:
         """The unit rows of row ids; -1 reads the zero row."""
         return self._units[ids]
 
-    def rows(self, doc_id: str, tokens, limit: int | None = None):
+    def rows(self, doc_id: str, ids: np.ndarray, limit: int | None = None):
         """(units, in-vocab mask, identity keys) aligned with the first
-        `limit` tokens (all without a limit); the keys are term row ids, -1
-        for out-of-vocabulary tokens. The tokens are strings, or an int
-        array of their row ids (see `row_ids`)."""
-        ids = self.row_ids(tokens[:limit])
+        `limit` of the tokens' row ids (all without a limit; see `row_ids`);
+        the keys are the row ids, -1 for out-of-vocabulary tokens."""
+        ids = ids[:limit]
         return self.units(ids), ids >= 0, ids
 
 
@@ -90,7 +86,7 @@ class TokenEmbeddings:
     def rows(self, doc_id: str, tokens, limit: int | None = None):
         """Rows of the first `limit` positions; the whole sequence must still
         match the denoised text's length. Only the number of tokens is read,
-        so they may be strings or any array with one entry per token."""
+        so they may be `row_ids` or any sequence with one entry per token."""
         if doc_id not in self._seq:
             raise KeyError(f"no token vectors for document {doc_id!r}")
         units, mask = self._seq[doc_id]
@@ -157,13 +153,12 @@ def dedup_terms(tokens: list[str]) -> list[str]:
     return list(dict.fromkeys(tokens))
 
 
-def drmm_query(query_terms: list[str], query_doc_id: str, provider, idf_table):
+def drmm_query(ids: np.ndarray, query_doc_id: str, provider, idf: np.ndarray):
     """The query's side of its DRMM features, the same against every
-    document: the rows of its terms and their idf."""
-    if not query_terms:
+    document: the rows of its terms, given as row ids, and their idf."""
+    if not len(ids):
         raise ValueError("empty query after denoising")
-    return (provider.rows(query_doc_id, query_terms),
-            idf_table.idfs(query_terms))
+    return provider.rows(query_doc_id, ids), idf
 
 
 # Bound on the entries of one DRMM batch, query terms times document tokens
@@ -184,7 +179,7 @@ DRMM_SLICE_ENTRIES = 2 ** 15
 
 def drmm_batch(query, docs, provider, bins: int) -> list:
     """DRMM features of a `drmm_query` result against each (doc_id, tokens)
-    in docs, in order; the tokens are what `provider.rows` takes. Documents
+    in docs, in order; the tokens are row ids (see `row_ids`). Documents
     are taken in batches of at most DRMM_BATCH_ENTRIES similarities."""
     n_terms = len(query[0][1])
     feats, batch, width = [], [], 0
@@ -213,7 +208,7 @@ def _drmm_batch(query, docs, provider, bins: int) -> list:
     # table rows per slice: its vectors and similarities fit the slice
     step = max(1, DRMM_SLICE_ENTRIES // (len(q_in) + q_in.shape[1]))
     if provider.dedup:
-        keys = np.concatenate([provider.row_ids(tokens) for _, tokens in docs])
+        keys = np.concatenate([tokens for _, tokens in docs])
         in_vocab = keys >= 0
         terms, token_rows = np.unique(keys[in_vocab], return_inverse=True)
         q_keys = q_keys[q_mask]
@@ -316,17 +311,20 @@ def _histograms(binned, token_rows, widths, terms, n_terms: int, bins: int) -> l
     return hists
 
 
-def drmm_features(query_terms: list[str], query_doc_id: str,
+def drmm_features(query_tokens: list[str], query_doc_id: str,
                   doc_tokens: list[str], doc_id: str,
                   provider, idf_table, bins: int):
     """Per distinct query term: a similarity histogram against every
-    in-vocabulary document token, plus the term's idf for the gate.
+    in-vocabulary document token, plus the term's idf for the gate. The
+    tokens are strings, each mapped to its row once.
 
     Out-of-vocabulary query terms keep a zero histogram. With positional
     providers each query position counts as its own term.
     """
-    return drmm_batch(drmm_query(query_terms, query_doc_id, provider, idf_table),
-                      [(doc_id, doc_tokens)], provider, bins)[0]
+    terms = dedup_terms(query_tokens) if provider.dedup else query_tokens
+    query = drmm_query(provider.row_ids(terms), query_doc_id, provider,
+                       idf_table.idfs(terms))
+    return drmm_batch(query, [(doc_id, provider.row_ids(doc_tokens))], provider, bins)[0]
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -334,21 +332,20 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def pacrr_query(query_tokens: list[str], query_doc_id: str, provider,
-                idf_table, q_len: int):
+def pacrr_query(ids: np.ndarray, query_doc_id: str, provider, idf: np.ndarray,
+                q_len: int):
     """The query's side of its PACRR features, the same against every
-    document: the rows of its first q_len tokens and their softmax-normalized
-    idf."""
-    if not query_tokens:
+    document: the rows of its first q_len tokens, given as row ids, and
+    their softmax-normalized idf."""
+    if not len(ids):
         raise ValueError("empty query after denoising")
-    return (provider.rows(query_doc_id, query_tokens, q_len),
-            softmax(idf_table.idfs(query_tokens[:q_len])))
+    return provider.rows(query_doc_id, ids, q_len), softmax(idf[:q_len])
 
 
 def pacrr_pair(query, doc_tokens, doc_id: str, provider, d_len: int):
     """PACRR features of a `pacrr_query` result against one document, whose
-    tokens go to `provider.rows`; a document with no tokens gives a (T, 0)
-    similarity matrix."""
+    tokens are row ids (see `row_ids`); a document with no tokens gives a
+    (T, 0) similarity matrix."""
     rows, idf_col = query
     return sim_matrix(*rows, *provider.rows(doc_id, doc_tokens, d_len)), idf_col
 
@@ -358,7 +355,8 @@ def pacrr_features(query_tokens: list[str], query_doc_id: str,
                    provider, idf_table, q_len: int, d_len: int):
     """Similarity matrix over the (truncated) query and document token
     sequences plus the softmax-normalized idf of the retained query terms.
-    No padding rows: short queries keep one row per retained term."""
-    return pacrr_pair(pacrr_query(query_tokens, query_doc_id, provider,
-                                  idf_table, q_len),
-                      doc_tokens, doc_id, provider, d_len)
+    No padding rows: short queries keep one row per retained term. The
+    tokens are strings, each mapped to its row once."""
+    query = pacrr_query(provider.row_ids(query_tokens), query_doc_id, provider,
+                        idf_table.idfs(query_tokens), q_len)
+    return pacrr_pair(query, provider.row_ids(doc_tokens), doc_id, provider, d_len)

@@ -28,7 +28,7 @@ from ..fusion import normalize_scores
 from ..metrics import recall_at_k
 from ..ranking import RankedList, Run, sort_scored
 from .drmm import DrmmModel
-from .features import dedup_terms, drmm_batch, drmm_query, pacrr_pair, pacrr_query
+from .features import drmm_batch, drmm_query, pacrr_pair, pacrr_query
 from .pacrr import PacrrConfig, PacrrModel
 
 log = logging.getLogger(__name__)
@@ -164,18 +164,19 @@ class Adam:
 
 
 class FeatureStore:
-    """Caches per-(query, document) matcher features, and each query's side
-    of them; none depend on trainable parameters, so a pair that training
-    reads again is computed once.
+    """Caches per-(query, document) matcher features; none depend on
+    trainable parameters, so a pair that training reads again is computed
+    once.
 
     `fill` caches: training fills each query's triple documents before the
     first epoch, and each dev list, all of which it reads every epoch.
     `batch` reads a list without caching what it computes, so a test list's
     features live only while it is scored.
 
-    A document comes as its term ids from the pipeline's denoised bags of the
-    pool, found by its pool corpus row and mapped to provider rows through
-    one array over the bags' terms: no pool document is tokenized again here.
+    Queries and documents alike come as term ids from the pipeline's
+    denoised bags of their collection, found by corpus row and mapped to
+    provider rows (and a query's to idf) through one array over the bags'
+    terms: each collection is encoded once, and nothing is tokenized here.
     """
 
     def __init__(self, kind: str, provider, pipeline, query_corpus, pool_corpus,
@@ -184,44 +185,38 @@ class FeatureStore:
             raise ValueError(f"unknown matcher kind {kind!r}")
         self.kind = kind
         self.provider = provider
-        self.pipeline = pipeline
-        self.query_corpus = query_corpus
         self.hp = hp
         self._bags = pipeline.bags(pool_corpus)
         self._row = pool_corpus.row
         self._term_rows = provider.row_ids(self._bags.terms)
-        self._queries: dict[str, tuple] = {}
+        self._q_bags = pipeline.bags(query_corpus)
+        self._q_row = query_corpus.row
+        self._q_term_rows = provider.row_ids(self._q_bags.terms)
+        self._q_idf = pipeline.idf_table.idfs(self._q_bags.terms)
         self._feats: dict[tuple[str, str], object] = {}
 
-    def query_tokens(self, query_id: str) -> list[str]:
-        tokens = self.pipeline(self.query_corpus.get(query_id).text)
-        if self.kind == "drmm" and self.provider.dedup:
-            tokens = dedup_terms(tokens)
-        return tokens
-
-    def _query(self, query_id: str, keep: bool):
-        """The query's side of its features: cached, else computed, and
-        cached if `keep`."""
-        if query_id in self._queries:
-            return self._queries[query_id]
-        tokens = self.query_tokens(query_id)
-        idf_table = self.pipeline.idf_table
-        query = (drmm_query(tokens, query_id, self.provider, idf_table)
-                 if self.kind == "drmm" else
-                 pacrr_query(tokens, query_id, self.provider, idf_table,
-                             self.hp.q_len))
-        if keep:
-            self._queries[query_id] = query
-        return query
+    def _query(self, query_id: str):
+        """The query's side of its features: for DRMM with a vector per term
+        its distinct terms in first-occurrence order, else its sequence."""
+        if query_id not in self._q_row:
+            raise KeyError(f"unknown doc_id {query_id!r}")
+        i, bags = self._q_row[query_id], self._q_bags
+        terms = (bags.ids[bags.offsets[i]:bags.offsets[i + 1]]
+                 if self.kind == "drmm" and self.provider.dedup else bags.sequence(i))
+        side = self._q_term_rows[terms], query_id, self.provider, self._q_idf[terms]
+        if self.kind == "drmm":
+            return drmm_query(*side)
+        return pacrr_query(*side, self.hp.q_len)
 
     def _missing(self, query_id: str, doc_ids) -> list[str]:
         return [d for d in dict.fromkeys(doc_ids) if (query_id, d) not in self._feats]
 
-    def _compute(self, query_id: str, doc_ids: list[str], keep: bool) -> list:
+    def _compute(self, query_id: str, doc_ids: list[str]) -> list:
         """The features of the query with each of doc_ids, in order: DRMM's
         in one `drmm_batch`, which multiplies the query by each distinct
         term of a batch of documents once, PACRR's one pair at a time. An
-        unknown doc_id raises KeyError before anything is computed."""
+        unknown doc_id or query id raises KeyError before anything is
+        computed."""
         docs = []
         for doc_id in doc_ids:
             if doc_id not in self._row:
@@ -230,7 +225,7 @@ class FeatureStore:
             docs.append((doc_id, tokens))
         if not docs:
             return []
-        query = self._query(query_id, keep)
+        query = self._query(query_id)
         if self.kind == "drmm":
             return drmm_batch(query, docs, self.provider, self.hp.B)
         return [pacrr_pair(query, tokens, doc_id, self.provider, self.hp.d_len)
@@ -238,19 +233,19 @@ class FeatureStore:
 
     def fill(self, query_id: str, doc_ids) -> None:
         """Computes and caches the features of each pair of the query with
-        doc_ids that is not cached yet. An unknown doc_id raises KeyError
-        before anything is cached."""
+        doc_ids that is not cached yet. An unknown doc_id or query id raises
+        KeyError before anything is cached."""
         missing = self._missing(query_id, doc_ids)
         self._feats.update(zip([(query_id, d) for d in missing],
-                               self._compute(query_id, missing, keep=True)))
+                               self._compute(query_id, missing)))
 
     def batch(self, query_id: str, doc_ids) -> list:
         """The features of the query with each of doc_ids, in order: cached
         pairs from the cache, the others computed together as `fill` would
-        and not kept, nor the query's side unless it is cached. An unknown
-        doc_id raises KeyError before anything is computed."""
+        and not kept. An unknown doc_id or query id raises KeyError before
+        anything is computed."""
         missing = self._missing(query_id, doc_ids)
-        computed = dict(zip(missing, self._compute(query_id, missing, keep=False)))
+        computed = dict(zip(missing, self._compute(query_id, missing)))
         return [computed[d] if d in computed else self._feats[query_id, d]
                 for d in doc_ids]
 

@@ -28,8 +28,8 @@ from regir.metrics import recall_at_k
 from regir.ranking import RankedList, sort_scored
 from regir.text import IdfTable, TextPipeline
 from regir.rerank.drmm import DrmmModel
-from regir.rerank.features import (TypeEmbeddings, dedup_terms, drmm_features,
-                                   pacrr_features, sim_matrix, softmax)
+from regir.rerank.features import (TypeEmbeddings, drmm_features, pacrr_features,
+                                   sim_matrix, softmax)
 from regir.rerank.pacrr import PacrrModel, _sigmoid
 from regir.rerank.train import hinge_loss, rel_score
 
@@ -284,8 +284,8 @@ def drmm_features_per_row(query_terms: list[str], doc_tokens: list[str],
                           doc_id: str = ""):
     """`drmm_features` of one pair, with one histogram per in-vocabulary
     query term."""
-    q_units, q_mask, q_keys = provider.rows(query_doc_id, query_terms)
-    d_units, d_mask, d_keys = provider.rows(doc_id, doc_tokens)
+    q_units, q_mask, q_keys = provider.rows(query_doc_id, provider.row_ids(query_terms))
+    d_units, d_mask, d_keys = provider.rows(doc_id, provider.row_ids(doc_tokens))
     S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
     hists = np.zeros((len(query_terms), bins + 1))
     for i in range(len(query_terms)):
@@ -328,8 +328,8 @@ def build_histogram(query_term: str, doc_tokens: list[str], word_vectors,
     word vectors. Out-of-vocabulary query term -> zero histogram."""
     provider = (word_vectors if isinstance(word_vectors, TypeEmbeddings)
                 else TypeEmbeddings(word_vectors))
-    q_units, q_mask, q_keys = provider.rows("", [query_term])
-    d_units, d_mask, d_keys = provider.rows("", doc_tokens)
+    q_units, q_mask, q_keys = provider.rows("", provider.row_ids([query_term]))
+    d_units, d_mask, d_keys = provider.rows("", provider.row_ids(doc_tokens))
     if not q_mask[0] or not d_mask.any():
         return np.zeros(bins + 1)
     S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
@@ -338,10 +338,9 @@ def build_histogram(query_term: str, doc_tokens: list[str], word_vectors,
 
 def drmm_score(query_tokens: list[str], doc_tokens: list[str], model: DrmmModel,
                provider, idf_table, doc_id: str = "", query_doc_id: str = "") -> float:
-    """Forward pass from raw (denoised) token lists; query terms are
-    deduplicated before histogramming, so repeating a term changes nothing."""
-    terms = dedup_terms(query_tokens) if provider.dedup else query_tokens
-    feats = drmm_features(terms, query_doc_id, doc_tokens, doc_id,
+    """Forward pass from raw (denoised) token lists; `drmm_features`
+    deduplicates the query terms, so repeating a term changes nothing."""
+    feats = drmm_features(query_tokens, query_doc_id, doc_tokens, doc_id,
                           provider, idf_table, model.bins)
     s_r, _ = model.score(feats)
     return s_r

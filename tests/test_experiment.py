@@ -259,6 +259,18 @@ def test_config_bad_value_names_file_and_key(dataset, line, key):
         cfg_from(dataset, BASE_CFG.replace("prefetch.k = 10", "") + line + "\n")
 
 
+@pytest.mark.parametrize("seeds, seed", [("3,3", 3), ("1,2,1", 1), ("4,04", 4)])
+def test_config_refuses_a_repeated_rerank_seed(dataset, seeds, seed):
+    """A seed given twice would train and write the same model twice, and
+    the summary would average that run with itself as if two seeds ran."""
+    path = dataset / "cfg.txt"
+    message = (f"{path}: rerank.seeds names seed {seed} twice: each seed "
+               f"trains and writes its own model")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cfg_from(dataset, BASE_CFG + "rerank.model = drmm\ndense.word_vectors = wv.txt\n"
+                 f"rerank.seeds = {seeds}\n")
+
+
 def test_config_syntax_errors_name_file_and_line(dataset):
     path = dataset / "cfg.txt"
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: line 10: "

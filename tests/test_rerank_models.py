@@ -34,8 +34,8 @@ def angle_wv(angles: dict[str, float]):
 
 def test_sim_matrix_identical_terms_pinned_to_one():
     provider = TypeEmbeddings(angle_wv({"a": 0.1, "b": 1.3}))
-    qu, qm, qk = provider.rows("", ["a"])
-    du, dm, dk = provider.rows("", ["b", "a", "a"])
+    qu, qm, qk = provider.rows("", provider.row_ids(["a"]))
+    du, dm, dk = provider.rows("", provider.row_ids(["b", "a", "a"]))
     S = sim_matrix(qu, qm, qk, du, dm, dk)
     assert S[0, 1] == 1.0 and S[0, 2] == 1.0
     assert S[0, 0] == pytest.approx(math.cos(1.2))
@@ -44,8 +44,8 @@ def test_sim_matrix_identical_terms_pinned_to_one():
 
 def test_sim_matrix_oov_rows_and_cols_zero():
     provider = TypeEmbeddings(angle_wv({"a": 0.0}))
-    qu, qm, qk = provider.rows("", ["a", "miss"])
-    du, dm, dk = provider.rows("", ["miss", "a"])
+    qu, qm, qk = provider.rows("", provider.row_ids(["a", "miss"]))
+    du, dm, dk = provider.rows("", provider.row_ids(["miss", "a"]))
     S = sim_matrix(qu, qm, qk, du, dm, dk)
     assert S[1].tolist() == [0.0, 0.0]
     assert S[:, 0].tolist() == [0.0, 0.0]
@@ -57,7 +57,7 @@ def test_sim_matrix_clipped_to_unit_interval():
     provider = TypeEmbeddings(wv_from({f"t{i}": rng.normal(size=5).tolist()
                                        for i in range(20)}))
     terms = [f"t{i}" for i in range(20)]
-    u, m, k = provider.rows("", terms)
+    u, m, k = provider.rows("", provider.row_ids(terms))
     S = sim_matrix(u, m, k, u, m, k)
     assert S.min() >= -1.0 and S.max() <= 1.0
     assert np.all(np.diag(S) == 1.0)
@@ -66,7 +66,7 @@ def test_sim_matrix_clipped_to_unit_interval():
 def test_zero_norm_word_vector_is_oov(caplog):
     with caplog.at_level("WARNING"):
         provider = TypeEmbeddings(wv_from({"a": [0.0, 0.0], "b": [1.0, 0.0]}))
-    _, mask, _ = provider.rows("", ["a", "b"])
+    _, mask, _ = provider.rows("", provider.row_ids(["a", "b"]))
     assert mask.tolist() == [False, True]
 
 
@@ -83,7 +83,8 @@ def test_type_embeddings_units_have_the_bits_of_the_per_term_loop(dim):
     terms = [f"t{i}" for i in range(n)]
     wv = WordVectors(terms, matrix)
     want = type_units_per_term(wv)
-    units, mask, keys = TypeEmbeddings(wv).rows("", terms + ["oov"])
+    provider = TypeEmbeddings(wv)
+    units, mask, keys = provider.rows("", provider.row_ids(terms + ["oov"]))
     assert mask.tolist() == [t in want for t in terms] + [False]
     assert units[mask].tobytes() == np.stack(list(want.values())).tobytes()
     assert not units[~mask].any() and np.all(keys[~mask] == -1)
@@ -97,11 +98,11 @@ def test_token_embeddings_positional(tmp_path):
     path.write_text("d1 0 1.0 0.0\nd1 1 0.0 2.0\nq1 0 1.0 0.0\n")
     provider = load_token_vectors(path)
     assert provider.dedup is False
-    units, mask, keys = provider.rows("d1", ["tax", "tax"])
+    units, mask, keys = provider.rows("d1", provider.row_ids(["tax", "tax"]))
     assert keys is None
     assert np.allclose(units[1], [0.0, 1.0])  # normalized
     # identical surface forms do NOT get the hard 1.0 without identity keys
-    qu, qm, qk = provider.rows("q1", ["tax"])
+    qu, qm, qk = provider.rows("q1", provider.row_ids(["tax"]))
     S = sim_matrix(qu, qm, qk, units, mask, keys)
     assert S[0, 0] == pytest.approx(1.0)
     assert S[0, 1] == pytest.approx(0.0)
@@ -131,9 +132,9 @@ def test_token_embeddings_length_mismatch(tmp_path):
     path.write_text("d1 0 1.0 0.0\n")
     provider = load_token_vectors(path)
     with pytest.raises(ValueError, match="positions"):
-        provider.rows("d1", ["tax", "levy"])
+        provider.rows("d1", provider.row_ids(["tax", "levy"]))
     with pytest.raises(KeyError):
-        provider.rows("ghost", ["tax"])
+        provider.rows("ghost", provider.row_ids(["tax"]))
 
 
 def test_load_token_vectors_rejects_gaps_and_dups(tmp_path):
@@ -209,6 +210,9 @@ def test_drmm_features_shapes_and_oov_rows():
     assert hists.shape == (2, 5)
     assert np.all(hists[1] == 0.0)
     assert idf_vec.tolist() == [2.0, 0.5]
+    # raw query tokens are deduplicated here, as a caller's dedup would
+    again = drmm_features(["a", "ghost", "a"], "", ["b", "a"], "", provider, idf, bins=4)
+    assert np.array_equal(again[0], hists) and np.array_equal(again[1], idf_vec)
     with pytest.raises(ValueError):
         drmm_features([], "", ["b"], "", provider, idf, bins=4)
 
@@ -311,7 +315,9 @@ def test_drmm_table_path_equals_the_per_document_exit(kind, bins, dim, monkeypat
                 else TokenEmbeddings(seqs))
     fired = []
     for q_id, q_terms, docs in batches:
-        query = drmm_query(q_terms, q_id, provider, FixedIdf({}))
+        query = drmm_query(provider.row_ids(q_terms), q_id, provider,
+                           FixedIdf({}).idfs(q_terms))
+        docs = [(doc_id, provider.row_ids(terms)) for doc_id, terms in docs]
         exits.clear()
         table = drmm_batch(query, docs, provider, bins)
         fired.append(bool(exits))
@@ -451,8 +457,8 @@ def test_pacrr_features_gather_only_kept_rows(token_level):
         provider = TypeEmbeddings(wv)
     for q_len, d_len in ((7, 50), (40, 300), (64, 1024)):
         S, idf_col = pacrr_features(q, "q", d, "d", provider, idf, q_len, d_len)
-        qu, qm, qk = provider.rows("q", q)
-        du, dm, dk = provider.rows("d", d)
+        qu, qm, qk = provider.rows("q", provider.row_ids(q))
+        du, dm, dk = provider.rows("d", provider.row_ids(d))
         want = sim_matrix(qu[:q_len], qm[:q_len], None if qk is None else qk[:q_len],
                           du[:d_len], dm[:d_len], None if dk is None else dk[:d_len])
         assert np.array_equal(S, want)
@@ -690,10 +696,13 @@ def ragged_candidates(rng, kind, provider, idf, query, config):
     lengths = (0, 1, config.kmax - 1, 7, config.d_len, config.d_len + 9, 60)
     docs = [[vocab[i] for i in rng.integers(0, len(vocab), size=n)]
             for n in lengths] + [["oov1", "oov2", "oov1"]]
+    docs = [provider.row_ids(doc) for doc in docs]
     if kind == "drmm":
-        q = drmm_query(dedup_terms(query), "", provider, idf)
+        terms = dedup_terms(query)
+        q = drmm_query(provider.row_ids(terms), "", provider, idf.idfs(terms))
         return drmm_batch(q, [("", doc) for doc in docs], provider, config.B)
-    q = pacrr_query(query, "", provider, idf, config.q_len)
+    q = pacrr_query(provider.row_ids(query), "", provider, idf.idfs(query),
+                    config.q_len)
     return [pacrr_pair(q, doc, "", provider, config.d_len) for doc in docs]
 
 

@@ -45,6 +45,21 @@ def test_every_module_level_definition_is_referenced_in_the_package():
     assert unreferenced == sorted(UNREFERENCED_ALLOWED)
 
 
+def test_the_rerank_package_reads_no_text():
+    """The matchers read queries and documents as term ids from the
+    pipeline's bags: no module under rerank/ reads a `.text` attribute or
+    calls `tokenize`."""
+    found = []
+    for path in sorted((SRC / "rerank").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                if getattr(node.func, "id", getattr(node.func, "attr", None)) == "tokenize":
+                    found.append(f"{path.name}: line {node.lineno}: tokenize()")
+            elif isinstance(node, ast.Attribute) and node.attr == "text":
+                found.append(f"{path.name}: line {node.lineno}: .text")
+    assert found == []
+
+
 def test_package_inits_hold_only_their_docstring():
     """Each name has one import path, its defining module: a package's
     `__init__.py` holds its docstring and, in `regir` itself, the

@@ -213,12 +213,12 @@ def make_store(kind, hp):
 
 
 def test_feature_store_caches_and_dedups():
-    hp = Hyperparams(B=6)
-    store, _, _, _, _ = make_store("drmm", hp)
+    provider, pipeline, queries, pool, *_ = planted_setup()
+    store = FeatureStore("drmm", provider, pipeline, queries, pool, Hyperparams(B=6))
     first = store.features("q0", "pos0")
     assert store.features("q0", "pos0") is first
     # q0 text is "sig0\nsig0 sig0 common": dedup keeps 2 distinct terms
-    assert store.query_tokens("q0") == ["sig0", "common"]
+    assert dedup_terms(pipeline(queries.get("q0").text)) == ["sig0", "common"]
     assert first[0].shape == (2, 7)
 
 
@@ -270,6 +270,35 @@ def test_feature_store_equals_string_token_features(kind, hp, provider_kind):
         store.features("q0", "ghost")
 
 
+@pytest.mark.parametrize("method", ["fill", "batch"])
+@pytest.mark.parametrize("provider_kind", ["type", "token"])
+@pytest.mark.parametrize("kind", ["drmm", "pacrr"])
+def test_the_store_refuses_unknown_ids_and_empty_queries_caching_nothing(
+        kind, provider_kind, method):
+    """An unknown doc_id or query id raises the KeyError `Corpus.get` raises,
+    and a query that denoises to nothing raises ValueError, before anything
+    is cached; the store then works as before."""
+    pool, queries, pipeline, providers = _store_fixture()
+    queries = Corpus(list(queries) + [make_doc("silent", [], title="Act")])
+    store = FeatureStore(kind, providers[provider_kind], pipeline, queries, pool,
+                         Hyperparams(B=5, q_len=4, d_len=8))
+    call = getattr(store, method)
+    doc_ids = [d.doc_id for d in pool]
+
+    def refusal(fn, *args):
+        with pytest.raises(KeyError) as exc:
+            fn(*args)
+        return exc.value.args
+
+    assert refusal(call, "q0", doc_ids[:2] + ["ghost"]) == refusal(pool.get, "ghost")
+    assert refusal(call, "nobody", doc_ids) == refusal(queries.get, "nobody")
+    with pytest.raises(ValueError, match="^empty query after denoising$"):
+        call("silent", doc_ids)
+    assert store._feats == {}
+    call("q0", doc_ids)
+    assert len(store._feats) == (len(doc_ids) if method == "fill" else 0)
+
+
 # --- filling a query's pairs in one call ---
 
 def generated_fill_setup(seed):
@@ -295,12 +324,16 @@ def generated_fill_setup(seed):
             {"type": TypeEmbeddings(keyed(WordVectors, vectors)), "token": token})
 
 
-def drmm_oracle_features(store, query_id, doc_id, pool):
-    """The per-pair, per-row oracle's features of one pair of `store`."""
-    return drmm_features_per_row(store.query_tokens(query_id),
-                                 store.pipeline(pool.get(doc_id).text),
-                                 store.provider, store.pipeline.idf_table,
-                                 store.hp.B, query_id, doc_id)
+def drmm_oracle_features(store, pipeline, queries, pool, query_id, doc_id):
+    """The per-pair, per-row oracle's features of one pair of `store`, from
+    the pair's text: the query's denoised tokens, deduplicated for a
+    provider with a vector per term, and the document's."""
+    q_tokens = pipeline(queries.get(query_id).text)
+    if store.provider.dedup:
+        q_tokens = dedup_terms(q_tokens)
+    return drmm_features_per_row(q_tokens, pipeline(pool.get(doc_id).text),
+                                 store.provider, pipeline.idf_table, store.hp.B,
+                                 query_id, doc_id)
 
 
 @pytest.mark.parametrize("budget", [features.DRMM_BATCH_ENTRIES, 300])
@@ -321,7 +354,8 @@ def test_fill_equals_the_per_pair_oracle_on_every_pair(seed, provider_kind, budg
         store.fill(query.doc_id, doc_ids)
         for doc_id in doc_ids:
             hists, idf = store.features(query.doc_id, doc_id)
-            want, want_idf = drmm_oracle_features(store, query.doc_id, doc_id, pool)
+            want, want_idf = drmm_oracle_features(store, pipeline, queries, pool,
+                                                  query.doc_id, doc_id)
             assert np.array_equal(hists, want) and hists.dtype == want.dtype
             assert np.array_equal(idf, want_idf)
 
@@ -368,7 +402,7 @@ def planted_fill_setup(docs, query):
                                          idf_filter=False)
 
 
-def filled_counts(store, pool):
+def filled_counts(store, pipeline, queries, pool):
     """Each document's histogram counts after one `fill` of query q, checked
     against the per-pair oracle."""
     doc_ids = [d.doc_id for d in pool]
@@ -376,7 +410,7 @@ def filled_counts(store, pool):
     counts = {}
     for doc_id in doc_ids:
         hists = store.features("q", doc_id)[0]
-        want, _ = drmm_oracle_features(store, "q", doc_id, pool)
+        want, _ = drmm_oracle_features(store, pipeline, queries, pool, "q", doc_id)
         assert np.array_equal(hists, want)
         counts[doc_id] = np.expm1(hists).round().astype(int).tolist()
     return counts
@@ -396,14 +430,14 @@ def test_fill_planted_edges_clips_and_out_of_vocabulary_terms():
          "mixed": ["alpha", "ghost", "diag"]},
         ["alpha", "ghost", "axis"])
     store = FeatureStore("drmm", provider, pipeline, queries, pool, Hyperparams(B=4))
-    q_units = provider.rows("", ["alpha", "ghost", "axis"])[0]
-    assert (q_units @ provider.rows("", ["alpha2", "alpha2", "alpha"])[0].T)[0, 0] > 1.0
-    assert (q_units @ provider.rows("", ["minus"])[0].T)[0, 0] < -1.0
-    assert (q_units @ provider.rows("", ["diag", "axis"])[0].T)[2, 0] == 0.5
+    q_units = provider.units(provider.row_ids(["alpha", "ghost", "axis"]))
+    assert (q_units @ provider.units(provider.row_ids(["alpha2"])).T)[0, 0] > 1.0
+    assert (q_units @ provider.units(provider.row_ids(["minus"])).T)[0, 0] < -1.0
+    assert (q_units @ provider.units(provider.row_ids(["diag"])).T)[2, 0] == 0.5
     # rows: alpha, ghost (zero histogram), axis; alpha . axis is -0.42,
     # alpha . diag 0.23
     nothing = [[0] * 5] * 3
-    assert filled_counts(store, pool) == {
+    assert filled_counts(store, pipeline, queries, pool) == {
         "same": [[0, 0, 0, 0, 3], [0] * 5, [0, 3, 0, 0, 0]],
         "opposite": [[1, 0, 0, 0, 0], [0] * 5, [0, 0, 1, 0, 0]],
         "edges": [[0, 1, 1, 0, 0], [0] * 5, [0, 0, 0, 1, 1]],
@@ -428,7 +462,7 @@ def test_fill_with_token_vectors_pins_no_identity_match():
     q_units = provider.rows("q", "xx")[0]
     assert (q_units @ provider.rows("copy", "xx")[0].T)[0, 0] > 1.0
     # alpha . -alpha is -1.0, axis . -alpha 0.42
-    assert filled_counts(store, pool) == {
+    assert filled_counts(store, pipeline, queries, pool) == {
         "other": [[1, 0, 1, 0, 0], [0, 0, 1, 1, 0]],
         "copy": [[0, 0, 1, 0, 1], [0, 1, 0, 1, 0]],
         "empty": [[0] * 5] * 2,
@@ -452,11 +486,14 @@ def test_drmm_bin_edge_guard_fires_on_planted_edges(bins, docs, fires, monkeypat
     provider = TypeEmbeddings(keyed(WordVectors, vectors))
     idf = FixedIdf({})
     q_terms = ["axis", "alpha", "ghost"]
-    sims = provider.rows("", q_terms)[0] @ provider.rows("", ["across", "alpha2"])[0].T
+    units = provider.units(provider.row_ids(q_terms))
+    sims = units @ provider.units(provider.row_ids(["across", "alpha2"])).T
     assert sims[0, 0] == 0.0 and sims[1, 1] > 1.0
     exits = exit_spy(monkeypatch)
-    feats = features.drmm_batch(features.drmm_query(q_terms, "", provider, idf),
-                                list(docs.items()), provider, bins)
+    query = features.drmm_query(provider.row_ids(q_terms), "", provider,
+                                idf.idfs(q_terms))
+    feats = features.drmm_batch(query, [(d, provider.row_ids(t))
+                                        for d, t in docs.items()], provider, bins)
     assert exits == ([list(docs)] if fires else [])
     for (hists, _), terms in zip(feats, docs.values()):
         want, _ = drmm_features_per_row(q_terms, terms, provider, idf, bins)
@@ -470,14 +507,13 @@ def test_fill_takes_duplicate_ids_and_refuses_unknown_ones_caching_nothing():
     store.fill("q1", ["d03", "d04", "d03", "d04", "d03"])
     assert sorted(store._feats) == [("q1", "d03"), ("q1", "d04")]
     for doc_id in ("d03", "d04"):
-        want, _ = drmm_oracle_features(store, "q1", doc_id, pool)
+        want, _ = drmm_oracle_features(store, pipeline, queries, pool, "q1", doc_id)
         assert np.array_equal(store.features("q1", doc_id)[0], want)
     with pytest.raises(KeyError, match="ghost"):
         store.fill("q2", ["d05", "ghost", "d06"])
     with pytest.raises(KeyError, match="ghost"):
         store.features("q2", "ghost")
     assert sorted(store._feats) == [("q1", "d03"), ("q1", "d04")]
-    assert list(store._queries) == ["q1"]
 
 
 @pytest.mark.parametrize("kind", ["drmm", "pacrr"])
@@ -818,7 +854,7 @@ def test_rerank_run_keeps_none_of_the_features_it_computes(kind, hp):
     store = FeatureStore(kind, providers["type"], pipeline, queries, pool, hp)
     doc_ids = [d.doc_id for d in pool]
     store.fill("q0", doc_ids[:3])
-    feats, sides = dict(store._feats), dict(store._queries)
+    feats = dict(store._feats)
     rng = random.Random(5)
     run = Run({q.doc_id: RankedList([(d, rng.random()) for d in doc_ids])
                for q in queries})
@@ -827,7 +863,6 @@ def test_rerank_run_keeps_none_of_the_features_it_computes(kind, hp):
     got = reranker.rerank_run(run)
     assert store._feats.keys() == feats.keys()
     assert all(store._feats[key] is value for key, value in feats.items())
-    assert store._queries == sides
     with pytest.raises(KeyError, match="ghost"):
         store.batch("q1", [doc_ids[0], "ghost"])
     assert got == Run({q: rerank_list_per_pair(reranker, q, ranking)
@@ -879,8 +914,9 @@ def test_a_drmm_list_at_the_batch_bound_stays_under_the_stated_memory(monkeypatc
     provider = TypeEmbeddings(keyed(WordVectors, {f"w{i}": rng.normal(size=50)
                                                   for i in range(tokens)}))
     q_terms = [f"w{i}" for i in rng.choice(tokens, 30, replace=False)]
-    query = features.drmm_query(q_terms + [f"ghost{i}" for i in range(10)], "q",
-                                provider, FixedIdf({}))
+    q_terms += [f"ghost{i}" for i in range(10)]
+    query = features.drmm_query(provider.row_ids(q_terms), "q", provider,
+                                FixedIdf({}).idfs(q_terms))
     ids = rng.permutation(tokens)
     ids[rng.random(tokens) < 0.2] = -1
     docs = [(f"d{k}", ids[k * doc_len:(k + 1) * doc_len]) for k in range(n_docs)]
