@@ -21,7 +21,7 @@ import numpy as np
 
 from ._npz import read_npz, write_npz
 from ._textio import read_json, write_table
-from .metrics import recall_at_k
+from .metrics import float_sum, recall_at_k
 from .ranking import RankedList, top_k_from_arrays
 from .text import IdfTable, TextPipeline, distinct_rows
 
@@ -128,23 +128,24 @@ class PostingsIndex:
         scores = np.bincount(pos, weights=w / (tf + norms), minlength=self.doc_count)
         return scores.astype(np.float64, copy=False)  # int zeros if no entries
 
-    def _top_k(self, scores: np.ndarray, k: int) -> RankedList:
+    def _ranking(self, postings, params: Bm25Params, k: int) -> RankedList:
+        """The top k by BM25 from a query's gathered postings, ties by doc_id:
+        the whole pool, zero scores too, or nothing without postings."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        return RankedList(top_k_from_arrays(self.doc_ids, scores, min(k, self.doc_count),
-                                            sorted_ids=True), presorted=True)
+        if not len(postings[0]):
+            return RankedList(presorted=True)
+        return RankedList(top_k_from_arrays(self.doc_ids, self._scores(postings, params),
+                                            min(k, self.doc_count), sorted_ids=True),
+                          presorted=True)
 
     def score_all(self, query_tokens: list[str], params: Bm25Params) -> np.ndarray:
         """BM25 scores for every pool document, aligned with `doc_ids`."""
         return self._scores(self._postings(query_tokens), params)
 
     def bm25_search(self, query_tokens: list[str], params: Bm25Params, k: int) -> RankedList:
-        """Top-k over the whole pool (zero-score documents rank too), ties by
-        ascending doc_id. A query with no indexed term matches nothing, so
-        its list is empty rather than k arbitrary zero-score documents."""
-        if not any(map(self._row.__contains__, query_tokens)):
-            return RankedList(presorted=True)
-        return self._top_k(self.score_all(query_tokens, params), k)
+        """The query's top k over the whole pool, as `_ranking` ranks it."""
+        return self._ranking(self._postings(query_tokens), params, k)
 
 
 def build_index(corpus, pipeline) -> PostingsIndex:
@@ -266,7 +267,8 @@ def tune_bm25(index: PostingsIndex, queries: dict[str, list[str]], qrels,
     """Exhaustive (k1, b) sweep maximizing mean R@k over the given queries.
 
     Ties break toward smaller k1, then smaller b. Queries without relevant
-    documents are excluded from the mean.
+    documents are excluded from the mean. Each cell ranks a query as
+    `bm25_search` does: one with no indexed term scores 0.
     """
     if not k1_grid or not b_grid:
         raise ValueError("grids must be non-empty")
@@ -275,15 +277,14 @@ def tune_bm25(index: PostingsIndex, queries: dict[str, list[str]], qrels,
     if not scored:
         raise ValueError("no queries with relevant documents")
     grid = [Bm25Params(k1, b) for k1 in k1_grid for b in b_grid]
-    # each query's postings are gathered once and scored in every cell; the
-    # recalls still add up per cell in query order
-    totals = [0.0] * len(grid)
+    # each query's postings are gathered once and ranked in every cell
+    recalls = [[] for _ in grid]
     for toks, rel in scored:
         postings = index._postings(toks)
-        for i, params in enumerate(grid):
-            ranking = index._top_k(index._scores(postings, params), k)
-            totals[i] += recall_at_k(ranking, rel, k)
-    cells = [GridCell(p.k1, p.b, total / len(scored)) for p, total in zip(grid, totals)]
+        for cell, params in zip(recalls, grid):
+            cell.append(recall_at_k(index._ranking(postings, params, k), rel, k))
+    cells = [GridCell(p.k1, p.b, float_sum(cell) / len(scored))
+             for p, cell in zip(grid, recalls)]
     best = max(cells, key=lambda c: (c.recall_at_k, -c.k1, -c.b))
     return Bm25Params(best.k1, best.b), cells
 

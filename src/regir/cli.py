@@ -34,8 +34,8 @@ from .metrics import (aggregate_runs, evaluate_run, read_eval_csv,
 from .ranking import RankedList, Run, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
 from .rerank.train import (FeatureStore, Hyperparams, TrainingDiverged,
-                           load_checkpoint, save_checkpoint, train_model,
-                           write_training_log)
+                           load_checkpoint, rerank_run, save_checkpoint,
+                           train_model, write_training_log)
 from .text import build_pipeline, load_stopwords
 
 log = logging.getLogger(__name__)
@@ -73,11 +73,14 @@ _out = click.Path(dir_okay=False, path_type=Path, writable=True)
 _positive = click.IntRange(min=1)
 
 
-def _query_ids(query_corpus, splits_path: Path | None, split: str | None):
-    """The split's query ids (default test); every query without a split
-    manifest."""
+def _split_ids(splits_path: Path | None, split: str | None):
+    """The split's query ids (default test) in the split manifest, or None,
+    meaning every query, without one. A --split without --splits is
+    refused: call this before reading any other input."""
     if splits_path is None:
-        return query_corpus.ids
+        if split is not None:
+            raise click.ClickException("--split needs --splits")
+        return None
     manifest = SplitManifest.from_json(splits_path)
     split = split or "test"
     try:
@@ -152,7 +155,8 @@ def index(collection, out, stopwords, no_idf_filter):
 @click.option("--queries", type=_in, required=True, help="Query collection JSONL.")
 @click.option("--qrels", type=_in, required=True)
 @click.option("--splits", type=_in, help="Split manifest JSON.")
-@click.option("--split", default="dev", show_default=True)
+@click.option("--split", help="Tune on this split [default: dev with --splits, "
+              "every query without].")
 @click.option("--k", type=_positive, default=100, show_default=True)
 @click.option("--out", type=_out, required=True, help="Grid CSV.")
 @click.option("--params-out", type=_out, help="Write the winning k1/b JSON here.")
@@ -161,10 +165,14 @@ def index(collection, out, stopwords, no_idf_filter):
 def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
                   grid_k1, grid_b):
     """Sweep (k1, b) maximizing R@k and export the recall grid."""
+    if splits is not None and split is None:
+        split = "dev"
+    ids = _split_ids(splits, split)
     idx = load_index(index_path)
     query_corpus = ingest_collection(queries)
     judgments = load_qrels(qrels)
-    ids = _query_ids(query_corpus, splits, split)
+    if ids is None:
+        ids = query_corpus.ids
     tokens = {q: idx.pipeline(query_corpus.get(q).text) for q in ids}
     k1_grid, b_grid = default_grid()
     if grid_k1:
@@ -205,7 +213,8 @@ def vectors(collection, word_vectors, out, index_path, on_empty):
 @click.option("--queries", type=_in, required=True)
 @click.option("--out", type=_out, required=True, help="Run TSV.")
 @click.option("--splits", type=_in)
-@click.option("--split", default=None, help="Restrict queries to this split.")
+@click.option("--split", help="Restrict queries to this split of --splits "
+              "[default: test].")
 @click.option("--index", "index_path", type=_in,
               help="BM25 index; its text pipeline serves bm25 and w2v-cent.")
 @click.option("--params", type=_in, help="k1/b JSON from tune-bm25.")
@@ -245,8 +254,10 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
                                    "publication years")
     window = DateWindow(date_filter, filter_mode) if date_filter is not None else None
 
+    ids = _split_ids(splits, split)
     query_corpus = ingest_collection(queries)
-    ids = _query_ids(query_corpus, splits, split)
+    if ids is None:
+        ids = query_corpus.ids
     bm25_params = read_params(params) if params else Bm25Params()
     pool_corpus = ingest_collection(collection) if collection else None
     index = (load_index(index_path) if {"bm25", "w2v-cent"} & set(names)
@@ -374,8 +385,8 @@ def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
     store = FeatureStore(result.model.kind, provider, pipeline, query_corpus,
                          pool_corpus, result.hp)
     run = candidates(read_run(run_path), k, window, query_corpus, pool_corpus)
-    reranked = finalize(result.reranker(store).rerank_run(run), window,
-                        query_corpus, pool_corpus)
+    [reranked] = rerank_run(run, [result.reranker(store)])
+    reranked = finalize(reranked, window, query_corpus, pool_corpus)
     write_run(reranked, out)
     click.echo(f"re-ranked {len(reranked)} lists with w_r={result.w_r:.4f} "
                f"w_p={result.w_p:.4f}")
@@ -410,17 +421,17 @@ def date_filter_cmd(run_path, queries, collection, years, mode, k, out):
 @click.option("--qrels", type=_in, required=True)
 @click.option("--k", type=_positive, default=20, show_default=True)
 @click.option("--splits", type=_in)
-@click.option("--split", default=None)
+@click.option("--split", help="Score this split of --splits [default: test].")
 @click.option("--out", type=_out, help="Per-query metrics CSV.")
 def evaluate(run_path, qrels, k, splits, split, out):
     """Score a run file against judgments. With --splits, every query of the
     split is scored, and one absent from the run file (a list the date window
     emptied is written as no lines) counts as an empty list."""
+    ids = _split_ids(splits, split)
     run = read_run(run_path)
     judgments = load_qrels(qrels)
-    if splits:
-        run = Run({q: run.get(q, RankedList())
-                   for q in _query_ids(None, splits, split)})
+    if ids is not None:
+        run = Run({q: run.get(q, RankedList()) for q in ids})
     report = evaluate_run(run, judgments, k=k)
     for metric, value in report.macro.items():
         click.echo(f"{metric} {value:.4f}")

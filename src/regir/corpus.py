@@ -25,6 +25,9 @@ from ._textio import read_json, read_jsonl, read_lines
 log = logging.getLogger(__name__)
 
 _TITLE_YEAR_RE = re.compile(r"\b((?:19|20)\d{2})\b")
+# what the run, vector, qrels and eval files cannot hold in an id: their
+# field separators and their comment marker
+_BAD_ID_RE = re.compile(r"^#|[\s,]")
 
 
 class CorpusError(ValueError):
@@ -129,6 +132,9 @@ def _document(record, where: str) -> Document:
     doc_id, title, body = (record[key] for key in REQUIRED_FIELDS)
     if not isinstance(doc_id, str) or not doc_id:
         raise CorpusError(f"{where}: doc_id must be a non-empty string")
+    if _BAD_ID_RE.search(doc_id):
+        raise CorpusError(f"{where}: doc_id {doc_id!r} holds whitespace or ',' "
+                          f"or starts with '#', which the text formats cannot hold")
     if not isinstance(title, str) or not isinstance(body, str):
         raise CorpusError(f"{where}: title/body must be strings")
     if not title:
@@ -183,11 +189,12 @@ def convert_collection(path, out_path,
     mapping.update(field_map or {})
     with open(path, "rb") as fh:
         is_array = fh.read(1024).lstrip().startswith(b"[")
-    records = (read_json(path, CorpusError) if is_array
-               else [record for _, record in read_jsonl(path, CorpusError)])
+    # errors name an array's record, or a JSONL file's line
+    records = (enumerate(read_json(path, CorpusError), start=1) if is_array
+               else read_jsonl(path, CorpusError))
     documents = []
-    for i, rec in enumerate(records, start=1):
-        where = f"{path}: record {i}"
+    for i, rec in records:
+        where = f"{path}: {'record' if is_array else 'line'} {i}"
         if not isinstance(rec, dict):
             raise CorpusError(f"{where}: expected a JSON object, "
                               f"got {type(rec).__name__}")

@@ -19,7 +19,7 @@ from operator import itemgetter
 import numpy as np
 
 from ._textio import write_table
-from .metrics import recall_at_k
+from .metrics import float_sum, recall_at_k
 from .ranking import RankedList, Run
 
 log = logging.getLogger(__name__)
@@ -106,8 +106,8 @@ def choose_window(deep: Run, qrels, query_corpus, pool_corpus,
         window = DateWindow(y, mode)
         final = finalize(candidates(deep, k, window, query_corpus, pool_corpus),
                          window, query_corpus, pool_corpus)
-        recall = sum(recall_at_k(final[q], qrels.relevant(q), eval_k)
-                     for q in query_ids) / len(query_ids)
+        recall = float_sum(recall_at_k(final[q], qrels.relevant(q), eval_k)
+                           for q in query_ids) / len(query_ids)
         if recall > best_recall or (recall == best_recall and best_y is not None
                                     and y > best_y):
             best_y, best_recall = y, recall

@@ -34,13 +34,13 @@ from .dense import (CentroidError, DocVectorStore, WordVectors,
                     load_doc_vectors, load_word_vectors, save_doc_vectors)
 from .fusion import (default_alpha_grid, fuse, normalize_scores, read_alpha,
                      tune_alpha, write_alpha, write_alpha_grid_csv)
-from .metrics import (aggregate_runs, evaluate_run, read_eval_csv,
+from .metrics import (aggregate_runs, evaluate_run, float_sum, read_eval_csv,
                       write_eval_csv, write_summary_csv)
 from .ranking import RankedList, Run, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
 from .rerank.train import (CHECKPOINT_VERSION, FeatureStore, Hyperparams,
-                           load_checkpoint, save_checkpoint, train_model,
-                           write_training_log)
+                           load_checkpoint, rerank_run, save_checkpoint,
+                           train_model, write_training_log)
 from .text import TextPipeline, build_pipeline, load_stopwords
 from ._textio import parse_number, read_key_values, write_table
 
@@ -344,10 +344,8 @@ def emit_rk_curve(run: Run, qrels, k_max: int) -> list[tuple[int, float]]:
         hits = list(accumulate(int(d in relevant) for d in run[q].doc_ids[:k_max]))
         hits += [hits[-1] if hits else 0] * (k_max - len(hits))
         curves.append([h / len(relevant) for h in hits])
-    rows = []
-    for k in range(1, k_max + 1):
-        total = sum(curve[k - 1] for curve in curves)
-        rows.append((k, total / len(query_ids)))
+    rows = [(k, float_sum(curve[k - 1] for curve in curves) / len(query_ids))
+            for k in range(1, k_max + 1)]
     if short:
         log.warning("rk curve: %d list(s) shorter than k_max", len(short))
     return rows
@@ -701,15 +699,8 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
         eval_paths = [outdir / f"eval_test_seed{s}.csv" for s in config.rerank_seeds]
 
         def rerank_stage():
-            # each test list's features are computed once, scored by every
-            # seed's model, and dropped before the next list
-            runs = [Run() for _ in rerankers]
-            for query_id, ranking in test_cands.items():
-                feats = store.batch(query_id, ranking.doc_ids)
-                for run, reranker in zip(runs, rerankers):
-                    run[query_id] = reranker.rerank_list(query_id, ranking, feats)
             reports = []
-            for run, rr, ev in zip(runs, rr_paths, eval_paths):
+            for run, rr, ev in zip(rerank_run(test_cands, rerankers), rr_paths, eval_paths):
                 reranked = finalize(run, window, queries, pool)
                 write_run(reranked, rr, comment=tag)
                 reports.append(evaluate_run(reranked, qrels.restrict(splits.test_ids),

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._textio import read_json, write_table
-from .metrics import recall_at_k
+from .metrics import float_sum, recall_at_k
 from .ranking import RankedList, Run, top_k_from_arrays
 
 
@@ -102,13 +102,10 @@ def tune_alpha(run_a: Run, run_b: Run, qrels, alpha_grid: list[float], k: int
         raise ValueError("no queries with relevant documents")
     norm_a = {q: normalize_scores(run_a[q]) for q in query_ids}
     norm_b = {q: normalize_scores(run_b[q]) for q in query_ids}
-    grid = []
-    for alpha in alpha_grid:
-        total = 0.0
-        for q in query_ids:
-            fused = fuse(norm_a[q], norm_b[q], alpha, k)
-            total += recall_at_k(fused, qrels.relevant(q), k)
-        grid.append((alpha, total / len(query_ids)))
+    grid = [(alpha, float_sum(recall_at_k(fuse(norm_a[q], norm_b[q], alpha, k),
+                                          qrels.relevant(q), k)
+                              for q in query_ids) / len(query_ids))
+            for alpha in alpha_grid]
     best_alpha, _ = max(grid, key=lambda cell: (cell[1], -cell[0]))
     return best_alpha, grid
 

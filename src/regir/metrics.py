@@ -21,6 +21,15 @@ def _ids(ranked) -> list[str]:
     return list(ranked) if ids is None else ids
 
 
+def float_sum(values) -> float:
+    """Every float sum and mean an artifact holds: the values added left to
+    right from 0.0, as builtin `sum` did before Python 3.12 compensated."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def recall_at_k(ranked, relevant: set[str], k: int) -> float:
     if not relevant:
         raise ValueError("empty relevant set")
@@ -39,7 +48,7 @@ def ndcg_at_k(ranked, relevant: set[str], k: int) -> float:
     for i, doc_id in enumerate(_ids(ranked)[:k], start=1):
         if doc_id in relevant:
             dcg += 1.0 / math.log2(i + 1)
-    ideal = sum(1.0 / math.log2(i + 1) for i in range(1, min(len(relevant), k) + 1))
+    ideal = float_sum(1.0 / math.log2(i + 1) for i in range(1, min(len(relevant), k) + 1))
     return dcg / ideal
 
 
@@ -72,7 +81,7 @@ class EvalReport:
         n = len(self.per_query)
         if n == 0:
             return {m: 0.0 for m in names}
-        return {m: sum(row[m] for row in self.per_query.values()) / n for m in names}
+        return {m: float_sum(row[m] for row in self.per_query.values()) / n for m in names}
 
 
 def evaluate_run(run: Run, qrels, k: int = 20) -> EvalReport:
@@ -151,8 +160,8 @@ def aggregate_runs(reports: list[EvalReport]) -> dict[str, tuple[float, float]]:
     out: dict[str, tuple[float, float]] = {}
     for metric in first.metric_names:
         values = [rep.macro[metric] for rep in reports]
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / len(values)
+        mean = float_sum(values) / len(values)
+        var = float_sum((v - mean) ** 2 for v in values) / len(values)
         out[metric] = (mean, math.sqrt(var))
     return out
 

@@ -25,7 +25,7 @@ import numpy as np
 from .._npz import read_npz, write_npz
 from .._textio import parse_number, read_key_values, write_table
 from ..fusion import normalize_scores
-from ..metrics import recall_at_k
+from ..metrics import float_sum, recall_at_k
 from ..ranking import RankedList, Run, sort_scored
 from .drmm import DrmmModel
 from .features import drmm_batch, drmm_query, pacrr_pair, pacrr_query
@@ -289,28 +289,30 @@ class Reranker:
             [(doc_id, rel_score(s, norm[doc_id], self.w_r, self.w_p))
              for doc_id, s in zip(ranking.doc_ids, s_r.tolist())]), presorted=True)
 
-    def rerank_run(self, run: Run) -> Run:
-        return Run({query_id: self.rerank_list(query_id, ranking)
-                    for query_id, ranking in run.items()})
+
+def rerank_run(run: Run, rerankers: list[Reranker]) -> list[Run]:
+    """Each reranker's re-ranking of the run, list by list. The rerankers
+    share one store: a list's features are read once through its `batch`,
+    scored by every model and dropped unless the store caches them."""
+    runs = [Run() for _ in rerankers]
+    for query_id, ranking in run.items():
+        features = rerankers[0].store.batch(query_id, ranking.doc_ids)
+        for out, reranker in zip(runs, rerankers):
+            out[query_id] = reranker.rerank_list(query_id, ranking, features)
+    return runs
 
 
 def _dev_recall(params_w, model, store: FeatureStore, dev_ids, qrels, run: Run,
                 k: int) -> float:
-    reranker = Reranker(model, float(params_w["w_r"][0]), float(params_w["w_p"][0]),
-                        store)
-    total, count = 0.0, 0
-    for query_id in dev_ids:
-        relevant = qrels.relevant(query_id)
-        if not relevant or query_id not in run:
-            continue
-        # every epoch re-scores the dev lists, so their features are cached
-        store.fill(query_id, run[query_id].doc_ids)
-        reranked = reranker.rerank_list(query_id, run[query_id])
-        total += recall_at_k(reranked, relevant, k)
-        count += 1
-    if count == 0:
+    dev = Run({q: run[q] for q in dev_ids if qrels.relevant(q) and q in run})
+    if not dev:
         raise ValueError("no dev query with relevant documents")
-    return total / count
+    # every epoch re-scores the dev lists, so their features are cached
+    for query_id, ranking in dev.items():
+        store.fill(query_id, ranking.doc_ids)
+    [reranked] = rerank_run(dev, [Reranker(model, float(params_w["w_r"][0]),
+                                           float(params_w["w_p"][0]), store)])
+    return float_sum(recall_at_k(reranked[q], qrels.relevant(q), k) for q in dev) / len(dev)
 
 
 @dataclass

@@ -9,15 +9,18 @@ top-k, the per-row histogram and the einsum and strided-gather convolutions
 that the vectorized kernels must reproduce, unit word and token vectors
 normalized one term or one call at a time, the pre-fetch steps one entry at
 a time (denoising per token, idf per term and per df, the date filter and min-max
-normalization per entry, fusion over dicts and a tuple-keyed sort), and
-small readers and helpers the pipeline itself has no use for."""
+normalization per entry, fusion over dicts and a tuple-keyed sort), builtin
+`sum` as Python adds floats before 3.12 and since, and small readers and
+helpers the pipeline itself has no use for."""
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import unicodedata
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -379,8 +382,11 @@ def pacrr_score_per_step(model: PacrrModel, feats) -> float:
     return float(h)
 
 
-def rerank_list_per_pair(reranker, query_id: str, ranking: RankedList) -> RankedList:
-    """`Reranker.rerank_list` with one `model.score` call per candidate."""
+def rerank_list_per_pair(reranker, query_id: str, ranking: RankedList,
+                         features=None) -> RankedList:
+    """`Reranker.rerank_list` with one `model.score` call per candidate, each
+    pair's features read from the store (any `features` passed are not
+    used)."""
     if not ranking:
         return ranking
     norm = dict(normalize_scores(ranking))
@@ -483,3 +489,26 @@ def rk_curve_per_k(run, qrels, k_max: int) -> list[tuple[int, float]]:
     query_ids = [q for q in sorted(run) if qrels.relevant(q)]
     return [(k, sum(recall_at_k(run[q], qrels.relevant(q), k) for q in query_ids)
              / len(query_ids)) for k in range(1, k_max + 1)]
+
+
+def left_to_right_sum(values, start=0):
+    """Builtin `sum` before Python 3.12: one `+` per value, left to right."""
+    return reduce(operator.add, values, start)
+
+
+def neumaier_sum(values, start=0):
+    """Builtin `sum` from Python 3.12 on: integers exactly, and once a float
+    is met, floats with Neumaier's compensation of each addition's rounding
+    error, added back at the end."""
+    values = list(values)
+    if all(isinstance(v, int) for v in [start, *values]):
+        return reduce(operator.add, values, start)
+    total, compensation = float(start), 0.0
+    for value in map(float, values):
+        new = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - new) + value
+        else:
+            compensation += (value - new) + total
+        total = new
+    return total + compensation if compensation and math.isfinite(compensation) else total

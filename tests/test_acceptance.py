@@ -26,7 +26,7 @@ from regir.rerank.drmm import DrmmModel
 from regir.rerank.features import softmax
 from regir.rerank.pacrr import PacrrConfig, PacrrModel
 from regir.rerank.train import (FeatureStore, Hyperparams, Reranker,
-                                hinge_loss, train_model)
+                                hinge_loss, rerank_run, train_model)
 from regir.text import build_pipeline
 
 from oracles import idf_from_token_lists, score_of
@@ -331,9 +331,9 @@ def test_criterion_7_date_filter_identities():
         model = DrmmModel.init(np.random.default_rng(1), bins=6, hidden=4)
         identity = Reranker(model, w_r=0.0, w_p=1.0, store=store)
         win = DateWindow(3, "pre")
-        pre = identity.rerank_run(filter_run(run, win, queries, pool2))
-        post = filter_run(identity.rerank_run(run), DateWindow(3, "post"),
-                          queries, pool2)
+        [pre] = rerank_run(filter_run(run, win, queries, pool2), [identity])
+        [post] = rerank_run(run, [identity])
+        post = filter_run(post, DateWindow(3, "post"), queries, pool2)
         for query_id in run:
             assert pre[query_id].doc_ids == post[query_id].doc_ids
 

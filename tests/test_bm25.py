@@ -553,6 +553,21 @@ def test_tune_cells_equal_a_search_per_cell(tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+@pytest.mark.parametrize("query", [[], ["zzz"], ["zzz", "qqq", "zzz"]])
+def test_tune_scores_a_query_with_no_indexed_term_as_search_ranks_it(query):
+    """Every cell holds the recall of the empty list `bm25_search` returns
+    for such a query, 0, not that of the k lowest rows (here d1, its
+    relevant document)."""
+    index = index_from_token_lists({"d1": ["a", "b"], "d2": ["b", "c"],
+                                    "d3": ["c", "d"]})
+    qrels = Qrels({"q1": {"d1"}, "q2": {"d3"}})
+    queries = {"q1": query, "q2": ["d"]}
+    k1_grid, b_grid = [0.5, 1.2], [0.0, 0.75]
+    _, cells = tune_bm25(index, queries, qrels, k1_grid, b_grid, k=2)
+    assert cells == tune_bm25_per_cell(index, queries, qrels, k1_grid, b_grid, k=2)
+    assert [c.recall_at_k for c in cells] == [0.5] * 4
+
+
 def test_grid_csv_roundtrip(tmp_path):
     cells = [GridCell(0.5, 0.0, 0.25), GridCell(0.5, 0.1, 1.0)]
     path = tmp_path / "grid.csv"

@@ -12,11 +12,13 @@ from regir.dense import load_word_vectors
 from regir.fusion import default_alpha_grid
 from regir.ranking import read_run
 from regir.rerank.features import TypeEmbeddings, load_token_vectors
-from regir.rerank.train import FeatureStore, Hyperparams, load_checkpoint
+from regir.rerank.train import (FeatureStore, Hyperparams, load_checkpoint,
+                                rerank_run)
 from regir.text import build_pipeline
 
 from conftest import build_dataset, date_window_dataset
 from oracles import score_of
+from test_corpus import BAD_IDS
 from test_experiment import RANGES_ROUNDED_OUTSIDE
 
 
@@ -146,6 +148,19 @@ def test_convert_with_field_map(env, tmp_path):
     assert "wrote 2 documents" in result.output
     corpus = ingest_collection(out)
     assert corpus.get("x2").year == 2008
+
+
+@pytest.mark.parametrize("doc_id", BAD_IDS.values(), ids=list(BAD_IDS))
+def test_convert_refuses_an_id_the_text_formats_cannot_hold(env, tmp_path, doc_id):
+    src = tmp_path / "foreign.jsonl"
+    src.write_text("".join(json.dumps({"id": i, "name": "Act", "text": "water"}) + "\n"
+                           for i in ("x1", doc_id)))
+    out = tmp_path / "converted.jsonl"
+    result = env.cli("convert", "--in", src, "--out", out, "--map", "doc_id=id",
+                     "--map", "title=name", "--map", "body=text")
+    assert result.exit_code == 1
+    assert f"Error: {src}: line 2: doc_id {doc_id!r}" in blob(result)
+    assert not out.exists()
 
 
 def test_convert_rejects_unknown_canonical_field(env, tmp_path):
@@ -594,6 +609,24 @@ def test_depth_options_refuse_values_below_one(env, tmp_path, command, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["tune-bm25", "prefetch", "evaluate"])
+def test_split_without_splits_is_refused_before_any_input_is_read(env, tmp_path,
+                                                                   command):
+    """`--split` used to be ignored without `--splits`, so every query ran:
+    `tune-bm25` tuned on the test queries too. Every input named here exists
+    but does not parse, so the refusal comes before any of them is read."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("not an input\n")
+    args = {"tune-bm25": ["--index", bad, "--queries", bad, "--qrels", bad],
+            "prefetch": ["--mode", "bm25", "--index", bad, "--queries", bad],
+            "evaluate": ["--run", bad, "--qrels", bad]}[command]
+    out = tmp_path / "out"
+    result = env.cli(command, *args, "--split", "dev", "--out", out)
+    assert result.exit_code == 1
+    assert "Error: --split needs --splits" in blob(result)
+    assert not out.exists()
+
+
 def test_fuse_fixed_alpha(env, tmp_path):
     out = tmp_path / "fused.tsv"
     result = env.ok("fuse", "--run-a", env.root / "run_all.tsv",
@@ -737,7 +770,7 @@ def test_train_and_rerank_with_token_vectors(env, tmp_path):
     trained = load_checkpoint(ck)
     store = FeatureStore("drmm", load_token_vectors(tokens), pipeline, queries,
                          pool, trained.hp)
-    expected = trained.reranker(store).rerank_run(read_run(root / "run_test.tsv"))
+    [expected] = rerank_run(read_run(root / "run_test.tsv"), [trained.reranker(store)])
     assert read_run(out) == expected
 
 

@@ -75,6 +75,22 @@ def test_duplicate_doc_id_rejected(tmp_path):
         ingest_collection(tmp_path / "c.jsonl")
 
 
+# a tab breaks a run file's columns, a space a vector file's, a leading '#'
+# makes a line a comment and a ',' breaks an eval CSV's columns
+BAD_IDS = {"tab": "a\tb", "space": "a b", "newline": "a\nb", "comment": "#a",
+           "comma": "a,b"}
+
+
+@pytest.mark.parametrize("doc_id", BAD_IDS.values(), ids=list(BAD_IDS))
+def test_ingest_refuses_an_id_the_text_formats_cannot_hold(tmp_path, doc_id):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [{"doc_id": "a#1", "title": "T", "body": "b"},
+                       {"doc_id": doc_id, "title": "T", "body": "b"}])
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: line 2: "
+                                          rf"doc_id {re.escape(repr(doc_id))}"):
+        ingest_collection(path)
+
+
 def test_empty_title_rejected(tmp_path):
     write_jsonl(tmp_path / "c.jsonl", [{"doc_id": "a", "title": "", "body": "b"}])
     with pytest.raises(CorpusError):

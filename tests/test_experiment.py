@@ -1,5 +1,8 @@
 import hashlib
+import importlib
 import json
+import math
+import pkgutil
 import platform
 import random
 import re
@@ -9,6 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import regir
 import regir.text
 from regir._npz import write_npz
 from regir.bm25 import INDEX_FORMAT, load_index
@@ -21,7 +25,7 @@ from regir.ranking import RankedList, Run, read_run
 from regir.rerank import train
 
 from conftest import build_dataset, date_window_dataset, write_jsonl
-from oracles import rk_curve_per_k
+from oracles import left_to_right_sum, neumaier_sum, rk_curve_per_k
 
 BASE_CFG = """
 task = EU2UK
@@ -394,6 +398,52 @@ def test_run_experiment_full_stack(dataset, tmp_path):
     assert set(manifest["config"]) == {
         line.split("=")[0].strip() for line in FULL_CFG.splitlines() if line}
 
+
+SUM_CFGS = {
+    "ensemble-drmm": FULL_CFG.replace("datefilter.years = 6", "datefilter.tune = true")
+    .replace("eval.k = 5", "eval.k = 8") + "bm25.tune = true\n"
+    "bm25.grid_k1 = 0.5,1.2\nbm25.grid_b = 0.0,0.75\n",
+    "bm25-pre": BASE_CFG.replace("eval.k = 5", "eval.k = 8") + "bm25.tune = true\n"
+    "bm25.grid_k1 = 0.5,1.2\nbm25.grid_b = 0.0,0.75\n"
+    "datefilter.tune = true\ndatefilter.mode = pre\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUM_CFGS))
+def test_run_artifacts_do_not_depend_on_how_sum_adds_floats(tmp_path, monkeypatch, name):
+    """Builtin `sum` compensates float rounding from Python 3.12 on. With
+    `sum` bound in every regir module to the addition before 3.12 and to the
+    one since, a run tuning BM25, fusion and the date window and training
+    two seeds writes the same bytes: no float that reaches an artifact is
+    added by `sum`. Every query has 7 relevant documents and eval.k is 8, so
+    each ideal DCG is one the two additions round differently."""
+    (tmp_path / "data").mkdir()
+    root = build_dataset(tmp_path / "data", random.Random(5))
+    queries = [json.loads(line)["doc_id"]
+               for line in (root / "queries.jsonl").read_text().splitlines()]
+    (root / "qrels.tsv").write_text("".join(
+        f"{q}\tuk{j:03d}\n" for i, q in enumerate(queries) for j in range(40)
+        if j % 4 == i % 4 and j < 28))
+    (root / "hp.txt").write_text(HP)
+    ideal = [1.0 / math.log2(i + 1) for i in range(1, 8)]
+    assert neumaier_sum(ideal) != left_to_right_sum(ideal)
+    modules = [importlib.import_module(m.name)
+               for m in pkgutil.walk_packages(regir.__path__, "regir.")]
+    for binding in (left_to_right_sum, neumaier_sum):
+        with monkeypatch.context() as patch:
+            for module in modules:
+                patch.setattr(module, "sum", binding, raising=False)
+            run_experiment(cfg_from(root, SUM_CFGS[name]), tmp_path / binding.__name__)
+    files = {p.name: p.read_bytes() for p in (tmp_path / "left_to_right_sum").iterdir()}
+    again = {p.name: p.read_bytes() for p in (tmp_path / "neumaier_sum").iterdir()}
+    del files["manifest.json"], again["manifest.json"]
+    assert {"rk_curve.csv", "bm25_grid.csv", "datefilter_years.json"} <= set(files)
+    if name == "ensemble-drmm":
+        assert {"alpha_grid.csv", "eval_test_seed3.csv", "eval_test_seed4.csv",
+                "eval_summary.csv"} <= set(files)
+    else:
+        assert "eval_test.csv" in files
+    assert files == again
 
 def test_fusion_tune_fetches_each_dev_query_once(dataset, tmp_path, monkeypatch):
     """Tuning alpha and the dev split's lists share one fetch of each dev

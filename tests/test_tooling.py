@@ -60,6 +60,42 @@ def test_the_rerank_package_reads_no_text():
     assert found == []
 
 
+# (module, function) -> how often it reads builtin `sum`, each time over
+# integer counts
+INTEGER_SUMS = {
+    ("metrics.py", "recall_at_k"): 1,  # hits in the top k
+    ("metrics.py", "r_precision"): 1,  # hits in the top R
+    ("corpus.py", "corpus_stats"): 1,  # empty bodies
+    ("cli.py", "date_filter_cmd"): 2,  # entries kept and in all
+    ("cli.py", "year_hist"): 1,  # judged pairs
+}
+
+
+def _sum_reads(node, function: str, found: Counter) -> None:
+    """Counts each read of the name `sum` under `node` by its innermost
+    enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and child.id == "sum":
+            found[function] += 1
+        inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else function)
+        _sum_reads(child, inner, found)
+
+
+def test_builtin_sum_adds_only_integer_counts():
+    """Builtin `sum` compensates float rounding from Python 3.12 on, so a
+    float it adds would differ across the Python versions the package
+    supports: every float sum goes through `metrics.float_sum`, and `sum`
+    is read only where it counts integers."""
+    found = Counter()
+    for path in sorted(SRC.rglob("*.py")):
+        reads = Counter()
+        _sum_reads(ast.parse(path.read_text(encoding="utf-8")), "<module>", reads)
+        found.update({(path.relative_to(SRC).as_posix(), fn): n
+                      for fn, n in reads.items()})
+    assert dict(found) == INTEGER_SUMS
+
+
 def test_package_inits_hold_only_their_docstring():
     """Each name has one import path, its defining module: a package's
     `__init__.py` holds its docstring and, in `regir` itself, the

@@ -19,8 +19,8 @@ from regir.rerank.train import (CHECKPOINT_FORMAT, Adam, FeatureStore,
                                 Hyperparams, Reranker,
                                 TrainingDiverged, _check_finite, _dev_recall,
                                 hinge_loss, init_model, load_checkpoint,
-                                rel_score, sample_triples, save_checkpoint,
-                                train_model, write_training_log)
+                                rel_score, rerank_run, sample_triples,
+                                save_checkpoint, train_model, write_training_log)
 from regir.text import build_pipeline
 
 from conftest import FixedIdf, exit_spy, keyed, make_doc
@@ -606,7 +606,7 @@ def test_planted_signal_learned_drmm():
     first_losses = [row[1] for row in result.log_rows[:3]]
     last_losses = [row[1] for row in result.log_rows[-3:]]
     assert min(last_losses) < min(first_losses)
-    reranked = result.reranker(store).rerank_run(run)
+    [reranked] = rerank_run(run, [result.reranker(store)])
     for query_id in dev_ids:
         assert reranked[query_id].doc_ids[0] == f"pos{query_id[1:]}" \
             or reranked[query_id].doc_ids[0].startswith("pos")
@@ -860,7 +860,7 @@ def test_rerank_run_keeps_none_of_the_features_it_computes(kind, hp):
                for q in queries})
     reranker = Reranker(init_model(kind, hp, np.random.default_rng(3)), w_r=0.7,
                         w_p=0.3, store=store)
-    got = reranker.rerank_run(run)
+    [got] = rerank_run(run, [reranker])
     assert store._feats.keys() == feats.keys()
     assert all(store._feats[key] is value for key, value in feats.items())
     with pytest.raises(KeyError, match="ghost"):
@@ -893,7 +893,7 @@ def test_rerank_run_holds_one_list_s_features_at_a_time():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        reranker.rerank_run(run)
+        rerank_run(run, [reranker])
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -955,8 +955,8 @@ def test_checkpoint_roundtrip(tmp_path):
     assert back.w_r == result.w_r and back.w_p == result.w_p
     for name, arr in result.model.params.items():
         assert np.array_equal(back.model.params[name], arr)
-    before = result.reranker(store).rerank_run(run)
-    after = back.reranker(store).rerank_run(run)
+    [before] = rerank_run(run, [result.reranker(store)])
+    [after] = rerank_run(run, [back.reranker(store)])
     for query_id in run:
         assert before[query_id] == after[query_id]
 
