@@ -168,11 +168,11 @@ def build_index(corpus, pipeline) -> PostingsIndex:
         raise ValueError("the corpus is not the collection the text pipeline "
                          "was built from: its doc count or denoised df differ "
                          "from the pipeline's idf table")
-    # one key per (term, document) entry, unique since a bag holds a term once
+    # one key per (term, document) entry, distinct since a bag holds a term
+    # once: any sort orders them alike
     entry_doc = np.repeat(np.arange(n), np.diff(bags.offsets))
-    keys, first = np.unique(entry_row * n + entry_doc, return_index=True)
-    return PostingsIndex(pipeline, corpus.ids, (keys % n).astype(np.int32),
-                         bags.tf[first])
+    order = np.argsort(entry_row * n + entry_doc)
+    return PostingsIndex(pipeline, corpus.ids, entry_doc[order], bags.tf[order])
 
 
 _INDEX_ARRAYS = {"positions": np.int32, "tf": np.int32, "idf_df": np.int64}

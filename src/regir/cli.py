@@ -74,18 +74,19 @@ _positive = click.IntRange(min=1)
 
 
 def _split_ids(splits_path: Path | None, split: str | None):
-    """The split's query ids (default test) in the split manifest, or None,
-    meaning every query, without one. A --split without --splits is
-    refused: call this before reading any other input."""
+    """The split manifest and the query ids of its split (default test), or
+    (None, None), meaning every query, without one. A --split without
+    --splits is refused: call this before reading any other input, then
+    validate the manifest against the inputs read, as `regir run` does."""
     if splits_path is None:
         if split is not None:
             raise click.ClickException("--split needs --splits")
-        return None
+        return None, None
     manifest = SplitManifest.from_json(splits_path)
     split = split or "test"
     try:
-        return {"train": manifest.train_ids, "dev": manifest.dev_ids,
-                "test": manifest.test_ids}[split]
+        return manifest, {"train": manifest.train_ids, "dev": manifest.dev_ids,
+                          "test": manifest.test_ids}[split]
     except KeyError:
         raise click.ClickException(f"unknown split {split!r}") from None
 
@@ -167,12 +168,14 @@ def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
     """Sweep (k1, b) maximizing R@k and export the recall grid."""
     if splits is not None and split is None:
         split = "dev"
-    ids = _split_ids(splits, split)
+    manifest, ids = _split_ids(splits, split)
     idx = load_index(index_path)
     query_corpus = ingest_collection(queries)
     judgments = load_qrels(qrels)
-    if ids is None:
+    if manifest is None:
         ids = query_corpus.ids
+    else:
+        manifest.validate(query_corpus=query_corpus, qrels=judgments)
     tokens = {q: idx.pipeline(query_corpus.get(q).text) for q in ids}
     k1_grid, b_grid = default_grid()
     if grid_k1:
@@ -254,12 +257,14 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
                                    "publication years")
     window = DateWindow(date_filter, filter_mode) if date_filter is not None else None
 
-    ids = _split_ids(splits, split)
+    manifest, ids = _split_ids(splits, split)
     query_corpus = ingest_collection(queries)
-    if ids is None:
-        ids = query_corpus.ids
-    bm25_params = read_params(params) if params else Bm25Params()
     pool_corpus = ingest_collection(collection) if collection else None
+    if manifest is None:
+        ids = query_corpus.ids
+    else:
+        manifest.validate(query_corpus=query_corpus, pool_corpus=pool_corpus)
+    bm25_params = read_params(params) if params else Bm25Params()
     index = (load_index(index_path) if {"bm25", "w2v-cent"} & set(names)
              else None)
     cent, dense = "w2v-cent" in names, "doc-vectors" in names
@@ -342,6 +347,8 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
     judgments = load_qrels(qrels, query_corpus=query_corpus,
                            pool_corpus=pool_corpus)
     manifest = SplitManifest.from_json(splits)
+    manifest.validate(query_corpus=query_corpus, pool_corpus=pool_corpus,
+                      qrels=judgments)
     run = read_run(run_path)
     hp = Hyperparams.from_file(hyperparams) if hyperparams else Hyperparams()
     if seed is not None:
@@ -427,10 +434,11 @@ def evaluate(run_path, qrels, k, splits, split, out):
     """Score a run file against judgments. With --splits, every query of the
     split is scored, and one absent from the run file (a list the date window
     emptied is written as no lines) counts as an empty list."""
-    ids = _split_ids(splits, split)
+    manifest, ids = _split_ids(splits, split)
     run = read_run(run_path)
     judgments = load_qrels(qrels)
-    if ids is not None:
+    if manifest is not None:
+        manifest.validate(qrels=judgments)
         run = Run({q: run.get(q, RankedList()) for q in ids})
     report = evaluate_run(run, judgments, k=k)
     for metric, value in report.macro.items():

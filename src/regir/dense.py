@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Mapping
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -151,7 +151,11 @@ def save_doc_vectors(store: DocVectorStore, path) -> None:
                                for doc_id, vec in zip(store, store.matrix)))
 
 
-def _centroid(vectors: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
+_NO_WEIGHT = "no in-vocabulary token with positive tf*idf weight"
+_ZERO_SUM = "the tf*idf weighted sum of the word vectors is zero"
+
+
+def _centroid(vectors: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_i w_i x_i / sum_i w_i over the rows in order, each sum a running
     one from zero: the bits of `acc += w * x` in a loop. A zero sum has no
     direction, so it raises like a zero mass."""
@@ -159,10 +163,10 @@ def _centroid(vectors: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
     acc = np.cumsum(np.concatenate((zero, weights[:, None] * vectors)), axis=0)[-1]
     mass = np.cumsum(np.concatenate(([0.0], weights)))[-1]
     if mass == 0.0:
-        raise CentroidError("no in-vocabulary token with positive tf*idf weight")
+        raise CentroidError(_NO_WEIGHT)
     if not acc.any():
-        raise CentroidError("the tf*idf weighted sum of the word vectors is zero")
-    return np.divide(acc, mass, out=out)
+        raise CentroidError(_ZERO_SUM)
+    return acc / mass
 
 
 def centroid(tokens: list[str], word_vectors: WordVectors, idf_table) -> np.ndarray:
@@ -177,10 +181,20 @@ def centroid(tokens: list[str], word_vectors: WordVectors, idf_table) -> np.ndar
     return _centroid(word_vectors.matrix[rows], tf * idf_table.idfs(terms))
 
 
+# Entries of a block of centroids summed together: its running sums, and
+# each position's weighted vectors, hold at most this many values.
+CENTROID_BLOCK_ENTRIES = 2 ** 15
+
+
 def build_centroid_store(corpus, pipeline, word_vectors: WordVectors,
                          on_empty: str = "skip-document") -> DocVectorStore:
     """Precompute the centroid of every document (identical to computing them
     per query, cached once) from the pipeline's denoised bags of the corpus.
+
+    The documents are summed together, a block at a time, position by
+    position of their bags: `acc[:active] += w * x` adds each one's next
+    term, in the order `centroid` adds it. Taken longest first, the
+    documents a position still adds to are a prefix of their block.
 
     on_empty: 'skip-document' drops fully out-of-vocabulary docs with a
     warning; 'error' aborts.
@@ -194,24 +208,46 @@ def build_centroid_store(corpus, pipeline, word_vectors: WordVectors,
     in_vocab = bags.select(term_rows >= 0)
     rows = term_rows[in_vocab.ids]
     weights = in_vocab.tf * term_idf[in_vocab.ids]
-    bounds = in_vocab.offsets.tolist()
-    # each centroid goes straight into its row, in the corpus's doc_id order
+    starts, lengths = in_vocab.offsets[:-1], np.diff(in_vocab.offsets)
+    # each centroid goes into its row, in the corpus's doc_id order
     matrix = np.empty((len(corpus), word_vectors.dim))
-    kept, skipped = [], []
-    for doc_id, lo, hi in zip(corpus.ids, bounds, bounds[1:]):
-        try:
-            _centroid(word_vectors.matrix[rows[lo:hi]], weights[lo:hi],
-                      out=matrix[len(kept)])
-        except CentroidError as exc:
-            if on_empty == "error":
-                raise CentroidError(f"document {doc_id!r}: {exc}") from None
-            skipped.append(doc_id)
-            continue
-        kept.append(doc_id)
-    if skipped:
-        log.warning("centroid store: skipped %d document(s) with no usable "
-                    "tokens or a zero sum, e.g. %s", len(skipped), skipped[:3])
-    return DocVectorStore(kept, matrix[:len(kept)], tag="w2v-cent")
+    mass = np.empty(len(corpus))
+    nonzero = np.empty(len(corpus), dtype=bool)
+    order = np.argsort(-lengths)
+    step = max(1, CENTROID_BLOCK_ENTRIES // word_vectors.dim)
+    for lo in range(0, len(order), step):
+        docs = order[lo:lo + step]
+        first, count = starts[docs], lengths[docs]
+        acc, block_mass = np.zeros((len(docs), word_vectors.dim)), np.zeros(len(docs))
+        # the documents longer than position p, for every p
+        active = np.searchsorted(-count, -np.arange(count[0]), "left")
+        for p, n in enumerate(active.tolist()):
+            entries = first[:n] + p
+            w, terms = weights[entries], word_vectors.matrix[rows[entries]]
+            terms *= w[:, None]
+            acc[:n] += terms
+            block_mass[:n] += w
+        mass[docs], nonzero[docs] = block_mass, acc.any(axis=1)
+        with np.errstate(invalid="ignore"):  # 0 / 0 where nothing was summed
+            matrix[docs] = acc / block_mass[:, None]
+    usable = (mass != 0.0) & nonzero
+    if usable.all():
+        return DocVectorStore(corpus.ids, matrix, tag="w2v-cent")
+    bad = np.flatnonzero(~usable)
+    if on_empty == "error":
+        reason = _NO_WEIGHT if mass[bad[0]] == 0.0 else _ZERO_SUM
+        raise CentroidError(f"document {corpus.ids[bad[0]]!r}: {reason}")
+    skipped = [corpus.ids[i] for i in bad[:3].tolist()]
+    log.warning("centroid store: skipped %d document(s) with no usable "
+                "tokens or a zero sum, e.g. %s", len(bad), skipped)
+    # the kept rows move up in place, a block at a time: kept[i] >= i, so
+    # no row is overwritten before it is read
+    kept = np.flatnonzero(usable)
+    for lo in range(0, len(kept), step):
+        block = kept[lo:lo + step]
+        matrix[lo:lo + len(block)] = matrix[block]
+    return DocVectorStore(list(compress(corpus.ids, usable.tolist())),
+                          matrix[:len(kept)], tag="w2v-cent")
 
 
 def knn_search(query_vec: np.ndarray, store: DocVectorStore, k: int) -> RankedList:

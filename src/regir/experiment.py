@@ -11,6 +11,7 @@ byte-identical CSVs, and finished stages are skipped outright.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import logging
@@ -447,11 +448,38 @@ class StageFailed(RuntimeError):
 
 
 def _environment() -> dict:
-    """The Python, numpy and BLAS builds a run's bits rest on, recorded
-    outside the manifest hash so another build still skips finished stages."""
+    """The Python, numpy and BLAS builds a run's bits rest on, and the
+    dispatch they took on this CPU: numpy's enabled CPU features and the
+    OpenBLAS core. Recorded outside the manifest hash, so another build or
+    host still skips finished stages."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": {"name": blas["name"], "version": blas["version"]}}
+            "cpu_features": _cpu_features(),
+            "blas": {"name": blas["name"], "version": blas["version"],
+                     "core": _openblas_core()}}
+
+
+def _cpu_features() -> list[str]:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return sorted(name for name, enabled in __cpu_features__.items() if enabled)
+
+
+def _openblas_core() -> str | None:
+    """The core the OpenBLAS that numpy's wheels bundle dispatched to, None
+    where that library or its core query is not found."""
+    here = Path(np.__file__).parent
+    for lib in sorted([*here.parent.glob("numpy.libs/*openblas*"),
+                       *here.glob(".dylibs/*openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
 
 
 class _Stages:

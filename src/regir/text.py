@@ -130,18 +130,31 @@ def encode_bags(corpus) -> Bags:
 def _count_terms(seq: np.ndarray, bounds: np.ndarray, n_terms: int):
     """The bags of the documents whose sequences `bounds` delimit in `seq`:
     their distinct term ids in first-occurrence order, the counts, and each
-    document's number of distinct terms."""
+    document's number of distinct terms. A block whose keys would leave the
+    int64 range is counted in halves. One document's keys stay in it up to
+    3 * 10**9 tokens in the collection, which bounds both its length and
+    n_terms."""
+    n_docs, size = len(bounds) - 1, int(bounds[-1] - bounds[0])
+    if n_docs > 1 and n_docs * n_terms * size > 2 ** 63:
+        half = n_docs // 2
+        parts = zip(_count_terms(seq, bounds[:half + 1], n_terms),
+                    _count_terms(seq, bounds[half:], n_terms))
+        return tuple(np.concatenate(part) for part in parts)
     chunk = seq[bounds[0]:bounds[-1]]
-    doc = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    # one key per (document, term); ordering the keys by their first
-    # positions keeps the documents in order and each one's terms in
-    # first-occurrence order
-    _, first, tf = np.unique(doc * n_terms + chunk, return_index=True,
-                             return_counts=True)
-    order = np.argsort(first)
-    first = first[order]
-    return (chunk[first], tf[order].astype(np.int32),
-            np.bincount(doc[first], minlength=len(bounds) - 1))
+    doc = np.repeat(np.arange(n_docs), np.diff(bounds))
+    # one key per (document, term, position): distinct, so any sort orders
+    # them alike, and each run of equal (document, term) starts at its
+    # first position
+    keys = (doc * n_terms + chunk) * size + np.arange(size)
+    keys.sort()
+    pair, position = np.divmod(keys, size)
+    starts = np.flatnonzero(np.diff(pair, prepend=-1))
+    # each count at its term's first position: read in position order, the
+    # documents stay in order and each one's terms in first-occurrence order
+    tf = np.zeros(size, dtype=np.int32)
+    tf[position[starts]] = np.diff(starts, append=size)
+    first = np.flatnonzero(tf)
+    return chunk[first], tf[first], np.bincount(doc[first], minlength=n_docs)
 
 
 def distinct_rows(tokens, row: dict) -> tuple[list[str], np.ndarray, np.ndarray]:

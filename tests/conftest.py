@@ -59,10 +59,11 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
-def run_python(code: str, *args, hash_seed: int) -> str:
+def run_python(code: str, *args, hash_seed: int, **env: str) -> str:
     """The stdout of `code` run in a fresh interpreter under the given
-    PYTHONHASHSEED, with this package importable."""
-    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+    PYTHONHASHSEED and further environment variables, with this package
+    importable."""
+    env = dict(os.environ, **env, PYTHONHASHSEED=str(hash_seed),
                PYTHONPATH=os.pathsep.join(
                    [str(Path(regir.__file__).parents[1]),
                     *filter(None, [os.environ.get("PYTHONPATH")])]))

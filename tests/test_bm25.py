@@ -269,7 +269,7 @@ def test_save_load_roundtrip(tmp_path, rng):
     assert np.array_equal(back.offsets, index.offsets)
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", range(8))
 def test_csr_postings_equal_dict_oracle(seed):
     rng = random.Random(seed)
     vocab = [f"w{i}" for i in range(rng.randint(5, 80))] + ["the", "of", "and"]

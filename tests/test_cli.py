@@ -627,6 +627,43 @@ def test_split_without_splits_is_refused_before_any_input_is_read(env, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "train", "tune-bm25", "prefetch",
+                                     "evaluate"])
+def test_every_command_refuses_the_split_manifest_regir_run_refuses(
+        env, tmp_path, command):
+    """A dev split that names three train queries twice each: `regir run`
+    refuses it, and the commands that read a split manifest used to take it
+    (`train` trained, exit 0). Each now fails with the run's message before
+    it writes its output."""
+    root = env.root
+    splits = json.loads((root / "splits.json").read_text())
+    splits["dev"] += splits["train"][:3] * 2
+    bad = tmp_path / "splits.json"
+    bad.write_text(json.dumps(splits))
+    out = tmp_path / "out"
+    config = tmp_path / "exp.cfg"
+    config.write_text(run_config(root, "prefetch.mode = bm25\n").replace(
+        str(root / "splits.json"), str(bad)))
+    args = {"run": ["--config", config],
+            "train": ["--model", "drmm", "--run", root / "run_all.tsv",
+                      "--queries", root / "queries.jsonl",
+                      "--collection", root / "pool.jsonl",
+                      "--qrels", root / "qrels.tsv", "--index", root / "index.bin",
+                      "--word-vectors", root / "wv.txt",
+                      "--hyperparams", root / "hp.txt", "--splits", bad],
+            "tune-bm25": ["--index", root / "index.bin",
+                          "--queries", root / "queries.jsonl",
+                          "--qrels", root / "qrels.tsv", "--splits", bad],
+            "prefetch": ["--mode", "bm25", "--index", root / "index.bin",
+                         "--queries", root / "queries.jsonl", "--splits", bad],
+            "evaluate": ["--run", root / "run_all.tsv",
+                         "--qrels", root / "qrels.tsv", "--splits", bad]}[command]
+    result = env.cli(command, *args, "--out", out)
+    assert result.exit_code == 1
+    assert "Error: split 'dev' contains duplicate ids\n" in blob(result)
+    assert not (out / "final_test.tsv" if command == "run" else out).exists()
+
+
 def test_fuse_fixed_alpha(env, tmp_path):
     out = tmp_path / "fused.tsv"
     result = env.ok("fuse", "--run-a", env.root / "run_all.tsv",

@@ -335,6 +335,78 @@ def test_centroids_have_the_bits_of_the_running_sum(seed):
         assert centroid(tokens, wv, pipeline.idf_table).tobytes() == want.tobytes()
 
 
+def mixed_length_pool(rng):
+    """One long document among many short ones, lengths often equal, and
+    three that have no centroid: p010's only vector has -0.0 components,
+    p015's vectors sum to zero (`up` and `down` occur in the same
+    documents, so their idf agrees), and p020's terms are all out of
+    vocabulary. Taken longest first, p015 comes before p010. Word vectors
+    hold -0.0 components elsewhere too."""
+    np_rng = np.random.default_rng(rng.randrange(2 ** 32))
+    words = [f"w{i}" for i in range(30)]
+    vectors = {w: np_rng.normal(size=4) for w in words}
+    vectors["w3"][1:] = -0.0
+    vectors.update(up=np.array([1.0, -2.0, 0.5, 3.0]),
+                   down=np.array([-1.0, 2.0, -0.5, -3.0]),
+                   neg=np.array([-0.0, -0.0, 0.0, -0.0]))
+    texts = {"p000": [rng.choice(words) for _ in range(400)] + ["up", "down"]}
+    for i in range(1, 60):
+        texts[f"p{i:03d}"] = [rng.choice(words) for _ in range(rng.choice([1, 2, 3, 7]))]
+    texts["p010"] = ["neg", "neg"]
+    texts["p015"] = ["up", "down", "down", "up"]
+    texts["p020"] = ["oov", "other", "oov"]
+    docs = [make_doc(d, t[1:], title=t[0]) for d, t in texts.items()]
+    rng.shuffle(docs)
+    pool = Corpus(docs)
+    return pool, build_pipeline(pool, stopwords=frozenset(), idf_filter=False), \
+        keyed(WordVectors, vectors)
+
+
+def first_centroid_error(pool, pipeline, wv) -> str:
+    """The error of the first document in doc_id order with no centroid,
+    one `centroid` call per document."""
+    for doc in pool:
+        try:
+            centroid(pipeline(doc.text), wv, pipeline.idf_table)
+        except CentroidError as exc:
+            return f"document {doc.doc_id!r}: {exc}"
+    raise AssertionError("every document has a centroid")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_store_summed_by_position_has_the_bits_of_the_per_document_loop(
+        seed, monkeypatch):
+    """At the module's block bound, at one row per block and at blocks of
+    three rows, which split documents of equal length across blocks, every
+    centroid equals `acc += w * x` summed term by term, byte for byte; the
+    documents without one are skipped, and with on_empty='error' the first
+    of them in doc_id order is named with its own reason."""
+    pool, pipeline, wv = mixed_length_pool(random.Random(seed))
+    want = {}
+    for doc in pool:
+        try:
+            want[doc.doc_id] = centroid_loop(pipeline(doc.text), wv,
+                                             pipeline.idf_table)
+        except ValueError:
+            pass
+    assert {"p010", "p015", "p020"}.isdisjoint(want) and len(want) == len(pool) - 3
+    for block in (dense.CENTROID_BLOCK_ENTRIES, 1, 3 * wv.dim):
+        monkeypatch.setattr(dense, "CENTROID_BLOCK_ENTRIES", block)
+        store = build_centroid_store(pool, pipeline, wv)
+        assert list(store) == list(want)
+        assert all(store[d].tobytes() == v.tobytes() for d, v in want.items())
+        with pytest.raises(CentroidError) as error:
+            build_centroid_store(pool, pipeline, wv, on_empty="error")
+        assert str(error.value) == first_centroid_error(pool, pipeline, wv) == (
+            "document 'p010': the tf*idf weighted sum of the word vectors is zero")
+        rest = Corpus([doc for doc in pool if doc.doc_id not in ("p010", "p015")])
+        rest_pipeline = build_pipeline(rest, stopwords=frozenset(), idf_filter=False)
+        with pytest.raises(CentroidError) as error:
+            build_centroid_store(rest, rest_pipeline, wv, on_empty="error")
+        assert str(error.value) == first_centroid_error(rest, rest_pipeline, wv) == (
+            "document 'p020': no in-vocabulary token with positive tf*idf weight")
+
+
 def test_centroid_of_negative_zero_components_is_positive_zero():
     wv = wv_from({"a": [-0.0, 1.0]})
     assert np.signbit(centroid(["a"], wv, idf_from({"a": 2.0}))).tolist() == \

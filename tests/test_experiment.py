@@ -12,6 +12,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
 import regir
 import regir.text
 from regir._npz import write_npz
@@ -24,7 +29,7 @@ from regir.metrics import read_eval_csv
 from regir.ranking import RankedList, Run, read_run
 from regir.rerank import train
 
-from conftest import build_dataset, date_window_dataset, write_jsonl
+from conftest import build_dataset, date_window_dataset, run_python, write_jsonl
 from oracles import left_to_right_sum, neumaier_sum, rk_curve_per_k
 
 BASE_CFG = """
@@ -663,9 +668,13 @@ def test_manifest_records_each_stage_s_environment_outside_the_hash(
     path = outdir / "manifest.json"
     manifest = json.loads(path.read_text())
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    # the OpenBLAS core is checked against a forced one below
+    core = next(iter(manifest["environment"].values()))["blas"]["core"]
     here = {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": {"name": blas["name"], "version": blas["version"]}}
-    assert all(here["blas"].values())
+            "cpu_features": sorted(f for f, on in __cpu_features__.items() if on),
+            "blas": {"name": blas["name"], "version": blas["version"],
+                     "core": core}}
+    assert blas["name"] and blas["version"]
     assert manifest["environment"] == dict.fromkeys(manifest["timings"], here)
     other = {"python": "3.10.0", "numpy": "1.26.0",
              "blas": {"name": "other", "version": "0"}}
@@ -684,6 +693,45 @@ def test_manifest_records_each_stage_s_environment_outside_the_hash(
                        if name.startswith("index-v")}
     assert third["environment"] == {
         name: here if name in rebuilt else other for name in third["timings"]}
+
+
+RUN_AND_RECORD = """
+import json, sys
+from regir.experiment import _environment, load_config, run_experiment
+run_experiment(load_config(sys.argv[1]), sys.argv[2])
+print(json.dumps(_environment()))
+"""
+
+
+def test_manifest_records_the_cpu_dispatch_and_a_rerun_under_another_skips(
+        dataset, tmp_path):
+    """`environment` names numpy's enabled CPU features and the OpenBLAS
+    core. Under another dispatch (numpy's last enabled dispatch target
+    switched off, OpenBLAS forced to its Nehalem core, which every CPU this
+    numpy runs on supports) both read what that process runs, and a rerun
+    there still skips every stage, keeping the first run's record."""
+    cfg_path = dataset / "dispatch.txt"
+    cfg_path.write_text(BASE_CFG)
+    outdir = tmp_path / "out"
+    run_experiment(load_config(cfg_path), outdir)
+    path = outdir / "manifest.json"
+    first = json.loads(path.read_text())
+    records = list(first["environment"].values())
+    assert records and all(r == records[0] for r in records)
+    enabled = sorted(f for f, on in __cpu_features__.items() if on)
+    assert records[0]["cpu_features"] == enabled
+    core = records[0]["blas"]["core"]
+    assert core is None or (isinstance(core, str) and core)
+    switched = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)][-1:]
+    there = json.loads(run_python(
+        RUN_AND_RECORD, cfg_path, outdir, hash_seed=0,
+        OPENBLAS_CORETYPE="Nehalem", NPY_DISABLE_CPU_FEATURES=" ".join(switched)
+    ).splitlines()[-1])
+    assert there["cpu_features"] == [f for f in enabled if f not in switched]
+    assert there["blas"]["core"] == (None if core is None else "Nehalem")
+    again = json.loads(path.read_text())
+    assert again["timings"] == dict.fromkeys(first["timings"], 0.0)
+    assert again["environment"] == first["environment"]
 
 
 def read_summary(path) -> dict[str, float]:

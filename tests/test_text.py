@@ -206,6 +206,45 @@ def test_bags_hold_each_documents_term_counts_in_first_occurrence_order(
             assert bags.offsets.dtype == bags.seq_offsets.dtype == np.int64
 
 
+def bags_of(bags) -> list[list[tuple[str, int]]]:
+    """Each document's bag as (term, count) pairs, in order."""
+    bounds = bags.offsets.tolist()
+    return [[(bags.terms[t], int(f)) for t, f in zip(bags.ids[lo:hi], bags.tf[lo:hi])]
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def test_term_counts_split_a_block_whose_keys_would_leave_int64(rng, monkeypatch):
+    """Empty, numeric-only and repeating documents among random ones are
+    counted alike at every block size. A planted vocabulary size, which
+    puts one document's (document, term, position) keys just inside the
+    int64 range and a block's far outside it, splits each block down to
+    documents whose keys fit, and counts them alike."""
+    docs = list(random_corpus(rng, 40, vocab=BAG_VOCAB, doc_len=(0, 30)))
+    docs += [make_doc("e0", [], title="2020"), make_doc("e1", ["1", "22"], title="333"),
+             make_doc("e2", ["tax"] * 50, title="tax levy tax")]
+    corpus = Corpus(docs)
+    want = [list(Counter(tokenize(doc.text)).items()) for doc in corpus]
+    assert [] in want and [("tax", 52), ("levy", 1)] in want
+    for block_docs in (1, 7, 256):
+        monkeypatch.setattr(regir.text, "_BLOCK_DOCS", block_docs)
+        assert bags_of(encode_bags(corpus)) == want
+    bags = encode_bags(corpus)
+    counted = regir.text._count_terms(bags.seq, bags.seq_offsets, len(bags.terms))
+    longest = int(np.diff(bags.seq_offsets).max())
+    calls = []
+    real = regir.text._count_terms
+
+    def spy(seq, bounds, n_terms):
+        calls.append(len(bounds) - 1)
+        return real(seq, bounds, n_terms)
+
+    monkeypatch.setattr(regir.text, "_count_terms", spy)
+    planted = regir.text._count_terms(bags.seq, bags.seq_offsets, 2 ** 63 // longest)
+    assert len(calls) > 1 and min(calls) == 1
+    for got, expected in zip(planted, counted, strict=True):
+        assert np.array_equal(got, expected) and got.dtype == expected.dtype
+
+
 def test_pool_is_tokenized_once_for_pipeline_index_and_centroids(rng, monkeypatch):
     """Building the pipeline, the index and the centroids, and the
     re-ranker's features of every (query, pool document) pair, tokenize each

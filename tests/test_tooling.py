@@ -96,6 +96,34 @@ def test_builtin_sum_adds_only_integer_counts():
     assert dict(found) == INTEGER_SUMS
 
 
+def _block_bounds() -> set[tuple[str, str]]:
+    """(module name, constant) of every module-level constant in the package
+    that bounds a block of work: `*_ENTRIES` and `_BLOCK*`."""
+    return {(path.stem, target.id)
+            for path in sorted(SRC.rglob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+            and (target.id.endswith("_ENTRIES") or target.id.startswith("_BLOCK"))}
+
+
+def test_every_block_bound_is_set_small_by_a_test():
+    """A bound on a block of work hides a fault at a block's edge unless
+    some test runs the code with blocks small enough to have many edges:
+    every such constant is set through `monkeypatch.setattr(module, name,
+    ...)` in a test under tests/."""
+    bounds = _block_bounds()
+    set_in_tests = set()
+    for path in sorted(TESTS.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setattr"
+                    and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)):
+                module = ast.unparse(node.args[0]).split(".")[-1]
+                set_in_tests.add((module, node.args[1].value))
+    assert len(bounds) >= 6 and sorted(bounds - set_in_tests) == []
+
+
 def test_package_inits_hold_only_their_docstring():
     """Each name has one import path, its defining module: a package's
     `__init__.py` holds its docstring and, in `regir` itself, the

@@ -345,6 +345,21 @@ def test_fill_equals_the_per_pair_oracle_on_every_pair(seed, provider_kind, budg
     and at one small enough that every batch holds a few documents, gives
     each pair the oracle's histograms bit for bit."""
     monkeypatch.setattr(features, "DRMM_BATCH_ENTRIES", budget)
+    assert_fill_equals_the_per_pair_oracle(seed, provider_kind)
+
+
+@pytest.mark.parametrize("provider_kind", ["type", "token"])
+def test_fill_at_a_one_row_slice_equals_the_per_pair_oracle(provider_kind,
+                                                            monkeypatch):
+    """Binning the table one row at a time, and counting one document's
+    tokens at a time, gives each pair the oracle's histograms bit for bit."""
+    monkeypatch.setattr(features, "DRMM_SLICE_ENTRIES", 1)
+    assert_fill_equals_the_per_pair_oracle(3, provider_kind)
+
+
+def assert_fill_equals_the_per_pair_oracle(seed: int, provider_kind: str) -> None:
+    """One `fill` per query over the whole pool gives each pair the
+    oracle's histograms and idf bit for bit."""
     pool, queries, pipeline, providers = generated_fill_setup(seed)
     hp = Hyperparams(B=11)
     store = FeatureStore("drmm", providers[provider_kind], pipeline, queries,
