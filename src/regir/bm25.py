@@ -73,10 +73,11 @@ class PostingsIndex:
     survives the pipeline in every document or in none, so term i owns its
     df's worth of entries, offsets[i]:offsets[i+1], of `positions` (rows of
     `doc_ids`, ascending) and `tf` (each >= 1). A document's length
-    is the sum of its tf. The arrays have the types scoring reads (intp
-    offsets and positions, float tf), so gathering a query's postings
-    converts nothing; the file holds them as int32. `doc_ids` are a pool
-    corpus's `ids`, which ascend, so top-k breaks ties by row.
+    is the sum of its tf, and `idf[i]` is term i's idf, read once from the
+    table. The arrays have the types scoring reads (intp offsets and
+    positions, float tf), so gathering a query's postings converts nothing;
+    the file holds them as int32. `doc_ids` are a pool corpus's `ids`, which
+    ascend, so top-k breaks ties by row.
     """
 
     def __init__(self, pipeline: TextPipeline, doc_ids: list[str],
@@ -89,6 +90,7 @@ class PostingsIndex:
         self.idf_table = table = pipeline.idf_table
         self.terms, self._row = pipeline.kept_terms, pipeline.kept_row
         self.offsets = np.cumsum([0, *map(table.df, self.terms)], dtype=np.intp)
+        self.idf = table.idfs(self.terms)
         self.positions = positions.astype(np.intp)
         self.tf = tf.astype(np.float64)
         self.doc_count = len(doc_ids)
@@ -109,8 +111,7 @@ class PostingsIndex:
         _, rows, q_tf = distinct_rows(query_tokens, self._row)
         lo = self.offsets[rows]
         sizes = self.offsets[rows + 1] - lo
-        # a term's postings number its df: its idf needs no lookup by term
-        weights = q_tf * self.idf_table.idf_of_df(sizes)
+        weights = q_tf * self.idf[rows]
         # the j-th entry of the i-th term is gathered to starts[i] + j from
         # lo[i] + j
         starts = np.cumsum(sizes) - sizes

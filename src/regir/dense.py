@@ -21,7 +21,7 @@ import numpy as np
 
 from ._textio import parse_number, read_lines, read_vectors, write_table
 from .ranking import RankedList, top_k_from_arrays
-from .text import distinct_rows
+from .text import distinct_rows, kept_offsets
 
 log = logging.getLogger(__name__)
 
@@ -205,10 +205,13 @@ def build_centroid_store(corpus, pipeline, word_vectors: WordVectors,
     term_rows = np.fromiter(map(word_vectors.row.get, bags.terms, repeat(-1)),
                             dtype=np.int64, count=len(bags.terms))
     term_idf = pipeline.idf_table.idfs(bags.terms)
-    in_vocab = bags.select(term_rows >= 0)
-    rows = term_rows[in_vocab.ids]
-    weights = in_vocab.tf * term_idf[in_vocab.ids]
-    starts, lengths = in_vocab.offsets[:-1], np.diff(in_vocab.offsets)
+    # the bag entries of in-vocabulary terms; centroids never read the
+    # term sequences, so only the bags are filtered
+    in_vocab = term_rows[bags.ids] >= 0
+    ids, offsets = bags.ids[in_vocab], kept_offsets(in_vocab, bags.offsets)
+    rows = term_rows[ids]
+    weights = bags.tf[in_vocab] * term_idf[ids]
+    starts, lengths = offsets[:-1], np.diff(offsets)
     # each centroid goes into its row, in the corpus's doc_id order
     matrix = np.empty((len(corpus), word_vectors.dim))
     mass = np.empty(len(corpus))

@@ -10,7 +10,7 @@ normalized range.
 from __future__ import annotations
 
 import json
-from itertools import chain, repeat
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,18 +33,17 @@ def normalize_scores(ranking: RankedList) -> RankedList:
     return RankedList(zip(doc_ids, normalized.tolist()), presorted=True)
 
 
-def _scores(ranking: RankedList, name: str) -> dict:
-    """The ranking as a doc_id -> score dict, each score in [0, 1] up to
-    1e-9."""
-    scores = dict(ranking)
-    values = list(scores.values())
-    array = np.array(values, dtype=np.float64)
-    outside = ~((array >= -1e-9) & (array <= 1 + 1e-9))
+def _unit_scores(ranking: RankedList, name: str) -> tuple[tuple, np.ndarray]:
+    """The ranking's doc_ids, and its scores as one float64 array, each
+    score in [0, 1] up to 1e-9."""
+    doc_ids, values = tuple(zip(*ranking)) or ((), ())
+    scores = np.fromiter(values, dtype=np.float64, count=len(values))
+    outside = ~((scores >= -1e-9) & (scores <= 1 + 1e-9))
     if outside.any():
         raise ValueError(f"{name} is not min-max normalized (score "
                          f"{values[int(outside.argmax())]!r}); call "
                          f"normalize_scores first")
-    return scores
+    return doc_ids, scores
 
 
 def fuse(list_a: RankedList, list_b: RankedList, alpha: float, k: int) -> RankedList:
@@ -58,13 +57,20 @@ def fuse(list_a: RankedList, list_b: RankedList, alpha: float, k: int) -> Ranked
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    a_scores, b_scores = _scores(list_a, "list_a"), _scores(list_b, "list_b")
-    doc_ids = list(dict.fromkeys(chain(a_scores, b_scores)))
-    a, b = (np.fromiter(map(scores.get, doc_ids, repeat(0.0)), dtype=np.float64,
-                        count=len(doc_ids)) for scores in (a_scores, b_scores))
+    ids_a, scores_a = _unit_scores(list_a, "list_a")
+    ids_b, scores_b = _unit_scores(list_b, "list_b")
+    # the union is list_a, then the list_b ids it lacks: each list_b id's
+    # row in it is its row in list_a, or the next row after list_a's
+    row_in_a = dict(zip(ids_a, range(len(ids_a))))
+    rows = np.fromiter(map(row_in_a.get, ids_b, repeat(-1)), dtype=np.intp,
+                       count=len(ids_b))
+    only_b = rows < 0
+    rows[only_b] = np.arange(len(ids_a), len(ids_a) + np.count_nonzero(only_b))
+    doc_ids = np.array([*ids_a, *compress(ids_b, only_b)], dtype=object)
+    a, b = np.zeros(len(doc_ids)), np.zeros(len(doc_ids))
+    a[:len(ids_a)], b[rows] = scores_a, scores_b
     fused = alpha * a + (1 - alpha) * b
-    return RankedList(top_k_from_arrays(np.array(doc_ids, dtype=object), fused, k),
-                      presorted=True)
+    return RankedList(top_k_from_arrays(doc_ids, fused, k), presorted=True)
 
 
 def fuse_runs(run_a: Run, run_b: Run, alpha: float, k: int) -> Run:

@@ -28,18 +28,35 @@ def top_k_from_arrays(doc_ids: np.ndarray, scores: np.ndarray, k: int, *,
     """Vectorized top-k with the canonical tie-break.
 
     Keeps every score >= the k-th largest, ties at the cut included, and
-    sorts only those: lexsort's last key is primary, so by -score, then
-    doc_id ascending. With `sorted_ids` the caller vouches that doc_ids
+    sorts only those by -score, then row. Then, within each run of equal
+    scores, by doc_id. With `sorted_ids` the caller vouches that doc_ids
     ascend, as an index's and a vector store's do: ascending rows then
-    order tied ids, and no id is compared.
+    order tied ids, and no id is compared. A NaN score is never ranked: the
+    top k is taken over the other scores, so fewer than k come back when
+    fewer than k are numbers.
     """
-    n = len(scores)
-    k = min(max(k, 0), n)
+    k = min(max(k, 0), len(scores))
     if k == 0:
         return []
-    candidates = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
-    ties = candidates if sorted_ids else doc_ids[candidates]
-    top = candidates[np.lexsort((ties, -scores[candidates]))[:k]]
+    # the k-th smallest of -scores: numpy selects it fast even among many
+    # tied zeros, where selecting the (n - k)-th of scores stalls. NaN sorts
+    # last, so it is a number unless fewer than k scores are, and then fmax
+    # makes it -inf, which keeps every number
+    kth = np.fmax(-np.partition(-scores, k - 1)[k - 1], -np.inf)
+    candidates = np.flatnonzero(scores >= kth)
+    # stable, so ascending rows order equal scores
+    top = candidates[np.argsort(-scores[candidates], kind="stable")]
+    if not sorted_ids:
+        ranked = scores[top]
+        same = ranked[1:] == ranked[:-1]
+        if same.any():
+            # the entries that tie with a neighbour, re-sorted by (run,
+            # doc_id): ids are compared only inside runs of equal scores
+            starts = np.concatenate(([True], ~same, [True]))
+            tied = np.flatnonzero(~(starts[:-1] & starts[1:]))
+            run = np.cumsum(starts[:-1])[tied]
+            top[tied] = top[tied][np.lexsort((doc_ids[top[tied]], run))]
+    top = top[:k]
     return list(zip(doc_ids[top].tolist(),
                     scores[top].astype(np.float64, copy=False).tolist()))
 

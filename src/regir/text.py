@@ -94,11 +94,11 @@ class Bags:
         true."""
         mask, seq_mask = keep[self.ids], keep[self.seq]
         return Bags(self.terms, self.ids[mask], self.tf[mask],
-                    _kept_offsets(mask, self.offsets), self.seq[seq_mask],
-                    _kept_offsets(seq_mask, self.seq_offsets))
+                    kept_offsets(mask, self.offsets), self.seq[seq_mask],
+                    kept_offsets(seq_mask, self.seq_offsets))
 
 
-def _kept_offsets(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+def kept_offsets(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Document offsets into the entries that `mask` keeps."""
     return np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))[offsets]
 

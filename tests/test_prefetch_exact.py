@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regir.bm25 import build_index, load_index, save_index
 from regir.corpus import Corpus
 from regir.datefilter import DateWindow, apply_filter
 from regir.fusion import fuse, normalize_scores
 from regir.ranking import RankedList, sort_scored, top_k_from_arrays
-from regir.text import IdfTable, TextPipeline, distinct_rows
+from regir.text import IdfTable, TextPipeline, build_pipeline, distinct_rows
 
-from conftest import make_doc
+from conftest import make_doc, random_corpus
 from oracles import (apply_filter_per_entry, denoise_per_token,
                      distinct_rows_per_term, fuse_dict_sort, idf_per_df,
                      normalize_scores_per_entry, sort_scored_by_tuple,
@@ -120,6 +121,21 @@ def test_idf_of_df_equals_the_per_df_formula(n_and_dfs):
          want)
 
 
+@pytest.mark.parametrize("idf_filter", [True, False])
+def test_index_idf_equals_the_table_idf_after_build_and_load(tmp_path, idf_filter):
+    rng = random.Random(29)
+    vocab = [f"w{i}" for i in range(300)] + ["the", "of", "and"]
+    corpus = random_corpus(rng, 120, vocab=vocab, doc_len=(0, 80))
+    pipeline = build_pipeline(corpus, idf_filter=idf_filter)
+    index = build_index(corpus, pipeline)
+    save_index(index, tmp_path / "idx.bin")
+    want = [pipeline.idf_table.idf(term) for term in pipeline.kept_terms]
+    for got in (index, load_index(tmp_path / "idx.bin")):
+        assert got.idf.dtype == np.float64
+        same(got.idf.tolist(), want)
+        same(got.idf.tolist(), [got.idf_table.idf(term) for term in got.terms])
+
+
 # --- sorting, top-k and duplicates ---
 
 @PROPERTY
@@ -147,6 +163,57 @@ def test_top_k_from_arrays_returns_built_in_str_and_float():
             got = top_k_from_arrays(doc_ids, values, 2)
             assert got == [("a", 1.0), ("b", 1.0)]
             assert all(type(d) is str and type(s) is float for d, s in got)
+
+
+def pool_scores(rng, n: int) -> np.ndarray:
+    """A BM25-like score vector: at least 70% exact zeros, about a tenth of
+    them -0.0, a few negative scores, and the rest on a coarse grid, so that
+    equal scores run long."""
+    scores = np.zeros(n)
+    hits = rng.choice(n, size=int(rng.uniform(0.05, 0.3) * n), replace=False)
+    scores[hits] = rng.integers(1, 60, size=len(hits)) / 8
+    negative = rng.choice(n, size=n // 100, replace=False)
+    scores[negative] = -rng.integers(1, 5, size=len(negative)) / 4
+    scores[rng.choice(np.flatnonzero(scores == 0), size=n // 10, replace=False)] = -0.0
+    return scores
+
+
+@pytest.mark.parametrize("n", [2000, 5000, 10000])
+@pytest.mark.parametrize("sorted_ids", [True, False])
+@pytest.mark.parametrize("with_nan", [False, True])
+def test_top_k_from_arrays_at_pool_scale_equals_the_full_lexsort(n, sorted_ids, with_nan):
+    """Cuts at 1, among ties, at the edge of the zeros and inside them, at
+    n and past it. A NaN score is ranked as if it were not there."""
+    rng = np.random.default_rng(n + 2 * sorted_ids + with_nan)
+    scores = pool_scores(rng, n)
+    assert np.mean(scores == 0) >= 0.7 and np.signbit(scores[scores == 0]).any()
+    if with_nan:
+        scores[rng.choice(n, size=n // 50, replace=False)] = np.nan
+    names = [f"d{i:05d}" for i in range(n)]
+    if not sorted_ids:  # ties then break by id, which rows do not follow
+        rng.shuffle(names)
+    doc_ids = np.array(names, dtype=object)
+    numbers = ~np.isnan(scores)
+    want = top_k_lexsort(doc_ids[numbers], scores[numbers], n)
+    positive = int(np.sum(scores > 0))
+    # a cut inside a run of equal positive scores
+    tie = next(i for i in range(1, positive) if want[i - 1][1] == want[i][1])
+    cuts = {1, 2, tie, tie + 1, positive, positive + 1, positive + n // 20,
+            int(numbers.sum()), n, n + 7, *rng.integers(1, n + 8, size=4).tolist()}
+    for k in sorted(cuts):
+        same(top_k_from_arrays(doc_ids, scores, k, sorted_ids=sorted_ids), want[:k])
+
+
+def test_top_k_from_arrays_never_ranks_a_nan_score():
+    doc_ids = np.array(["a", "b", "c", "d"], dtype=object)
+    scores = np.array([np.nan, np.nan, 1.0, 0.5])
+    for sorted_ids in (True, False):
+        assert top_k_from_arrays(doc_ids, scores, 2, sorted_ids=sorted_ids) == \
+            [("c", 1.0), ("d", 0.5)]
+        assert top_k_from_arrays(doc_ids, scores, 4, sorted_ids=sorted_ids) == \
+            [("c", 1.0), ("d", 0.5)]
+        assert top_k_from_arrays(doc_ids, np.full(4, np.nan), 3,
+                                 sorted_ids=sorted_ids) == []
 
 
 def test_ranked_list_names_the_first_repeated_doc_id():
@@ -245,6 +312,29 @@ def test_fuse_disjoint_identical_and_short_lists(alpha):
         for k in (1, 3, 8, 16, 40):  # cuts among ties, and k above the union
             same(fuse(x, y, alpha, k), fuse_dict_sort(x, y, alpha, k))
     assert len(fuse(a, b, alpha, 40)) == 16
+
+
+def unit_list(rng, names) -> RankedList:
+    """A min-max normalized list over `names`, scored on a coarse grid whose
+    minimum several entries share: its 0.0 floor ties."""
+    raw = rng.integers(0, 12, size=len(names)) / 4
+    raw[rng.choice(len(names), size=len(names) // 10, replace=False)] = 0.0
+    return normalize_scores(RankedList(zip(names, raw.tolist())))
+
+
+@pytest.mark.parametrize("shared", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("alpha", [0, 0.4, 1])
+def test_fuse_of_200_entry_lists_equals_the_dict_and_sort_fusion(shared, alpha):
+    rng = np.random.default_rng(int(10 * shared + 100 * alpha))
+    names = [f"d{i:04d}" for i in rng.permutation(1000)]
+    ids_a = names[:200]
+    common = int(shared * 200)
+    ids_b = ids_a[:common] + names[200:400 - common]
+    rng.shuffle(ids_b)
+    a, b = unit_list(rng, ids_a), unit_list(rng, ids_b)
+    for x, y in ((a, b), (b, a)):
+        for k in (1, 50, 100, 200, 399, 400, 450):
+            same(fuse(x, y, alpha, k), fuse_dict_sort(x, y, alpha, k))
 
 
 def test_fuse_names_the_first_score_outside_the_unit_range():
