@@ -53,6 +53,19 @@ def read_json(path, error: type[ValueError] = ValueError):
     return _json("\n".join(line for _, line in lines), path, 1, error)
 
 
+def read_json_number(path, key: str, check, rule: str):
+    """The number of a JSON object with exactly the key `key`, which `check`
+    must accept. Raises ValueError naming the file on any fault."""
+    data = read_json(path)
+    if not isinstance(data, dict) or set(data) != {key}:
+        raise ValueError(f"{path}: expected a JSON object with exactly the key {key}")
+    value = data[key]
+    # `type`, not isinstance: JSON's true and false are no numbers
+    if type(value) not in (int, float) or not check(value):
+        raise ValueError(f"{path}: {key} must be {rule}, got {value!r}")
+    return value
+
+
 def read_jsonl(path, error: type[ValueError] = ValueError):
     """(line number, JSON value) of each non-empty line."""
     for line_no, line in read_lines(path, comments=False, error=error):

@@ -33,17 +33,17 @@ from .datefilter import (MODES, DateWindow, candidates, choose_window,
 from .dense import (CentroidError, DocVectorStore, WordVectors,
                     build_centroid_store, centroid, knn_search,
                     load_doc_vectors, load_word_vectors, save_doc_vectors)
-from .fusion import (default_alpha_grid, fuse, normalize_scores, read_alpha,
-                     tune_alpha, write_alpha, write_alpha_grid_csv)
-from .metrics import (aggregate_runs, evaluate_run, float_sum, read_eval_csv,
-                      write_eval_csv, write_summary_csv)
+from .fusion import (default_alpha_grid, fuse, read_alpha, tune_alpha,
+                     write_alpha, write_alpha_grid_csv)
+from .metrics import (aggregate_runs, evaluate_run, float_sum, write_eval_csv,
+                      write_summary_csv)
 from .ranking import RankedList, Run, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
 from .rerank.train import (CHECKPOINT_VERSION, FeatureStore, Hyperparams,
                            load_checkpoint, rerank_run, save_checkpoint,
                            train_model, write_training_log)
 from .text import TextPipeline, build_pipeline, load_stopwords
-from ._textio import parse_number, read_key_values, write_table
+from ._textio import parse_number, read_json_number, read_key_values, write_table
 
 log = logging.getLogger(__name__)
 
@@ -284,7 +284,8 @@ class ExperimentConfig:
         if ensemble and self.fusion_alpha is None and not self.fusion_tune:
             raise ConfigError("ensemble mode needs fusion.alpha or fusion.tune")
         if not ensemble:  # checked, but only an ensemble fuses
-            self.fusion_components, self.fusion_tune = None, False
+            self.fusion_components, self.fusion_alpha = None, None
+            self.fusion_tune = False
         if self.rerank_seeds is None:
             self.rerank_seeds = [self.seed]
         if self.rerank_model != "none" and not self.rerank_seeds:
@@ -425,7 +426,7 @@ class Prefetcher:
             return self.fetch(query_id, self.deep)[0]
         a, b = ((part[query_id] for part in parts) if parts
                 else self.fetch(query_id, 2 * self.deep))
-        return fuse(normalize_scores(a), normalize_scores(b), alpha, self.deep)
+        return fuse(a, b, alpha, self.deep)
 
     def fusion_parts(self, query_ids) -> tuple[Run, Run]:
         """Both components' runs, each 2 * deep long."""
@@ -633,7 +634,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     elif config.fusion_tune or config.datefilter_tune:
         split_ids["dev"] = splits.dev_ids
 
-    alpha_path = outdir / "fusion_alpha.json"
+    alpha_path, grid_path = outdir / "fusion_alpha.json", outdir / "alpha_grid.csv"
 
     def prefetch_stage():
         alpha, dev_parts = config.fusion_alpha, None
@@ -645,7 +646,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             alpha, grid = tune_alpha(
                 *(run.truncated(prefetcher.deep) for run in dev_parts),
                 qrels, config.fusion_grid, config.k)
-            write_alpha_grid_csv(grid, outdir / "alpha_grid.csv", comment=tag)
+            write_alpha_grid_csv(grid, grid_path, comment=tag)
             write_alpha(alpha, alpha_path)
         runs = {split: prefetcher.deep_run(ids, alpha,
                                            dev_parts if split == "dev" else None)
@@ -661,20 +662,29 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
 
     prefetch_outputs = [outdir / f"prefetch_{s}.tsv" for s in split_ids]
     if config.fusion_tune:
-        prefetch_outputs.append(alpha_path)
+        prefetch_outputs += [alpha_path, grid_path]
     alpha, prefetch = stages.run("prefetch", prefetch_outputs, prefetch_stage,
                                  read_prefetch)
 
-    window = None
-    if config.datefilter_years is not None or config.datefilter_tune:
-        years = config.datefilter_years
-        if config.datefilter_tune:
-            years = choose_window(prefetch["dev"], qrels, queries, pool,
-                                  config.datefilter_grid, config.datefilter_mode,
-                                  config.k, config.eval_k)
-            (outdir / "datefilter_years.json").write_text(json.dumps({"years": years}))
-        window = DateWindow(years, config.datefilter_mode)
+    years = config.datefilter_years
+    if config.datefilter_tune:
+        years_path = outdir / "datefilter_years.json"
 
+        def tune_window():
+            chosen = choose_window(prefetch["dev"], qrels, queries, pool,
+                                   config.datefilter_grid, config.datefilter_mode,
+                                   config.k, config.eval_k)
+            years_path.write_text(json.dumps({"years": chosen}))
+            return chosen
+
+        # the window read back must be one the tuning could have chosen
+        years = stages.run("tune-datefilter", [years_path], tune_window,
+                           lambda: read_json_number(
+                               years_path, "years", lambda y: y in config.datefilter_grid,
+                               "a value of datefilter.grid"))
+    window = None if years is None else DateWindow(years, config.datefilter_mode)
+
+    test_qrels = qrels.restrict(splits.test_ids)
     hist_path = outdir / "year_hist.csv"
     stages.run("year-hist", [hist_path],
                lambda: write_year_hist_csv(
@@ -687,12 +697,9 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     rk_path = outdir / "rk_curve.csv"
     stages.run("rk-curve", [rk_path],
                lambda: write_rk_curve_csv(
-                   emit_rk_curve(prefetch["test"], qrels.restrict(splits.test_ids),
-                                 prefetcher.deep),
+                   emit_rk_curve(prefetch["test"], test_qrels, prefetcher.deep),
                    rk_path, comment=tag))
 
-    eval_paths: list[Path] = []
-    summary_path = None
     if need_train:
         hp = config.rerank_hyperparams
         if config.rerank_embeddings == "word":
@@ -701,9 +708,9 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             provider = load_token_vectors(config.token_vectors_path)
         store = FeatureStore(config.rerank_model, provider, pipeline,
                              queries, pool, hp)
-        train_cands, dev_cands, test_cands = (
+        train_cands, dev_cands = (
             candidates(prefetch[split], config.k, window, queries, pool)
-            for split in ("train", "dev", "test"))
+            for split in ("train", "dev"))
         rerankers = []
         for seed in config.rerank_seeds:
             ck_path = outdir / f"checkpoint_seed{seed}.bin"
@@ -722,41 +729,34 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
                                 [ck_path, log_path], train_stage,
                                 lambda: load_checkpoint(ck_path))
             rerankers.append(result.reranker(store))
-
-        rr_paths = [outdir / f"reranked_test_seed{s}.tsv" for s in config.rerank_seeds]
+        run_paths = [outdir / f"reranked_test_seed{s}.tsv" for s in config.rerank_seeds]
         eval_paths = [outdir / f"eval_test_seed{s}.csv" for s in config.rerank_seeds]
-
-        def rerank_stage():
-            reports = []
-            for run, rr, ev in zip(rerank_run(test_cands, rerankers), rr_paths, eval_paths):
-                reranked = finalize(run, window, queries, pool)
-                write_run(reranked, rr, comment=tag)
-                reports.append(evaluate_run(reranked, qrels.restrict(splits.test_ids),
-                                            k=config.eval_k))
-                write_eval_csv(reports[-1], ev, comment=tag)
-            return reports
-
-        # the eval CSVs, not the run files, hold a list the window emptied
-        reports = stages.run("rerank-test", rr_paths + eval_paths, rerank_stage,
-                             lambda: [read_eval_csv(p) for p in eval_paths])
-        if len(reports) > 1:
-            summary_path = outdir / "eval_summary.csv"
-            write_summary_csv(aggregate_runs(reports), summary_path, comment=tag)
     else:
-        final = finalize(candidates(prefetch["test"], config.k, window, queries,
-                                    pool), window, queries, pool)
-        ev_path = outdir / "eval_test.csv"
+        run_paths, eval_paths = [outdir / "final_test.tsv"], [outdir / "eval_test.csv"]
+    summary_path = outdir / "eval_summary.csv" if len(eval_paths) > 1 else None
 
-        def eval_stage():
-            write_run(final, outdir / "final_test.tsv", comment=tag)
-            write_eval_csv(evaluate_run(final, qrels.restrict(splits.test_ids),
-                                        k=config.eval_k), ev_path, comment=tag)
+    def final_stage():
+        """Writes and scores each final run: the test candidates, or each
+        seed's re-ranking of them."""
+        test_cands = candidates(prefetch["test"], config.k, window, queries, pool)
+        runs = rerank_run(test_cands, rerankers) if need_train else [test_cands]
+        reports = []
+        for run, run_path, eval_path in zip(runs, run_paths, eval_paths):
+            final = finalize(run, window, queries, pool)
+            write_run(final, run_path, comment=tag)
+            reports.append(evaluate_run(final, test_qrels, k=config.eval_k))
+            write_eval_csv(reports[-1], eval_path, comment=tag)
+        if summary_path:
+            write_summary_csv(aggregate_runs(reports), summary_path, comment=tag)
 
-        stages.run("evaluate", [ev_path, outdir / "final_test.tsv"], eval_stage)
-        eval_paths.append(ev_path)
+    # the eval CSVs, not the run files, hold a list the window emptied
+    stages.run("rerank-test" if need_train else "evaluate",
+               run_paths + eval_paths + ([summary_path] if summary_path else []),
+               final_stage)
 
     stages.manifest["bm25_params"] = ({"k1": bm25_params.k1, "b": bm25_params.b}
                                       if config.needs_bm25 else None)
     stages.manifest["fusion_alpha"] = alpha
+    stages.manifest["datefilter_years"] = years
     stages.write()
     return ExperimentResult(outdir, manifest_hash, eval_paths, summary_path)

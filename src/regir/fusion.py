@@ -15,50 +15,51 @@ from pathlib import Path
 
 import numpy as np
 
-from ._textio import read_json, write_table
+from ._textio import read_json_number, write_table
 from .metrics import float_sum, recall_at_k
 from .ranking import RankedList, Run, top_k_from_arrays
 
 
-def normalize_scores(ranking: RankedList) -> RankedList:
-    """Min-max over the list's own scores; a constant list maps to all 1.0.
-    Ordering is preserved."""
+def _min_max(ranking: RankedList) -> tuple[tuple, np.ndarray]:
+    """The ranking's doc_ids, and its scores min-max normalized in one
+    float64 array, all 1.0 if they are equal. An empty ranking is refused,
+    and so is a span of scores that overflows, which would give NaN."""
     if not ranking:
         raise ValueError("cannot normalize an empty ranking")
-    doc_ids, scores = zip(*ranking)
-    lo, hi = min(scores), max(scores)
-    if hi == lo:
-        return RankedList(zip(doc_ids, repeat(1.0)), presorted=True)
-    normalized = (np.array(scores, dtype=np.float64) - lo) / (hi - lo)
-    return RankedList(zip(doc_ids, normalized.tolist()), presorted=True)
-
-
-def _unit_scores(ranking: RankedList, name: str) -> tuple[tuple, np.ndarray]:
-    """The ranking's doc_ids, and its scores as one float64 array, each
-    score in [0, 1] up to 1e-9."""
-    doc_ids, values = tuple(zip(*ranking)) or ((), ())
+    doc_ids, values = zip(*ranking)
     scores = np.fromiter(values, dtype=np.float64, count=len(values))
-    outside = ~((scores >= -1e-9) & (scores <= 1 + 1e-9))
-    if outside.any():
-        raise ValueError(f"{name} is not min-max normalized (score "
-                         f"{values[int(outside.argmax())]!r}); call "
-                         f"normalize_scores first")
-    return doc_ids, scores
+    # the first lowest and highest entries, as min() and max() take them:
+    # scores.min() may return the other signed zero
+    lo, hi = scores[[scores.argmin(), scores.argmax()]].tolist()
+    if hi == lo:
+        return doc_ids, np.ones(len(scores))
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"cannot normalize scores from {lo!r} to {hi!r}: "
+                         f"their span is not finite")
+    return doc_ids, (scores - lo) / (hi - lo)
+
+
+def normalize_scores(ranking: RankedList) -> RankedList:
+    """Min-max over the list's own scores, as `fuse` normalizes each of its
+    lists; a constant list maps to all 1.0. Ordering is preserved."""
+    doc_ids, scores = _min_max(ranking)
+    return RankedList(zip(doc_ids, scores.tolist()), presorted=True)
 
 
 def fuse(list_a: RankedList, list_b: RankedList, alpha: float, k: int) -> RankedList:
-    """Top-k of the union under the convex combination. Both inputs must
-    already be normalized; ties break by ascending doc_id.
+    """Top-k of the union under the convex combination of the two lists'
+    min-max normalized scores; ties break by ascending doc_id.
 
     A document one list lacks takes 0.0 there. Each fused score is the
     float64 `alpha * a + (1 - alpha) * b`, whose every operation numpy
-    rounds as Python's floats do."""
+    rounds as Python's floats do. A normalized list normalizes to itself,
+    so normalizing the inputs first changes nothing."""
     if not 0 <= alpha <= 1:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    ids_a, scores_a = _unit_scores(list_a, "list_a")
-    ids_b, scores_b = _unit_scores(list_b, "list_b")
+    ids_a, scores_a = _min_max(list_a)
+    ids_b, scores_b = _min_max(list_b)
     # the union is list_a, then the list_b ids it lacks: each list_b id's
     # row in it is its row in list_a, or the next row after list_a's
     row_in_a = dict(zip(ids_a, range(len(ids_a))))
@@ -80,11 +81,7 @@ def fuse_runs(run_a: Run, run_b: Run, alpha: float, k: int) -> Run:
         only_b = sorted(set(run_b) - set(run_a))[:3]
         raise ValueError(f"query sets differ between runs (only in a: {only_a}, "
                          f"only in b: {only_b})")
-    out = Run()
-    for query_id in run_a:
-        out[query_id] = fuse(normalize_scores(run_a[query_id]),
-                             normalize_scores(run_b[query_id]), alpha, k)
-    return out
+    return Run((q, fuse(run_a[q], run_b[q], alpha, k)) for q in run_a)
 
 
 def default_alpha_grid() -> list[float]:
@@ -106,9 +103,7 @@ def tune_alpha(run_a: Run, run_b: Run, qrels, alpha_grid: list[float], k: int
     query_ids = [q for q in sorted(run_a) if qrels.relevant(q)]
     if not query_ids:
         raise ValueError("no queries with relevant documents")
-    norm_a = {q: normalize_scores(run_a[q]) for q in query_ids}
-    norm_b = {q: normalize_scores(run_b[q]) for q in query_ids}
-    grid = [(alpha, float_sum(recall_at_k(fuse(norm_a[q], norm_b[q], alpha, k),
+    grid = [(alpha, float_sum(recall_at_k(fuse(run_a[q], run_b[q], alpha, k),
                                           qrels.relevant(q), k)
                               for q in query_ids) / len(query_ids))
             for alpha in alpha_grid]
@@ -127,15 +122,6 @@ def write_alpha(alpha: float, path) -> None:
 
 
 def read_alpha(path) -> float:
-    """Inverse of write_alpha: a JSON object with exactly the key alpha, a
-    number in [0, 1]. Raises ValueError naming the file on any fault."""
-    data = read_json(path)
-    if not isinstance(data, dict) or set(data) != {"alpha"}:
-        raise ValueError(f"{path}: expected a JSON object with exactly the "
-                         f"key alpha")
-    alpha = data["alpha"]
-    # `type`, not isinstance: JSON's true and false are no weights
-    if type(alpha) not in (int, float) or not 0 <= alpha <= 1:
-        raise ValueError(f"{path}: alpha must be a finite number in [0, 1], "
-                         f"got {alpha!r}")
-    return alpha
+    """Inverse of write_alpha. Raises ValueError naming the file on any fault."""
+    return read_json_number(path, "alpha", lambda a: 0 <= a <= 1,
+                            "a finite number in [0, 1]")

@@ -114,18 +114,17 @@ def normalize_scores_per_entry(ranking: RankedList) -> RankedList:
     if hi == lo:
         return RankedList([(d, 1.0) for d, _ in ranking], presorted=True)
     span = hi - lo
+    if not math.isfinite(span):
+        raise ValueError(f"cannot normalize scores from {float(lo)!r} to "
+                         f"{float(hi)!r}: their span is not finite")
     return RankedList([(d, (s - lo) / span) for d, s in ranking], presorted=True)
 
 
 def fuse_dict_sort(list_a: RankedList, list_b: RankedList, alpha: float,
                    k: int) -> RankedList:
-    """`fusion.fuse` over two dicts and their set union, each score one
-    Python float expression, cut after a full `sort_scored_by_tuple`."""
-    for name, ranking in (("list_a", list_a), ("list_b", list_b)):
-        for _, s in ranking:
-            if not -1e-9 <= s <= 1 + 1e-9:
-                raise ValueError(f"{name} is not min-max normalized (score "
-                                 f"{s!r}); call normalize_scores first")
+    """`fusion.fuse` of two normalized lists over two dicts and their set
+    union, each score one Python float expression, cut after a full
+    `sort_scored_by_tuple`."""
     a, b = dict(list_a), dict(list_b)
     fused = [(doc_id, alpha * a.get(doc_id, 0.0) + (1 - alpha) * b.get(doc_id, 0.0))
              for doc_id in set(a) | set(b)]

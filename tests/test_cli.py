@@ -518,6 +518,38 @@ def test_rerun_refuses_a_bad_tuned_alpha_naming_the_file(env, tmp_path, text,
     assert "Traceback" not in blob(result)
 
 
+
+OFF_GRID = "years must be a value of datefilter.grid"
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[5]", "expected a JSON object with exactly the key years"),
+    ('{"years": 5, "mode": "pre"}', "expected a JSON object with exactly the key years"),
+    ('{"years": "5"}', f"{OFF_GRID}, got '5'"),
+    ('{"years": true}', f"{OFF_GRID}, got True"),
+    ('{"years": NaN}', f"{OFF_GRID}, got nan"),
+    ('{"years": 2.5}', f"{OFF_GRID}, got 2.5"),
+    ('{"years": -1}', f"{OFF_GRID}, got -1"),
+    ('{"years": 3}', f"{OFF_GRID}, got 3"),
+], ids=["list", "extra", "text", "bool", "nan", "fraction", "negative", "off-grid"])
+def test_rerun_refuses_a_bad_tuned_window_naming_the_file(env, tmp_path, text,
+                                                          message):
+    """A rerun into a finished output directory reads the tuned date window
+    back from datefilter_years.json; a damaged one, or a window outside the
+    grid it was tuned on, ends it with one error line."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(run_config(env.root, "datefilter.tune = true\n"))
+    outdir = tmp_path / "exp"
+    env.ok("run", "--config", cfg, "--out", outdir)
+    years_path = outdir / "datefilter_years.json"
+    years = json.loads((outdir / "manifest.json").read_text())["datefilter_years"]
+    assert years_path.read_text() == json.dumps({"years": years})
+    years_path.write_text(text)
+    result = env.cli("run", "--config", cfg, "--out", outdir)
+    assert result.exit_code == 1
+    assert f"Error: {years_path}: {message}" in blob(result)
+    assert "Traceback" not in blob(result)
+
 def test_commands_load_the_index_once(env, tmp_path, monkeypatch):
     import regir.cli
 

@@ -1,7 +1,9 @@
 """Pairwise sweep of the config space on the toy corpus: every combination
-either runs to completion or is refused by `load_config` naming its key."""
+either runs to completion or is refused by `load_config` naming its key, and
+a finished run reruns nothing."""
 
 import json
+import os
 import random
 import re
 from itertools import combinations, product
@@ -9,6 +11,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from regir import experiment
 from regir.corpus import ingest_collection
 from regir.experiment import ConfigError, load_config, run_experiment
 from regir.ranking import read_run
@@ -116,9 +119,28 @@ def test_pairwise_rows_cover_every_value_pair():
                for x in FACTORS[a] for y in FACTORS[b])
 
 
+def assert_rerun_rewrites_nothing(config_path, outdir, monkeypatch):
+    """With every artifact's mtime set to 0, a rerun into the same directory
+    skips every stage, tunes no date window and rewrites no file but
+    manifest.json."""
+    artifacts = sorted(outdir.iterdir())
+    for path in artifacts:
+        os.utime(path, (0, 0))
+
+    def refuse(*args):
+        raise AssertionError("choose_window ran again")
+
+    monkeypatch.setattr(experiment, "choose_window", refuse)
+    run_experiment(load_config(config_path), outdir)
+    timings = json.loads((outdir / "manifest.json").read_text())["timings"]
+    assert timings and set(timings.values()) == {0.0}
+    assert sorted(outdir.iterdir()) == artifacts
+    assert [p.name for p in artifacts if p.stat().st_mtime != 0] == ["manifest.json"]
+
+
 @pytest.mark.parametrize("row", ROWS, ids=lambda row: "|".join(
     f"{value}" for value in row.values()))
-def test_config_runs_or_is_refused_naming_the_key(space, tmp_path, row):
+def test_config_runs_or_is_refused_naming_the_key(space, tmp_path, row, monkeypatch):
     path = space / f"cfg{ROWS.index(row)}.txt"
     path.write_text(config_text(row))
     if row["mode"].startswith("ensemble") and row["fusion"] == "neither":
@@ -143,6 +165,22 @@ def test_config_runs_or_is_refused_naming_the_key(space, tmp_path, row):
                 year = queries.get(query_id).year
                 assert all(abs(pool.get(d).year - year) <= years
                            for d in ranking.doc_ids)
+    assert_rerun_rewrites_nothing(path, outdir, monkeypatch)
+
+
+def test_a_two_seed_run_reruns_nothing(space, tmp_path, monkeypatch):
+    """eval_summary.csv, written for more than one seed, is an output of the
+    final stage like the seeds' files."""
+    row = dict(ROWS[0], mode="ensemble:bm25,w2v-cent", fusion="tune",
+               datefilter="pre-tune", model="drmm", embeddings="word")
+    path = space / "two_seeds.txt"
+    path.write_text(config_text(row) + "rerank.seeds = 1,2\n")
+    outdir = tmp_path / "out"
+    result = run_experiment(load_config(path), outdir)
+    assert result.summary_path == outdir / "eval_summary.csv"
+    assert {"tune-datefilter", "rerank-test"} <= set(
+        json.loads((outdir / "manifest.json").read_text())["timings"])
+    assert_rerun_rewrites_nothing(path, outdir, monkeypatch)
 
 
 @pytest.mark.parametrize("line, key", [

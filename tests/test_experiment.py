@@ -247,6 +247,19 @@ def test_stray_fusion_component_needs_no_resources(dataset):
     assert cfg.components == ("bm25",) and cfg.needs_bm25
 
 
+
+def test_a_single_prefetcher_records_no_fusion_weight(dataset, tmp_path):
+    """fusion.alpha is checked, but only an ensemble fuses: outside ensemble
+    mode the config clears it, and the manifest records no weight. Its hash
+    covers the raw config, key included."""
+    cfg = cfg_from(dataset, BASE_CFG + "fusion.alpha = 0.3\n")
+    assert cfg.fusion_alpha is None and cfg.raw["fusion.alpha"] == "0.3"
+    result = run_experiment(cfg, tmp_path / "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["fusion_alpha"] is None
+    assert result.manifest_hash != run_experiment(cfg_from(dataset, BASE_CFG),
+                                                  tmp_path / "plain").manifest_hash
+
 def test_config_bad_bool(dataset):
     with pytest.raises(ConfigError, match="boolean"):
         cfg_from(dataset, BASE_CFG + "bm25.tune = maybe\n")
@@ -400,6 +413,7 @@ def test_run_experiment_full_stack(dataset, tmp_path):
     manifest = json.loads((outdir / "manifest.json").read_text())
     assert manifest["manifest_hash"] == result.manifest_hash
     assert 0.0 <= manifest["fusion_alpha"] <= 1.0
+    assert manifest["datefilter_years"] == 6
     assert set(manifest["config"]) == {
         line.split("=")[0].strip() for line in FULL_CFG.splitlines() if line}
 

@@ -63,9 +63,13 @@ def test_fuse_alpha_bounds():
         fuse(a, a, alpha=-0.1, k=1)
 
 
-def test_fuse_rejects_unnormalized_scores():
-    with pytest.raises(ValueError):
-        fuse(rl(("d1", 5.0)), rl(("d1", 1.0)), alpha=0.5, k=1)
+def test_fuse_normalizes_each_raw_list_itself():
+    a = rl(("d1", 12.0), ("d2", 9.0), ("d3", 8.0))
+    b = rl(("d3", -1.0), ("d2", -3.0))
+    out = fuse(a, b, alpha=0.5, k=3)
+    # a: 1.0, 0.25, 0.0; b: d3 1.0, d2 0.0
+    assert out == [("d1", 0.5), ("d3", 0.5), ("d2", 0.125)]
+    assert out == fuse(normalize_scores(a), normalize_scores(b), alpha=0.5, k=3)
 
 
 def test_fuse_symmetry(rng):

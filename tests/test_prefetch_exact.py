@@ -6,6 +6,7 @@ numpy scalar from a built-in float, so equal means bit-identical."""
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -276,14 +277,31 @@ lists = st.lists(st.tuples(ids, scores), max_size=12,
 @PROPERTY
 @given(lists)
 def test_normalize_scores_equals_the_per_entry_normalization(ranking):
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert outcome(normalize_scores, ranking) == \
-            outcome(normalize_scores_per_entry, ranking)
+    """An empty list, and one whose score span overflows, are refused alike."""
+    assert outcome(normalize_scores, ranking) == \
+        outcome(normalize_scores_per_entry, ranking)
 
 
-def normalized(ranking):
-    with np.errstate(over="ignore", invalid="ignore"):
-        return normalize_scores(ranking) if ranking else ranking
+def test_a_score_span_that_overflows_is_refused_naming_both_ends():
+    huge = RankedList([("a", 1e308), ("b", 0.0), ("c", -1e308)])
+    message = ("cannot normalize scores from -1e+308 to 1e+308: their span "
+               "is not finite")
+    for run in (normalize_scores, normalize_scores_per_entry,
+                lambda ranking: fuse(RankedList([("d", 1.0)]), ranking, 0.5, 3)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(huge)
+
+
+def assert_fused_alike(list_a, list_b, alpha, k):
+    """fuse of the raw lists, fuse of their normalize_scores and the
+    dict-and-sort fusion of their per-entry normalization give the same
+    list, or raise the same error."""
+    want = outcome(fuse, list_a, list_b, alpha, k)
+    assert outcome(lambda: fuse(normalize_scores(list_a), normalize_scores(list_b),
+                                alpha, k)) == want
+    assert outcome(lambda: fuse_dict_sort(normalize_scores_per_entry(list_a),
+                                          normalize_scores_per_entry(list_b),
+                                          alpha, k)) == want
 
 
 alphas = (st.floats(0, 1) | st.sampled_from([0, 1, 0.0, 1.0, 0.5, 0.3, 0.7])
@@ -295,31 +313,49 @@ tied_lists = st.lists(st.tuples(ids, tied_scores), max_size=12,
 @PROPERTY
 @given(lists | tied_lists, lists | tied_lists, alphas, st.integers(1, 30))
 def test_fuse_equals_the_dict_and_sort_fusion(list_a, list_b, alpha, k):
-    """Lists of huge scores normalize to NaN (their span overflows), which
-    both paths refuse alike."""
-    a, b = normalized(list_a), normalized(list_b)
-    assert outcome(fuse, a, b, alpha, k) == outcome(fuse_dict_sort, a, b, alpha, k)
+    """fuse normalizes each list itself. An empty list, and a list of huge
+    scores whose span overflows, are refused alike."""
+    assert_fused_alike(list_a, list_b, alpha, k)
+
+
+def test_fuse_refuses_an_empty_list_as_normalize_scores_does():
+    some = RankedList([("a", 2.0), ("b", -1.0)])
+    for x, y in ((RankedList(), some), (some, RankedList())):
+        with pytest.raises(ValueError, match="^cannot normalize an empty ranking$"):
+            fuse(x, y, 0.5, 3)
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 0.0, 1.0, 0.4])
 def test_fuse_disjoint_identical_and_short_lists(alpha):
     rng = random.Random(3)
-    a = normalize_scores(RankedList([(f"a{i}", rng.choice([1.0, 2.0, 3.0]))
-                                     for i in range(8)]))
-    b = normalize_scores(RankedList([(f"b{i}", rng.choice([1.0, 2.0]))
-                                     for i in range(8)]))
+    a = RankedList([(f"a{i}", rng.choice([1.0, 2.0, 3.0])) for i in range(8)])
+    b = RankedList([(f"b{i}", rng.choice([-1.0, 2.0])) for i in range(8)])
     for x, y in ((a, b), (a, a), (b, a)):
         for k in (1, 3, 8, 16, 40):  # cuts among ties, and k above the union
-            same(fuse(x, y, alpha, k), fuse_dict_sort(x, y, alpha, k))
+            assert_fused_alike(x, y, alpha, k)
     assert len(fuse(a, b, alpha, 40)) == 16
 
 
-def unit_list(rng, names) -> RankedList:
-    """A min-max normalized list over `names`, scored on a coarse grid whose
-    minimum several entries share: its 0.0 floor ties."""
-    raw = rng.integers(0, 12, size=len(names)) / 4
-    raw[rng.choice(len(names), size=len(names) // 10, replace=False)] = 0.0
-    return normalize_scores(RankedList(zip(names, raw.tolist())))
+def raw_list(rng, names, kind: str) -> RankedList:
+    """A raw list over `names`. "grid": negative and positive scores on a
+    coarse grid, with a tenth of its entries at its shared minimum and a
+    few -0.0 and 0.0; "zero floor": a minimum of 0 that 0.0 and -0.0 share
+    in random order; "constant": every score 2.5; "one": its first entry."""
+    n = len(names)
+    if kind == "one":
+        return RankedList([(names[0], -3.25)])
+    if kind == "constant":
+        return RankedList(zip(names, [2.5] * n))
+    if kind == "zero floor":
+        raw = rng.integers(0, 12, size=n) / 4
+        raw[rng.choice(n, size=n // 5, replace=False)] = 0.0
+        raw[(raw == 0) & (rng.random(n) < 0.5)] = -0.0
+    else:
+        raw = rng.integers(-8, 40, size=n) / 4
+        raw[rng.choice(n, size=n // 10, replace=False)] = raw.min()
+        raw[rng.choice(n, size=n // 20, replace=False)] = 0.0
+        raw[rng.choice(n, size=n // 20, replace=False)] = -0.0
+    return RankedList(zip(names, raw.tolist()))
 
 
 @pytest.mark.parametrize("shared", [0.0, 0.5, 1.0])
@@ -331,20 +367,26 @@ def test_fuse_of_200_entry_lists_equals_the_dict_and_sort_fusion(shared, alpha):
     common = int(shared * 200)
     ids_b = ids_a[:common] + names[200:400 - common]
     rng.shuffle(ids_b)
-    a, b = unit_list(rng, ids_a), unit_list(rng, ids_b)
+    a, b = raw_list(rng, ids_a, "zero floor"), raw_list(rng, ids_b, "zero floor")
     for x, y in ((a, b), (b, a)):
         for k in (1, 50, 100, 200, 399, 400, 450):
-            same(fuse(x, y, alpha, k), fuse_dict_sort(x, y, alpha, k))
+            assert_fused_alike(x, y, alpha, k)
 
 
-def test_fuse_names_the_first_score_outside_the_unit_range():
-    good = RankedList([("a", 1.0), ("b", 0.0)])
-    bad = RankedList([("a", 3), ("b", 2.5), ("c", 0.0)])
-    for x, y in ((good, bad), (bad, good)):
-        messages = []
-        for run in (fuse, fuse_dict_sort):
-            with pytest.raises(ValueError) as excinfo:
-                run(x, y, 0.5, 3)
-            messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
-        assert "(score 3)" in messages[0]
+@pytest.mark.parametrize("kind", ["grid", "zero floor", "constant", "one"])
+@pytest.mark.parametrize("alpha", [0, 0.4, 1])
+def test_fuse_of_pool_scale_raw_lists_equals_both_normalized_fusions(kind, alpha):
+    """A 400-entry zero-floor list, as an ensemble fuses at k = 100, and a
+    list of each kind sharing half its ids; cuts at 1, inside a run of tied
+    fused scores, at the union's size and past it."""
+    rng = np.random.default_rng(["grid", "zero floor", "constant", "one"].index(kind))
+    names = [f"d{i:04d}" for i in rng.permutation(2000)]
+    ids_b = names[:200] + names[400:600]
+    rng.shuffle(ids_b)
+    a, b = raw_list(rng, names[:400], "zero floor"), raw_list(rng, ids_b, kind)
+    assert np.signbit([s for _, s in a if s == 0]).any()
+    for x, y in ((a, b), (b, a)):
+        fused = fuse(x, y, alpha, 1000)
+        tie = next(i for i in range(1, len(fused)) if fused[i - 1][1] == fused[i][1])
+        for k in sorted({1, tie, tie + 1, 200, len(fused), len(fused) + 5}):
+            assert_fused_alike(x, y, alpha, k)
