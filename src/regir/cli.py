@@ -392,7 +392,10 @@ def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
     store = FeatureStore(result.model.kind, provider, pipeline, query_corpus,
                          pool_corpus, result.hp)
     run = candidates(read_run(run_path), k, window, query_corpus, pool_corpus)
-    [reranked] = rerank_run(run, [result.reranker(store)])
+    try:
+        [reranked] = rerank_run(run, [result.reranker(store)])
+    except ValueError as exc:
+        raise ValueError(f"{run_path}: {exc}") from None
     reranked = finalize(reranked, window, query_corpus, pool_corpus)
     write_run(reranked, out)
     click.echo(f"re-ranked {len(reranked)} lists with w_r={result.w_r:.4f} "

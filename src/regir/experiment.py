@@ -18,8 +18,10 @@ import logging
 import platform
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import cache
 from itertools import accumulate
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -315,8 +317,9 @@ class ExperimentConfig:
         return "bm25" in self.components
 
     def input_paths(self) -> list[Path]:
-        """Every file the config names, the hyperparameters' too."""
-        return [path for f in _key_fields() if f.metadata["parse"] is _path
+        """Every file the config names, the hyperparameters' too, resolved:
+        the manifest hash does not depend on how the config's path is spelled."""
+        return [path.resolve() for f in _key_fields() if f.metadata["parse"] is _path
                 and (path := getattr(self, f.name)) is not None]
 
 
@@ -486,17 +489,19 @@ def _openblas_core() -> str | None:
 class _Stages:
     """Skip-if-done bookkeeping in `manifest.json`, which is rewritten after
     every stage, so a crashed run leaves one naming the stages it finished.
-    A stage is done, and its artifacts are read back instead of recomputed,
+    A stage is done, and skipped, its artifacts read back only on demand,
     when the previous manifest has this run's hash, its timings list the
     stage, and the stage's outputs exist. A manifest that is not JSON, or not
     an object with a timings object, counts as no stage done. Its
     `environment` names, per stage, the builds that stage's artifacts were
     made under: this run's for a built stage, the previous manifest's record
-    (None when it has none) for a skipped one."""
+    (None when it has none) for a skipped one. A build takes the run's
+    inputs, which the cached `setup()` makes before the first build."""
 
-    def __init__(self, outdir: Path, manifest: dict):
+    def __init__(self, outdir: Path, manifest: dict, setup):
         self.path = outdir / "manifest.json"
         self.manifest = manifest
+        self.setup = setup
         self.timings: dict[str, float] = {}
         manifest["timings"] = self.timings
         self.environment = _environment()
@@ -519,22 +524,24 @@ class _Stages:
         self.path.write_text(json.dumps(self.manifest, indent=2, sort_keys=True))
 
     def run(self, name: str, outputs: list[Path], build, load=lambda: None):
-        """build()'s value, or load()'s when the stage is done."""
+        """A callable giving the stage's value: build(inputs)'s, or, when the
+        stage is done, load()'s, read on the first call."""
         if name in self.done and all(p.exists() for p in outputs):
             log.info("stage %s: outputs up to date, skipped", name)
             self.timings[name] = 0.0
             self.built_under[name] = self.previous_under.get(name)
-            result = load()
         else:
+            inputs = self.setup()  # a bad input is refused outside StageFailed
             start = time.perf_counter()
             try:
-                result = build()
+                built = build(inputs)
             except Exception as exc:
                 raise StageFailed(name, exc) from exc
             self.timings[name] = round(time.perf_counter() - start, 6)
             self.built_under[name] = self.environment
+            load = lambda: built
         self.write()
-        return result
+        return cache(load)
 
 
 @dataclass
@@ -554,31 +561,49 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
                              "version": __version__}, sort_keys=True)
     manifest_hash = hashlib.sha256(hash_basis.encode()).hexdigest()
     tag = f"manifest {manifest_hash}"
+    need_train = config.rerank_model != "none"
+
+    @cache
+    def inputs() -> SimpleNamespace:
+        """The config's files read and checked against each other."""
+        pool = ingest_collection(config.pool_path)
+        queries = ingest_collection(config.queries_path)
+        qrels = load_qrels(config.qrels_path, query_corpus=queries, pool_corpus=pool)
+        splits = SplitManifest.from_json(config.splits_path)
+        splits.validate(query_corpus=queries, pool_corpus=pool, qrels=qrels)
+        stopwords = (load_stopwords(config.stopwords_path)
+                     if config.stopwords_path else None)
+        pipeline = build_pipeline(pool, stopwords=stopwords,
+                                  idf_filter=config.idf_filter)
+        word_vectors = (load_word_vectors(config.word_vectors_path)
+                        if config.word_vectors_path else None)
+        pool_store = query_store = store = None
+        if "doc-vectors" in config.components:
+            pool_store = load_doc_vectors(config.pool_vectors_path)
+            pool_store.validate_against(pool)
+            query_store = load_doc_vectors(config.query_vectors_path)
+        if need_train:
+            provider = (TypeEmbeddings(word_vectors)
+                        if config.rerank_embeddings == "word"
+                        else load_token_vectors(config.token_vectors_path))
+            store = FeatureStore(config.rerank_model, provider, pipeline,
+                                 queries, pool, config.rerank_hyperparams)
+        return SimpleNamespace(pool=pool, queries=queries, qrels=qrels,
+                               splits=splits, pipeline=pipeline,
+                               word_vectors=word_vectors, pool_store=pool_store,
+                               query_store=query_store, store=store)
+
     stages = _Stages(outdir, {"config": config.raw, "resources": resources,
                               "version": __version__,
-                              "manifest_hash": manifest_hash})
+                              "manifest_hash": manifest_hash}, inputs)
 
-    pool = ingest_collection(config.pool_path)
-    queries = ingest_collection(config.queries_path)
-    qrels = load_qrels(config.qrels_path, query_corpus=queries, pool_corpus=pool)
-    splits = SplitManifest.from_json(config.splits_path)
-    splits.validate(query_corpus=queries, pool_corpus=pool, qrels=qrels)
-
-    stopwords = (load_stopwords(config.stopwords_path)
-                 if config.stopwords_path else None)
-    pipeline = build_pipeline(pool, stopwords=stopwords,
-                              idf_filter=config.idf_filter)
-
-    word_vectors = (load_word_vectors(config.word_vectors_path)
-                    if config.word_vectors_path else None)
-
-    index = None
-    bm25_params = config.bm25_params or Bm25Params()
+    index = cent_store = lambda: None
+    bm25_params = lambda: config.bm25_params or Bm25Params()
     if config.needs_bm25:
         index_path = outdir / "index.bin"
 
-        def index_stage():
-            built = build_index(pool, pipeline)
+        def index_stage(s):
+            built = build_index(s.pool, s.pipeline)
             save_index(built, index_path)
             return built
 
@@ -591,10 +616,10 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             grid_path = outdir / "bm25_grid.csv"
             params_path = outdir / "bm25_params.json"
 
-            def tune_stage():
-                dev_tokens = {q: pipeline(queries.get(q).text)
-                              for q in splits.dev_ids}
-                best, cells = tune_bm25(index, dev_tokens, qrels,
+            def tune_stage(s):
+                dev_tokens = {q: s.pipeline(s.queries.get(q).text)
+                              for q in s.splits.dev_ids}
+                best, cells = tune_bm25(index(), dev_tokens, s.qrels,
                                         config.bm25_grid_k1, config.bm25_grid_b,
                                         config.k)
                 write_grid_csv(cells, grid_path, comment=tag)
@@ -604,74 +629,59 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             bm25_params = stages.run("tune-bm25", [grid_path, params_path],
                                      tune_stage, lambda: read_params(params_path))
 
-    cent_store = None
     if "w2v-cent" in config.components:
         cent_path = outdir / "centroids.vec"
 
-        def centroid_stage():
-            built = build_centroid_store(pool, pipeline, word_vectors)
+        def centroid_stage(s):
+            built = build_centroid_store(s.pool, s.pipeline, s.word_vectors)
             save_doc_vectors(built, cent_path)
             return built
 
         cent_store = stages.run("centroids", [cent_path], centroid_stage,
                                 lambda: load_doc_vectors(cent_path))
 
-    pool_store = query_store = None
-    if "doc-vectors" in config.components:
-        pool_store = load_doc_vectors(config.pool_vectors_path)
-        pool_store.validate_against(pool)
-        query_store = load_doc_vectors(config.query_vectors_path)
-
-    prefetcher = Prefetcher(config.components, config.k, queries, pipeline,
-                            index, bm25_params, word_vectors, cent_store,
-                            pool_store, query_store)
-
-    need_train = config.rerank_model != "none"
-    split_ids = {"test": splits.test_ids}
+    fetched = ["test"]
     if need_train:
-        split_ids["train"] = splits.train_ids
-        split_ids["dev"] = splits.dev_ids
+        fetched += ["train", "dev"]
     elif config.fusion_tune or config.datefilter_tune:
-        split_ids["dev"] = splits.dev_ids
-
+        fetched.append("dev")
     alpha_path, grid_path = outdir / "fusion_alpha.json", outdir / "alpha_grid.csv"
 
-    def prefetch_stage():
+    def prefetch_stage(s):
+        prefetcher = Prefetcher(config.components, config.k, s.queries, s.pipeline,
+                                index(), bm25_params(), s.word_vectors, cent_store(),
+                                s.pool_store, s.query_store)
         alpha, dev_parts = config.fusion_alpha, None
         if config.fusion_tune:
             # tune on the dev components the dev split fetches anyway: each
             # list is a prefix of one total order, so the top `deep` of a
             # deeper fetch is exactly what a `deep` fetch returns
-            dev_parts = prefetcher.fusion_parts(splits.dev_ids)
+            dev_parts = prefetcher.fusion_parts(s.splits.dev_ids)
             alpha, grid = tune_alpha(
                 *(run.truncated(prefetcher.deep) for run in dev_parts),
-                qrels, config.fusion_grid, config.k)
+                s.qrels, config.fusion_grid, config.k)
             write_alpha_grid_csv(grid, grid_path, comment=tag)
             write_alpha(alpha, alpha_path)
-        runs = {split: prefetcher.deep_run(ids, alpha,
+        runs = {split: prefetcher.deep_run(getattr(s.splits, f"{split}_ids"), alpha,
                                            dev_parts if split == "dev" else None)
-                for split, ids in split_ids.items()}
+                for split in fetched}
         for split, run in runs.items():
             write_run(run, outdir / f"prefetch_{split}.tsv", comment=tag)
-        return alpha, runs
+        return runs
 
-    def read_prefetch():
-        alpha = read_alpha(alpha_path) if config.fusion_tune else config.fusion_alpha
-        return alpha, {split: read_run(outdir / f"prefetch_{split}.tsv")
-                       for split in split_ids}
-
-    prefetch_outputs = [outdir / f"prefetch_{s}.tsv" for s in split_ids]
+    prefetch_outputs = [outdir / f"prefetch_{split}.tsv" for split in fetched]
     if config.fusion_tune:
         prefetch_outputs += [alpha_path, grid_path]
-    alpha, prefetch = stages.run("prefetch", prefetch_outputs, prefetch_stage,
-                                 read_prefetch)
+    prefetch = stages.run("prefetch", prefetch_outputs, prefetch_stage,
+                          lambda: {split: read_run(outdir / f"prefetch_{split}.tsv")
+                                   for split in fetched})
 
-    years = config.datefilter_years
+    years = lambda: config.datefilter_years
     if config.datefilter_tune:
         years_path = outdir / "datefilter_years.json"
 
-        def tune_window():
-            chosen = choose_window(prefetch["dev"], qrels, queries, pool,
+        def tune_window(s):
+            chosen = choose_window(prefetch()["dev"], s.qrels, s.queries, s.pool,
                                    config.datefilter_grid, config.datefilter_mode,
                                    config.k, config.eval_k)
             years_path.write_text(json.dumps({"years": chosen}))
@@ -682,67 +692,63 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
                            lambda: read_json_number(
                                years_path, "years", lambda y: y in config.datefilter_grid,
                                "a value of datefilter.grid"))
-    window = None if years is None else DateWindow(years, config.datefilter_mode)
 
-    test_qrels = qrels.restrict(splits.test_ids)
+    def window() -> DateWindow | None:
+        return None if years() is None else DateWindow(years(), config.datefilter_mode)
+
     hist_path = outdir / "year_hist.csv"
     stages.run("year-hist", [hist_path],
-               lambda: write_year_hist_csv(
-                   year_diff_histogram(qrels.restrict(splits.dev_ids
-                                                      if "dev" in split_ids
-                                                      else splits.test_ids),
-                                       queries, pool),
+               lambda s: write_year_hist_csv(
+                   year_diff_histogram(s.qrels.restrict(s.splits.dev_ids
+                                                        if "dev" in fetched
+                                                        else s.splits.test_ids),
+                                       s.queries, s.pool),
                    hist_path, comment=tag))
 
     rk_path = outdir / "rk_curve.csv"
     stages.run("rk-curve", [rk_path],
-               lambda: write_rk_curve_csv(
-                   emit_rk_curve(prefetch["test"], test_qrels, prefetcher.deep),
+               lambda s: write_rk_curve_csv(
+                   emit_rk_curve(prefetch()["test"], s.qrels.restrict(s.splits.test_ids),
+                                 2 * config.k),
                    rk_path, comment=tag))
 
+    trained = []
     if need_train:
-        hp = config.rerank_hyperparams
-        if config.rerank_embeddings == "word":
-            provider = TypeEmbeddings(word_vectors)
-        else:
-            provider = load_token_vectors(config.token_vectors_path)
-        store = FeatureStore(config.rerank_model, provider, pipeline,
-                             queries, pool, hp)
-        train_cands, dev_cands = (
-            candidates(prefetch[split], config.k, window, queries, pool)
-            for split in ("train", "dev"))
-        rerankers = []
         for seed in config.rerank_seeds:
             ck_path = outdir / f"checkpoint_seed{seed}.bin"
             log_path = outdir / f"training_log_seed{seed}.csv"
 
-            def train_stage(seed=seed, ck=ck_path, lg=log_path):
-                result = train_model(config.rerank_model, splits.train_ids,
-                                     splits.dev_ids, qrels,
-                                     {**train_cands, **dev_cands},
-                                     store, replace(hp, seed=seed))
+            def train_stage(s, seed=seed, ck=ck_path, lg=log_path):
+                train_cands, dev_cands = (
+                    candidates(prefetch()[split], config.k, window(), s.queries, s.pool)
+                    for split in ("train", "dev"))
+                result = train_model(config.rerank_model, s.splits.train_ids,
+                                     s.splits.dev_ids, s.qrels,
+                                     {**train_cands, **dev_cands}, s.store,
+                                     replace(config.rerank_hyperparams, seed=seed))
                 save_checkpoint(result, ck)
                 write_training_log(result.log_rows, lg, comment=tag)
                 return result
 
-            result = stages.run(f"train-v{CHECKPOINT_VERSION}-seed{seed}",
-                                [ck_path, log_path], train_stage,
-                                lambda: load_checkpoint(ck_path))
-            rerankers.append(result.reranker(store))
+            trained.append(stages.run(f"train-v{CHECKPOINT_VERSION}-seed{seed}",
+                                      [ck_path, log_path], train_stage,
+                                      lambda ck=ck_path: load_checkpoint(ck)))
         run_paths = [outdir / f"reranked_test_seed{s}.tsv" for s in config.rerank_seeds]
         eval_paths = [outdir / f"eval_test_seed{s}.csv" for s in config.rerank_seeds]
     else:
         run_paths, eval_paths = [outdir / "final_test.tsv"], [outdir / "eval_test.csv"]
     summary_path = outdir / "eval_summary.csv" if len(eval_paths) > 1 else None
 
-    def final_stage():
+    def final_stage(s):
         """Writes and scores each final run: the test candidates, or each
         seed's re-ranking of them."""
-        test_cands = candidates(prefetch["test"], config.k, window, queries, pool)
+        test_cands = candidates(prefetch()["test"], config.k, window(), s.queries, s.pool)
+        rerankers = [result().reranker(s.store) for result in trained]
         runs = rerank_run(test_cands, rerankers) if need_train else [test_cands]
+        test_qrels = s.qrels.restrict(s.splits.test_ids)
         reports = []
         for run, run_path, eval_path in zip(runs, run_paths, eval_paths):
-            final = finalize(run, window, queries, pool)
+            final = finalize(run, window(), s.queries, s.pool)
             write_run(final, run_path, comment=tag)
             reports.append(evaluate_run(final, test_qrels, k=config.eval_k))
             write_eval_csv(reports[-1], eval_path, comment=tag)
@@ -754,9 +760,10 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
                run_paths + eval_paths + ([summary_path] if summary_path else []),
                final_stage)
 
-    stages.manifest["bm25_params"] = ({"k1": bm25_params.k1, "b": bm25_params.b}
+    stages.manifest["bm25_params"] = ({"k1": bm25_params().k1, "b": bm25_params().b}
                                       if config.needs_bm25 else None)
-    stages.manifest["fusion_alpha"] = alpha
-    stages.manifest["datefilter_years"] = years
+    stages.manifest["fusion_alpha"] = (read_alpha(alpha_path) if config.fusion_tune
+                                       else config.fusion_alpha)
+    stages.manifest["datefilter_years"] = years()
     stages.write()
     return ExperimentResult(outdir, manifest_hash, eval_paths, summary_path)

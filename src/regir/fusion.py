@@ -75,13 +75,20 @@ def fuse(list_a: RankedList, list_b: RankedList, alpha: float, k: int) -> Ranked
 
 
 def fuse_runs(run_a: Run, run_b: Run, alpha: float, k: int) -> Run:
-    """Per-query fusion; the two runs must cover the same queries."""
+    """Per-query fusion; the two runs must cover the same queries. A list
+    `fuse` refuses is refused naming its query."""
     if set(run_a) != set(run_b):
         only_a = sorted(set(run_a) - set(run_b))[:3]
         only_b = sorted(set(run_b) - set(run_a))[:3]
         raise ValueError(f"query sets differ between runs (only in a: {only_a}, "
                          f"only in b: {only_b})")
-    return Run((q, fuse(run_a[q], run_b[q], alpha, k)) for q in run_a)
+    fused = Run()
+    for q in run_a:
+        try:
+            fused[q] = fuse(run_a[q], run_b[q], alpha, k)
+        except ValueError as exc:
+            raise ValueError(f"query {q}: {exc}") from None
+    return fused
 
 
 def default_alpha_grid() -> list[float]:

@@ -293,12 +293,16 @@ class Reranker:
 def rerank_run(run: Run, rerankers: list[Reranker]) -> list[Run]:
     """Each reranker's re-ranking of the run, list by list. The rerankers
     share one store: a list's features are read once through its `batch`,
-    scored by every model and dropped unless the store caches them."""
+    scored by every model and dropped unless the store caches them. A list
+    the re-rankers refuse is refused naming its query."""
     runs = [Run() for _ in rerankers]
     for query_id, ranking in run.items():
         features = rerankers[0].store.batch(query_id, ranking.doc_ids)
         for out, reranker in zip(runs, rerankers):
-            out[query_id] = reranker.rerank_list(query_id, ranking, features)
+            try:
+                out[query_id] = reranker.rerank_list(query_id, ranking, features)
+            except ValueError as exc:
+                raise ValueError(f"query {query_id}: {exc}") from None
     return runs
 
 

@@ -10,7 +10,7 @@ from regir.cli import main
 from regir.corpus import ingest_collection
 from regir.dense import load_word_vectors
 from regir.fusion import default_alpha_grid
-from regir.ranking import read_run
+from regir.ranking import RankedList, read_run, write_run
 from regir.rerank.features import TypeEmbeddings, load_token_vectors
 from regir.rerank.train import (FeatureStore, Hyperparams, load_checkpoint,
                                 rerank_run)
@@ -750,6 +750,47 @@ def test_fuse_tune_alpha_needs_qrels(env, tmp_path):
     assert result.exit_code == 1
     assert "Error: --tune-alpha needs --qrels" in blob(result)
     assert not (tmp_path / "f.tsv").exists()
+
+
+SPAN_OVERFLOWS = ("cannot normalize scores from -1e+308 to 1e+308: their span "
+                  "is not finite")
+
+
+def with_overflowing_span(run_path, out):
+    """A copy of the run file whose second query's scores run from 1e308 down
+    to -1e308, a span no float holds; returns that query's id."""
+    run = read_run(run_path)
+    query_id = sorted(run)[1]
+    doc_ids = run[query_id].doc_ids
+    scores = [1e308] + [0.0] * (len(doc_ids) - 2) + [-1e308]
+    run[query_id] = RankedList(zip(doc_ids, scores), presorted=True)
+    write_run(run, out)
+    return query_id
+
+
+def test_fuse_refuses_an_overflowing_span_naming_the_query(env, tmp_path):
+    bad = tmp_path / "bad.tsv"
+    query_id = with_overflowing_span(env.root / "run_all.tsv", bad)
+    result = env.cli("fuse", "--run-a", env.root / "run_all.tsv", "--run-b", bad,
+                     "--alpha", "0.5", "--out", tmp_path / "f.tsv")
+    assert result.exit_code == 1
+    assert f"Error: query {query_id}: {SPAN_OVERFLOWS}\n" in blob(result)
+    assert not (tmp_path / "f.tsv").exists()
+
+
+def test_rerank_refuses_an_overflowing_span_naming_the_run_and_query(env,
+                                                                    tmp_path):
+    bad = tmp_path / "bad.tsv"
+    query_id = with_overflowing_span(env.root / "run_test.tsv", bad)
+    result = env.cli("rerank", "--checkpoint", env.root / "ck.bin", "--run", bad,
+                     "--queries", env.root / "queries.jsonl",
+                     "--collection", env.root / "pool.jsonl",
+                     "--index", env.root / "index.bin",
+                     "--word-vectors", env.root / "wv.txt",
+                     "--out", tmp_path / "r.tsv")
+    assert result.exit_code == 1
+    assert f"Error: {bad}: query {query_id}: {SPAN_OVERFLOWS}\n" in blob(result)
+    assert not (tmp_path / "r.tsv").exists()
 
 
 def test_train_writes_checkpoint_and_log(env):

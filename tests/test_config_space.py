@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+from collections import Counter
 from itertools import combinations, product
 
 import numpy as np
@@ -119,10 +120,16 @@ def test_pairwise_rows_cover_every_value_pair():
                for x in FACTORS[a] for y in FACTORS[b])
 
 
+# what a run reads or makes from its inputs and artifacts
+LOADERS = ("ingest_collection", "load_qrels", "build_pipeline",
+           "load_word_vectors", "load_token_vectors", "load_index",
+           "load_doc_vectors", "read_run", "load_checkpoint")
+
+
 def assert_rerun_rewrites_nothing(config_path, outdir, monkeypatch):
     """With every artifact's mtime set to 0, a rerun into the same directory
-    skips every stage, tunes no date window and rewrites no file but
-    manifest.json."""
+    skips every stage, tunes no date window, calls none of the loaders and
+    builders and rewrites no file but manifest.json."""
     artifacts = sorted(outdir.iterdir())
     for path in artifacts:
         os.utime(path, (0, 0))
@@ -131,7 +138,14 @@ def assert_rerun_rewrites_nothing(config_path, outdir, monkeypatch):
         raise AssertionError("choose_window ran again")
 
     monkeypatch.setattr(experiment, "choose_window", refuse)
+    calls = Counter()
+    for name in LOADERS:
+        def counting(*args, _name=name, _real=getattr(experiment, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(experiment, name, counting)
     run_experiment(load_config(config_path), outdir)
+    assert calls == Counter()
     timings = json.loads((outdir / "manifest.json").read_text())["timings"]
     assert timings and set(timings.values()) == {0.0}
     assert sorted(outdir.iterdir()) == artifacts

@@ -8,6 +8,7 @@ import random
 import re
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -632,8 +633,8 @@ def test_malformed_manifest_counts_as_no_stage_done(dataset, tmp_path, case):
 
 def test_run_experiment_keeps_what_it_builds(dataset, tmp_path, monkeypatch):
     """A fresh run reads back none of the index and centroid files it
-    writes; a fully skipped rerun reads each once and writes the same
-    artifacts."""
+    writes; a fully skipped rerun reads neither, since no stage builds, and
+    writes the same artifacts."""
     import regir.experiment as experiment
 
     loads = Counter()
@@ -651,7 +652,7 @@ def test_run_experiment_keeps_what_it_builds(dataset, tmp_path, monkeypatch):
     fresh = {p.name: p.read_bytes() for p in outdir.iterdir()
              if p.name != "manifest.json"}
     run_experiment(cfg, outdir)
-    assert loads == {"load_index": 1, "load_doc_vectors": 1}
+    assert loads == Counter()
     assert {name: (outdir / name).read_bytes() for name in fresh} == fresh
     timings = json.loads((outdir / "manifest.json").read_text())["timings"]
     assert set(timings.values()) == {0.0}
@@ -668,6 +669,57 @@ def test_rerun_through_another_relative_path_skips_every_stage(
     run_experiment(cfg, "../a/out")
     timings = json.loads((tmp_path / "a/out/manifest.json").read_text())["timings"]
     assert len(timings) >= 5 and set(timings.values()) == {0.0}
+
+
+def test_a_config_loaded_through_another_relative_path_has_one_hash(
+        tmp_path, monkeypatch):
+    """The manifest hash covers the config's files by their resolved paths:
+    `data/cfg.txt` loaded from data's parent and `cfg.txt` loaded from inside
+    data hash alike, and the second run builds no stage."""
+    (tmp_path / "data").mkdir()
+    root = build_dataset(tmp_path / "data", random.Random(20260814))
+    (root / "cfg.txt").write_text(BASE_CFG)
+    outdir = tmp_path / "out"
+    monkeypatch.chdir(tmp_path)
+    first = run_experiment(load_config("data/cfg.txt"), outdir)
+    monkeypatch.chdir(root)
+    second = run_experiment(load_config("cfg.txt"), outdir)
+    assert second.manifest_hash == first.manifest_hash
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert len(manifest["timings"]) >= 5
+    assert set(manifest["timings"].values()) == {0.0}
+    assert manifest["resources"] and all(
+        Path(path).is_absolute() for path in manifest["resources"])
+
+
+def test_deleting_one_output_rebuilds_only_its_stage(dataset, tmp_path,
+                                                     monkeypatch):
+    """With rk_curve.csv gone from a finished ensemble + DRMM run, a rerun
+    builds rk-curve alone, from the test lists it reads back, and writes the
+    same bytes; it reads no index, vectors or checkpoint."""
+    import regir.experiment as experiment
+
+    (dataset / "hp.txt").write_text(HP)
+    cfg = cfg_from(dataset, FULL_CFG)
+    outdir = tmp_path / "out"
+    run_experiment(cfg, outdir)
+    rk_path = outdir / "rk_curve.csv"
+    clean = rk_path.read_bytes()
+    rk_path.unlink()
+    calls = Counter()
+    read = []
+    for name in ("load_index", "load_doc_vectors", "load_checkpoint", "read_run"):
+        def counting(path, _name=name, _real=getattr(experiment, name)):
+            calls[_name] += 1
+            read.append(Path(path).name)
+            return _real(path)
+        monkeypatch.setattr(experiment, name, counting)
+    run_experiment(cfg, outdir)
+    assert rk_path.read_bytes() == clean
+    timings = json.loads((outdir / "manifest.json").read_text())["timings"]
+    assert {name for name, t in timings.items() if t} == {"rk-curve"}
+    assert "prefetch_test.tsv" in read
+    assert set(calls) == {"read_run"}
 
 
 def test_manifest_records_each_stage_s_environment_outside_the_hash(
