@@ -176,7 +176,8 @@ def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
         ids = query_corpus.ids
     else:
         manifest.validate(query_corpus=query_corpus, qrels=judgments)
-    tokens = {q: idx.pipeline(query_corpus.get(q).text) for q in ids}
+    bags = idx.pipeline.bags(query_corpus)
+    tokens = {q: bags.counts(query_corpus.row[q]) for q in ids}
     k1_grid, b_grid = default_grid()
     if grid_k1:
         k1_grid = _parse_range(grid_k1, "--grid-k1")

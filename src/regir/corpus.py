@@ -69,6 +69,13 @@ class Document:
         return self.title + "\n" + self.body if self.body else self.title
 
 
+class _Rows(dict):
+    """doc_id -> row; an unknown doc_id raises a KeyError that names it."""
+
+    def __missing__(self, doc_id):
+        raise KeyError(f"unknown doc_id {doc_id!r}")
+
+
 class Corpus:
     """Immutable document collection, numbered once in ascending doc_id.
 
@@ -89,7 +96,7 @@ class Corpus:
                 raise CorpusError(f"doc {doc.doc_id!r}: title is empty")
             docs[doc.doc_id] = doc
         self.ids: list[str] = sorted(docs)
-        self.row: dict[str, int] = {doc_id: i for i, doc_id in enumerate(self.ids)}
+        self.row: dict[str, int] = _Rows(zip(self.ids, range(len(self.ids))))
         self._docs = [docs[doc_id] for doc_id in self.ids]
         self._years = np.array([doc.year for doc in self._docs], dtype=np.int64)
 
@@ -103,19 +110,12 @@ class Corpus:
         return iter(self._docs)
 
     def get(self, doc_id: str) -> Document:
-        try:
-            return self._docs[self.row[doc_id]]
-        except KeyError:
-            raise KeyError(f"unknown doc_id {doc_id!r}") from None
+        return self._docs[self.row[doc_id]]
 
     def years(self, doc_ids) -> np.ndarray:
         """The publication year of each doc_id, in order, as int64; `get`'s
         KeyError for the first unknown one."""
-        try:
-            rows = np.fromiter(map(self.row.__getitem__, doc_ids), dtype=np.intp)
-        except KeyError as exc:
-            raise KeyError(f"unknown doc_id {exc.args[0]!r}") from None
-        return self._years[rows]
+        return self._years[np.fromiter(map(self.row.__getitem__, doc_ids), dtype=np.intp)]
 
 
 REQUIRED_FIELDS = ("doc_id", "title", "body")

@@ -366,7 +366,9 @@ class Prefetcher:
     """First-stage retrieval by its components: a single pre-fetcher, or
     the fusion of two. Holds what the pre-fetchers read; what the components
     do not use stays None. Shared by `regir run` and `regir prefetch`, which
-    fetch one query at a time.
+    fetch one query at a time. bm25 and w2v-cent read a query's term counts
+    from the pipeline's bags of the query collection, as the feature store
+    does, so a run tokenizes each query once.
 
     Every query gets a deep list of 2k entries, so that a date window
     applied before re-ranking can refill to k. Fusion components are fetched
@@ -390,13 +392,13 @@ class Prefetcher:
         return 2 * self.k
 
     def fetch(self, query_id: str, depth: int) -> tuple[RankedList, ...]:
-        """Each component's list for the query, `depth` long; its text is
-        tokenized once for all of them. A query with no indexed term, no
-        centroid or a zero doc vector gets an empty list and a warning; one
-        missing from the query store raises KeyError."""
+        """Each component's list for the query, `depth` long. A query with no
+        indexed term, no centroid or a zero doc vector gets an empty list and
+        a warning; one missing from the query collection or the query store
+        raises KeyError."""
         tokens = None
         if {"bm25", "w2v-cent"} & set(self.components):
-            tokens = self.pipeline(self.queries.get(query_id).text)
+            tokens = self.pipeline.bags(self.queries).counts(self.queries.row[query_id])
         return tuple(self._search(name, query_id, tokens, depth)
                      for name in self.components)
 
@@ -617,9 +619,9 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             params_path = outdir / "bm25_params.json"
 
             def tune_stage(s):
-                dev_tokens = {q: s.pipeline(s.queries.get(q).text)
-                              for q in s.splits.dev_ids}
-                best, cells = tune_bm25(index(), dev_tokens, s.qrels,
+                bags = s.pipeline.bags(s.queries)
+                dev = {q: bags.counts(s.queries.row[q]) for q in s.splits.dev_ids}
+                best, cells = tune_bm25(index(), dev, s.qrels,
                                         config.bm25_grid_k1, config.bm25_grid_b,
                                         config.k)
                 write_grid_csv(cells, grid_path, comment=tag)
@@ -672,16 +674,21 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     prefetch_outputs = [outdir / f"prefetch_{split}.tsv" for split in fetched]
     if config.fusion_tune:
         prefetch_outputs += [alpha_path, grid_path]
-    prefetch = stages.run("prefetch", prefetch_outputs, prefetch_stage,
-                          lambda: {split: read_run(outdir / f"prefetch_{split}.tsv")
-                                   for split in fetched})
+    prefetched = stages.run("prefetch", prefetch_outputs, prefetch_stage, dict)
+
+    @cache
+    def prefetch(split: str) -> Run:
+        """The split's deep lists: built, or, when the stage was skipped and
+        loaded nothing, read back on first demand."""
+        runs = prefetched()
+        return runs[split] if split in runs else read_run(outdir / f"prefetch_{split}.tsv")
 
     years = lambda: config.datefilter_years
     if config.datefilter_tune:
         years_path = outdir / "datefilter_years.json"
 
         def tune_window(s):
-            chosen = choose_window(prefetch()["dev"], s.qrels, s.queries, s.pool,
+            chosen = choose_window(prefetch("dev"), s.qrels, s.queries, s.pool,
                                    config.datefilter_grid, config.datefilter_mode,
                                    config.k, config.eval_k)
             years_path.write_text(json.dumps({"years": chosen}))
@@ -708,7 +715,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     rk_path = outdir / "rk_curve.csv"
     stages.run("rk-curve", [rk_path],
                lambda s: write_rk_curve_csv(
-                   emit_rk_curve(prefetch()["test"], s.qrels.restrict(s.splits.test_ids),
+                   emit_rk_curve(prefetch("test"), s.qrels.restrict(s.splits.test_ids),
                                  2 * config.k),
                    rk_path, comment=tag))
 
@@ -720,7 +727,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
 
             def train_stage(s, seed=seed, ck=ck_path, lg=log_path):
                 train_cands, dev_cands = (
-                    candidates(prefetch()[split], config.k, window(), s.queries, s.pool)
+                    candidates(prefetch(split), config.k, window(), s.queries, s.pool)
                     for split in ("train", "dev"))
                 result = train_model(config.rerank_model, s.splits.train_ids,
                                      s.splits.dev_ids, s.qrels,
@@ -742,7 +749,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     def final_stage(s):
         """Writes and scores each final run: the test candidates, or each
         seed's re-ranking of them."""
-        test_cands = candidates(prefetch()["test"], config.k, window(), s.queries, s.pool)
+        test_cands = candidates(prefetch("test"), config.k, window(), s.queries, s.pool)
         rerankers = [result().reranker(s.store) for result in trained]
         runs = rerank_run(test_cands, rerankers) if need_train else [test_cands]
         test_qrels = s.qrels.restrict(s.splits.test_ids)

@@ -176,7 +176,9 @@ class FeatureStore:
     Queries and documents alike come as term ids from the pipeline's
     denoised bags of their collection, found by corpus row and mapped to
     provider rows (and a query's to idf) through one array over the bags'
-    terms: each collection is encoded once, and nothing is tokenized here.
+    terms. The pipeline encodes each collection once and keeps its bags, so
+    the store shares the query bags the pre-fetch reads, and nothing is
+    tokenized here.
     """
 
     def __init__(self, kind: str, provider, pipeline, query_corpus, pool_corpus,
@@ -198,8 +200,6 @@ class FeatureStore:
     def _query(self, query_id: str):
         """The query's side of its features: for DRMM with a vector per term
         its distinct terms in first-occurrence order, else its sequence."""
-        if query_id not in self._q_row:
-            raise KeyError(f"unknown doc_id {query_id!r}")
         i, bags = self._q_row[query_id], self._q_bags
         terms = (bags.ids[bags.offsets[i]:bags.offsets[i + 1]]
                  if self.kind == "drmm" and self.provider.dedup else bags.sequence(i))
@@ -219,8 +219,6 @@ class FeatureStore:
         computed."""
         docs = []
         for doc_id in doc_ids:
-            if doc_id not in self._row:
-                raise KeyError(f"unknown doc_id {doc_id!r}")
             tokens = self._term_rows[self._bags.sequence(self._row[doc_id])]
             docs.append((doc_id, tokens))
         if not docs:

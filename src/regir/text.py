@@ -89,6 +89,12 @@ class Bags:
         """Document i's term ids in text order."""
         return self.seq[self.seq_offsets[i]:self.seq_offsets[i + 1]]
 
+    def counts(self, i: int) -> dict[str, int]:
+        """Document i's bag as term -> count, in first-occurrence order."""
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return dict(zip(map(self.terms.__getitem__, self.ids[lo:hi].tolist()),
+                        self.tf[lo:hi].tolist()))
+
     def select(self, keep: np.ndarray) -> "Bags":
         """The bags and sequences restricted to the term ids where `keep` is
         true."""
@@ -159,7 +165,8 @@ def _count_terms(seq: np.ndarray, bounds: np.ndarray, n_terms: int):
 
 def distinct_rows(tokens, row: dict) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The distinct tokens that `row` maps, in first-occurrence order, with
-    each one's row and its count as a float."""
+    each one's row and its count as a float, from a token list or from its
+    term -> count mapping in first-occurrence order (`Bags.counts`)."""
     counts = Counter(tokens)
     rows = np.fromiter(map(row.get, counts, repeat(-1)), dtype=np.intp,
                        count=len(counts))
@@ -276,7 +283,7 @@ class TextPipeline:
         # the idf-table terms denoising keeps, sorted, and each one's row
         self.kept_terms = sorted(compress(terms, ~drop))
         self.kept_row = {t: i for i, t in enumerate(self.kept_terms)}
-        self._source = None  # (collection, its denoised bags), see build_pipeline
+        self._bags: dict = {}  # collection object -> its denoised bags
 
     def denoise(self, tokens: list[str]) -> list[str]:
         return list(filterfalse(self._drop.__contains__, tokens))
@@ -287,11 +294,10 @@ class TextPipeline:
         return bags.select(~drop)
 
     def bags(self, corpus) -> Bags:
-        """Denoised bags of a collection: those kept from build time for the
-        collection object the pipeline was built from, else freshly encoded."""
-        if self._source is not None and self._source[0] is corpus:
-            return self._source[1]
-        return self.denoise_bags(encode_bags(corpus))
+        """Denoised bags of a collection, encoded once per collection object."""
+        if corpus not in self._bags:
+            self._bags[corpus] = self.denoise_bags(encode_bags(corpus))
+        return self._bags[corpus]
 
     def __call__(self, text: str) -> list[str]:
         return self.denoise(tokenize(text))
@@ -319,5 +325,5 @@ def build_pipeline(corpus, stopwords: frozenset[str] | None = None,
                 f"reaches the threshold {pipeline.threshold:.4f} (the mean idf "
                 f"of the stopwords in the pool); turn the idf filter off")
         raise ValueError("every document is empty after stopword removal")
-    pipeline._source = (corpus, denoised)
+    pipeline._bags[corpus] = denoised
     return pipeline

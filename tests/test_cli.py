@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -568,6 +569,31 @@ def test_commands_load_the_index_once(env, tmp_path, monkeypatch):
            "--splits", root / "splits.json", "--k", "5",
            "--grid-k1", "1.0", "--grid-b", "0.5", "--out", tmp_path / "g.csv")
     assert loads == [root / "index.bin"] * 2
+
+
+@pytest.mark.parametrize("command", ["prefetch", "tune-bm25"])
+def test_commands_tokenize_each_query_at_most_once(env, tmp_path, monkeypatch,
+                                                   command):
+    """An ensemble pre-fetch of both text components and a tuning sweep read
+    a query's terms from the pipeline's bags of the query collection, which
+    is encoded once, even when the command covers one split."""
+    import regir.text
+
+    calls = Counter()
+    real = regir.text.tokenize
+    monkeypatch.setattr(regir.text, "tokenize",
+                        lambda text: calls.update([text]) or real(text))
+    root = env.root
+    args = {"prefetch": ["--mode", "ensemble", "--components", "bm25,w2v-cent",
+                         "--alpha", "0.6", "--word-vectors", root / "wv.txt",
+                         "--centroids", root / "centroids.vec", "--split", "test"],
+            "tune-bm25": ["--qrels", root / "qrels.tsv", "--grid-k1", "0.5,1.0",
+                          "--grid-b", "0:1:0.5"]}[command]
+    env.ok(command, *args, "--k", "5", "--queries", root / "queries.jsonl",
+           "--index", root / "index.bin", "--splits", root / "splits.json",
+           "--out", tmp_path / "out")
+    texts = {query.text for query in ingest_collection(root / "queries.jsonl")}
+    assert calls and set(calls) <= texts and set(calls.values()) == {1}
 
 
 @pytest.mark.parametrize("command,option", [

@@ -486,11 +486,23 @@ def test_fusion_tune_fetches_each_dev_query_once(dataset, tmp_path, monkeypatch)
     assert sorted(f for f in fetched if f[0] in dev) == [(q, 2) for q in sorted(dev)]
 
 
-@pytest.mark.parametrize("fusion", ["fusion.alpha = 0.5", "fusion.tune = true"])
-def test_an_ensemble_run_tokenizes_each_fetched_query_once(dataset, tmp_path,
-                                                           monkeypatch, fusion):
-    """One fetch serves both components, and the dev lists share the fetch
-    that tunes alpha: each fetched query's text is tokenized once."""
+ENSEMBLE_CFG = (BASE_CFG.replace("prefetch.mode = bm25", "")
+                + "prefetch.mode = ensemble\nfusion.components = bm25,w2v-cent\n"
+                "dense.word_vectors = wv.txt\n")
+BM25_TUNE = "bm25.tune = true\nbm25.grid_k1 = 0.5,1.0\nbm25.grid_b = 0.0,0.5\n"
+
+
+@pytest.mark.parametrize("text", [
+    BASE_CFG + BM25_TUNE,
+    ENSEMBLE_CFG + "fusion.alpha = 0.5\n",
+    ENSEMBLE_CFG + "fusion.tune = true\n",
+    FULL_CFG + BM25_TUNE,
+], ids=["bm25-tune", "ensemble-alpha", "ensemble-tune", "ensemble-tune-drmm"])
+def test_a_run_tokenizes_each_document_once(dataset, tmp_path, monkeypatch, text):
+    """The pipeline encodes the pool and the query collection once each, and
+    the BM25 tuning, every pre-fetch and the feature store read those bags:
+    each document's text is tokenized once, a query's also when no stage
+    fetches it, since its collection is encoded whole."""
     calls = Counter()
     real = regir.text.tokenize
 
@@ -499,18 +511,11 @@ def test_an_ensemble_run_tokenizes_each_fetched_query_once(dataset, tmp_path,
         return real(text)
 
     monkeypatch.setattr(regir.text, "tokenize", counting)
-    cfg = cfg_from(dataset, BASE_CFG.replace("prefetch.mode = bm25", "")
-                   + "prefetch.mode = ensemble\n"
-                   f"fusion.components = bm25,w2v-cent\n{fusion}\n"
-                   "dense.word_vectors = wv.txt\n")
-    run_experiment(cfg, tmp_path / "out")
-    splits = json.loads((dataset / "splits.json").read_text())
-    fetched = splits["test"] + (splits["dev"] if cfg.fusion_tune else [])
-    queries = ingest_collection(dataset / "queries.jsonl")
-    pool_texts = {doc.text for doc in ingest_collection(dataset / "pool.jsonl")}
-    assert not pool_texts & {query.text for query in queries}
-    assert {q.doc_id: calls[q.text] for q in queries} == \
-        {q.doc_id: int(q.doc_id in fetched) for q in queries}
+    (dataset / "hp.txt").write_text(HP)
+    run_experiment(cfg_from(dataset, text), tmp_path / "out")
+    docs = [*ingest_collection(dataset / "queries.jsonl"),
+            *ingest_collection(dataset / "pool.jsonl")]
+    assert calls == Counter(doc.text for doc in docs)
 
 
 def edit_timings(outdir, edit):
@@ -718,7 +723,7 @@ def test_deleting_one_output_rebuilds_only_its_stage(dataset, tmp_path,
     assert rk_path.read_bytes() == clean
     timings = json.loads((outdir / "manifest.json").read_text())["timings"]
     assert {name for name, t in timings.items() if t} == {"rk-curve"}
-    assert "prefetch_test.tsv" in read
+    assert read == ["prefetch_test.tsv"]
     assert set(calls) == {"read_run"}
 
 

@@ -4,18 +4,21 @@ RankedList duplicate check, the date filter, min-max normalization and
 fusion. Results are compared by `repr`, which tells -0.0 from 0.0 and a
 numpy scalar from a built-in float, so equal means bit-identical."""
 
+import functools
 import math
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regir.bm25 import build_index, load_index, save_index
-from regir.corpus import Corpus
+from regir.bm25 import Bm25Params, build_index, load_index, save_index, tune_bm25
+from regir.corpus import Corpus, Document, Qrels
 from regir.datefilter import DateWindow, apply_filter
+from regir.dense import WordVectors, centroid
 from regir.fusion import fuse, normalize_scores
 from regir.ranking import RankedList, sort_scored, top_k_from_arrays
 from regir.text import IdfTable, TextPipeline, build_pipeline, distinct_rows
@@ -135,6 +138,64 @@ def test_index_idf_equals_the_table_idf_after_build_and_load(tmp_path, idf_filte
         assert got.idf.dtype == np.float64
         same(got.idf.tolist(), want)
         same(got.idf.tolist(), [got.idf_table.idf(term) for term in got.terms])
+
+
+# --- a query's bag read as counts ---
+
+# ASCII and accented forms of one term, text in another script, stopwords,
+# numbers and a term no pool document holds
+WORDS = ["levy", "tax", "duty", "cafe", "Café", "CAFÉ", "naïve", "naive", "Straße",
+         "Ärzte", "日本", "the", "of", "and", "2009", "12", "x1", "unseen"]
+# the title, and a body that denoise to nothing
+NOTHING = ("Of the 2009", "and the 12")
+
+
+@functools.cache
+def counts_setup(idf_filter: bool):
+    """A pool over WORDS with frequent stopwords, as in real text, its
+    pipeline and index, and word vectors for part of its kept terms, one of
+    them zero."""
+    rng = random.Random(31)
+    pool = random_corpus(rng, 40, vocab=WORDS[:-1] + ["the", "of", "and"] * 6,
+                         doc_len=(1, 30))
+    pipeline = build_pipeline(pool, idf_filter=idf_filter)
+    terms = pipeline.kept_terms[::2]
+    matrix = np.random.default_rng(31).normal(size=(len(terms), 3))
+    matrix[0] = 0.0
+    qrels = Qrels({f"q{i}": {pool.ids[3 * i], pool.ids[3 * i + 1]} for i in range(7)})
+    return pipeline, build_index(pool, pipeline), WordVectors(terms, matrix), qrels
+
+
+@st.composite
+def query_bodies(draw):
+    words = draw(st.lists(st.sampled_from(WORDS), max_size=25))
+    seps = draw(st.lists(st.sampled_from([" ", "-", ", ", "\n", "/"]),
+                         min_size=len(words), max_size=len(words)))
+    return "".join(map(str.__add__, words, seps))
+
+
+@PROPERTY
+@given(st.booleans(), st.lists(query_bodies(), min_size=1, max_size=6))
+def test_a_bag_read_as_counts_ranks_as_its_token_list(idf_filter, bodies):
+    """`Bags.counts` holds the items of `Counter` over the query's denoised
+    tokens, in their order, and `bm25_search`, `centroid` and a `tune_bm25`
+    grid give the same bits for either form."""
+    pipeline, index, wv, qrels = counts_setup(idf_filter)
+    queries = Corpus([Document(f"q{i}", NOTHING[0], body)
+                      for i, body in enumerate([*bodies, NOTHING[1]])])
+    bags = pipeline.bags(queries)
+    token_lists, counts = {}, {}
+    for i, query in enumerate(queries):
+        tokens = token_lists[query.doc_id] = pipeline(query.text)
+        bag = counts[query.doc_id] = bags.counts(i)
+        assert list(bag.items()) == list(Counter(tokens).items())
+        for params in (Bm25Params(), Bm25Params(0.5, 0.0)):
+            same(index.bm25_search(bag, params, 7), index.bm25_search(tokens, params, 7))
+        assert (outcome(centroid, bag, wv, pipeline.idf_table)
+                == outcome(centroid, tokens, wv, pipeline.idf_table))
+    assert counts[queries.ids[-1]] == {}
+    grid = ([0.5, 1.2], [0.0, 0.75], 5)
+    same(tune_bm25(index, counts, qrels, *grid), tune_bm25(index, token_lists, qrels, *grid))
 
 
 # --- sorting, top-k and duplicates ---

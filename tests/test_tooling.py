@@ -60,6 +60,31 @@ def test_the_rerank_package_reads_no_text():
     assert found == []
 
 
+def _text_reads(node, function: str, found: list) -> None:
+    """(innermost enclosing function, line) of each `.text` read under
+    `node`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and child.attr == "text":
+            found.append((function, child.lineno))
+        inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else function)
+        _text_reads(child, inner, found)
+
+
+def test_only_the_encoder_and_the_stats_read_a_document_s_text():
+    """A document becomes terms on one path: the pipeline's bags of its
+    collection, which `text.encode_bags` tokenizes. Beside it only
+    `corpus.corpus_stats`, which counts whitespace-split words, reads a
+    `.text` attribute in the package."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        reads = []
+        _text_reads(ast.parse(path.read_text(encoding="utf-8")), "<module>", reads)
+        found += [(path.relative_to(SRC).as_posix(), fn) for fn, _ in reads]
+    assert sorted(set(found)) == [("corpus.py", "corpus_stats"),
+                                  ("text.py", "encode_bags")]
+
+
 # (module, function) -> how often it reads builtin `sum`, each time over
 # integer counts
 INTEGER_SUMS = {
