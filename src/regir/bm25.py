@@ -22,7 +22,7 @@ import numpy as np
 from ._npz import read_npz, write_npz
 from ._textio import read_json, write_table
 from .metrics import float_sum, recall_at_k
-from .ranking import RankedList, top_k_from_arrays
+from .ranking import RankedList, ranked_rows
 from .text import IdfTable, TextPipeline, distinct_rows
 
 INDEX_FORMAT = "regir-postings-index"
@@ -129,24 +129,26 @@ class PostingsIndex:
         scores = np.bincount(pos, weights=w / (tf + norms), minlength=self.doc_count)
         return scores.astype(np.float64, copy=False)  # int zeros if no entries
 
-    def _ranking(self, postings, params: Bm25Params, k: int) -> RankedList:
-        """The top k by BM25 from a query's gathered postings, ties by doc_id:
-        the whole pool, zero scores too, or nothing without postings."""
+    def _top(self, postings, params: Bm25Params, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the top k by BM25 from a query's gathered postings, in
+        rank order, and their scores: over the whole pool, zero scores too,
+        ties by row (so by doc_id); a query without postings ranks nothing."""
         if k < 1:
             raise ValueError("k must be >= 1")
         if not len(postings[0]):
-            return RankedList(presorted=True)
-        return RankedList(top_k_from_arrays(self.doc_ids, self._scores(postings, params),
-                                            min(k, self.doc_count), sorted_ids=True),
-                          presorted=True)
+            return np.empty(0, dtype=np.intp), np.empty(0)
+        scores = self._scores(postings, params)
+        top = ranked_rows(scores, k)[:k]
+        return top, scores[top]
 
     def score_all(self, query_tokens: list[str], params: Bm25Params) -> np.ndarray:
         """BM25 scores for every pool document, aligned with `doc_ids`."""
         return self._scores(self._postings(query_tokens), params)
 
     def bm25_search(self, query_tokens: list[str], params: Bm25Params, k: int) -> RankedList:
-        """The query's top k over the whole pool, as `_ranking` ranks it."""
-        return self._ranking(self._postings(query_tokens), params, k)
+        """The query's top k over the whole pool, as `_top` ranks it."""
+        rows, scores = self._top(self._postings(query_tokens), params, k)
+        return RankedList._distinct(zip(self.doc_ids[rows].tolist(), scores.tolist()))
 
 
 def build_index(corpus, pipeline) -> PostingsIndex:
@@ -278,12 +280,14 @@ def tune_bm25(index: PostingsIndex, queries: dict[str, list[str]], qrels,
     if not scored:
         raise ValueError("no queries with relevant documents")
     grid = [Bm25Params(k1, b) for k1 in k1_grid for b in b_grid]
-    # each query's postings are gathered once and ranked in every cell
+    # each query's postings are gathered once and ranked in every cell,
+    # whose R@k reads the ids of the top k rows
     recalls = [[] for _ in grid]
     for toks, rel in scored:
         postings = index._postings(toks)
         for cell, params in zip(recalls, grid):
-            cell.append(recall_at_k(index._ranking(postings, params, k), rel, k))
+            rows, _ = index._top(postings, params, k)
+            cell.append(recall_at_k(index.doc_ids[rows].tolist(), rel, k))
     cells = [GridCell(p.k1, p.b, float_sum(cell) / len(scored))
              for p, cell in zip(grid, recalls)]
     best = max(cells, key=lambda c: (c.recall_at_k, -c.k1, -c.b))

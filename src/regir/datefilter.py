@@ -57,7 +57,7 @@ def apply_filter(query_doc, ranking: RankedList, window: DateWindow, corpus) -> 
     # int64 differences of years are exact, and so is comparing them with
     # the integer-valued or infinite float window
     keep = (years == 0) | (np.abs(years - query_doc.year) <= window.max_distance_years)
-    return RankedList(compress(ranking, keep), presorted=True)
+    return RankedList._distinct(compress(ranking, keep))
 
 
 def filter_run(run: Run, window: DateWindow, query_corpus, pool_corpus,

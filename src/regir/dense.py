@@ -270,6 +270,6 @@ def knn_search(query_vec: np.ndarray, store: DocVectorStore, k: int) -> RankedLi
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = (store.matrix @ query_vec) / (store._norms * qnorm)
     sims = np.where(store._norms == 0, -1.0, sims)
-    return RankedList(top_k_from_arrays(store._ids, sims, min(k, len(store)),
-                                        sorted_ids=True), presorted=True)
+    return RankedList._distinct(top_k_from_arrays(store._ids, sims, min(k, len(store)),
+                                                  sorted_ids=True))
 

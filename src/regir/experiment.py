@@ -19,7 +19,6 @@ import platform
 import time
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
-from itertools import accumulate
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -37,7 +36,7 @@ from .dense import (CentroidError, DocVectorStore, WordVectors,
                     load_doc_vectors, load_word_vectors, save_doc_vectors)
 from .fusion import (default_alpha_grid, fuse, read_alpha, tune_alpha,
                      write_alpha, write_alpha_grid_csv)
-from .metrics import (aggregate_runs, evaluate_run, float_sum, write_eval_csv,
+from .metrics import (aggregate_runs, evaluate_run, write_eval_csv,
                       write_summary_csv)
 from .ranking import RankedList, Run, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
@@ -341,16 +340,22 @@ def emit_rk_curve(run: Run, qrels, k_max: int) -> list[tuple[int, float]]:
         raise ValueError("no queries with relevant documents")
     short = [q for q in query_ids
              if len(run[q]) < min(k_max, len(qrels.relevant(q)))]
-    # per query, R@k for every k from its hit prefix counts: the floats
-    # recall_at_k returns, summed over queries in the same order
-    curves = []
-    for q in query_ids:
+    # row i marks query i's relevant entries among its top k_max, then holds
+    # its hit count at each depth k, then its R@k: the floats recall_at_k
+    # returns. The rows are added in query order from 0.0, one vector add
+    # per query, as float_sum adds each k's values
+    curves = np.zeros((len(query_ids), k_max))
+    sizes = np.zeros(len(query_ids))
+    for i, q in enumerate(query_ids):
         relevant = qrels.relevant(q)
-        hits = list(accumulate(int(d in relevant) for d in run[q].doc_ids[:k_max]))
-        hits += [hits[-1] if hits else 0] * (k_max - len(hits))
-        curves.append([h / len(relevant) for h in hits])
-    rows = [(k, float_sum(curve[k - 1] for curve in curves) / len(query_ids))
-            for k in range(1, k_max + 1)]
+        curves[i, [j for j, (d, _) in enumerate(run[q][:k_max]) if d in relevant]] = 1
+        sizes[i] = len(relevant)
+    np.cumsum(curves, axis=1, out=curves)
+    curves /= sizes[:, None]
+    total = np.zeros(k_max)
+    for curve in curves:
+        total += curve
+    rows = list(zip(range(1, k_max + 1), (total / len(query_ids)).tolist()))
     if short:
         log.warning("rk curve: %d list(s) shorter than k_max", len(short))
     return rows

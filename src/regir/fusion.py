@@ -43,7 +43,33 @@ def normalize_scores(ranking: RankedList) -> RankedList:
     """Min-max over the list's own scores, as `fuse` normalizes each of its
     lists; a constant list maps to all 1.0. Ordering is preserved."""
     doc_ids, scores = _min_max(ranking)
-    return RankedList(zip(doc_ids, scores.tolist()), presorted=True)
+    return RankedList._distinct(zip(doc_ids, scores.tolist()))
+
+
+def _union(list_a: RankedList, list_b: RankedList) -> tuple[np.ndarray, ...]:
+    """The union of two lists' doc_ids, list_a's then the list_b ids it
+    lacks, and each list's min-max normalized scores over it, 0.0 where the
+    list lacks the doc."""
+    ids_a, scores_a = _min_max(list_a)
+    ids_b, scores_b = _min_max(list_b)
+    # each list_b id's row in the union is its row in list_a, or the next
+    # row after list_a's
+    row_in_a = dict(zip(ids_a, range(len(ids_a))))
+    rows = np.fromiter(map(row_in_a.get, ids_b, repeat(-1)), dtype=np.intp,
+                       count=len(ids_b))
+    only_b = rows < 0
+    rows[only_b] = np.arange(len(ids_a), len(ids_a) + np.count_nonzero(only_b))
+    doc_ids = np.array([*ids_a, *compress(ids_b, only_b)], dtype=object)
+    a, b = np.zeros(len(doc_ids)), np.zeros(len(doc_ids))
+    a[:len(ids_a)], b[rows] = scores_a, scores_b
+    return doc_ids, a, b
+
+
+def _fused(doc_ids: np.ndarray, a: np.ndarray, b: np.ndarray, alpha: float,
+           k: int) -> RankedList:
+    """The top k of a union under `alpha * a + (1 - alpha) * b`."""
+    fused = alpha * a + (1 - alpha) * b
+    return RankedList._distinct(top_k_from_arrays(doc_ids, fused, k))
 
 
 def fuse(list_a: RankedList, list_b: RankedList, alpha: float, k: int) -> RankedList:
@@ -58,20 +84,7 @@ def fuse(list_a: RankedList, list_b: RankedList, alpha: float, k: int) -> Ranked
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    ids_a, scores_a = _min_max(list_a)
-    ids_b, scores_b = _min_max(list_b)
-    # the union is list_a, then the list_b ids it lacks: each list_b id's
-    # row in it is its row in list_a, or the next row after list_a's
-    row_in_a = dict(zip(ids_a, range(len(ids_a))))
-    rows = np.fromiter(map(row_in_a.get, ids_b, repeat(-1)), dtype=np.intp,
-                       count=len(ids_b))
-    only_b = rows < 0
-    rows[only_b] = np.arange(len(ids_a), len(ids_a) + np.count_nonzero(only_b))
-    doc_ids = np.array([*ids_a, *compress(ids_b, only_b)], dtype=object)
-    a, b = np.zeros(len(doc_ids)), np.zeros(len(doc_ids))
-    a[:len(ids_a)], b[rows] = scores_a, scores_b
-    fused = alpha * a + (1 - alpha) * b
-    return RankedList(top_k_from_arrays(doc_ids, fused, k), presorted=True)
+    return _fused(*_union(list_a, list_b), alpha, k)
 
 
 def fuse_runs(run_a: Run, run_b: Run, alpha: float, k: int) -> Run:
@@ -110,9 +123,12 @@ def tune_alpha(run_a: Run, run_b: Run, qrels, alpha_grid: list[float], k: int
     query_ids = [q for q in sorted(run_a) if qrels.relevant(q)]
     if not query_ids:
         raise ValueError("no queries with relevant documents")
-    grid = [(alpha, float_sum(recall_at_k(fuse(run_a[q], run_b[q], alpha, k),
-                                          qrels.relevant(q), k)
-                              for q in query_ids) / len(query_ids))
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    # each query's union is normalized once and fused in every cell
+    unions = [(_union(run_a[q], run_b[q]), qrels.relevant(q)) for q in query_ids]
+    grid = [(alpha, float_sum(recall_at_k(_fused(*union, alpha, k), relevant, k)
+                              for union, relevant in unions) / len(query_ids))
             for alpha in alpha_grid]
     best_alpha, _ = max(grid, key=lambda cell: (cell[1], -cell[0]))
     return best_alpha, grid

@@ -8,6 +8,7 @@ implementations and reruns produce identical files.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -23,21 +24,14 @@ def sort_scored(pairs: list[tuple[str, float]]) -> list[tuple[str, float]]:
     return ordered
 
 
-def top_k_from_arrays(doc_ids: np.ndarray, scores: np.ndarray, k: int, *,
-                      sorted_ids: bool = False) -> list[tuple[str, float]]:
-    """Vectorized top-k with the canonical tie-break.
-
-    Keeps every score >= the k-th largest, ties at the cut included, and
-    sorts only those by -score, then row. Then, within each run of equal
-    scores, by doc_id. With `sorted_ids` the caller vouches that doc_ids
-    ascend, as an index's and a vector store's do: ascending rows then
-    order tied ids, and no id is compared. A NaN score is never ranked: the
-    top k is taken over the other scores, so fewer than k come back when
-    fewer than k are numbers.
-    """
+def ranked_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """The rows of every score >= the k-th largest, ties at the cut included,
+    by descending score, then ascending row: the top k rows first. A NaN
+    score is never ranked: the k-th largest is taken over the other scores,
+    so fewer than k rows come back when fewer than k are numbers."""
     k = min(max(k, 0), len(scores))
     if k == 0:
-        return []
+        return np.empty(0, dtype=np.intp)
     # the k-th smallest of -scores: numpy selects it fast even among many
     # tied zeros, where selecting the (n - k)-th of scores stalls. NaN sorts
     # last, so it is a number unless fewer than k scores are, and then fmax
@@ -45,7 +39,19 @@ def top_k_from_arrays(doc_ids: np.ndarray, scores: np.ndarray, k: int, *,
     kth = np.fmax(-np.partition(-scores, k - 1)[k - 1], -np.inf)
     candidates = np.flatnonzero(scores >= kth)
     # stable, so ascending rows order equal scores
-    top = candidates[np.argsort(-scores[candidates], kind="stable")]
+    return candidates[np.argsort(-scores[candidates], kind="stable")]
+
+
+def top_k_from_arrays(doc_ids: np.ndarray, scores: np.ndarray, k: int, *,
+                      sorted_ids: bool = False) -> list[tuple[str, float]]:
+    """Vectorized top-k with the canonical tie-break.
+
+    Takes `ranked_rows`, then, within each run of equal scores, sorts by
+    doc_id. With `sorted_ids` the caller vouches that doc_ids ascend, as an
+    index's and a vector store's do: ascending rows then order tied ids, and
+    no id is compared. NaN scores are never ranked.
+    """
+    top = ranked_rows(scores, k)
     if not sorted_ids:
         ranked = scores[top]
         same = ranked[1:] == ranked[:-1]
@@ -74,12 +80,22 @@ class RankedList(list):
                 seen.add(doc_id)
         super().__init__(items)
 
+    @classmethod
+    def _distinct(cls, items) -> "RankedList":
+        """A ranking of items already in rank order whose doc_ids are
+        distinct by construction (a top-k over an index's or a store's ids,
+        a fused union, a cut or a filtered copy of a RankedList), so no
+        duplicate check runs."""
+        ranking = cls.__new__(cls)
+        list.__init__(ranking, items)
+        return ranking
+
     @property
     def doc_ids(self) -> list[str]:
         return list(map(itemgetter(0), self))
 
     def truncated(self, k: int) -> "RankedList":
-        return RankedList(self[:k], presorted=True)
+        return RankedList._distinct(self[:k])
 
 
 class Run(dict):
@@ -94,11 +110,21 @@ class Run(dict):
 
 def write_run(run: Run, path, comment: str = "") -> None:
     """TSV: query_id, rank (1-based), doc_id, score. Queries in sorted order,
-    scores with repr-round-trip precision."""
-    write_table(path, None, (f"{query_id}\t{rank}\t{doc_id}\t{score!r}"
-                             for query_id in sorted(run)
-                             for rank, (doc_id, score) in enumerate(run[query_id], 1)),
-                comment)
+    scores with repr-round-trip precision; an empty list writes no line.
+    Each query's lines are joined into one string from its doc_id and score
+    columns, and written at once."""
+    longest = max(map(len, run.values()), default=0)
+    ranks = list(map(str, range(1, longest + 1)))
+
+    def blocks():
+        for query_id in sorted(run):
+            ranking = run[query_id]
+            if ranking:
+                doc_ids, scores = zip(*ranking)
+                yield "\n".join(map("\t".join, zip(repeat(query_id), ranks, doc_ids,
+                                                   map(repr, scores))))
+
+    write_table(path, None, blocks(), comment)
 
 
 def read_run(path) -> Run:

@@ -9,9 +9,11 @@ top-k, the per-row histogram and the einsum and strided-gather convolutions
 that the vectorized kernels must reproduce, unit word and token vectors
 normalized one term or one call at a time, the pre-fetch steps one entry at
 a time (denoising per token, idf per term and per df, the date filter and min-max
-normalization per entry, fusion over dicts and a tuple-keyed sort), builtin
-`sum` as Python adds floats before 3.12 and since, and small readers and
-helpers the pipeline itself has no use for."""
+normalization per entry, fusion over dicts and a tuple-keyed sort), run
+files written one formatted line per entry, the R@k curve from each
+query's `accumulate`d hits, builtin `sum` as Python adds floats before
+3.12 and since, and small readers and helpers the pipeline itself has no
+use for."""
 
 from __future__ import annotations
 
@@ -21,14 +23,16 @@ import re
 import unicodedata
 from collections import Counter
 from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from regir.bm25 import Bm25Params, GridCell, PostingsIndex
 from regir.fusion import normalize_scores
-from regir.metrics import recall_at_k
+from regir.metrics import float_sum, recall_at_k
 from regir.ranking import RankedList, sort_scored
+from regir._textio import write_table
 from regir.text import IdfTable, TextPipeline
 from regir.rerank.drmm import DrmmModel
 from regir.rerank.features import (TypeEmbeddings, drmm_features, pacrr_features,
@@ -488,6 +492,29 @@ def rk_curve_per_k(run, qrels, k_max: int) -> list[tuple[int, float]]:
     query_ids = [q for q in sorted(run) if qrels.relevant(q)]
     return [(k, sum(recall_at_k(run[q], qrels.relevant(q), k) for q in query_ids)
              / len(query_ids)) for k in range(1, k_max + 1)]
+
+
+def rk_curve_accumulate(run, qrels, k_max: int) -> list[tuple[int, float]]:
+    """`emit_rk_curve`'s rows from each query's `accumulate`d hit prefix
+    counts, padded to k_max with its last count; each k's R@k values are
+    added over queries in sorted order by `float_sum`."""
+    query_ids = [q for q in sorted(run) if qrels.relevant(q)]
+    curves = []
+    for q in query_ids:
+        relevant = qrels.relevant(q)
+        hits = list(accumulate(int(d in relevant) for d in run[q].doc_ids[:k_max]))
+        hits += [hits[-1] if hits else 0] * (k_max - len(hits))
+        curves.append([h / len(relevant) for h in hits])
+    return [(k, float_sum(curve[k - 1] for curve in curves) / len(query_ids))
+            for k in range(1, k_max + 1)]
+
+
+def write_run_per_line(run, path, comment: str = "") -> None:
+    """`ranking.write_run` with one formatted line per (query, rank) entry."""
+    write_table(path, None, (f"{query_id}\t{rank}\t{doc_id}\t{score!r}"
+                             for query_id in sorted(run)
+                             for rank, (doc_id, score) in enumerate(run[query_id], 1)),
+                comment)
 
 
 def left_to_right_sum(values, start=0):

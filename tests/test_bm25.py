@@ -19,7 +19,7 @@ from conftest import make_doc, random_corpus
 from oracles import (bm25_score, doc_len_of, idf_from_token_lists,
                      index_from_postings, postings_dict, postings_of,
                      read_grid_csv, score_all_per_term, score_of,
-                     tune_bm25_per_cell, validate)
+                     top_k_lexsort, tune_bm25_per_cell, validate)
 
 
 def index_from_token_lists(token_lists: dict[str, list[str]]) -> PostingsIndex:
@@ -566,6 +566,62 @@ def test_tune_scores_a_query_with_no_indexed_term_as_search_ranks_it(query):
     _, cells = tune_bm25(index, queries, qrels, k1_grid, b_grid, k=2)
     assert cells == tune_bm25_per_cell(index, queries, qrels, k1_grid, b_grid, k=2)
     assert [c.recall_at_k for c in cells] == [0.5] * 4
+
+
+def tied_index(rng: random.Random) -> tuple[PostingsIndex, list[str]]:
+    """An index whose documents come in groups of equal token lists, so
+    equal scores, with non-ASCII ids; a rare term matches only a few
+    documents, so a query of it scores fewer rows than k."""
+    vocab = ["a", "b", "c", "d", "rare"]
+    lists = {}
+    for group in range(12):
+        tokens = [rng.choice(vocab[:4]) for _ in range(rng.randint(1, 8))]
+        if group < 2:
+            tokens.append("rare")
+        for member in range(rng.randint(1, 4)):
+            lists[f"{rng.choice(['d', 'é', 'ü', '文'])}{group:02d}{member}"] = tokens
+    return index_from_token_lists(lists), vocab
+
+
+GRID_K1, GRID_B = [0.0, 0.5, 1.2, 3.0], [0.0, 0.75, 1.0, 1.6, 2.5]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_search_equals_the_lexsort_of_every_pool_score(seed):
+    """By repr: ties straddling the k-th score keep their rows (so ids) in
+    ascending order, and when fewer than k rows score above 0 the rest fill
+    in row order, zero scores and, past b = 1, negative ones too."""
+    rng = random.Random(seed)
+    index, vocab = tied_index(rng)
+    queries = [["rare"], ["rare", "a"]] + [
+        [rng.choice(vocab) for _ in range(rng.randint(1, 6))] for _ in range(6)]
+    for query in queries:
+        for k1 in GRID_K1:
+            for b in GRID_B:
+                params = Bm25Params(k1, b)
+                scores = index.score_all(query, params)
+                for k in range(1, index.doc_count + 2):
+                    assert repr(index.bm25_search(query, params, k)) == repr(
+                        top_k_lexsort(index.doc_ids, scores, min(k, index.doc_count)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tune_cells_equal_the_per_cell_search_grid_at_ties(seed):
+    """By repr, with relevant documents inside tied groups, among rows that
+    score 0, and outside the pool."""
+    rng = random.Random(seed)
+    index, vocab = tied_index(rng)
+    ids = index.doc_ids.tolist()
+    queries = {"q0": ["rare"], "q1": ["zzz"],
+               **{f"q{i}": [rng.choice(vocab) for _ in range(rng.randint(1, 6))]
+                  for i in range(2, 8)}}
+    qrels = Qrels({q: set(rng.sample(ids, rng.randint(1, 4)))
+                   | ({"0-not-pooled", "\uffff-not-pooled"} if q == "q2" else set())
+                   for q in queries})
+    for k in (1, 3, 7, len(ids), len(ids) + 5):
+        _, cells = tune_bm25(index, queries, qrels, GRID_K1, GRID_B, k)
+        assert repr(cells) == repr(tune_bm25_per_cell(index, queries, qrels,
+                                                      GRID_K1, GRID_B, k))
 
 
 def test_grid_csv_roundtrip(tmp_path):

@@ -31,7 +31,8 @@ from regir.ranking import RankedList, Run, read_run
 from regir.rerank import train
 
 from conftest import build_dataset, date_window_dataset, run_python, write_jsonl
-from oracles import left_to_right_sum, neumaier_sum, rk_curve_per_k
+from oracles import (left_to_right_sum, neumaier_sum, rk_curve_accumulate,
+                     rk_curve_per_k)
 
 BASE_CFG = """
 task = EU2UK
@@ -334,6 +335,26 @@ def test_rk_curve_equals_per_k_recall_oracle(seed):
     qrels = Qrels({q: docs for q, docs in rel.items() if docs})
     k_max = rng.randint(2, 50)
     assert emit_rk_curve(run, qrels, k_max) == rk_curve_per_k(run, qrels, k_max)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rk_curve_equals_the_accumulate_oracle(seed):
+    """By repr: empty lists, lists shorter than k_max, tied scores, the
+    scores -0.0, 5e-324 and 1e308, non-ASCII ids, queries without judgments
+    and relevant documents no list holds."""
+    rng = random.Random(seed)
+    pool = ["d1", "dé", "文書", "ü2", "Ω", *(f"d{i:02d}" for i in range(30))]
+    scores = [1e308, 2.0, 2.0, 1.0, 5e-324, 0.0, -0.0, -1.0]
+    run, rel = Run(), {}
+    for q in ["q1", "qé", "問", *(f"q{i}" for i in range(rng.randint(0, 9)))]:
+        docs = rng.sample(pool, rng.choice([0, 1, 3, rng.randint(0, len(pool))]))
+        run[q] = RankedList([(d, rng.choice(scores)) for d in docs])
+        rel[q] = set(rng.sample(pool + ["unpooled"], rng.randint(0, 6)))
+    rel["q1"] |= {"d1"}
+    qrels = Qrels({q: docs for q, docs in rel.items() if docs})
+    for k_max in (1, 2, 7, rng.randint(1, 60)):
+        assert repr(emit_rk_curve(run, qrels, k_max)) == repr(
+            rk_curve_accumulate(run, qrels, k_max))
 
 
 # --- whole runs ---

@@ -1,10 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 
 from regir.ranking import (RankedList, Run, read_run, sort_scored,
                            top_k_from_arrays, write_run)
 
-from oracles import score_of, top_k_lexsort
+from oracles import score_of, top_k_lexsort, write_run_per_line
 
 
 def test_sort_scored_orders_by_score_then_id():
@@ -62,6 +64,33 @@ def test_run_roundtrip(tmp_path):
     assert set(back) == {"q1", "q2"}
     assert back["q2"].doc_ids == ["a", "b"]
     assert score_of(back["q2"], "b") == 0.25
+
+
+# ids and scores a run file must carry through: non-ASCII ids, both signed
+# zeros, the least subnormal and a score near the float maximum
+IDS = ["d1", "d2", "dé", "ü7", "文書", "Ω", "d10", "e\u0301"]
+SCORES = [-0.0, 0.0, 5e-324, 1e308, -1e308, 1.5, 0.1 + 0.2, 1 / 3, -2.0]
+
+
+def generated_run(rng: random.Random) -> Run:
+    """Empty lists, one-entry lists and lists whose scores tie, in queries
+    with non-ASCII ids too."""
+    run = Run()
+    for q in ["q1", "q2", "qé", "問", "q10", "q3"][:rng.randint(1, 6)]:
+        scores = rng.sample(SCORES, 3)
+        run[q] = RankedList([(d, rng.choice(scores))
+                             for d in rng.sample(IDS, rng.randint(0, len(IDS)))])
+    return run
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_write_run_equals_the_per_line_writer(tmp_path, seed):
+    run = generated_run(random.Random(seed))
+    write_run(run, tmp_path / "got.tsv", comment=f"manifest {seed}\nsecond line")
+    write_run_per_line(run, tmp_path / "want.tsv", comment=f"manifest {seed}\nsecond line")
+    assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+    back = read_run(tmp_path / "got.tsv")
+    assert repr(back) == repr(Run((q, run[q]) for q in sorted(run) if run[q]))
 
 
 def test_read_run_rejects_gapped_ranks(tmp_path):
