@@ -275,10 +275,7 @@ def tune_bm25(index: PostingsIndex, queries: dict[str, list[str]], qrels,
     """
     if not k1_grid or not b_grid:
         raise ValueError("grids must be non-empty")
-    scored = [(toks, qrels.relevant(qid)) for qid, toks in sorted(queries.items())]
-    scored = [(toks, rel) for toks, rel in scored if rel]
-    if not scored:
-        raise ValueError("no queries with relevant documents")
+    scored = [(queries[q], qrels.relevant(q)) for q in qrels.judged(sorted(queries))]
     grid = [Bm25Params(k1, b) for k1 in k1_grid for b in b_grid]
     # each query's postings are gathered once and ranked in every cell,
     # whose R@k reads the ids of the top k rows

@@ -24,14 +24,14 @@ from .datefilter import (DateWindow, candidates, finalize, write_year_hist_csv,
                          year_diff_histogram)
 from .dense import (build_centroid_store, load_doc_vectors, load_word_vectors,
                     save_doc_vectors)
-from .experiment import (Prefetcher, StageFailed, emit_rk_curve, load_config,
-                         parse_components, run_experiment, write_rk_curve_csv,
-                         _parse_range)
+from .experiment import (Prefetcher, StageFailed, emit_rk_curve, error_message,
+                         load_config, parse_components, run_experiment,
+                         write_rk_curve_csv, _parse_range)
 from .fusion import (default_alpha_grid, fuse_runs, tune_alpha,
                      write_alpha_grid_csv)
 from .metrics import (aggregate_runs, evaluate_run, read_eval_csv,
                       write_eval_csv, write_summary_csv)
-from .ranking import RankedList, Run, read_run, write_run
+from .ranking import lists_for, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
 from .rerank.train import (FeatureStore, Hyperparams, TrainingDiverged,
                            load_checkpoint, rerank_run, save_checkpoint,
@@ -53,7 +53,7 @@ class _Main(click.Group):
         try:
             return super().invoke(ctx)
         except _REPORTED as exc:
-            raise click.ClickException(str(exc)) from exc
+            raise click.ClickException(error_message(exc)) from exc
         except StageFailed as exc:
             if not isinstance(exc.__cause__, _REPORTED):
                 raise
@@ -323,7 +323,8 @@ def _provider(word_vectors, token_vectors):
 @main.command()
 @click.option("--model", type=click.Choice(["drmm", "pacrr"]), required=True)
 @click.option("--run", "run_path", type=_in, required=True,
-              help="Pre-fetched lists covering train and dev queries.")
+              help="Pre-fetched lists of the train and dev queries; a query "
+              "with no line has an empty list.")
 @click.option("--queries", type=_in, required=True)
 @click.option("--collection", type=_in, required=True, help="Pool collection.")
 @click.option("--qrels", type=_in, required=True)
@@ -350,7 +351,7 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
     manifest = SplitManifest.from_json(splits)
     manifest.validate(query_corpus=query_corpus, pool_corpus=pool_corpus,
                       qrels=judgments)
-    run = read_run(run_path)
+    run = lists_for(read_run(run_path), [*manifest.train_ids, *manifest.dev_ids])
     hp = Hyperparams.from_file(hyperparams) if hyperparams else Hyperparams()
     if seed is not None:
         hp = replace(hp, seed=seed)
@@ -443,7 +444,7 @@ def evaluate(run_path, qrels, k, splits, split, out):
     judgments = load_qrels(qrels)
     if manifest is not None:
         manifest.validate(qrels=judgments)
-        run = Run({q: run.get(q, RankedList()) for q in ids})
+        run = lists_for(run, ids)
     report = evaluate_run(run, judgments, k=k)
     for metric, value in report.macro.items():
         click.echo(f"{metric} {value:.4f}")

@@ -254,6 +254,15 @@ class Qrels:
     def relevant(self, query_id: str) -> set[str]:
         return self.entries.get(query_id, set())
 
+    def judged(self, query_ids) -> list[str]:
+        """The query ids with a relevant document, in the given order: the
+        queries a mean R@k covers when it tunes or picks a setting. Refuses a
+        set with none."""
+        judged = [q for q in query_ids if self.relevant(q)]
+        if not judged:
+            raise ValueError("no queries with relevant documents")
+        return judged
+
     def restrict(self, query_ids) -> "Qrels":
         wanted = set(query_ids)
         return Qrels({q: set(r) for q, r in self.entries.items() if q in wanted})

@@ -97,9 +97,7 @@ def choose_window(deep: Run, qrels, query_corpus, pool_corpus,
     candidate depth k. Ties go to the larger (less destructive) window."""
     if not grid:
         raise ValueError("window grid is empty")
-    query_ids = [q for q in sorted(deep) if qrels.relevant(q)]
-    if not query_ids:
-        raise ValueError("no queries with relevant documents")
+    query_ids = qrels.judged(sorted(deep))
     deep = Run({q: deep[q] for q in query_ids})
     best_y, best_recall = None, -1.0
     for y in grid:

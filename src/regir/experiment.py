@@ -38,7 +38,7 @@ from .fusion import (default_alpha_grid, fuse, read_alpha, tune_alpha,
                      write_alpha, write_alpha_grid_csv)
 from .metrics import (aggregate_runs, evaluate_run, write_eval_csv,
                       write_summary_csv)
-from .ranking import RankedList, Run, read_run, write_run
+from .ranking import RankedList, Run, lists_for, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
 from .rerank.train import (CHECKPOINT_VERSION, FeatureStore, Hyperparams,
                            load_checkpoint, rerank_run, save_checkpoint,
@@ -335,9 +335,7 @@ def emit_rk_curve(run: Run, qrels, k_max: int) -> list[tuple[int, float]]:
     documents; the run must be fetched at depth >= k_max."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    query_ids = [q for q in sorted(run) if qrels.relevant(q)]
-    if not query_ids:
-        raise ValueError("no queries with relevant documents")
+    query_ids = qrels.judged(sorted(run))
     short = [q for q in query_ids
              if len(run[q]) < min(k_max, len(qrels.relevant(q)))]
     # row i marks query i's relevant entries among its top k_max, then holds
@@ -451,11 +449,18 @@ class Prefetcher:
         return Run((q, self.deep_list(q, alpha, parts)) for q in query_ids)
 
 
+def error_message(exc: Exception) -> str:
+    """The exception's message; a KeyError's too, whose str() is the repr of
+    its message."""
+    return str(exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1
+               else exc)
+
+
 class StageFailed(RuntimeError):
     """A stage of `run_experiment` raised; the cause is chained."""
 
     def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"stage {stage!r} failed: {cause}")
+        super().__init__(f"stage {stage!r} failed: {error_message(cause)}")
 
 
 def _environment() -> dict:
@@ -684,9 +689,13 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     @cache
     def prefetch(split: str) -> Run:
         """The split's deep lists: built, or, when the stage was skipped and
-        loaded nothing, read back on first demand."""
+        loaded nothing, read back on first demand, with an empty list for a
+        query the file has no line for."""
         runs = prefetched()
-        return runs[split] if split in runs else read_run(outdir / f"prefetch_{split}.tsv")
+        if split in runs:
+            return runs[split]
+        return lists_for(read_run(outdir / f"prefetch_{split}.tsv"),
+                         getattr(inputs().splits, f"{split}_ids"))
 
     years = lambda: config.datefilter_years
     if config.datefilter_tune:
@@ -707,6 +716,13 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
 
     def window() -> DateWindow | None:
         return None if years() is None else DateWindow(years(), config.datefilter_mode)
+
+    @cache
+    def cands(split: str) -> Run:
+        """The split's candidate lists, cut once for every seed's training
+        and for the final stage."""
+        s = inputs()
+        return candidates(prefetch(split), config.k, window(), s.queries, s.pool)
 
     hist_path = outdir / "year_hist.csv"
     stages.run("year-hist", [hist_path],
@@ -731,12 +747,9 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             log_path = outdir / f"training_log_seed{seed}.csv"
 
             def train_stage(s, seed=seed, ck=ck_path, lg=log_path):
-                train_cands, dev_cands = (
-                    candidates(prefetch(split), config.k, window(), s.queries, s.pool)
-                    for split in ("train", "dev"))
                 result = train_model(config.rerank_model, s.splits.train_ids,
                                      s.splits.dev_ids, s.qrels,
-                                     {**train_cands, **dev_cands}, s.store,
+                                     {**cands("train"), **cands("dev")}, s.store,
                                      replace(config.rerank_hyperparams, seed=seed))
                 save_checkpoint(result, ck)
                 write_training_log(result.log_rows, lg, comment=tag)
@@ -754,9 +767,8 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     def final_stage(s):
         """Writes and scores each final run: the test candidates, or each
         seed's re-ranking of them."""
-        test_cands = candidates(prefetch("test"), config.k, window(), s.queries, s.pool)
         rerankers = [result().reranker(s.store) for result in trained]
-        runs = rerank_run(test_cands, rerankers) if need_train else [test_cands]
+        runs = rerank_run(cands("test"), rerankers) if need_train else [cands("test")]
         test_qrels = s.qrels.restrict(s.splits.test_ids)
         reports = []
         for run, run_path, eval_path in zip(runs, run_paths, eval_paths):

@@ -87,14 +87,18 @@ def fuse(list_a: RankedList, list_b: RankedList, alpha: float, k: int) -> Ranked
     return _fused(*_union(list_a, list_b), alpha, k)
 
 
-def fuse_runs(run_a: Run, run_b: Run, alpha: float, k: int) -> Run:
-    """Per-query fusion; the two runs must cover the same queries. A list
-    `fuse` refuses is refused naming its query."""
+def _check_same_queries(run_a: Run, run_b: Run) -> None:
     if set(run_a) != set(run_b):
         only_a = sorted(set(run_a) - set(run_b))[:3]
         only_b = sorted(set(run_b) - set(run_a))[:3]
         raise ValueError(f"query sets differ between runs (only in a: {only_a}, "
                          f"only in b: {only_b})")
+
+
+def fuse_runs(run_a: Run, run_b: Run, alpha: float, k: int) -> Run:
+    """Per-query fusion; the two runs must cover the same queries. A list
+    `fuse` refuses is refused naming its query."""
+    _check_same_queries(run_a, run_b)
     fused = Run()
     for q in run_a:
         try:
@@ -110,7 +114,8 @@ def default_alpha_grid() -> list[float]:
 
 def tune_alpha(run_a: Run, run_b: Run, qrels, alpha_grid: list[float], k: int
                ) -> tuple[float, list[tuple[float, float]]]:
-    """Sweep alpha maximizing mean R@k on the given (dev) runs.
+    """Sweep alpha maximizing mean R@k on the given (dev) runs, which must
+    cover the same queries.
 
     Ties break toward smaller alpha. Returns the winner and the full
     (alpha, recall) grid for export.
@@ -120,9 +125,8 @@ def tune_alpha(run_a: Run, run_b: Run, qrels, alpha_grid: list[float], k: int
     bad = [a for a in alpha_grid if not 0 <= a <= 1]
     if bad:
         raise ValueError(f"alpha grid values outside [0, 1]: {bad}")
-    query_ids = [q for q in sorted(run_a) if qrels.relevant(q)]
-    if not query_ids:
-        raise ValueError("no queries with relevant documents")
+    _check_same_queries(run_a, run_b)
+    query_ids = qrels.judged(sorted(run_a))
     if k < 1:
         raise ValueError("k must be >= 1")
     # each query's union is normalized once and fused in every cell

@@ -17,8 +17,10 @@ from .ranking import Run
 
 
 def _ids(ranked) -> list[str]:
-    ids = getattr(ranked, "doc_ids", None)  # a property: evaluate it once
-    return list(ranked) if ids is None else ids
+    """A RankedList's doc_ids, or the ranked ids themselves, uncopied when
+    they come as a list."""
+    ids = getattr(ranked, "doc_ids", ranked)  # a property: evaluate it once
+    return ids if isinstance(ids, list) else list(ids)
 
 
 def float_sum(values) -> float:
@@ -94,7 +96,7 @@ def evaluate_run(run: Run, qrels, k: int = 20) -> EvalReport:
         if not relevant:
             excluded.append(query_id)
             continue
-        ranking = run[query_id]
+        ranking = _ids(run[query_id])  # read once for the three metrics
         per_query[query_id] = {
             f"r_at_{k}": recall_at_k(ranking, relevant, k),
             f"ndcg_at_{k}": ndcg_at_k(ranking, relevant, k),

@@ -127,6 +127,13 @@ def write_run(run: Run, path, comment: str = "") -> None:
     write_table(path, None, blocks(), comment)
 
 
+def lists_for(run: Run, query_ids) -> Run:
+    """The run's list of each query id, in the given order, and an empty
+    list for an id it has none of: a run file holds no line for an empty
+    list, so a query missing from one has an empty list."""
+    return Run((q, run.get(q, RankedList())) for q in query_ids)
+
+
 def read_run(path) -> Run:
     """Inverse of write_run. Enforces non-empty ids, contiguous 1-based ranks
     per query, no repeated doc_id within a query and finite, non-increasing

@@ -35,6 +35,9 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_FORMAT = "regir-rerank-checkpoint"
 CHECKPOINT_VERSION = 2
+# early stopping's depth: the R@k of the log's dev_r20 and the checkpoint's
+# best_dev_r20
+DEV_K = 20
 
 
 class TrainingDiverged(RuntimeError):
@@ -306,9 +309,7 @@ def rerank_run(run: Run, rerankers: list[Reranker]) -> list[Run]:
 
 def _dev_recall(params_w, model, store: FeatureStore, dev_ids, qrels, run: Run,
                 k: int) -> float:
-    dev = Run({q: run[q] for q in dev_ids if qrels.relevant(q) and q in run})
-    if not dev:
-        raise ValueError("no dev query with relevant documents")
+    dev = Run({q: run[q] for q in qrels.judged(dev_ids)})
     # every epoch re-scores the dev lists, so their features are cached
     for query_id, ranking in dev.items():
         store.fill(query_id, ranking.doc_ids)
@@ -385,10 +386,11 @@ def _hinge_step(model, store: FeatureStore, batch, norm_sp, w_r: float,
 
 
 def train_model(kind: str, train_ids, dev_ids, qrels, run: Run,
-                store: FeatureStore, hp: Hyperparams, dev_k: int = 20) -> TrainResult:
+                store: FeatureStore, hp: Hyperparams) -> TrainResult:
     """Full training run: sample triples once, then epochs of shuffled
-    mini-batches with early stopping on dev R@k. Returns the best-dev
-    checkpoint, never the last epoch's weights."""
+    mini-batches with early stopping on dev R@DEV_K over the judged dev
+    queries. Returns the best-dev checkpoint, never the last epoch's
+    weights."""
     if kind != store.kind:
         raise ValueError(f"cannot train a {kind} model on the feature store "
                          f"of a {store.kind} model")
@@ -411,7 +413,7 @@ def train_model(kind: str, train_ids, dev_ids, qrels, run: Run,
         store.fill(query_id, docs)
 
     best = {"params": copy.deepcopy(all_params), "epoch": 0,
-            "dev": _dev_recall(fusion, model, store, dev_ids, qrels, run, dev_k)}
+            "dev": _dev_recall(fusion, model, store, dev_ids, qrels, run, DEV_K)}
     log_rows: list[tuple] = []
     waited = 0
     for epoch in range(1, hp.max_epochs + 1):
@@ -429,7 +431,7 @@ def train_model(kind: str, train_ids, dev_ids, qrels, run: Run,
             opt.step(grads)
             _check_finite(epoch_loss, all_params, epoch, step // hp.batch)
         train_loss = epoch_loss / len(triples)
-        dev_r = _dev_recall(fusion, model, store, dev_ids, qrels, run, dev_k)
+        dev_r = _dev_recall(fusion, model, store, dev_ids, qrels, run, DEV_K)
         log_rows.append((epoch, train_loss, dev_r,
                          float(fusion["w_r"][0]), float(fusion["w_p"][0])))
         if dev_r > best["dev"]:

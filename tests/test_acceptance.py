@@ -22,6 +22,7 @@ from regir.experiment import load_config, run_experiment
 from regir.fusion import fuse
 from regir.metrics import ndcg_at_k, r_precision, recall_at_k
 from regir.ranking import RankedList, Run
+from regir.rerank import train
 from regir.rerank.drmm import DrmmModel
 from regir.rerank.features import softmax
 from regir.rerank.pacrr import PacrrConfig, PacrrModel
@@ -245,7 +246,7 @@ def test_criterion_5_hinge_and_fusion_identities():
 
 # --- 6: the re-ranker can learn a planted signal ---
 
-def test_criterion_6_planted_signal_learnability():
+def test_criterion_6_planted_signal_learnability(monkeypatch):
     with criterion(6, "DRMM reaches dev R@1 = 1.0 on a 500-doc planted-signal "
                       "corpus within 50 epochs (< 2 min)"):
         rng = random.Random(6)
@@ -294,9 +295,10 @@ def test_criterion_6_planted_signal_learnability():
                              pool, hp)
         train_ids = [f"q{i}" for i in range(20)]
         dev_ids = [f"q{i}" for i in range(20, 26)]
+        monkeypatch.setattr(train, "DEV_K", 1)
         started = time.perf_counter()
         result = train_model("drmm", train_ids, dev_ids, Qrels(qrels_map),
-                             run, store, hp, dev_k=1)
+                             run, store, hp)
         elapsed = time.perf_counter() - started
         assert result.best_dev_r20 == 1.0
         assert elapsed < 120.0

@@ -17,7 +17,7 @@ from regir.rerank.train import (FeatureStore, Hyperparams, load_checkpoint,
                                 rerank_run)
 from regir.text import build_pipeline
 
-from conftest import build_dataset, date_window_dataset
+from conftest import build_dataset, date_window_dataset, write_jsonl
 from oracles import score_of
 from test_corpus import BAD_IDS
 from test_experiment import RANGES_ROUNDED_OUTSIDE
@@ -357,6 +357,34 @@ def test_a_zero_query_doc_vector_gets_an_empty_list_in_prefetch_and_run(
     run = read_run(tmp_path / "prefetch.tsv")
     assert run == read_run(tmp_path / "exp" / "final_test.tsv")
     assert zeroed not in run and len(run) > 0
+
+
+def test_a_key_error_is_reported_by_its_message(env, tmp_path):
+    """A KeyError's one-line error is its message, not the repr of it, both
+    from a command and from a stage of `regir run`."""
+    root = env.root
+    write_doc_vectors(root, tmp_path)
+    missing = json.loads((root / "splits.json").read_text())["test"][0]
+    lines = (tmp_path / "queries.vec").read_text().splitlines()
+    (tmp_path / "queries.vec").write_text("".join(
+        line + "\n" for line in lines if line.split()[0] != missing))
+    result = env.cli("prefetch", "--mode", "doc-vectors", "--k", "5",
+                     "--pool-vectors", tmp_path / "pool.vec",
+                     "--query-vectors", tmp_path / "queries.vec",
+                     "--queries", root / "queries.jsonl",
+                     "--splits", root / "splits.json", "--split", "test",
+                     "--out", tmp_path / "prefetch.tsv")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(run_config(root, "prefetch.mode = doc-vectors\n"
+                                    "dense.pool_vectors = pool.vec\n"
+                                    "dense.query_vectors = queries.vec\n"))
+    staged = env.cli("run", "--config", cfg, "--out", tmp_path / "exp")
+    message = f"no vector for query {missing!r}"
+    for outcome, error in ((result, f"Error: {message}"),
+                           (staged, f"Error: stage 'prefetch' failed: {message}")):
+        assert outcome.exit_code == 1
+        assert [line for line in outcome.output.splitlines()
+                if line.startswith("Error")] == [error]
 
 
 @pytest.mark.parametrize("args,message", [
@@ -778,6 +806,23 @@ def test_fuse_tune_alpha_needs_qrels(env, tmp_path):
     assert not (tmp_path / "f.tsv").exists()
 
 
+@pytest.mark.parametrize("tune", [[], ["--tune-alpha", "--qrels"]],
+                         ids=["fixed", "tuned"])
+def test_fuse_refuses_runs_over_different_queries(env, tmp_path, tune):
+    """Tuned or not, runs that cover different queries are refused naming
+    them, before a query missing from one is looked up in it."""
+    root = env.root
+    extra = [*tune, root / "qrels.tsv"] if tune else ["--alpha", "0.5"]
+    result = env.cli("fuse", "--run-a", root / "run_all.tsv",
+                     "--run-b", root / "run_test.tsv", *extra,
+                     "--out", tmp_path / "f.tsv")
+    assert result.exit_code == 1
+    assert [line for line in result.output.splitlines()
+            if line.startswith("Error")] == [
+        "Error: query sets differ between runs (only in a: ['eu00', 'eu01', "
+        "'eu02'], only in b: [])"]
+
+
 SPAN_OVERFLOWS = ("cannot normalize scores from -1e+308 to 1e+308: their span "
                   "is not finite")
 
@@ -850,6 +895,59 @@ def test_train_seed_overrides_the_hyperparameter_file(env, tmp_path):
     stored = load_checkpoint(tmp_path / "ck.bin").hp
     assert stored.seed == 7
     assert (stored.lr, stored.max_epochs) == (0.01, 2)
+
+
+def _uncommented(path) -> list[str]:
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("emptied", [None, "train", "dev"])
+def test_prefetch_and_train_write_what_regir_run_trains(tmp_path, emptied):
+    """`regir prefetch` + `regir train` write the checkpoint and the training
+    log `regir run` writes for the same settings, also when a train or a dev
+    query has no indexed term: the run holds an empty list for it, the run
+    file no line, and `train` reads the missing line as an empty list."""
+    root = build_dataset(tmp_path, random.Random(20260814))
+    if emptied:
+        query_id = json.loads((root / "splits.json").read_text())[emptied][0]
+        queries = [json.loads(line) for line in
+                   (root / "queries.jsonl").read_text().splitlines()]
+        for query in queries:
+            if query["doc_id"] == query_id:
+                query.update(title="qqq", body="www")
+        write_jsonl(root / "queries.jsonl", queries)
+    (root / "hp.txt").write_text(
+        "lr=0.01\nmax_epochs=2\nbatch=4\nnegatives=2\nB=6\nhidden=3\n")
+    runner = CliRunner()
+    for args in (
+            ["index", "--collection", root / "pool.jsonl", "--no-idf-filter",
+             "--out", root / "index.bin"],
+            ["prefetch", "--mode", "bm25", "--k", "5",
+             "--queries", root / "queries.jsonl", "--index", root / "index.bin",
+             "--out", root / "run.tsv"],
+            ["train", "--model", "drmm", "--run", root / "run.tsv",
+             "--queries", root / "queries.jsonl", "--collection", root / "pool.jsonl",
+             "--qrels", root / "qrels.tsv", "--splits", root / "splits.json",
+             "--index", root / "index.bin", "--word-vectors", root / "wv.txt",
+             "--hyperparams", root / "hp.txt", "--seed", "7",
+             "--out", root / "ck.bin", "--log", root / "log.csv"]):
+        result = runner.invoke(main, [str(a) for a in args])
+        assert result.exit_code == 0, blob(result)
+    (root / "exp.cfg").write_text(
+        "task = EU2UK\ndata.pool = pool.jsonl\ndata.queries = queries.jsonl\n"
+        "data.qrels = qrels.tsv\ndata.splits = splits.json\n"
+        "dense.word_vectors = wv.txt\ntext.idf_filter = false\n"
+        "prefetch.mode = bm25\nprefetch.k = 5\nrerank.model = drmm\n"
+        "rerank.hyperparams = hp.txt\nseed = 7\n")
+    result = runner.invoke(main, ["run", "--config", str(root / "exp.cfg"),
+                                  "--out", str(root / "exp")])
+    assert result.exit_code == 0, blob(result)
+    if emptied:
+        assert query_id not in read_run(root / "run.tsv")
+    assert ((root / "ck.bin").read_bytes()
+            == (root / "exp" / "checkpoint_seed7.bin").read_bytes())
+    assert (_uncommented(root / "log.csv")
+            == _uncommented(root / "exp" / "training_log_seed7.csv"))
 
 
 def test_vectors_on_empty_error_names_the_document(env, tmp_path):

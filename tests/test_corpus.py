@@ -5,14 +5,21 @@ import re
 import numpy as np
 import pytest
 
-from regir.bm25 import Bm25Params, build_index, load_index, save_index
+from regir.bm25 import (Bm25Params, build_index, load_index, save_index,
+                        tune_bm25)
 from regir.corpus import (Corpus, CorpusError, Document, Qrels, SplitManifest,
                           convert_collection, corpus_stats, ingest_collection,
                           load_qrels, write_collection)
+from regir.datefilter import choose_window
+from regir.experiment import emit_rk_curve
+from regir.fusion import tune_alpha
+from regir.ranking import RankedList, Run
+from regir.rerank.train import Hyperparams, train_model
 from regir.text import build_pipeline
 
 from conftest import build_dataset, make_doc, write_jsonl
 from oracles import mean_relevant
+from test_training import make_store
 
 
 def test_document_text_joins_title_and_body():
@@ -205,6 +212,41 @@ def test_qrels_empty_file_rejected(tmp_path):
     q.write_text("# nothing\n")
     with pytest.raises(CorpusError):
         load_qrels(q)
+
+
+def test_judged_keeps_the_given_order_and_refuses_a_set_with_none():
+    qrels = Qrels({"q2": {"p1"}, "q1": {"p2"}, "q3": set()})
+    assert qrels.judged(["q3", "q2", "q9", "q1"]) == ["q2", "q1"]
+    with pytest.raises(ValueError, match="^no queries with relevant documents$"):
+        qrels.judged(["q3", "q9"])
+
+
+def _refusing_calls(tiny_corpus):
+    """Each mean R@k over judged queries, called on queries with none."""
+    unjudged = Qrels({"q1": set(), "q2": {"d9"}})
+    run = Run({"q1": RankedList([("d1", 2.0), ("d2", 1.0)])})
+    pipeline = build_pipeline(tiny_corpus, stopwords=frozenset(), idf_filter=False)
+    hp = Hyperparams(max_epochs=1, negatives=2, B=6, hidden=3)
+    store, qrels, prefetched, train_ids, dev_ids = make_store("drmm", hp)
+    return {
+        "tune_bm25": lambda: tune_bm25(build_index(tiny_corpus, pipeline),
+                                       {"q1": ["tax"]}, unjudged, [1.2], [0.75], 2),
+        "tune_alpha": lambda: tune_alpha(run, run, unjudged, [0.5], 2),
+        "choose_window": lambda: choose_window(run, unjudged, tiny_corpus,
+                                               tiny_corpus, [5], "post", 2, 2),
+        "emit_rk_curve": lambda: emit_rk_curve(run, unjudged, 2),
+        # judged train queries, so only the dev queries' mean refuses
+        "train_model": lambda: train_model("drmm", train_ids, dev_ids,
+                                           qrels.restrict(train_ids), prefetched,
+                                           store, hp),
+    }
+
+
+@pytest.mark.parametrize("name", ["tune_bm25", "tune_alpha", "choose_window",
+                                  "emit_rk_curve", "train_model"])
+def test_every_mean_over_judged_queries_refuses_a_set_with_none(tiny_corpus, name):
+    with pytest.raises(ValueError, match="^no queries with relevant documents$"):
+        _refusing_calls(tiny_corpus)[name]()
 
 
 def test_split_manifest_validation():

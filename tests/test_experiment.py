@@ -748,6 +748,35 @@ def test_deleting_one_output_rebuilds_only_its_stage(dataset, tmp_path,
     assert set(calls) == {"read_run"}
 
 
+@pytest.mark.parametrize("split", ["train", "dev"])
+def test_a_rebuilt_training_reads_a_missing_line_as_an_empty_list(tmp_path, split):
+    """A train or dev query with no indexed term has an empty pre-fetch list,
+    which prefetch_<split>.tsv holds no line for. With the checkpoint gone, a
+    rerun trains from the lists it reads back, that query's list empty as
+    in the first run, and writes the same checkpoint and log."""
+    root = build_dataset(tmp_path, random.Random(20260814))
+    query_id = json.loads((root / "splits.json").read_text())[split][0]
+    queries = [json.loads(line)
+               for line in (root / "queries.jsonl").read_text().splitlines()]
+    for query in queries:
+        if query["doc_id"] == query_id:
+            query.update(title="qqq", body="www")
+    write_jsonl(root / "queries.jsonl", queries)
+    (root / "hp.txt").write_text(HP)
+    cfg = cfg_from(root, BASE_CFG + "dense.word_vectors = wv.txt\n"
+                   "rerank.model = drmm\nrerank.hyperparams = hp.txt\n")
+    outdir = tmp_path / "out"
+    run_experiment(cfg, outdir)
+    assert query_id not in read_run(outdir / f"prefetch_{split}.tsv")
+    trained = {name: (outdir / name).read_bytes()
+               for name in ("checkpoint_seed0.bin", "training_log_seed0.csv")}
+    (outdir / "checkpoint_seed0.bin").unlink()
+    run_experiment(cfg, outdir)
+    timings = json.loads((outdir / "manifest.json").read_text())["timings"]
+    assert {name for name, t in timings.items() if t} == {"train-v2-seed0"}
+    assert {name: (outdir / name).read_bytes() for name in trained} == trained
+
+
 def test_manifest_records_each_stage_s_environment_outside_the_hash(
         dataset, tmp_path):
     """manifest.json names, per stage, the Python, numpy and BLAS builds its

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from regir.ranking import (RankedList, Run, read_run, sort_scored,
+from regir.ranking import (RankedList, Run, lists_for, read_run, sort_scored,
                            top_k_from_arrays, write_run)
 
 from oracles import score_of, top_k_lexsort, write_run_per_line
@@ -142,6 +142,21 @@ def test_read_run_rejects_empty_ids(tmp_path, row, which):
     path.write_text("q1\t1\ta\t1.0\n" + row + "\n")
     with pytest.raises(ValueError, match=rf"run\.tsv: line 2: empty {which} id"):
         read_run(path)
+
+
+def test_lists_for_reads_a_query_without_a_line_as_an_empty_list(tmp_path):
+    """write_run writes no line for q2's empty list; read back for the ids
+    q3, q2, q1 the run holds them in that order, q2 with an empty list, and
+    drops q9, which was not asked for."""
+    run = Run({"q1": RankedList([("a", 1.0)]), "q2": RankedList(),
+               "q3": RankedList([("b", 2.0), ("c", 1.0)]),
+               "q9": RankedList([("a", 1.0)])})
+    write_run(run, tmp_path / "run.tsv")
+    read = read_run(tmp_path / "run.tsv")
+    assert "q2" not in read
+    got = lists_for(read, ["q3", "q2", "q1"])
+    assert list(got) == ["q3", "q2", "q1"]
+    assert got == {q: run[q] for q in ("q3", "q2", "q1")}
 
 
 def test_run_truncated():

@@ -602,19 +602,18 @@ def test_early_stopping_on_saturated_dev():
     hp = Hyperparams(lr=0.001, max_epochs=50, patience=2, negatives=2, B=6,
                      hidden=3, batch=4, seed=0)
     store, qrels, run, train_ids, dev_ids = make_store("drmm", hp)
-    result = train_model("drmm", train_ids, dev_ids, qrels, run, store, hp,
-                         dev_k=20)
+    result = train_model("drmm", train_ids, dev_ids, qrels, run, store, hp)
     assert len(result.log_rows) == 2
     assert result.best_epoch == 0
     assert result.best_dev_r20 == 1.0
 
 
-def test_planted_signal_learned_drmm():
+def test_planted_signal_learned_drmm(monkeypatch):
+    monkeypatch.setattr(train, "DEV_K", 1)
     hp = Hyperparams(lr=0.05, max_epochs=40, patience=40, negatives=4, B=6,
                      hidden=4, batch=8, seed=0)
     store, qrels, run, train_ids, dev_ids = make_store("drmm", hp)
-    result = train_model("drmm", train_ids, dev_ids, qrels, run, store, hp,
-                         dev_k=1)
+    result = train_model("drmm", train_ids, dev_ids, qrels, run, store, hp)
     assert result.best_dev_r20 == 1.0
     # positive sits last in every pre-fetched list, so the initial dev R@1 is
     # 0; reaching 1.0 proves the matcher, not the pre-fetcher, ranks now
@@ -627,39 +626,42 @@ def test_planted_signal_learned_drmm():
             or reranked[query_id].doc_ids[0].startswith("pos")
 
 
-def test_planted_signal_learned_pacrr():
+def test_planted_signal_learned_pacrr(monkeypatch):
+    monkeypatch.setattr(train, "DEV_K", 1)
     hp = Hyperparams(lr=0.05, max_epochs=40, patience=40, negatives=4,
                      kernel_sizes=(2,), filters=2, kmax=2, q_len=8, d_len=8,
                      batch=8, seed=1)
     store, qrels, run, train_ids, dev_ids = make_store("pacrr", hp)
-    result = train_model("pacrr", train_ids, dev_ids, qrels, run, store, hp,
-                         dev_k=1)
+    result = train_model("pacrr", train_ids, dev_ids, qrels, run, store, hp)
     assert result.best_dev_r20 == 1.0
 
 
-def test_returned_checkpoint_reproduces_best_dev():
+def test_returned_checkpoint_reproduces_best_dev(monkeypatch):
+    monkeypatch.setattr(train, "DEV_K", 1)
     hp = Hyperparams(lr=0.05, max_epochs=10, patience=10, negatives=2, B=6,
                      hidden=3, batch=4, seed=3)
     store, qrels, run, train_ids, dev_ids = make_store("drmm", hp)
-    result = train_model("drmm", train_ids, dev_ids, qrels, run, store, hp,
-                         dev_k=1)
+    result = train_model("drmm", train_ids, dev_ids, qrels, run, store, hp)
     fusion = {"w_r": np.array([result.w_r]), "w_p": np.array([result.w_p])}
     replay = _dev_recall(fusion, result.model, store, dev_ids, qrels, run, k=1)
     assert replay == pytest.approx(result.best_dev_r20)
 
 
-def test_dev_recall_skips_a_dev_query_missing_from_the_run():
-    """A dev query the pre-fetch returned no list for counts neither as a
-    miss nor in the mean."""
+def test_dev_recall_counts_a_dev_query_with_an_empty_list_as_a_miss():
+    """A judged dev query the pre-fetch found nothing for is in the mean, at
+    R@k 0, as a query of an empty list is in every other mean R@k; a
+    judged dev query the run has no list for is an error, not skipped."""
     hp = Hyperparams(B=6, hidden=3, seed=3)
     store, qrels, run, _, dev_ids = make_store("drmm", hp)
     model = init_model("drmm", hp, np.random.default_rng(hp.seed))
     fusion = {"w_r": np.array([1.0]), "w_p": np.array([1.0])}
-    partial = Run({q: run[q] for q in dev_ids[1:]})
-    assert (_dev_recall(fusion, model, store, dev_ids, qrels, partial, k=1)
-            == _dev_recall(fusion, model, store, dev_ids[1:], qrels, run, k=1))
-    with pytest.raises(ValueError, match="no dev query"):
-        _dev_recall(fusion, model, store, dev_ids, qrels, Run(), k=1)
+    emptied = Run({**run, dev_ids[0]: RankedList()})
+    assert _dev_recall(fusion, model, store, dev_ids[1:], qrels, run, k=20) == 1.0
+    assert (_dev_recall(fusion, model, store, dev_ids, qrels, emptied, k=20)
+            == (len(dev_ids) - 1) / len(dev_ids))
+    with pytest.raises(KeyError):
+        _dev_recall(fusion, model, store, dev_ids, qrels,
+                    Run({q: run[q] for q in dev_ids[1:]}), k=20)
 
 
 def test_no_triples_raises():
@@ -815,13 +817,14 @@ def test_training_equals_per_pair_step_oracle(kind, hp, monkeypatch):
     the returned checkpoint is a trained one."""
     store, qrels, run, train_ids, dev_ids = make_store(kind, hp)
     batches = spy_batches(monkeypatch)
-    batched = train_model(kind, train_ids, dev_ids, qrels, run, store, hp, dev_k=1)
+    monkeypatch.setattr(train, "DEV_K", 1)
+    batched = train_model(kind, train_ids, dev_ids, qrels, run, store, hp)
     assert len(batched.log_rows) == hp.max_epochs and batched.best_epoch > 0
     assert len(batches) > hp.max_epochs
     assert any(len({(t.query_id, t.pos_doc_id) for t in batch}) < len(batch)
                for batch in batches)
     monkeypatch.setattr(train, "_hinge_step", hinge_step_per_pair)
-    per_pair = train_model(kind, train_ids, dev_ids, qrels, run, store, hp, dev_k=1)
+    per_pair = train_model(kind, train_ids, dev_ids, qrels, run, store, hp)
     assert batched.log_rows == per_pair.log_rows
     assert (batched.w_r, batched.w_p) == (per_pair.w_r, per_pair.w_p)
     assert batched.model.params.keys() == per_pair.model.params.keys()
