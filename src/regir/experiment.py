@@ -38,7 +38,7 @@ from .fusion import (default_alpha_grid, fuse, read_alpha, tune_alpha,
                      write_alpha, write_alpha_grid_csv)
 from .metrics import (aggregate_runs, evaluate_run, write_eval_csv,
                       write_summary_csv)
-from .ranking import RankedList, Run, lists_for, read_run, write_run
+from .ranking import RankedList, Run, lists_for, per_query, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
 from .rerank.train import (CHECKPOINT_VERSION, FeatureStore, Hyperparams,
                            load_checkpoint, rerank_run, save_checkpoint,
@@ -277,8 +277,11 @@ class ExperimentConfig:
             if self.bm25_k1 is None or self.bm25_b is None:
                 raise ConfigError("bm25.k1 and bm25.b must be given together")
             self.bm25_params = Bm25Params(self.bm25_k1, self.bm25_b)
-        if self.bm25_tune and self.bm25_params is not None:
-            raise ConfigError("bm25.tune conflicts with explicit bm25.k1/b")
+        for name, key, value in (("bm25", "bm25.k1/b", self.bm25_params),
+                                 ("fusion", "fusion.alpha", self.fusion_alpha),
+                                 ("datefilter", "datefilter.years", self.datefilter_years)):
+            if getattr(self, f"{name}_tune") and value is not None:
+                raise ConfigError(f"{name}.tune conflicts with explicit {key}")
         ensemble = self.prefetch_mode == "ensemble"
         if ensemble and self.fusion_components is None:
             raise ConfigError("ensemble mode requires fusion.components")
@@ -445,8 +448,8 @@ class Prefetcher:
 
     def deep_run(self, query_ids, alpha: float | None = None,
                  parts: tuple[Run, Run] | None = None) -> Run:
-        """Every query's deep list, one query at a time."""
-        return Run((q, self.deep_list(q, alpha, parts)) for q in query_ids)
+        """Every query's deep list, one query at a time (see `per_query`)."""
+        return Run(per_query(lambda q: self.deep_list(q, alpha, parts), query_ids))
 
 
 def error_message(exc: Exception) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._textio import read_json_number, write_table
 from .metrics import float_sum, recall_at_k
-from .ranking import RankedList, Run, top_k_from_arrays
+from .ranking import RankedList, Run, per_query, top_k_from_arrays
 
 
 def _min_max(ranking: RankedList) -> tuple[tuple, np.ndarray]:
@@ -99,13 +99,7 @@ def fuse_runs(run_a: Run, run_b: Run, alpha: float, k: int) -> Run:
     """Per-query fusion; the two runs must cover the same queries. A list
     `fuse` refuses is refused naming its query."""
     _check_same_queries(run_a, run_b)
-    fused = Run()
-    for q in run_a:
-        try:
-            fused[q] = fuse(run_a[q], run_b[q], alpha, k)
-        except ValueError as exc:
-            raise ValueError(f"query {q}: {exc}") from None
-    return fused
+    return Run(per_query(lambda q: fuse(run_a[q], run_b[q], alpha, k), run_a))
 
 
 def default_alpha_grid() -> list[float]:
@@ -115,7 +109,7 @@ def default_alpha_grid() -> list[float]:
 def tune_alpha(run_a: Run, run_b: Run, qrels, alpha_grid: list[float], k: int
                ) -> tuple[float, list[tuple[float, float]]]:
     """Sweep alpha maximizing mean R@k on the given (dev) runs, which must
-    cover the same queries.
+    cover the same queries; an error `fuse` raises names its query.
 
     Ties break toward smaller alpha. Returns the winner and the full
     (alpha, recall) grid for export.
@@ -130,7 +124,8 @@ def tune_alpha(run_a: Run, run_b: Run, qrels, alpha_grid: list[float], k: int
     if k < 1:
         raise ValueError("k must be >= 1")
     # each query's union is normalized once and fused in every cell
-    unions = [(_union(run_a[q], run_b[q]), qrels.relevant(q)) for q in query_ids]
+    unions = per_query(lambda q: (_union(run_a[q], run_b[q]), qrels.relevant(q)),
+                       query_ids).values()
     grid = [(alpha, float_sum(recall_at_k(_fused(*union, alpha, k), relevant, k)
                               for union, relevant in unions) / len(query_ids))
             for alpha in alpha_grid]

@@ -127,6 +127,17 @@ def write_run(run: Run, path, comment: str = "") -> None:
     write_table(path, None, blocks(), comment)
 
 
+def per_query(fn, query_ids) -> dict:
+    """fn(query_id) of each id, in order; a ValueError it raises names its query."""
+    out = {}
+    for query_id in query_ids:
+        try:
+            out[query_id] = fn(query_id)
+        except ValueError as exc:
+            raise ValueError(f"query {query_id}: {exc}") from None
+    return out
+
+
 def lists_for(run: Run, query_ids) -> Run:
     """The run's list of each query id, in the given order, and an empty
     list for an id it has none of: a run file holds no line for an empty

@@ -18,15 +18,50 @@ from itertools import repeat
 import numpy as np
 
 from .._textio import parse_number, read_vectors
+from ..dense import _row_norms
 
 log = logging.getLogger(__name__)
 
 
-class TypeEmbeddings:
-    """Unit-normalized static word vectors: one matrix in the word vectors'
-    row numbering plus a spare zero row, which row id -1 (out-of-vocabulary)
-    reads. Zero-norm vectors count as out-of-vocabulary: cosine is undefined
-    for them."""
+class _UnitRows:
+    """Unit-normalized vectors in one matrix plus a spare zero row, which
+    row id -1 (out-of-vocabulary) reads. A row of zero norm counts as
+    out-of-vocabulary: cosine is undefined for it. Identity keys are the
+    row ids when the provider has a vector per term (`dedup`), else none."""
+
+    def __init__(self, matrix: np.ndarray, norms: np.ndarray):
+        usable = norms > 0
+        self._units = np.zeros((len(matrix) + 1, matrix.shape[1]))
+        np.divide(matrix, norms[:, None], out=self._units[:-1], where=usable[:, None])
+        self._usable = np.append(usable, False)
+        self._range = np.arange(len(matrix))
+
+    def row_ids(self, terms) -> np.ndarray:
+        """Each term's row id, -1 for a term with no row."""
+        return np.fromiter(map(self._row.get, terms, repeat(-1)), dtype=np.intp,
+                           count=len(terms))
+
+    def in_vocab(self, ids) -> np.ndarray:
+        """Whether each row id's row has a vector of nonzero norm."""
+        return self._usable[ids]
+
+    def units(self, ids) -> np.ndarray:
+        """The unit rows of row ids; -1 reads the zero row. A unit-stride
+        view of `_range` holds consecutive ids: it reads a slice, no copy."""
+        if ids.base is self._range and ids.strides == self._range.strides and len(ids):
+            return self._units[ids[0]:ids[0] + len(ids)]
+        return self._units[ids]
+
+    def rows(self, ids: np.ndarray, limit: int | None = None):
+        """(units, in-vocab mask, identity keys) of the first `limit` row ids
+        (all without a limit)."""
+        ids = ids[:limit]
+        return self.units(ids), self.in_vocab(ids), ids if self.dedup else None
+
+
+class TypeEmbeddings(_UnitRows):
+    """Static word vectors, in the word vectors' row numbering; a term's
+    tokens share its row, so equal in-vocabulary rows pin to 1.0."""
 
     dedup = True
 
@@ -34,66 +69,45 @@ class TypeEmbeddings:
         m = word_vectors.matrix
         # one dot product per row: the bits of np.linalg.norm(vec), which
         # np.linalg.norm(m, axis=1) does not keep
-        norms = np.sqrt(np.matmul(m[:, None, :], m[:, :, None])[:, 0, 0])
-        usable = norms > 0
-        self._units = np.zeros((len(m) + 1, m.shape[1]))
-        np.divide(m, norms[:, None], out=self._units[:-1], where=usable[:, None])
+        super().__init__(m, np.sqrt(np.matmul(m[:, None, :], m[:, :, None])[:, 0, 0]))
         self._row = word_vectors.row
-        # word-vector row (-1 if none) -> row id
-        self._ids = np.append(np.where(usable, np.arange(len(m)), -1), -1)
-        if not usable.all():
+        if unusable := np.count_nonzero(~self._usable[:-1]):
             log.warning("word vectors: %d zero-norm vector(s) treated as "
-                        "out-of-vocabulary", len(m) - usable.sum())
+                        "out-of-vocabulary", unusable)
 
-    def row_ids(self, terms) -> np.ndarray:
-        """Each term's row id, -1 for out-of-vocabulary terms."""
-        return self._ids[np.fromiter(map(self._row.get, terms, repeat(-1)),
-                                     dtype=np.intp, count=len(terms))]
-
-    def units(self, ids) -> np.ndarray:
-        """The unit rows of row ids; -1 reads the zero row."""
-        return self._units[ids]
-
-    def rows(self, doc_id: str, ids: np.ndarray, limit: int | None = None):
-        """(units, in-vocab mask, identity keys) aligned with the first
-        `limit` of the tokens' row ids (all without a limit; see `row_ids`);
-        the keys are the row ids, -1 for out-of-vocabulary tokens."""
-        ids = ids[:limit]
-        return self.units(ids), ids >= 0, ids
+    def ids(self, doc_id: str, tokens: np.ndarray) -> np.ndarray:
+        """The tokens, which are already row ids (see `row_ids`)."""
+        return tokens
 
 
-class TokenEmbeddings:
-    """Per-position contextual vectors, unit-normalized once. The positions
-    index the engine's own denoised token sequence, so the sequence length
-    must match; identity keys are positional, so no pair gets the hard
-    exact-match 1.0."""
+class TokenEmbeddings(_UnitRows):
+    """Per-position contextual vectors: `positions` maps each doc_id to its
+    positions' rows of `matrix` (their row ids), in order. The positions
+    index the engine's own denoised token sequence, so its length must
+    match; rows are positional, so no pair gets the hard exact-match 1.0."""
 
     dedup = False
+    _row: dict[str, int] = {}  # no term has a row of its own
 
-    def __init__(self, sequences: dict[str, np.ndarray]):
-        self._seq = {}  # doc_id -> (units, mask of nonzero rows)
-        for doc_id, seq in sequences.items():
-            norms = np.linalg.norm(seq, axis=1)
-            mask = norms > 0
-            units = np.zeros_like(seq)
-            units[mask] = seq[mask] / norms[mask, None]
-            self._seq[doc_id] = units, mask
+    def __init__(self, matrix: np.ndarray, positions: dict[str, np.ndarray]):
+        super().__init__(matrix, _row_norms(matrix))
+        self._positions = {}
+        for doc_id, rows in positions.items():
+            # the positions of a document whose lines come in order, as a view
+            run = self._range[rows[0]:rows[0] + len(rows)] if len(rows) else rows
+            self._positions[doc_id] = run if np.array_equal(rows, run) else rows
 
-    def row_ids(self, terms) -> np.ndarray:
-        """Rows are positional, so no term has a row of its own: all -1."""
-        return np.full(len(terms), -1, dtype=np.intp)
-
-    def rows(self, doc_id: str, tokens, limit: int | None = None):
-        """Rows of the first `limit` positions; the whole sequence must still
-        match the denoised text's length. Only the number of tokens is read,
-        so they may be `row_ids` or any sequence with one entry per token."""
-        if doc_id not in self._seq:
+    def ids(self, doc_id: str, tokens) -> np.ndarray:
+        """The row ids of a document's positions, as many as its denoised
+        tokens, of which only the number is read. A text with no tokens has
+        no positions and needs no vectors, which the file cannot list."""
+        if len(tokens) and doc_id not in self._positions:
             raise KeyError(f"no token vectors for document {doc_id!r}")
-        units, mask = self._seq[doc_id]
-        if len(units) != len(tokens):
-            raise ValueError(f"token vectors for {doc_id!r} cover {len(units)} "
+        ids = self._positions.get(doc_id, self._range[:0])
+        if len(ids) != len(tokens):
+            raise ValueError(f"token vectors for {doc_id!r} cover {len(ids)} "
                              f"positions but the denoised text has {len(tokens)}")
-        return units[:limit], mask[:limit], None
+        return ids
 
 
 def load_token_vectors(path) -> TokenEmbeddings:
@@ -107,14 +121,13 @@ def load_token_vectors(path) -> TokenEmbeddings:
             raise ValueError(f"{path}: line {line_no}: duplicate position "
                              f"{idx} for {doc_id!r}")
         rows[doc_id][idx] = row
-    sequences = {}
+    del keys, line_nos  # free the per-line lists before normalizing
     for doc_id, by_idx in rows.items():
         if sorted(by_idx) != list(range(len(by_idx))):
             raise ValueError(f"{path}: positions for {doc_id!r} are not a "
                              f"gap-free 0..{len(by_idx) - 1} range")
-        sequences[doc_id] = matrix[[by_idx[i] for i in range(len(by_idx))]]
-    del matrix  # the sequences are copies: free the parsed rows before normalizing
-    return TokenEmbeddings(sequences)
+        rows[doc_id] = np.array([by_idx[i] for i in range(len(by_idx))], dtype=np.intp)
+    return TokenEmbeddings(matrix, rows)
 
 
 def sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys) -> np.ndarray:
@@ -153,12 +166,12 @@ def dedup_terms(tokens: list[str]) -> list[str]:
     return list(dict.fromkeys(tokens))
 
 
-def drmm_query(ids: np.ndarray, query_doc_id: str, provider, idf: np.ndarray):
+def drmm_query(ids: np.ndarray, provider, idf: np.ndarray):
     """The query's side of its DRMM features, the same against every
     document: the rows of its terms, given as row ids, and their idf."""
     if not len(ids):
         raise ValueError("empty query after denoising")
-    return provider.rows(query_doc_id, ids), idf
+    return provider.rows(ids), idf
 
 
 # Bound on the entries of one DRMM batch, query terms times document tokens
@@ -166,9 +179,8 @@ def drmm_query(ids: np.ndarray, query_doc_id: str, provider, idf: np.ndarray):
 # 2**20 each 50-candidate list of the uk2eu-ensemble-drmm benchmark is one
 # batch (the largest hold about 0.6 M entries). Besides twice the
 # histograms it returns, a batch holds at most 16 bytes per entry, 64 per
-# token and 1 MiB of slices; a document whose rows are taken whole
-# (positional vectors, or the per-document exit) adds 8 * dim bytes per
-# token and 17 per entry of that document.
+# token and 1 MiB of slices; a batch that takes the per-document exit adds
+# 8 * dim bytes per token and 17 per entry of its largest document.
 DRMM_BATCH_ENTRIES = 2 ** 20
 
 # Entries a batch bins or counts at a time: its table is binned, and its
@@ -178,66 +190,52 @@ DRMM_SLICE_ENTRIES = 2 ** 15
 
 
 def drmm_batch(query, docs, provider, bins: int) -> list:
-    """DRMM features of a `drmm_query` result against each (doc_id, tokens)
-    in docs, in order; the tokens are row ids (see `row_ids`). Documents
-    are taken in batches of at most DRMM_BATCH_ENTRIES similarities."""
+    """DRMM features of a `drmm_query` result against each document of
+    docs, in order, given as its tokens' row ids (see `ids`). Documents are
+    taken in batches of at most DRMM_BATCH_ENTRIES similarities."""
     n_terms = len(query[0][1])
     feats, batch, width = [], [], 0
-    for doc in docs:
-        if batch and n_terms * (width + len(doc[1])) > DRMM_BATCH_ENTRIES:
+    for ids in docs:
+        if batch and n_terms * (width + len(ids)) > DRMM_BATCH_ENTRIES:
             feats += _drmm_batch(query, batch, provider, bins)
             batch, width = [], 0
-        batch.append(doc)
-        width += len(doc[1])
+        batch.append(ids)
+        width += len(ids)
     return feats + (_drmm_batch(query, batch, provider, bins) if batch else [])
 
 
 def _drmm_batch(query, docs, provider, bins: int) -> list:
     """One batch of `drmm_batch`. Its similarities form one table with a
     column per in-vocabulary query term and a row per distinct
-    in-vocabulary term of the batch when the provider has a vector per term
-    (`dedup`), else a row per in-vocabulary position. The table is binned
-    once, in slices of rows, and each token reads its row's bins, so a term
-    shared by many tokens is multiplied and binned once. `_proved_bins`
-    shows that each bin is the one a pair's own `q_units @ d_units.T` gives;
-    a batch where it cannot takes that per-document product instead, which
-    is kept only as this exit. Out-of-vocabulary query terms keep a zero
-    histogram."""
+    in-vocabulary row id of the batch: a term's, shared by its tokens, for
+    a provider with a vector per term, else a position's. The table is
+    binned once, in slices of rows, and each token reads its row's bins, so
+    a term shared by many tokens is multiplied and binned once.
+    `_proved_bins` shows that each bin is the one a pair's own `sim_matrix`
+    gives; a batch where it cannot bins each pair's `sim_matrix` instead,
+    which is kept only as this exit. Out-of-vocabulary query terms keep a
+    zero histogram."""
     (q_units, q_mask, q_keys), idf = query
-    q_in = q_units[q_mask]
-    # table rows per slice: its vectors and similarities fit the slice
-    step = max(1, DRMM_SLICE_ENTRIES // (len(q_in) + q_in.shape[1]))
-    if provider.dedup:
-        keys = np.concatenate([tokens for _, tokens in docs])
-        in_vocab = keys >= 0
-        terms, token_rows = np.unique(keys[in_vocab], return_inverse=True)
-        q_keys = q_keys[q_mask]
-        blocks = ((provider.units(terms[i:i + step]), terms[i:i + step, None] == q_keys)
-                  for i in range(0, len(terms), step))
-        n_rows = len(terms)
-    else:
-        rows = [provider.rows(doc_id, tokens) for doc_id, tokens in docs]
-        in_vocab = np.concatenate([mask for _, mask, _ in rows])
-        blocks = ((doc_units[i:i + step], None)
-                  for doc_units in (units[mask] for units, mask, _ in rows)
-                  for i in range(0, len(doc_units), step))
-        token_rows, n_rows = None, np.count_nonzero(in_vocab)
-    ends = np.cumsum([0] + [len(tokens) for _, tokens in docs])
-    widths = np.diff(np.concatenate(([0], np.cumsum(in_vocab)))[ends])
-    binned = _proved_bins(blocks, q_in, n_rows, bins)
+    ids = np.concatenate(docs)
+    rows, token_rows = np.unique(ids[provider.in_vocab(ids)], return_inverse=True)
+    widths = np.array([np.count_nonzero(provider.in_vocab(doc)) for doc in docs])
+    binned = _proved_bins(provider, rows, q_units[q_mask],
+                          None if q_keys is None else q_keys[q_mask], bins)
     if binned is None:
-        binned = _per_document_bins(query, docs, provider, bins, widths.sum())
+        binned = _per_document_bins(query[0], docs, provider, bins, widths.sum())
         token_rows = None
     hists = _histograms(binned, token_rows, widths, np.flatnonzero(q_mask),
                         len(q_mask), bins)
     return [(h, idf) for h in hists]
 
 
-def _proved_bins(blocks, q_in, n_rows: int, bins: int):
-    """The bins of a similarity table as an int array (n_rows, len(q_in)):
-    its rows, given as (units, pin) blocks, against the in-vocabulary query
-    rows q_in, and the top bin where `pin` is set. None if a bin is not
-    proved to equal that of every floating-point evaluation of its entry.
+def _proved_bins(provider, rows, q_in, pins, bins: int):
+    """The bins of a similarity table as an int array (len(rows), len(q_in)):
+    the units of the row ids `rows`, a slice at a time, against the
+    in-vocabulary query rows q_in, and the top bin where a row id equals one
+    of `pins`, those rows' identity keys (None if they have none). None if
+    a bin is not proved to equal that of every floating-point evaluation of
+    its entry.
 
     Any evaluation of the dot product of two dim-term vectors, in any
     summation order and with or without fused multiply-adds, is within
@@ -250,37 +248,33 @@ def _proved_bins(blocks, q_in, n_rows: int, bins: int):
     non-decreasing function of s (see `_bin_numbers`), so where s - eps and
     s + eps share a bin, every evaluation of s has that bin."""
     eps = 4 * q_in.shape[1] * 2.0 ** -53
-    binned = np.empty((n_rows, len(q_in)), dtype=np.intp)
-    start = 0
-    for units, pin in blocks:
-        sims = units @ q_in.T
+    # table rows per slice: its vectors and similarities fit the slice
+    step = max(1, DRMM_SLICE_ENTRIES // (len(q_in) + q_in.shape[1]))
+    binned = np.empty((len(rows), len(q_in)), dtype=np.intp)
+    for i in range(0, len(rows), step):
+        sims = provider.units(rows[i:i + step]) @ q_in.T
         low = _bin_numbers(sims - eps, bins)
         sims += eps
         high = _bin_numbers(sims, bins)
-        if pin is not None:
+        if pins is not None:
+            pin = rows[i:i + step, None] == pins
             low[pin] = high[pin] = bins
         if not np.array_equal(low, high):
             return None
-        binned[start:start + len(high)] = high
-        start += len(high)
+        binned[i:i + step] = high
     return binned
 
 
-def _per_document_bins(query, docs, provider, bins: int, n_rows: int) -> np.ndarray:
+def _per_document_bins(q_rows, docs, provider, bins: int, n_rows: int) -> np.ndarray:
     """The bins of a batch's similarities as an int array, a row per
     in-vocabulary token (n_rows of them) and a column per in-vocabulary
-    query term, from each document's own `q_units @ d_units.T`, the product
-    a single pair computes, pinned to 1.0 where in-vocabulary identity keys
-    agree. `_bin_numbers` bins a similarity outside [-1, 1] as its clipped
-    value."""
-    (q_units, q_mask, q_keys), _ = query
-    binned = np.empty((n_rows, np.count_nonzero(q_mask)), dtype=np.intp)
+    query term, from each document's own `sim_matrix` with the query's
+    rows q_rows, the one a single pair computes."""
+    binned = np.empty((n_rows, np.count_nonzero(q_rows[1])), dtype=np.intp)
     start = 0
-    for doc_id, tokens in docs:
-        units, mask, keys = provider.rows(doc_id, tokens)
-        block = (q_units @ units.T)[np.ix_(q_mask, mask)]
-        if q_keys is not None:
-            block[q_keys[q_mask][:, None] == keys[mask]] = 1.0
+    for ids in docs:
+        d_rows = provider.rows(ids)
+        block = sim_matrix(*q_rows, *d_rows)[np.ix_(q_rows[1], d_rows[1])]
         binned[start:start + block.shape[1]] = _bin_numbers(block, bins).T
         start += block.shape[1]
     return binned
@@ -322,9 +316,10 @@ def drmm_features(query_tokens: list[str], query_doc_id: str,
     providers each query position counts as its own term.
     """
     terms = dedup_terms(query_tokens) if provider.dedup else query_tokens
-    query = drmm_query(provider.row_ids(terms), query_doc_id, provider,
+    query = drmm_query(provider.ids(query_doc_id, provider.row_ids(terms)), provider,
                        idf_table.idfs(terms))
-    return drmm_batch(query, [(doc_id, provider.row_ids(doc_tokens))], provider, bins)[0]
+    doc = provider.ids(doc_id, provider.row_ids(doc_tokens))
+    return drmm_batch(query, [doc], provider, bins)[0]
 
 
 def softmax(x: np.ndarray) -> np.ndarray:
@@ -332,22 +327,21 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def pacrr_query(ids: np.ndarray, query_doc_id: str, provider, idf: np.ndarray,
-                q_len: int):
+def pacrr_query(ids: np.ndarray, provider, idf: np.ndarray, q_len: int):
     """The query's side of its PACRR features, the same against every
     document: the rows of its first q_len tokens, given as row ids, and
     their softmax-normalized idf."""
     if not len(ids):
         raise ValueError("empty query after denoising")
-    return provider.rows(query_doc_id, ids, q_len), softmax(idf[:q_len])
+    return provider.rows(ids, q_len), softmax(idf[:q_len])
 
 
-def pacrr_pair(query, doc_tokens, doc_id: str, provider, d_len: int):
-    """PACRR features of a `pacrr_query` result against one document, whose
-    tokens are row ids (see `row_ids`); a document with no tokens gives a
+def pacrr_pair(query, ids: np.ndarray, provider, d_len: int):
+    """PACRR features of a `pacrr_query` result against one document, given
+    as its tokens' row ids (see `ids`); a document with no tokens gives a
     (T, 0) similarity matrix."""
     rows, idf_col = query
-    return sim_matrix(*rows, *provider.rows(doc_id, doc_tokens, d_len)), idf_col
+    return sim_matrix(*rows, *provider.rows(ids, d_len)), idf_col
 
 
 def pacrr_features(query_tokens: list[str], query_doc_id: str,
@@ -357,6 +351,7 @@ def pacrr_features(query_tokens: list[str], query_doc_id: str,
     sequences plus the softmax-normalized idf of the retained query terms.
     No padding rows: short queries keep one row per retained term. The
     tokens are strings, each mapped to its row once."""
-    query = pacrr_query(provider.row_ids(query_tokens), query_doc_id, provider,
-                        idf_table.idfs(query_tokens), q_len)
-    return pacrr_pair(query, provider.row_ids(doc_tokens), doc_id, provider, d_len)
+    query = pacrr_query(provider.ids(query_doc_id, provider.row_ids(query_tokens)),
+                        provider, idf_table.idfs(query_tokens), q_len)
+    return pacrr_pair(query, provider.ids(doc_id, provider.row_ids(doc_tokens)),
+                      provider, d_len)

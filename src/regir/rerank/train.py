@@ -26,7 +26,7 @@ from .._npz import read_npz, write_npz
 from .._textio import parse_number, read_key_values, write_table
 from ..fusion import normalize_scores
 from ..metrics import float_sum, recall_at_k
-from ..ranking import RankedList, Run, sort_scored
+from ..ranking import RankedList, Run, per_query, sort_scored
 from .drmm import DrmmModel
 from .features import drmm_batch, drmm_query, pacrr_pair, pacrr_query
 from .pacrr import PacrrConfig, PacrrModel
@@ -206,10 +206,10 @@ class FeatureStore:
         i, bags = self._q_row[query_id], self._q_bags
         terms = (bags.ids[bags.offsets[i]:bags.offsets[i + 1]]
                  if self.kind == "drmm" and self.provider.dedup else bags.sequence(i))
-        side = self._q_term_rows[terms], query_id, self.provider, self._q_idf[terms]
+        ids = self.provider.ids(query_id, self._q_term_rows[terms])
         if self.kind == "drmm":
-            return drmm_query(*side)
-        return pacrr_query(*side, self.hp.q_len)
+            return drmm_query(ids, self.provider, self._q_idf[terms])
+        return pacrr_query(ids, self.provider, self._q_idf[terms], self.hp.q_len)
 
     def _missing(self, query_id: str, doc_ids) -> list[str]:
         return [d for d in dict.fromkeys(doc_ids) if (query_id, d) not in self._feats]
@@ -217,20 +217,17 @@ class FeatureStore:
     def _compute(self, query_id: str, doc_ids: list[str]) -> list:
         """The features of the query with each of doc_ids, in order: DRMM's
         in one `drmm_batch`, which multiplies the query by each distinct
-        term of a batch of documents once, PACRR's one pair at a time. An
+        row of a batch of documents once, PACRR's one pair at a time. An
         unknown doc_id or query id raises KeyError before anything is
         computed."""
-        docs = []
-        for doc_id in doc_ids:
-            tokens = self._term_rows[self._bags.sequence(self._row[doc_id])]
-            docs.append((doc_id, tokens))
+        docs = [self.provider.ids(doc_id, self._term_rows[
+                    self._bags.sequence(self._row[doc_id])]) for doc_id in doc_ids]
         if not docs:
             return []
         query = self._query(query_id)
         if self.kind == "drmm":
             return drmm_batch(query, docs, self.provider, self.hp.B)
-        return [pacrr_pair(query, tokens, doc_id, self.provider, self.hp.d_len)
-                for doc_id, tokens in docs]
+        return [pacrr_pair(query, ids, self.provider, self.hp.d_len) for ids in docs]
 
     def fill(self, query_id: str, doc_ids) -> None:
         """Computes and caches the features of each pair of the query with
@@ -295,16 +292,15 @@ def rerank_run(run: Run, rerankers: list[Reranker]) -> list[Run]:
     """Each reranker's re-ranking of the run, list by list. The rerankers
     share one store: a list's features are read once through its `batch`,
     scored by every model and dropped unless the store caches them. A list
-    the re-rankers refuse is refused naming its query."""
-    runs = [Run() for _ in rerankers]
-    for query_id, ranking in run.items():
+    whose features or re-ranking fail is refused naming its query."""
+    def rerank(query_id):
+        ranking = run[query_id]
         features = rerankers[0].store.batch(query_id, ranking.doc_ids)
-        for out, reranker in zip(runs, rerankers):
-            try:
-                out[query_id] = reranker.rerank_list(query_id, ranking, features)
-            except ValueError as exc:
-                raise ValueError(f"query {query_id}: {exc}") from None
-    return runs
+        return [r.rerank_list(query_id, ranking, features) for r in rerankers]
+
+    lists = per_query(rerank, run)
+    return [Run((q, reranked[i]) for q, reranked in lists.items())
+            for i in range(len(rerankers))]
 
 
 def _dev_recall(params_w, model, store: FeatureStore, dev_ids, qrels, run: Run,

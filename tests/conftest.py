@@ -86,14 +86,14 @@ class FixedIdf(IdfTable):
 
 
 def exit_spy(monkeypatch) -> list:
-    """Records the doc_ids of each DRMM batch that takes the per-document
-    exit, `features._per_document_bins`."""
+    """Records the number of documents of each DRMM batch that takes the
+    per-document exit, `features._per_document_bins`."""
     calls = []
     real = features._per_document_bins
 
-    def spy(query, docs, *rest):
-        calls.append([doc_id for doc_id, _ in docs])
-        return real(query, docs, *rest)
+    def spy(q_rows, docs, *rest):
+        calls.append(len(docs))
+        return real(q_rows, docs, *rest)
 
     monkeypatch.setattr(features, "_per_document_bins", spy)
     return calls

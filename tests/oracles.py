@@ -35,8 +35,8 @@ from regir.ranking import RankedList, sort_scored
 from regir._textio import write_table
 from regir.text import IdfTable, TextPipeline
 from regir.rerank.drmm import DrmmModel
-from regir.rerank.features import (TypeEmbeddings, drmm_features, pacrr_features,
-                                   sim_matrix, softmax)
+from regir.rerank.features import (TokenEmbeddings, TypeEmbeddings, drmm_features,
+                                   pacrr_features, sim_matrix, softmax)
 from regir.rerank.pacrr import PacrrModel, _sigmoid
 from regir.rerank.train import hinge_loss, rel_score
 
@@ -290,8 +290,8 @@ def drmm_features_per_row(query_terms: list[str], doc_tokens: list[str],
                           doc_id: str = ""):
     """`drmm_features` of one pair, with one histogram per in-vocabulary
     query term."""
-    q_units, q_mask, q_keys = provider.rows(query_doc_id, provider.row_ids(query_terms))
-    d_units, d_mask, d_keys = provider.rows(doc_id, provider.row_ids(doc_tokens))
+    q_units, q_mask, q_keys = text_rows(provider, query_doc_id, query_terms)
+    d_units, d_mask, d_keys = text_rows(provider, doc_id, doc_tokens)
     S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
     hists = np.zeros((len(query_terms), bins + 1))
     for i in range(len(query_terms)):
@@ -334,8 +334,8 @@ def build_histogram(query_term: str, doc_tokens: list[str], word_vectors,
     word vectors. Out-of-vocabulary query term -> zero histogram."""
     provider = (word_vectors if isinstance(word_vectors, TypeEmbeddings)
                 else TypeEmbeddings(word_vectors))
-    q_units, q_mask, q_keys = provider.rows("", provider.row_ids([query_term]))
-    d_units, d_mask, d_keys = provider.rows("", provider.row_ids(doc_tokens))
+    q_units, q_mask, q_keys = text_rows(provider, "", [query_term])
+    d_units, d_mask, d_keys = text_rows(provider, "", doc_tokens)
     if not q_mask[0] or not d_mask.any():
         return np.zeros(bins + 1)
     S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
@@ -474,6 +474,20 @@ def type_units_per_term(word_vectors) -> dict[str, np.ndarray]:
         if norm != 0:
             units[term] = vec / norm
     return units
+
+
+def token_embeddings(sequences: dict[str, np.ndarray]) -> TokenEmbeddings:
+    """A `TokenEmbeddings` over doc_id -> (positions, dim) vectors: the
+    sequences stacked in order into one matrix."""
+    ends = np.cumsum([len(seq) for seq in sequences.values()])
+    return TokenEmbeddings(np.concatenate(list(sequences.values())),
+                           dict(zip(sequences, np.split(np.arange(ends[-1]), ends[:-1]))))
+
+
+def text_rows(provider, doc_id: str, tokens: list[str], limit: int | None = None):
+    """The provider's (units, in-vocab mask, identity keys) of the first
+    `limit` of a text's string tokens."""
+    return provider.rows(provider.ids(doc_id, provider.row_ids(tokens)), limit)
 
 
 def token_rows_per_call(seq: np.ndarray, limit: int | None = None):

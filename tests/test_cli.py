@@ -840,13 +840,15 @@ def with_overflowing_span(run_path, out):
 
 
 def test_fuse_refuses_an_overflowing_span_naming_the_query(env, tmp_path):
+    """With a fixed alpha and when tuning it alike."""
     bad = tmp_path / "bad.tsv"
     query_id = with_overflowing_span(env.root / "run_all.tsv", bad)
-    result = env.cli("fuse", "--run-a", env.root / "run_all.tsv", "--run-b", bad,
-                     "--alpha", "0.5", "--out", tmp_path / "f.tsv")
-    assert result.exit_code == 1
-    assert f"Error: query {query_id}: {SPAN_OVERFLOWS}\n" in blob(result)
-    assert not (tmp_path / "f.tsv").exists()
+    for weight in (["--alpha", "0.5"], ["--tune-alpha", "--qrels", env.root / "qrels.tsv"]):
+        result = env.cli("fuse", "--run-a", env.root / "run_all.tsv", "--run-b", bad,
+                         *weight, "--out", tmp_path / "f.tsv")
+        assert result.exit_code == 1
+        assert f"Error: query {query_id}: {SPAN_OVERFLOWS}\n" in blob(result)
+        assert not (tmp_path / "f.tsv").exists()
 
 
 def test_rerank_refuses_an_overflowing_span_naming_the_run_and_query(env,
@@ -1264,7 +1266,7 @@ def test_run_command_end_to_end(env, tmp_path):
 def test_run_command_reports_a_failed_stage_in_one_line(env, tmp_path):
     """A test query with no word vector gets an empty centroid list, which
     the ensemble cannot fuse: `run` exits with the stage's error on one
-    line."""
+    line, naming the query, and `prefetch` with the same error."""
     test_id = json.loads((env.root / "splits.json").read_text())["test"][0]
     queries = [json.loads(line) for line in
                (env.root / "queries.jsonl").read_text().splitlines()]
@@ -1289,9 +1291,19 @@ def test_run_command_reports_a_failed_stage_in_one_line(env, tmp_path):
     result = env.cli("run", "--config", cfg, "--out", tmp_path / "exp")
     assert result.exit_code == 1
     errors = [line for line in result.output.splitlines() if line.startswith("Error")]
-    assert errors == ["Error: stage 'prefetch' failed: cannot normalize an empty "
-                      "ranking"]
+    assert errors == [f"Error: stage 'prefetch' failed: query {test_id}: cannot "
+                      "normalize an empty ranking"]
     assert "Traceback" not in blob(result)
+    result = env.cli("prefetch", "--mode", "ensemble", "--k", "10",
+                     "--components", "bm25,w2v-cent", "--alpha", "0.6",
+                     "--queries", tmp_path / "queries.jsonl",
+                     "--index", env.root / "index.bin",
+                     "--word-vectors", env.root / "wv.txt",
+                     "--centroids", env.root / "centroids.vec",
+                     "--out", tmp_path / "ens.tsv")
+    assert result.exit_code == 1
+    assert [line for line in result.output.splitlines() if line.startswith("Error")] \
+        == [f"Error: query {test_id}: cannot normalize an empty ranking"]
 
 
 def test_run_command_rejects_bad_config(env, tmp_path):

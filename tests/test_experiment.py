@@ -204,9 +204,18 @@ def test_config_alpha_range(dataset):
 
 
 def test_config_tune_conflicts_with_fixed_params(dataset):
-    with pytest.raises(ConfigError, match="bm25.tune"):
-        cfg_from(dataset, BASE_CFG + "bm25.k1 = 1.2\nbm25.b = 0.75\n"
-                 "bm25.tune = true\n")
+    """A tuned setting with a fixed value is refused naming both keys, also
+    where the mode would not read them."""
+    for lines, message in (
+            ("bm25.k1 = 1.2\nbm25.b = 0.75\nbm25.tune = true\n",
+             "bm25.tune conflicts with explicit bm25.k1/b"),
+            ("fusion.alpha = 0.5\nfusion.tune = true\n",
+             "fusion.tune conflicts with explicit fusion.alpha"),
+            ("datefilter.years = 5\ndatefilter.tune = true\n",
+             "datefilter.tune conflicts with explicit datefilter.years")):
+        for base in (BASE_CFG, ENSEMBLE_CFG):
+            with pytest.raises(ConfigError, match=f": {re.escape(message)}$"):
+                cfg_from(dataset, base + lines)
 
 
 def test_config_rerank_needs_embedding_source(dataset):
@@ -907,34 +916,16 @@ def test_a_pre_window_that_empties_a_test_query_leaves_it_unranked(tmp_path):
 
 def pair_counter(monkeypatch) -> Counter:
     """Counts each (query, document) pair whose features are computed, by
-    wrapping the pair computations where `train.py` calls them. A pair
-    computation gets the query's side, matched to its query by identity."""
+    wrapping `FeatureStore._compute`, the one place the store computes
+    them."""
     counts = Counter()
-    sides = []  # (query side, query_id), kept alive so no id is reused
-    real = {name: getattr(train, name) for name in
-            ("drmm_query", "pacrr_query", "drmm_batch", "pacrr_pair")}
+    real = train.FeatureStore._compute
 
-    def query_side(name):
-        def wrapped(tokens, query_id, *rest):
-            sides.append((real[name](tokens, query_id, *rest), query_id))
-            return sides[-1][0]
-        return wrapped
+    def compute(store, query_id, doc_ids):
+        counts.update((query_id, doc_id) for doc_id in doc_ids)
+        return real(store, query_id, doc_ids)
 
-    def owner(query):
-        return next(query_id for side, query_id in sides if side is query)
-
-    def batch(query, docs, *rest):
-        counts.update((owner(query), doc_id) for doc_id, _ in docs)
-        return real["drmm_batch"](query, docs, *rest)
-
-    def pair(query, tokens, doc_id, *rest):
-        counts[owner(query), doc_id] += 1
-        return real["pacrr_pair"](query, tokens, doc_id, *rest)
-
-    for name in ("drmm_query", "pacrr_query"):
-        monkeypatch.setattr(train, name, query_side(name))
-    monkeypatch.setattr(train, "drmm_batch", batch)
-    monkeypatch.setattr(train, "pacrr_pair", pair)
+    monkeypatch.setattr(train.FeatureStore, "_compute", compute)
     return counts
 
 
@@ -970,6 +961,42 @@ def test_a_run_computes_each_pair_s_features_once(dataset, tmp_path, monkeypatch
         lists = read_run(outdir / f"prefetch_{split}.tsv").truncated(cfg.k)
         assert {(q, d) for q, ranking in lists.items()
                 for d in ranking.doc_ids} <= counts.keys()
+
+
+def test_token_re_ranking_reads_a_pool_document_that_denoises_to_nothing(tmp_path):
+    """A pool document whose text denoises to nothing has no positions, so
+    a token file cannot list it. Doc-vector pre-fetching still fetches it,
+    and the re-ranker reads it as a text with no tokens, as it does with
+    word vectors."""
+    root = build_dataset(tmp_path, random.Random(5))
+    lines = (root / "pool.jsonl").read_text().splitlines()
+    write_jsonl(root / "pool.jsonl", [*map(json.loads, lines),
+                                      {"doc_id": "uk999", "title": "1999", "body": ""}])
+    splits = json.loads((root / "splits.json").read_text())
+    splits["pool"].append("uk999")
+    (root / "splits.json").write_text(json.dumps(splits))
+    pool, queries = (ingest_collection(root / f"{name}.jsonl") for name in ("pool", "queries"))
+    pipeline = regir.text.build_pipeline(pool, stopwords=None, idf_filter=True)
+    assert pipeline(pool.get("uk999").text) == []
+    rng = np.random.default_rng(5)
+    vectors = {doc.doc_id: rng.normal(size=3) for doc in [*pool, *queries]}
+    victim = splits["test"][0]
+    vectors["uk999"] = vectors[victim]  # the first candidate of a test query
+    for name, corpus in (("pool.vec", pool), ("queries.vec", queries)):
+        (root / name).write_text("#dim 3\n" + "".join(
+            f"{d.doc_id} {' '.join(map(repr, vectors[d.doc_id].tolist()))}\n"
+            for d in corpus))
+    (root / "tokens.txt").write_text("".join(
+        f"{doc.doc_id} {i} {' '.join(map(repr, rng.normal(size=3).tolist()))}\n"
+        for doc in [*pool, *queries] for i, _ in enumerate(pipeline(doc.text))))
+    (root / "hp.txt").write_text(HP)
+    cfg = cfg_from(root, BASE_CFG.replace("prefetch.mode = bm25", "prefetch.mode = doc-vectors")
+                   + "dense.pool_vectors = pool.vec\ndense.query_vectors = queries.vec\n"
+                   "rerank.model = drmm\nrerank.embeddings = token\n"
+                   "rerank.token_vectors = tokens.txt\nrerank.hyperparams = hp.txt\n")
+    run_experiment(cfg, tmp_path / "out")
+    assert read_run(tmp_path / "out" / "prefetch_test.tsv")[victim].doc_ids[0] == "uk999"
+    assert "uk999" in read_run(tmp_path / "out" / "reranked_test_seed0.tsv")[victim].doc_ids
 
 
 def with_query_texts(root, texts: dict[str, str]) -> None:

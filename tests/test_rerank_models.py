@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,8 +8,7 @@ import pytest
 from regir.dense import WordVectors
 from regir.rerank import features
 from regir.rerank.drmm import DrmmModel
-from regir.rerank.features import (TokenEmbeddings, TypeEmbeddings,
-                                   dedup_terms, drmm_batch,
+from regir.rerank.features import (TypeEmbeddings, dedup_terms, drmm_batch,
                                    drmm_features, drmm_query, load_token_vectors,
                                    pacrr_features, pacrr_pair, pacrr_query,
                                    sim_matrix, softmax)
@@ -18,7 +18,8 @@ from conftest import FixedIdf, exit_spy, keyed
 from oracles import (bin_similarities_row, build_histogram, conv_einsum,
                      conv_strided_im2col, drmm_features_per_row, drmm_score,
                      drmm_score_2d, pacrr_score, pacrr_score_per_step,
-                     token_rows_per_call, type_units_per_term)
+                     text_rows, token_embeddings, token_rows_per_call,
+                     type_units_per_term)
 
 
 def wv_from(mapping):
@@ -34,8 +35,8 @@ def angle_wv(angles: dict[str, float]):
 
 def test_sim_matrix_identical_terms_pinned_to_one():
     provider = TypeEmbeddings(angle_wv({"a": 0.1, "b": 1.3}))
-    qu, qm, qk = provider.rows("", provider.row_ids(["a"]))
-    du, dm, dk = provider.rows("", provider.row_ids(["b", "a", "a"]))
+    qu, qm, qk = provider.rows(provider.row_ids(["a"]))
+    du, dm, dk = provider.rows(provider.row_ids(["b", "a", "a"]))
     S = sim_matrix(qu, qm, qk, du, dm, dk)
     assert S[0, 1] == 1.0 and S[0, 2] == 1.0
     assert S[0, 0] == pytest.approx(math.cos(1.2))
@@ -44,8 +45,8 @@ def test_sim_matrix_identical_terms_pinned_to_one():
 
 def test_sim_matrix_oov_rows_and_cols_zero():
     provider = TypeEmbeddings(angle_wv({"a": 0.0}))
-    qu, qm, qk = provider.rows("", provider.row_ids(["a", "miss"]))
-    du, dm, dk = provider.rows("", provider.row_ids(["miss", "a"]))
+    qu, qm, qk = provider.rows(provider.row_ids(["a", "miss"]))
+    du, dm, dk = provider.rows(provider.row_ids(["miss", "a"]))
     S = sim_matrix(qu, qm, qk, du, dm, dk)
     assert S[1].tolist() == [0.0, 0.0]
     assert S[:, 0].tolist() == [0.0, 0.0]
@@ -57,7 +58,7 @@ def test_sim_matrix_clipped_to_unit_interval():
     provider = TypeEmbeddings(wv_from({f"t{i}": rng.normal(size=5).tolist()
                                        for i in range(20)}))
     terms = [f"t{i}" for i in range(20)]
-    u, m, k = provider.rows("", provider.row_ids(terms))
+    u, m, k = provider.rows(provider.row_ids(terms))
     S = sim_matrix(u, m, k, u, m, k)
     assert S.min() >= -1.0 and S.max() <= 1.0
     assert np.all(np.diag(S) == 1.0)
@@ -66,7 +67,7 @@ def test_sim_matrix_clipped_to_unit_interval():
 def test_zero_norm_word_vector_is_oov(caplog):
     with caplog.at_level("WARNING"):
         provider = TypeEmbeddings(wv_from({"a": [0.0, 0.0], "b": [1.0, 0.0]}))
-    _, mask, _ = provider.rows("", provider.row_ids(["a", "b"]))
+    _, mask, _ = provider.rows(provider.row_ids(["a", "b"]))
     assert mask.tolist() == [False, True]
 
 
@@ -84,10 +85,10 @@ def test_type_embeddings_units_have_the_bits_of_the_per_term_loop(dim):
     wv = WordVectors(terms, matrix)
     want = type_units_per_term(wv)
     provider = TypeEmbeddings(wv)
-    units, mask, keys = provider.rows("", provider.row_ids(terms + ["oov"]))
+    units, mask, keys = provider.rows(provider.row_ids(terms + ["oov"]))
     assert mask.tolist() == [t in want for t in terms] + [False]
     assert units[mask].tobytes() == np.stack(list(want.values())).tobytes()
-    assert not units[~mask].any() and np.all(keys[~mask] == -1)
+    assert not units[~mask].any() and keys.tolist() == [wv.row[t] for t in terms] + [-1]
     assert len(set(keys[mask].tolist())) == len(want)
 
 
@@ -98,26 +99,27 @@ def test_token_embeddings_positional(tmp_path):
     path.write_text("d1 0 1.0 0.0\nd1 1 0.0 2.0\nq1 0 1.0 0.0\n")
     provider = load_token_vectors(path)
     assert provider.dedup is False
-    units, mask, keys = provider.rows("d1", provider.row_ids(["tax", "tax"]))
+    units, mask, keys = text_rows(provider, "d1", ["tax", "tax"])
     assert keys is None
     assert np.allclose(units[1], [0.0, 1.0])  # normalized
     # identical surface forms do NOT get the hard 1.0 without identity keys
-    qu, qm, qk = provider.rows("q1", provider.row_ids(["tax"]))
+    qu, qm, qk = text_rows(provider, "q1", ["tax"])
     S = sim_matrix(qu, qm, qk, units, mask, keys)
     assert S[0, 0] == pytest.approx(1.0)
     assert S[0, 1] == pytest.approx(0.0)
 
 
 def test_token_embeddings_rows_have_the_bits_of_per_call_normalization(monkeypatch):
-    """Each document is normalized once, when the provider is built; `rows`
-    only slices, and any prefix has the bits of normalizing that prefix."""
+    """The vectors are normalized once, when the provider is built; `rows`
+    only gathers, and any prefix has the bits of normalizing that prefix."""
     rng = np.random.default_rng(8)
     seqs = {f"d{n}": rng.normal(size=(n, 64)) for n in (0, 1, 5, 40, 300)}
     seqs["d300"][::7] = 0.0
-    provider = TokenEmbeddings(seqs)
+    provider = token_embeddings(seqs)
     with monkeypatch.context() as patched:
         patched.setattr(np.linalg, "norm", None)
-        got = {(doc_id, limit): provider.rows(doc_id, ["t"] * len(seq), limit)
+        got = {(doc_id, limit): provider.rows(provider.ids(doc_id, ["t"] * len(seq)),
+                                              limit)
                for doc_id, seq in seqs.items()
                for limit in (None, 0, 1, 7, 128, 1024)}
     for (doc_id, limit), (units, mask, keys) in got.items():
@@ -127,14 +129,38 @@ def test_token_embeddings_rows_have_the_bits_of_per_call_normalization(monkeypat
         assert mask.tolist() == want_mask.tolist() and keys is None
 
 
+def test_token_units_read_a_run_of_consecutive_rows_without_a_copy():
+    """A document whose positions are consecutive rows, a zero vector among
+    them or not, is read as a slice of the unit matrix; any other ids are
+    gathered, and both read the same values."""
+    rng = np.random.default_rng(6)
+    seqs = {"a": rng.normal(size=(5, 3)), "b": rng.normal(size=(4, 3))}
+    seqs["b"][1] = 0.0
+    provider = token_embeddings(seqs)
+    a, b = provider.ids("a", "t" * 5), provider.ids("b", "t" * 4)
+    for ids in (a, a[:3], a[2:], b):
+        assert np.shares_memory(provider.units(ids), provider._units)
+    for ids in (a[::-1], a[::2], a.copy(), a[[0, 2]], np.concatenate([a, b])):
+        assert not np.shares_memory(provider.units(ids), provider._units)
+    for ids in (a, a[:3], a[2:], b, a[::-1], a[::2], np.concatenate([a, b])):
+        assert np.array_equal(provider.units(ids), provider._units[ids.copy()])
+    units, mask, keys = provider.rows(b)
+    assert mask.tolist() == [True, False, True, True] and not units[1].any()
+
+
 def test_token_embeddings_length_mismatch(tmp_path):
     path = tmp_path / "tok.txt"
     path.write_text("d1 0 1.0 0.0\n")
     provider = load_token_vectors(path)
     with pytest.raises(ValueError, match="positions"):
-        provider.rows("d1", provider.row_ids(["tax", "levy"]))
+        text_rows(provider, "d1", ["tax", "levy"])
     with pytest.raises(KeyError):
-        provider.rows("ghost", provider.row_ids(["tax"]))
+        text_rows(provider, "ghost", ["tax"])
+    # a text with no tokens needs no vectors, but a listed document's length
+    # is still checked
+    assert len(provider.ids("ghost", [])) == 0
+    with pytest.raises(ValueError, match="positions"):
+        provider.ids("d1", [])
 
 
 def test_load_token_vectors_rejects_gaps_and_dups(tmp_path):
@@ -146,6 +172,44 @@ def test_load_token_vectors_rejects_gaps_and_dups(tmp_path):
     dup.write_text("d1 0 1.0\nd1 0 2.0\n")
     with pytest.raises(ValueError, match="duplicate"):
         load_token_vectors(dup)
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["d1 1 1.0", "d2 0 1.0", "d2 0 2.0", "d1 1 2.0"],
+     "line 3: duplicate position 0 for 'd2'"),
+    (["d2 0 1.0", "d1 0 1.0", "d1 2 1.0", "d2 5 1.0"],
+     "positions for 'd2' are not a gap-free 0..1 range"),
+    (["d1 0 1.0", "d1 99999999999999999999 1.0"],
+     "positions for 'd1' are not a gap-free 0..1 range"),
+    (["d1 0 1.0", "d1 -1 1.0", "d1 1 1.0"],
+     "positions for 'd1' are not a gap-free 0..2 range"),
+    (["d1 0 1.0", "d1 x 1.0"], "line 2: position: expected an integer, got 'x'"),
+], ids=["first-repeat", "first-document", "huge", "negative", "not-a-number"])
+def test_load_token_vectors_names_the_first_fault(tmp_path, lines, message):
+    path = tmp_path / "tok.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_token_vectors(path)
+
+
+def test_load_token_vectors_reads_positions_in_any_order(tmp_path):
+    """Documents' lines interleaved and each document's positions in any
+    order give each document the rows of its vectors in position order,
+    normalized as one sequence is."""
+    rng = np.random.default_rng(5)
+    seqs = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3)),
+            "c": rng.normal(size=(6, 3))}
+    seqs["c"][2] = 0.0
+    lines = [f"{doc_id} {i} {' '.join(map(repr, vec.tolist()))}\n"
+             for doc_id, seq in seqs.items() for i, vec in enumerate(seq)]
+    path = tmp_path / "tok.txt"
+    path.write_text("".join(lines[i] for i in rng.permutation(len(lines))))
+    provider = load_token_vectors(path)
+    for doc_id, seq in seqs.items():
+        units, mask, keys = text_rows(provider, doc_id, ["t"] * len(seq))
+        want_units, want_mask = token_rows_per_call(seq)
+        assert units.tobytes() == want_units.tobytes()
+        assert mask.tolist() == want_mask.tolist() and keys is None
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -312,12 +376,12 @@ def test_drmm_table_path_equals_the_per_document_exit(kind, bins, dim, monkeypat
                 for k, n in enumerate([0, 1, 7, 30, 60])]
         batches.append((f"b{b}q", tokens(f"b{b}q", q_terms), docs))
     provider = (TypeEmbeddings(wv_from(vectors)) if kind == "type"
-                else TokenEmbeddings(seqs))
+                else token_embeddings(seqs))
     fired = []
     for q_id, q_terms, docs in batches:
-        query = drmm_query(provider.row_ids(q_terms), q_id, provider,
+        query = drmm_query(provider.ids(q_id, provider.row_ids(q_terms)), provider,
                            FixedIdf({}).idfs(q_terms))
-        docs = [(doc_id, provider.row_ids(terms)) for doc_id, terms in docs]
+        docs = [provider.ids(doc_id, provider.row_ids(terms)) for doc_id, terms in docs]
         exits.clear()
         table = drmm_batch(query, docs, provider, bins)
         fired.append(bool(exits))
@@ -451,14 +515,14 @@ def test_pacrr_features_gather_only_kept_rows(token_level):
     q = [vocab[i] for i in rng.integers(30, size=40)]
     d = [vocab[i] for i in rng.integers(30, size=300)]
     if token_level:
-        provider = TokenEmbeddings({"q": rng.normal(size=(40, 5)),
-                                    "d": rng.normal(size=(300, 5))})
+        provider = token_embeddings({"q": rng.normal(size=(40, 5)),
+                                     "d": rng.normal(size=(300, 5))})
     else:
         provider = TypeEmbeddings(wv)
     for q_len, d_len in ((7, 50), (40, 300), (64, 1024)):
         S, idf_col = pacrr_features(q, "q", d, "d", provider, idf, q_len, d_len)
-        qu, qm, qk = provider.rows("q", provider.row_ids(q))
-        du, dm, dk = provider.rows("d", provider.row_ids(d))
+        qu, qm, qk = text_rows(provider, "q", q)
+        du, dm, dk = text_rows(provider, "d", d)
         want = sim_matrix(qu[:q_len], qm[:q_len], None if qk is None else qk[:q_len],
                           du[:d_len], dm[:d_len], None if dk is None else dk[:d_len])
         assert np.array_equal(S, want)
@@ -699,11 +763,10 @@ def ragged_candidates(rng, kind, provider, idf, query, config):
     docs = [provider.row_ids(doc) for doc in docs]
     if kind == "drmm":
         terms = dedup_terms(query)
-        q = drmm_query(provider.row_ids(terms), "", provider, idf.idfs(terms))
-        return drmm_batch(q, [("", doc) for doc in docs], provider, config.B)
-    q = pacrr_query(provider.row_ids(query), "", provider, idf.idfs(query),
-                    config.q_len)
-    return [pacrr_pair(q, doc, "", provider, config.d_len) for doc in docs]
+        q = drmm_query(provider.row_ids(terms), provider, idf.idfs(terms))
+        return drmm_batch(q, docs, provider, config.B)
+    q = pacrr_query(provider.row_ids(query), provider, idf.idfs(query), config.q_len)
+    return [pacrr_pair(q, doc, provider, config.d_len) for doc in docs]
 
 
 @pytest.mark.parametrize("seed", range(4))

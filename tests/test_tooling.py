@@ -60,6 +60,26 @@ def test_the_rerank_package_reads_no_text():
     assert found == []
 
 
+# the functions of rerank/features.py that take a doc_id: the providers'
+# `ids`, which resolve a text to row ids, and the string entry points the
+# benchmark calls
+DOC_ID_ALLOWED = {"ids", "drmm_features", "pacrr_features"}
+
+
+def test_the_matchers_features_read_row_ids_only():
+    """A text is resolved to row ids once, before the features are
+    computed: no function in rerank/features.py has a parameter whose name
+    ends in `doc_id`, but those allowed above."""
+    tree = ast.parse((SRC / "rerank" / "features.py").read_text(encoding="utf-8"))
+    found = sorted(f"{node.name}({arg.arg})" for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and node.name not in DOC_ID_ALLOWED
+                   for arg in (*node.args.posonlyargs, *node.args.args,
+                               *node.args.kwonlyargs)
+                   if arg.arg.endswith("doc_id"))
+    assert found == []
+
+
 def _text_reads(node, function: str, found: list) -> None:
     """(innermost enclosing function, line) of each `.text` read under
     `node`."""

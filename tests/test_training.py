@@ -13,8 +13,8 @@ from regir.corpus import Corpus, Document, Qrels
 from regir.dense import WordVectors
 from regir.ranking import RankedList, Run
 from regir.rerank import features, train
-from regir.rerank.features import (TokenEmbeddings, TypeEmbeddings, dedup_terms,
-                                   drmm_features, pacrr_features)
+from regir.rerank.features import (TypeEmbeddings, dedup_terms, drmm_features,
+                                   pacrr_features)
 from regir.rerank.train import (CHECKPOINT_FORMAT, Adam, FeatureStore,
                                 Hyperparams, Reranker,
                                 TrainingDiverged, _check_finite, _dev_recall,
@@ -24,7 +24,8 @@ from regir.rerank.train import (CHECKPOINT_FORMAT, Adam, FeatureStore,
 from regir.text import build_pipeline
 
 from conftest import FixedIdf, exit_spy, keyed, make_doc
-from oracles import drmm_features_per_row, hinge_step_per_pair, rerank_list_per_pair
+from oracles import (drmm_features_per_row, hinge_step_per_pair, rerank_list_per_pair,
+                     token_embeddings)
 
 
 # --- loss and fusion arithmetic ---
@@ -236,8 +237,8 @@ def _store_fixture():
                       for i, n in enumerate((1, 9, 30))])
     pipeline = build_pipeline(pool, stopwords=frozenset(["act"]), idf_filter=False)
     wv = keyed(WordVectors, {t: rng.normal(size=6) for t in vocab[:25]})
-    token = TokenEmbeddings({d.doc_id: rng.normal(size=(len(pipeline(d.text)), 6))
-                             for c in (pool, queries) for d in c})
+    token = token_embeddings({d.doc_id: rng.normal(size=(len(pipeline(d.text)), 6))
+                              for c in (pool, queries) for d in c})
     return pool, queries, pipeline, {"type": TypeEmbeddings(wv), "token": token}
 
 
@@ -318,8 +319,8 @@ def generated_fill_setup(seed):
     queries = Corpus([make_doc(f"q{i}", [vocab[j] for j in rng.integers(90, size=n)],
                                title="Act") for i, n in enumerate((1, 6, 25, 60))])
     pipeline = build_pipeline(pool, stopwords=frozenset(["act"]), idf_filter=False)
-    token = TokenEmbeddings({d.doc_id: rng.normal(size=(len(pipeline(d.text)), 8))
-                             for c in (pool, queries) for d in c})
+    token = token_embeddings({d.doc_id: rng.normal(size=(len(pipeline(d.text)), 8))
+                              for c in (pool, queries) for d in c})
     return (pool, queries, pipeline,
             {"type": TypeEmbeddings(keyed(WordVectors, vectors)), "token": token})
 
@@ -388,7 +389,7 @@ def test_fill_splits_documents_into_batches_of_the_bound(monkeypatch):
         real = features._drmm_batch
 
         def spy(query, docs, *rest):
-            batches.append([len(query[0][1]) * len(t) for _, t in docs])
+            batches.append([len(query[0][1]) * len(ids) for ids in docs])
             return real(query, docs, *rest)
 
         monkeypatch.setattr(features, "_drmm_batch", spy)
@@ -469,13 +470,13 @@ def test_fill_with_token_vectors_pins_no_identity_match():
     pool, queries, pipeline = planted_fill_setup(
         {"other": ["alpha", "axis"], "copy": ["alpha", "diag"], "empty": []},
         ["alpha", "axis"])
-    provider = TokenEmbeddings({"q": np.stack([ALPHA, AXIS]),
-                                "other": np.stack([DIAG, -ALPHA]),
-                                "copy": np.stack([ALPHA, DIAG]),
-                                "empty": np.zeros((0, 4))})
+    provider = token_embeddings({"q": np.stack([ALPHA, AXIS]),
+                                 "other": np.stack([DIAG, -ALPHA]),
+                                 "copy": np.stack([ALPHA, DIAG]),
+                                 "empty": np.zeros((0, 4))})
     store = FeatureStore("drmm", provider, pipeline, queries, pool, Hyperparams(B=4))
-    q_units = provider.rows("q", "xx")[0]
-    assert (q_units @ provider.rows("copy", "xx")[0].T)[0, 0] > 1.0
+    q_units = provider.units(provider.ids("q", "xx"))
+    assert (q_units @ provider.units(provider.ids("copy", "xx")).T)[0, 0] > 1.0
     # alpha . -alpha is -1.0, axis . -alpha 0.42
     assert filled_counts(store, pipeline, queries, pool) == {
         "other": [[1, 0, 1, 0, 0], [0, 0, 1, 1, 0]],
@@ -505,11 +506,10 @@ def test_drmm_bin_edge_guard_fires_on_planted_edges(bins, docs, fires, monkeypat
     sims = units @ provider.units(provider.row_ids(["across", "alpha2"])).T
     assert sims[0, 0] == 0.0 and sims[1, 1] > 1.0
     exits = exit_spy(monkeypatch)
-    query = features.drmm_query(provider.row_ids(q_terms), "", provider,
-                                idf.idfs(q_terms))
-    feats = features.drmm_batch(query, [(d, provider.row_ids(t))
-                                        for d, t in docs.items()], provider, bins)
-    assert exits == ([list(docs)] if fires else [])
+    query = features.drmm_query(provider.row_ids(q_terms), provider, idf.idfs(q_terms))
+    feats = features.drmm_batch(query, [provider.row_ids(t) for t in docs.values()],
+                                provider, bins)
+    assert exits == ([len(docs)] if fires else [])
     for (hists, _), terms in zip(feats, docs.values()):
         want, _ = drmm_features_per_row(q_terms, terms, provider, idf, bins)
         assert np.array_equal(hists, want)
@@ -535,18 +535,13 @@ def test_fill_takes_duplicate_ids_and_refuses_unknown_ones_caching_nothing():
 def test_each_pair_is_computed_once_through_fill_or_features(kind, monkeypatch):
     pool, queries, pipeline, providers = generated_fill_setup(11)
     computed = []
-    real_batch, real_pair = train.drmm_batch, train.pacrr_pair
+    real = FeatureStore._compute
 
-    def batch(query, docs, *rest):
-        computed.extend(doc_id for doc_id, _ in docs)
-        return real_batch(query, docs, *rest)
+    def compute(store, query_id, doc_ids):
+        computed.extend(doc_ids)
+        return real(store, query_id, doc_ids)
 
-    def pair(query, tokens, doc_id, *rest):
-        computed.append(doc_id)
-        return real_pair(query, tokens, doc_id, *rest)
-
-    monkeypatch.setattr(train, "drmm_batch", batch)
-    monkeypatch.setattr(train, "pacrr_pair", pair)
+    monkeypatch.setattr(FeatureStore, "_compute", compute)
     store = FeatureStore(kind, providers["type"], pipeline, queries, pool,
                          Hyperparams(B=5, q_len=6, d_len=9))
     doc_ids = [d.doc_id for d in pool]
@@ -918,26 +913,40 @@ def test_rerank_run_holds_one_list_s_features_at_a_time():
     assert peak < 3 * list_bytes
 
 
+def batch_bound_list(kind: str, rng, n_docs: int, doc_len: int):
+    """A provider, the side of a 40-term query (30 terms in vocabulary) and
+    n_docs documents of doc_len tokens, a fifth of them out of vocabulary.
+    Every in-vocabulary token is a distinct term, or has a vector of its
+    own, so a batch's table has a row per in-vocabulary token."""
+    tokens = n_docs * doc_len
+    if kind == "type":
+        provider = TypeEmbeddings(keyed(WordVectors, {f"w{i}": rng.normal(size=50)
+                                                      for i in range(tokens)}))
+        q_terms = [f"w{i}" for i in rng.choice(tokens, 30, replace=False)]
+        q_ids = provider.row_ids(q_terms + [f"ghost{i}" for i in range(10)])
+        ids = rng.permutation(tokens)
+        ids[rng.random(tokens) < 0.2] = -1
+        docs = [ids[k * doc_len:(k + 1) * doc_len] for k in range(n_docs)]
+    else:
+        seqs = {f"d{k}": rng.normal(size=(doc_len, 50)) for k in range(n_docs)}
+        for seq in seqs.values():
+            seq[rng.random(doc_len) < 0.2] = 0.0
+        seqs["q"] = np.concatenate([rng.normal(size=(30, 50)), np.zeros((10, 50))])
+        provider = token_embeddings(seqs)
+        q_ids = provider.ids("q", seqs["q"])
+        docs = [provider.ids(f"d{k}", seqs[f"d{k}"]) for k in range(n_docs)]
+    return provider, features.drmm_query(q_ids, provider, np.ones(40)), docs
+
+
 def test_a_drmm_list_at_the_batch_bound_stays_under_the_stated_memory(monkeypatch):
-    """A 50-document list of a 40-term query (30 of them in vocabulary) as
-    long as DRMM_BATCH_ENTRIES allows is one batch, and the memory traced
-    while it is computed stays under the figure the constant's comment
-    states: twice the histograms, 16 bytes per entry, 64 per token and
-    1 MiB of slices. Every token is a distinct term, so the table has a row
-    per in-vocabulary token, its largest."""
-    rng = np.random.default_rng(31)
+    """A 50-document list of a 40-term query as long as DRMM_BATCH_ENTRIES
+    allows is one batch, and the memory traced while it is computed stays
+    under the figure the constant's comment states: twice the histograms,
+    16 bytes per entry, 64 per token and 1 MiB of slices. Word vectors and
+    token vectors alike fill the table's every row (`batch_bound_list`)."""
     n_terms, n_docs = 40, 50
     doc_len = features.DRMM_BATCH_ENTRIES // (n_terms * n_docs)
     tokens = n_docs * doc_len
-    provider = TypeEmbeddings(keyed(WordVectors, {f"w{i}": rng.normal(size=50)
-                                                  for i in range(tokens)}))
-    q_terms = [f"w{i}" for i in rng.choice(tokens, 30, replace=False)]
-    q_terms += [f"ghost{i}" for i in range(10)]
-    query = features.drmm_query(provider.row_ids(q_terms), "q", provider,
-                                FixedIdf({}).idfs(q_terms))
-    ids = rng.permutation(tokens)
-    ids[rng.random(tokens) < 0.2] = -1
-    docs = [(f"d{k}", ids[k * doc_len:(k + 1) * doc_len]) for k in range(n_docs)]
     batches = []
     real = features._drmm_batch
 
@@ -946,17 +955,21 @@ def test_a_drmm_list_at_the_batch_bound_stays_under_the_stated_memory(monkeypatc
         return real(query, docs, *rest)
 
     monkeypatch.setattr(features, "_drmm_batch", spy)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        feats = features.drmm_batch(query, docs, provider, 30)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    entries = n_terms * tokens
-    assert batches == [n_docs] and entries > 0.99 * features.DRMM_BATCH_ENTRIES
-    hist_bytes = sum(hists.nbytes for hists, _ in feats)
-    assert peak < 2 * hist_bytes + 16 * entries + 64 * tokens + 2 ** 20
+    for kind in ("type", "token"):
+        provider, query, docs = batch_bound_list(kind, np.random.default_rng(31),
+                                                 n_docs, doc_len)
+        batches.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            feats = features.drmm_batch(query, docs, provider, 30)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        entries = n_terms * tokens
+        assert batches == [n_docs] and entries > 0.99 * features.DRMM_BATCH_ENTRIES
+        hist_bytes = sum(hists.nbytes for hists, _ in feats)
+        assert peak < 2 * hist_bytes + 16 * entries + 64 * tokens + 2 ** 20
 
 
 # --- persistence ---
