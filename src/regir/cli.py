@@ -16,16 +16,15 @@ import click
 
 from . import __version__
 from .bm25 import (Bm25Params, build_index, default_grid, load_index,
-                   read_params, save_index, tune_bm25, write_grid_csv,
-                   write_params)
+                   read_params, save_index)
 from .corpus import (convert_collection, corpus_stats, ingest_collection,
-                     load_qrels, write_collection, SplitManifest)
-from .datefilter import (DateWindow, candidates, finalize, write_year_hist_csv,
-                         year_diff_histogram)
+                     write_collection)
+from .datefilter import DateWindow, write_year_hist_csv, year_diff_histogram
 from .dense import (build_centroid_store, load_doc_vectors, load_word_vectors,
                     save_doc_vectors)
 from .experiment import (Prefetcher, StageFailed, emit_rk_curve, error_message,
-                         load_config, parse_components, run_experiment,
+                         final_lists, load_config, parse_components, read_inputs,
+                         run_bm25_tuning, run_experiment, run_training,
                          write_rk_curve_csv, _parse_range)
 from .fusion import (default_alpha_grid, fuse_runs, tune_alpha,
                      write_alpha_grid_csv)
@@ -34,8 +33,7 @@ from .metrics import (aggregate_runs, evaluate_run, read_eval_csv,
 from .ranking import lists_for, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
 from .rerank.train import (FeatureStore, Hyperparams, TrainingDiverged,
-                           load_checkpoint, rerank_run, save_checkpoint,
-                           train_model, write_training_log)
+                           load_checkpoint)
 from .text import build_pipeline, load_stopwords
 
 log = logging.getLogger(__name__)
@@ -73,22 +71,16 @@ _out = click.Path(dir_okay=False, path_type=Path, writable=True)
 _positive = click.IntRange(min=1)
 
 
-def _split_ids(splits_path: Path | None, split: str | None):
-    """The split manifest and the query ids of its split (default test), or
-    (None, None), meaning every query, without one. A --split without
-    --splits is refused: call this before reading any other input, then
-    validate the manifest against the inputs read, as `regir run` does."""
-    if splits_path is None:
-        if split is not None:
-            raise click.ClickException("--split needs --splits")
-        return None, None
-    manifest = SplitManifest.from_json(splits_path)
-    split = split or "test"
-    try:
-        return manifest, {"train": manifest.train_ids, "dev": manifest.dev_ids,
-                          "test": manifest.test_ids}[split]
-    except KeyError:
-        raise click.ClickException(f"unknown split {split!r}") from None
+def _split(splits_path: Path | None, split: str | None, default: str = "test"):
+    """The split of --splits to use (`default` when --split is not given),
+    or None, meaning every query, without --splits. Reads no file: call it
+    before reading any input, so that a --split without --splits, or an
+    unknown split, is refused first."""
+    if splits_path is None and split is not None:
+        raise click.ClickException("--split needs --splits")
+    if split not in (None, "train", "dev", "test"):
+        raise click.ClickException(f"unknown split {split!r}")
+    return None if splits_path is None else split or default
 
 
 @main.command()
@@ -166,30 +158,20 @@ def index(collection, out, stopwords, no_idf_filter):
 def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
                   grid_k1, grid_b):
     """Sweep (k1, b) maximizing R@k and export the recall grid."""
-    if splits is not None and split is None:
-        split = "dev"
-    manifest, ids = _split_ids(splits, split)
+    split = _split(splits, split, "dev")
     idx = load_index(index_path)
-    query_corpus = ingest_collection(queries)
-    judgments = load_qrels(qrels)
-    if manifest is None:
-        ids = query_corpus.ids
-    else:
-        manifest.validate(query_corpus=query_corpus, qrels=judgments)
-    bags = idx.pipeline.bags(query_corpus)
-    tokens = {q: bags.counts(query_corpus.row[q]) for q in ids}
+    s = read_inputs(queries=queries, qrels=qrels, splits=splits)
+    ids = getattr(s.splits, f"{split}_ids") if split else s.queries.ids
     k1_grid, b_grid = default_grid()
     if grid_k1:
         k1_grid = _parse_range(grid_k1, "--grid-k1")
     if grid_b:
         b_grid = _parse_range(grid_b, "--grid-b")
-    best, cells = tune_bm25(idx, tokens, judgments, k1_grid, b_grid, k)
-    write_grid_csv(cells, out)
+    best, cells = run_bm25_tuning(idx, idx.pipeline, s.queries, ids, s.qrels,
+                                  k1_grid, b_grid, k, out, params_out)
     best_cell = max(c.recall_at_k for c in cells)
     click.echo(f"best k1={best.k1} b={best.b} with R@{k}={best_cell:.4f} "
                f"({len(cells)} cells)")
-    if params_out:
-        write_params(best, params_out)
 
 
 @main.command()
@@ -258,25 +240,22 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
                                    "publication years")
     window = DateWindow(date_filter, filter_mode) if date_filter is not None else None
 
-    manifest, ids = _split_ids(splits, split)
-    query_corpus = ingest_collection(queries)
-    pool_corpus = ingest_collection(collection) if collection else None
-    if manifest is None:
-        ids = query_corpus.ids
-    else:
-        manifest.validate(query_corpus=query_corpus, pool_corpus=pool_corpus)
+    split = _split(splits, split)
+    s = read_inputs(pool=collection, queries=queries, splits=splits)
+    ids = getattr(s.splits, f"{split}_ids") if split else s.queries.ids
     bm25_params = read_params(params) if params else Bm25Params()
     index = (load_index(index_path) if {"bm25", "w2v-cent"} & set(names)
              else None)
     cent, dense = "w2v-cent" in names, "doc-vectors" in names
-    stage = Prefetcher(names, k, query_corpus, getattr(index, "pipeline", None),
+    pool_store = load_doc_vectors(pool_vectors) if dense else None
+    if pool_store is not None and s.pool is not None:
+        pool_store.validate_against(s.pool)
+    stage = Prefetcher(names, k, s.queries, getattr(index, "pipeline", None),
                        index, bm25_params,
                        load_word_vectors(word_vectors) if cent else None,
-                       load_doc_vectors(centroids) if cent else None,
-                       load_doc_vectors(pool_vectors) if dense else None,
+                       load_doc_vectors(centroids) if cent else None, pool_store,
                        load_doc_vectors(query_vectors) if dense else None)
-    run = finalize(candidates(stage.deep_run(ids, alpha), k, window, query_corpus,
-                              pool_corpus), window, query_corpus, pool_corpus)
+    [run] = final_lists(stage.deep_run(ids, alpha), k, window, s.queries, s.pool)
     write_run(run, out)
     click.echo(f"wrote {len(run)} ranked lists to {out}")
 
@@ -298,7 +277,7 @@ def fuse_cmd(run_a, run_b, k, alpha, do_tune, qrels, grid, grid_out, out):
     if do_tune:
         if qrels is None:
             raise click.ClickException("--tune-alpha needs --qrels")
-        judgments = load_qrels(qrels)
+        judgments = read_inputs(qrels=qrels).qrels
         alpha_grid = _parse_range(grid, "--grid") if grid else default_alpha_grid()
         alpha, cells = tune_alpha(a, b, judgments, alpha_grid, k)
         click.echo(f"tuned alpha={alpha}")
@@ -343,24 +322,14 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
     from dataclasses import replace
 
     provider = _provider(word_vectors, token_vectors)
-    query_corpus = ingest_collection(queries)
-    pool_corpus = ingest_collection(collection)
+    s = read_inputs(collection, queries, qrels, splits)
     pipeline = load_index(index_path).pipeline
-    judgments = load_qrels(qrels, query_corpus=query_corpus,
-                           pool_corpus=pool_corpus)
-    manifest = SplitManifest.from_json(splits)
-    manifest.validate(query_corpus=query_corpus, pool_corpus=pool_corpus,
-                      qrels=judgments)
-    run = lists_for(read_run(run_path), [*manifest.train_ids, *manifest.dev_ids])
+    run = lists_for(read_run(run_path), [*s.splits.train_ids, *s.splits.dev_ids])
     hp = Hyperparams.from_file(hyperparams) if hyperparams else Hyperparams()
     if seed is not None:
         hp = replace(hp, seed=seed)
-    store = FeatureStore(model, provider, pipeline, query_corpus, pool_corpus, hp)
-    result = train_model(model, manifest.train_ids, manifest.dev_ids, judgments,
-                         run, store, hp)
-    save_checkpoint(result, out)
-    if log_path:
-        write_training_log(result.log_rows, log_path)
+    store = FeatureStore(model, provider, pipeline, s.queries, s.pool, hp)
+    result = run_training(model, s.splits, s.qrels, run, store, hp, out, log_path)
     click.echo(f"best dev R@20 {result.best_dev_r20:.4f} at epoch "
                f"{result.best_epoch}; w_r={result.w_r:.4f} w_p={result.w_p:.4f}; "
                f"{result.skipped_positives} relevant doc(s) outside the "
@@ -387,18 +356,17 @@ def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
     """Re-rank pre-fetched lists with a trained checkpoint."""
     window = DateWindow(date_filter, filter_mode) if date_filter is not None else None
     provider = _provider(word_vectors, token_vectors)
-    query_corpus = ingest_collection(queries)
-    pool_corpus = ingest_collection(collection)
+    s = read_inputs(pool=collection, queries=queries)
     pipeline = load_index(index_path).pipeline
     result = load_checkpoint(checkpoint)
-    store = FeatureStore(result.model.kind, provider, pipeline, query_corpus,
-                         pool_corpus, result.hp)
-    run = candidates(read_run(run_path), k, window, query_corpus, pool_corpus)
+    store = FeatureStore(result.model.kind, provider, pipeline, s.queries, s.pool,
+                         result.hp)
+    run = read_run(run_path)
     try:
-        [reranked] = rerank_run(run, [result.reranker(store)])
+        [reranked] = final_lists(run, k, window, s.queries, s.pool,
+                                 [result.reranker(store)])
     except ValueError as exc:
         raise ValueError(f"{run_path}: {exc}") from None
-    reranked = finalize(reranked, window, query_corpus, pool_corpus)
     write_run(reranked, out)
     click.echo(f"re-ranked {len(reranked)} lists with w_r={result.w_r:.4f} "
                f"w_p={result.w_p:.4f}")
@@ -417,11 +385,9 @@ def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
 def date_filter_cmd(run_path, queries, collection, years, mode, k, out):
     """Drop candidates published too far from the query year."""
     window = DateWindow(years, mode)
-    query_corpus = ingest_collection(queries)
-    pool_corpus = ingest_collection(collection)
+    s = read_inputs(pool=collection, queries=queries)
     run = read_run(run_path)
-    filtered = finalize(candidates(run, k, window, query_corpus, pool_corpus),
-                        window, query_corpus, pool_corpus)
+    [filtered] = final_lists(run, k, window, s.queries, s.pool)
     write_run(filtered, out)
     kept = sum(len(r) for r in filtered.values())
     total = sum(len(r) for r in run.values())
@@ -439,13 +405,12 @@ def evaluate(run_path, qrels, k, splits, split, out):
     """Score a run file against judgments. With --splits, every query of the
     split is scored, and one absent from the run file (a list the date window
     emptied is written as no lines) counts as an empty list."""
-    manifest, ids = _split_ids(splits, split)
+    split = _split(splits, split)
     run = read_run(run_path)
-    judgments = load_qrels(qrels)
-    if manifest is not None:
-        manifest.validate(qrels=judgments)
-        run = lists_for(run, ids)
-    report = evaluate_run(run, judgments, k=k)
+    s = read_inputs(qrels=qrels, splits=splits)
+    if split:
+        run = lists_for(run, getattr(s.splits, f"{split}_ids"))
+    report = evaluate_run(run, s.qrels, k=k)
     for metric, value in report.macro.items():
         click.echo(f"{metric} {value:.4f}")
     if report.excluded_query_ids:
@@ -479,7 +444,7 @@ def aggregate(eval_paths, out):
 @click.option("--out", type=_out, required=True)
 def rk_curve(run_path, qrels, k_max, out):
     """R@k for k = 1..k_max from a deep run file."""
-    rows = emit_rk_curve(read_run(run_path), load_qrels(qrels), k_max)
+    rows = emit_rk_curve(read_run(run_path), read_inputs(qrels=qrels).qrels, k_max)
     write_rk_curve_csv(rows, out)
     click.echo(f"R@{k_max} = {rows[-1][1]:.4f}")
 
@@ -491,8 +456,8 @@ def rk_curve(run_path, qrels, k_max, out):
 @click.option("--out", type=_out, required=True)
 def year_hist(qrels, queries, collection, out):
     """Histogram of year(relevant) - year(query) over judged pairs."""
-    hist = year_diff_histogram(load_qrels(qrels), ingest_collection(queries),
-                               ingest_collection(collection))
+    s = read_inputs(pool=collection, queries=queries, qrels=qrels)
+    hist = year_diff_histogram(s.qrels, s.queries, s.pool)
     write_year_hist_csv(hist, out)
     if hist:
         mode_diff = max(hist, key=lambda d: (hist[d], -abs(d)))

@@ -367,6 +367,54 @@ def write_rk_curve_csv(rows, path, comment: str = "") -> None:
                 comment)
 
 
+def read_inputs(pool=None, queries=None, qrels=None, splits=None) -> SimpleNamespace:
+    """The pool and query collections, judgments and split manifest at the
+    paths given, None where no path is: the judgments checked against the
+    collections, the manifest against all three. `regir run` and the CLI's
+    stage commands read their inputs here."""
+    pool = ingest_collection(pool) if pool is not None else None
+    queries = ingest_collection(queries) if queries is not None else None
+    if qrels is not None:
+        qrels = load_qrels(qrels, query_corpus=queries, pool_corpus=pool)
+    if splits is not None:
+        splits = SplitManifest.from_json(splits)
+        splits.validate(query_corpus=queries, pool_corpus=pool, qrels=qrels)
+    return SimpleNamespace(pool=pool, queries=queries, qrels=qrels, splits=splits)
+
+
+def run_bm25_tuning(index, pipeline: TextPipeline, queries: Corpus, query_ids, qrels,
+                    k1_grid, b_grid, k: int, grid_path, params_path=None, comment=""):
+    """Tune (k1, b) on the queries' bags (see `tune_bm25`), write the grid
+    CSV and, given a path, the winner's JSON; the winner and the cells."""
+    bags = pipeline.bags(queries)
+    best, cells = tune_bm25(index, {q: bags.counts(queries.row[q]) for q in query_ids},
+                            qrels, k1_grid, b_grid, k)
+    write_grid_csv(cells, grid_path, comment=comment)
+    if params_path is not None:
+        write_params(best, params_path)
+    return best, cells
+
+
+def run_training(kind: str, splits: SplitManifest, qrels, run: Run, store, hp,
+                 checkpoint_path, log_path=None, comment: str = ""):
+    """`train_model` on the split's queries' lists in `run`; saves the
+    checkpoint and, given a path, the training log."""
+    result = train_model(kind, splits.train_ids, splits.dev_ids, qrels, run, store, hp)
+    save_checkpoint(result, checkpoint_path)
+    if log_path is not None:
+        write_training_log(result.log_rows, log_path, comment=comment)
+    return result
+
+
+def final_lists(deep: Run, k: int | None, window: DateWindow | None, queries: Corpus,
+                pool: Corpus, rerankers=()) -> list[Run]:
+    """The `candidates` of the deep lists, or each re-ranker's re-ranking of
+    them, after the window's `finalize`: one run per re-ranker, else one."""
+    cands = candidates(deep, k, window, queries, pool)
+    runs = rerank_run(cands, rerankers) if rerankers else [cands]
+    return [finalize(run, window, queries, pool) for run in runs]
+
+
 @dataclass
 class Prefetcher:
     """First-stage retrieval by its components: a single pre-fetcher, or
@@ -581,32 +629,26 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     @cache
     def inputs() -> SimpleNamespace:
         """The config's files read and checked against each other."""
-        pool = ingest_collection(config.pool_path)
-        queries = ingest_collection(config.queries_path)
-        qrels = load_qrels(config.qrels_path, query_corpus=queries, pool_corpus=pool)
-        splits = SplitManifest.from_json(config.splits_path)
-        splits.validate(query_corpus=queries, pool_corpus=pool, qrels=qrels)
+        s = read_inputs(config.pool_path, config.queries_path, config.qrels_path,
+                        config.splits_path)
         stopwords = (load_stopwords(config.stopwords_path)
                      if config.stopwords_path else None)
-        pipeline = build_pipeline(pool, stopwords=stopwords,
-                                  idf_filter=config.idf_filter)
-        word_vectors = (load_word_vectors(config.word_vectors_path)
-                        if config.word_vectors_path else None)
-        pool_store = query_store = store = None
+        s.pipeline = build_pipeline(s.pool, stopwords=stopwords,
+                                    idf_filter=config.idf_filter)
+        s.word_vectors = (load_word_vectors(config.word_vectors_path)
+                          if config.word_vectors_path else None)
+        s.pool_store = s.query_store = s.store = None
         if "doc-vectors" in config.components:
-            pool_store = load_doc_vectors(config.pool_vectors_path)
-            pool_store.validate_against(pool)
-            query_store = load_doc_vectors(config.query_vectors_path)
+            s.pool_store = load_doc_vectors(config.pool_vectors_path)
+            s.pool_store.validate_against(s.pool)
+            s.query_store = load_doc_vectors(config.query_vectors_path)
         if need_train:
-            provider = (TypeEmbeddings(word_vectors)
+            provider = (TypeEmbeddings(s.word_vectors)
                         if config.rerank_embeddings == "word"
                         else load_token_vectors(config.token_vectors_path))
-            store = FeatureStore(config.rerank_model, provider, pipeline,
-                                 queries, pool, config.rerank_hyperparams)
-        return SimpleNamespace(pool=pool, queries=queries, qrels=qrels,
-                               splits=splits, pipeline=pipeline,
-                               word_vectors=word_vectors, pool_store=pool_store,
-                               query_store=query_store, store=store)
+            s.store = FeatureStore(config.rerank_model, provider, s.pipeline,
+                                   s.queries, s.pool, config.rerank_hyperparams)
+        return s
 
     stages = _Stages(outdir, {"config": config.raw, "resources": resources,
                               "version": __version__,
@@ -632,14 +674,9 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             params_path = outdir / "bm25_params.json"
 
             def tune_stage(s):
-                bags = s.pipeline.bags(s.queries)
-                dev = {q: bags.counts(s.queries.row[q]) for q in s.splits.dev_ids}
-                best, cells = tune_bm25(index(), dev, s.qrels,
-                                        config.bm25_grid_k1, config.bm25_grid_b,
-                                        config.k)
-                write_grid_csv(cells, grid_path, comment=tag)
-                write_params(best, params_path)
-                return best
+                return run_bm25_tuning(index(), s.pipeline, s.queries, s.splits.dev_ids,
+                                       s.qrels, config.bm25_grid_k1, config.bm25_grid_b,
+                                       config.k, grid_path, params_path, tag)[0]
 
             bm25_params = stages.run("tune-bm25", [grid_path, params_path],
                                      tune_stage, lambda: read_params(params_path))
@@ -722,8 +759,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
 
     @cache
     def cands(split: str) -> Run:
-        """The split's candidate lists, cut once for every seed's training
-        and for the final stage."""
+        """The split's candidate lists, cut once for every seed's training."""
         s = inputs()
         return candidates(prefetch(split), config.k, window(), s.queries, s.pool)
 
@@ -750,13 +786,10 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             log_path = outdir / f"training_log_seed{seed}.csv"
 
             def train_stage(s, seed=seed, ck=ck_path, lg=log_path):
-                result = train_model(config.rerank_model, s.splits.train_ids,
-                                     s.splits.dev_ids, s.qrels,
-                                     {**cands("train"), **cands("dev")}, s.store,
-                                     replace(config.rerank_hyperparams, seed=seed))
-                save_checkpoint(result, ck)
-                write_training_log(result.log_rows, lg, comment=tag)
-                return result
+                return run_training(config.rerank_model, s.splits, s.qrels,
+                                    {**cands("train"), **cands("dev")}, s.store,
+                                    replace(config.rerank_hyperparams, seed=seed),
+                                    ck, lg, tag)
 
             trained.append(stages.run(f"train-v{CHECKPOINT_VERSION}-seed{seed}",
                                       [ck_path, log_path], train_stage,
@@ -770,12 +803,11 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     def final_stage(s):
         """Writes and scores each final run: the test candidates, or each
         seed's re-ranking of them."""
-        rerankers = [result().reranker(s.store) for result in trained]
-        runs = rerank_run(cands("test"), rerankers) if need_train else [cands("test")]
+        finals = final_lists(prefetch("test"), config.k, window(), s.queries, s.pool,
+                             [result().reranker(s.store) for result in trained])
         test_qrels = s.qrels.restrict(s.splits.test_ids)
         reports = []
-        for run, run_path, eval_path in zip(runs, run_paths, eval_paths):
-            final = finalize(run, window(), s.queries, s.pool)
+        for final, run_path, eval_path in zip(finals, run_paths, eval_paths):
             write_run(final, run_path, comment=tag)
             reports.append(evaluate_run(final, test_qrels, k=config.eval_k))
             write_eval_csv(reports[-1], eval_path, comment=tag)

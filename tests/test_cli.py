@@ -196,6 +196,29 @@ def test_tune_bm25_grid_csv(env, tmp_path):
     assert set(best) == {"k1", "b"}
 
 
+def with_unknown_judgments(root, out, *rows):
+    """The env dataset's qrels plus `rows`, in `out`; the line number of
+    each row."""
+    lines = (root / "qrels.tsv").read_text().splitlines()
+    out.write_text("".join(f"{line}\n" for line in [*lines, *rows]))
+    return range(len(lines) + 1, len(lines) + 1 + len(rows))
+
+
+def test_tune_bm25_refuses_judgments_of_a_query_not_in_queries(env, tmp_path):
+    """As `regir run` does; `tune-bm25` used to tune on them (exit 0). It
+    reads no pool, so it checks no doc id."""
+    qrels = tmp_path / "qrels.tsv"
+    [line] = with_unknown_judgments(env.root, qrels, "nosuchquery\tuk000")
+    out = tmp_path / "grid.csv"
+    result = env.cli("tune-bm25", "--index", env.root / "index.bin",
+                     "--queries", env.root / "queries.jsonl", "--qrels", qrels,
+                     "--out", out)
+    assert result.exit_code == 1
+    assert (f"Error: {qrels}: 1 row(s) reference unknown ids:\n"
+            f"  line {line}: unknown query_id 'nosuchquery'\n") in blob(result)
+    assert not out.exists()
+
+
 def test_vectors_reports_store_shape(env):
     result = env.ok("vectors", "--collection", env.root / "pool.jsonl",
                     "--word-vectors", env.root / "wv.txt",
@@ -304,6 +327,31 @@ def write_doc_vectors(root, out):
             values[int(doc_id[2:]) % 4] += 1.0
             lines.append(f"{doc_id} " + " ".join(map(repr, values)))
         (out / name).write_text("\n".join(lines) + "\n")
+
+
+def test_prefetch_refuses_pool_vectors_absent_from_the_collection(env, tmp_path):
+    """Given --collection, `regir prefetch` checks the pool vectors against
+    it, as `regir run` does; it used to rank a document the pool lacks."""
+    root = env.root
+    write_doc_vectors(root, tmp_path)
+    with open(tmp_path / "pool.vec", "a") as fh:
+        fh.write("ghost 1.0 0.0 0.0 0.0\n")
+    out = tmp_path / "prefetch.tsv"
+    result = env.cli("prefetch", "--mode", "doc-vectors", "--k", "5",
+                     "--pool-vectors", tmp_path / "pool.vec",
+                     "--query-vectors", tmp_path / "queries.vec",
+                     "--queries", root / "queries.jsonl",
+                     "--collection", root / "pool.jsonl", "--out", out)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(run_config(root, "prefetch.mode = doc-vectors\n"
+                                    "dense.pool_vectors = pool.vec\n"
+                                    "dense.query_vectors = queries.vec\n"))
+    staged = env.cli("run", "--config", cfg, "--out", tmp_path / "exp")
+    for outcome in (result, staged):
+        assert outcome.exit_code == 1
+        assert ("Error: doc vectors reference ids absent from the collection: "
+                "['ghost']") in blob(outcome)
+    assert not out.exists()
 
 
 def test_prefetch_doc_vectors_writes_regir_run_candidates(env, tmp_path):
@@ -1238,6 +1286,23 @@ def test_report_year_hist(env, tmp_path):
                     "--collection", env.root / "pool.jsonl", "--out", out)
     assert "24 pairs" in result.output
     assert out.read_text().splitlines()[0] == "year_diff,count"
+
+
+def test_report_year_hist_lists_every_unknown_id(env, tmp_path):
+    """By the judgments' reader, which `regir run` shares; the command used
+    to stop at the first, reporting a query id as an unknown doc_id."""
+    qrels = tmp_path / "qrels.tsv"
+    query_line, doc_line = with_unknown_judgments(
+        env.root, qrels, "nosuchquery\tuk000", "eu00\tnosuchdoc")
+    out = tmp_path / "hist.csv"
+    result = env.cli("report", "year-hist", "--qrels", qrels,
+                     "--queries", env.root / "queries.jsonl",
+                     "--collection", env.root / "pool.jsonl", "--out", out)
+    assert result.exit_code == 1
+    assert (f"Error: {qrels}: 2 row(s) reference unknown ids:\n"
+            f"  line {query_line}: unknown query_id 'nosuchquery'\n"
+            f"  line {doc_line}: unknown doc_id 'nosuchdoc'\n") in blob(result)
+    assert not out.exists()
 
 
 def test_run_command_end_to_end(env, tmp_path):

@@ -1,6 +1,14 @@
 """Pairwise sweep of the config space on the toy corpus: every combination
-either runs to completion or is refused by `load_config` naming its key, and
-a finished run reruns nothing."""
+either runs to completion or is refused by `load_config` naming its key, a
+finished run reruns nothing, and every artifact of a finished run matches
+its sha256 in `config_space_digests.json`.
+
+The digests are taken as `test_pinned_artifacts.py` takes them, `# manifest`
+lines stripped and `manifest.json` left out. Other BLAS cores, CPU features
+or numpy builds may give other bits, so the file is keyed by the
+`environment` record `manifest.json` writes; a row run under a signature the
+file has no entry for skips its pin check, naming the signature.
+"""
 
 import json
 import os
@@ -8,6 +16,7 @@ import random
 import re
 from collections import Counter
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +29,7 @@ from regir.rerank.train import Hyperparams
 from regir.text import build_pipeline
 
 from conftest import build_dataset
+from test_pinned_artifacts import _digest
 
 FACTORS = {
     "mode": ["bm25", "w2v-cent", "doc-vectors", "ensemble:bm25,w2v-cent",
@@ -53,6 +63,33 @@ def pairwise_rows():
 
 
 ROWS = pairwise_rows()
+
+
+def row_id(row) -> str:
+    return "|".join(f"{value}" for value in row.values())
+
+
+DIGESTS = json.loads((Path(__file__).parent / "config_space_digests.json").read_text())
+
+
+def signature(outdir) -> dict:
+    """The numpy build, CPU features and BLAS core a run's artifacts were
+    built under, from its manifest's `environment` record: one run built
+    every stage, so every stage's record is the same."""
+    records = json.loads((outdir / "manifest.json").read_text())["environment"]
+    env = next(iter(records.values()))
+    return {"numpy": env["numpy"], "cpu_features": env["cpu_features"],
+            "blas_core": env["blas"]["core"]}
+
+
+def assert_artifacts_match_their_pins(row, outdir):
+    digests = {p.name: _digest(p.read_bytes()) for p in sorted(outdir.iterdir())
+               if p.name != "manifest.json"}
+    env = signature(outdir)
+    pinned = [entry["digests"] for entry in DIGESTS if entry["environment"] == env]
+    if not pinned:
+        pytest.skip(f"no digests pinned for environment {env}")
+    assert digests == pinned[0][row_id(row)]
 
 
 def config_text(row) -> str:
@@ -152,8 +189,7 @@ def assert_rerun_rewrites_nothing(config_path, outdir, monkeypatch):
     assert [p.name for p in artifacts if p.stat().st_mtime != 0] == ["manifest.json"]
 
 
-@pytest.mark.parametrize("row", ROWS, ids=lambda row: "|".join(
-    f"{value}" for value in row.values()))
+@pytest.mark.parametrize("row", ROWS, ids=row_id)
 def test_config_runs_or_is_refused_naming_the_key(space, tmp_path, row, monkeypatch):
     path = space / f"cfg{ROWS.index(row)}.txt"
     path.write_text(config_text(row))
@@ -180,6 +216,7 @@ def test_config_runs_or_is_refused_naming_the_key(space, tmp_path, row, monkeypa
                 assert all(abs(pool.get(d).year - year) <= years
                            for d in ranking.doc_ids)
     assert_rerun_rewrites_nothing(path, outdir, monkeypatch)
+    assert_artifacts_match_their_pins(row, outdir)
 
 
 def test_a_two_seed_run_reruns_nothing(space, tmp_path, monkeypatch):

@@ -45,6 +45,25 @@ def test_every_module_level_definition_is_referenced_in_the_package():
     assert unreferenced == sorted(UNREFERENCED_ALLOWED)
 
 
+# the library calls that `experiment.py` composes for `regir run` and the
+# CLI's stage commands alike: reading judgments and split manifests, BM25
+# tuning, training and the final lists
+STAGE_GLUE = ("load_qrels", "SplitManifest", "tune_bm25", "write_grid_csv",
+              "write_params", "train_model", "save_checkpoint",
+              "write_training_log", "rerank_run", "candidates", "finalize")
+
+
+def test_the_cli_leaves_the_stage_glue_to_experiment():
+    """Each of these jobs has one home: cli.py neither imports nor names
+    any of the calls above."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    names = _names(tree)
+    assert [n for n in STAGE_GLUE if n in imported or names[n]] == []
+
+
 def test_the_rerank_package_reads_no_text():
     """The matchers read queries and documents as term ids from the
     pipeline's bags: no module under rerank/ reads a `.text` attribute or
