@@ -83,6 +83,18 @@ def _split(splits_path: Path | None, split: str | None, default: str = "test"):
     return None if splits_path is None else split or default
 
 
+def _scored_run(run_path, qrels_path, splits_path, split):
+    """The run file's lists and the judgments a score of it reads: without
+    --splits every list of the file, with it each query of the split (test
+    by default), a query the file has no line for as an empty list."""
+    split = _split(splits_path, split)
+    run = read_run(run_path)
+    s = read_inputs(qrels=qrels_path, splits=splits_path)
+    if split:
+        run = lists_for(run, getattr(s.splits, f"{split}_ids"))
+    return run, s.qrels
+
+
 @main.command()
 @click.option("--collection", type=_in, required=True, help="JSONL collection.")
 @click.option("--out", type=_out, help="Write the validated canonical JSONL here.")
@@ -405,12 +417,8 @@ def evaluate(run_path, qrels, k, splits, split, out):
     """Score a run file against judgments. With --splits, every query of the
     split is scored, and one absent from the run file (a list the date window
     emptied is written as no lines) counts as an empty list."""
-    split = _split(splits, split)
-    run = read_run(run_path)
-    s = read_inputs(qrels=qrels, splits=splits)
-    if split:
-        run = lists_for(run, getattr(s.splits, f"{split}_ids"))
-    report = evaluate_run(run, s.qrels, k=k)
+    run, qrels = _scored_run(run_path, qrels, splits, split)
+    report = evaluate_run(run, qrels, k=k)
     for metric, value in report.macro.items():
         click.echo(f"{metric} {value:.4f}")
     if report.excluded_query_ids:
@@ -441,10 +449,15 @@ def aggregate(eval_paths, out):
 @click.option("--run", "run_path", type=_in, required=True)
 @click.option("--qrels", type=_in, required=True)
 @click.option("--k-max", type=_positive, required=True)
+@click.option("--splits", type=_in)
+@click.option("--split", help="Average this split of --splits [default: test].")
 @click.option("--out", type=_out, required=True)
-def rk_curve(run_path, qrels, k_max, out):
-    """R@k for k = 1..k_max from a deep run file."""
-    rows = emit_rk_curve(read_run(run_path), read_inputs(qrels=qrels).qrels, k_max)
+def rk_curve(run_path, qrels, k_max, splits, split, out):
+    """R@k for k = 1..k_max from a deep run file. With --splits, every query
+    of the split is averaged, and one absent from the run file (an empty
+    list is written as no lines) counts at R@k 0, as in `regir run`'s
+    rk_curve.csv."""
+    rows = emit_rk_curve(*_scored_run(run_path, qrels, splits, split), k_max)
     write_rk_curve_csv(rows, out)
     click.echo(f"R@{k_max} = {rows[-1][1]:.4f}")
 

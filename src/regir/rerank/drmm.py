@@ -85,6 +85,11 @@ class DrmmModel:
         gate = softmax(p["w_g"][0] * idf)
         return z, out, gate, np.matmul(out[:, None, :], gate[:, None])[:, 0, 0]
 
+    def backward_batch(self, caches, d_scores) -> list[dict[str, np.ndarray]]:
+        """The gradients of d_score * s_r for each pair's backward cache and
+        d_score, in order, one `backward` each."""
+        return [self.backward(cache, d) for cache, d in zip(caches, d_scores)]
+
     def backward(self, cache, d_score: float) -> dict[str, np.ndarray]:
         p = self.params
         hists, idf = cache["hists"], cache["idf"]

@@ -18,7 +18,7 @@ from itertools import repeat
 import numpy as np
 
 from .._textio import parse_number, read_vectors
-from ..dense import _row_norms
+from ..dense import NORM_BLOCK_ENTRIES, _row_norms
 
 log = logging.getLogger(__name__)
 
@@ -27,14 +27,23 @@ class _UnitRows:
     """Unit-normalized vectors in one matrix plus a spare zero row, which
     row id -1 (out-of-vocabulary) reads. A row of zero norm counts as
     out-of-vocabulary: cosine is undefined for it. Identity keys are the
-    row ids when the provider has a vector per term (`dedup`), else none."""
+    row ids when the provider has a vector per term (`dedup`), else none.
 
-    def __init__(self, matrix: np.ndarray, norms: np.ndarray):
-        usable = norms > 0
-        self._units = np.zeros((len(matrix) + 1, matrix.shape[1]))
-        np.divide(matrix, norms[:, None], out=self._units[:-1], where=usable[:, None])
+    Row j of the unit matrix is row order[j] of matrix (row j without an
+    order) divided by its norm, written a block of rows at a time, so an
+    order costs no reordered copy of the matrix."""
+
+    def __init__(self, matrix: np.ndarray, norms: np.ndarray, order=None):
+        size = len(matrix) if order is None else len(order)
+        usable = norms > 0 if order is None else norms[order] > 0
+        self._units = np.zeros((size + 1, matrix.shape[1]))
+        step = max(1, NORM_BLOCK_ENTRIES // max(1, matrix.shape[1]))
+        for lo in range(0, size, step):
+            rows = slice(lo, lo + step) if order is None else order[lo:lo + step]
+            np.divide(matrix[rows], norms[rows, None], out=self._units[:-1][lo:lo + step],
+                      where=usable[lo:lo + step, None])
         self._usable = np.append(usable, False)
-        self._range = np.arange(len(matrix))
+        self._range = np.arange(size)
 
     def row_ids(self, terms) -> np.ndarray:
         """Each term's row id, -1 for a term with no row."""
@@ -82,20 +91,21 @@ class TypeEmbeddings(_UnitRows):
 
 class TokenEmbeddings(_UnitRows):
     """Per-position contextual vectors: `positions` maps each doc_id to its
-    positions' rows of `matrix` (their row ids), in order. The positions
-    index the engine's own denoised token sequence, so its length must
-    match; rows are positional, so no pair gets the hard exact-match 1.0."""
+    positions' rows of `matrix`, in order. The unit matrix holds them
+    document by document, each in position order, so a document's row ids
+    are one run, whose units read as a slice. The positions index the
+    engine's own denoised token sequence, so its length must match; rows
+    are positional, so no pair gets the hard exact-match 1.0."""
 
     dedup = False
     _row: dict[str, int] = {}  # no term has a row of its own
 
     def __init__(self, matrix: np.ndarray, positions: dict[str, np.ndarray]):
-        super().__init__(matrix, _row_norms(matrix))
-        self._positions = {}
-        for doc_id, rows in positions.items():
-            # the positions of a document whose lines come in order, as a view
-            run = self._range[rows[0]:rows[0] + len(rows)] if len(rows) else rows
-            self._positions[doc_id] = run if np.array_equal(rows, run) else rows
+        order = np.concatenate([np.zeros(0, dtype=np.intp), *positions.values()])
+        super().__init__(matrix, _row_norms(matrix), order)
+        ends = np.cumsum([len(rows) for rows in positions.values()], dtype=np.intp)
+        self._positions = {doc_id: self._range[end - len(rows):end]
+                           for (doc_id, rows), end in zip(positions.items(), ends)}
 
     def ids(self, doc_id: str, tokens) -> np.ndarray:
         """The row ids of a document's positions, as many as its denoised

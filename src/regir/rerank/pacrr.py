@@ -17,6 +17,7 @@ and everything is checked against finite differences in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,55 +99,79 @@ class PacrrModel:
         params["lstm_b"] = np.zeros(4)
         return cls(params, config)
 
-    def _conv(self, S: np.ndarray, n: int):
+    def _conv(self, shifts: np.ndarray, n: int, bufs) -> np.ndarray:
         """Same-padded n x n correlation with F filters as one im2col matmul;
-        returns the (F, T*D) outputs and the (T*D, n*n) window matrix, which
-        the backward pass reuses. Column a*n + b of the window matrix is the
-        padded S shifted by (a, b), copied from a contiguous slice. The
-        matmul takes the window matrix transposed, as the strided gather
-        it replaced did: with numpy's OpenBLAS (0.3.31, AVX-512) `K @ cols.T`
+        returns the (F, T*D) outputs. shifts are the `_shifts` of S for a
+        kernel at least n wide, whose centred n x n block holds n's shifts:
+        column a*n + b of the window matrix is its shift (a, b). The widest
+        kernel's shifts are first copied into n*n contiguous planes, which
+        one transposing copy lays out; a narrower kernel's columns are
+        filled one shift at a time, which is faster for few columns. The
+        matmul takes the window matrix transposed, as the strided gather it
+        replaced did: with numpy's OpenBLAS (0.3.31, AVX-512) `K @ cols.T`
         and `K @ cols.T.copy()` differ in the last bits of some columns past
         the last multiple of 8, and only this layout keeps the scores of
-        earlier releases."""
-        t, d = S.shape
-        p = (n - 1) // 2
-        padded = np.zeros((t + n - 1, d + n - 1))
-        padded[p:p + t, p:p + d] = S
-        cols = np.empty((t, d, n * n))
-        for a in range(n):
-            for b in range(n):
-                cols[:, :, a * n + b] = padded[a:a + t, b:b + d]
-        cols = cols.reshape(t * d, n * n)
-        out = self.params[f"K{n}"].reshape(-1, n * n) @ cols.T
+        earlier releases. Everything is written into bufs, flat buffers for
+        the planes, the window matrix and the outputs of the shifts' widest
+        kernel, at least: that keeps the bits, and a pair that reuses
+        another's buffers faults in no fresh pages for them."""
+        wide, _, t, d = shifts.shape
+        planes_buf, cols_buf, out_buf = bufs
+        cols = _view(cols_buf, (t * d, n * n))
+        if n == wide:
+            planes = _view(planes_buf, shifts.shape)
+            planes[...] = shifts
+            cols[...] = planes.reshape(n * n, t * d).T
+        else:
+            o = (wide - 1) // 2 - (n - 1) // 2
+            by_shift = cols.reshape(t, d, n * n)
+            for a in range(n):
+                for b in range(n):
+                    by_shift[:, :, a * n + b] = shifts[o + a, o + b]
+        out = np.matmul(self.params[f"K{n}"].reshape(-1, n * n), cols.T,
+                        out=_view(out_buf, (self.config.filters, t * d)))
         out += self.params[f"c{n}"][:, None]
-        return out, cols
+        return out
 
-    def _rows(self, feats, conv_cache: list | None = None) -> np.ndarray:
-        """One pair's LSTM input S_sim, (T, input_dim), from feats = (S (T, D),
-        idf_col (T,)). A document with no tokens (D = 0) gives all-zero
-        views. Given a list, conv_cache receives what the backward pass needs
-        of each convolution."""
-        S, idf_col = feats
-        if S.ndim != 2 or S.shape[0] != idf_col.shape[0]:
-            raise ValueError("similarity matrix and idf column disagree on "
-                             "query length")
-        if S.shape[0] == 0:
-            raise ValueError("empty query")
-        k = self.config.kmax
-        views = [_row_kmax(S, k)[0]]
-        for n in self.config.kernel_sizes:
-            c_out, cols = self._conv(S, n)
-            v_n, idx_n = _row_kmax(c_out.max(axis=0).reshape(S.shape), k)
-            views.append(v_n)
-            if conv_cache is None:
-                continue
-            # only the k-max picks carry gradient, each into the filter that
-            # won its position: keep just their windows and winners
-            picked = idx_n >= 0
-            flat = (idx_n + S.shape[1] * np.arange(S.shape[0])[:, None])[picked]
-            conv_cache.append({"n": n, "picked": picked, "windows": cols[flat],
-                               "winner": c_out[:, flat].argmax(axis=0)})
-        return np.concatenate(views + [idf_col[:, None]], axis=1)
+    def _rows(self, feats_list, conv_caches: list | None = None) -> np.ndarray:
+        """The LSTM inputs S_sim of the pairs in feats_list, each (S (T, D),
+        idf_col (T,)) of one query, as one (G, T, input_dim) array. A
+        document with no tokens (D = 0) gives all-zero views.
+
+        Per pair, S is padded once, for the widest kernel, and every kernel
+        size reads its shifts (see `_conv`). Each size's max over filters is
+        written next to S in one (1 + len(kernel_sizes), T, D) block, and one
+        `_row_kmax` over the block's rows gives every view. The pairs reuse
+        one set of buffers, sized for the widest document. Given a list,
+        conv_caches receives what the backward pass needs of each pair's
+        convolutions (see `_picks`), and each kernel size's outputs get a
+        buffer of their own, read once the k-max has picked."""
+        cfg = self.config
+        k, sizes, wide = cfg.kmax, cfg.kernel_sizes, max(cfg.kernel_sizes)
+        t = _query_length(feats_list)
+        most = t * max(S.shape[1] for S, _ in feats_list)
+        planes_buf, cols_buf = np.empty(wide * wide * most), np.empty(wide * wide * most)
+        out_bufs = np.empty((len(sizes) if conv_caches is not None else 1,
+                             cfg.filters * most))
+        X = np.empty((len(feats_list), t, cfg.input_dim))
+        for x, (S, idf_col) in zip(X, feats_list):
+            d = S.shape[1]
+            shifts = _shifts(S, wide)
+            block = np.empty((1 + len(sizes), t, d))
+            block[0] = S
+            outs = []
+            for pos, n in enumerate(sizes):
+                outs.append(self._conv(shifts, n, (planes_buf, cols_buf,
+                                                   out_bufs[pos % len(out_bufs)])))
+                block[1 + pos] = outs[-1].max(axis=0).reshape(t, d)
+            vals, idx = _row_kmax(block.reshape(len(block) * t, d), k)
+            x[:, :-1] = vals.reshape(len(block), t, k).transpose(1, 0, 2).reshape(t, -1)
+            x[:, -1] = idf_col
+            if conv_caches is not None:
+                conv_caches.append([
+                    _picks(shifts, n, idx_n, out) for n, idx_n, out in
+                    zip(sizes, idx.reshape(len(block), t, k)[1:], outs)])
+        return X
 
     def score(self, feats) -> tuple[float, dict]:
         """feats = (S (T, D), idf_col (T,)); returns s_r and the backward
@@ -157,18 +182,19 @@ class PacrrModel:
     def score_batch(self, feats_list, caches: list | None = None) -> np.ndarray:
         """s_r of each pair in feats_list, the candidates of one query (so
         every S has the query's T rows). Given a list, caches receives each
-        pair's backward cache. The rows are built per pair, and the
-        recurrence runs over all pairs at once, so no pair's s_r or cache
-        depends on the others in the batch."""
+        pair's backward cache: its convolutions' picks, its rows x, the
+        batch's step states and its index g in them. The rows are built per
+        pair, and the recurrence runs over all pairs at once, so no pair's
+        s_r or cache depends on the others in the batch."""
         if caches is None:
-            return self._lstm(np.stack([self._rows(feats) for feats in feats_list]))
-        convs: list[list] = [[] for _ in feats_list]
-        X = np.stack([self._rows(feats, conv) for feats, conv in zip(feats_list, convs)])
+            return self._lstm(self._rows(feats_list))
+        convs: list[list] = []
+        X = self._rows(feats_list, convs)
         steps: list = []
         h = self._lstm(X, steps)
-        caches.extend({"conv": conv, "x": X[g],
-                       "steps": [tuple(v[g] for v in step) for step in steps]}
-                      for g, conv in enumerate(convs))
+        states = np.array(steps)
+        caches.extend({"conv": conv, "x": x, "states": states, "g": g}
+                      for g, (conv, x) in enumerate(zip(convs, X)))
         return h
 
     def _lstm(self, X: np.ndarray, steps: list | None = None) -> np.ndarray:
@@ -177,8 +203,8 @@ class PacrrModel:
         are one stacked matmul whose slices are the per-sequence gemvs
         `w @ x[t]`, so G does not change a bit of any sequence's result
         (`X[:, t] @ w.T` would). Given a list, steps receives each step's
-        inputs and states, (G,)-long along the last axis, for the backward
-        pass."""
+        states h, c, i, f, o, g and tanh(c_new), (G,)-long each, for the
+        backward pass."""
         w, u, b = self.params["lstm_W"], self.params["lstm_U"], self.params["lstm_b"]
         wx = np.matmul(w, X[..., None])[..., 0]
         h = c = np.zeros(X.shape[0])
@@ -189,40 +215,124 @@ class PacrrModel:
             c_new = f * c + i * g
             tc = np.tanh(c_new)
             if steps is not None:
-                steps.append((X[:, t], h, c, i, f, o, g, tc))
+                steps.append((h, c, i, f, o, g, tc))
             h, c = o * tc, c_new
         return h
 
     def backward(self, cache, d_score: float) -> dict[str, np.ndarray]:
-        grads = {name: np.zeros_like(p) for name, p in self.params.items()}
-        d_x = self._lstm_backward(cache["steps"], d_score, grads)
-        k, f_count = self.config.kmax, self.config.filters
-        # S is fixed input, so no gradient flows into it
-        for pos, conv in enumerate(cache["conv"]):
-            n, winner = conv["n"], conv["winner"]
-            d_v = d_x[:, (1 + pos) * k:(2 + pos) * k][conv["picked"]]
-            d_k = np.zeros((f_count, n * n))
-            np.add.at(d_k, winner, d_v[:, None] * conv["windows"])
-            grads[f"K{n}"] += d_k.reshape(-1, n, n)
-            grads[f"c{n}"] += np.bincount(winner, weights=d_v, minlength=f_count)
+        """One pair's gradients: `backward_batch` of the one pair."""
+        return self.backward_batch([cache], [d_score])[0]
+
+    def backward_batch(self, caches, d_scores) -> list[dict[str, np.ndarray]]:
+        """The gradients of d_score * s_r for each pair's backward cache and
+        d_score, in order; the caches may come from different `score_batch`
+        calls. The pairs of equal query length T share one
+        `_lstm_backward` pass over the T steps and one gradient scatter per
+        kernel size. Each pair's gradients keep the bits of back-propagating
+        it alone: the stacked products are slices of its own gemv and dot,
+        and every sum runs within the pair, in the order its own loop adds."""
+        by_length: dict[int, list[int]] = {}
+        for j, cache in enumerate(caches):
+            by_length.setdefault(len(cache["x"]), []).append(j)
+        grads: list = [None] * len(caches)
+        for group in by_length.values():
+            members = [caches[j] for j in group]
+            d_x, stacked = self._lstm_backward(
+                members, np.array([d_scores[j] for j in group]))
+            stacked.update(self._conv_backward(members, d_x))
+            for p, j in enumerate(group):
+                grads[j] = {name: stacked[name][p] for name in self.params}
         return grads
 
-    def _lstm_backward(self, steps, d_score: float, grads) -> np.ndarray:
+    def _lstm_backward(self, caches, d_score: np.ndarray):
+        """Back-propagates d_score through the recurrence of P pairs of one
+        query length in one pass over the steps, in descending t. Returns
+        d_x (P, T, input_dim) and the LSTM's gradients stacked per pair,
+        each a running sum from zero over the steps, as a per-pair loop
+        keeps it."""
         w, u = self.params["lstm_W"], self.params["lstm_U"]
-        d_x = np.zeros((len(steps), w.shape[1]))
-        d_h, d_c = d_score, 0.0
-        for t in range(len(steps) - 1, -1, -1):
-            x, h_prev, c_prev, i, f, o, g, tc = steps[t]
+        xs = np.stack([cache["x"] for cache in caches])
+        states = np.stack([cache["states"][:, :, cache["g"]] for cache in caches],
+                          axis=-1)
+        d_x = np.empty_like(xs)
+        grads = {"lstm_W": np.zeros((len(xs),) + w.shape),
+                 "lstm_U": np.zeros((len(xs), 4)), "lstm_b": np.zeros((len(xs), 4))}
+        d_h, d_c = d_score, np.zeros(len(xs))
+        for t in range(xs.shape[1] - 1, -1, -1):
+            h_prev, c_prev, i, f, o, g, tc = states[t]
             d_o = d_h * tc
             d_c = d_c + d_h * o * (1.0 - tc * tc)
             d_i, d_f, d_g = d_c * g, d_c * c_prev, d_c * i
-            d_a = np.array([d_i * i * (1 - i), d_f * f * (1 - f),
-                            d_o * o * (1 - o), d_g * (1 - g * g)])
-            grads["lstm_W"] += np.outer(d_a, x)
-            grads["lstm_U"] += d_a * h_prev
+            d_a = np.stack((d_i * i * (1 - i), d_f * f * (1 - f),
+                            d_o * o * (1 - o), d_g * (1 - g * g)), axis=1)
+            grads["lstm_W"] += d_a[:, :, None] * xs[:, t, None, :]
+            grads["lstm_U"] += d_a * h_prev[:, None]
             grads["lstm_b"] += d_a
-            d_x[t] = d_a @ w
-            d_h = float(d_a @ u)
+            # per pair, the gemv `d_a @ w` and the dot `d_a @ u`
+            d_x[:, t] = np.matmul(d_a[:, None], w)[:, 0]
+            d_h = np.matmul(d_a[:, None], u)[:, 0]
             d_c = d_c * f
-        return d_x
+        return d_x, grads
 
+    def _conv_backward(self, caches, d_x: np.ndarray) -> dict[str, np.ndarray]:
+        """The conv stacks' gradients of P pairs, stacked per pair, from
+        their d_x: one scatter per kernel size over all pairs' picks, each
+        pair's into its own rows, in its own order. S is fixed input, so no
+        gradient flows into it."""
+        k, f_count, p_count = self.config.kmax, self.config.filters, len(caches)
+        grads = {}
+        for pos, n in enumerate(self.config.kernel_sizes):
+            convs = [cache["conv"][pos] for cache in caches]
+            picked = np.stack([conv["picked"] for conv in convs])
+            d_v = d_x[:, :, (1 + pos) * k:(2 + pos) * k][picked]
+            winner = np.concatenate([conv["winner"] for conv in convs])
+            winner += np.repeat(np.arange(p_count) * f_count,
+                                [len(conv["winner"]) for conv in convs])
+            d_k = np.zeros((p_count * f_count, n * n))
+            np.add.at(d_k, winner, d_v[:, None] * np.concatenate(
+                [conv["windows"] for conv in convs]))
+            grads[f"K{n}"] = d_k.reshape(p_count, f_count, n, n)
+            grads[f"c{n}"] = np.bincount(winner, weights=d_v, minlength=p_count *
+                                         f_count).reshape(p_count, f_count)
+        return grads
+
+
+def _view(buf: np.ndarray, shape) -> np.ndarray:
+    """A C-contiguous array of shape over the start of the flat buffer buf."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _query_length(feats_list) -> int:
+    """The query length T that every pair of feats_list, S and idf column
+    alike, shares."""
+    t = len(feats_list[0][1])
+    if any(S.ndim != 2 or len(S) != t or len(idf_col) != t for S, idf_col in feats_list):
+        raise ValueError("similarity matrices and idf columns disagree on the "
+                         "query length")
+    if t == 0:
+        raise ValueError("empty query")
+    return t
+
+
+def _picks(shifts: np.ndarray, n: int, idx: np.ndarray, out: np.ndarray) -> dict:
+    """The backward cache of kernel size n's view: only its k-max picks,
+    idx (T, k) as `_row_kmax` gives them, carry gradient, each into the
+    filter whose output, out (F, T*D), won its position. So it keeps which
+    picks are real, and their windows, read off the shifts, and winners."""
+    picked = idx >= 0
+    t_at, d_at = np.nonzero(picked)[0], idx[picked]
+    o = (len(shifts) - 1) // 2 - (n - 1) // 2
+    windows = shifts[o:o + n, o:o + n, t_at, d_at].reshape(n * n, len(t_at)).T
+    return {"n": n, "picked": picked, "windows": windows,
+            "winner": out[:, t_at * shifts.shape[3] + d_at].argmax(axis=0)}
+
+
+def _shifts(S: np.ndarray, wide: int) -> np.ndarray:
+    """S zero-padded once, for a same-padded wide x wide kernel, seen as its
+    shifts: [a, b] of the (wide, wide, T, D) view is the padded S shifted by
+    (a, b)."""
+    t, d = S.shape
+    p = (wide - 1) // 2
+    padded = np.zeros((t + wide - 1, d + wide - 1))
+    padded[p:p + t, p:p + d] = S
+    return np.ndarray((wide, wide, t, d), buffer=padded, strides=padded.strides * 2)

@@ -352,20 +352,24 @@ def _hinge_step(model, store: FeatureStore, batch, norm_sp, w_r: float,
                 w_p: float, grads: dict) -> list[float]:
     """Adds the hinge-loss gradients of a mini-batch of triples into grads
     and returns each triple's loss. The distinct (query, document) pairs are
-    scored with one `score_batch` call per query; the backward passes then
-    run in triple order, so every gradient sum adds in the order of a
-    per-pair loop."""
+    scored with one `score_batch` call per query, and the distinct pairs to
+    back-propagate, each with its d_score, in one `backward_batch` call
+    (PACRR's takes one pass over the steps per query length; its stacked
+    matmuls are slices of the per-pair gemv and dot, and its gradient sums
+    run per pair in descending t). The per-pair gradients are then added
+    into grads in triple order, a triple's positive before its negative,
+    so every gradient sum adds in the order of a per-pair loop."""
     scored = {}
     for query_id, docs in _docs_by_query(batch).items():
         caches: list = []
         s_r = model.score_batch([store.features(query_id, d) for d in docs], caches)
         for doc_id, s, cache in zip(docs, s_r.tolist(), caches):
             scored[query_id, doc_id] = s, cache
-    losses = []
+    losses, back = [], []
     for triple in batch:
         sp = norm_sp[triple.query_id]
-        sr_pos, cache_pos = scored[triple.query_id, triple.pos_doc_id]
-        sr_neg, cache_neg = scored[triple.query_id, triple.neg_doc_id]
+        sr_pos, _ = scored[triple.query_id, triple.pos_doc_id]
+        sr_neg, _ = scored[triple.query_id, triple.neg_doc_id]
         sp_pos, sp_neg = sp[triple.pos_doc_id], sp[triple.neg_doc_id]
         loss = hinge_loss(rel_score(sr_pos, sp_pos, w_r, w_p),
                           rel_score(sr_neg, sp_neg, w_r, w_p))
@@ -374,9 +378,13 @@ def _hinge_step(model, store: FeatureStore, batch, norm_sp, w_r: float,
             continue
         grads["w_r"] += sr_neg - sr_pos
         grads["w_p"] += sp_neg - sp_pos
-        for name, g in model.backward(cache_pos, -w_r).items():
-            grads[name] += g
-        for name, g in model.backward(cache_neg, +w_r).items():
+        back += [(triple.query_id, triple.pos_doc_id, -w_r),
+                 (triple.query_id, triple.neg_doc_id, +w_r)]
+    distinct = list(dict.fromkeys(back))
+    pair_grads = dict(zip(distinct, model.backward_batch(
+        [scored[q, d][1] for q, d, _ in distinct], [ds for _, _, ds in distinct])))
+    for key in back:
+        for name, g in pair_grads[key].items():
             grads[name] += g
     return losses
 

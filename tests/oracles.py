@@ -5,8 +5,9 @@ token lists or from one pair's 2-d products, and re-ranking with one model
 call per candidate), BM25 over the whole pool with one scatter-add per query
 term and tuned with one search per (cell, query), a training step that scores
 and back-propagates one pair at a time, the dict-built postings, the lexsort
-top-k, the per-row histogram and the einsum and strided-gather convolutions
-that the vectorized kernels must reproduce, unit word and token vectors
+top-k, the per-row histogram, the einsum and strided-gather convolutions and
+PACRR's rows with a padding and a k-max per kernel size, which the
+vectorized kernels must reproduce, unit word and token vectors
 normalized one term or one call at a time, the pre-fetch steps one entry at
 a time (denoising per token, idf per term and per df, the date filter and min-max
 normalization per entry, fusion over dicts and a tuple-keyed sort), run
@@ -37,7 +38,7 @@ from regir.text import IdfTable, TextPipeline
 from regir.rerank.drmm import DrmmModel
 from regir.rerank.features import (TokenEmbeddings, TypeEmbeddings, drmm_features,
                                    pacrr_features, sim_matrix, softmax)
-from regir.rerank.pacrr import PacrrModel, _sigmoid
+from regir.rerank.pacrr import PacrrModel, _row_kmax, _sigmoid
 from regir.rerank.train import hinge_loss, rel_score
 
 
@@ -371,18 +372,58 @@ def drmm_score_2d(model: DrmmModel, feats) -> float:
     return float(softmax(p["w_g"][0] * idf) @ out)
 
 
-def pacrr_score_per_step(model: PacrrModel, feats) -> float:
-    """PACRR's s_r with the LSTM read over one pair's rows alone: a gemv
-    `w @ x[t]` per step and scalar state."""
-    x = model._rows(feats)
+def rows_per_size(model: PacrrModel, feats, conv_cache: list | None = None) -> np.ndarray:
+    """One pair's LSTM input S_sim (T, input_dim) with a convolution of its
+    own padding per kernel size, whose window matrix is filled one shifted
+    slice per kernel cell, and one `_row_kmax` per view. Given a list,
+    conv_cache receives each size's backward cache entry: the k-max picks,
+    their windows and winning filters."""
+    S, idf_col = feats
+    t, d = S.shape
+    k = model.config.kmax
+    views = [_row_kmax(S, k)[0]]
+    for n in model.config.kernel_sizes:
+        p = (n - 1) // 2
+        padded = np.zeros((t + n - 1, d + n - 1))
+        padded[p:p + t, p:p + d] = S
+        cols = np.empty((t, d, n * n))
+        for a in range(n):
+            for b in range(n):
+                cols[:, :, a * n + b] = padded[a:a + t, b:b + d]
+        cols = cols.reshape(t * d, n * n)
+        c_out = model.params[f"K{n}"].reshape(-1, n * n) @ cols.T
+        c_out += model.params[f"c{n}"][:, None]
+        v_n, idx_n = _row_kmax(c_out.max(axis=0).reshape(t, d), k)
+        views.append(v_n)
+        if conv_cache is not None:
+            picked = idx_n >= 0
+            flat = (idx_n + d * np.arange(t)[:, None])[picked]
+            conv_cache.append({"n": n, "picked": picked, "windows": cols[flat],
+                               "winner": c_out[:, flat].argmax(axis=0)})
+    return np.concatenate(views + [idf_col[:, None]], axis=1)
+
+
+def lstm_per_step(model: PacrrModel, x: np.ndarray):
+    """PACRR's s_r with the LSTM read over one pair's rows x alone: a gemv
+    `w @ x[t]` per step and scalar state. Returns s_r and the (T, 7) states
+    h, c, i, f, o, g, tanh(c_new) of each step."""
     w, u, b = (model.params[k] for k in ("lstm_W", "lstm_U", "lstm_b"))
     h = c = 0.0
+    states = []
     for t in range(x.shape[0]):
         a = w @ x[t] + u * h + b
         i, f, o = _sigmoid(a[0]), _sigmoid(a[1]), _sigmoid(a[2])
-        c = f * c + i * np.tanh(a[3])
-        h = o * np.tanh(c)
-    return float(h)
+        g = np.tanh(a[3])
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        states.append((h, c, i, f, o, g, tc))
+        h, c = o * tc, c_new
+    return float(h), np.array(states)
+
+
+def pacrr_score_per_step(model: PacrrModel, feats) -> float:
+    """PACRR's s_r from `rows_per_size` and `lstm_per_step`."""
+    return lstm_per_step(model, rows_per_size(model, feats))[0]
 
 
 def rerank_list_per_pair(reranker, query_id: str, ranking: RankedList,

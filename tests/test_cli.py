@@ -10,6 +10,7 @@ from regir.bm25 import load_index
 from regir.cli import main
 from regir.corpus import ingest_collection
 from regir.dense import load_word_vectors
+from regir.experiment import emit_rk_curve, read_inputs
 from regir.fusion import default_alpha_grid
 from regir.ranking import RankedList, read_run, write_run
 from regir.rerank.features import TypeEmbeddings, load_token_vectors
@@ -743,7 +744,8 @@ def test_depth_options_refuse_values_below_one(env, tmp_path, command, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["tune-bm25", "prefetch", "evaluate"])
+@pytest.mark.parametrize("command", ["tune-bm25", "prefetch", "evaluate",
+                                     "report rk-curve"])
 def test_split_without_splits_is_refused_before_any_input_is_read(env, tmp_path,
                                                                    command):
     """`--split` used to be ignored without `--splits`, so every query ran:
@@ -753,9 +755,10 @@ def test_split_without_splits_is_refused_before_any_input_is_read(env, tmp_path,
     bad.write_text("not an input\n")
     args = {"tune-bm25": ["--index", bad, "--queries", bad, "--qrels", bad],
             "prefetch": ["--mode", "bm25", "--index", bad, "--queries", bad],
-            "evaluate": ["--run", bad, "--qrels", bad]}[command]
+            "evaluate": ["--run", bad, "--qrels", bad],
+            "report rk-curve": ["--run", bad, "--qrels", bad, "--k-max", "10"]}[command]
     out = tmp_path / "out"
-    result = env.cli(command, *args, "--split", "dev", "--out", out)
+    result = env.cli(*command.split(), *args, "--split", "dev", "--out", out)
     assert result.exit_code == 1
     assert "Error: --split needs --splits" in blob(result)
     assert not out.exists()
@@ -1267,6 +1270,49 @@ def test_report_rk_curve(env, tmp_path):
     assert len(lines) == 11
     recalls = [float(line.split(",")[1]) for line in lines[1:]]
     assert recalls == sorted(recalls)
+
+
+def test_report_rk_curve_over_a_split_counts_a_query_without_lines(tmp_path):
+    """A test query with no indexed term has an empty pre-fetched list, so
+    `prefetch_test.tsv` has no line for it. Over the test split,
+    `report rk-curve` counts it at R@k 0 and writes `regir run`'s
+    rk_curve.csv; without --splits it averages the queries of the file."""
+    root = build_dataset(tmp_path, random.Random(20260814))
+    splits = json.loads((root / "splits.json").read_text())
+    queries = [json.loads(line) for line in
+               (root / "queries.jsonl").read_text().splitlines()]
+    for query in queries:
+        if query["doc_id"] == splits["test"][0]:
+            query.update(title="qqq", body="www")
+    write_jsonl(root / "queries.jsonl", queries)
+    (root / "exp.cfg").write_text(
+        "task = EU2UK\ndata.pool = pool.jsonl\ndata.queries = queries.jsonl\n"
+        "data.qrels = qrels.tsv\ndata.splits = splits.json\n"
+        "prefetch.mode = bm25\nprefetch.k = 5\neval.k = 5\n")
+    runner = CliRunner()
+    outdir = tmp_path / "exp"
+    result = runner.invoke(main, ["run", "--config", str(root / "exp.cfg"),
+                                  "--out", str(outdir)])
+    assert result.exit_code == 0, blob(result)
+    assert sorted(read_run(outdir / "prefetch_test.tsv")) == sorted(splits["test"][1:])
+    own = (outdir / "rk_curve.csv").read_text().splitlines()
+    assert own[0].startswith("# manifest ")
+    args = ["report", "rk-curve", "--run", outdir / "prefetch_test.tsv",
+            "--qrels", root / "qrels.tsv", "--k-max", "10"]
+    for split_args in (["--splits", root / "splits.json"],
+                       ["--splits", root / "splits.json", "--split", "test"]):
+        result = runner.invoke(main, [str(a) for a in args + split_args +
+                                      ["--out", tmp_path / "rk.csv"]])
+        assert result.exit_code == 0, blob(result)
+        assert (tmp_path / "rk.csv").read_text().splitlines() == own[1:]
+        assert f"R@10 = {float(own[-1].split(',')[1]):.4f}" in result.output
+    result = runner.invoke(main, [str(a) for a in args + ["--out", tmp_path / "all.csv"]])
+    assert result.exit_code == 0, blob(result)
+    rows = emit_rk_curve(read_run(outdir / "prefetch_test.tsv"),
+                         read_inputs(qrels=root / "qrels.tsv").qrels, 10)
+    assert (tmp_path / "all.csv").read_text().splitlines() == \
+        ["k,recall"] + [f"{k},{r!r}" for k, r in rows]
+    assert (tmp_path / "all.csv").read_text() != (tmp_path / "rk.csv").read_text()
 
 
 def test_report_commands_share_the_error_boundary(env, tmp_path):

@@ -12,13 +12,13 @@ from regir.rerank.features import (TypeEmbeddings, dedup_terms, drmm_batch,
                                    drmm_features, drmm_query, load_token_vectors,
                                    pacrr_features, pacrr_pair, pacrr_query,
                                    sim_matrix, softmax)
-from regir.rerank.pacrr import PacrrConfig, PacrrModel
+from regir.rerank.pacrr import PacrrConfig, PacrrModel, _shifts
 
 from conftest import FixedIdf, exit_spy, keyed
 from oracles import (bin_similarities_row, build_histogram, conv_einsum,
                      conv_strided_im2col, drmm_features_per_row, drmm_score,
-                     drmm_score_2d, pacrr_score, pacrr_score_per_step,
-                     text_rows, token_embeddings, token_rows_per_call,
+                     drmm_score_2d, lstm_per_step, pacrr_score, pacrr_score_per_step,
+                     rows_per_size, text_rows, token_embeddings, token_rows_per_call,
                      type_units_per_term)
 
 
@@ -195,7 +195,8 @@ def test_load_token_vectors_names_the_first_fault(tmp_path, lines, message):
 def test_load_token_vectors_reads_positions_in_any_order(tmp_path):
     """Documents' lines interleaved and each document's positions in any
     order give each document the rows of its vectors in position order,
-    normalized as one sequence is."""
+    normalized as one sequence is, and laid out as one run of the unit
+    matrix: its units are a slice, not a copy."""
     rng = np.random.default_rng(5)
     seqs = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(1, 3)),
             "c": rng.normal(size=(6, 3))}
@@ -210,6 +211,7 @@ def test_load_token_vectors_reads_positions_in_any_order(tmp_path):
         want_units, want_mask = token_rows_per_call(seq)
         assert units.tobytes() == want_units.tobytes()
         assert mask.tolist() == want_mask.tolist() and keys is None
+        assert units.base is not None and np.shares_memory(units, provider._units)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -667,6 +669,15 @@ def test_pacrr_kmax_ties_match_stable_argsort():
     assert np.all(idx[:, 3:] == -1) and np.all(vals[:, 3:] == 0.0)
 
 
+def conv_of(model, S, n: int, wide: int, spare: int = 0) -> np.ndarray:
+    """`_conv` of kernel size n over the shifts of S padded for a kernel
+    wide x wide, into buffers `spare` entries longer than it needs."""
+    cells = S.size
+    bufs = (np.empty(wide * wide * cells + spare), np.empty(wide * wide * cells + spare),
+            np.empty(model.config.filters * cells + spare))
+    return model._conv(_shifts(S, wide), n, bufs)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_pacrr_conv_matches_einsum_oracle(n):
     rng = np.random.default_rng(30 + n)
@@ -675,17 +686,19 @@ def test_pacrr_conv_matches_einsum_oracle(n):
     model.params[f"c{n}"] = rng.normal(size=5)
     for shape in [(1, 1), (3, 17), (9, 4)]:
         S = rng.uniform(-1, 1, size=shape)
-        out, _ = model._conv(S, n)
         want = conv_einsum(S, model.params[f"K{n}"], model.params[f"c{n}"])
-        assert np.allclose(out.reshape(want.shape), want, rtol=0, atol=1e-12)
+        for wide in range(n, 6):
+            out = conv_of(model, S, n, wide)
+            assert np.allclose(out.reshape(want.shape), want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_pacrr_conv_equals_strided_gather_oracle(n):
-    """The window matrix of contiguous shifted slices gives the bits of the
-    matmul over the strided gather, outputs and backward windows alike, on
-    one query term, an empty document, one narrower than the kernel, one of
-    d_len and a wide one."""
+    """The window matrix copied from the shifts of S padded for a kernel n
+    wide or wider gives the bits of the matmul over the strided gather, and
+    the backward cache its windows and winners, on one query term, an empty
+    document, one narrower than the kernel, one of d_len and a wide one; so
+    do buffers longer than the arrays they receive."""
     from regir.rerank.pacrr import _row_kmax
     rng = np.random.default_rng(40 + n)
     config = PacrrConfig(d_len=39, kernel_sizes=(n,), filters=16, kmax=3)
@@ -694,15 +707,18 @@ def test_pacrr_conv_equals_strided_gather_oracle(n):
     kernels, bias = model.params[f"K{n}"], model.params[f"c{n}"]
     for t, d in [(1, 5), (4, 0), (4, 1), (5, 39), (12, 127), (30, 257)]:
         S = rng.uniform(-1, 1, size=(t, d))
-        out, _ = model._conv(S, n)
         want, cols = conv_strided_im2col(S, kernels, bias)
-        assert out.shape == want.shape and (out == want).all()
-        conv_cache: list = []
-        model._rows((S, rng.uniform(size=t)), conv_cache)
+        for wide in range(n, 6):
+            for spare in (0, 5):
+                out = conv_of(model, S, n, wide, spare)
+                assert out.shape == want.shape and (out == want).all()
+        conv_caches: list = []
+        model._rows([(S, rng.uniform(size=t))], conv_caches)
         _, idx = _row_kmax(want.max(axis=0).reshape(t, d), config.kmax)
         flat = (idx + d * np.arange(t)[:, None])[idx >= 0]
-        windows = conv_cache[0]["windows"]
+        windows, winner = conv_caches[0][0]["windows"], conv_caches[0][0]["winner"]
         assert windows.shape == (len(flat), n * n) and (windows == cols[flat]).all()
+        assert (winner == want[:, flat].argmax(axis=0)).all()
 
 
 def test_pacrr_hand_traced_conv():
@@ -803,6 +819,56 @@ def test_score_batch_equals_per_pair_scores_bit_for_bit(kind, seed):
         assert model.score_batch(feats).tolist() == want
         assert model.score_batch(feats[::-1]).tolist() == want[::-1]
         assert [model.score_batch([f]).tolist() for f in feats] == [[w] for w in want]
+
+
+@pytest.mark.parametrize("token_level", [False, True])
+@pytest.mark.parametrize("sizes", [(2, 3), (3,), (2, 3, 4, 5)])
+def test_pacrr_batch_rows_and_caches_equal_per_size_oracle(sizes, token_level):
+    """One padding for the widest kernel, shared shifts, shared buffers and
+    one k-max per pair give the bits of a padding, a window fill and a
+    k-max per kernel size: `score_batch`'s scores and every field of its
+    backward caches equal the oracle's byte for byte, with nonzero conv
+    biases, for a one-term query and one cut at q_len, against documents
+    with no tokens, fewer than kmax, d_len and more."""
+    rng = np.random.default_rng(sum(sizes) + 100 * token_level)
+    config = PacrrConfig(q_len=9, d_len=16, kernel_sizes=sizes, filters=4, kmax=3)
+    model = PacrrModel.init(rng, config)
+    for n in sizes:
+        model.params[f"c{n}"] = rng.normal(0, 0.05, size=4)
+    model.params["lstm_b"] = rng.normal(0, 0.1, size=4)
+    vocab = [f"t{i}" for i in range(30)]
+    idf = FixedIdf({t: 0.2 * i for i, t in enumerate(vocab)})
+    lengths = (0, 1, config.kmax - 1, 7, config.d_len, config.d_len + 9)
+    docs = {f"d{i}": [vocab[j] for j in rng.integers(30, size=n)]
+            for i, n in enumerate(lengths)}
+    queries = {"q1": ["t3"], "q2": [vocab[j] for j in rng.integers(30, size=14)]}
+    if token_level:
+        seqs = {doc_id: rng.normal(size=(len(toks), 6))
+                for doc_id, toks in {**queries, **docs}.items()}
+        seqs["d3"][2] = 0.0  # a position without a vector
+        provider = token_embeddings(seqs)
+    else:
+        provider = TypeEmbeddings(wv_from({t: rng.normal(size=6) for t in vocab[:24]}))
+    for query_id, query in queries.items():
+        feats = [pacrr_features(query, query_id, toks, doc_id, provider, idf,
+                                config.q_len, config.d_len)
+                 for doc_id, toks in docs.items()]
+        caches: list = []
+        scores = model.score_batch(feats, caches)
+        for s_r, cache, f in zip(scores.tolist(), caches, feats):
+            conv: list = []
+            x = rows_per_size(model, f, conv)
+            want_s, states = lstm_per_step(model, x)
+            assert s_r == want_s
+            assert cache["x"].tobytes() == x.tobytes()
+            assert cache["states"][:, :, cache["g"]].tobytes() == states.tobytes()
+            assert [c["n"] for c in cache["conv"]] == [c["n"] for c in conv] == list(sizes)
+            for got, want in zip(cache["conv"], conv):
+                assert got.keys() == want.keys()
+                for key in ("picked", "windows", "winner"):
+                    assert got[key].shape == want[key].shape
+                    assert got[key].dtype == want[key].dtype
+                    assert got[key].tobytes() == want[key].tobytes()
 
 
 def test_pacrr_empty_document_scores_from_zero_views():

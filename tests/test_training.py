@@ -4,6 +4,7 @@ import random
 import re
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from regir._npz import write_npz
 from regir.corpus import Corpus, Document, Qrels
 from regir.dense import WordVectors
 from regir.ranking import RankedList, Run
-from regir.rerank import features, train
+from regir.rerank import features, pacrr, train
 from regir.rerank.features import (TypeEmbeddings, dedup_terms, drmm_features,
-                                   pacrr_features)
+                                   pacrr_features, softmax)
+from regir.rerank.pacrr import PacrrConfig, PacrrModel
 from regir.rerank.train import (CHECKPOINT_FORMAT, Adam, FeatureStore,
-                                Hyperparams, Reranker,
+                                Hyperparams, Reranker, TrainTriple,
                                 TrainingDiverged, _check_finite, _dev_recall,
                                 hinge_loss, init_model, load_checkpoint,
                                 rel_score, rerank_run, sample_triples,
@@ -825,6 +827,59 @@ def test_training_equals_per_pair_step_oracle(kind, hp, monkeypatch):
     assert batched.model.params.keys() == per_pair.model.params.keys()
     assert all(np.array_equal(batched.model.params[k], per_pair.model.params[k])
                for k in batched.model.params)
+
+
+def test_pacrr_hinge_step_equals_per_pair_oracle_across_query_lengths(monkeypatch):
+    """A PACRR mini-batch over queries of two lengths T, with pairs in two
+    triples each and a zero-loss triple, adds the losses and gradients of a
+    step that scores and back-propagates one pair at a time, byte for byte.
+    It makes one `_row_kmax` call per scored pair and one LSTM backward pass
+    per query length among the back-propagated pairs."""
+    rng = np.random.default_rng(12)
+    model = PacrrModel.init(rng, PacrrConfig(q_len=9, d_len=16, kernel_sizes=(2, 3),
+                                             filters=4, kmax=2))
+    for n in (2, 3):
+        model.params[f"c{n}"] = rng.normal(0, 0.05, size=4)
+    model.params["lstm_b"] = rng.normal(0, 0.1, size=4)
+    feats = {}
+    for query_id, t in (("qa", 5), ("qb", 9), ("qc", 5)):
+        idf_col = softmax(rng.uniform(0, 2, size=t))
+        for doc_id, d in (("p", 7), ("n1", 0), ("n2", 16), ("n3", 1)):
+            feats[query_id, doc_id] = (rng.uniform(-1, 1, size=(t, d)), idf_col)
+    store = SimpleNamespace(features=lambda query_id, doc_id: feats[query_id, doc_id])
+    batch = [TrainTriple("qa", "p", "n1"), TrainTriple("qb", "p", "n2"),
+             TrainTriple("qc", "p", "n3"), TrainTriple("qa", "p", "n2"),
+             TrainTriple("qb", "p", "n1")]
+    # w_p * (sp_pos - sp_neg) decides each loss: qc's triple is met by the
+    # full margin, every other one is not
+    norm_sp = {q: {"p": 0.0, "n1": 1.0, "n2": 0.5, "n3": 0.0} for q in ("qa", "qb")}
+    norm_sp["qc"] = {"p": 1.0, "n3": 0.0}
+    w_r, w_p = 0.5, 3.0
+    names = [*model.params, "w_r", "w_p"]
+    grads = {name: np.zeros(model.params[name].shape if name in model.params else 1)
+             for name in names}
+    want = {name: g.copy() for name, g in grads.items()}
+    kmax_calls, backward_lengths = [], []
+    real_kmax, real_backward = pacrr._row_kmax, PacrrModel._lstm_backward
+
+    def kmax(M, k):
+        kmax_calls.append(M.shape)
+        return real_kmax(M, k)
+
+    def lstm_backward(self, caches, d_score):
+        backward_lengths.append(sorted(len(cache["x"]) for cache in caches))
+        return real_backward(self, caches, d_score)
+
+    monkeypatch.setattr(pacrr, "_row_kmax", kmax)
+    monkeypatch.setattr(PacrrModel, "_lstm_backward", lstm_backward)
+    losses = train._hinge_step(model, store, batch, norm_sp, w_r, w_p, grads)
+    monkeypatch.undo()
+    assert losses[2] == 0.0 and min(losses[:2] + losses[3:]) > 0.0
+    assert len(kmax_calls) == 8  # qa and qb three documents each, qc two
+    assert sorted(backward_lengths) == [[5, 5, 5], [9, 9, 9]]
+    assert hinge_step_per_pair(model, store, batch, norm_sp, w_r, w_p, want) == losses
+    for name in names:
+        assert grads[name].tobytes() == want[name].tobytes(), name
 
 
 @pytest.mark.parametrize("kind, hp", TRAIN_HPS)
