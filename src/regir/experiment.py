@@ -40,9 +40,9 @@ from .metrics import (aggregate_runs, evaluate_run, write_eval_csv,
                       write_summary_csv)
 from .ranking import RankedList, Run, lists_for, per_query, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
-from .rerank.train import (CHECKPOINT_VERSION, FeatureStore, Hyperparams,
-                           load_checkpoint, rerank_run, save_checkpoint,
-                           train_model, write_training_log)
+from .rerank.train import (CHECKPOINT_VERSION, DEV_K, FeatureStore,
+                           Hyperparams, load_checkpoint, rerank_run,
+                           save_checkpoint, train_model, write_training_log)
 from .text import TextPipeline, build_pipeline, load_stopwords
 from ._textio import parse_number, read_json_number, read_key_values, write_table
 
@@ -398,8 +398,13 @@ def run_bm25_tuning(index, pipeline: TextPipeline, queries: Corpus, query_ids, q
 def run_training(kind: str, splits: SplitManifest, qrels, run: Run, store, hp,
                  checkpoint_path, log_path=None, comment: str = ""):
     """`train_model` on the split's queries' lists in `run`; saves the
-    checkpoint and, given a path, the training log."""
+    checkpoint and, given a path, the training log. Warns when no epoch beat
+    the initial model, whose weights the checkpoint then holds."""
     result = train_model(kind, splits.train_ids, splits.dev_ids, qrels, run, store, hp)
+    if result.best_epoch == 0:
+        log.warning("seed %d: no epoch beat the initial model's dev R@%d of %r; "
+                    "the checkpoint keeps its weights", hp.seed, DEV_K,
+                    result.best_dev_r20)
     save_checkpoint(result, checkpoint_path)
     if log_path is not None:
         write_training_log(result.log_rows, log_path, comment=comment)

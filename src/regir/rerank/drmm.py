@@ -1,10 +1,10 @@
 """Relevance matching by per-query-term similarity histograms.
 
-Each distinct query term contributes a log-count histogram of its cosine
+Each distinct query term contributes a histogram counting its cosine
 similarities against the document's tokens; a small feed-forward net scores
-each histogram and an idf-driven softmax gate weighs the terms:
+each histogram's log-counts and an idf-driven softmax gate weighs the terms:
 
-    s_r = sum_i softmax(w_g * idf)_i * MLP(hist_i)
+    s_r = sum_i softmax(w_g * idf)_i * MLP(log1p(hist_i))
 
 Gradients are hand-written (the whole model is a few hundred parameters;
 a tensor framework would be the only heavyweight dependency in the engine)
@@ -19,7 +19,8 @@ from .features import softmax
 
 
 class DrmmModel:
-    """MLP over (bins + 1)-long histograms with a learned idf gate scalar.
+    """MLP over (bins + 1)-long log-count histograms with a learned idf gate
+    scalar.
 
     params:
         W1 (hidden, bins+1), b1 (hidden,)   tanh layer
@@ -45,37 +46,41 @@ class DrmmModel:
         return cls(params, bins)
 
     def score(self, feats) -> tuple[float, dict]:
-        """feats = (histograms (T, bins+1), idf (T,)). Returns s_r and the
-        cache needed for the backward pass: `score_batch` of the one pair."""
+        """feats = (count histograms (T, bins+1), idf (T,)). Returns s_r and
+        the cache needed for the backward pass: `score_batch` of the one
+        pair."""
         caches: list = []
         return float(self.score_batch([feats], caches)[0]), caches[0]
 
     def score_batch(self, feats_list, caches: list | None = None) -> np.ndarray:
         """s_r of each pair in feats_list, the candidates of one query, which
-        share its idf. Given a list, caches receives each pair's backward
-        cache. Both come from one `_forward`, whose products are per-pair
-        slices, so no pair's s_r or cache depends on the others in the
-        batch."""
+        share its idf. A pair's histograms are counts of any numeric dtype;
+        the stacked batch becomes log-counts in one float64 `np.log1p`
+        (without `dtype=`, numpy's log1p of the uint8 counts the feature
+        store keeps gives float16). Given a list, caches receives each
+        pair's backward cache, which holds its float rows. Both come from
+        one `_forward`, whose products are per-pair slices, so no pair's s_r
+        or cache depends on the others in the batch."""
         idf = feats_list[0][1]
         if any(f[1] is not idf and not np.array_equal(f[1], idf)
                for f in feats_list):
             raise ValueError("a batch holds the candidates of one query, "
                              "which share its idf")
-        z, out, gate, s_r = self._forward(
-            np.stack([hists for hists, _ in feats_list]), idf)
+        hists = np.log1p(np.stack([counts for counts, _ in feats_list]),
+                         dtype=np.float64)
+        z, out, gate, s_r = self._forward(hists, idf)
         if caches is not None:
-            caches.extend({"hists": hists, "idf": idf, "z": z[g], "out": out[g],
-                           "gate": gate}
-                          for g, (hists, _) in enumerate(feats_list))
+            caches.extend({"hists": hists[g], "idf": idf, "z": z[g], "out": out[g],
+                           "gate": gate} for g in range(len(feats_list)))
         return s_r
 
     def _forward(self, hists: np.ndarray, idf: np.ndarray):
-        """The MLP over G documents' histograms (G, T, bins+1) against one
-        query, whose gate is computed once. Each stacked matmul's slices are
-        one document's products, so G changes no bit of its s_r; the gate
-        weighting is a (1, T) @ (T, 1) slice, the per-pair dot (the gemv
-        `out @ gate` would differ). Returns z (G, T, hidden), out (G, T),
-        gate (T,) and s_r (G,)."""
+        """The MLP over G documents' log-count histograms (G, T, bins+1)
+        against one query, whose gate is computed once. Each stacked
+        matmul's slices are one document's products, so G changes no bit of
+        its s_r; the gate weighting is a (1, T) @ (T, 1) slice, the per-pair
+        dot (the gemv `out @ gate` would differ). Returns z (G, T, hidden),
+        out (G, T), gate (T,) and s_r (G,)."""
         if hists.ndim != 3 or hists.shape[2] != self.bins + 1:
             raise ValueError(f"histogram width {hists.shape[1:]} does not "
                              f"match bins={self.bins}")

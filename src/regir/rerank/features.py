@@ -187,10 +187,11 @@ def drmm_query(ids: np.ndarray, provider, idf: np.ndarray):
 # Bound on the entries of one DRMM batch, query terms times document tokens
 # summed over its documents; a document above it forms a batch of one. At
 # 2**20 each 50-candidate list of the uk2eu-ensemble-drmm benchmark is one
-# batch (the largest hold about 0.6 M entries). Besides twice the
-# histograms it returns, a batch holds at most 16 bytes per entry, 64 per
-# token and 1 MiB of slices; a batch that takes the per-document exit adds
-# 8 * dim bytes per token and 17 per entry of its largest document.
+# batch (the largest hold about 0.6 M entries). Besides the count
+# histograms it returns, one byte per bin unless a bin holds 256 tokens or
+# more, a batch holds at most 8 bytes per histogram bin, 16 per entry, 64
+# per token and 1 MiB of slices; a batch that takes the per-document exit
+# adds 8 * dim bytes per token and 17 per entry of its largest document.
 DRMM_BATCH_ENTRIES = 2 ** 20
 
 # Entries a batch bins or counts at a time: its table is binned, and its
@@ -227,8 +228,11 @@ def _drmm_batch(query, docs, provider, bins: int) -> list:
     zero histogram."""
     (q_units, q_mask, q_keys), idf = query
     ids = np.concatenate(docs)
-    rows, token_rows = np.unique(ids[provider.in_vocab(ids)], return_inverse=True)
-    widths = np.array([np.count_nonzero(provider.in_vocab(doc)) for doc in docs])
+    usable = provider.in_vocab(ids)
+    rows, token_rows = np.unique(ids[usable], return_inverse=True)
+    # each document's in-vocabulary tokens
+    widths = np.bincount(np.repeat(np.arange(len(docs)), [len(d) for d in docs])[usable],
+                         minlength=len(docs))
     binned = _proved_bins(provider, rows, q_units[q_mask],
                           None if q_keys is None else q_keys[q_mask], bins)
     if binned is None:
@@ -251,21 +255,48 @@ def _proved_bins(provider, rows, q_in, pins, bins: int):
     summation order and with or without fused multiply-adds, is within
     gamma * |x| * |y| of the exact value, gamma = dim * u / (1 - dim * u),
     u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 3.1). Unit rows have norms within (dim + 2) * u of 1, so two
-    evaluations differ by less than 2.01 * dim * u for any dim below
-    10**12, and rounding s - eps or s + eps moves it by at most 1.01 * u
-    more: eps = 4 * dim * u brackets every evaluation of s. The bin is a
-    non-decreasing function of s (see `_bin_numbers`), so where s - eps and
-    s + eps share a bin, every evaluation of s has that bin."""
-    eps = 4 * q_in.shape[1] * 2.0 ** -53
+    section 3.1). Unit rows have norms within (dim + 2) * u of 1, so for
+    any dim below 10**12 an entry s has |s| < 1.001, and two evaluations s
+    and s' differ by less than 2.01 * dim * u.
+
+    Each entry is binned once, through v = (s + 1) * (bins / 2): halving is
+    exact, so v has the bits of `_bin_numbers`' ((s + 1) / 2) * bins, and
+    the bin of s is clip(floor(v), 0, bins - 1), or the top bin where
+    s >= 1.0. Write w(x) for v computed from x. Each of the two roundings
+    is within u of its exact result, so for |x - s| <= d < 10**-3,
+    |w(x) - v| <= (bins / 2) * (d + (|x + 1| + |s + 1|) * (2 * u + u * u))
+    < (bins / 2) * d + 4.004 * bins * u. Two cases set d:
+      - another evaluation s' of the entry, d = 2.01 * dim * u;
+      - the ends s -+ eps, rounded, of the bracket eps = 4 * dim * u that an
+        older guard binned twice, d = 4 * dim * u + 1.002 * u.
+    The second is the wider: the margin m = bins * (2 * dim + 5) * u, exact
+    in floating point, bounds |w(x) - v| in both. Rounding is monotone and
+    w(x) is a float, so v - m and v + m, each rounded, bracket w(x).
+
+    The bin is non-decreasing in w (see `_bin_numbers`), so an entry's bin
+    is proved where ceil(v - m) - 1, the largest integer below v - m, and
+    floor(v + m) agree, both clipped to [0, bins]. A common value below
+    bins is then the bin of every such x. A common value bins needs v - m
+    above bins, which only x above 1.0 gives: w(x) = bins itself can come
+    from x just below 1.0, whose bin is bins - 1. The low end differs from
+    floor(v - m) only where v - m is an integer. Identity matches take the
+    top bin on both sides. A proved bin is therefore the one the pair's own
+    `sim_matrix` gives, and the guard accepts no entry whose bins at the
+    older bracket's ends differ."""
+    margin = bins * (2 * q_in.shape[1] + 5) * 2.0 ** -53
     # table rows per slice: its vectors and similarities fit the slice
     step = max(1, DRMM_SLICE_ENTRIES // (len(q_in) + q_in.shape[1]))
     binned = np.empty((len(rows), len(q_in)), dtype=np.intp)
     for i in range(0, len(rows), step):
-        sims = provider.units(rows[i:i + step]) @ q_in.T
-        low = _bin_numbers(sims - eps, bins)
-        sims += eps
-        high = _bin_numbers(sims, bins)
+        v = provider.units(rows[i:i + step]) @ q_in.T
+        v += 1.0
+        v *= bins / 2
+        low = np.ceil(v - margin)
+        low -= 1
+        v += margin
+        high = np.floor(v, out=v)
+        np.clip(low, 0, bins, out=low)
+        np.clip(high, 0, bins, out=high)
         if pins is not None:
             pin = rows[i:i + step, None] == pins
             low[pin] = high[pin] = bins
@@ -291,18 +322,20 @@ def _per_document_bins(q_rows, docs, provider, bins: int, n_rows: int) -> np.nda
 
 
 def _histograms(binned, token_rows, widths, terms, n_terms: int, bins: int) -> list:
-    """Each document's log-count histograms (n_terms, bins + 1) from an int
+    """Each document's count histograms (n_terms, bins + 1) from an int
     array of bins, which it overwrites: its column j is histogram row
     terms[j], and the other rows stay zero. Document k has widths[k]
     in-vocabulary tokens; the tokens, in document order, read the array's
     rows token_rows (its rows in order when token_rows is None). They are
     counted in slices of whole documents, each with one bincount over
-    offset bins."""
+    offset bins. The counts come in the smallest unsigned type that holds
+    the batch's largest count, each document's a view of its slice's
+    array."""
     width = bins + 1
     binned += terms * width
     starts = np.concatenate(([0], np.cumsum(widths)))
     step = max(1, DRMM_SLICE_ENTRIES // max(1, len(terms)))
-    hists, first = [], 0
+    slices, first = [], 0
     while first < len(widths):
         last = max(first + 1, np.searchsorted(starts, starts[first] + step, "right") - 1)
         lo, hi = starts[first], starts[last]
@@ -310,16 +343,18 @@ def _histograms(binned, token_rows, widths, terms, n_terms: int, bins: int) -> l
         idx += (np.repeat(np.arange(last - first) * (n_terms * width),
                           widths[first:last]))[:, None]
         counts = np.bincount(idx.ravel(), minlength=(last - first) * n_terms * width)
-        hists += map(np.log1p, counts.reshape(last - first, n_terms, width))
+        slices.append(counts.reshape(last - first, n_terms, width))
         first = last
-    return hists
+    dtype = np.min_scalar_type(max(int(counts.max(initial=0)) for counts in slices))
+    return [hists for counts in slices for hists in counts.astype(dtype)]
 
 
 def drmm_features(query_tokens: list[str], query_doc_id: str,
                   doc_tokens: list[str], doc_id: str,
                   provider, idf_table, bins: int):
-    """Per distinct query term: a similarity histogram against every
-    in-vocabulary document token, plus the term's idf for the gate. The
+    """Per distinct query term: a histogram counting its similarities
+    against every in-vocabulary document token, in the smallest unsigned
+    type that holds its counts, plus the term's idf for the gate. The
     tokens are strings, each mapped to its row once.
 
     Out-of-vocabulary query terms keep a zero histogram. With positional

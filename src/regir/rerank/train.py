@@ -174,7 +174,10 @@ class FeatureStore:
     `fill` caches: training fills each query's triple documents before the
     first epoch, and each dev list, all of which it reads every epoch.
     `batch` reads a list without caching what it computes, so a test list's
-    features live only while it is scored.
+    features live only while it is scored. DRMM's features are cached as
+    `drmm_batch` returns them: exact count histograms, one byte per bin
+    unless a bin of their batch counts 256 tokens or more; the model takes
+    their log-counts when it scores them.
 
     Queries and documents alike come as term ids from the pipeline's
     denoised bags of their collection, found by corpus row and mapped to

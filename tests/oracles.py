@@ -5,7 +5,8 @@ token lists or from one pair's 2-d products, and re-ranking with one model
 call per candidate), BM25 over the whole pool with one scatter-add per query
 term and tuned with one search per (cell, query), a training step that scores
 and back-propagates one pair at a time, the dict-built postings, the lexsort
-top-k, the per-row histogram, the einsum and strided-gather convolutions and
+top-k, the per-row histogram, the bin-edge guard that bins each entry
+twice, the einsum and strided-gather convolutions and
 PACRR's rows with a padding and a k-max per kernel size, which the
 vectorized kernels must reproduce, unit word and token vectors
 normalized one term or one call at a time, the pre-fetch steps one entry at
@@ -36,8 +37,8 @@ from regir.ranking import RankedList, sort_scored
 from regir._textio import write_table
 from regir.text import IdfTable, TextPipeline
 from regir.rerank.drmm import DrmmModel
-from regir.rerank.features import (TokenEmbeddings, TypeEmbeddings, drmm_features,
-                                   pacrr_features, sim_matrix, softmax)
+from regir.rerank.features import (TokenEmbeddings, TypeEmbeddings, _bin_numbers,
+                                   drmm_features, pacrr_features, sim_matrix, softmax)
 from regir.rerank.pacrr import PacrrModel, _row_kmax, _sigmoid
 from regir.rerank.train import hinge_loss, rel_score
 
@@ -273,9 +274,10 @@ def tune_bm25_per_cell(index: PostingsIndex, queries: dict[str, list[str]],
 
 
 def bin_similarities_row(sims: np.ndarray, bins: int) -> np.ndarray:
-    """One row's log-count histogram, one `np.add.at` per row: `bins` regular
-    bins over [-1, 1) plus a reserved top bin for exact 1.0 matches."""
-    hist = np.zeros(bins + 1)
+    """One row's count histogram (int64), one `np.add.at` per row: `bins`
+    regular bins over [-1, 1) plus a reserved top bin for exact 1.0
+    matches."""
+    hist = np.zeros(bins + 1, dtype=np.int64)
     exact = sims == 1.0
     hist[bins] = np.count_nonzero(exact)
     rest = sims[~exact]
@@ -283,18 +285,27 @@ def bin_similarities_row(sims: np.ndarray, bins: int) -> np.ndarray:
         idx = np.floor((rest + 1.0) / 2.0 * bins).astype(int)
         np.clip(idx, 0, bins - 1, out=idx)
         np.add.at(hist, idx, 1)
-    return np.log1p(hist)
+    return hist
+
+
+def bin_edge_bracket(sims: np.ndarray, dim: int, bins: int):
+    """The bin-edge guard that bins each entry of a similarity table twice:
+    the bins of s - eps and of s + eps by `_bin_numbers`, eps = 4 * dim *
+    2**-53, which bracket every evaluation of s. An entry is proved where
+    the two agree."""
+    eps = 4 * dim * 2.0 ** -53
+    return _bin_numbers(sims - eps, bins), _bin_numbers(sims + eps, bins)
 
 
 def drmm_features_per_row(query_terms: list[str], doc_tokens: list[str],
                           provider, idf_table, bins: int, query_doc_id: str = "",
                           doc_id: str = ""):
     """`drmm_features` of one pair, with one histogram per in-vocabulary
-    query term."""
+    query term, its counts as int64."""
     q_units, q_mask, q_keys = text_rows(provider, query_doc_id, query_terms)
     d_units, d_mask, d_keys = text_rows(provider, doc_id, doc_tokens)
     S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
-    hists = np.zeros((len(query_terms), bins + 1))
+    hists = np.zeros((len(query_terms), bins + 1), dtype=np.int64)
     for i in range(len(query_terms)):
         if q_mask[i] and d_mask.any():
             hists[i] = bin_similarities_row(S[i, d_mask], bins)
@@ -331,14 +342,14 @@ def conv_strided_im2col(S: np.ndarray, kernels: np.ndarray, bias: np.ndarray):
 
 def build_histogram(query_term: str, doc_tokens: list[str], word_vectors,
                     bins: int) -> np.ndarray:
-    """Histogram for a single query term against a document, using static
-    word vectors. Out-of-vocabulary query term -> zero histogram."""
+    """Count histogram for a single query term against a document, using
+    static word vectors. Out-of-vocabulary query term -> zero histogram."""
     provider = (word_vectors if isinstance(word_vectors, TypeEmbeddings)
                 else TypeEmbeddings(word_vectors))
     q_units, q_mask, q_keys = text_rows(provider, "", [query_term])
     d_units, d_mask, d_keys = text_rows(provider, "", doc_tokens)
     if not q_mask[0] or not d_mask.any():
-        return np.zeros(bins + 1)
+        return np.zeros(bins + 1, dtype=np.int64)
     S = sim_matrix(q_units, q_mask, q_keys, d_units, d_mask, d_keys)
     return bin_similarities_row(S[0, d_mask], bins)
 
@@ -364,9 +375,10 @@ def pacrr_score(query_tokens: list[str], doc_tokens: list[str], model: PacrrMode
 
 
 def drmm_score_2d(model: DrmmModel, feats) -> float:
-    """DRMM's s_r from one pair's 2-d products: `hists @ W1.T`, the gemv
-    `z @ W2` and the dot `gate @ out`."""
-    hists, idf = feats
+    """DRMM's s_r from one pair's log-counts and 2-d products: `hists @
+    W1.T`, the gemv `z @ W2` and the dot `gate @ out`."""
+    counts, idf = feats
+    hists = np.log1p(counts, dtype=np.float64)
     p = model.params
     out = np.tanh(hists @ p["W1"].T + p["b1"]) @ p["W2"] + p["b2"][0]
     return float(softmax(p["w_g"][0] * idf) @ out)

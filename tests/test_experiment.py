@@ -963,6 +963,27 @@ def test_a_run_computes_each_pair_s_features_once(dataset, tmp_path, monkeypatch
                 for d in ranking.doc_ids} <= counts.keys()
 
 
+@pytest.mark.parametrize("model", ["drmm", "pacrr"])
+def test_training_that_keeps_the_initial_model_warns_once_per_seed(
+        dataset, tmp_path, caplog, model):
+    """At lr = 0 no epoch can beat the initial model's dev recall: each
+    seed's training logs one warning that says so, and its checkpoint
+    records best epoch 0. A rerun skips training and warns no more."""
+    (dataset / "hp_still.txt").write_text(HP.replace("lr=0.01", "lr=0") + SMALL_PACRR)
+    cfg = cfg_from(dataset, RERANK_CFG.format(hp="hp_still.txt", model=model)
+                   + "rerank.seeds = 1,2\n")
+    outdir = tmp_path / "out"
+    with caplog.at_level("WARNING"):
+        run_experiment(cfg, outdir)
+        run_experiment(cfg, outdir)
+    warned = [r.getMessage() for r in caplog.records if "no epoch beat" in r.getMessage()]
+    assert [m.split(":")[0] for m in warned] == ["seed 1", "seed 2"]
+    assert all(m.endswith("the checkpoint keeps its weights") for m in warned)
+    for seed in (1, 2):
+        result = train.load_checkpoint(outdir / f"checkpoint_seed{seed}.bin")
+        assert result.best_epoch == 0 and f"{result.best_dev_r20!r}" in warned[seed - 1]
+
+
 def test_token_re_ranking_reads_a_pool_document_that_denoises_to_nothing(tmp_path):
     """A pool document whose text denoises to nothing has no positions, so
     a token file cannot list it. Doc-vector pre-fetching still fetches it,

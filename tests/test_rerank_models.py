@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regir.dense import WordVectors
 from regir.rerank import features
@@ -15,7 +17,7 @@ from regir.rerank.features import (TypeEmbeddings, dedup_terms, drmm_batch,
 from regir.rerank.pacrr import PacrrConfig, PacrrModel, _shifts
 
 from conftest import FixedIdf, exit_spy, keyed
-from oracles import (bin_similarities_row, build_histogram, conv_einsum,
+from oracles import (bin_edge_bracket, bin_similarities_row, build_histogram, conv_einsum,
                      conv_strided_im2col, drmm_features_per_row, drmm_score,
                      drmm_score_2d, lstm_per_step, pacrr_score, pacrr_score_per_step,
                      rows_per_size, text_rows, token_embeddings, token_rows_per_call,
@@ -235,31 +237,28 @@ def bin_similarities(sims, widths, bins: int) -> np.ndarray:
 
 def test_bin_similarities_hand_case():
     hist = bin_similarities(np.array([[0.0, 0.5, 0.5]]), [3], bins=5)
-    assert hist.shape == (1, 1, 6)
-    assert np.allclose(hist[0, 0], np.log1p([0, 0, 1, 2, 0, 0]))
+    assert hist.shape == (1, 1, 6) and hist.dtype == np.uint8
+    assert hist[0, 0].tolist() == [0, 0, 1, 2, 0, 0]
 
 
 def test_bin_similarities_exact_match_reserved_bin():
     hist = bin_similarities(np.array([[1.0]]), [1], bins=5)[0, 0]
-    want = np.zeros(6)
-    want[5] = math.log(2)
-    assert np.allclose(hist, want)
+    assert hist.tolist() == [0, 0, 0, 0, 0, 1]
     # a near-1 similarity lands in the last regular bin instead
     near = bin_similarities(np.array([[0.999999]]), [1], bins=5)[0, 0]
-    assert near[4] == pytest.approx(math.log(2)) and near[5] == 0.0
+    assert near.tolist() == [0, 0, 0, 0, 1, 0]
 
 
 def test_bin_similarities_minus_one_in_first_bin():
     hist = bin_similarities(np.array([[-1.0]]), [1], bins=5)[0, 0]
-    assert hist[0] == pytest.approx(math.log(2))
-    assert hist[1:].sum() == 0.0
+    assert hist.tolist() == [1, 0, 0, 0, 0, 0]
 
 
 def test_build_histogram_exact_match_doc():
     wv = angle_wv({"tax": 0.3})
     hist = build_histogram("tax", ["tax"], wv, bins=30)
     assert hist.shape == (31,)
-    assert hist[30] == pytest.approx(math.log(2))
+    assert hist[30] == 1
     assert np.count_nonzero(hist) == 1
 
 
@@ -302,7 +301,7 @@ def test_bin_similarities_rows_equal_per_row_oracle(seed):
     assert np.array_equal(bin_similarities(sims, [40], bins)[0],
                           [bin_similarities_row(row, bins) for row in sims])
     assert bin_similarities(sims[:, :0], [0, 0], bins).tolist() == (
-        [[[0.0] * (bins + 1)] * 7] * 2)
+        [[[0] * (bins + 1)] * 7] * 2)
     assert bin_similarities(sims[:0], widths, bins).shape == (5, 0, bins + 1)
 
 
@@ -398,14 +397,75 @@ def test_drmm_table_path_equals_the_per_document_exit(kind, bins, dim, monkeypat
     assert any(fired[0::2])
 
 
+@st.composite
+def guard_vectors(draw):
+    """A dim, a B and word vectors: random ones, a copy, a scaled copy and
+    a negation of the first (cosines that round to either side of 1.0 and
+    -1.0), two orthogonal axes (cosine exactly 0.0, an edge at even B), and
+    scaled vectors whose cosine to the first axis is about n * 2**-53 off
+    an inner bin edge 2k / B - 1, |n| within 16 of 0, 2 * dim or 4 * dim:
+    on the edge, or near where the guard's margin or the two-binning
+    bracket ends."""
+    dim = draw(st.sampled_from([2, 3, 8, 50, 300]))
+    bins = draw(st.sampled_from([4, 5, 10, 11, 30]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    vectors = {f"r{i}": rng.normal(size=dim) for i in range(draw(st.integers(1, 4)))}
+    vectors.update(copy=vectors["r0"].copy(), twice=2.5 * vectors["r0"],
+                   minus=-vectors["r0"], axis=np.eye(dim)[0], across=np.eye(dim)[1])
+    edges = draw(st.lists(st.tuples(st.integers(1, bins - 1),
+                                    st.sampled_from([0, 2 * dim, 4 * dim]),
+                                    st.integers(-16, 16), st.sampled_from([-1, 1]),
+                                    st.floats(0.1, 10.0)), max_size=4))
+    for i, (k, base, near, sign, scale) in enumerate(edges):
+        c = 2 * k / bins - 1
+        # normalizing scales an offset of the first component by 1 - c * c
+        c_off = c + sign * (base + near) * 2.0 ** -53 / (1 - c * c)
+        vectors[f"edge{i}"] = scale * (c_off * np.eye(dim)[0]
+                                       + math.sqrt(1 - c * c) * np.eye(dim)[1])
+    return dim, bins, vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(guard_vectors(), st.data())
+def test_the_one_pass_guard_proves_pair_bins_and_nothing_two_binnings_reject(
+        table, data):
+    """Entry by entry (a one-row, one-term table each), a bin that
+    `_proved_bins` accepts is `_bin_numbers` of the pair's own `sim_matrix`,
+    and the bins of the two-binning bracket agree there; identity matches
+    are pinned on both. A whole table the guard accepts is the pair's."""
+    dim, bins, vectors = table
+    provider = TypeEmbeddings(wv_from(vectors))
+    terms = list(vectors)
+    q_terms = data.draw(st.lists(st.sampled_from(terms), min_size=1, max_size=4,
+                                 unique=True))
+    q_units, q_mask, q_keys = provider.rows(provider.row_ids(q_terms))
+    d_ids = provider.row_ids(terms)
+    pair_bins = features._bin_numbers(
+        sim_matrix(q_units, q_mask, q_keys, *provider.rows(d_ids)), bins)
+    for j in range(len(q_terms)):
+        q, pin = q_units[j:j + 1], q_keys[j:j + 1]
+        for i in range(len(d_ids)):
+            rows = d_ids[i:i + 1]
+            proved = features._proved_bins(provider, rows, q, pin, bins)
+            low, high = bin_edge_bracket(provider.units(rows) @ q.T, dim, bins)
+            if rows[0] == pin[0]:
+                low[...] = high[...] = bins
+            if proved is not None:
+                assert proved[0, 0] == pair_bins[j, i] and low[0, 0] == high[0, 0]
+    whole = features._proved_bins(provider, d_ids, q_units, q_keys, bins)
+    assert whole is None or np.array_equal(whole.T, pair_bins)
+
+
 # --- DRMM forward ---
 
-def drmm_oracle(params, hists, idf):
-    """Straight-line reimplementation with python loops."""
+def drmm_oracle(params, counts, idf):
+    """Straight-line reimplementation with python loops, from count
+    histograms."""
     w1, b1 = params["W1"], params["b1"]
     w2, b2 = params["W2"], params["b2"]
     outs = []
-    for row in hists:
+    for row in counts:
+        row = [math.log1p(c) for c in row]
         z = [math.tanh(sum(w1[h][j] * row[j] for j in range(len(row))) + b1[h])
              for h in range(len(b1))]
         outs.append(sum(z[h] * w2[h] for h in range(len(b1))) + b2[0])
@@ -422,20 +482,21 @@ def test_drmm_forward_matches_oracle(seed):
     bins, hidden, terms = 6, 4, 5
     model = DrmmModel.init(rng, bins=bins, hidden=hidden)
     model.params["w_g"] = rng.normal(size=1)
-    hists = rng.uniform(0, 2, size=(terms, bins + 1))
+    counts = rng.integers(0, 9, size=(terms, bins + 1), dtype=np.uint8)
     idf = rng.uniform(0, 3, size=terms)
-    s_r, _ = model.score((hists, idf))
-    assert s_r == pytest.approx(drmm_oracle(model.params, hists, idf),
+    s_r, _ = model.score((counts, idf))
+    assert s_r == pytest.approx(drmm_oracle(model.params, counts, idf),
                                 abs=1e-10)
 
 
 def test_drmm_single_term_gate_is_identity():
     rng = np.random.default_rng(1)
     model = DrmmModel.init(rng, bins=4, hidden=3)
-    hists = rng.uniform(0, 1, size=(1, 5))
-    s_r, cache = model.score((hists, np.array([2.5])))
+    counts = rng.integers(0, 4, size=(1, 5), dtype=np.uint8)
+    s_r, cache = model.score((counts, np.array([2.5])))
     assert cache["gate"].tolist() == [1.0]
-    z = np.tanh(hists[0] @ model.params["W1"].T + model.params["b1"])
+    z = np.tanh(np.log1p(counts[0], dtype=np.float64) @ model.params["W1"].T
+                + model.params["b1"])
     assert s_r == pytest.approx(float(z @ model.params["W2"]
                                       + model.params["b2"][0]))
 
@@ -496,11 +557,11 @@ def test_drmm_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(100 + seed)
     model = DrmmModel.init(rng, bins=5, hidden=3)
     model.params["w_g"] = rng.normal(size=1)
-    hists = rng.uniform(0, 2, size=(4, 6))
+    counts = rng.integers(0, 9, size=(4, 6), dtype=np.uint8)
     idf = rng.uniform(0.2, 3, size=4)
-    s_r, cache = model.score((hists, idf))
+    s_r, cache = model.score((counts, idf))
     analytic = model.backward(cache, 1.0)
-    numeric = finite_diff(lambda: model.score((hists, idf))[0], model.params)
+    numeric = finite_diff(lambda: model.score((counts, idf))[0], model.params)
     assert_grads_close(analytic, numeric)
 
 

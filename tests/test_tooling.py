@@ -146,6 +146,20 @@ def _sum_reads(node, function: str, found: Counter) -> None:
         _sum_reads(child, inner, found)
 
 
+def test_only_the_drmm_model_takes_log_counts():
+    """DRMM's features are count histograms, and the model turns a batch of
+    them into log-counts in one place: no module of the package but
+    rerank/drmm.py names `log1p`."""
+    found = [f"{path.relative_to(SRC).as_posix()}: line {node.lineno}"
+             for path in sorted(SRC.rglob("*.py")) if path != SRC / "rerank" / "drmm.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (node.id if isinstance(node, ast.Name)
+                 else getattr(node, "attr", None)) == "log1p"]
+    assert found == []
+    assert _names(ast.parse((SRC / "rerank" / "drmm.py").read_text(encoding="utf-8"))
+                  )["log1p"] == 1
+
+
 def test_builtin_sum_adds_only_integer_counts():
     """Builtin `sum` compensates float rounding from Python 3.12 on, so a
     float it adds would differ across the Python versions the package

@@ -26,8 +26,8 @@ from regir.rerank.train import (CHECKPOINT_FORMAT, Adam, FeatureStore,
 from regir.text import build_pipeline
 
 from conftest import FixedIdf, exit_spy, keyed, make_doc
-from oracles import (drmm_features_per_row, hinge_step_per_pair, rerank_list_per_pair,
-                     token_embeddings)
+from oracles import (drmm_features_per_row, drmm_score_2d, hinge_step_per_pair,
+                     rerank_list_per_pair, token_embeddings)
 
 
 # --- loss and fusion arithmetic ---
@@ -374,7 +374,7 @@ def assert_fill_equals_the_per_pair_oracle(seed: int, provider_kind: str) -> Non
             hists, idf = store.features(query.doc_id, doc_id)
             want, want_idf = drmm_oracle_features(store, pipeline, queries, pool,
                                                   query.doc_id, doc_id)
-            assert np.array_equal(hists, want) and hists.dtype == want.dtype
+            assert np.array_equal(hists, want) and hists.dtype == np.uint8
             assert np.array_equal(idf, want_idf)
 
 
@@ -430,7 +430,7 @@ def filled_counts(store, pipeline, queries, pool):
         hists = store.features("q", doc_id)[0]
         want, _ = drmm_oracle_features(store, pipeline, queries, pool, "q", doc_id)
         assert np.array_equal(hists, want)
-        counts[doc_id] = np.expm1(hists).round().astype(int).tolist()
+        counts[doc_id] = hists.tolist()
     return counts
 
 
@@ -531,6 +531,69 @@ def test_fill_takes_duplicate_ids_and_refuses_unknown_ones_caching_nothing():
     with pytest.raises(KeyError, match="ghost"):
         store.features("q2", "ghost")
     assert sorted(store._feats) == [("q1", "d03"), ("q1", "d04")]
+
+
+@pytest.mark.parametrize("provider_kind", ["type", "token"])
+def test_a_filled_drmm_store_holds_one_byte_per_histogram_bin(provider_kind,
+                                                             monkeypatch):
+    """The store keeps each pair's counts as the batch returns them: after
+    one `fill` per query over the whole pool, in batches and slices of a few
+    documents, the arrays behind the N cached histograms hold
+    sum T * (B + 1) bytes, T the query's terms, and nothing else."""
+    monkeypatch.setattr(features, "DRMM_BATCH_ENTRIES", 3000)
+    monkeypatch.setattr(features, "DRMM_SLICE_ENTRIES", 500)
+    pool, queries, pipeline, providers = generated_fill_setup(3)
+    provider = providers[provider_kind]
+    hp = Hyperparams(B=11)
+    store = FeatureStore("drmm", provider, pipeline, queries, pool, hp)
+    doc_ids = [d.doc_id for d in pool]
+    want = 0
+    for query in queries:
+        store.fill(query.doc_id, doc_ids)
+        q_tokens = pipeline(query.text)
+        want += len(doc_ids) * len(dedup_terms(q_tokens) if provider.dedup
+                                   else q_tokens) * (hp.B + 1)
+    hists = [h for h, _ in store._feats.values()]
+    bases = {id(h.base): h.base for h in hists}
+    assert len(hists) == len(queries) * len(doc_ids) and len(bases) > len(queries)
+    assert all(h.dtype == np.uint8 for h in hists)
+    assert all(b.base is None for b in bases.values())
+    assert sum(b.nbytes for b in bases.values()) == sum(h.nbytes for h in hists) == want
+
+
+def test_a_bin_of_300_tokens_widens_its_batch_and_scores_as_the_float_oracle():
+    """A document whose `alpha` tokens all fall in one query term's top bin
+    counts 300 there, which uint8 cannot hold: its batch comes as uint16,
+    another query's batch without it as uint8. Each pair's counts equal the
+    per-row oracle's, and its s_r, alone, in its batch or next to a uint8
+    pair, equals the oracle's float log-count score bit for bit."""
+    vectors = {"alpha": ALPHA, "axis": AXIS, "diag": DIAG}
+    provider = TypeEmbeddings(keyed(WordVectors, vectors))
+    pool = Corpus([make_doc("long", ["alpha"] * 300 + ["diag", "axis"], title="Act"),
+                   make_doc("short", ["axis", "diag", "diag"], title="Act")])
+    queries = Corpus([make_doc("q1", ["alpha", "axis"], title="Act"),
+                      make_doc("q2", ["axis", "ghost"], title="Act")])
+    pipeline = build_pipeline(pool, stopwords=frozenset(["act"]), idf_filter=False)
+    hp = Hyperparams(B=6, hidden=3)
+    store = FeatureStore("drmm", provider, pipeline, queries, pool, hp)
+    store.fill("q1", ["long", "short"])
+    store.fill("q2", ["short"])
+    wide = [store.features("q1", d) for d in ("long", "short")]
+    narrow = store.features("q2", "short")
+    assert [h.dtype for h, _ in wide] == [np.uint16, np.uint16]
+    assert narrow[0].dtype == np.uint8 and wide[0][0][0, hp.B] == 300
+    want = [drmm_oracle_features(store, pipeline, queries, pool, q, d)
+            for q, d in (("q1", "long"), ("q1", "short"), ("q2", "short"))]
+    for (hists, idf), (w_hists, w_idf) in zip(wide + [narrow], want):
+        assert np.array_equal(hists, w_hists) and np.array_equal(idf, w_idf)
+    model = init_model("drmm", hp, np.random.default_rng(8))
+    model.params["b1"] = np.random.default_rng(9).normal(size=3)
+    oracle = [drmm_score_2d(model, f) for f in want]
+    assert model.score_batch(wide).tolist() == oracle[:2]
+    assert [model.score(f)[0] for f in wide + [narrow]] == oracle
+    mixed = [store.features("q2", "short"), (wide[1][0], narrow[1])]
+    assert model.score_batch(mixed).tolist() == [oracle[2], drmm_score_2d(
+        model, (want[1][0], narrow[1]))]
 
 
 @pytest.mark.parametrize("kind", ["drmm", "pacrr"])
@@ -996,8 +1059,9 @@ def batch_bound_list(kind: str, rng, n_docs: int, doc_len: int):
 def test_a_drmm_list_at_the_batch_bound_stays_under_the_stated_memory(monkeypatch):
     """A 50-document list of a 40-term query as long as DRMM_BATCH_ENTRIES
     allows is one batch, and the memory traced while it is computed stays
-    under the figure the constant's comment states: twice the histograms,
-    16 bytes per entry, 64 per token and 1 MiB of slices. Word vectors and
+    under the figure the constant's comment states: the histograms, 8
+    bytes per histogram bin, 16 per entry, 64 per token and 1 MiB of
+    slices. Word vectors and
     token vectors alike fill the table's every row (`batch_bound_list`)."""
     n_terms, n_docs = 40, 50
     doc_len = features.DRMM_BATCH_ENTRIES // (n_terms * n_docs)
@@ -1024,7 +1088,8 @@ def test_a_drmm_list_at_the_batch_bound_stays_under_the_stated_memory(monkeypatc
         entries = n_terms * tokens
         assert batches == [n_docs] and entries > 0.99 * features.DRMM_BATCH_ENTRIES
         hist_bytes = sum(hists.nbytes for hists, _ in feats)
-        assert peak < 2 * hist_bytes + 16 * entries + 64 * tokens + 2 ** 20
+        hist_bins = sum(hists.size for hists, _ in feats)
+        assert peak < hist_bytes + 8 * hist_bins + 16 * entries + 64 * tokens + 2 ** 20
 
 
 # --- persistence ---
