@@ -15,15 +15,13 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .bm25 import (Bm25Params, build_index, default_grid, load_index,
-                   read_params, save_index)
+from .bm25 import Bm25Params, build_index, default_grid, read_params, save_index
 from .corpus import (convert_collection, corpus_stats, ingest_collection,
                      write_collection)
 from .datefilter import DateWindow, write_year_hist_csv, year_diff_histogram
-from .dense import (build_centroid_store, load_doc_vectors, load_word_vectors,
-                    save_doc_vectors)
-from .experiment import (Prefetcher, StageFailed, emit_rk_curve, error_message,
-                         final_lists, load_config, parse_components, read_inputs,
+from .dense import build_centroid_store, save_doc_vectors
+from .experiment import (Inputs, Prefetcher, StageFailed, emit_rk_curve,
+                         error_message, final_lists, load_config, parse_components,
                          run_bm25_tuning, run_experiment, run_training,
                          write_rk_curve_csv, _parse_range)
 from .fusion import (default_alpha_grid, fuse_runs, tune_alpha,
@@ -31,10 +29,8 @@ from .fusion import (default_alpha_grid, fuse_runs, tune_alpha,
 from .metrics import (aggregate_runs, evaluate_run, read_eval_csv,
                       write_eval_csv, write_summary_csv)
 from .ranking import lists_for, read_run, write_run
-from .rerank.features import TypeEmbeddings, load_token_vectors
 from .rerank.train import (FeatureStore, Hyperparams, TrainingDiverged,
                            load_checkpoint)
-from .text import build_pipeline, load_stopwords
 
 log = logging.getLogger(__name__)
 
@@ -89,9 +85,9 @@ def _scored_run(run_path, qrels_path, splits_path, split):
     by default), a query the file has no line for as an empty list."""
     split = _split(splits_path, split)
     run = read_run(run_path)
-    s = read_inputs(qrels=qrels_path, splits=splits_path)
+    s = Inputs(qrels_path=qrels_path, splits_path=splits_path)
     if split:
-        run = lists_for(run, getattr(s.splits, f"{split}_ids"))
+        run = lists_for(run, s.query_ids(split))
     return run, s.qrels
 
 
@@ -145,11 +141,8 @@ def convert(src, out, mapping):
               help="Skip the idf-threshold denoising stage.")
 def index(collection, out, stopwords, no_idf_filter):
     """Build the inverted index over a pool collection."""
-    corpus = ingest_collection(collection)
-    words = load_stopwords(stopwords) if stopwords else None
-    pipeline = build_pipeline(corpus, stopwords=words,
-                              idf_filter=not no_idf_filter)
-    idx = build_index(corpus, pipeline)
+    s = Inputs(collection, stopwords_path=stopwords, idf_filter=not no_idf_filter)
+    idx = build_index(s.pool, s.pipeline)
     save_index(idx, out)
     click.echo(f"indexed {idx.doc_count} documents, {len(idx.terms)} terms, "
                f"avg length {idx.avg_len:.1f}")
@@ -171,15 +164,15 @@ def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
                   grid_k1, grid_b):
     """Sweep (k1, b) maximizing R@k and export the recall grid."""
     split = _split(splits, split, "dev")
-    idx = load_index(index_path)
-    s = read_inputs(queries=queries, qrels=qrels, splits=splits)
-    ids = getattr(s.splits, f"{split}_ids") if split else s.queries.ids
+    s = Inputs(queries_path=queries, qrels_path=qrels, splits_path=splits,
+               index_path=index_path)
+    ids = s.query_ids(split)
     k1_grid, b_grid = default_grid()
     if grid_k1:
         k1_grid = _parse_range(grid_k1, "--grid-k1")
     if grid_b:
         b_grid = _parse_range(grid_b, "--grid-b")
-    best, cells = run_bm25_tuning(idx, idx.pipeline, s.queries, ids, s.qrels,
+    best, cells = run_bm25_tuning(s.index, s.pipeline, s.queries, ids, s.qrels,
                                   k1_grid, b_grid, k, out, params_out)
     best_cell = max(c.recall_at_k for c in cells)
     click.echo(f"best k1={best.k1} b={best.b} with R@{k}={best_cell:.4f} "
@@ -196,10 +189,8 @@ def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
               default="skip-document", show_default=True)
 def vectors(collection, word_vectors, out, index_path, on_empty):
     """Precompute tf-idf weighted centroid vectors for every pool document."""
-    corpus = ingest_collection(collection)
-    pipeline = load_index(index_path).pipeline
-    wv = load_word_vectors(word_vectors)
-    store = build_centroid_store(corpus, pipeline, wv, on_empty=on_empty)
+    s = Inputs(collection, index_path=index_path, word_vectors_path=word_vectors)
+    store = build_centroid_store(s.pool, s.pipeline, s.word_vectors, on_empty=on_empty)
     save_doc_vectors(store, out)
     click.echo(f"wrote {len(store)} centroids of dim {store.dim}")
 
@@ -253,20 +244,13 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
     window = DateWindow(date_filter, filter_mode) if date_filter is not None else None
 
     split = _split(splits, split)
-    s = read_inputs(pool=collection, queries=queries, splits=splits)
-    ids = getattr(s.splits, f"{split}_ids") if split else s.queries.ids
+    s = Inputs(collection, queries, splits_path=splits, index_path=index_path,
+               word_vectors_path=word_vectors, centroids_path=centroids,
+               pool_vectors_path=pool_vectors, query_vectors_path=query_vectors)
+    ids = s.query_ids(split)
     bm25_params = read_params(params) if params else Bm25Params()
-    index = (load_index(index_path) if {"bm25", "w2v-cent"} & set(names)
-             else None)
-    cent, dense = "w2v-cent" in names, "doc-vectors" in names
-    pool_store = load_doc_vectors(pool_vectors) if dense else None
-    if pool_store is not None and s.pool is not None:
-        pool_store.validate_against(s.pool)
-    stage = Prefetcher(names, k, s.queries, getattr(index, "pipeline", None),
-                       index, bm25_params,
-                       load_word_vectors(word_vectors) if cent else None,
-                       load_doc_vectors(centroids) if cent else None, pool_store,
-                       load_doc_vectors(query_vectors) if dense else None)
+    stage = Prefetcher(names, k, bm25_params=bm25_params,
+                       **s.read(Prefetcher.reads(names)))
     [run] = final_lists(stage.deep_run(ids, alpha), k, window, s.queries, s.pool)
     write_run(run, out)
     click.echo(f"wrote {len(run)} ranked lists to {out}")
@@ -285,11 +269,16 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
 @click.option("--out", type=_out, required=True)
 def fuse_cmd(run_a, run_b, k, alpha, do_tune, qrels, grid, grid_out, out):
     """Combine two run files with a convex score combination."""
+    if do_tune and alpha is not None:
+        raise click.ClickException("--tune-alpha conflicts with explicit --alpha")
+    for option, value in (("--grid", grid), ("--grid-out", grid_out)):
+        if value is not None and not do_tune:
+            raise click.ClickException(f"{option} needs --tune-alpha")
     a, b = read_run(run_a), read_run(run_b)
     if do_tune:
         if qrels is None:
             raise click.ClickException("--tune-alpha needs --qrels")
-        judgments = read_inputs(qrels=qrels).qrels
+        judgments = Inputs(qrels_path=qrels).qrels
         alpha_grid = _parse_range(grid, "--grid") if grid else default_alpha_grid()
         alpha, cells = tune_alpha(a, b, judgments, alpha_grid, k)
         click.echo(f"tuned alpha={alpha}")
@@ -302,13 +291,16 @@ def fuse_cmd(run_a, run_b, k, alpha, do_tune, qrels, grid, grid_out, out):
     click.echo(f"wrote {len(fused)} fused lists to {out}")
 
 
-def _provider(word_vectors, token_vectors):
+def _text_inputs(collection, queries, index_path, word_vectors, token_vectors,
+                 **paths) -> Inputs:
+    """The inputs a re-ranker reads, its embeddings from exactly one of
+    --word-vectors and --token-vectors."""
     if (word_vectors is None) == (token_vectors is None):
         raise click.ClickException("give exactly one of --word-vectors / "
                                    "--token-vectors")
-    if word_vectors is not None:
-        return TypeEmbeddings(load_word_vectors(word_vectors))
-    return load_token_vectors(token_vectors)
+    return Inputs(collection, queries, index_path=index_path,
+                  word_vectors_path=word_vectors, token_vectors_path=token_vectors,
+                  **paths)
 
 
 @main.command()
@@ -333,14 +325,13 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
     """Train a neural re-ranker with pairwise hinge loss."""
     from dataclasses import replace
 
-    provider = _provider(word_vectors, token_vectors)
-    s = read_inputs(collection, queries, qrels, splits)
-    pipeline = load_index(index_path).pipeline
+    s = _text_inputs(collection, queries, index_path, word_vectors, token_vectors,
+                     qrels_path=qrels, splits_path=splits)
     run = lists_for(read_run(run_path), [*s.splits.train_ids, *s.splits.dev_ids])
     hp = Hyperparams.from_file(hyperparams) if hyperparams else Hyperparams()
     if seed is not None:
         hp = replace(hp, seed=seed)
-    store = FeatureStore(model, provider, pipeline, s.queries, s.pool, hp)
+    store = FeatureStore(model, s.provider, s.pipeline, s.queries, s.pool, hp)
     result = run_training(model, s.splits, s.qrels, run, store, hp, out, log_path)
     click.echo(f"best dev R@20 {result.best_dev_r20:.4f} at epoch "
                f"{result.best_epoch}; w_r={result.w_r:.4f} w_p={result.w_p:.4f}; "
@@ -367,11 +358,9 @@ def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
            token_vectors, k, date_filter, filter_mode, out):
     """Re-rank pre-fetched lists with a trained checkpoint."""
     window = DateWindow(date_filter, filter_mode) if date_filter is not None else None
-    provider = _provider(word_vectors, token_vectors)
-    s = read_inputs(pool=collection, queries=queries)
-    pipeline = load_index(index_path).pipeline
+    s = _text_inputs(collection, queries, index_path, word_vectors, token_vectors)
     result = load_checkpoint(checkpoint)
-    store = FeatureStore(result.model.kind, provider, pipeline, s.queries, s.pool,
+    store = FeatureStore(result.model.kind, s.provider, s.pipeline, s.queries, s.pool,
                          result.hp)
     run = read_run(run_path)
     try:
@@ -397,7 +386,7 @@ def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
 def date_filter_cmd(run_path, queries, collection, years, mode, k, out):
     """Drop candidates published too far from the query year."""
     window = DateWindow(years, mode)
-    s = read_inputs(pool=collection, queries=queries)
+    s = Inputs(collection, queries)
     run = read_run(run_path)
     [filtered] = final_lists(run, k, window, s.queries, s.pool)
     write_run(filtered, out)
@@ -469,7 +458,7 @@ def rk_curve(run_path, qrels, k_max, splits, split, out):
 @click.option("--out", type=_out, required=True)
 def year_hist(qrels, queries, collection, out):
     """Histogram of year(relevant) - year(query) over judged pairs."""
-    s = read_inputs(pool=collection, queries=queries, qrels=qrels)
+    s = Inputs(collection, queries, qrels)
     hist = year_diff_histogram(s.qrels, s.queries, s.pool)
     write_year_hist_csv(hist, out)
     if hist:

@@ -18,9 +18,8 @@ import logging
 import platform
 import time
 from dataclasses import dataclass, field, fields, replace
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -367,19 +366,90 @@ def write_rk_curve_csv(rows, path, comment: str = "") -> None:
                 comment)
 
 
-def read_inputs(pool=None, queries=None, qrels=None, splits=None) -> SimpleNamespace:
-    """The pool and query collections, judgments and split manifest at the
-    paths given, None where no path is: the judgments checked against the
-    collections, the manifest against all three. `regir run` and the CLI's
-    stage commands read their inputs here."""
-    pool = ingest_collection(pool) if pool is not None else None
-    queries = ingest_collection(queries) if queries is not None else None
-    if qrels is not None:
-        qrels = load_qrels(qrels, query_corpus=queries, pool_corpus=pool)
-    if splits is not None:
-        splits = SplitManifest.from_json(splits)
-        splits.validate(query_corpus=queries, pool_corpus=pool, qrels=qrels)
-    return SimpleNamespace(pool=pool, queries=queries, qrels=qrels, splits=splits)
+def _from_path(path_field: str, read):
+    """An `Inputs` value: `read(inputs, path)` of the path in `path_field`,
+    None when no path is given."""
+    return cached_property(lambda inputs: None if getattr(inputs, path_field) is None
+                           else read(inputs, getattr(inputs, path_field)))
+
+
+@dataclass
+class Inputs:
+    """The input files of `regir run` or a CLI stage command, by path (None
+    where none is given), and the values read from them: each made on first
+    use, from only the values it needs, and kept; None without its path. The
+    judgments are checked against whichever collections are given, the split
+    manifest against those and the judgments, and the pool's doc vectors
+    against the pool. The text pipeline is the index's, given one, else built
+    from the pool. The re-rankers' embeddings (`provider`) are the token
+    vectors, given those, else the word vectors'."""
+
+    pool_path: Path | None = None
+    queries_path: Path | None = None
+    qrels_path: Path | None = None
+    splits_path: Path | None = None
+    index_path: Path | None = None
+    stopwords_path: Path | None = None
+    idf_filter: bool = True
+    word_vectors_path: Path | None = None
+    centroids_path: Path | None = None
+    pool_vectors_path: Path | None = None
+    query_vectors_path: Path | None = None
+    token_vectors_path: Path | None = None
+
+    # each loader is looked up when its value is made
+    pool = _from_path("pool_path", lambda s, path: ingest_collection(path))
+    queries = _from_path("queries_path", lambda s, path: ingest_collection(path))
+    qrels = _from_path("qrels_path", lambda s, path: load_qrels(
+        path, query_corpus=s.queries, pool_corpus=s.pool))
+
+    @cached_property
+    def splits(self) -> SplitManifest | None:
+        if self.splits_path is None:
+            return None
+        splits = SplitManifest.from_json(self.splits_path)
+        splits.validate(query_corpus=self.queries, pool_corpus=self.pool,
+                        qrels=self.qrels)
+        return splits
+
+    index = _from_path("index_path", lambda s, path: load_index(path))
+
+    @cached_property
+    def pipeline(self) -> TextPipeline:
+        if self.index_path is not None:
+            return self.index.pipeline
+        stopwords = load_stopwords(self.stopwords_path) if self.stopwords_path else None
+        return build_pipeline(self.pool, stopwords=stopwords, idf_filter=self.idf_filter)
+
+    word_vectors = _from_path("word_vectors_path",
+                              lambda s, path: load_word_vectors(path))
+    cent_store = _from_path("centroids_path", lambda s, path: load_doc_vectors(path))
+
+    @cached_property
+    def pool_store(self) -> DocVectorStore | None:
+        if self.pool_vectors_path is None:
+            return None
+        store = load_doc_vectors(self.pool_vectors_path)
+        if self.pool is not None:
+            store.validate_against(self.pool)
+        return store
+
+    query_store = _from_path("query_vectors_path", lambda s, path: load_doc_vectors(path))
+
+    @cached_property
+    def provider(self):
+        if self.token_vectors_path is not None:
+            return load_token_vectors(self.token_vectors_path)
+        return TypeEmbeddings(self.word_vectors)
+
+    def read(self, names) -> dict:
+        """The named values, made in the order this class defines them."""
+        order = list(vars(Inputs))
+        return {name: getattr(self, name) for name in sorted(set(names), key=order.index)}
+
+    def query_ids(self, split: str | None) -> list[str]:
+        """The ids of the split's queries, or of every query for None."""
+        return getattr(self.splits, f"{split}_ids") if split else self.queries.ids
 
 
 def run_bm25_tuning(index, pipeline: TextPipeline, queries: Corpus, query_ids, qrels,
@@ -445,6 +515,15 @@ class Prefetcher:
     cent_store: DocVectorStore | None = None
     pool_store: DocVectorStore | None = None
     query_store: DocVectorStore | None = None
+
+    @staticmethod
+    def reads(components) -> list[str]:
+        """The fields that pre-fetching by `components` reads, but for
+        `bm25_params`: each the `Inputs` value of the same name."""
+        text = not {"bm25", "w2v-cent"}.isdisjoint(components)
+        return ["queries", *["pipeline", "index"] * text,
+                *["word_vectors", "cent_store"] * ("w2v-cent" in components),
+                *["pool_store", "query_store"] * ("doc-vectors" in components)]
 
     @property
     def deep(self) -> int:
@@ -555,21 +634,24 @@ def _openblas_core() -> str | None:
 
 
 class _Stages:
-    """Skip-if-done bookkeeping in `manifest.json`, which is rewritten after
-    every stage, so a crashed run leaves one naming the stages it finished.
-    A stage is done, and skipped, its artifacts read back only on demand,
-    when the previous manifest has this run's hash, its timings list the
-    stage, and the stage's outputs exist. A manifest that is not JSON, or not
-    an object with a timings object, counts as no stage done. Its
+    """A run's stage table, which `add` declares and `run` runs, and its
+    skip-if-done bookkeeping in `manifest.json`, rewritten after every stage,
+    so a crashed run leaves one naming the stages it finished. A stage is
+    done, and skipped, its value read back only on demand, when the previous
+    manifest has this run's hash, its timings list the stage, and the
+    stage's outputs exist. A manifest that is not JSON, or not an object with
+    a timings object, counts as no stage done. Before the first build, `run`
+    makes the inputs the building stages read, and no other: a bad one is
+    refused before any output is written, outside `StageFailed`. Its
     `environment` names, per stage, the builds that stage's artifacts were
     made under: this run's for a built stage, the previous manifest's record
-    (None when it has none) for a skipped one. A build takes the run's
-    inputs, which the cached `setup()` makes before the first build."""
+    (None when it has none) for a skipped one."""
 
-    def __init__(self, outdir: Path, manifest: dict, setup):
+    def __init__(self, outdir: Path, manifest: dict):
         self.path = outdir / "manifest.json"
         self.manifest = manifest
-        self.setup = setup
+        self.table: list[tuple] = []
+        self.values: dict = {}
         self.timings: dict[str, float] = {}
         manifest["timings"] = self.timings
         self.environment = _environment()
@@ -591,25 +673,36 @@ class _Stages:
     def write(self) -> None:
         self.path.write_text(json.dumps(self.manifest, indent=2, sort_keys=True))
 
-    def run(self, name: str, outputs: list[Path], build, load=lambda: None):
-        """A callable giving the stage's value: build(inputs)'s, or, when the
-        stage is done, load()'s, read on the first call."""
-        if name in self.done and all(p.exists() for p in outputs):
-            log.info("stage %s: outputs up to date, skipped", name)
-            self.timings[name] = 0.0
-            self.built_under[name] = self.previous_under.get(name)
-        else:
-            inputs = self.setup()  # a bad input is refused outside StageFailed
-            start = time.perf_counter()
-            try:
-                built = build(inputs)
-            except Exception as exc:
-                raise StageFailed(name, exc) from exc
-            self.timings[name] = round(time.perf_counter() - start, 6)
-            self.built_under[name] = self.environment
-            load = lambda: built
-        self.write()
-        return cache(load)
+    def add(self, name: str, outputs: list[Path], reads: tuple[str, ...], build,
+            load=lambda: None):
+        """Declares a stage: its name, its output files, the `Inputs` values
+        it reads, its build, which writes the outputs and gives its value,
+        and its load, which reads that value back when the stage is skipped.
+        Returns a callable giving the value once `run` ran the stage."""
+        self.table.append((name, outputs, reads, build, load))
+        return lambda: self.values[name]()
+
+    def run(self, inputs: Inputs) -> None:
+        building = {name for name, outputs, *_ in self.table if name not in self.done
+                    or not all(p.exists() for p in outputs)}
+        inputs.read(value for name, _, reads, *_ in self.table if name in building
+                    for value in reads)
+        for name, _, _, build, load in self.table:
+            if name in building:
+                start = time.perf_counter()
+                try:
+                    built = build()
+                except Exception as exc:
+                    raise StageFailed(name, exc) from exc
+                self.timings[name] = round(time.perf_counter() - start, 6)
+                self.built_under[name] = self.environment
+                load = lambda built=built: built
+            else:
+                log.info("stage %s: outputs up to date, skipped", name)
+                self.timings[name] = 0.0
+                self.built_under[name] = self.previous_under.get(name)
+            self.values[name] = cache(load)
+            self.write()
 
 
 @dataclass
@@ -630,71 +723,57 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     manifest_hash = hashlib.sha256(hash_basis.encode()).hexdigest()
     tag = f"manifest {manifest_hash}"
     need_train = config.rerank_model != "none"
-
-    @cache
-    def inputs() -> SimpleNamespace:
-        """The config's files read and checked against each other."""
-        s = read_inputs(config.pool_path, config.queries_path, config.qrels_path,
-                        config.splits_path)
-        stopwords = (load_stopwords(config.stopwords_path)
-                     if config.stopwords_path else None)
-        s.pipeline = build_pipeline(s.pool, stopwords=stopwords,
-                                    idf_filter=config.idf_filter)
-        s.word_vectors = (load_word_vectors(config.word_vectors_path)
-                          if config.word_vectors_path else None)
-        s.pool_store = s.query_store = s.store = None
-        if "doc-vectors" in config.components:
-            s.pool_store = load_doc_vectors(config.pool_vectors_path)
-            s.pool_store.validate_against(s.pool)
-            s.query_store = load_doc_vectors(config.query_vectors_path)
-        if need_train:
-            provider = (TypeEmbeddings(s.word_vectors)
-                        if config.rerank_embeddings == "word"
-                        else load_token_vectors(config.token_vectors_path))
-            s.store = FeatureStore(config.rerank_model, provider, s.pipeline,
-                                   s.queries, s.pool, config.rerank_hyperparams)
-        return s
-
+    inputs = Inputs(config.pool_path, config.queries_path, config.qrels_path,
+                    config.splits_path, stopwords_path=config.stopwords_path,
+                    idf_filter=config.idf_filter,
+                    word_vectors_path=config.word_vectors_path,
+                    pool_vectors_path=config.pool_vectors_path,
+                    query_vectors_path=config.query_vectors_path,
+                    token_vectors_path=(config.token_vectors_path
+                                        if config.rerank_embeddings == "token" else None))
+    # what a stage reads that scores lists or restricts them to a split
+    judged = ("pool", "queries", "qrels", "splits")
+    features = ("pipeline", "provider") if need_train else ()
     stages = _Stages(outdir, {"config": config.raw, "resources": resources,
-                              "version": __version__,
-                              "manifest_hash": manifest_hash}, inputs)
+                              "version": __version__, "manifest_hash": manifest_hash})
 
     index = cent_store = lambda: None
     bm25_params = lambda: config.bm25_params or Bm25Params()
     if config.needs_bm25:
         index_path = outdir / "index.bin"
 
-        def index_stage(s):
-            built = build_index(s.pool, s.pipeline)
+        def index_stage():
+            built = build_index(inputs.pool, inputs.pipeline)
             save_index(built, index_path)
             return built
 
         # the format version is part of the stage name (the checkpoints'
         # too), so a file of an older format in a reused output directory
         # is rebuilt instead of skipped
-        index = stages.run(f"index-v{INDEX_VERSION}", [index_path], index_stage,
-                           lambda: load_index(index_path))
+        index = stages.add(f"index-v{INDEX_VERSION}", [index_path], ("pool", "pipeline"),
+                           index_stage, lambda: load_index(index_path))
         if config.bm25_tune:
             grid_path = outdir / "bm25_grid.csv"
             params_path = outdir / "bm25_params.json"
-
-            def tune_stage(s):
-                return run_bm25_tuning(index(), s.pipeline, s.queries, s.splits.dev_ids,
-                                       s.qrels, config.bm25_grid_k1, config.bm25_grid_b,
-                                       config.k, grid_path, params_path, tag)[0]
-
-            bm25_params = stages.run("tune-bm25", [grid_path, params_path],
-                                     tune_stage, lambda: read_params(params_path))
+            bm25_params = stages.add(
+                "tune-bm25", [grid_path, params_path], (*judged, "pipeline"),
+                lambda: run_bm25_tuning(index(), inputs.pipeline, inputs.queries,
+                                        inputs.splits.dev_ids, inputs.qrels,
+                                        config.bm25_grid_k1, config.bm25_grid_b,
+                                        config.k, grid_path, params_path, tag)[0],
+                lambda: read_params(params_path))
 
     if "w2v-cent" in config.components:
         cent_path = outdir / "centroids.vec"
 
-        def centroid_stage(s):
-            built = build_centroid_store(s.pool, s.pipeline, s.word_vectors)
+        def centroid_stage():
+            built = build_centroid_store(inputs.pool, inputs.pipeline,
+                                         inputs.word_vectors)
             save_doc_vectors(built, cent_path)
             return built
 
-        cent_store = stages.run("centroids", [cent_path], centroid_stage,
+        cent_store = stages.add("centroids", [cent_path],
+                                ("pool", "pipeline", "word_vectors"), centroid_stage,
                                 lambda: load_doc_vectors(cent_path))
 
     fetched = ["test"]
@@ -702,24 +781,27 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
         fetched += ["train", "dev"]
     elif config.fusion_tune or config.datefilter_tune:
         fetched.append("dev")
-    alpha_path, grid_path = outdir / "fusion_alpha.json", outdir / "alpha_grid.csv"
+    alpha_path, alpha_grid_path = outdir / "fusion_alpha.json", outdir / "alpha_grid.csv"
+    # the index and the centroids are this run's own stages'
+    fetch_reads = [name for name in Prefetcher.reads(config.components)
+                   if name not in ("index", "cent_store")]
 
-    def prefetch_stage(s):
-        prefetcher = Prefetcher(config.components, config.k, s.queries, s.pipeline,
-                                index(), bm25_params(), s.word_vectors, cent_store(),
-                                s.pool_store, s.query_store)
+    def prefetch_stage():
+        prefetcher = Prefetcher(config.components, config.k, index=index(),
+                                bm25_params=bm25_params(), cent_store=cent_store(),
+                                **inputs.read(fetch_reads))
         alpha, dev_parts = config.fusion_alpha, None
         if config.fusion_tune:
             # tune on the dev components the dev split fetches anyway: each
             # list is a prefix of one total order, so the top `deep` of a
             # deeper fetch is exactly what a `deep` fetch returns
-            dev_parts = prefetcher.fusion_parts(s.splits.dev_ids)
+            dev_parts = prefetcher.fusion_parts(inputs.splits.dev_ids)
             alpha, grid = tune_alpha(
                 *(run.truncated(prefetcher.deep) for run in dev_parts),
-                s.qrels, config.fusion_grid, config.k)
-            write_alpha_grid_csv(grid, grid_path, comment=tag)
+                inputs.qrels, config.fusion_grid, config.k)
+            write_alpha_grid_csv(grid, alpha_grid_path, comment=tag)
             write_alpha(alpha, alpha_path)
-        runs = {split: prefetcher.deep_run(getattr(s.splits, f"{split}_ids"), alpha,
+        runs = {split: prefetcher.deep_run(inputs.query_ids(split), alpha,
                                            dev_parts if split == "dev" else None)
                 for split in fetched}
         for split, run in runs.items():
@@ -728,8 +810,10 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
 
     prefetch_outputs = [outdir / f"prefetch_{split}.tsv" for split in fetched]
     if config.fusion_tune:
-        prefetch_outputs += [alpha_path, grid_path]
-    prefetched = stages.run("prefetch", prefetch_outputs, prefetch_stage, dict)
+        prefetch_outputs += [alpha_path, alpha_grid_path]
+    prefetched = stages.add("prefetch", prefetch_outputs,
+                            ("splits", *fetch_reads, *["qrels"] * config.fusion_tune),
+                            prefetch_stage, dict)
 
     @cache
     def prefetch(split: str) -> Run:
@@ -740,21 +824,21 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
         if split in runs:
             return runs[split]
         return lists_for(read_run(outdir / f"prefetch_{split}.tsv"),
-                         getattr(inputs().splits, f"{split}_ids"))
+                         inputs.query_ids(split))
 
     years = lambda: config.datefilter_years
     if config.datefilter_tune:
         years_path = outdir / "datefilter_years.json"
 
-        def tune_window(s):
-            chosen = choose_window(prefetch("dev"), s.qrels, s.queries, s.pool,
-                                   config.datefilter_grid, config.datefilter_mode,
-                                   config.k, config.eval_k)
+        def tune_window():
+            chosen = choose_window(prefetch("dev"), inputs.qrels, inputs.queries,
+                                   inputs.pool, config.datefilter_grid,
+                                   config.datefilter_mode, config.k, config.eval_k)
             years_path.write_text(json.dumps({"years": chosen}))
             return chosen
 
         # the window read back must be one the tuning could have chosen
-        years = stages.run("tune-datefilter", [years_path], tune_window,
+        years = stages.add("tune-datefilter", [years_path], judged, tune_window,
                            lambda: read_json_number(
                                years_path, "years", lambda y: y in config.datefilter_grid,
                                "a value of datefilter.grid"))
@@ -765,22 +849,29 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     @cache
     def cands(split: str) -> Run:
         """The split's candidate lists, cut once for every seed's training."""
-        s = inputs()
-        return candidates(prefetch(split), config.k, window(), s.queries, s.pool)
+        return candidates(prefetch(split), config.k, window(), inputs.queries,
+                          inputs.pool)
+
+    @cache
+    def store() -> FeatureStore:
+        """The re-rankers' features, shared by every seed's training and the
+        re-ranking of the test lists."""
+        return FeatureStore(config.rerank_model, inputs.provider, inputs.pipeline,
+                            inputs.queries, inputs.pool, config.rerank_hyperparams)
 
     hist_path = outdir / "year_hist.csv"
-    stages.run("year-hist", [hist_path],
-               lambda s: write_year_hist_csv(
-                   year_diff_histogram(s.qrels.restrict(s.splits.dev_ids
-                                                        if "dev" in fetched
-                                                        else s.splits.test_ids),
-                                       s.queries, s.pool),
+    stages.add("year-hist", [hist_path], judged,
+               lambda: write_year_hist_csv(
+                   year_diff_histogram(inputs.qrels.restrict(
+                       inputs.query_ids("dev" if "dev" in fetched else "test")),
+                       inputs.queries, inputs.pool),
                    hist_path, comment=tag))
 
     rk_path = outdir / "rk_curve.csv"
-    stages.run("rk-curve", [rk_path],
-               lambda s: write_rk_curve_csv(
-                   emit_rk_curve(prefetch("test"), s.qrels.restrict(s.splits.test_ids),
+    stages.add("rk-curve", [rk_path], ("qrels", "splits"),
+               lambda: write_rk_curve_csv(
+                   emit_rk_curve(prefetch("test"),
+                                 inputs.qrels.restrict(inputs.splits.test_ids),
                                  2 * config.k),
                    rk_path, comment=tag))
 
@@ -790,14 +881,15 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             ck_path = outdir / f"checkpoint_seed{seed}.bin"
             log_path = outdir / f"training_log_seed{seed}.csv"
 
-            def train_stage(s, seed=seed, ck=ck_path, lg=log_path):
-                return run_training(config.rerank_model, s.splits, s.qrels,
-                                    {**cands("train"), **cands("dev")}, s.store,
+            def train_stage(seed=seed, ck=ck_path, lg=log_path):
+                return run_training(config.rerank_model, inputs.splits, inputs.qrels,
+                                    {**cands("train"), **cands("dev")}, store(),
                                     replace(config.rerank_hyperparams, seed=seed),
                                     ck, lg, tag)
 
-            trained.append(stages.run(f"train-v{CHECKPOINT_VERSION}-seed{seed}",
-                                      [ck_path, log_path], train_stage,
+            trained.append(stages.add(f"train-v{CHECKPOINT_VERSION}-seed{seed}",
+                                      [ck_path, log_path], (*judged, *features),
+                                      train_stage,
                                       lambda ck=ck_path: load_checkpoint(ck)))
         run_paths = [outdir / f"reranked_test_seed{s}.tsv" for s in config.rerank_seeds]
         eval_paths = [outdir / f"eval_test_seed{s}.csv" for s in config.rerank_seeds]
@@ -805,12 +897,13 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
         run_paths, eval_paths = [outdir / "final_test.tsv"], [outdir / "eval_test.csv"]
     summary_path = outdir / "eval_summary.csv" if len(eval_paths) > 1 else None
 
-    def final_stage(s):
+    def final_stage():
         """Writes and scores each final run: the test candidates, or each
         seed's re-ranking of them."""
-        finals = final_lists(prefetch("test"), config.k, window(), s.queries, s.pool,
-                             [result().reranker(s.store) for result in trained])
-        test_qrels = s.qrels.restrict(s.splits.test_ids)
+        finals = final_lists(prefetch("test"), config.k, window(), inputs.queries,
+                             inputs.pool,
+                             [result().reranker(store()) for result in trained])
+        test_qrels = inputs.qrels.restrict(inputs.splits.test_ids)
         reports = []
         for final, run_path, eval_path in zip(finals, run_paths, eval_paths):
             write_run(final, run_path, comment=tag)
@@ -820,10 +913,11 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             write_summary_csv(aggregate_runs(reports), summary_path, comment=tag)
 
     # the eval CSVs, not the run files, hold a list the window emptied
-    stages.run("rerank-test" if need_train else "evaluate",
+    stages.add("rerank-test" if need_train else "evaluate",
                run_paths + eval_paths + ([summary_path] if summary_path else []),
-               final_stage)
+               (*judged, *features), final_stage)
 
+    stages.run(inputs)
     stages.manifest["bm25_params"] = ({"k1": bm25_params().k1, "b": bm25_params().b}
                                       if config.needs_bm25 else None)
     stages.manifest["fusion_alpha"] = (read_alpha(alpha_path) if config.fusion_tune

@@ -10,7 +10,7 @@ from regir.bm25 import load_index
 from regir.cli import main
 from regir.corpus import ingest_collection
 from regir.dense import load_word_vectors
-from regir.experiment import emit_rk_curve, read_inputs
+from regir.experiment import Inputs, emit_rk_curve
 from regir.fusion import default_alpha_grid
 from regir.ranking import RankedList, read_run, write_run
 from regir.rerank.features import TypeEmbeddings, load_token_vectors
@@ -464,14 +464,14 @@ def test_a_key_error_is_reported_by_its_message(env, tmp_path):
 def test_prefetch_refuses_missing_inputs_before_loading_any(env, tmp_path,
                                                            monkeypatch, args,
                                                            message):
-    import regir.cli
+    import regir.experiment
 
     def no_load(*args, **kwargs):
         raise AssertionError("an input was loaded before the options were checked")
 
     for name in ("ingest_collection", "load_index", "load_word_vectors",
                  "load_doc_vectors"):
-        monkeypatch.setattr(regir.cli, name, no_load)
+        monkeypatch.setattr(regir.experiment, name, no_load)
     args = [env.root / a if a in ("index.bin", "wv.txt", "centroids.vec") else a
             for a in args]
     result = env.cli("prefetch", *args, "--queries", env.root / "queries.jsonl",
@@ -629,11 +629,11 @@ def test_rerun_refuses_a_bad_tuned_window_naming_the_file(env, tmp_path, text,
     assert "Traceback" not in blob(result)
 
 def test_commands_load_the_index_once(env, tmp_path, monkeypatch):
-    import regir.cli
+    import regir.experiment
 
     loads = []
-    real = regir.cli.load_index
-    monkeypatch.setattr(regir.cli, "load_index",
+    real = regir.experiment.load_index
+    monkeypatch.setattr(regir.experiment, "load_index",
                         lambda path: loads.append(path) or real(path))
     root = env.root
     env.ok("prefetch", "--mode", "ensemble", "--k", "5",
@@ -855,6 +855,24 @@ def test_fuse_tune_alpha_needs_qrels(env, tmp_path):
     assert result.exit_code == 1
     assert "Error: --tune-alpha needs --qrels" in blob(result)
     assert not (tmp_path / "f.tsv").exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--alpha", "0.5", "--tune-alpha"], "--tune-alpha conflicts with explicit --alpha"),
+    (["--alpha", "0.5", "--grid", "0:1:0.5"], "--grid needs --tune-alpha"),
+    (["--alpha", "0.5", "--grid-out", "grid.csv"], "--grid-out needs --tune-alpha"),
+], ids=["alpha-and-tune", "grid-without-tune", "grid-out-without-tune"])
+def test_fuse_refuses_options_that_would_be_ignored(env, tmp_path, args, message):
+    """A given --alpha is not overwritten by the tuned one, as `fusion.alpha`
+    with `fusion.tune` is refused, and a grid option is not dropped unread."""
+    args = [tmp_path / a if a == "grid.csv" else a for a in args]
+    result = env.cli("fuse", "--run-a", env.root / "run_all.tsv",
+                     "--run-b", env.root / "run_all.tsv",
+                     "--qrels", env.root / "qrels.tsv", *args, "--out", tmp_path / "f.tsv")
+    assert result.exit_code == 1
+    assert [line for line in result.output.splitlines()
+            if line.startswith("Error")] == [f"Error: {message}"]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("tune", [[], ["--tune-alpha", "--qrels"]],
@@ -1309,7 +1327,7 @@ def test_report_rk_curve_over_a_split_counts_a_query_without_lines(tmp_path):
     result = runner.invoke(main, [str(a) for a in args + ["--out", tmp_path / "all.csv"]])
     assert result.exit_code == 0, blob(result)
     rows = emit_rk_curve(read_run(outdir / "prefetch_test.tsv"),
-                         read_inputs(qrels=root / "qrels.tsv").qrels, 10)
+                         Inputs(qrels_path=root / "qrels.tsv").qrels, 10)
     assert (tmp_path / "all.csv").read_text().splitlines() == \
         ["k,recall"] + [f"{k},{r!r}" for k, r in rows]
     assert (tmp_path / "all.csv").read_text() != (tmp_path / "rk.csv").read_text()

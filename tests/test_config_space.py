@@ -249,6 +249,31 @@ def test_bad_date_window_is_refused_naming_the_key(space, line, key):
         load_config(path)
 
 
+INPUT_FILES = ["pool.jsonl", "queries.jsonl", "qrels.tsv", "splits.json", "stop.txt",
+               "wv.txt", "pool.vec", "queries.vec", "tokens.txt"]
+
+
+@pytest.mark.parametrize("name", INPUT_FILES)
+def test_a_fresh_run_refuses_a_bad_input_before_writing_any_output(space, tmp_path,
+                                                                  name):
+    """A run that reads every input file (stopwords, both vector
+    pre-fetchers and a re-ranker on token embeddings) refuses each one that
+    is not UTF-8 with the loader's error naming it, not as a failed stage,
+    and writes nothing but manifest.json."""
+    for other in [*INPUT_FILES, "hp.txt"]:
+        if other != "stop.txt":
+            (tmp_path / other).write_bytes((space / other).read_bytes())
+    (tmp_path / "stop.txt").write_text("the\nof\n")
+    (tmp_path / name).write_bytes(b"\xff\xfe\n")
+    row = dict(ROWS[0], mode="ensemble:w2v-cent,doc-vectors", fusion="alpha",
+               datefilter="none", model="drmm", embeddings="token")
+    (tmp_path / "cfg.txt").write_text(config_text(row) + "text.stopwords = stop.txt\n")
+    outdir = tmp_path / "out"
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(tmp_path / name))}: "):
+        run_experiment(load_config(tmp_path / "cfg.txt"), outdir)
+    assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
+
+
 def copy_with_blank_document(space, tmp_path):
     """The space dataset in tmp_path, its pool plus one document of
     stopwords only."""

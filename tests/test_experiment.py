@@ -21,7 +21,7 @@ except ImportError:  # numpy < 2
 import regir
 import regir.text
 from regir._npz import write_npz
-from regir.bm25 import INDEX_FORMAT, load_index
+from regir.bm25 import INDEX_FORMAT, INDEX_VERSION, load_index
 from regir.corpus import Qrels, ingest_collection
 from regir.experiment import (ConfigError, Prefetcher, _parse_range,
                               emit_rk_curve, hash_file, load_config,
@@ -31,6 +31,7 @@ from regir.ranking import RankedList, Run, read_run
 from regir.rerank import train
 
 from conftest import build_dataset, date_window_dataset, run_python, write_jsonl
+from test_pinned_artifacts import _digest
 from oracles import (left_to_right_sum, neumaier_sum, rk_curve_accumulate,
                      rk_curve_per_k)
 
@@ -729,32 +730,155 @@ def test_a_config_loaded_through_another_relative_path_has_one_hash(
 
 def test_deleting_one_output_rebuilds_only_its_stage(dataset, tmp_path,
                                                      monkeypatch):
-    """With rk_curve.csv gone from a finished ensemble + DRMM run, a rerun
-    builds rk-curve alone, from the test lists it reads back, and writes the
-    same bytes; it reads no index, vectors or checkpoint."""
+    """With rk_curve.csv, then year_hist.csv, gone from a finished ensemble
+    + DRMM run, a rerun builds that stage alone and writes the same bytes.
+    It builds no pipeline and reads no vectors, index or checkpoint; the
+    curve reads back the test lists, the histogram no run file."""
     import regir.experiment as experiment
 
     (dataset / "hp.txt").write_text(HP)
     cfg = cfg_from(dataset, FULL_CFG)
     outdir = tmp_path / "out"
     run_experiment(cfg, outdir)
-    rk_path = outdir / "rk_curve.csv"
-    clean = rk_path.read_bytes()
-    rk_path.unlink()
     calls = Counter()
     read = []
-    for name in ("load_index", "load_doc_vectors", "load_checkpoint", "read_run"):
-        def counting(path, _name=name, _real=getattr(experiment, name)):
+    for name in ("build_pipeline", "load_word_vectors", "load_token_vectors",
+                 "load_index", "load_doc_vectors", "load_checkpoint", "read_run"):
+        def counting(path, *args, _name=name, _real=getattr(experiment, name), **kwargs):
             calls[_name] += 1
-            read.append(Path(path).name)
-            return _real(path)
+            read.append(Path(path).name if _name == "read_run" else _name)
+            return _real(path, *args, **kwargs)
         monkeypatch.setattr(experiment, name, counting)
+    for stage, output, reads in (("rk-curve", "rk_curve.csv", ["prefetch_test.tsv"]),
+                                 ("year-hist", "year_hist.csv", [])):
+        path = outdir / output
+        clean = path.read_bytes()
+        path.unlink()
+        calls.clear()
+        read.clear()
+        run_experiment(cfg, outdir)
+        assert path.read_bytes() == clean
+        timings = json.loads((outdir / "manifest.json").read_text())["timings"]
+        assert {name for name, t in timings.items() if t} == {stage}
+        assert read == reads
+        assert set(calls) == ({"read_run"} if reads else set())
+
+
+# each `Inputs` value a run with word embeddings reads, by the call that
+# makes it
+MADE_BY = {"pool": ("ingest_collection", "pool.jsonl"),
+           "queries": ("ingest_collection", "queries.jsonl"),
+           "qrels": ("load_qrels", "qrels.tsv"),
+           "splits": ("SplitManifest.from_json", "splits.json"),
+           "pipeline": ("build_pipeline", None),
+           "word_vectors": ("load_word_vectors", "wv.txt"),
+           "provider": ("TypeEmbeddings", None)}
+# the judgments are checked against both collections, so whatever reads
+# them makes those too; a stage that scores or cuts lists reads all four
+JUDGED = ("pool", "queries", "qrels", "splits")
+TEXT = (*JUDGED, "pipeline", "word_vectors", "provider")
+CKPT = f"v{train.CHECKPOINT_VERSION}"
+
+
+# each stage of SUM_CFGS["ensemble-drmm"] (one training seed standing for
+# both): its outputs, the inputs a rebuild of it alone makes, and the other
+# stages' artifacts it reads
+REBUILDS = {
+    f"index-v{INDEX_VERSION}": (["index.bin"], ("pool", "pipeline"), []),
+    "tune-bm25": (["bm25_grid.csv", "bm25_params.json"], (*JUDGED, "pipeline"),
+                  ["index.bin"]),
+    "centroids": (["centroids.vec"], ("pool", "pipeline", "word_vectors"), []),
+    "prefetch": ([f"prefetch_{s}.tsv" for s in ("train", "dev", "test")]
+                 + ["fusion_alpha.json", "alpha_grid.csv"],
+                 (*JUDGED, "pipeline", "word_vectors"),
+                 ["index.bin", "centroids.vec"]),
+    "tune-datefilter": (["datefilter_years.json"], JUDGED, ["prefetch_dev.tsv"]),
+    "year-hist": (["year_hist.csv"], JUDGED, []),
+    "rk-curve": (["rk_curve.csv"], JUDGED, ["prefetch_test.tsv"]),
+    f"train-{CKPT}-seed4": (["checkpoint_seed4.bin", "training_log_seed4.csv"],
+                            TEXT, ["prefetch_train.tsv", "prefetch_dev.tsv"]),
+    "rerank-test": ([f"{name}_seed{seed}.{ext}" for seed in (3, 4) for name, ext
+                     in (("reranked_test", "tsv"), ("eval_test", "csv"))]
+                    + ["eval_summary.csv"], TEXT,
+                    ["prefetch_test.tsv", "checkpoint_seed3.bin",
+                     "checkpoint_seed4.bin"]),
+}
+
+
+def test_a_rebuilt_stage_makes_only_the_inputs_it_reads(dataset, tmp_path, monkeypatch):
+    """With one stage's outputs gone from a finished full-stack run, a rerun
+    builds that stage alone, makes each input the stage reads once and no
+    other, reads back only the artifacts it builds on, and writes the same
+    bytes."""
+    import regir.experiment as experiment
+
+    (dataset / "hp.txt").write_text(HP)
+    cfg = cfg_from(dataset, SUM_CFGS["ensemble-drmm"])
+    outdir = tmp_path / "out"
     run_experiment(cfg, outdir)
-    assert rk_path.read_bytes() == clean
-    timings = json.loads((outdir / "manifest.json").read_text())["timings"]
-    assert {name for name, t in timings.items() if t} == {"rk-curve"}
-    assert read == ["prefetch_test.tsv"]
-    assert set(calls) == {"read_run"}
+    fresh = {p.name: p.read_bytes() for p in outdir.iterdir()
+             if p.name != "manifest.json"}
+    assert set(REBUILDS) == set(json.loads((outdir / "manifest.json").read_text())
+                              ["timings"]) - {f"train-{CKPT}-seed3"}
+    assert sorted(n for outputs, _, _ in REBUILDS.values() for n in outputs) == \
+        sorted(set(fresh) - {"checkpoint_seed3.bin", "training_log_seed3.csv"})
+
+    calls = []
+
+    def spy(name, real):
+        def call(first, *args, **kwargs):
+            path = Path(first).name if isinstance(first, (str, Path)) else None
+            calls.append((name, path))
+            return real(first, *args, **kwargs)
+        return call
+
+    for name in ("ingest_collection", "load_qrels", "build_pipeline",
+                 "load_word_vectors", "TypeEmbeddings", "load_stopwords",
+                 "load_token_vectors", "load_index", "load_doc_vectors",
+                 "read_run", "load_checkpoint"):
+        monkeypatch.setattr(experiment, name, spy(name, getattr(experiment, name)))
+    real_splits = experiment.SplitManifest.from_json
+    monkeypatch.setattr(experiment.SplitManifest, "from_json",
+                        staticmethod(spy("SplitManifest.from_json", real_splits)))
+    for stage, (outputs, made, artifacts) in REBUILDS.items():
+        for name in outputs:
+            (outdir / name).unlink()
+        calls.clear()
+        run_experiment(cfg, outdir)
+        timings = json.loads((outdir / "manifest.json").read_text())["timings"]
+        assert {name for name, t in timings.items() if t} == {stage}
+        artifact_loaders = ("load_index", "load_doc_vectors", "read_run",
+                            "load_checkpoint")
+        assert sorted(c for c in calls if c[0] not in artifact_loaders) == \
+            sorted(MADE_BY[name] for name in made), stage
+        assert sorted(path for loader, path in calls if loader in artifact_loaders) == \
+            sorted(artifacts), stage
+        assert {p.name: p.read_bytes() for p in outdir.iterdir()
+                if p.name != "manifest.json"} == fresh, stage
+
+
+def test_unread_word_vectors_are_hashed_but_not_parsed(dataset, tmp_path):
+    """A bm25 run reads no word vectors: one whose `dense.word_vectors` file
+    is corrupt finishes, writes what the run without that key writes (but
+    for the manifest lines), and its manifest hash covers the file."""
+    bad = tmp_path / "bad_wv.txt"
+    bad.write_text("tax 0.1 nan\n")
+    with_bad = BASE_CFG + f"dense.word_vectors = {bad}\n"
+    without = run_experiment(cfg_from(dataset, BASE_CFG), tmp_path / "without")
+    result = run_experiment(cfg_from(dataset, with_bad), tmp_path / "with")
+    names = sorted(p.name for p in without.outdir.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in result.outdir.iterdir()
+                           if p.name != "manifest.json")
+    for name in names:
+        assert _digest((result.outdir / name).read_bytes()) == \
+            _digest((without.outdir / name).read_bytes()), name
+    manifest = json.loads((result.outdir / "manifest.json").read_text())
+    assert manifest["resources"][str(bad.resolve())] == hash_file(bad)
+    bad.write_text("tax 0.1 inf\n")
+    changed = run_experiment(cfg_from(dataset, with_bad), tmp_path / "with")
+    assert len({without.manifest_hash, result.manifest_hash, changed.manifest_hash}) == 3
+    timings = json.loads((changed.outdir / "manifest.json").read_text())["timings"]
+    assert all(t > 0 for t in timings.values())
 
 
 @pytest.mark.parametrize("split", ["train", "dev"])

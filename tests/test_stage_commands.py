@@ -14,10 +14,6 @@ What the commands cannot make is named, not compared:
 - `fusion_alpha.json`, whose alpha `fuse --tune-alpha` echoes instead;
 - `datefilter_years.json`: no command tunes the window, so the sweep reads
   the tuned window from it.
-
-No test query of this corpus has an empty list, so `report rk-curve`, which
-averages over the queries its run file has lines for, sees every test
-query the run's curve counts.
 """
 
 import json
@@ -98,7 +94,7 @@ def test_stage_commands_write_what_regir_run_writes(space, tmp_path, row):
                 made[f"prefetch_{split}.tsv"] = out / f"{name}_{split}.tsv"
     if not ensemble:
         cli("report", "rk-curve", "--run", out / f"{mode}_test.tsv", "--qrels", qrels,
-            "--k-max", 2 * K, "--out", out / "rk_curve.csv")
+            "--splits", splits, "--k-max", 2 * K, "--out", out / "rk_curve.csv")
         made["rk_curve.csv"] = out / "rk_curve.csv"
 
     alpha = 0.5

@@ -46,9 +46,12 @@ def test_every_module_level_definition_is_referenced_in_the_package():
 
 
 # the library calls that `experiment.py` composes for `regir run` and the
-# CLI's stage commands alike: reading judgments and split manifests, BM25
-# tuning, training and the final lists
-STAGE_GLUE = ("load_qrels", "SplitManifest", "tune_bm25", "write_grid_csv",
+# CLI's stage commands alike: the loaders and builders `Inputs` wraps (the
+# judgments, split manifest, index, text pipeline, vectors and embeddings),
+# BM25 tuning, training and the final lists
+STAGE_GLUE = ("load_qrels", "SplitManifest", "load_index", "build_pipeline",
+              "load_stopwords", "load_word_vectors", "load_doc_vectors",
+              "load_token_vectors", "TypeEmbeddings", "tune_bm25", "write_grid_csv",
               "write_params", "train_model", "save_checkpoint",
               "write_training_log", "rerank_run", "candidates", "finalize")
 
