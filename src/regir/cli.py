@@ -15,22 +15,19 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .bm25 import Bm25Params, build_index, default_grid, read_params, save_index
+from .bm25 import Bm25Params, default_grid, read_params
 from .corpus import (convert_collection, corpus_stats, ingest_collection,
                      write_collection)
-from .datefilter import DateWindow, write_year_hist_csv, year_diff_histogram
-from .dense import build_centroid_store, save_doc_vectors
-from .experiment import (Inputs, Prefetcher, StageFailed, emit_rk_curve,
-                         error_message, final_lists, load_config, parse_components,
-                         run_bm25_tuning, run_experiment, run_training,
-                         write_rk_curve_csv, _parse_range)
-from .fusion import (default_alpha_grid, fuse_runs, tune_alpha,
-                     write_alpha_grid_csv)
-from .metrics import (aggregate_runs, evaluate_run, read_eval_csv,
-                      write_eval_csv, write_summary_csv)
+from .datefilter import DateWindow
+from .experiment import (Inputs, Prefetcher, StageFailed, error_message, final_lists,
+                         load_config, make_centroids, make_index, make_rk_curve,
+                         make_year_hist, parse_components, run_alpha_tuning,
+                         run_bm25_tuning, run_experiment, run_training, score_run,
+                         _parse_range)
+from .fusion import default_alpha_grid, fuse_runs
+from .metrics import aggregate_runs, read_eval_csv, write_summary_csv
 from .ranking import lists_for, read_run, write_run
-from .rerank.train import (FeatureStore, Hyperparams, TrainingDiverged,
-                           load_checkpoint)
+from .rerank.train import Hyperparams, TrainingDiverged, load_checkpoint
 
 log = logging.getLogger(__name__)
 
@@ -142,8 +139,7 @@ def convert(src, out, mapping):
 def index(collection, out, stopwords, no_idf_filter):
     """Build the inverted index over a pool collection."""
     s = Inputs(collection, stopwords_path=stopwords, idf_filter=not no_idf_filter)
-    idx = build_index(s.pool, s.pipeline)
-    save_index(idx, out)
+    idx = make_index(s.pool, s.pipeline, out)
     click.echo(f"indexed {idx.doc_count} documents, {len(idx.terms)} terms, "
                f"avg length {idx.avg_len:.1f}")
 
@@ -167,11 +163,8 @@ def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
     s = Inputs(queries_path=queries, qrels_path=qrels, splits_path=splits,
                index_path=index_path)
     ids = s.query_ids(split)
-    k1_grid, b_grid = default_grid()
-    if grid_k1:
-        k1_grid = _parse_range(grid_k1, "--grid-k1")
-    if grid_b:
-        b_grid = _parse_range(grid_b, "--grid-b")
+    k1_grid = _parse_range(grid_k1, "--grid-k1") if grid_k1 else default_grid()[0]
+    b_grid = _parse_range(grid_b, "--grid-b") if grid_b else default_grid()[1]
     best, cells = run_bm25_tuning(s.index, s.pipeline, s.queries, ids, s.qrels,
                                   k1_grid, b_grid, k, out, params_out)
     best_cell = max(c.recall_at_k for c in cells)
@@ -190,8 +183,7 @@ def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
 def vectors(collection, word_vectors, out, index_path, on_empty):
     """Precompute tf-idf weighted centroid vectors for every pool document."""
     s = Inputs(collection, index_path=index_path, word_vectors_path=word_vectors)
-    store = build_centroid_store(s.pool, s.pipeline, s.word_vectors, on_empty=on_empty)
-    save_doc_vectors(store, out)
+    store = make_centroids(s.pool, s.pipeline, s.word_vectors, out, on_empty)
     click.echo(f"wrote {len(store)} centroids of dim {store.dim}")
 
 
@@ -278,12 +270,10 @@ def fuse_cmd(run_a, run_b, k, alpha, do_tune, qrels, grid, grid_out, out):
     if do_tune:
         if qrels is None:
             raise click.ClickException("--tune-alpha needs --qrels")
-        judgments = Inputs(qrels_path=qrels).qrels
         alpha_grid = _parse_range(grid, "--grid") if grid else default_alpha_grid()
-        alpha, cells = tune_alpha(a, b, judgments, alpha_grid, k)
+        alpha, _ = run_alpha_tuning(a, b, Inputs(qrels_path=qrels).qrels, alpha_grid,
+                                    k, grid_out)
         click.echo(f"tuned alpha={alpha}")
-        if grid_out:
-            write_alpha_grid_csv(cells, grid_out)
     elif alpha is None:
         raise click.ClickException("give --alpha or --tune-alpha")
     fused = fuse_runs(a, b, alpha, k)
@@ -331,8 +321,8 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
     hp = Hyperparams.from_file(hyperparams) if hyperparams else Hyperparams()
     if seed is not None:
         hp = replace(hp, seed=seed)
-    store = FeatureStore(model, s.provider, s.pipeline, s.queries, s.pool, hp)
-    result = run_training(model, s.splits, s.qrels, run, store, hp, out, log_path)
+    result = run_training(model, s.splits, s.qrels, run, s.features(model, hp), hp,
+                          out, log_path)
     click.echo(f"best dev R@20 {result.best_dev_r20:.4f} at epoch "
                f"{result.best_epoch}; w_r={result.w_r:.4f} w_p={result.w_p:.4f}; "
                f"{result.skipped_positives} relevant doc(s) outside the "
@@ -360,12 +350,10 @@ def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
     window = DateWindow(date_filter, filter_mode) if date_filter is not None else None
     s = _text_inputs(collection, queries, index_path, word_vectors, token_vectors)
     result = load_checkpoint(checkpoint)
-    store = FeatureStore(result.model.kind, s.provider, s.pipeline, s.queries, s.pool,
-                         result.hp)
+    reranker = result.reranker(s.features(result.model.kind, result.hp))
     run = read_run(run_path)
     try:
-        [reranked] = final_lists(run, k, window, s.queries, s.pool,
-                                 [result.reranker(store)])
+        [reranked] = final_lists(run, k, window, s.queries, s.pool, [reranker])
     except ValueError as exc:
         raise ValueError(f"{run_path}: {exc}") from None
     write_run(reranked, out)
@@ -407,14 +395,12 @@ def evaluate(run_path, qrels, k, splits, split, out):
     split is scored, and one absent from the run file (a list the date window
     emptied is written as no lines) counts as an empty list."""
     run, qrels = _scored_run(run_path, qrels, splits, split)
-    report = evaluate_run(run, qrels, k=k)
+    report = score_run(run, qrels, k, out)
     for metric, value in report.macro.items():
         click.echo(f"{metric} {value:.4f}")
     if report.excluded_query_ids:
         click.echo(f"excluded {len(report.excluded_query_ids)} queries without "
                    f"relevant documents")
-    if out:
-        write_eval_csv(report, out)
 
 
 @main.group()
@@ -446,8 +432,7 @@ def rk_curve(run_path, qrels, k_max, splits, split, out):
     of the split is averaged, and one absent from the run file (an empty
     list is written as no lines) counts at R@k 0, as in `regir run`'s
     rk_curve.csv."""
-    rows = emit_rk_curve(*_scored_run(run_path, qrels, splits, split), k_max)
-    write_rk_curve_csv(rows, out)
+    rows = make_rk_curve(*_scored_run(run_path, qrels, splits, split), k_max, out)
     click.echo(f"R@{k_max} = {rows[-1][1]:.4f}")
 
 
@@ -459,8 +444,7 @@ def rk_curve(run_path, qrels, k_max, splits, split, out):
 def year_hist(qrels, queries, collection, out):
     """Histogram of year(relevant) - year(query) over judged pairs."""
     s = Inputs(collection, queries, qrels)
-    hist = year_diff_histogram(s.qrels, s.queries, s.pool)
-    write_year_hist_csv(hist, out)
+    hist = make_year_hist(s.qrels, s.queries, s.pool, out)
     if hist:
         mode_diff = max(hist, key=lambda d: (hist[d], -abs(d)))
         click.echo(f"{sum(hist.values())} pairs, mode at {mode_diff:+d} years, "

@@ -9,16 +9,18 @@ window filters the deep pre-fetch list and refills k candidates from it
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 
-from ._textio import write_table
+from ._textio import read_json_number, write_table
 from .metrics import float_sum, recall_at_k
 from .ranking import RankedList, Run
 
@@ -110,6 +112,18 @@ def choose_window(deep: Run, qrels, query_corpus, pool_corpus,
                                     and y > best_y):
             best_y, best_recall = y, recall
     return best_y
+
+
+def write_years(years: float, path) -> None:
+    """The JSON object `{"years": ...}` that read_years reads."""
+    Path(path).write_text(json.dumps({"years": years}))
+
+
+def read_years(path, grid) -> float:
+    """Inverse of write_years, for a window that `grid` (the run's
+    datefilter.grid) holds. Raises ValueError naming the file on any fault."""
+    return read_json_number(path, "years", lambda y: y in grid,
+                            "a value of datefilter.grid")
 
 
 def year_diff_histogram(qrels, query_corpus, pool_corpus) -> Counter:

@@ -28,22 +28,23 @@ from .bm25 import (INDEX_VERSION, Bm25Params, PostingsIndex, build_index,
                    default_grid, load_index, read_params, save_index,
                    tune_bm25, write_grid_csv, write_params)
 from .corpus import Corpus, SplitManifest, ingest_collection, load_qrels
-from .datefilter import (MODES, DateWindow, candidates, choose_window,
-                         finalize, write_year_hist_csv, year_diff_histogram)
+from .datefilter import (MODES, DateWindow, candidates, choose_window, finalize,
+                         read_years, write_year_hist_csv, write_years,
+                         year_diff_histogram)
 from .dense import (CentroidError, DocVectorStore, WordVectors,
                     build_centroid_store, centroid, knn_search,
                     load_doc_vectors, load_word_vectors, save_doc_vectors)
 from .fusion import (default_alpha_grid, fuse, read_alpha, tune_alpha,
                      write_alpha, write_alpha_grid_csv)
-from .metrics import (aggregate_runs, evaluate_run, write_eval_csv,
-                      write_summary_csv)
+from .metrics import (aggregate_runs, emit_rk_curve, evaluate_run, write_eval_csv,
+                      write_rk_curve_csv, write_summary_csv)
 from .ranking import RankedList, Run, lists_for, per_query, read_run, write_run
 from .rerank.features import TypeEmbeddings, load_token_vectors
 from .rerank.train import (CHECKPOINT_VERSION, DEV_K, FeatureStore,
                            Hyperparams, load_checkpoint, rerank_run,
                            save_checkpoint, train_model, write_training_log)
 from .text import TextPipeline, build_pipeline, load_stopwords
-from ._textio import parse_number, read_json_number, read_key_values, write_table
+from ._textio import parse_number, read_key_values, write_table
 
 log = logging.getLogger(__name__)
 
@@ -59,7 +60,7 @@ class ConfigError(ValueError):
 MAX_GRID_VALUES = 10_000
 
 
-def _parse_range(raw: str, key: str) -> list[float]:
+def _parse_range(raw: str, key: str, base=None) -> list[float]:
     """'start:stop:step' inclusive grid, or a comma-separated list, of at
     most MAX_GRID_VALUES values; a range's count is checked before any value
     is built. A range's values are rounded to 4 decimals; a range that
@@ -143,10 +144,6 @@ def _choice(*allowed: str):
     return parse
 
 
-def _grid(text: str, key: str, base) -> list[float]:
-    return _parse_range(text, key)
-
-
 def _windows(years, key: str):
     """`years`, each one a date window size DateWindow takes."""
     for value in years:
@@ -223,14 +220,14 @@ class ExperimentConfig:
     bm25_k1: float | None = _key("bm25.k1", _number(float))
     bm25_b: float | None = _key("bm25.b", _number(float))
     bm25_tune: bool = _key("bm25.tune", _flag, False)
-    bm25_grid_k1: list[float] = _key("bm25.grid_k1", _grid, default_grid()[0])
-    bm25_grid_b: list[float] = _key("bm25.grid_b", _grid, default_grid()[1])
+    bm25_grid_k1: list[float] = _key("bm25.grid_k1", _parse_range, default_grid()[0])
+    bm25_grid_b: list[float] = _key("bm25.grid_b", _parse_range, default_grid()[1])
     fusion_components: tuple[str, str] | None = _key("fusion.components",
                                                      parse_components)
     fusion_alpha: float | None = _key(
         "fusion.alpha", _number(float, lambda a: 0 <= a <= 1, "must be in [0, 1]"))
     fusion_tune: bool = _key("fusion.tune", _flag, False)
-    fusion_grid: list[float] = _key("fusion.grid", _grid, default_alpha_grid())
+    fusion_grid: list[float] = _key("fusion.grid", _parse_range, default_alpha_grid())
     rerank_model: str = _key("rerank.model", _choice("none", "drmm", "pacrr"),
                              "none")
     seed: int = _key("seed", _number(int), 0)
@@ -332,45 +329,19 @@ def hash_file(path) -> str:
     return h.hexdigest()
 
 
-def emit_rk_curve(run: Run, qrels, k_max: int) -> list[tuple[int, float]]:
-    """`(k, mean R@k)` rows for k = 1..k_max over queries with relevant
-    documents; the run must be fetched at depth >= k_max."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    query_ids = qrels.judged(sorted(run))
-    short = [q for q in query_ids
-             if len(run[q]) < min(k_max, len(qrels.relevant(q)))]
-    # row i marks query i's relevant entries among its top k_max, then holds
-    # its hit count at each depth k, then its R@k: the floats recall_at_k
-    # returns. The rows are added in query order from 0.0, one vector add
-    # per query, as float_sum adds each k's values
-    curves = np.zeros((len(query_ids), k_max))
-    sizes = np.zeros(len(query_ids))
-    for i, q in enumerate(query_ids):
-        relevant = qrels.relevant(q)
-        curves[i, [j for j, (d, _) in enumerate(run[q][:k_max]) if d in relevant]] = 1
-        sizes[i] = len(relevant)
-    np.cumsum(curves, axis=1, out=curves)
-    curves /= sizes[:, None]
-    total = np.zeros(k_max)
-    for curve in curves:
-        total += curve
-    rows = list(zip(range(1, k_max + 1), (total / len(query_ids)).tolist()))
-    if short:
-        log.warning("rk curve: %d list(s) shorter than k_max", len(short))
-    return rows
-
-
-def write_rk_curve_csv(rows, path, comment: str = "") -> None:
-    write_table(path, "k,recall", (f"{k},{recall!r}" for k, recall in rows),
-                comment)
-
-
 def _from_path(path_field: str, read):
     """An `Inputs` value: `read(inputs, path)` of the path in `path_field`,
     None when no path is given."""
     return cached_property(lambda inputs: None if getattr(inputs, path_field) is None
                            else read(inputs, getattr(inputs, path_field)))
+
+
+def _pool_vectors(inputs: "Inputs", path) -> DocVectorStore:
+    """The doc vectors in `path`, checked against the pool when one is given."""
+    store = load_doc_vectors(path)
+    if inputs.pool is not None:
+        store.validate_against(inputs.pool)
+    return store
 
 
 @dataclass
@@ -379,10 +350,11 @@ class Inputs:
     where none is given), and the values read from them: each made on first
     use, from only the values it needs, and kept; None without its path. The
     judgments are checked against whichever collections are given, the split
-    manifest against those and the judgments, and the pool's doc vectors
-    against the pool. The text pipeline is the index's, given one, else built
-    from the pool. The re-rankers' embeddings (`provider`) are the token
-    vectors, given those, else the word vectors'."""
+    manifest against those and the judgments, and the index, the centroids
+    and the pool's doc vectors against the pool. The text pipeline is the
+    index's, given one, else built from the pool. The re-rankers' embeddings
+    (`provider`) are the token vectors, given those, else the word vectors';
+    `features` makes their feature store."""
 
     pool_path: Path | None = None
     queries_path: Path | None = None
@@ -412,7 +384,16 @@ class Inputs:
                         qrels=self.qrels)
         return splits
 
-    index = _from_path("index_path", lambda s, path: load_index(path))
+    @cached_property
+    def index(self) -> PostingsIndex | None:
+        if self.index_path is None:
+            return None
+        index = load_index(self.index_path)
+        if self.pool is not None and (ids := index.doc_ids.tolist()) != self.pool.ids:
+            differ = min(set(ids) ^ set(self.pool.ids))
+            raise ValueError(f"{self.index_path}: an index of another pool than "
+                             f"{self.pool_path}: {differ!r} is in one of them only")
+        return index
 
     @cached_property
     def pipeline(self) -> TextPipeline:
@@ -423,17 +404,8 @@ class Inputs:
 
     word_vectors = _from_path("word_vectors_path",
                               lambda s, path: load_word_vectors(path))
-    cent_store = _from_path("centroids_path", lambda s, path: load_doc_vectors(path))
-
-    @cached_property
-    def pool_store(self) -> DocVectorStore | None:
-        if self.pool_vectors_path is None:
-            return None
-        store = load_doc_vectors(self.pool_vectors_path)
-        if self.pool is not None:
-            store.validate_against(self.pool)
-        return store
-
+    cent_store = _from_path("centroids_path", _pool_vectors)
+    pool_store = _from_path("pool_vectors_path", _pool_vectors)
     query_store = _from_path("query_vectors_path", lambda s, path: load_doc_vectors(path))
 
     @cached_property
@@ -441,6 +413,10 @@ class Inputs:
         if self.token_vectors_path is not None:
             return load_token_vectors(self.token_vectors_path)
         return TypeEmbeddings(self.word_vectors)
+
+    def features(self, kind: str, hp: Hyperparams) -> FeatureStore:
+        return FeatureStore(kind, self.provider, self.pipeline, self.queries,
+                            self.pool, hp)
 
     def read(self, names) -> dict:
         """The named values, made in the order this class defines them."""
@@ -450,6 +426,21 @@ class Inputs:
     def query_ids(self, split: str | None) -> list[str]:
         """The ids of the split's queries, or of every query for None."""
         return getattr(self.splits, f"{split}_ids") if split else self.queries.ids
+
+
+def make_index(pool: Corpus, pipeline: TextPipeline, path) -> PostingsIndex:
+    """The index of the pipeline's bags of the pool, saved to `path`."""
+    index = build_index(pool, pipeline)
+    save_index(index, path)
+    return index
+
+
+def make_centroids(pool: Corpus, pipeline: TextPipeline, word_vectors, path,
+                   on_empty: str = "skip-document") -> DocVectorStore:
+    """The pool's centroid store (see `build_centroid_store`), saved to `path`."""
+    store = build_centroid_store(pool, pipeline, word_vectors, on_empty=on_empty)
+    save_doc_vectors(store, path)
+    return store
 
 
 def run_bm25_tuning(index, pipeline: TextPipeline, queries: Corpus, query_ids, qrels,
@@ -463,6 +454,18 @@ def run_bm25_tuning(index, pipeline: TextPipeline, queries: Corpus, query_ids, q
     if params_path is not None:
         write_params(best, params_path)
     return best, cells
+
+
+def run_alpha_tuning(run_a: Run, run_b: Run, qrels, grid, k: int, grid_path=None,
+                     alpha_path=None, comment=""):
+    """Tune the fusion weight of `run_a` (see `tune_alpha`) and, given
+    paths, write the grid CSV and the winner's JSON; the winner and the cells."""
+    alpha, cells = tune_alpha(run_a, run_b, qrels, grid, k)
+    if grid_path is not None:
+        write_alpha_grid_csv(cells, grid_path, comment=comment)
+    if alpha_path is not None:
+        write_alpha(alpha, alpha_path)
+    return alpha, cells
 
 
 def run_training(kind: str, splits: SplitManifest, qrels, run: Run, store, hp,
@@ -488,6 +491,28 @@ def final_lists(deep: Run, k: int | None, window: DateWindow | None, queries: Co
     cands = candidates(deep, k, window, queries, pool)
     runs = rerank_run(cands, rerankers) if rerankers else [cands]
     return [finalize(run, window, queries, pool) for run in runs]
+
+
+def score_run(run: Run, qrels, k: int, path=None, comment: str = ""):
+    """`evaluate_run` at depth k and, given a path, its eval CSV."""
+    report = evaluate_run(run, qrels, k=k)
+    if path is not None:
+        write_eval_csv(report, path, comment=comment)
+    return report
+
+
+def make_rk_curve(run: Run, qrels, k_max: int, path, comment: str = ""):
+    """`emit_rk_curve`'s rows, written to `path`."""
+    rows = emit_rk_curve(run, qrels, k_max)
+    write_rk_curve_csv(rows, path, comment=comment)
+    return rows
+
+
+def make_year_hist(qrels, queries: Corpus, pool: Corpus, path, comment: str = ""):
+    """`year_diff_histogram` of the judged pairs, written to `path`."""
+    hist = year_diff_histogram(qrels, queries, pool)
+    write_year_hist_csv(hist, path, comment=comment)
+    return hist
 
 
 @dataclass
@@ -741,17 +766,12 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
     bm25_params = lambda: config.bm25_params or Bm25Params()
     if config.needs_bm25:
         index_path = outdir / "index.bin"
-
-        def index_stage():
-            built = build_index(inputs.pool, inputs.pipeline)
-            save_index(built, index_path)
-            return built
-
         # the format version is part of the stage name (the checkpoints'
         # too), so a file of an older format in a reused output directory
         # is rebuilt instead of skipped
         index = stages.add(f"index-v{INDEX_VERSION}", [index_path], ("pool", "pipeline"),
-                           index_stage, lambda: load_index(index_path))
+                           lambda: make_index(inputs.pool, inputs.pipeline, index_path),
+                           lambda: load_index(index_path))
         if config.bm25_tune:
             grid_path = outdir / "bm25_grid.csv"
             params_path = outdir / "bm25_params.json"
@@ -765,15 +785,10 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
 
     if "w2v-cent" in config.components:
         cent_path = outdir / "centroids.vec"
-
-        def centroid_stage():
-            built = build_centroid_store(inputs.pool, inputs.pipeline,
-                                         inputs.word_vectors)
-            save_doc_vectors(built, cent_path)
-            return built
-
         cent_store = stages.add("centroids", [cent_path],
-                                ("pool", "pipeline", "word_vectors"), centroid_stage,
+                                ("pool", "pipeline", "word_vectors"),
+                                lambda: make_centroids(inputs.pool, inputs.pipeline,
+                                                       inputs.word_vectors, cent_path),
                                 lambda: load_doc_vectors(cent_path))
 
     fetched = ["test"]
@@ -796,11 +811,9 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             # list is a prefix of one total order, so the top `deep` of a
             # deeper fetch is exactly what a `deep` fetch returns
             dev_parts = prefetcher.fusion_parts(inputs.splits.dev_ids)
-            alpha, grid = tune_alpha(
-                *(run.truncated(prefetcher.deep) for run in dev_parts),
-                inputs.qrels, config.fusion_grid, config.k)
-            write_alpha_grid_csv(grid, alpha_grid_path, comment=tag)
-            write_alpha(alpha, alpha_path)
+            alpha = run_alpha_tuning(
+                *(run.truncated(prefetcher.deep) for run in dev_parts), inputs.qrels,
+                config.fusion_grid, config.k, alpha_grid_path, alpha_path, tag)[0]
         runs = {split: prefetcher.deep_run(inputs.query_ids(split), alpha,
                                            dev_parts if split == "dev" else None)
                 for split in fetched}
@@ -834,14 +847,11 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
             chosen = choose_window(prefetch("dev"), inputs.qrels, inputs.queries,
                                    inputs.pool, config.datefilter_grid,
                                    config.datefilter_mode, config.k, config.eval_k)
-            years_path.write_text(json.dumps({"years": chosen}))
+            write_years(chosen, years_path)
             return chosen
 
-        # the window read back must be one the tuning could have chosen
         years = stages.add("tune-datefilter", [years_path], judged, tune_window,
-                           lambda: read_json_number(
-                               years_path, "years", lambda y: y in config.datefilter_grid,
-                               "a value of datefilter.grid"))
+                           lambda: read_years(years_path, config.datefilter_grid))
 
     def window() -> DateWindow | None:
         return None if years() is None else DateWindow(years(), config.datefilter_mode)
@@ -852,45 +862,35 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
         return candidates(prefetch(split), config.k, window(), inputs.queries,
                           inputs.pool)
 
-    @cache
-    def store() -> FeatureStore:
-        """The re-rankers' features, shared by every seed's training and the
-        re-ranking of the test lists."""
-        return FeatureStore(config.rerank_model, inputs.provider, inputs.pipeline,
-                            inputs.queries, inputs.pool, config.rerank_hyperparams)
+    # the re-rankers' features, shared by every seed's training and the
+    # re-ranking of the test lists
+    store = cache(lambda: inputs.features(config.rerank_model,
+                                          config.rerank_hyperparams))
 
     hist_path = outdir / "year_hist.csv"
     stages.add("year-hist", [hist_path], judged,
-               lambda: write_year_hist_csv(
-                   year_diff_histogram(inputs.qrels.restrict(
-                       inputs.query_ids("dev" if "dev" in fetched else "test")),
-                       inputs.queries, inputs.pool),
-                   hist_path, comment=tag))
+               lambda: make_year_hist(inputs.qrels.restrict(
+                   inputs.query_ids("dev" if "dev" in fetched else "test")),
+                   inputs.queries, inputs.pool, hist_path, tag))
 
     rk_path = outdir / "rk_curve.csv"
     stages.add("rk-curve", [rk_path], ("qrels", "splits"),
-               lambda: write_rk_curve_csv(
-                   emit_rk_curve(prefetch("test"),
-                                 inputs.qrels.restrict(inputs.splits.test_ids),
-                                 2 * config.k),
-                   rk_path, comment=tag))
+               lambda: make_rk_curve(prefetch("test"),
+                                     inputs.qrels.restrict(inputs.splits.test_ids),
+                                     2 * config.k, rk_path, tag))
 
     trained = []
     if need_train:
         for seed in config.rerank_seeds:
-            ck_path = outdir / f"checkpoint_seed{seed}.bin"
-            log_path = outdir / f"training_log_seed{seed}.csv"
-
-            def train_stage(seed=seed, ck=ck_path, lg=log_path):
-                return run_training(config.rerank_model, inputs.splits, inputs.qrels,
-                                    {**cands("train"), **cands("dev")}, store(),
-                                    replace(config.rerank_hyperparams, seed=seed),
-                                    ck, lg, tag)
-
-            trained.append(stages.add(f"train-v{CHECKPOINT_VERSION}-seed{seed}",
-                                      [ck_path, log_path], (*judged, *features),
-                                      train_stage,
-                                      lambda ck=ck_path: load_checkpoint(ck)))
+            ck = outdir / f"checkpoint_seed{seed}.bin"
+            lg = outdir / f"training_log_seed{seed}.csv"
+            trained.append(stages.add(
+                f"train-v{CHECKPOINT_VERSION}-seed{seed}", [ck, lg], (*judged, *features),
+                lambda seed=seed, ck=ck, lg=lg: run_training(
+                    config.rerank_model, inputs.splits, inputs.qrels,
+                    {**cands("train"), **cands("dev")}, store(),
+                    replace(config.rerank_hyperparams, seed=seed), ck, lg, tag),
+                lambda ck=ck: load_checkpoint(ck)))
         run_paths = [outdir / f"reranked_test_seed{s}.tsv" for s in config.rerank_seeds]
         eval_paths = [outdir / f"eval_test_seed{s}.csv" for s in config.rerank_seeds]
     else:
@@ -907,8 +907,7 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
         reports = []
         for final, run_path, eval_path in zip(finals, run_paths, eval_paths):
             write_run(final, run_path, comment=tag)
-            reports.append(evaluate_run(final, test_qrels, k=config.eval_k))
-            write_eval_csv(reports[-1], eval_path, comment=tag)
+            reports.append(score_run(final, test_qrels, config.eval_k, eval_path, tag))
         if summary_path:
             write_summary_csv(aggregate_runs(reports), summary_path, comment=tag)
 

@@ -1,5 +1,5 @@
-"""Ranking metrics: R@k, binary-gain nDCG@k, R-Precision, and mean/sd
-aggregation over multiple seeded runs.
+"""Ranking metrics: R@k, binary-gain nDCG@k, R-Precision, the mean R@k
+curve over k = 1..k_max, and mean/sd aggregation over multiple seeded runs.
 
 Macro averages run over queries with at least one relevant document; the
 rest are excluded and counted. Gains are binary, the discount is
@@ -9,11 +9,16 @@ top, matching the usual trec_eval conventions.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ._textio import parse_number, read_lines, write_table
 from .ranking import Run
+
+log = logging.getLogger(__name__)
 
 
 def _ids(ranked) -> list[str]:
@@ -172,4 +177,38 @@ def write_summary_csv(summary: dict[str, tuple[float, float]], path,
                       comment: str = "") -> None:
     write_table(path, "metric,mean,sd",
                 (f"{metric},{mean!r},{sd!r}" for metric, (mean, sd) in summary.items()),
+                comment)
+
+
+def emit_rk_curve(run: Run, qrels, k_max: int) -> list[tuple[int, float]]:
+    """`(k, mean R@k)` rows for k = 1..k_max over queries with relevant
+    documents; the run must be fetched at depth >= k_max."""
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    query_ids = qrels.judged(sorted(run))
+    short = [q for q in query_ids
+             if len(run[q]) < min(k_max, len(qrels.relevant(q)))]
+    # row i marks query i's relevant entries among its top k_max, then holds
+    # its hit count at each depth k, then its R@k: the floats recall_at_k
+    # returns. The rows are added in query order from 0.0, one vector add
+    # per query, as float_sum adds each k's values
+    curves = np.zeros((len(query_ids), k_max))
+    sizes = np.zeros(len(query_ids))
+    for i, q in enumerate(query_ids):
+        relevant = qrels.relevant(q)
+        curves[i, [j for j, (d, _) in enumerate(run[q][:k_max]) if d in relevant]] = 1
+        sizes[i] = len(relevant)
+    np.cumsum(curves, axis=1, out=curves)
+    curves /= sizes[:, None]
+    total = np.zeros(k_max)
+    for curve in curves:
+        total += curve
+    rows = list(zip(range(1, k_max + 1), (total / len(query_ids)).tolist()))
+    if short:
+        log.warning("rk curve: %d list(s) shorter than k_max", len(short))
+    return rows
+
+
+def write_rk_curve_csv(rows, path, comment: str = "") -> None:
+    write_table(path, "k,recall", (f"{k},{recall!r}" for k, recall in rows),
                 comment)

@@ -330,28 +330,65 @@ def write_doc_vectors(root, out):
         (out / name).write_text("\n".join(lines) + "\n")
 
 
-def test_prefetch_refuses_pool_vectors_absent_from_the_collection(env, tmp_path):
-    """Given --collection, `regir prefetch` checks the pool vectors against
-    it, as `regir run` does; it used to rank a document the pool lacks."""
+@pytest.mark.parametrize("mode", ["doc-vectors", "w2v-cent"])
+def test_prefetch_refuses_pool_vectors_absent_from_the_collection(env, tmp_path, mode):
+    """Given --collection, `regir prefetch` checks the pool's doc vectors
+    against it, as `regir run` does, and its centroids too; it used to rank
+    a document the pool lacks."""
     root = env.root
     write_doc_vectors(root, tmp_path)
-    with open(tmp_path / "pool.vec", "a") as fh:
-        fh.write("ghost 1.0 0.0 0.0 0.0\n")
+    (tmp_path / "centroids.vec").write_bytes((root / "centroids.vec").read_bytes())
+    stores = {"doc-vectors": ("pool.vec", 4, ["--query-vectors", tmp_path / "queries.vec",
+                                              "--pool-vectors"]),
+              "w2v-cent": ("centroids.vec", 8, ["--index", root / "index.bin",
+                                                "--word-vectors", root / "wv.txt",
+                                                "--centroids"])}
+    name, dim, args = stores[mode]
+    with open(tmp_path / name, "a") as fh:
+        fh.write("ghost " + " ".join(["1.0"] + ["0.0"] * (dim - 1)) + "\n")
     out = tmp_path / "prefetch.tsv"
-    result = env.cli("prefetch", "--mode", "doc-vectors", "--k", "5",
-                     "--pool-vectors", tmp_path / "pool.vec",
-                     "--query-vectors", tmp_path / "queries.vec",
-                     "--queries", root / "queries.jsonl",
-                     "--collection", root / "pool.jsonl", "--out", out)
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(run_config(root, "prefetch.mode = doc-vectors\n"
-                                    "dense.pool_vectors = pool.vec\n"
-                                    "dense.query_vectors = queries.vec\n"))
-    staged = env.cli("run", "--config", cfg, "--out", tmp_path / "exp")
-    for outcome in (result, staged):
+    outcomes = [env.cli("prefetch", "--mode", mode, "--k", "5", *args, tmp_path / name,
+                        "--queries", root / "queries.jsonl",
+                        "--collection", root / "pool.jsonl", "--out", out)]
+    if mode == "doc-vectors":  # a w2v-cent run builds its own centroids
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(run_config(root, "prefetch.mode = doc-vectors\n"
+                                        "dense.pool_vectors = pool.vec\n"
+                                        "dense.query_vectors = queries.vec\n"))
+        outcomes.append(env.cli("run", "--config", cfg, "--out", tmp_path / "exp"))
+    for outcome in outcomes:
         assert outcome.exit_code == 1
         assert ("Error: doc vectors reference ids absent from the collection: "
                 "['ghost']") in blob(outcome)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["vectors", "train", "rerank", "prefetch"])
+def test_stage_commands_refuse_an_index_of_another_pool(env, tmp_path, command):
+    """An index over another pool than --collection (here one document
+    short) is refused, naming the index and the first id that differs,
+    before any output is written: `vectors` used to write centroids weighted
+    by the other pool's idf, and `train` and `rerank` read the same text
+    pipeline."""
+    root = env.root
+    lines = (root / "pool.jsonl").read_text().splitlines()
+    (tmp_path / "short.jsonl").write_text("\n".join(lines[:-1]) + "\n")
+    env.ok("index", "--collection", tmp_path / "short.jsonl",
+           "--out", tmp_path / "short.bin")
+    text = ["--queries", root / "queries.jsonl", "--word-vectors", root / "wv.txt"]
+    args = {"vectors": ["--word-vectors", root / "wv.txt"],
+            "train": ["--model", "drmm", "--run", root / "run_all.tsv", *text,
+                      "--qrels", root / "qrels.tsv", "--splits", root / "splits.json"],
+            "rerank": ["--checkpoint", root / "ck.bin", "--run", root / "run_test.tsv",
+                       *text],
+            "prefetch": ["--mode", "bm25", "--queries", root / "queries.jsonl"]}
+    out = tmp_path / "out"
+    result = env.cli(command, *args[command], "--index", tmp_path / "short.bin",
+                     "--collection", root / "pool.jsonl", "--out", out)
+    assert result.exit_code == 1
+    assert (f"Error: {tmp_path / 'short.bin'}: an index of another pool than "
+            f"{root / 'pool.jsonl'}: {json.loads(lines[-1])['doc_id']!r} is in one "
+            f"of them only") in blob(result)
     assert not out.exists()
 
 

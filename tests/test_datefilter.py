@@ -4,8 +4,9 @@ import pytest
 
 from regir.corpus import Corpus, Qrels
 from regir.datefilter import (DateWindow, apply_filter, candidates,
-                              choose_window, filter_run, finalize,
-                              write_year_hist_csv, year_diff_histogram)
+                              choose_window, filter_run, finalize, read_years,
+                              write_year_hist_csv, write_years,
+                              year_diff_histogram)
 from regir.ranking import RankedList, Run
 
 from conftest import make_doc
@@ -198,3 +199,13 @@ def test_year_diff_histogram_skips_unknown_years(tmp_path):
     path = tmp_path / "hist.csv"
     write_year_hist_csv(hist, path)
     assert path.read_text().splitlines() == ["year_diff,count", "-3,1", "2,1"]
+
+
+def test_the_years_file_round_trips_a_window_of_its_grid(tmp_path):
+    path = tmp_path / "datefilter_years.json"
+    write_years(5.0, path)
+    assert path.read_text() == '{"years": 5.0}'
+    assert read_years(path, [1.0, 5.0]) == 5.0
+    with pytest.raises(ValueError, match=f"^{path}: years must be a value of "
+                       r"datefilter.grid, got 5.0$"):
+        read_years(path, [1.0, 2.0])

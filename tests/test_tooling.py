@@ -48,12 +48,18 @@ def test_every_module_level_definition_is_referenced_in_the_package():
 # the library calls that `experiment.py` composes for `regir run` and the
 # CLI's stage commands alike: the loaders and builders `Inputs` wraps (the
 # judgments, split manifest, index, text pipeline, vectors and embeddings),
-# BM25 tuning, training and the final lists
+# the index and centroid builds, BM25 and fusion-weight tuning, the feature
+# store, training, the final lists and their scores, the R@k curve and the
+# year histogram
 STAGE_GLUE = ("load_qrels", "SplitManifest", "load_index", "build_pipeline",
               "load_stopwords", "load_word_vectors", "load_doc_vectors",
               "load_token_vectors", "TypeEmbeddings", "tune_bm25", "write_grid_csv",
               "write_params", "train_model", "save_checkpoint",
-              "write_training_log", "rerank_run", "candidates", "finalize")
+              "write_training_log", "rerank_run", "candidates", "finalize",
+              "build_index", "save_index", "build_centroid_store", "save_doc_vectors",
+              "tune_alpha", "write_alpha_grid_csv", "year_diff_histogram",
+              "write_year_hist_csv", "emit_rk_curve", "write_rk_curve_csv",
+              "evaluate_run", "write_eval_csv", "FeatureStore")
 
 
 def test_the_cli_leaves_the_stage_glue_to_experiment():
