@@ -18,12 +18,12 @@ from . import __version__
 from .bm25 import Bm25Params, default_grid, read_params
 from .corpus import (convert_collection, corpus_stats, ingest_collection,
                      write_collection)
-from .datefilter import DateWindow
-from .experiment import (Inputs, Prefetcher, StageFailed, error_message, final_lists,
-                         load_config, make_centroids, make_index, make_rk_curve,
-                         make_year_hist, parse_components, run_alpha_tuning,
-                         run_bm25_tuning, run_experiment, run_training, score_run,
-                         _parse_range)
+from .datefilter import DEFAULT_MODE, MODES, DateWindow
+from .experiment import (PREFETCH_MODES, Inputs, Prefetcher, StageFailed, error_message,
+                         final_lists, load_config, make_centroids, make_index,
+                         make_rk_curve, make_year_hist, parse_components,
+                         run_alpha_tuning, run_bm25_tuning, run_experiment,
+                         run_training, score_run, _parse_range)
 from .fusion import default_alpha_grid, fuse_runs
 from .metrics import aggregate_runs, read_eval_csv, write_summary_csv
 from .ranking import lists_for, read_run, write_run
@@ -62,6 +62,7 @@ def main(verbose):
 _in = click.Path(exists=True, dir_okay=False, path_type=Path)
 _out = click.Path(dir_okay=False, path_type=Path, writable=True)
 _positive = click.IntRange(min=1)
+_window_mode = dict(type=click.Choice(MODES), default=DEFAULT_MODE, show_default=True)
 
 
 def _split(splits_path: Path | None, split: str | None, default: str = "test"):
@@ -160,11 +161,11 @@ def tune_bm25_cmd(index_path, queries, qrels, splits, split, k, out, params_out,
                   grid_k1, grid_b):
     """Sweep (k1, b) maximizing R@k and export the recall grid."""
     split = _split(splits, split, "dev")
+    k1_grid = _parse_range(grid_k1, "--grid-k1") if grid_k1 else default_grid()[0]
+    b_grid = _parse_range(grid_b, "--grid-b") if grid_b else default_grid()[1]
     s = Inputs(queries_path=queries, qrels_path=qrels, splits_path=splits,
                index_path=index_path)
     ids = s.query_ids(split)
-    k1_grid = _parse_range(grid_k1, "--grid-k1") if grid_k1 else default_grid()[0]
-    b_grid = _parse_range(grid_b, "--grid-b") if grid_b else default_grid()[1]
     best, cells = run_bm25_tuning(s.index, s.pipeline, s.queries, ids, s.qrels,
                                   k1_grid, b_grid, k, out, params_out)
     best_cell = max(c.recall_at_k for c in cells)
@@ -188,8 +189,7 @@ def vectors(collection, word_vectors, out, index_path, on_empty):
 
 
 @main.command()
-@click.option("--mode", type=click.Choice(["bm25", "w2v-cent", "doc-vectors",
-                                           "ensemble"]), required=True)
+@click.option("--mode", type=click.Choice(PREFETCH_MODES), required=True)
 @click.option("--k", type=_positive, default=100, show_default=True)
 @click.option("--queries", type=_in, required=True)
 @click.option("--out", type=_out, required=True, help="Run TSV.")
@@ -209,8 +209,7 @@ def vectors(collection, word_vectors, out, index_path, on_empty):
 @click.option("--alpha", type=float, help="Ensemble weight on the first component.")
 @click.option("--date-filter", "date_filter", type=float,
               help="Maximum |year(doc) - year(query)| to keep.")
-@click.option("--filter-mode", type=click.Choice(["pre", "post"]), default="pre",
-              show_default=True)
+@click.option("--filter-mode", **_window_mode)
 def prefetch(mode, k, queries, out, splits, split, index_path, params,
              collection, word_vectors, centroids, pool_vectors, query_vectors,
              components, alpha, date_filter, filter_mode):
@@ -266,16 +265,16 @@ def fuse_cmd(run_a, run_b, k, alpha, do_tune, qrels, grid, grid_out, out):
     for option, value in (("--grid", grid), ("--grid-out", grid_out)):
         if value is not None and not do_tune:
             raise click.ClickException(f"{option} needs --tune-alpha")
+    if do_tune and qrels is None:
+        raise click.ClickException("--tune-alpha needs --qrels")
+    if not do_tune and alpha is None:
+        raise click.ClickException("give --alpha or --tune-alpha")
+    alpha_grid = _parse_range(grid, "--grid") if grid else default_alpha_grid()
     a, b = read_run(run_a), read_run(run_b)
     if do_tune:
-        if qrels is None:
-            raise click.ClickException("--tune-alpha needs --qrels")
-        alpha_grid = _parse_range(grid, "--grid") if grid else default_alpha_grid()
         alpha, _ = run_alpha_tuning(a, b, Inputs(qrels_path=qrels).qrels, alpha_grid,
                                     k, grid_out)
         click.echo(f"tuned alpha={alpha}")
-    elif alpha is None:
-        raise click.ClickException("give --alpha or --tune-alpha")
     fused = fuse_runs(a, b, alpha, k)
     write_run(fused, out)
     click.echo(f"wrote {len(fused)} fused lists to {out}")
@@ -341,8 +340,7 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
 @click.option("--k", type=_positive,
               help="Re-rank the top k; a pre filter refills to k.")
 @click.option("--date-filter", "date_filter", type=float)
-@click.option("--filter-mode", type=click.Choice(["pre", "post"]), default="post",
-              show_default=True)
+@click.option("--filter-mode", **_window_mode)
 @click.option("--out", type=_out, required=True)
 def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
            token_vectors, k, date_filter, filter_mode, out):
@@ -366,8 +364,7 @@ def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
 @click.option("--queries", type=_in, required=True)
 @click.option("--collection", type=_in, required=True)
 @click.option("--years", type=float, required=True)
-@click.option("--mode", type=click.Choice(["pre", "post"]), default="post",
-              show_default=True)
+@click.option("--mode", **_window_mode)
 @click.option("--k", type=_positive,
               help="Keep each list's top k, refilled to k in pre mode.")
 @click.option("--out", type=_out, required=True)

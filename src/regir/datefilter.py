@@ -27,6 +27,8 @@ from .ranking import RankedList, Run
 log = logging.getLogger(__name__)
 
 MODES = ("pre", "post")
+# the mode of a window given without one, in a run's config and the CLI alike
+DEFAULT_MODE = "post"
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class DateWindow:
     math.inf disables the cut."""
 
     max_distance_years: float
-    mode: str = "post"
+    mode: str = DEFAULT_MODE
 
     def __post_init__(self):
         y = self.max_distance_years

@@ -20,7 +20,7 @@ from itertools import compress, repeat
 import numpy as np
 
 from ._textio import parse_number, read_lines, read_vectors, write_table
-from .ranking import RankedList, top_k_from_arrays
+from .ranking import RankedList, ranked_rows
 from .text import distinct_rows, kept_offsets
 
 log = logging.getLogger(__name__)
@@ -108,11 +108,12 @@ class DocVectorStore(_KeyedMatrix):
         self._ids = np.array(ids, dtype=object)
         self._norms = _row_norms(self.matrix)
 
-    def validate_against(self, corpus) -> None:
+    def validate_against(self, corpus, path, corpus_path) -> None:
+        """Refuses a vector of an id the corpus lacks, naming both files."""
         missing = [d for d in self.row if d not in corpus]
         if missing:
-            raise VectorFormatError(f"doc vectors reference ids absent from the "
-                                    f"collection: {sorted(missing)[:5]}")
+            raise VectorFormatError(f"{path}: doc vectors reference ids absent from "
+                                    f"{corpus_path}: {sorted(missing)[:5]}")
 
 
 def _load(cls, path, dim: int | None = None, comments: bool = False, **kwargs):
@@ -265,11 +266,10 @@ def knn_search(query_vec: np.ndarray, store: DocVectorStore, k: int) -> RankedLi
         raise ValueError("zero query vector")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(store) == 0:
-        return RankedList(presorted=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = (store.matrix @ query_vec) / (store._norms * qnorm)
     sims = np.where(store._norms == 0, -1.0, sims)
-    return RankedList._distinct(top_k_from_arrays(store._ids, sims, min(k, len(store)),
-                                                  sorted_ids=True))
+    # the ids ascend with the rows, so ascending rows order tied ids
+    top = ranked_rows(sims, k)[:k]
+    return RankedList._distinct(zip(store._ids[top].tolist(), sims[top].tolist()))
 

@@ -28,13 +28,13 @@ from .bm25 import (INDEX_VERSION, Bm25Params, PostingsIndex, build_index,
                    default_grid, load_index, read_params, save_index,
                    tune_bm25, write_grid_csv, write_params)
 from .corpus import Corpus, SplitManifest, ingest_collection, load_qrels
-from .datefilter import (MODES, DateWindow, candidates, choose_window, finalize,
-                         read_years, write_year_hist_csv, write_years,
+from .datefilter import (DEFAULT_MODE, MODES, DateWindow, candidates, choose_window,
+                         finalize, read_years, write_year_hist_csv, write_years,
                          year_diff_histogram)
 from .dense import (CentroidError, DocVectorStore, WordVectors,
                     build_centroid_store, centroid, knn_search,
                     load_doc_vectors, load_word_vectors, save_doc_vectors)
-from .fusion import (default_alpha_grid, fuse, read_alpha, tune_alpha,
+from .fusion import (default_alpha_grid, fuse, fuse_runs, read_alpha, tune_alpha,
                      write_alpha, write_alpha_grid_csv)
 from .metrics import (aggregate_runs, emit_rk_curve, evaluate_run, write_eval_csv,
                       write_rk_curve_csv, write_summary_csv)
@@ -249,7 +249,7 @@ class ExperimentConfig:
     rerank_embeddings: str = _key("rerank.embeddings", _choice("word", "token"),
                                   "word")
     token_vectors_path: Path | None = _key("rerank.token_vectors", _path)
-    datefilter_mode: str = _key("datefilter.mode", _choice(*MODES), "post")
+    datefilter_mode: str = _key("datefilter.mode", _choice(*MODES), DEFAULT_MODE)
     datefilter_tune: bool = _key("datefilter.tune", _flag, False)
     datefilter_grid: list[float] = _key("datefilter.grid", _window_grid,
                                         [1, 2, 5, 10, 15])
@@ -340,7 +340,7 @@ def _pool_vectors(inputs: "Inputs", path) -> DocVectorStore:
     """The doc vectors in `path`, checked against the pool when one is given."""
     store = load_doc_vectors(path)
     if inputs.pool is not None:
-        store.validate_against(inputs.pool)
+        store.validate_against(inputs.pool, path, inputs.pool_path)
     return store
 
 
@@ -586,15 +586,12 @@ class Prefetcher:
             return RankedList(presorted=True)
         return knn_search(qvec, self.pool_store, depth)
 
-    def deep_list(self, query_id: str, alpha: float | None = None,
-                  parts: tuple[Run, Run] | None = None) -> RankedList:
+    def deep_list(self, query_id: str, alpha: float | None = None) -> RankedList:
         """The query's deep list: its one component's, or the fusion of both
-        components' lists, read from `parts` when given, else fetched."""
+        components' lists, each 2 * deep long."""
         if len(self.components) == 1:
             return self.fetch(query_id, self.deep)[0]
-        a, b = ((part[query_id] for part in parts) if parts
-                else self.fetch(query_id, 2 * self.deep))
-        return fuse(a, b, alpha, self.deep)
+        return fuse(*self.fetch(query_id, 2 * self.deep), alpha, self.deep)
 
     def fusion_parts(self, query_ids) -> tuple[Run, Run]:
         """Both components' runs, each 2 * deep long."""
@@ -603,10 +600,9 @@ class Prefetcher:
             run_a[query_id], run_b[query_id] = self.fetch(query_id, 2 * self.deep)
         return run_a, run_b
 
-    def deep_run(self, query_ids, alpha: float | None = None,
-                 parts: tuple[Run, Run] | None = None) -> Run:
+    def deep_run(self, query_ids, alpha: float | None = None) -> Run:
         """Every query's deep list, one query at a time (see `per_query`)."""
-        return Run(per_query(lambda q: self.deep_list(q, alpha, parts), query_ids))
+        return Run(per_query(lambda q: self.deep_list(q, alpha), query_ids))
 
 
 def error_message(exc: Exception) -> str:
@@ -807,15 +803,16 @@ def run_experiment(config: ExperimentConfig, outdir) -> ExperimentResult:
                                 **inputs.read(fetch_reads))
         alpha, dev_parts = config.fusion_alpha, None
         if config.fusion_tune:
-            # tune on the dev components the dev split fetches anyway: each
+            # tune on the dev components the dev split fetches anyway (each
             # list is a prefix of one total order, so the top `deep` of a
-            # deeper fetch is exactly what a `deep` fetch returns
+            # deeper fetch is a `deep` fetch), then fuse them as `regir fuse` does
             dev_parts = prefetcher.fusion_parts(inputs.splits.dev_ids)
             alpha = run_alpha_tuning(
                 *(run.truncated(prefetcher.deep) for run in dev_parts), inputs.qrels,
                 config.fusion_grid, config.k, alpha_grid_path, alpha_path, tag)[0]
-        runs = {split: prefetcher.deep_run(inputs.query_ids(split), alpha,
-                                           dev_parts if split == "dev" else None)
+        runs = {split: fuse_runs(*dev_parts, alpha, prefetcher.deep)
+                if split == "dev" and dev_parts
+                else prefetcher.deep_run(inputs.query_ids(split), alpha)
                 for split in fetched}
         for split, run in runs.items():
             write_run(run, outdir / f"prefetch_{split}.tsv", comment=tag)

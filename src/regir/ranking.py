@@ -42,26 +42,22 @@ def ranked_rows(scores: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(-scores[candidates], kind="stable")]
 
 
-def top_k_from_arrays(doc_ids: np.ndarray, scores: np.ndarray, k: int, *,
-                      sorted_ids: bool = False) -> list[tuple[str, float]]:
-    """Vectorized top-k with the canonical tie-break.
-
-    Takes `ranked_rows`, then, within each run of equal scores, sorts by
-    doc_id. With `sorted_ids` the caller vouches that doc_ids ascend, as an
-    index's and a vector store's do: ascending rows then order tied ids, and
-    no id is compared. NaN scores are never ranked.
-    """
+def top_k_from_arrays(doc_ids: np.ndarray, scores: np.ndarray, k: int
+                      ) -> list[tuple[str, float]]:
+    """Vectorized top-k with the canonical tie-break: `ranked_rows`, then,
+    within each run of equal scores, a sort by doc_id. NaN scores are never
+    ranked. (Over ids that ascend with the rows, as an index's and a vector
+    store's do, the first k of `ranked_rows` are already in that order.)"""
     top = ranked_rows(scores, k)
-    if not sorted_ids:
-        ranked = scores[top]
-        same = ranked[1:] == ranked[:-1]
-        if same.any():
-            # the entries that tie with a neighbour, re-sorted by (run,
-            # doc_id): ids are compared only inside runs of equal scores
-            starts = np.concatenate(([True], ~same, [True]))
-            tied = np.flatnonzero(~(starts[:-1] & starts[1:]))
-            run = np.cumsum(starts[:-1])[tied]
-            top[tied] = top[tied][np.lexsort((doc_ids[top[tied]], run))]
+    ranked = scores[top]
+    same = ranked[1:] == ranked[:-1]
+    if same.any():
+        # the entries that tie with a neighbour, re-sorted by (run, doc_id):
+        # ids are compared only inside runs of equal scores
+        starts = np.concatenate(([True], ~same, [True]))
+        tied = np.flatnonzero(~(starts[:-1] & starts[1:]))
+        run = np.cumsum(starts[:-1])[tied]
+        top[tied] = top[tied][np.lexsort((doc_ids[top[tied]], run))]
     top = top[:k]
     return list(zip(doc_ids[top].tolist(),
                     scores[top].astype(np.float64, copy=False).tolist()))

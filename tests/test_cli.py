@@ -299,7 +299,9 @@ def run_config(root, settings):
      "prefetch.mode = bm25\ndatefilter.years = 3\ndatefilter.mode = pre\n"),
     (["--mode", "bm25", "--date-filter", "3", "--filter-mode", "post"],
      "prefetch.mode = bm25\ndatefilter.years = 3\ndatefilter.mode = post\n"),
-], ids=["bm25", "ensemble", "pre-filter", "post-filter"])
+    (["--mode", "bm25", "--date-filter", "3"],
+     "prefetch.mode = bm25\ndatefilter.years = 3\n"),
+], ids=["bm25", "ensemble", "pre-filter", "post-filter", "default-filter"])
 def test_prefetch_writes_regir_run_candidates(env, tmp_path, mode_args, config):
     root = env.root
     out = tmp_path / "prefetch.tsv"
@@ -358,8 +360,33 @@ def test_prefetch_refuses_pool_vectors_absent_from_the_collection(env, tmp_path,
         outcomes.append(env.cli("run", "--config", cfg, "--out", tmp_path / "exp"))
     for outcome in outcomes:
         assert outcome.exit_code == 1
-        assert ("Error: doc vectors reference ids absent from the collection: "
-                "['ghost']") in blob(outcome)
+        assert (f"Error: {tmp_path / name}: doc vectors reference ids absent from "
+                f"{root / 'pool.jsonl'}: ['ghost']") in blob(outcome)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["centroids.vec", "pool.vec"])
+def test_an_ensemble_prefetch_names_the_vector_file_the_pool_lacks(env, tmp_path, bad):
+    """An ensemble of w2v-cent and doc-vectors reads two vector files of the
+    pool; the refusal of one with an id the pool lacks names that file."""
+    root = env.root
+    write_doc_vectors(root, tmp_path)
+    (tmp_path / "centroids.vec").write_bytes((root / "centroids.vec").read_bytes())
+    dim = 8 if bad == "centroids.vec" else 4
+    with open(tmp_path / bad, "a") as fh:
+        fh.write("ghost " + " ".join(["1.0"] + ["0.0"] * (dim - 1)) + "\n")
+    out = tmp_path / "prefetch.tsv"
+    result = env.cli("prefetch", "--mode", "ensemble", "--components",
+                     "w2v-cent,doc-vectors", "--alpha", "0.5", "--k", "5",
+                     "--index", root / "index.bin", "--word-vectors", root / "wv.txt",
+                     "--centroids", tmp_path / "centroids.vec",
+                     "--pool-vectors", tmp_path / "pool.vec",
+                     "--query-vectors", tmp_path / "queries.vec",
+                     "--queries", root / "queries.jsonl",
+                     "--collection", root / "pool.jsonl", "--out", out)
+    assert result.exit_code == 1
+    assert (f"Error: {tmp_path / bad}: doc vectors reference ids absent from "
+            f"{root / 'pool.jsonl'}: ['ghost']") in blob(result)
     assert not out.exists()
 
 
@@ -741,6 +768,22 @@ def test_grid_options_refuse_values_that_repeat_once_rounded(env, tmp_path,
     assert f"{option}: '0:0.0003:0.00005' repeats values" in blob(result)
 
 
+@pytest.mark.parametrize("command,option", [
+    ("tune-bm25", "--grid-k1"), ("tune-bm25", "--grid-b"), ("fuse", "--grid"),
+])
+def test_grid_options_are_checked_before_any_input_is_read(tmp_path, command, option):
+    """Every input named here exists but does not parse, so the grid's
+    error is the one reported only if the grid is parsed first."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("not an input\n")
+    args = {"tune-bm25": ["--index", bad, "--queries", bad, "--splits", bad],
+            "fuse": ["--run-a", bad, "--run-b", bad, "--tune-alpha"]}[command]
+    result = CliRunner().invoke(main, [str(a) for a in (
+        command, *args, "--qrels", bad, option, "0:1:-1", "--out", tmp_path / "out")])
+    assert result.exit_code == 1
+    assert f"Error: {option}: step must be positive" in blob(result)
+
+
 @pytest.mark.parametrize("raw, value", RANGES_ROUNDED_OUTSIDE)
 def test_grid_k1_refuses_a_range_whose_rounding_leaves_it(env, tmp_path, raw, value):
     root = env.root
@@ -877,20 +920,20 @@ def test_fuse_default_grid_is_the_default_alpha_grid(env, tmp_path):
     assert "[default: 0:1:0.05]" in " ".join(env.ok("fuse", "--help").output.split())
 
 
-def test_fuse_requires_alpha_or_tune(env, tmp_path):
-    result = env.cli("fuse", "--run-a", env.root / "run_all.tsv",
-                     "--run-b", env.root / "run_all.tsv",
-                     "--out", tmp_path / "f.tsv")
-    assert result.exit_code != 0
-    assert "--alpha" in blob(result)
-
-
-def test_fuse_tune_alpha_needs_qrels(env, tmp_path):
-    result = env.cli("fuse", "--run-a", env.root / "run_all.tsv",
-                     "--run-b", env.root / "run_all.tsv", "--tune-alpha",
+@pytest.mark.parametrize("args,message", [
+    (["--tune-alpha"], "--tune-alpha needs --qrels"),
+    ([], "give --alpha or --tune-alpha"),
+], ids=["tune-without-qrels", "neither"])
+def test_fuse_checks_its_options_before_reading_a_run(env, tmp_path, args, message):
+    """A six-column line would fail the run files' reader: the option error
+    is reported, so the options were checked first."""
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("eu00\t1\tuk00\t1.0\textra\tcolumns\n")
+    result = env.cli("fuse", "--run-a", bad, "--run-b", bad, *args,
                      "--out", tmp_path / "f.tsv")
     assert result.exit_code == 1
-    assert "Error: --tune-alpha needs --qrels" in blob(result)
+    assert [line for line in result.output.splitlines()
+            if line.startswith("Error")] == [f"Error: {message}"]
     assert not (tmp_path / "f.tsv").exists()
 
 

@@ -106,8 +106,9 @@ def test_doc_vectors_roundtrip(tmp_path):
 def test_doc_vectors_validate_against_corpus():
     corpus = Corpus([make_doc("d1", ["tax"])])
     store = DocVectorStore(["d1", "ghost"], np.array([[1.0], [2.0]]))
-    with pytest.raises(VectorFormatError, match="ghost"):
-        store.validate_against(corpus)
+    with pytest.raises(VectorFormatError, match=r"^v\.vec: doc vectors reference ids "
+                       r"absent from pool\.jsonl: \['ghost'\]$"):
+        store.validate_against(corpus, "v.vec", "pool.jsonl")
 
 
 def test_each_vector_set_is_stored_as_one_matrix(tmp_path):
@@ -233,6 +234,13 @@ def test_knn_tie_breaks_by_doc_id():
     store = make_store({"db": [2.0, 0.0], "da": [4.0, 0.0]})
     ranked = knn_search(np.array([1.0, 0.0]), store, k=2)
     assert ranked.doc_ids == ["da", "db"]
+
+
+def test_knn_returns_at_most_the_whole_store():
+    store = make_store({"db": [2.0, 0.0], "da": [0.0, 4.0]})
+    assert knn_search(np.array([1.0, 0.0]), store, k=5).doc_ids == ["db", "da"]
+    empty = DocVectorStore([], np.empty((0, 2)))
+    assert knn_search(np.array([1.0, 0.0]), empty, k=5) == []
 
 
 @pytest.mark.parametrize("seed", range(5))

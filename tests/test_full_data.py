@@ -166,8 +166,9 @@ def test_criterion_12_doc_vector_ingestion(ctx):
         if found is None:
             pytest.skip("no doc_vectors_*.vec files under REGIR_DATA_DIR")
         data = task_data(ctx, found)
-        pool_store = load_doc_vectors(ctx.root / found / "doc_vectors_pool.vec")
-        pool_store.validate_against(data.pool)
+        pool_path = ctx.root / found / "doc_vectors_pool.vec"
+        pool_store = load_doc_vectors(pool_path)
+        pool_store.validate_against(data.pool, pool_path, "the pool collection")
         query_store = load_doc_vectors(
             ctx.root / found / "doc_vectors_queries.vec")
         prefetcher = Prefetcher(("doc-vectors",), 100, data.queries,

@@ -20,7 +20,7 @@ from regir.corpus import Corpus, Document, Qrels
 from regir.datefilter import DateWindow, apply_filter
 from regir.dense import WordVectors, centroid
 from regir.fusion import fuse, normalize_scores
-from regir.ranking import RankedList, sort_scored, top_k_from_arrays
+from regir.ranking import RankedList, ranked_rows, sort_scored, top_k_from_arrays
 from regir.text import IdfTable, TextPipeline, build_pipeline, distinct_rows
 
 from conftest import make_doc, random_corpus
@@ -206,15 +206,25 @@ def test_sort_scored_equals_the_tuple_keyed_sort(pairs):
     same(sort_scored(pairs), sort_scored_by_tuple(pairs))
 
 
+def top_k(doc_ids, scores, k: int, ascending_ids: bool):
+    """The top k as a pre-fetcher cuts it: over ids that ascend with the
+    rows (an index's, a vector store's) the first k of `ranked_rows`, as
+    BM25 and kNN take them; else `top_k_from_arrays`, as fusion does."""
+    if not ascending_ids:
+        return top_k_from_arrays(doc_ids, scores, k)
+    top = ranked_rows(scores, k)[:k]
+    return list(zip(doc_ids[top].tolist(), scores[top].tolist()))
+
+
 @PROPERTY
 @given(st.lists(st.tuples(ids, scores), max_size=12, unique_by=lambda p: p[0]),
        st.integers(0, 15), st.sampled_from([object, str]), st.booleans())
-def test_top_k_from_arrays_equals_the_full_lexsort(pairs, k, id_type, sorted_ids):
-    if sorted_ids:  # ties then break by row, which must be by id
+def test_top_k_from_arrays_equals_the_full_lexsort(pairs, k, id_type, ascending_ids):
+    if ascending_ids:  # ties then break by row, which must be by id
         pairs = sorted(pairs)
     doc_ids = np.array([d for d, _ in pairs], dtype=id_type)
     values = np.array([s for _, s in pairs], dtype=np.float64)
-    got = top_k_from_arrays(doc_ids, values, k, sorted_ids=sorted_ids)
+    got = top_k(doc_ids, values, k, ascending_ids)
     same(got, top_k_lexsort(doc_ids, values, min(k, len(pairs))))
     assert all(type(d) is str and type(s) is float for d, s in got)
 
@@ -241,18 +251,19 @@ def pool_scores(rng, n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("n", [2000, 5000, 10000])
-@pytest.mark.parametrize("sorted_ids", [True, False])
+@pytest.mark.parametrize("ascending_ids", [True, False])
 @pytest.mark.parametrize("with_nan", [False, True])
-def test_top_k_from_arrays_at_pool_scale_equals_the_full_lexsort(n, sorted_ids, with_nan):
+def test_top_k_from_arrays_at_pool_scale_equals_the_full_lexsort(n, ascending_ids,
+                                                                 with_nan):
     """Cuts at 1, among ties, at the edge of the zeros and inside them, at
     n and past it. A NaN score is ranked as if it were not there."""
-    rng = np.random.default_rng(n + 2 * sorted_ids + with_nan)
+    rng = np.random.default_rng(n + 2 * ascending_ids + with_nan)
     scores = pool_scores(rng, n)
     assert np.mean(scores == 0) >= 0.7 and np.signbit(scores[scores == 0]).any()
     if with_nan:
         scores[rng.choice(n, size=n // 50, replace=False)] = np.nan
     names = [f"d{i:05d}" for i in range(n)]
-    if not sorted_ids:  # ties then break by id, which rows do not follow
+    if not ascending_ids:  # ties then break by id, which rows do not follow
         rng.shuffle(names)
     doc_ids = np.array(names, dtype=object)
     numbers = ~np.isnan(scores)
@@ -263,19 +274,16 @@ def test_top_k_from_arrays_at_pool_scale_equals_the_full_lexsort(n, sorted_ids, 
     cuts = {1, 2, tie, tie + 1, positive, positive + 1, positive + n // 20,
             int(numbers.sum()), n, n + 7, *rng.integers(1, n + 8, size=4).tolist()}
     for k in sorted(cuts):
-        same(top_k_from_arrays(doc_ids, scores, k, sorted_ids=sorted_ids), want[:k])
+        same(top_k(doc_ids, scores, k, ascending_ids), want[:k])
 
 
 def test_top_k_from_arrays_never_ranks_a_nan_score():
     doc_ids = np.array(["a", "b", "c", "d"], dtype=object)
     scores = np.array([np.nan, np.nan, 1.0, 0.5])
-    for sorted_ids in (True, False):
-        assert top_k_from_arrays(doc_ids, scores, 2, sorted_ids=sorted_ids) == \
-            [("c", 1.0), ("d", 0.5)]
-        assert top_k_from_arrays(doc_ids, scores, 4, sorted_ids=sorted_ids) == \
-            [("c", 1.0), ("d", 0.5)]
-        assert top_k_from_arrays(doc_ids, np.full(4, np.nan), 3,
-                                 sorted_ids=sorted_ids) == []
+    for ascending_ids in (True, False):
+        assert top_k(doc_ids, scores, 2, ascending_ids) == [("c", 1.0), ("d", 0.5)]
+        assert top_k(doc_ids, scores, 4, ascending_ids) == [("c", 1.0), ("d", 0.5)]
+        assert top_k(doc_ids, np.full(4, np.nan), 3, ascending_ids) == []
 
 
 def test_ranked_list_names_the_first_repeated_doc_id():

@@ -7,10 +7,11 @@ commands that make up its run (`index`, `tune-bm25`, `vectors`, `prefetch`,
 compared with the run's artifact of the same name, `# manifest` lines
 stripped.
 
+An ensemble's deep lists are made in two commands: each component's
+`prefetch --k 4K` (the run fetches components twice as deep as its 2K-deep
+lists), then `fuse --k 2K` of the two.
+
 What the commands cannot make is named, not compared:
-- an ensemble's deep lists (`prefetch_<split>.tsv`, and `rk_curve.csv`
-  drawn from them): `regir prefetch --k 2K` fuses lists fetched twice as
-  deep as the run's, so only what the run makes from them is compared;
 - `fusion_alpha.json`, whose alpha `fuse --tune-alpha` echoes instead;
 - `datefilter_years.json`: no command tunes the window, so the sweep reads
   the tuned window from it.
@@ -85,31 +86,46 @@ def test_stage_commands_write_what_regir_run_writes(space, tmp_path, row):
         made["bm25_params.json"] = out / "bm25_params.json"
         fetch += ["--params", out / "bm25_params.json"]
 
-    # each component's deep lists: a single component's are the run's
-    for name in names:
-        for split in ("train", "dev", "test"):
-            cli("prefetch", "--mode", name, "--k", 2 * K, *fetch, "--splits", splits,
-                "--split", split, "--out", out / f"{name}_{split}.tsv")
-            if not ensemble:
-                made[f"prefetch_{split}.tsv"] = out / f"{name}_{split}.tsv"
-    if not ensemble:
-        cli("report", "rk-curve", "--run", out / f"{mode}_test.tsv", "--qrels", qrels,
-            "--splits", splits, "--k-max", 2 * K, "--out", out / "rk_curve.csv")
-        made["rk_curve.csv"] = out / "rk_curve.csv"
+    filter_mode, _, tune = row["datefilter"].partition("-")
+    tunes_alpha = ensemble and row["fusion"] == "tune"
+    # the splits the run pre-fetches: train and dev to train on, dev to tune
+    trains = row["model"] != "none"
+    fetched = ["test", *["train"] * trains,
+               *["dev"] * (trains or bool(tune) or tunes_alpha)]
 
+    def lists(name, depth, split, path=None):
+        """A run file of `name`'s lists of the split's queries, `depth` long."""
+        path = path or out / f"{name}_{depth}_{split}.tsv"
+        cli("prefetch", "--mode", name, "--k", depth, *fetch, "--splits", splits,
+            "--split", split, "--out", path)
+        return path
+
+    # an ensemble tunes alpha on its components' 2K-deep dev lists
     alpha = 0.5
-    if ensemble and row["fusion"] == "tune":
-        echoed = cli("fuse", "--run-a", out / f"{names[0]}_dev.tsv",
-                     "--run-b", out / f"{names[1]}_dev.tsv", "--k", K,
+    if tunes_alpha:
+        echoed = cli("fuse", "--run-a", lists(names[0], 2 * K, "dev"),
+                     "--run-b", lists(names[1], 2 * K, "dev"), "--k", K,
                      "--tune-alpha", "--qrels", qrels, "--grid", "0:1:0.5",
                      "--grid-out", out / "alpha_grid.csv", "--out", out / "fused.tsv")
         alpha = float(re.search(r"tuned alpha=(\S+)", echoed)[1])
         assert {"alpha": alpha} == json.loads((run_dir / "fusion_alpha.json").read_text())
         made["alpha_grid.csv"] = out / "alpha_grid.csv"
+    # the deep lists: a single component's 2K-deep lists, or the fusion of
+    # both components' 4K-deep lists at depth 2K
+    for split in fetched:
+        deep = made[f"prefetch_{split}.tsv"] = out / f"prefetch_{split}.tsv"
+        if ensemble:
+            cli("fuse", "--run-a", lists(names[0], 4 * K, split),
+                "--run-b", lists(names[1], 4 * K, split), "--k", 2 * K,
+                "--alpha", alpha, "--out", deep)
+        else:
+            lists(mode, 2 * K, split, deep)
+    cli("report", "rk-curve", "--run", out / "prefetch_test.tsv", "--qrels", qrels,
+        "--splits", splits, "--k-max", 2 * K, "--out", out / "rk_curve.csv")
+    made["rk_curve.csv"] = out / "rk_curve.csv"
     fetch = ["--mode", mode, *(["--components", components, "--alpha", alpha]
                                if ensemble else []), "--k", K, *fetch]
 
-    filter_mode, _, tune = row["datefilter"].partition("-")
     years = WINDOW
     if tune:
         years = json.loads((run_dir / "datefilter_years.json").read_text())["years"]
@@ -119,8 +135,8 @@ def test_stage_commands_write_what_regir_run_writes(space, tmp_path, row):
         final, report = "final_test.tsv", "eval_test.csv"
         cli("prefetch", *fetch, *window, "--splits", splits, "--split", "test",
             "--out", out / final)
-        if window and not ensemble:
-            cli("date-filter", "--run", out / f"{mode}_test.tsv", "--queries", queries,
+        if window:
+            cli("date-filter", "--run", out / "prefetch_test.tsv", "--queries", queries,
                 "--collection", pool, "--years", years, "--mode", filter_mode,
                 "--k", K, "--out", out / "filtered.tsv")
             assert (out / "filtered.tsv").read_bytes() == (out / final).read_bytes()
@@ -151,21 +167,18 @@ def test_stage_commands_write_what_regir_run_writes(space, tmp_path, row):
 
     # year_hist.csv covers the dev split's judged pairs when the run fetches
     # dev lists, the test split's otherwise
-    fetches_dev = (row["model"] != "none" or bool(tune)
-                   or (ensemble and row["fusion"] == "tune"))
-    judged = restricted_qrels(space, "dev" if fetches_dev else "test",
+    judged = restricted_qrels(space, "dev" if "dev" in fetched else "test",
                               out / "judged.tsv")
     cli("report", "year-hist", "--qrels", judged, "--queries", queries,
         "--collection", pool, "--out", out / "year_hist.csv")
     made["year_hist.csv"] = out / "year_hist.csv"
 
     artifacts = {p.name for p in run_dir.iterdir()}
-    unmade = {"manifest.json"} | {name for name in artifacts if ensemble and (
-        name.startswith("prefetch_") or name == "rk_curve.csv")}
+    unmade = {"manifest.json"}
     if tune:
         unmade.add("datefilter_years.json")
-    if ensemble and row["fusion"] == "tune":
+    if tunes_alpha:
         unmade.add("fusion_alpha.json")
-    assert artifacts - made.keys() == unmade
+    assert made.keys() == artifacts - unmade
     assert ({name: _digest((run_dir / name).read_bytes()) for name in artifacts - unmade}
             == {name: _digest(made[name].read_bytes()) for name in artifacts - unmade})

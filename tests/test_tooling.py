@@ -12,13 +12,20 @@ SRC = Path(regir.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 PERFBENCH = TESTS.parent / "perfbench"
 
-# name -> why it may stay unreferenced inside the package
-UNREFERENCED_ALLOWED = {
-    "drmm_features": "perfbench/probes.py calls it; it moves to tests/oracles.py "
-                     "with the next change to the benchmark",
-    "pacrr_features": "perfbench/probes.py calls it; it moves to tests/oracles.py "
-                      "with the next change to the benchmark",
+# qualified name -> the benchmark's call that keeps it while no command
+# reaches it
+UNREACHED_ALLOWED = {
+    "PostingsIndex.score_all": "perfbench/probes.py times bm25.score_ms_p50 on it",
+    "TextPipeline.__call__": "perfbench/probes.py, stages.py and checks.py "
+                             "tokenize a text with pipeline(text)",
+    "TextPipeline.denoise": "perfbench/checks.py calls it, and so does "
+                            "TextPipeline.__call__",
+    "dedup_terms": "perfbench/probes.py calls it before drmm_features",
+    "drmm_features": "perfbench/probes.py times features.drmm_ms_p50 on it",
+    "pacrr_features": "perfbench/probes.py times features.pacrr_ms_p50 on it",
 }
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _names(node) -> Counter:
@@ -29,20 +36,67 @@ def _names(node) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-def test_every_module_level_definition_is_referenced_in_the_package():
-    """A library function exists because the pipeline calls it: every
-    undecorated module-level function and class is referenced somewhere in
-    the package outside its own body, or allowed above. Decorated ones
-    (commands, dataclasses) are registered or built by their decorator and
-    not checked."""
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.rglob("*.py"))]
-    refs = sum((_names(tree) for tree in trees), Counter())
-    unreferenced = sorted(
-        node.name for tree in trees for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not node.decorator_list and refs[node.name] == _names(node)[node.name])
-    assert unreferenced == sorted(UNREFERENCED_ALLOWED)
+def _own_names(node) -> Counter:
+    """The identifiers a definition or statement reads: a class's bases,
+    decorators and body but its methods, which are definitions of their
+    own; anything else's whole node."""
+    if not isinstance(node, ast.ClassDef):
+        return _names(node)
+    parts = [*node.bases, *node.keywords, *node.decorator_list,
+             *(item for item in node.body if not isinstance(item, _FUNCTIONS))]
+    return sum(map(_names, parts), Counter())
+
+
+def _is_special(name: str) -> bool:
+    """A method Python calls on its own (`__init__`, `__len__`, ...); but
+    `__call__`, which a call of an instance reaches and a name-based walk
+    cannot tell from any other call."""
+    return name.startswith("__") and name.endswith("__") and name != "__call__"
+
+
+def test_every_definition_is_reached_from_a_cli_command():
+    """A library function exists because the pipeline calls it. From the
+    roots (each function cli.py registers as a command or group, the
+    methods of a class cli.py derives from click, which click calls, and
+    the package's module-level and class-level statements, which run on
+    import), a definition is reached when a reached one reads its name:
+    every module-level function and class and every method of that name.
+    A reached class reaches its special methods. Every definition is
+    reached, or allowed above."""
+    definitions, roots = {}, []  # qualified name -> node
+    for path in sorted(SRC.rglob("*.py")):
+        cli = path == SRC / "cli.py"
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+                roots.append(node)
+                continue
+            definitions[node.name] = node
+            if cli and any(getattr(getattr(d, "func", None), "attr", None)
+                           in ("command", "group") for d in node.decorator_list):
+                roots.append(node)
+            if isinstance(node, ast.ClassDef):
+                click_class = cli and any(_names(b)["click"] for b in node.bases)
+                roots += [item for item in node.body if click_class
+                          or not isinstance(item, _FUNCTIONS)]
+                definitions.update((f"{node.name}.{item.name}", item)
+                                   for item in node.body
+                                   if isinstance(item, _FUNCTIONS))
+    by_name = {}
+    for qualified in definitions:
+        by_name.setdefault(qualified.rpartition(".")[2], []).append(qualified)
+    reached = {name for name, node in definitions.items() if node in roots}
+    todo = [*roots]
+    while todo:
+        node = todo.pop()
+        found = [q for name in _own_names(node) for q in by_name.get(name, [])]
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{item.name}" for item in node.body
+                      if isinstance(item, _FUNCTIONS) and _is_special(item.name)]
+        for qualified in found:
+            if qualified not in reached:
+                reached.add(qualified)
+                todo.append(definitions[qualified])
+    assert sorted(definitions.keys() - reached) == sorted(UNREACHED_ALLOWED)
 
 
 # the library calls that `experiment.py` composes for `regir run` and the
