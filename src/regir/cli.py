@@ -13,6 +13,7 @@ import statistics
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .bm25 import Bm25Params, default_grid, read_params
@@ -75,6 +76,23 @@ def _split(splits_path: Path | None, split: str | None, default: str = "test"):
     if split not in (None, "train", "dev", "test"):
         raise click.ClickException(f"unknown split {split!r}")
     return None if splits_path is None else split or default
+
+
+def _window(date_filter: float | None, filter_mode: str) -> DateWindow | None:
+    """The date window of --date-filter and --filter-mode, None without
+    --date-filter, which a given --filter-mode needs. Reads no file."""
+    if date_filter is not None:
+        return DateWindow(date_filter, filter_mode)
+    source = click.get_current_context().get_parameter_source("filter_mode")
+    if source is not ParameterSource.DEFAULT:
+        raise click.ClickException("--filter-mode needs --date-filter")
+    return None
+
+
+def _check_alpha(alpha: float | None) -> None:
+    """Refuses an --alpha outside [0, 1] before any file is read."""
+    if alpha is not None and not 0 <= alpha <= 1:
+        raise click.ClickException(f"--alpha must be in [0, 1], got {alpha}")
 
 
 def _scored_run(run_path, qrels_path, splits_path, split):
@@ -219,7 +237,11 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
         if not components or alpha is None:
             raise click.ClickException("ensemble needs --components and --alpha")
         names = parse_components(components, "--components")
+        _check_alpha(alpha)
     else:
+        for option, value in (("--components", components), ("--alpha", alpha)):
+            if value is not None:
+                raise click.ClickException(f"{option} needs --mode ensemble")
         names = (mode,)
     if "bm25" in names and index_path is None:
         raise click.ClickException("bm25 needs --index")
@@ -232,7 +254,7 @@ def prefetch(mode, k, queries, out, splits, split, index_path, params,
     if date_filter is not None and collection is None:
         raise click.ClickException("--date-filter needs --collection for "
                                    "publication years")
-    window = DateWindow(date_filter, filter_mode) if date_filter is not None else None
+    window = _window(date_filter, filter_mode)
 
     split = _split(splits, split)
     s = Inputs(collection, queries, splits_path=splits, index_path=index_path,
@@ -269,6 +291,7 @@ def fuse_cmd(run_a, run_b, k, alpha, do_tune, qrels, grid, grid_out, out):
         raise click.ClickException("--tune-alpha needs --qrels")
     if not do_tune and alpha is None:
         raise click.ClickException("give --alpha or --tune-alpha")
+    _check_alpha(alpha)
     alpha_grid = _parse_range(grid, "--grid") if grid else default_alpha_grid()
     a, b = read_run(run_a), read_run(run_b)
     if do_tune:
@@ -345,7 +368,7 @@ def train(model, run_path, queries, collection, qrels, splits, index_path,
 def rerank(checkpoint, run_path, queries, collection, index_path, word_vectors,
            token_vectors, k, date_filter, filter_mode, out):
     """Re-rank pre-fetched lists with a trained checkpoint."""
-    window = DateWindow(date_filter, filter_mode) if date_filter is not None else None
+    window = _window(date_filter, filter_mode)
     s = _text_inputs(collection, queries, index_path, word_vectors, token_vectors)
     result = load_checkpoint(checkpoint)
     reranker = result.reranker(s.features(result.model.kind, result.hp))

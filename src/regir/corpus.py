@@ -308,37 +308,48 @@ class SplitManifest:
 
     def validate(self, query_corpus: Corpus | None = None,
                  pool_corpus: Corpus | None = None,
-                 qrels: Qrels | None = None) -> None:
-        """Enforce split invariants; chronology violations only warn."""
+                 qrels: Qrels | None = None, files: dict | None = None) -> None:
+        """Enforce split invariants; chronology violations only warn. files
+        may hold the paths read: the manifest's ("splits") leads every
+        refusal, and a refusal against another input names its file
+        ("queries", "pool" or "qrels") too."""
+        files = files or {}
+
+        def refuse(message: str, other: str | None = None, ids=()):
+            if other in files:
+                message += f" ({files[other]})"
+            if "splits" in files:
+                message = f"{files['splits']}: {message}"
+            raise CorpusError(f"{message}: {list(ids)[:5]}" if ids else message)
+
         # errors list ids in split order, which no hash seed changes
         splits = {"train": self.train_ids, "dev": self.dev_ids,
                   "test": self.test_ids}
         sets = {name: set(ids) for name, ids in splits.items()}
         for name, ids in (*splits.items(), ("pool", self.pool_ids)):
             if len(set(ids)) != len(ids):
-                raise CorpusError(f"split {name!r} contains duplicate ids")
+                refuse(f"split {name!r} contains duplicate ids")
         for a in ("train", "dev", "test"):
             for b in ("train", "dev", "test"):
                 if a < b and sets[a] & sets[b]:
-                    overlap = sorted(sets[a] & sets[b])[:5]
-                    raise CorpusError(f"splits {a!r} and {b!r} overlap: {overlap}")
+                    refuse(f"splits {a!r} and {b!r} overlap", ids=sorted(sets[a] & sets[b]))
         if query_corpus is not None:
             for name, ids in splits.items():
                 missing = [i for i in ids if i not in query_corpus]
                 if missing:
-                    raise CorpusError(f"split {name!r}: ids missing from query "
-                                      f"collection: {missing[:5]}")
+                    refuse(f"split {name!r}: ids missing from query collection",
+                           "queries", missing)
             self._check_chronology(query_corpus)
         if pool_corpus is not None:
             missing = [i for i in self.pool_ids if i not in pool_corpus]
             if missing:
-                raise CorpusError(f"pool ids missing from pool collection: {missing[:5]}")
+                refuse("pool ids missing from pool collection", "pool", missing)
         if qrels is not None:
             for name, ids in splits.items():
                 empty = [i for i in ids if not qrels.relevant(i)]
                 if empty:
-                    raise CorpusError(f"split {name!r}: queries with no relevant "
-                                      f"documents: {empty[:5]}")
+                    refuse(f"split {name!r}: queries with no relevant documents",
+                           "qrels", empty)
 
     def _check_chronology(self, query_corpus: Corpus) -> None:
         def years(ids):

@@ -381,7 +381,9 @@ class Inputs:
             return None
         splits = SplitManifest.from_json(self.splits_path)
         splits.validate(query_corpus=self.queries, pool_corpus=self.pool,
-                        qrels=self.qrels)
+                        qrels=self.qrels,
+                        files={"splits": self.splits_path, "queries": self.queries_path,
+                               "pool": self.pool_path, "qrels": self.qrels_path})
         return splits
 
     @cached_property

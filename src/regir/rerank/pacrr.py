@@ -101,36 +101,52 @@ class PacrrModel:
 
     def _conv(self, shifts: np.ndarray, n: int, bufs) -> np.ndarray:
         """Same-padded n x n correlation with F filters as one im2col matmul;
-        returns the (F, T*D) outputs. shifts are the `_shifts` of S for a
-        kernel at least n wide, whose centred n x n block holds n's shifts:
-        column a*n + b of the window matrix is its shift (a, b). The widest
-        kernel's shifts are first copied into n*n contiguous planes, which
-        one transposing copy lays out; a narrower kernel's columns are
-        filled one shift at a time, which is faster for few columns. The
-        matmul takes the window matrix transposed, as the strided gather it
-        replaced did: with numpy's OpenBLAS (0.3.31, AVX-512) `K @ cols.T`
-        and `K @ cols.T.copy()` differ in the last bits of some columns past
-        the last multiple of 8, and only this layout keeps the scores of
-        earlier releases. Everything is written into bufs, flat buffers for
-        the planes, the window matrix and the outputs of the shifts' widest
-        kernel, at least: that keeps the bits, and a pair that reuses
-        another's buffers faults in no fresh pages for them."""
+        returns the (F, T*D) outputs with the bits of `K @ cols.T`, then
+        `+= c[:, None]`, where cols is the (T*D, n*n) C-contiguous window
+        matrix of the strided gather of earlier releases. shifts are the
+        `_shifts` of S for a kernel at least n wide, whose centred n x n
+        block holds n's shifts: column a*n + b of cols is its shift (a, b).
+
+        The bit rule, from a probe of numpy's OpenBLAS (0.3.31, SkylakeX
+        core) at 1 and 2 threads: `K @ planes` over the same values laid out
+        as contiguous (n*n, T*D) planes gives those bits on every column
+        before the last multiple of 8 of T*D (all 6,144 shapes of T 1-24,
+        D 1-128, n 2 and 3), and so does `[K | c] @ [planes; ones]`, the
+        bias folded in as a last row of ones (every such shape, and up to
+        T 256, D 1,024). No layout found keeps the bits of the columns past
+        that multiple: zero padding and a separate tail matmul both changed
+        some. So when T*D is a multiple of 8 the convolution is that one
+        matmul; otherwise cols is laid out, the widest kernel's by one
+        transposing copy of its planes and a narrower kernel's one shift at
+        a time, and the bias added after the matmul.
+
+        Everything is written into bufs, flat buffers for the planes with
+        their ones row, cols (None when T*D is a multiple of 8) and the
+        outputs of the shifts' widest kernel, at least: that keeps the bits,
+        and a pair that reuses another's buffers faults in no fresh pages
+        for them."""
         wide, _, t, d = shifts.shape
         planes_buf, cols_buf, out_buf = bufs
+        o = (wide - 1) // 2 - (n - 1) // 2
+        kernels, bias = self.params[f"K{n}"].reshape(-1, n * n), self.params[f"c{n}"]
+        out = _view(out_buf, (self.config.filters, t * d))
+        if t * d % 8 == 0:
+            planes = _view(planes_buf, (n * n + 1, t * d))
+            planes[:-1].reshape(n, n, t, d)[...] = shifts[o:o + n, o:o + n]
+            planes[-1] = 1.0
+            return np.matmul(np.column_stack((kernels, bias)), planes, out=out)
         cols = _view(cols_buf, (t * d, n * n))
         if n == wide:
             planes = _view(planes_buf, shifts.shape)
             planes[...] = shifts
             cols[...] = planes.reshape(n * n, t * d).T
         else:
-            o = (wide - 1) // 2 - (n - 1) // 2
             by_shift = cols.reshape(t, d, n * n)
             for a in range(n):
                 for b in range(n):
                     by_shift[:, :, a * n + b] = shifts[o + a, o + b]
-        out = np.matmul(self.params[f"K{n}"].reshape(-1, n * n), cols.T,
-                        out=_view(out_buf, (self.config.filters, t * d)))
-        out += self.params[f"c{n}"][:, None]
+        np.matmul(kernels, cols.T, out=out)
+        out += bias[:, None]
         return out
 
     def _rows(self, feats_list, conv_caches: list | None = None) -> np.ndarray:
@@ -142,7 +158,8 @@ class PacrrModel:
         size reads its shifts (see `_conv`). Each size's max over filters is
         written next to S in one (1 + len(kernel_sizes), T, D) block, and one
         `_row_kmax` over the block's rows gives every view. The pairs reuse
-        one set of buffers, sized for the widest document. Given a list,
+        one set of buffers, sized for the widest document; the window matrix
+        gets one only when some pair's T*D is no multiple of 8. Given a list,
         conv_caches receives what the backward pass needs of each pair's
         convolutions (see `_picks`), and each kernel size's outputs get a
         buffer of their own, read once the k-max has picked."""
@@ -150,7 +167,9 @@ class PacrrModel:
         k, sizes, wide = cfg.kmax, cfg.kernel_sizes, max(cfg.kernel_sizes)
         t = _query_length(feats_list)
         most = t * max(S.shape[1] for S, _ in feats_list)
-        planes_buf, cols_buf = np.empty(wide * wide * most), np.empty(wide * wide * most)
+        tail = [t * S.shape[1] for S, _ in feats_list if t * S.shape[1] % 8]
+        planes_buf = np.empty((wide * wide + 1) * most)
+        cols_buf = np.empty(wide * wide * max(tail)) if tail else None
         out_bufs = np.empty((len(sizes) if conv_caches is not None else 1,
                              cfg.filters * most))
         X = np.empty((len(feats_list), t, cfg.input_dim))

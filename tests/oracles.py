@@ -325,7 +325,9 @@ def conv_einsum(S: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndar
 
 def conv_strided_im2col(S: np.ndarray, kernels: np.ndarray, bias: np.ndarray):
     """Same-padded correlation as one matmul over the strided window gather
-    `sliding_window_view(...).reshape(T*D, n*n)`, transposed: the (F, T*D)
+    `sliding_window_view(...).reshape(T*D, n*n)`, transposed, then the bias
+    add: `K @ cols.T`, then `+= c[:, None]`, the layout whose bits
+    `PacrrModel._conv` keeps on both of its paths. Returns the (F, T*D)
     outputs and the (T*D, n*n) window matrix."""
     n = kernels.shape[1]
     t, d = S.shape

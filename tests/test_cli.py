@@ -522,9 +522,20 @@ def test_a_key_error_is_reported_by_its_message(env, tmp_path):
      "doc-vectors needs --pool-vectors and --query-vectors"),
     (["--mode", "bm25", "--index", "index.bin", "--date-filter", "3"],
      "--date-filter needs --collection for publication years"),
+    (["--mode", "bm25", "--index", "index.bin", "--alpha", "0.5"],
+     "--alpha needs --mode ensemble"),
+    (["--mode", "bm25", "--index", "index.bin", "--components", "bm25,w2v-cent"],
+     "--components needs --mode ensemble"),
+    (["--mode", "bm25", "--index", "index.bin", "--filter-mode", "pre"],
+     "--filter-mode needs --date-filter"),
+    (["--mode", "ensemble", "--components", "bm25,w2v-cent", "--alpha", "7",
+      "--index", "index.bin", "--word-vectors", "wv.txt", "--centroids",
+      "centroids.vec"], "--alpha must be in [0, 1], got 7.0"),
 ], ids=["no-components", "no-alpha", "unknown-component", "one-component",
         "repeated-component", "no-centroids", "no-word-vectors",
-        "no-query-vectors", "no-collection"])
+        "no-query-vectors", "no-collection", "alpha-without-ensemble",
+        "components-without-ensemble", "filter-mode-without-date-filter",
+        "alpha-outside-unit-interval"])
 def test_prefetch_refuses_missing_inputs_before_loading_any(env, tmp_path,
                                                            monkeypatch, args,
                                                            message):
@@ -877,8 +888,42 @@ def test_every_command_refuses_the_split_manifest_regir_run_refuses(
                          "--qrels", root / "qrels.tsv", "--splits", bad]}[command]
     result = env.cli(command, *args, "--out", out)
     assert result.exit_code == 1
-    assert "Error: split 'dev' contains duplicate ids\n" in blob(result)
+    assert f"Error: {bad}: split 'dev' contains duplicate ids\n" in blob(result)
     assert not (out / "final_test.tsv" if command == "run" else out).exists()
+
+
+@pytest.mark.parametrize("fault", ["query", "pool", "judgments"])
+def test_split_manifest_refusals_name_the_manifest_and_the_other_file(
+        env, tmp_path, fault):
+    """A manifest naming a query or pool document the collections lack, or
+    a query the judgments give no relevant document, is refused naming the
+    manifest and the file it disagrees with."""
+    root = env.root
+    splits = json.loads((root / "splits.json").read_text())
+    qrels = root / "qrels.tsv"
+    if fault == "query":
+        splits["dev"].append("ghost")
+        message, other, ids = ("split 'dev': ids missing from query collection",
+                               root / "queries.jsonl", ["ghost"])
+    elif fault == "pool":
+        splits["pool"].append("ghost")
+        message, other, ids = ("pool ids missing from pool collection",
+                               root / "pool.jsonl", ["ghost"])
+    else:
+        dropped = splits["dev"][0]
+        qrels = tmp_path / "qrels.tsv"
+        qrels.write_text("".join(line + "\n" for line in
+                                 (root / "qrels.tsv").read_text().splitlines()
+                                 if line.split("\t")[0] != dropped))
+        message, other, ids = ("split 'dev': queries with no relevant documents",
+                               qrels, [dropped])
+    manifest = tmp_path / "splits.json"
+    manifest.write_text(json.dumps(splits))
+    inputs = Inputs(root / "pool.jsonl", root / "queries.jsonl", qrels,
+                    splits_path=manifest)
+    with pytest.raises(ValueError) as refused:
+        inputs.splits
+    assert str(refused.value) == f"{manifest}: {message} ({other}): {ids}"
 
 
 def test_fuse_fixed_alpha(env, tmp_path):
@@ -923,7 +968,9 @@ def test_fuse_default_grid_is_the_default_alpha_grid(env, tmp_path):
 @pytest.mark.parametrize("args,message", [
     (["--tune-alpha"], "--tune-alpha needs --qrels"),
     ([], "give --alpha or --tune-alpha"),
-], ids=["tune-without-qrels", "neither"])
+    (["--alpha", "7"], "--alpha must be in [0, 1], got 7.0"),
+    (["--alpha", "nan"], "--alpha must be in [0, 1], got nan"),
+], ids=["tune-without-qrels", "neither", "alpha-above-one", "alpha-nan"])
 def test_fuse_checks_its_options_before_reading_a_run(env, tmp_path, args, message):
     """A six-column line would fail the run files' reader: the option error
     is reported, so the options were checked first."""
@@ -1189,6 +1236,23 @@ def test_rerank_post_date_filter_drops_entries(env, tmp_path):
     for query_id, rl in read_run(out).items():
         qyear = queries.get(query_id).year
         assert all(abs(pool.get(d).year - qyear) <= 2 for d in rl.doc_ids)
+
+
+def test_rerank_refuses_a_filter_mode_without_a_date_filter(env, tmp_path):
+    """The mode would be ignored: it is refused before the run file, whose
+    six-column line would fail its reader, is read."""
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("eu00\t1\tuk00\t1.0\textra\tcolumns\n")
+    result = env.cli("rerank", "--checkpoint", env.root / "ck.bin", "--run", bad,
+                     "--queries", env.root / "queries.jsonl",
+                     "--collection", env.root / "pool.jsonl",
+                     "--index", env.root / "index.bin",
+                     "--word-vectors", env.root / "wv.txt",
+                     "--filter-mode", "pre", "--out", tmp_path / "r.tsv")
+    assert result.exit_code == 1
+    assert [line for line in result.output.splitlines()
+            if line.startswith("Error")] == ["Error: --filter-mode needs --date-filter"]
+    assert not (tmp_path / "r.tsv").exists()
 
 
 def test_date_filter_command(env, tmp_path):

@@ -734,7 +734,8 @@ def conv_of(model, S, n: int, wide: int, spare: int = 0) -> np.ndarray:
     """`_conv` of kernel size n over the shifts of S padded for a kernel
     wide x wide, into buffers `spare` entries longer than it needs."""
     cells = S.size
-    bufs = (np.empty(wide * wide * cells + spare), np.empty(wide * wide * cells + spare),
+    bufs = (np.empty((wide * wide + 1) * cells + spare),
+            np.empty(wide * wide * cells + spare),
             np.empty(model.config.filters * cells + spare))
     return model._conv(_shifts(S, wide), n, bufs)
 
@@ -780,6 +781,46 @@ def test_pacrr_conv_equals_strided_gather_oracle(n):
         windows, winner = conv_caches[0][0]["windows"], conv_caches[0][0]["winner"]
         assert windows.shape == (len(flat), n * n) and (windows == cols[flat]).all()
         assert (winner == want[:, flat].argmax(axis=0)).all()
+
+
+def test_pacrr_conv_keeps_the_bits_of_the_transposed_window_matrix():
+    """`_conv` gives the bits of `K @ cols.T`, then `+= c[:, None]`, the
+    layout of `conv_strided_im2col`, with nonzero biases: on every shape of
+    T 1-24 and D 1-130, for kernel sizes 2 and 3 over shifts padded for the
+    widest, and at two full shapes. Both paths are taken: the planes with a
+    ones row where T*D is a multiple of 8, the window matrix elsewhere."""
+    rng = np.random.default_rng(42)
+    model = PacrrModel.init(rng, PacrrConfig())
+    for n in (2, 3):
+        model.params[f"c{n}"] = rng.normal(0, 0.1, size=model.config.filters)
+    shapes = [(t, d) for t in range(1, 25) for d in range(1, 131)]
+    shapes += [(256, 1024), (255, 1021)]
+    assert {t * d % 8 == 0 for t, d in shapes} == {True, False}
+    for t, d in shapes:
+        S = rng.uniform(-1, 1, size=(t, d))
+        for n in (2, 3):
+            want, _ = conv_strided_im2col(S, model.params[f"K{n}"], model.params[f"c{n}"])
+            assert np.array_equal(conv_of(model, S, n, 3), want), (t, d, n)
+
+
+def test_pacrr_rows_lay_out_a_window_matrix_only_for_a_tail_pair(monkeypatch):
+    """A batch whose every T*D is a multiple of 8 gives `_conv` no window
+    matrix buffer; one pair past that gets one, sized for it alone."""
+    model = PacrrModel.init(np.random.default_rng(3), PacrrConfig(filters=4))
+    conv, seen = PacrrModel._conv, []
+
+    def spy(self, shifts, n, bufs):
+        seen.append(bufs[1])
+        return conv(self, shifts, n, bufs)
+
+    monkeypatch.setattr(PacrrModel, "_conv", spy)
+    rng = np.random.default_rng(4)
+    pairs = [(rng.uniform(size=(4, d)), np.ones(4)) for d in (2, 30, 3)]
+    model.score_batch(pairs[:2])
+    assert seen and all(buf is None for buf in seen)
+    seen.clear()
+    model.score_batch(pairs)
+    assert {len(buf) for buf in seen} == {9 * 4 * 3}
 
 
 def test_pacrr_hand_traced_conv():
