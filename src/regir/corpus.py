@@ -34,19 +34,18 @@ class CorpusError(ValueError):
     """Raised for malformed or inconsistent collection inputs."""
 
 
-def _extract_year(record: dict, where: str) -> int:
+def _extract_year(record: dict, where: str, current: int) -> int:
     """Publication year: explicit field first, then first plausible
     4-digit token in the title, else 0 (unknown, exempt from date filters).
-    `where` names the record in errors."""
+    Plausible years lie in (1800, current]; `where` names the record in
+    errors."""
     if "year" in record and record["year"] is not None:
         year = record["year"]
         if not isinstance(year, int) or isinstance(year, bool):
             raise CorpusError(f"{where}: year must be an integer, got {year!r}")
-        current = datetime.date.today().year
         if not (1800 < year <= current):
             raise CorpusError(f"{where}: year {year} outside (1800, {current}]")
         return year
-    current = datetime.date.today().year
     for match in _TITLE_YEAR_RE.finditer(record.get("title", "")):
         candidate = int(match.group(1))
         if 1800 < candidate <= current:
@@ -121,8 +120,9 @@ class Corpus:
 REQUIRED_FIELDS = ("doc_id", "title", "body")
 
 
-def _document(record, where: str) -> Document:
-    """The Document a canonical record describes; errors start with `where`."""
+def _document(record, where: str, current: int) -> Document:
+    """The Document a canonical record describes; errors start with `where`,
+    and `current` is the latest plausible year (see `_extract_year`)."""
     if not isinstance(record, dict):
         raise CorpusError(f"{where}: expected a JSON object, "
                           f"got {type(record).__name__}")
@@ -139,7 +139,7 @@ def _document(record, where: str) -> Document:
         raise CorpusError(f"{where}: title/body must be strings")
     if not title:
         raise CorpusError(f"{where}: title is empty")
-    return Document(sys.intern(doc_id), title, body, _extract_year(record, where))
+    return Document(sys.intern(doc_id), title, body, _extract_year(record, where, current))
 
 
 def ingest_collection(path, tag: str = "") -> Corpus:
@@ -153,8 +153,9 @@ def ingest_collection(path, tag: str = "") -> Corpus:
     documents = []
     seen: set[str] = set()
     empty_bodies = 0
+    current = datetime.date.today().year
     for line_no, record in read_jsonl(path, error=CorpusError):
-        doc = _document(record, f"{path}: line {line_no}")
+        doc = _document(record, f"{path}: line {line_no}", current)
         if doc.doc_id in seen:
             raise CorpusError(f"{path}: line {line_no}: duplicate doc_id "
                               f"{doc.doc_id!r}")
@@ -193,6 +194,7 @@ def convert_collection(path, out_path,
     records = (enumerate(read_json(path, CorpusError), start=1) if is_array
                else read_jsonl(path, CorpusError))
     documents = []
+    current = datetime.date.today().year
     for i, rec in records:
         where = f"{path}: {'record' if is_array else 'line'} {i}"
         if not isinstance(rec, dict):
@@ -205,7 +207,7 @@ def convert_collection(path, out_path,
                                   f"(looked for {mapping[key]!r})")
         if not isinstance(out.get("year", 0), int):
             out.pop("year", None)
-        documents.append(_document(out, where))
+        documents.append(_document(out, where, current))
     try:
         corpus = Corpus(documents)
     except CorpusError as exc:  # a duplicate doc_id

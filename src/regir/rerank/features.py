@@ -381,12 +381,40 @@ def pacrr_query(ids: np.ndarray, provider, idf: np.ndarray, q_len: int):
     return provider.rows(ids, q_len), softmax(idf[:q_len])
 
 
-def pacrr_pair(query, ids: np.ndarray, provider, d_len: int):
-    """PACRR features of a `pacrr_query` result against one document, given
-    as its tokens' row ids (see `ids`); a document with no tokens gives a
-    (T, 0) similarity matrix."""
-    rows, idf_col = query
-    return sim_matrix(*rows, *provider.rows(ids, d_len)), idf_col
+def pacrr_batch(query, docs, provider, d_len: int) -> list:
+    """PACRR features of a `pacrr_query` result against each document of
+    docs, in order, given as its tokens' row ids (see `ids`) and cut at
+    d_len: each pair's S, the bits of its own `sim_matrix`, and the query's
+    idf column.
+
+    The list's similarities are one (T, total D) block. Each document's
+    product `q_units @ d_units.T`, its own matmul over its own gathered
+    rows, is written into its columns; the masks, the clip and the identity
+    pins then run once over the block. Each step is elementwise, so every
+    entry keeps the bits of its pair's `sim_matrix`, and each S is a view
+    of its document's columns, (T, 0) for a document with no tokens.
+
+    Besides the block, 8 bytes per entry, computing it holds at most 1 byte
+    per entry (the pins), 24 bytes per column, 384 per document, one
+    document's gathered units, 8 * dim bytes per token, and 256 KiB for
+    numpy's buffers."""
+    (q_units, q_mask, q_keys), idf_col = query
+    docs = [ids[:d_len] for ids in docs]
+    bounds = np.cumsum([0] + [len(ids) for ids in docs]).tolist()
+    S = np.empty((len(q_units), bounds[-1]))
+    for ids, a, b in zip(docs, bounds, bounds[1:]):
+        np.matmul(q_units, provider.units(ids).T, out=S[:, a:b])
+    ids = np.concatenate([np.zeros(0, dtype=np.intp), *docs])
+    d_mask = provider.in_vocab(ids)
+    S[~q_mask, :] = 0.0
+    S[:, ~d_mask] = 0.0
+    np.clip(S, -1.0, 1.0, out=S)
+    if q_keys is not None:
+        # keys are row ids, in vocabulary on both sides or on neither, so an
+        # out-of-vocabulary document token keyed -2, no row id, agrees with
+        # no query term, and every agreeing pair is in vocabulary
+        S[q_keys[:, None] == np.where(d_mask, ids, -2)] = 1.0
+    return [(S[:, a:b], idf_col) for a, b in zip(bounds, bounds[1:])]
 
 
 def pacrr_features(query_tokens: list[str], query_doc_id: str,
@@ -398,5 +426,5 @@ def pacrr_features(query_tokens: list[str], query_doc_id: str,
     tokens are strings, each mapped to its row once."""
     query = pacrr_query(provider.ids(query_doc_id, provider.row_ids(query_tokens)),
                         provider, idf_table.idfs(query_tokens), q_len)
-    return pacrr_pair(query, provider.ids(doc_id, provider.row_ids(doc_tokens)),
-                      provider, d_len)
+    return pacrr_batch(query, [provider.ids(doc_id, provider.row_ids(doc_tokens))],
+                       provider, d_len)[0]

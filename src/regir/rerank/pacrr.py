@@ -99,13 +99,15 @@ class PacrrModel:
         params["lstm_b"] = np.zeros(4)
         return cls(params, config)
 
-    def _conv(self, shifts: np.ndarray, n: int, bufs) -> np.ndarray:
+    def _conv(self, shifts: np.ndarray, n: int, stack: np.ndarray, bufs) -> np.ndarray:
         """Same-padded n x n correlation with F filters as one im2col matmul;
         returns the (F, T*D) outputs with the bits of `K @ cols.T`, then
         `+= c[:, None]`, where cols is the (T*D, n*n) C-contiguous window
         matrix of the strided gather of earlier releases. shifts are the
         `_shifts` of S for a kernel at least n wide, whose centred n x n
         block holds n's shifts: column a*n + b of cols is its shift (a, b).
+        stack is `[K | c]`, n's (F, n*n) kernels with their biases as a last
+        column, which `_rows` builds once per call.
 
         The bit rule, from a probe of numpy's OpenBLAS (0.3.31, SkylakeX
         core) at 1 and 2 threads: `K @ planes` over the same values laid out
@@ -128,13 +130,12 @@ class PacrrModel:
         wide, _, t, d = shifts.shape
         planes_buf, cols_buf, out_buf = bufs
         o = (wide - 1) // 2 - (n - 1) // 2
-        kernels, bias = self.params[f"K{n}"].reshape(-1, n * n), self.params[f"c{n}"]
         out = _view(out_buf, (self.config.filters, t * d))
         if t * d % 8 == 0:
             planes = _view(planes_buf, (n * n + 1, t * d))
             planes[:-1].reshape(n, n, t, d)[...] = shifts[o:o + n, o:o + n]
             planes[-1] = 1.0
-            return np.matmul(np.column_stack((kernels, bias)), planes, out=out)
+            return np.matmul(stack, planes, out=out)
         cols = _view(cols_buf, (t * d, n * n))
         if n == wide:
             planes = _view(planes_buf, shifts.shape)
@@ -145,8 +146,8 @@ class PacrrModel:
             for a in range(n):
                 for b in range(n):
                     by_shift[:, :, a * n + b] = shifts[o + a, o + b]
-        np.matmul(kernels, cols.T, out=out)
-        out += bias[:, None]
+        np.matmul(self.params[f"K{n}"].reshape(-1, n * n), cols.T, out=out)
+        out += self.params[f"c{n}"][:, None]
         return out
 
     def _rows(self, feats_list, conv_caches: list | None = None) -> np.ndarray:
@@ -159,7 +160,8 @@ class PacrrModel:
         written next to S in one (1 + len(kernel_sizes), T, D) block, and one
         `_row_kmax` over the block's rows gives every view. The pairs reuse
         one set of buffers, sized for the widest document; the window matrix
-        gets one only when some pair's T*D is no multiple of 8. Given a list,
+        gets one only when some pair's T*D is no multiple of 8, and each
+        kernel size's `[K | c]` stack is built once per call. Given a list,
         conv_caches receives what the backward pass needs of each pair's
         convolutions (see `_picks`), and each kernel size's outputs get a
         buffer of their own, read once the k-max has picked."""
@@ -172,6 +174,8 @@ class PacrrModel:
         cols_buf = np.empty(wide * wide * max(tail)) if tail else None
         out_bufs = np.empty((len(sizes) if conv_caches is not None else 1,
                              cfg.filters * most))
+        stacks = [np.column_stack((self.params[f"K{n}"].reshape(-1, n * n),
+                                   self.params[f"c{n}"])) for n in sizes]
         X = np.empty((len(feats_list), t, cfg.input_dim))
         for x, (S, idf_col) in zip(X, feats_list):
             d = S.shape[1]
@@ -179,9 +183,9 @@ class PacrrModel:
             block = np.empty((1 + len(sizes), t, d))
             block[0] = S
             outs = []
-            for pos, n in enumerate(sizes):
-                outs.append(self._conv(shifts, n, (planes_buf, cols_buf,
-                                                   out_bufs[pos % len(out_bufs)])))
+            for pos, (n, stack) in enumerate(zip(sizes, stacks)):
+                outs.append(self._conv(shifts, n, stack, (planes_buf, cols_buf,
+                                                          out_bufs[pos % len(out_bufs)])))
                 block[1 + pos] = outs[-1].max(axis=0).reshape(t, d)
             vals, idx = _row_kmax(block.reshape(len(block) * t, d), k)
             x[:, :-1] = vals.reshape(len(block), t, k).transpose(1, 0, 2).reshape(t, -1)

@@ -28,7 +28,7 @@ from ..fusion import normalize_scores
 from ..metrics import float_sum, recall_at_k
 from ..ranking import RankedList, Run, per_query, sort_scored
 from .drmm import DrmmModel
-from .features import drmm_batch, drmm_query, pacrr_pair, pacrr_query
+from .features import drmm_batch, drmm_query, pacrr_batch, pacrr_query
 from .pacrr import PacrrConfig, PacrrModel
 
 log = logging.getLogger(__name__)
@@ -220,7 +220,8 @@ class FeatureStore:
     def _compute(self, query_id: str, doc_ids: list[str]) -> list:
         """The features of the query with each of doc_ids, in order: DRMM's
         in one `drmm_batch`, which multiplies the query by each distinct
-        row of a batch of documents once, PACRR's one pair at a time. An
+        row of a batch of documents once, PACRR's in one `pacrr_batch`,
+        whose pairs are views of one similarity block. An
         unknown doc_id or query id raises KeyError before anything is
         computed."""
         docs = [self.provider.ids(doc_id, self._term_rows[
@@ -230,7 +231,7 @@ class FeatureStore:
         query = self._query(query_id)
         if self.kind == "drmm":
             return drmm_batch(query, docs, self.provider, self.hp.B)
-        return [pacrr_pair(query, ids, self.provider, self.hp.d_len) for ids in docs]
+        return pacrr_batch(query, docs, self.provider, self.hp.d_len)
 
     def fill(self, query_id: str, doc_ids) -> None:
         """Computes and caches the features of each pair of the query with

@@ -1,10 +1,12 @@
 import json
 import random
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from regir import corpus as corpus_module
 from regir.bm25 import (Bm25Params, build_index, load_index, save_index,
                         tune_bm25)
 from regir.corpus import (Corpus, CorpusError, Document, Qrels, SplitManifest,
@@ -54,6 +56,35 @@ def test_implausible_year_field_rejected(tmp_path):
                 [{"doc_id": "a", "title": "T", "body": "b", "year": 1650}])
     with pytest.raises(CorpusError):
         ingest_collection(tmp_path / "c.jsonl")
+
+
+def test_the_current_year_is_read_once_per_collection_and_bounds_every_year(
+        tmp_path, monkeypatch):
+    """A collection read, ingested or converted, asks for today's date once,
+    and that year bounds the year field and the title years of every
+    record."""
+    calls = []
+
+    class Date:
+        @staticmethod
+        def today():
+            calls.append(1)
+            return SimpleNamespace(year=2005)
+
+    monkeypatch.setattr(corpus_module, "datetime", SimpleNamespace(date=Date))
+    records = [{"doc_id": "a", "title": "T", "body": "b", "year": 2005},
+               {"doc_id": "b", "title": "Act 2004", "body": "b"},
+               {"doc_id": "c", "title": "Act 2007 of 1999", "body": "b"},
+               {"doc_id": "d", "title": "Act 2006", "body": "b"}]
+    write_jsonl(tmp_path / "c.jsonl", records)
+    docs = ingest_collection(tmp_path / "c.jsonl")
+    assert [doc.year for doc in docs] == [2005, 2004, 1999, 0] and len(calls) == 1
+    convert_collection(tmp_path / "c.jsonl", tmp_path / "out.jsonl")
+    assert len(calls) == 2
+    write_jsonl(tmp_path / "late.jsonl", records + [
+        {"doc_id": "e", "title": "T", "body": "b", "year": 2006}])
+    with pytest.raises(CorpusError, match=r"line 5: year 2006 outside \(1800, 2005\]"):
+        ingest_collection(tmp_path / "late.jsonl")
 
 
 @pytest.mark.parametrize("line, error", [

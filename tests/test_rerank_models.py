@@ -12,7 +12,7 @@ from regir.rerank import features
 from regir.rerank.drmm import DrmmModel
 from regir.rerank.features import (TypeEmbeddings, dedup_terms, drmm_batch,
                                    drmm_features, drmm_query, load_token_vectors,
-                                   pacrr_features, pacrr_pair, pacrr_query,
+                                   pacrr_batch, pacrr_features, pacrr_query,
                                    sim_matrix, softmax)
 from regir.rerank.pacrr import PacrrConfig, PacrrModel, _shifts
 
@@ -611,6 +611,67 @@ def test_pacrr_features_truncation_no_padding():
     assert S.shape == (1, 0)
 
 
+def pacrr_batch_list(rng, token_level: bool):
+    """A provider, a query's row ids and its documents' for `pacrr_batch`:
+    a query with out-of-vocabulary terms and repeated ones, and documents
+    with no tokens, one token, only out-of-vocabulary tokens, the query's
+    terms repeated, and more tokens than the tests' widest d_len. With word
+    vectors w0-w7 have vectors, w8 a zero one, and w9-w11 none; with token
+    vectors each position has its own, some zero, and a document's
+    position copies a query position's vector. The unit rows of the zero
+    vectors are then overwritten with ones, so only the out-of-vocabulary
+    masks keep their similarities at 0."""
+    vocab = [f"w{i}" for i in range(12)]
+    query = ["w1", "w9", "w3", "w1", "w8", "w5", "w1"]
+    query += [vocab[i] for i in rng.integers(12, size=16)]
+    docs = {"empty": [], "one": ["w1"], "oov": ["w9", "w10", "w8"],
+            "repeats": ["w1", "w3", "w1", "w9", "w1", "w8", "w3"],
+            "long": [vocab[i] for i in rng.integers(12, size=90)],
+            "mid": [vocab[i] for i in rng.integers(12, size=33)]}
+    if token_level:
+        seqs = {doc_id: rng.normal(size=(len(toks), 5))
+                for doc_id, toks in {"q": query, **docs}.items()}
+        seqs["q"][[1, 4]] = 0.0
+        seqs["oov"][:] = 0.0
+        seqs["repeats"][2] = seqs["q"][0]
+        provider = token_embeddings(seqs)
+        q_ids = provider.ids("q", query)
+        docs = [provider.ids(doc_id, toks) for doc_id, toks in docs.items()]
+    else:
+        provider = TypeEmbeddings(wv_from({**{t: rng.normal(size=5) for t in vocab[:8]},
+                                           "w8": np.zeros(5)}))
+        q_ids = provider.row_ids(query)
+        docs = [provider.row_ids(d) for d in docs.values()]
+    provider._units[:-1][~provider._usable[:-1]] = 1.0
+    return provider, q_ids, docs
+
+
+@pytest.mark.parametrize("token_level", [False, True])
+@pytest.mark.parametrize("q_len, d_len", [(1, 1), (7, 5), (9, 33), (64, 128)])
+def test_pacrr_batch_equals_each_pair_s_sim_matrix_bit_for_bit(q_len, d_len, token_level):
+    """Each pair of a list's one similarity block has the bytes of its own
+    `sim_matrix` over its rows cut at d_len: out-of-vocabulary query rows
+    and document columns (zero-norm vectors among them), an empty document,
+    a one-token one, documents cut at d_len and identities repeated on both
+    sides, each pinned to 1.0 by word vectors and by none of the token
+    vectors, whose copied vector is no identity."""
+    rng = np.random.default_rng(70 + q_len + token_level)
+    provider, q_ids, docs = pacrr_batch_list(rng, token_level)
+    query = pacrr_query(q_ids, provider, rng.uniform(size=len(q_ids)), q_len)
+    feats = pacrr_batch(query, docs, provider, d_len)
+    assert len(feats) == len(docs)
+    for (S, idf_col), ids in zip(feats, docs):
+        want = sim_matrix(*query[0], *provider.rows(ids, d_len))
+        assert S.shape == want.shape == (min(q_len, len(q_ids)), min(d_len, len(ids)))
+        assert S.tobytes() == want.tobytes()
+        assert idf_col is query[1]
+    pinned = (q_ids[:q_len, None] == docs[3][None, :d_len]) & provider.in_vocab(
+        q_ids[:q_len])[:, None] & provider.in_vocab(docs[3][:d_len])
+    assert (feats[3][0][pinned] == 1.0).all()
+    assert pinned.any() != token_level
+    assert pacrr_batch(query, [], provider, d_len) == []
+
+
 def test_pacrr_config_validation():
     with pytest.raises(ValueError):
         PacrrConfig(kernel_sizes=(1,))
@@ -737,7 +798,9 @@ def conv_of(model, S, n: int, wide: int, spare: int = 0) -> np.ndarray:
     bufs = (np.empty((wide * wide + 1) * cells + spare),
             np.empty(wide * wide * cells + spare),
             np.empty(model.config.filters * cells + spare))
-    return model._conv(_shifts(S, wide), n, bufs)
+    stack = np.column_stack((model.params[f"K{n}"].reshape(-1, n * n),
+                             model.params[f"c{n}"]))
+    return model._conv(_shifts(S, wide), n, stack, bufs)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -809,9 +872,9 @@ def test_pacrr_rows_lay_out_a_window_matrix_only_for_a_tail_pair(monkeypatch):
     model = PacrrModel.init(np.random.default_rng(3), PacrrConfig(filters=4))
     conv, seen = PacrrModel._conv, []
 
-    def spy(self, shifts, n, bufs):
+    def spy(self, shifts, n, stack, bufs):
         seen.append(bufs[1])
-        return conv(self, shifts, n, bufs)
+        return conv(self, shifts, n, stack, bufs)
 
     monkeypatch.setattr(PacrrModel, "_conv", spy)
     rng = np.random.default_rng(4)
@@ -884,7 +947,7 @@ def ragged_candidates(rng, kind, provider, idf, query, config):
         q = drmm_query(provider.row_ids(terms), provider, idf.idfs(terms))
         return drmm_batch(q, docs, provider, config.B)
     q = pacrr_query(provider.row_ids(query), provider, idf.idfs(query), config.q_len)
-    return [pacrr_pair(q, doc, provider, config.d_len) for doc in docs]
+    return pacrr_batch(q, docs, provider, config.d_len)
 
 
 @pytest.mark.parametrize("seed", range(4))

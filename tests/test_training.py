@@ -1000,6 +1000,32 @@ def test_rerank_run_keeps_none_of_the_features_it_computes(kind, hp):
                        for q, ranking in run.items()})
 
 
+@pytest.mark.parametrize("provider_kind", ["type", "token"])
+def test_a_filled_pacrr_pair_keeps_its_bytes_while_its_block_is_read(provider_kind):
+    """`fill` caches a list's pairs as views of one similarity block. Reading
+    and scoring the block's other pairs, and a `batch` of a list partly
+    cached, leave each cached pair the same object with the same bytes, and
+    that `batch` equals a fresh store's, pair by pair."""
+    pool, queries, pipeline, providers = _store_fixture()
+    hp = Hyperparams(q_len=6, d_len=16, filters=3, kmax=3)
+    store, fresh = (FeatureStore("pacrr", providers[provider_kind], pipeline, queries,
+                                 pool, hp) for _ in range(2))
+    doc_ids = [d.doc_id for d in pool]
+    store.fill("q1", doc_ids[1:4])
+    cached = {d: store.features("q1", d) for d in doc_ids[1:4]}
+    before = {d: S.tobytes() for d, (S, _) in cached.items()}
+    model = init_model("pacrr", hp, np.random.default_rng(4))
+    model.score_batch([store.features("q1", d) for d in doc_ids[2:4]])
+    got = store.batch("q1", doc_ids)
+    model.score_batch(got)
+    want = fresh.batch("q1", doc_ids)
+    assert [(S.shape, S.tobytes()) for S, _ in got] == [(S.shape, S.tobytes())
+                                                        for S, _ in want]
+    assert all(got[1 + i] is cached[d] for i, d in enumerate(doc_ids[1:4]))
+    assert store._feats.keys() == {("q1", d) for d in doc_ids[1:4]}
+    assert {d: S.tobytes() for d, (S, _) in cached.items()} == before
+
+
 def test_rerank_run_holds_one_list_s_features_at_a_time():
     """Memory stays bounded while re-ranking: over 20 PACRR lists of 30
     candidates, the memory traced during `rerank_run` peaks below three
@@ -1032,8 +1058,9 @@ def test_rerank_run_holds_one_list_s_features_at_a_time():
 
 
 def batch_bound_list(kind: str, rng, n_docs: int, doc_len: int):
-    """A provider, the side of a 40-term query (30 terms in vocabulary) and
-    n_docs documents of doc_len tokens, a fifth of them out of vocabulary.
+    """A provider, the row ids of a 40-term query (30 terms in vocabulary)
+    and n_docs documents of doc_len tokens, a fifth of them out of
+    vocabulary.
     Every in-vocabulary token is a distinct term, or has a vector of its
     own, so a batch's table has a row per in-vocabulary token."""
     tokens = n_docs * doc_len
@@ -1053,7 +1080,7 @@ def batch_bound_list(kind: str, rng, n_docs: int, doc_len: int):
         provider = token_embeddings(seqs)
         q_ids = provider.ids("q", seqs["q"])
         docs = [provider.ids(f"d{k}", seqs[f"d{k}"]) for k in range(n_docs)]
-    return provider, features.drmm_query(q_ids, provider, np.ones(40)), docs
+    return provider, q_ids, docs
 
 
 def test_a_drmm_list_at_the_batch_bound_stays_under_the_stated_memory(monkeypatch):
@@ -1075,8 +1102,9 @@ def test_a_drmm_list_at_the_batch_bound_stays_under_the_stated_memory(monkeypatc
 
     monkeypatch.setattr(features, "_drmm_batch", spy)
     for kind in ("type", "token"):
-        provider, query, docs = batch_bound_list(kind, np.random.default_rng(31),
+        provider, q_ids, docs = batch_bound_list(kind, np.random.default_rng(31),
                                                  n_docs, doc_len)
+        query = features.drmm_query(q_ids, provider, np.ones(40))
         batches.clear()
         tracemalloc.start()
         try:
@@ -1090,6 +1118,35 @@ def test_a_drmm_list_at_the_batch_bound_stays_under_the_stated_memory(monkeypatc
         hist_bytes = sum(hists.nbytes for hists, _ in feats)
         hist_bins = sum(hists.size for hists, _ in feats)
         assert peak < hist_bytes + 8 * hist_bins + 16 * entries + 64 * tokens + 2 ** 20
+
+
+@pytest.mark.parametrize("n_docs, doc_len", [(50, 128), (200, 2)])
+@pytest.mark.parametrize("kind", ["type", "token"])
+def test_a_pacrr_list_stays_under_the_stated_memory(kind, n_docs, doc_len):
+    """The memory traced while `pacrr_batch` computes a list, a 40-term
+    query against n_docs documents (one of them empty), stays under the
+    figure its docstring states: the S block, 8 bytes per entry, plus 1
+    byte per entry, 24 per column, 384 per document, one document's
+    gathered units and 256 KiB. The lists are the benchmark's shape, 50
+    candidates cut at d_len 128, and many short documents."""
+    provider, q_ids, docs = batch_bound_list(kind, np.random.default_rng(32),
+                                             n_docs, doc_len)
+    docs[0] = docs[0][:0]
+    query = features.pacrr_query(q_ids, provider, np.ones(40), 40)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        feats = features.pacrr_batch(query, docs, provider, 128)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    block = feats[0][0].base
+    assert all(S.base is block for S, _ in feats)
+    t, columns = block.shape
+    assert (t, columns) == (40, (n_docs - 1) * doc_len)
+    dim = provider.units(q_ids).shape[1]
+    assert peak < (block.nbytes + block.size + 24 * columns + 384 * n_docs
+                   + 8 * dim * doc_len + 2 ** 18)
 
 
 # --- persistence ---
