@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
-from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from importlib import resources
@@ -25,8 +24,12 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # from a non-ASCII character up to the next ASCII letter: ASCII folds to
 # itself, and text in another script is folded in a few long stretches
 _FOLD_RE = re.compile(r"[^\x00-\x7f][^A-Za-z]*")
-# every ASCII character that _TOKEN_RE does not match, mapped to a space
-_ASCII_BREAKS = {c: " " for c in range(0x80) if not _TOKEN_RE.match(chr(c))}
+# every byte below 0x80 whose character _TOKEN_RE matches kept, every other
+# byte a space
+_BYTE_BREAKS = bytes(c if c < 0x80 and _TOKEN_RE.match(chr(c)) else 0x20
+                     for c in range(256))
+# the digit rule: a word of digits only is no token
+_numeric = str.isdigit
 
 
 def _fold_marks(match: re.Match) -> str:
@@ -35,12 +38,13 @@ def _fold_marks(match: re.Match) -> str:
     return "".join(filterfalse(unicodedata.combining, decomposed))
 
 
-def tokenize(text: str) -> list[str]:
-    """Normalize and split raw text.
+def _words(text: str) -> list[str]:
+    """The lowercased runs of word characters of a text, digit-only ones
+    included: every tokenization splits its text here.
 
     NFKD-decompose and strip combining marks (so accented and plain forms
-    collide), lowercase, take maximal runs of word characters excluding the
-    underscore, and drop purely numeric tokens.
+    collide), lowercase, and take maximal runs of word characters excluding
+    the underscore.
 
     NFKD followed by the strip maps each character on its own (canonical
     reordering moves only combining marks, and every one is stripped) and
@@ -50,17 +54,20 @@ def tokenize(text: str) -> list[str]:
 
     Lowercased ASCII text (including text such as "Café" that folds to
     ASCII) has no word characters but [0-9a-z], so turning every other
-    character into a space and splitting on whitespace yields the runs the
+    byte into a space and splitting on whitespace yields the runs the
     regex finds; only text that keeps a non-ASCII character takes the regex.
     """
     if not text.isascii():
         text = _FOLD_RE.sub(_fold_marks, text)
-    text = text.lower()
-    if text.isascii():
-        words = text.translate(_ASCII_BREAKS).split()
-    else:
-        words = _TOKEN_RE.findall(text)
-    return list(filterfalse(str.isdigit, words))
+        if not text.isascii():
+            return _TOKEN_RE.findall(text.lower())
+    return text.encode("ascii").lower().translate(_BYTE_BREAKS).decode("ascii").split()
+
+
+def tokenize(text: str) -> list[str]:
+    """Normalize and split raw text (see `_words`), and drop purely numeric
+    tokens."""
+    return list(filterfalse(_numeric, _words(text)))
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,9 @@ class Bags:
 
 def kept_offsets(mask: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Document offsets into the entries that `mask` keeps."""
-    return np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))[offsets]
+    kept = np.zeros(len(mask) + 1, dtype=np.int64)
+    kept[1:] = mask
+    return np.cumsum(kept, out=kept)[offsets]  # in place: one int64 per entry
 
 
 # documents whose bags one vectorized sort counts: bounds its temporary arrays
@@ -116,19 +125,29 @@ _BLOCK_DOCS = 256
 def encode_bags(corpus) -> Bags:
     """Tokenize every document once into its term-id sequence, and count
     its bag from that. Term ids are assigned in order of first occurrence
-    over the collection."""
+    over the collection.
+
+    Every word gets an id, digit-only ones included; the digit rule then
+    runs once per vocabulary term, and one monotone remap drops the
+    numeric terms from the sequences, which keeps the order of the ids."""
     vocab: defaultdict[str, int] = defaultdict()
-    vocab.default_factory = vocab.__len__  # an unseen term gets the next id
-    seq, seq_offsets = array("i"), [0]
+    vocab.default_factory = vocab.__len__  # an unseen word gets the next id
+    seq, seq_offsets = [], [0]
     for doc in corpus:
-        seq.extend(map(vocab.__getitem__, tokenize(doc.text)))
+        seq += map(vocab.__getitem__, _words(doc.text))
         seq_offsets.append(len(seq))
-    seq = np.array(seq, dtype=np.int32)
-    seq_offsets = np.array(seq_offsets, dtype=np.int64)
-    blocks = [_count_terms(seq, seq_offsets[lo:lo + _BLOCK_DOCS + 1], len(vocab))
+    words = list(vocab)
+    keep = ~np.fromiter(map(_numeric, words), dtype=bool, count=len(words))
+    seq = np.fromiter(seq, dtype=np.int32, count=len(seq))
+    mask = keep[seq]
+    seq = seq[mask]
+    seq = (np.cumsum(keep, dtype=np.int32) - 1)[seq]
+    seq_offsets = kept_offsets(mask, np.array(seq_offsets, dtype=np.int64))
+    terms = list(compress(words, keep))
+    blocks = [_count_terms(seq, seq_offsets[lo:lo + _BLOCK_DOCS + 1], len(terms))
               for lo in range(0, max(len(corpus), 1), _BLOCK_DOCS)]
     ids, tf, sizes = (np.concatenate(part) for part in zip(*blocks))
-    return Bags(list(vocab), ids, tf,
+    return Bags(terms, ids, tf,
                 np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
                 seq, seq_offsets)
 

@@ -732,8 +732,8 @@ def test_commands_tokenize_each_query_at_most_once(env, tmp_path, monkeypatch,
     import regir.text
 
     calls = Counter()
-    real = regir.text.tokenize
-    monkeypatch.setattr(regir.text, "tokenize",
+    real = regir.text._words
+    monkeypatch.setattr(regir.text, "_words",
                         lambda text: calls.update([text]) or real(text))
     root = env.root
     args = {"prefetch": ["--mode", "ensemble", "--components", "bm25,w2v-cent",

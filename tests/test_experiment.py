@@ -535,13 +535,13 @@ def test_a_run_tokenizes_each_document_once(dataset, tmp_path, monkeypatch, text
     each document's text is tokenized once, a query's also when no stage
     fetches it, since its collection is encoded whole."""
     calls = Counter()
-    real = regir.text.tokenize
+    real = regir.text._words
 
     def counting(text):
         calls[text] += 1
         return real(text)
 
-    monkeypatch.setattr(regir.text, "tokenize", counting)
+    monkeypatch.setattr(regir.text, "_words", counting)
     (dataset / "hp.txt").write_text(HP)
     run_experiment(cfg_from(dataset, text), tmp_path / "out")
     docs = [*ingest_collection(dataset / "queries.jsonl"),

@@ -154,6 +154,19 @@ def test_tokenize_takes_the_regex_only_for_text_left_non_ascii(
     assert (fold.calls, token.calls) == (folds, finds)
 
 
+def test_the_byte_table_keeps_exactly_the_ascii_characters_of_the_token_regex():
+    """The ASCII path's table and the token regex cannot drift: a byte below
+    0x80 whose character `_TOKEN_RE` matches maps to itself, and every other
+    byte, 0x80 and up included, to a space."""
+    table = regir.text._BYTE_BREAKS
+    assert len(table) == 256
+    kept = [c for c in range(0x80) if regir.text._TOKEN_RE.fullmatch(chr(c))]
+    assert [c for c in range(256) if table[c] != 0x20] == kept
+    assert all(table[c] == c for c in kept)
+    assert bytes(kept) == (b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                           b"abcdefghijklmnopqrstuvwxyz")
+
+
 # --- bags of term ids ---
 
 BAG_VOCAB = VOCAB + ["the", "of", "and", "caf\u00e9", "2009", "na\u00efve"]
@@ -245,6 +258,32 @@ def test_term_counts_split_a_block_whose_keys_would_leave_int64(rng, monkeypatch
         assert np.array_equal(got, expected) and got.dtype == expected.dtype
 
 
+def test_bags_shift_every_id_past_leading_digit_only_documents(rng):
+    """Every word gets an id before the digit rule drops the numeric terms,
+    so documents of digit-only words (ASCII and Arabic-Indic) ahead of the
+    rest take the low ids, and the remap shifts every later one: the bags
+    still hold each document's token counts, and the ids run from 0 in
+    first-occurrence order."""
+    docs = [make_doc("a0", ["2009", "1", "22", "2009"], title="333"),
+            make_doc("a1", ["\u0663\u0661", "4"], title="12 7")]
+    docs += random_corpus(rng, 20, vocab=BAG_VOCAB + ["1", "07", "\u0663"],
+                          doc_len=(0, 30))
+    corpus = Corpus(docs)
+    leading = [w for doc in list(corpus)[:2] for w in regir.text._words(doc.text)]
+    assert len(leading) == 9 and all(map(str.isdigit, leading))
+    counts = [Counter(tokenize(doc.text)) for doc in corpus]
+    bags = encode_bags(corpus)
+    assert bags.terms == list(dict.fromkeys(t for c in counts for t in c))
+    assert bags_of(bags) == [list(c.items()) for c in counts]
+    for i, doc in enumerate(corpus):
+        assert [bags.terms[t] for t in bags.sequence(i)] == tokenize(doc.text)
+    assert bags.offsets[2] == bags.seq_offsets[2] == 0
+    assert bags.seq[0] == 0
+    assert np.array_equal(np.unique(bags.seq), np.arange(len(bags.terms)))
+    assert bags.ids.dtype == bags.tf.dtype == bags.seq.dtype == np.int32
+    assert bags.offsets.dtype == bags.seq_offsets.dtype == np.int64
+
+
 def test_pool_is_tokenized_once_for_pipeline_index_and_centroids(rng, monkeypatch):
     """Building the pipeline, the index and the centroids, and the
     re-ranker's features of every (query, pool document) pair, tokenize each
@@ -253,13 +292,13 @@ def test_pool_is_tokenized_once_for_pipeline_index_and_centroids(rng, monkeypatc
     queries = Corpus([make_doc(f"q{i}", rng.sample(BAG_VOCAB, 6), title="Query")
                       for i in range(3)])
     calls = Counter()
-    real = regir.text.tokenize
+    real = regir.text._words
 
     def counting(text):
         calls[text] += 1
         return real(text)
 
-    monkeypatch.setattr(regir.text, "tokenize", counting)
+    monkeypatch.setattr(regir.text, "_words", counting)
     pipeline = build_pipeline(corpus)
     build_index(corpus, pipeline)
     wv = WordVectors(VOCAB, np.ones((len(VOCAB), 3)))

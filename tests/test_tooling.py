@@ -223,6 +223,21 @@ def test_only_the_drmm_model_takes_log_counts():
                   )["log1p"] == 1
 
 
+def test_the_digit_rule_is_written_once():
+    """A word of digits only is no token, by one predicate: `tokenize`
+    filters its words with it and `encode_bags` its vocabulary, and no
+    module of the package but text.py names `isdigit`, which it names
+    once."""
+    found = [f"{path.relative_to(SRC).as_posix()}: line {node.lineno}"
+             for path in sorted(SRC.rglob("*.py")) if path != SRC / "text.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (node.id if isinstance(node, ast.Name)
+                 else getattr(node, "attr", None)) == "isdigit"]
+    assert found == []
+    assert _names(ast.parse((SRC / "text.py").read_text(encoding="utf-8"))
+                  )["isdigit"] == 1
+
+
 def test_builtin_sum_adds_only_integer_counts():
     """Builtin `sum` compensates float rounding from Python 3.12 on, so a
     float it adds would differ across the Python versions the package
